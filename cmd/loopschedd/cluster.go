@@ -70,15 +70,13 @@ func (o clusterOptions) enabled() bool { return o.Node != "" }
 // by ID, to journal restore points, and to re-place the run from its
 // last snapshot if the owner dies.
 type placement struct {
-	id     string // cluster-wide run ID (the owner's)
-	node   string // current owner
-	tenant string
+	id     string        // cluster-wide run ID (the owner's)
+	node   string        // current owner
 	sub    journalSubmit // original wire submission, for failover resubmit
 	ckpt   *repro.Checkpoint
 	ckptJS []byte // marshaled ckpt, to detect changes cheaply
-	done   bool
-	// inFailover serializes re-placement: OnDead and a poller's 404 can
-	// both notice the same loss.
+	// inFailover serializes re-placement: OnDead and the tracker's 404
+	// can both notice the same loss.
 	inFailover bool
 }
 
@@ -105,7 +103,8 @@ type clusterState struct {
 
 	mu         sync.Mutex
 	placements map[string]*placement
-	pollers    sync.WaitGroup
+	// tracked is closed when the tracker loop has exited.
+	tracked chan struct{}
 }
 
 func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
@@ -122,6 +121,7 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 		client:     client,
 		placeTag:   fmt.Sprintf("%08x", rand.Uint32()),
 		placements: map[string]*placement{},
+		tracked:    make(chan struct{}),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	mem, err := cluster.NewMembership(cluster.MembershipConfig{
@@ -147,30 +147,30 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 }
 
 // start probes once (so placement has state before the first tick),
-// restores replayed placements, and launches the probe loop.
+// restores replayed placements, and launches the probe loop and the
+// placement tracker.
 func (c *clusterState) start(replayed []*placement) {
 	c.mem.Probe(c.ctx)
 	for _, p := range replayed {
 		c.adopt(p)
 	}
 	c.mem.Start()
+	go c.track()
 }
 
-// adopt registers a placement (fresh or journal-replayed) and starts
-// its poller. A replayed placement whose owner is already dead fails
-// over on the poller's first tick.
+// adopt registers a placement (fresh or journal-replayed) for the
+// tracker. A replayed placement whose owner is already dead fails over
+// when membership says so.
 func (c *clusterState) adopt(p *placement) {
 	c.mu.Lock()
 	c.placements[p.id] = p
 	c.mu.Unlock()
-	c.pollers.Add(1)
-	go c.watchPlacement(p)
 }
 
 func (c *clusterState) close() {
 	c.cancel()
 	c.mem.Close()
-	c.pollers.Wait()
+	<-c.tracked
 }
 
 // internalHdr builds the headers for an intra-cluster call, including
@@ -218,7 +218,7 @@ func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.R
 // trySubmitRemote implements run placement: pick the least-loaded
 // placeable node; if that is a live peer, forward the submission there
 // under a placer-minted run ID, record the placement, journal it,
-// start the placement poller, and answer the client. Returns false
+// hand it to the placement tracker, and answer the client. Returns false
 // when the run should execute locally instead — self is the best
 // target, no peer is placeable, or the forward definitively failed
 // (graceful degradation: a partitioned node still serves).
@@ -237,19 +237,8 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 	}
 	req.ID = c.placementID(target.Peer.Name)
 	adopt := func(body []byte) bool {
-		p := &placement{
-			id:     req.ID,
-			node:   target.Peer.Name,
-			tenant: tenant,
-			sub: journalSubmit{
-				Program: req.Program,
-				Label:   req.Label,
-				Tenant:  tenant,
-				Timeout: req.Timeout,
-				Options: req.Options,
-			},
-		}
-		c.s.recordPlace(p.id, journalPlace{Node: p.node, Sub: p.sub})
+		p := &placement{id: req.ID, node: target.Peer.Name, sub: *req.record(tenant)}
+		c.s.appendRecord(kindPlace, p.id, journalPlace{Node: p.node, Sub: p.sub})
 		c.adopt(p)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
@@ -268,7 +257,7 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 			// Only this placer can have minted the ID, so a duplicate means
 			// an earlier attempt of this very forward landed: the run exists
 			// on the owner. Answer from its live status when reachable, from
-			// a minimal snapshot otherwise — the poller takes it from here.
+			// a minimal snapshot otherwise — the tracker takes it from here.
 			if got, ok := c.confirmPlaced(target.Peer, req.ID); ok {
 				return adopt(got.Body)
 			}
@@ -321,28 +310,33 @@ func (c *clusterState) ownerOf(id string) (cluster.Peer, bool) {
 	return cluster.Peer{}, false
 }
 
-// fetchStatus GETs a run's status from whichever node serves it: the
-// resolved owner first, then — if that fails — every other live peer
-// (scatter), so polls survive stale prefixes and mid-failover windows.
-func (c *clusterState) fetchStatus(ctx context.Context, id string) (*cluster.Response, bool) {
+// scatter offers run id's resolved owner, then — if try declines it —
+// every other live peer, to try, until one call reports success; so
+// routing survives stale prefixes and mid-failover windows.
+func (c *clusterState) scatter(id string, try func(cluster.Peer) bool) bool {
 	tried := map[string]bool{c.self.Name: true}
 	if owner, ok := c.ownerOf(id); ok {
 		tried[owner.Name] = true
-		resp, err := c.client.DoHeader(ctx, owner, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
-		if err == nil && resp.Status == http.StatusOK {
-			return resp, true
+		if try(owner) {
+			return true
 		}
 	}
 	for _, n := range c.mem.Nodes() {
-		if tried[n.Peer.Name] || n.State == cluster.NodeDead {
-			continue
-		}
-		resp, err := c.client.DoHeader(ctx, n.Peer, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
-		if err == nil && resp.Status == http.StatusOK {
-			return resp, true
+		if !tried[n.Peer.Name] && n.State != cluster.NodeDead && try(n.Peer) {
+			return true
 		}
 	}
-	return nil, false
+	return false
+}
+
+// fetchStatus GETs a run's status from whichever node serves it.
+func (c *clusterState) fetchStatus(ctx context.Context, id string) (resp *cluster.Response, ok bool) {
+	ok = c.scatter(id, func(p cluster.Peer) bool {
+		got, err := c.client.DoHeader(ctx, p, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
+		resp = got
+		return err == nil && got.Status == http.StatusOK
+	})
+	return resp, ok
 }
 
 // proxyGet serves GET /v1/runs/{id} for a run another node owns.
@@ -363,56 +357,37 @@ func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id strin
 // unreachable or answers 404 — after a failover the run lives on a
 // survivor whose name the ID's prefix no longer matches, and only the
 // node that placed the run knows which. A 404 keeps scattering (that
-// node simply doesn't host the run); any other answer is the owner's
-// and is relayed as-is. Reports whether it handled the request.
+// node simply doesn't host the run) and is relayed if nothing better
+// comes; any other answer is the owner's and is relayed as-is. Reports
+// whether it handled the request.
 func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, action string) bool {
-	post := func(p cluster.Peer) *cluster.Response {
+	var answer *cluster.Response
+	c.scatter(id, func(p cluster.Peer) bool {
 		resp, err := c.client.DoHeader(r.Context(), p, http.MethodPost,
 			"/v1/runs/"+id+"/"+action, c.internalHdr(""), nil, nil)
 		if err != nil && resp == nil {
-			return nil
+			return false
 		}
-		return resp
+		answer = resp
+		return resp.Status != http.StatusNotFound
+	})
+	if answer == nil {
+		return false
 	}
-	relay := func(resp *cluster.Response) bool {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.Status)
-		w.Write(resp.Body)
-		return true
-	}
-	tried := map[string]bool{c.self.Name: true}
-	var notFound *cluster.Response
-	if owner, ok := c.ownerOf(id); ok {
-		tried[owner.Name] = true
-		if resp := post(owner); resp != nil {
-			if resp.Status != http.StatusNotFound {
-				return relay(resp)
-			}
-			notFound = resp
-		}
-	}
-	for _, n := range c.mem.Nodes() {
-		if tried[n.Peer.Name] || n.State == cluster.NodeDead {
-			continue
-		}
-		if resp := post(n.Peer); resp != nil {
-			if resp.Status != http.StatusNotFound {
-				return relay(resp)
-			}
-			notFound = resp
-		}
-	}
-	if notFound != nil {
-		return relay(notFound)
-	}
-	return false
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(answer.Status)
+	w.Write(answer.Body)
+	return true
 }
 
 // proxyProgress streams NDJSON progress for a remote run by polling
 // the owner's status through the hardened client — every cross-node
 // request stays deadline-bounded, unlike a raw streaming proxy whose
-// body read can hang on a dead peer. Snapshots come at the server's
-// sample interval; the stream ends at the first terminal snapshot.
+// body read can hang on a dead peer. The stream ends at the first
+// terminal snapshot. A run can finish within a millisecond of the first
+// look, so the re-poll delay starts at a few milliseconds and doubles up
+// to the server's sample interval instead of sleeping a whole interval
+// before the second look.
 func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id string) bool {
 	resp, ok := c.fetchStatus(r.Context(), id)
 	if !ok {
@@ -425,6 +400,7 @@ func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id 
 	if interval <= 0 {
 		interval = 200 * time.Millisecond
 	}
+	delay := min(2*time.Millisecond, interval)
 	misses := 0
 	for {
 		var st runStatus
@@ -443,8 +419,9 @@ func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id 
 		select {
 		case <-r.Context().Done():
 			return true
-		case <-time.After(interval):
+		case <-time.After(delay):
 		}
+		delay = min(2*delay, interval)
 		if resp, ok = c.fetchStatus(r.Context(), id); !ok {
 			// The owner may be mid-failover; tolerate a few misses before
 			// ending the stream.
@@ -474,7 +451,7 @@ func (c *clusterState) onDead(p cluster.Peer) {
 	c.mu.Lock()
 	var victims []*placement
 	for _, pl := range c.placements {
-		if pl.node == p.Name && !pl.done {
+		if pl.node == p.Name {
 			victims = append(victims, pl)
 		}
 	}
@@ -492,7 +469,7 @@ func (c *clusterState) onDead(p cluster.Peer) {
 // snapshot's restore point.
 func (c *clusterState) failover(p *placement) {
 	c.mu.Lock()
-	if p.done || p.inFailover {
+	if c.placements[p.id] != p || p.inFailover {
 		c.mu.Unlock()
 		return
 	}
@@ -502,22 +479,8 @@ func (c *clusterState) failover(p *placement) {
 		p.inFailover = false
 		c.mu.Unlock()
 	}()
-	req := submitRequest{
-		ID:      p.id,
-		Program: p.sub.Program,
-		Label:   p.sub.Label,
-		Timeout: p.sub.Timeout,
-		Options: p.sub.Options,
-	}
-	if p.ckpt != nil {
-		// Restore-and-continue: the snapshot's claim-quiescent state makes
-		// the resumed remainder bit-identical to never having died (the
-		// virtual-engine conformance suites pin this). Verify is dropped —
-		// the trace cannot observe pre-checkpoint iterations.
-		req.Options.Resume = p.ckpt
-		req.Options.Verify = false
-	}
-	tenant := p.tenant
+	req := p.sub.request(p.id, p.ckpt)
+	tenant := p.sub.Tenant
 	c.mu.Unlock()
 
 	target, ok := c.mem.LeastLoaded()
@@ -534,8 +497,10 @@ func (c *clusterState) failover(p *placement) {
 			c.mu.Lock()
 			p.node = target.Peer.Name
 			c.mu.Unlock()
-			c.s.recordPlace(p.id, journalPlace{Node: p.node, Sub: p.sub})
-			log.Printf("loopschedd: run %s failed over to %s%s", p.id, p.node, restoreNote(p.ckpt))
+			// p.node and p.ckpt move under c.mu (noteSnapshot, a later
+			// failover); report from the values this failover used.
+			c.s.appendRecord(kindPlace, p.id, journalPlace{Node: target.Peer.Name, Sub: p.sub})
+			log.Printf("loopschedd: run %s failed over to %s%s", p.id, target.Peer.Name, restoreNote(req.Options.Resume))
 			return
 		}
 		log.Printf("loopschedd: failover of %s to %s failed (%v), restoring locally", p.id, target.Peer.Name, err)
@@ -547,11 +512,13 @@ func (c *clusterState) failover(p *placement) {
 		log.Printf("loopschedd: local failover restore of %s failed: %v", p.id, err)
 		return
 	}
+	// The run is a local one now: its own events journal its snapshots
+	// and its terminal record, so the placement has nothing left to track.
 	c.mu.Lock()
-	p.node = c.self.Name
+	delete(c.placements, p.id)
 	c.mu.Unlock()
-	c.s.recordPlace(p.id, journalPlace{Node: c.self.Name, Sub: p.sub})
-	log.Printf("loopschedd: run %s failed over to %s (self)%s", p.id, c.self.Name, restoreNote(p.ckpt))
+	c.s.appendRecord(kindPlace, p.id, journalPlace{Node: c.self.Name, Sub: p.sub})
+	log.Printf("loopschedd: run %s failed over to %s (self)%s", p.id, c.self.Name, restoreNote(req.Options.Resume))
 }
 
 func restoreNote(ck *repro.Checkpoint) string {
@@ -561,49 +528,36 @@ func restoreNote(ck *repro.Checkpoint) string {
 	return " (resuming from last snapshot)"
 }
 
-// watchPlacement polls a placed run's owner for its status on the
-// membership probe interval: journaling each new snapshot (the
-// failover restore point), recording the terminal state, and — when
-// the owner turns out to have lost the run (a 404 from a live owner,
-// e.g. one restarted without its journal) — triggering failover.
-func (c *clusterState) watchPlacement(p *placement) {
-	defer c.pollers.Done()
+// track is the one placement tracker: every probe interval it polls the
+// owner of each open placement once, in turn — journaling each new
+// snapshot (the failover restore point), recording the terminal state,
+// and failing over when a live owner turns out to have lost the run.
+func (c *clusterState) track() {
+	defer close(c.tracked)
 	interval := c.opts.ProbeInterval
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
 	for {
 		select {
 		case <-c.ctx.Done():
 			return
-		case <-time.After(interval):
+		case <-tick.C:
 		}
 		c.mu.Lock()
-		node, done := p.node, p.done
+		open := make([]*placement, 0, len(c.placements))
+		for _, p := range c.placements {
+			open = append(open, p)
+		}
 		c.mu.Unlock()
-		if done {
-			return
+		for _, p := range open {
+			if c.ctx.Err() != nil {
+				return
+			}
+			c.pollRemote(p)
 		}
-		if node == c.self.Name {
-			c.pollLocal(p)
-			continue
-		}
-		c.pollRemote(p)
-	}
-}
-
-// pollLocal tracks a placement that failed over onto this node.
-func (c *clusterState) pollLocal(p *placement) {
-	run, ok := c.s.rn.Get(p.id)
-	if !ok {
-		return
-	}
-	if ck := run.Checkpoint(); ck != nil {
-		c.noteSnapshot(p, ck)
-	}
-	st := run.State()
-	if st.Terminal() {
-		c.finishPlacement(p, st.String(), run)
 	}
 }
 
@@ -617,7 +571,7 @@ func (c *clusterState) pollRemote(p *placement) {
 		return
 	}
 	var st runStatus
-	resp, err := c.client.DoHeader(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id,
+	_, err := c.client.DoHeader(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id,
 		c.internalHdr(""), nil, &st)
 	if err != nil {
 		var se *cluster.StatusError
@@ -630,12 +584,11 @@ func (c *clusterState) pollRemote(p *placement) {
 		// Transport failures: membership declares death; OnDead handles it.
 		return
 	}
-	_ = resp
 	if st.Checkpoint != nil {
 		c.noteSnapshot(p, st.Checkpoint)
 	}
 	if terminalState(st.State) {
-		c.finishPlacement(p, st.State, nil)
+		c.finishPlacement(p, st.State)
 	}
 }
 
@@ -652,34 +605,24 @@ func (c *clusterState) noteSnapshot(p *placement, ck *repro.Checkpoint) {
 	}
 	p.ckpt, p.ckptJS = ck, js
 	c.mu.Unlock()
-	c.s.recordSnapshot(p.id, js)
+	c.s.appendRecord(kindSnapshot, p.id, js)
 }
 
-// finishPlacement marks a placement terminal, journals the outcome so
-// a rebooted placer does not resurrect a finished run, and drops the
-// entry from the placement table — each one holds the full submission
-// plus the last checkpoint, so a long-lived placer would otherwise
-// grow without bound. Routing for the finished run still works: the
-// ID's node prefix resolves it, and the proxy paths scatter when the
-// prefix has gone stale.
-func (c *clusterState) finishPlacement(p *placement, state string, run *runner.Run) {
+// finishPlacement drops a placement whose run reached a terminal state
+// from the table — each entry holds the full submission plus the last
+// checkpoint, so a long-lived placer would otherwise grow without bound
+// — and journals the outcome so a rebooted placer does not resurrect a
+// finished run. Routing for the finished run still works: the ID's node
+// prefix resolves it, and the proxy paths scatter when the prefix has
+// gone stale.
+func (c *clusterState) finishPlacement(p *placement, state string) {
 	c.mu.Lock()
-	if p.done {
-		c.mu.Unlock()
-		return
-	}
-	p.done = true
-	c.mu.Unlock()
-	term := journalTerminal{State: state}
-	if run != nil {
-		if _, err := run.Result(); err != nil {
-			term.Error = err.Error()
-		}
-	}
-	c.s.recordPlacedTerminal(p.id, term)
-	c.mu.Lock()
+	open := c.placements[p.id] == p
 	delete(c.placements, p.id)
 	c.mu.Unlock()
+	if open {
+		c.s.appendRecord(kindTerminal, p.id, journalTerminal{State: state})
+	}
 }
 
 func (c *clusterState) peerNamed(name string) (cluster.Peer, bool) {

@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/journal"
 	"repro/internal/lang"
 )
 
@@ -48,6 +49,12 @@ func (tc *testCluster) intercept(i int, f testIntercept) {
 // startCluster boots n nodes named n1..nN. Each node journals into
 // dir; faults (may be nil) seeds the shared network-fault injector.
 func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, every int64) *testCluster {
+	t.Helper()
+	return startClusterSampling(t, n, dir, faults, every, 5*time.Millisecond)
+}
+
+// startClusterSampling is startCluster with a chosen -sample interval.
+func startClusterSampling(t *testing.T, n int, dir string, faults *cluster.NetInjector, every int64, sample time.Duration) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
 	// Listeners first (URLs must exist before the servers do), each
@@ -84,7 +91,7 @@ func startCluster(t *testing.T, n int, dir string, faults *cluster.NetInjector, 
 	for i := 0; i < n; i++ {
 		s, err := newServer(serverConfig{
 			MaxConcurrent:  2,
-			SampleInterval: 5 * time.Millisecond,
+			SampleInterval: sample,
 			JournalPath:    filepath.Join(dir, tc.names[i]+".journal"),
 			Cluster: clusterOptions{
 				Node:            tc.names[i],
@@ -149,6 +156,27 @@ func (tc *testCluster) pollStatus(i int, id string, timeout time.Duration, cond 
 		case <-deadline:
 			tc.t.Fatalf("run %s: condition not reached in %v (last status %v, err %v)", id, timeout, st, err)
 		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// awaitJournaledSnapshot blocks until node i's journal holds a restore
+// point for run id — for a placer, the moment a failover of the run
+// stops meaning a restart from scratch.
+func (tc *testCluster) awaitJournaledSnapshot(i int, id string) {
+	tc.t.Helper()
+	deadline := time.After(30 * time.Second)
+	for {
+		recs, _ := journal.ReadFile(tc.srvs[i].cfg.JournalPath)
+		for _, rec := range recs {
+			if rec.Kind == kindSnapshot && rec.ID == id {
+				return
+			}
+		}
+		select {
+		case <-deadline:
+			tc.t.Fatalf("node %s never journaled a snapshot of run %s", tc.names[i], id)
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }
@@ -318,14 +346,13 @@ func TestClusterFailoverRestore(t *testing.T) {
 		t.Fatalf("run placed as %q, want n1-prefixed", id)
 	}
 
-	// Wait until the owner has parked at least one periodic snapshot —
-	// the placer's poller reads the same status at the same cadence, so
-	// a few more probe intervals guarantee the restore point is in n2's
-	// placement table and journal.
+	// Wait until the owner has parked at least one periodic snapshot and
+	// the placer's tracker has journaled it: the restore point is then in
+	// n2's placement table and journal.
 	tc.pollStatus(1, id, 30*time.Second, func(st map[string]any) bool {
 		return st["checkpoint"] != nil && st["state"] == "running"
 	})
-	time.Sleep(150 * time.Millisecond)
+	tc.awaitJournaledSnapshot(1, id)
 
 	// kill -9 the owner.
 	tc.kill(0)
@@ -349,6 +376,47 @@ func TestClusterFailoverRestore(t *testing.T) {
 		if got := int64(stats[field].(float64)); got != want {
 			t.Errorf("failed-over run %s = %d, uninterrupted reference %d", field, got, want)
 		}
+	}
+
+	// With every load at zero the least-loaded survivor is the placer
+	// itself, so the run was restored on n2 — and from there on each
+	// restore point it parked is in n2's journal exactly once: as many
+	// snapshot records after the re-placement as the restored run counts,
+	// and no record twice.
+	if restored, ok := tc.srvs[1].rn.Get(id); ok {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err := tc.srvs[1].rn.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := journal.ReadFile(tc.srvs[1].cfg.JournalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sinceRestore, twice int64
+		seen := map[string]bool{}
+		for _, rec := range recs {
+			if rec.ID != id {
+				continue
+			}
+			switch rec.Kind {
+			case kindSubmit:
+				sinceRestore = 0 // the local restore's submit record
+			case kindSnapshot:
+				sinceRestore++
+				if seen[string(rec.Data)] {
+					twice++
+				}
+				seen[string(rec.Data)] = true
+			}
+		}
+		if twice > 0 || sinceRestore != restored.Snapshots() {
+			t.Errorf("%d snapshot records since the restore (%d of them repeats), the restored run parked %d",
+				sinceRestore, twice, restored.Snapshots())
+		}
+	} else {
+		t.Errorf("run %s was not restored on the placer", id)
 	}
 
 	// The survivors still serve: a fresh submit through n3 places and
@@ -402,7 +470,7 @@ func TestClusterCancelAfterFailover(t *testing.T) {
 	tc.pollStatus(1, id, 30*time.Second, func(st map[string]any) bool {
 		return st["checkpoint"] != nil && st["state"] == "running"
 	})
-	time.Sleep(150 * time.Millisecond)
+	tc.awaitJournaledSnapshot(1, id)
 	tc.kill(0)
 
 	// The run comes back running on a survivor under the same ID (the

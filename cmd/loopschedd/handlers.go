@@ -163,10 +163,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !internal && s.cluster != nil && s.cluster.trySubmitRemote(w, req, tenant) {
 		return
 	}
-	sub.ID = req.ID
-	sub.Tenant = tenant
-	commit := s.attachSnapshotJournal(&sub)
-	run, err := s.rn.Submit(sub)
+	sub.ID, sub.Tenant = req.ID, tenant
+	run, err := s.submit(sub, req.record(tenant))
 	if err != nil {
 		status := statusFor(err)
 		if status == http.StatusTooManyRequests {
@@ -181,17 +179,20 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	s.recordSubmit(run.ID(), journalSubmit{
+	w.WriteHeader(http.StatusCreated)
+	writeJSON(w, runStatus{Progress: run.Progress()})
+}
+
+// record is the journal's form of the request: what replay and failover
+// re-create the submission from.
+func (req submitRequest) record(tenant string) *journalSubmit {
+	return &journalSubmit{
 		Program: req.Program,
 		Label:   req.Label,
 		Tenant:  tenant,
 		Timeout: req.Timeout,
 		Options: req.Options,
-	})
-	commit(run.ID())
-	s.watchJournal(run)
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, runStatus{Progress: run.Progress()})
+	}
 }
 
 // submitPlaced re-creates a placed run locally under its original ID —
@@ -201,47 +202,9 @@ func (s *server) submitPlaced(req submitRequest, tenant string) error {
 	if err != nil {
 		return err
 	}
-	sub.ID = req.ID
-	sub.Tenant = tenant
-	commit := s.attachSnapshotJournal(&sub)
-	run, err := s.rn.Submit(sub)
-	if err != nil {
-		return err
-	}
-	s.recordSubmit(run.ID(), journalSubmit{
-		Program: req.Program,
-		Label:   req.Label,
-		Tenant:  tenant,
-		Timeout: req.Timeout,
-		Options: req.Options,
-	})
-	commit(run.ID())
-	s.watchJournal(run)
-	return nil
-}
-
-// attachSnapshotJournal wires a CheckpointEvery submission's OnSnapshot
-// hook to journal each restore point. The run ID does not exist until
-// Submit returns, but the first snapshot can fire as soon as the run
-// dispatches — the hook blocks until commit supplies the ID.
-func (s *server) attachSnapshotJournal(sub *runner.Submission) (commit func(id string)) {
-	if sub.CheckpointEvery <= 0 {
-		return func(string) {}
-	}
-	ready := make(chan struct{})
-	id := ""
-	sub.OnSnapshot = func(ck *repro.Checkpoint) {
-		<-ready
-		data, err := json.Marshal(ck)
-		if err != nil {
-			return
-		}
-		s.recordSnapshot(id, data)
-	}
-	return func(runID string) {
-		id = runID
-		close(ready)
-	}
+	sub.ID, sub.Tenant = req.ID, tenant
+	_, err = s.submit(sub, req.record(tenant))
+	return err
 }
 
 // buildSubmission turns a wire submission into a runner submission; the
@@ -298,16 +261,23 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.rn.Get(r.PathValue("id"))
-	if !ok {
-		// Internal requests never re-proxy: a forwarding loop between two
-		// nodes that both miss would otherwise bounce until a deadline.
-		if s.cluster != nil && !s.isInternal(r) &&
-			s.cluster.proxyGet(w, r, r.PathValue("id")) {
-			return
-		}
+// localRun resolves the request's {id} to a run on this node. When
+// there is none it lets proxy answer for a run another node owns — except
+// for internal requests, which never re-proxy: a forwarding loop between
+// two nodes that both miss would otherwise bounce until a deadline — and
+// failing that answers 404.
+func (s *server) localRun(w http.ResponseWriter, r *http.Request, proxy func(id string) bool) (*runner.Run, bool) {
+	id := r.PathValue("id")
+	run, ok := s.rn.Get(id)
+	if !ok && (s.cluster == nil || s.isInternal(r) || !proxy(id)) {
 		writeError(w, http.StatusNotFound, errors.New("no such run"))
+	}
+	return run, ok
+}
+
+func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
+	run, ok := s.localRun(w, r, func(id string) bool { return s.cluster.proxyGet(w, r, id) })
+	if !ok {
 		return
 	}
 	st := runStatus{Progress: run.Progress()}
@@ -328,13 +298,8 @@ func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleProgress streams NDJSON progress snapshots until the run is
 // terminal or the client goes away.
 func (s *server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.rn.Get(r.PathValue("id"))
+	run, ok := s.localRun(w, r, func(id string) bool { return s.cluster.proxyProgress(w, r, id) })
 	if !ok {
-		if s.cluster != nil && !s.isInternal(r) &&
-			s.cluster.proxyProgress(w, r, r.PathValue("id")) {
-			return
-		}
-		writeError(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -380,13 +345,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // (or its progress stream) for state "checkpointed", then read the
 // checkpoint from GET /v1/runs/{id}.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.rn.Get(r.PathValue("id"))
+	run, ok := s.localRun(w, r, func(id string) bool { return s.cluster.proxyPost(w, r, id, "checkpoint") })
 	if !ok {
-		if s.cluster != nil && !s.isInternal(r) &&
-			s.cluster.proxyPost(w, r, r.PathValue("id"), "checkpoint") {
-			return
-		}
-		writeError(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
 	if !run.RequestCheckpoint() {
@@ -399,13 +359,8 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.rn.Get(r.PathValue("id"))
+	run, ok := s.localRun(w, r, func(id string) bool { return s.cluster.proxyPost(w, r, id, "cancel") })
 	if !ok {
-		if s.cluster != nil && !s.isInternal(r) &&
-			s.cluster.proxyPost(w, r, r.PathValue("id"), "cancel") {
-			return
-		}
-		writeError(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
 	run.Cancel()

@@ -45,6 +45,21 @@ type journalSubmit struct {
 	Options runOptions `json:"options"`
 }
 
+// request is the inverse of submitRequest.record: the wire request that
+// re-creates the journaled submission under run ID id — from scratch, or
+// restore-and-continue from a snapshot. The newest snapshot beats any
+// resume point baked into the journaled options, and its claim-quiescent
+// state makes the resumed remainder bit-identical to never having died
+// (the virtual-engine conformance suites pin this). Verify is dropped:
+// the trace cannot observe pre-checkpoint iterations.
+func (js journalSubmit) request(id string, snap *repro.Checkpoint) submitRequest {
+	req := submitRequest{ID: id, Program: js.Program, Label: js.Label, Timeout: js.Timeout, Options: js.Options}
+	if snap != nil {
+		req.Options.Resume, req.Options.Verify = snap, false
+	}
+	return req
+}
+
 // journalTerminal is the kindTerminal payload. Checkpointed runs carry
 // their snapshot, so a client can still fetch and resume it after a
 // daemon restart.
@@ -63,15 +78,20 @@ type journalPlace struct {
 
 // appendRecord is the one journal write path: it appends (when the
 // journal is on), logs failures, and tracks the last error for
-// /healthz.
+// /healthz. A []byte payload is written as is (already marshaled), nil
+// writes an empty record, anything else is marshaled to JSON.
 func (s *server) appendRecord(kind journal.Kind, id string, payload any) {
 	if s.jw == nil {
 		return
 	}
 	var data []byte
 	var err error
-	if payload != nil {
-		data, err = json.Marshal(payload)
+	switch p := payload.(type) {
+	case nil:
+	case []byte:
+		data = p
+	default:
+		data, err = json.Marshal(p)
 	}
 	if err == nil {
 		err = s.jw.Append(kind, id, data)
@@ -86,82 +106,54 @@ func (s *server) appendRecord(kind journal.Kind, id string, payload any) {
 // healthz can read it atomically.
 type journalErr struct{ err error }
 
-// recordSubmit journals a fresh submission under its run ID. Replayed
-// submissions are not re-journaled — their original submit record is
-// still in the file.
-func (s *server) recordSubmit(id string, req journalSubmit) {
-	s.appendRecord(kindSubmit, id, req)
+// submit hands sub to the runner. rec is the wire submission to journal
+// for it; replay passes nil, its runs' submit records being in the file
+// already. The run's ID is minted inside Submit and its Submitted event
+// reaches onEvent before Submit returns, so submissions take turns and
+// the one in flight leaves its record in s.submitting: the submit record
+// is durable before the caller answers 201 and precedes every other
+// record of the run.
+func (s *server) submit(sub runner.Submission, rec *journalSubmit) (*runner.Run, error) {
+	s.submitMu.Lock()
+	defer s.submitMu.Unlock()
+	s.submitting = rec
+	defer func() { s.submitting = nil }()
+	return s.rn.Submit(sub)
 }
 
-// recordPlace journals that id now lives on pl.Node.
-func (s *server) recordPlace(id string, pl journalPlace) {
-	s.appendRecord(kindPlace, id, pl)
-}
-
-// recordSnapshot journals a periodic restore point (pre-marshaled, so
-// the placement poller's change detection and the journal share one
-// encoding).
-func (s *server) recordSnapshot(id string, ck []byte) {
-	if s.jw == nil || id == "" {
-		return
-	}
-	if err := s.jw.Append(kindSnapshot, id, ck); err != nil {
-		s.jerr.Store(&journalErr{err: err})
-		log.Printf("loopschedd: journal snapshot %s: %v", id, err)
-		return
-	}
-	s.jerr.Store(&journalErr{})
-}
-
-// recordPlacedTerminal journals a placed run's terminal outcome so a
-// rebooted placer does not resurrect it.
-func (s *server) recordPlacedTerminal(id string, term journalTerminal) {
-	s.appendRecord(kindTerminal, id, term)
-}
-
-// watchJournal follows one run and journals its start and terminal
-// transitions. One goroutine per live run; close waits for them so a
-// drain cannot lose the terminal records.
-func (s *server) watchJournal(run *runner.Run) {
-	if s.jw == nil {
-		return
-	}
-	s.watchers.Add(1)
-	go func() {
-		defer s.watchers.Done()
-		select {
-		case <-run.Started():
-			s.appendRecord(kindStart, run.ID(), nil)
-		case <-run.Done():
-			// Terminal without starting (cancelled while queued), or both
-			// channels raced closed — the terminal record below is the one
-			// replay relies on either way.
+// onEvent is the daemon's consumer of the run-lifecycle stream
+// (runner.Config.OnEvent): it journals each transition. Events arrive
+// one at a time, in transition order, outside the runner's locks — the
+// fsync stalls no status read — and Drain covers them, so a drained
+// close has written every terminal record.
+func (s *server) onEvent(ev runner.Event) {
+	id := ev.Run.ID()
+	switch ev.Kind {
+	case runner.EventSubmitted:
+		if s.submitting != nil {
+			s.appendRecord(kindSubmit, id, s.submitting)
 		}
-		<-run.Done()
-		term := journalTerminal{State: run.State().String()}
-		if _, err := run.Result(); err != nil {
+	case runner.EventStarted:
+		s.appendRecord(kindStart, id, nil)
+	case runner.EventSnapshot:
+		s.appendRecord(kindSnapshot, id, ev.Run.Checkpoint())
+	case runner.EventTerminal:
+		term := journalTerminal{State: ev.Run.State().String(), Checkpoint: ev.Run.Checkpoint()}
+		if _, err := ev.Run.Result(); err != nil {
 			term.Error = err.Error()
 		}
-		if ck := run.Checkpoint(); ck != nil {
-			term.Checkpoint = ck
-		}
-		s.appendRecord(kindTerminal, run.ID(), term)
-	}()
+		s.appendRecord(kindTerminal, id, term)
+	}
 }
 
-// replayJournal reads the journal and re-queues every run whose last
-// record is not terminal, under its original ID — resuming from its
-// last journaled snapshot when one exists. Damaged records are logged
-// and skipped (the journal package guarantees every intact record is
-// still returned); a run whose submission no longer re-creates is
-// logged and dropped rather than wedging boot. Runs this node placed
+// replayJournal re-queues every run in recs — the journal's intact
+// records, as the last process left it — whose last record is not
+// terminal, under its original ID, resuming from its last journaled
+// snapshot when one exists. A run whose submission no longer re-creates
+// is logged and dropped rather than wedging boot. Runs this node placed
 // elsewhere (kindPlace) are returned as placements for the cluster
 // layer to re-adopt rather than re-queued locally.
-func (s *server) replayJournal(path string) []*placement {
-	recs, err := journal.ReadFile(path)
-	if err != nil {
-		log.Printf("loopschedd: journal %s has damaged records (replaying the intact ones): %v", path, err)
-	}
+func (s *server) replayJournal(recs []journal.Record) []*placement {
 	type pending struct {
 		sub      journalSubmit
 		hasSub   bool
@@ -227,7 +219,6 @@ func (s *server) replayJournal(path string) []*placement {
 			placements = append(placements, &placement{
 				id:     id,
 				node:   p.placedOn,
-				tenant: p.placeSub.Tenant,
 				sub:    p.placeSub,
 				ckpt:   p.snap,
 				ckptJS: p.snapJS,
@@ -240,33 +231,16 @@ func (s *server) replayJournal(path string) []*placement {
 			log.Printf("loopschedd: journal replay: run %s has no submit record, dropping", id)
 			continue
 		}
-		req := submitRequest{
-			Program: p.sub.Program,
-			Label:   p.sub.Label,
-			Timeout: p.sub.Timeout,
-			Options: p.sub.Options,
-		}
-		if p.snap != nil {
-			// Restore-and-continue: the newest snapshot beats both a cold
-			// start and any resume point baked into the journaled options.
-			req.Options.Resume = p.snap
-			req.Options.Verify = false
-		}
+		req := p.sub.request(id, p.snap)
 		sub, err := s.buildSubmission(req)
 		if err != nil {
 			log.Printf("loopschedd: journal replay: run %s no longer submits: %v", id, err)
 			continue
 		}
-		sub.ID = id
 		// Tenant attribution survives the restart: the replayed run counts
 		// against its tenant's quotas and fair share like any fresh one.
-		sub.Tenant = p.sub.Tenant
-		// The journal writer is not open yet (replay precedes it, so these
-		// submissions are not re-journaled); newServer attaches the
-		// transition watchers once it is. Snapshot journaling checks s.jw
-		// at fire time, so the hook is safe to attach now.
-		commit := s.attachSnapshotJournal(&sub)
-		if _, err := s.rn.Submit(sub); err != nil {
+		sub.ID, sub.Tenant = id, p.sub.Tenant
+		if _, err := s.submit(sub, nil); err != nil {
 			if errors.Is(err, runner.ErrQueueFull) {
 				log.Printf("loopschedd: journal replay: queue full, dropping run %s", id)
 				continue
@@ -274,20 +248,10 @@ func (s *server) replayJournal(path string) []*placement {
 			log.Printf("loopschedd: journal replay: run %s: %v", id, err)
 			continue
 		}
-		commit(id)
 		replayed++
-		if p.placedOn == s.cfg.Cluster.Node {
-			// A failover-to-self: the run requeues locally, and the
-			// placement row keeps its terminal journaled for the placer's
-			// bookkeeping.
-			placements = append(placements, &placement{
-				id: id, node: p.placedOn, tenant: p.sub.Tenant,
-				sub: p.sub, ckpt: p.snap, ckptJS: p.snapJS,
-			})
-		}
 	}
 	if replayed > 0 {
-		log.Printf("loopschedd: journal replay re-queued %d run(s) from %s", replayed, path)
+		log.Printf("loopschedd: journal replay re-queued %d run(s) from %s", replayed, s.cfg.JournalPath)
 	}
 	return placements
 }

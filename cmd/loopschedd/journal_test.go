@@ -172,8 +172,8 @@ func TestJournalReplayRespectsMaxConcurrent(t *testing.T) {
 }
 
 // TestJournalDrainFlushesAndLeaksNoGoroutines: a graceful drain writes
-// every terminal record before close returns, and the per-run journal
-// watchers unwind completely.
+// every terminal record before close returns, and nothing that delivered
+// them is left running.
 func TestJournalDrainFlushesAndLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	path := filepath.Join(t.TempDir(), "runs.journal")
@@ -218,7 +218,7 @@ func TestJournalDrainFlushesAndLeaksNoGoroutines(t *testing.T) {
 		}
 	}
 
-	// The journal watchers and the runner's workers must all be gone.
+	// The event pump and the runner's workers must all be gone.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline+2 {

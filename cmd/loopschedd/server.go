@@ -57,11 +57,13 @@ type server struct {
 	mux      *http.ServeMux
 	started  time.Time
 	draining atomic.Bool
-	// jw is the run journal (nil when journalling is off); watchers
-	// tracks the per-run goroutines appending transition records, so
-	// close can wait for the terminal records before flushing.
-	jw       *journal.Writer
-	watchers sync.WaitGroup
+	// jw is the run journal (nil when journalling is off), written from
+	// onEvent. submitMu serializes submissions so the one in flight can
+	// leave its wire record in submitting for its Submitted event (see
+	// submit).
+	jw         *journal.Writer
+	submitMu   sync.Mutex
+	submitting *journalSubmit
 	// jerr holds a *journalErr boxing the last append's outcome, for
 	// /healthz's journal component.
 	jerr atomic.Value
@@ -90,24 +92,25 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg:     cfg,
 		reg:     reg,
 		started: time.Now(),
-		rn: runner.New(runner.Config{
-			MaxConcurrent:  cfg.MaxConcurrent,
-			QueueLimit:     cfg.QueueLimit,
-			SampleInterval: cfg.SampleInterval,
-			Metrics:        reg,
-			Scheduler:      cfg.Scheduler,
-			Tenants:        cfg.Tenants.tenantConfig(),
-			IDPrefix:       idPrefix,
-			Watchdog: runner.WatchdogConfig{
-				Interval:    cfg.Watchdog,
-				CancelStuck: cfg.WatchdogCancel,
-				OnStuck: func(id, label, diagnostic string) {
-					log.Printf("loopschedd: run %s (%q) declared stuck:\n%s", id, label, diagnostic)
-				},
-			},
-		}),
-		mux: http.NewServeMux(),
+		mux:     http.NewServeMux(),
 	}
+	s.rn = runner.New(runner.Config{
+		MaxConcurrent:  cfg.MaxConcurrent,
+		QueueLimit:     cfg.QueueLimit,
+		SampleInterval: cfg.SampleInterval,
+		Metrics:        reg,
+		Scheduler:      cfg.Scheduler,
+		Tenants:        cfg.Tenants.tenantConfig(),
+		IDPrefix:       idPrefix,
+		OnEvent:        s.onEvent,
+		Watchdog: runner.WatchdogConfig{
+			Interval:    cfg.Watchdog,
+			CancelStuck: cfg.WatchdogCancel,
+			OnStuck: func(id, label, diagnostic string) {
+				log.Printf("loopschedd: run %s (%q) declared stuck:\n%s", id, label, diagnostic)
+			},
+		},
+	})
 	reg.Gauge("loopschedd_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -123,21 +126,19 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
 	var placements []*placement
 	if cfg.JournalPath != "" {
-		// Replay first, then open for appending: the replayed submissions
-		// must not be re-journaled, and their new transitions append after
-		// everything already in the file.
-		placements = s.replayJournal(cfg.JournalPath)
-		jw, err := journal.Open(cfg.JournalPath, cfg.JournalSync)
+		// Read what the last process left, then open for appending, then
+		// replay: the replayed submissions are not journaled again, and
+		// their transitions — journaled from the first event on — append
+		// after everything already in the file.
+		recs, err := journal.ReadFile(cfg.JournalPath)
 		if err != nil {
+			log.Printf("loopschedd: journal %s has damaged records (replaying the intact ones): %v", cfg.JournalPath, err)
+		}
+		if s.jw, err = journal.Open(cfg.JournalPath, cfg.JournalSync); err != nil {
 			s.rn.Close()
 			return nil, fmt.Errorf("loopschedd: open journal: %w", err)
 		}
-		s.jw = jw
-		// The replayed runs were submitted before jw existed; attach their
-		// transition watchers now.
-		for _, run := range s.rn.Runs() {
-			s.watchJournal(run)
-		}
+		placements = s.replayJournal(recs)
 	}
 	if cfg.Cluster.enabled() {
 		c, err := newClusterState(s, cfg.Cluster)
@@ -247,9 +248,9 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // close drains gracefully: stop accepting submissions, give live runs
 // until ctx expires to finish on their own, then cancel the stragglers
-// and wait briefly for them to unwind. With a journal, the per-run
-// transition watchers are joined and the journal flushed before close
-// returns, so a clean shutdown loses no terminal records.
+// and wait briefly for them to unwind. Drain covers the event stream, so
+// every terminal record is in the journal before it is flushed and
+// closed: a clean shutdown loses none.
 func (s *server) close(ctx context.Context) {
 	s.draining.Store(true)
 	if s.cluster != nil {
@@ -266,8 +267,6 @@ func (s *server) close(ctx context.Context) {
 	defer cancel()
 	s.rn.Drain(grace)
 	if s.jw != nil {
-		// Every run is terminal now, so the watchers finish promptly.
-		s.watchers.Wait()
 		if err := s.jw.Close(); err != nil {
 			log.Printf("loopschedd: journal close: %v", err)
 		}

@@ -158,7 +158,7 @@ func Default() []Scenario {
 	// under the online auto policy and the static roster it chooses
 	// from. Small grain against a raised access cost makes per-claim
 	// overhead the dominant term, so the family spreads widely — the
-	// gate (TestIrregularFamilyGatesAuto, make verify-adapt) holds auto
+	// gate (TestIrregularFamilyGatesAuto, make verify-gates) holds auto
 	// to within 10% of the best static scheme and strictly better than
 	// the worst.
 	for _, scheme := range IrregularSchemes() {

@@ -12,7 +12,7 @@
 //     processor at its next preemption point and Run returns.
 //
 // Run the suite under -race for the real engine to also exercise the
-// memory-ordering side of the contract (make verify-kernel does).
+// memory-ordering side of the contract (make verify-gates does).
 package enginetest
 
 import (

@@ -71,7 +71,7 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 
 func TestConcurrentRecordAndTail(t *testing.T) {
 	// One writer per ring, concurrent Tail readers: the watchdog path.
-	// Run under -race in verify-replay.
+	// Run under -race in verify-gates.
 	r := New(4, 32)
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCases runs every registered workload check against its goals.
-// This is the CI surface: make verify-serve runs this suite under
+// This is the CI surface: make verify-gates runs this suite under
 // -race -shuffle=on.
 func TestCases(t *testing.T) {
 	for _, c := range Cases {

@@ -8,6 +8,9 @@
 //
 //	queued → running → done | failed | cancelled
 //
+// Every transition is published where it happens, as one ordered event
+// stream (Config.OnEvent): nothing watches a run to learn its state.
+//
 // Runs are cancellable at any point: a queued run is finalized without
 // ever starting; a running run has its context cancelled and is drained
 // by the job itself (for scheduling runs, through the executor's
@@ -100,6 +103,36 @@ type Config struct {
 	// here so run IDs are unique across the whole cluster and any node
 	// can route a poll by ID to the run's owner.
 	IDPrefix string
+	// OnEvent, if non-nil, receives every run's lifecycle as one sequence
+	//
+	//	Submitted (Started Snapshot* Preempted)* (Started Snapshot*)? Terminal
+	//
+	// with exactly one Terminal. Events are queued under the manager's
+	// lock by the transition itself and delivered outside every lock, one
+	// at a time, so the consumer sees all runs' events in transition order
+	// and may block. SubmitID returns once its run's Submitted event has
+	// been delivered, Drain once every event has; the consumer must not
+	// call SubmitID or EmitSnapshot, which wait on their own delivery.
+	OnEvent func(Event)
+}
+
+// EventKind names one step of a run's lifecycle.
+type EventKind uint8
+
+// Lifecycle events. The manager emits all but EventSnapshot, which is
+// the job layer's (see EmitSnapshot).
+const (
+	EventSubmitted EventKind = iota
+	EventStarted
+	EventSnapshot
+	EventPreempted
+	EventTerminal
+)
+
+// Event is one lifecycle event of one run.
+type Event struct {
+	Kind EventKind
+	Run  *Run
 }
 
 // Watchdog configures stuck-run detection. A run is stuck when its
@@ -118,9 +151,7 @@ type Watchdog struct {
 	OnStuck func(r *Run, diagnostic string)
 }
 
-// Job is one unit of work. Run is required; Sample, if non-nil, may be
-// called concurrently at any time to obtain a live progress value (it
-// should return nil until the job has something to report).
+// Job is one unit of work. Run is required.
 //
 // Heartbeat and Diagnose feed the stuck-run watchdog: Heartbeat returns
 // a monotone progress figure (for scheduling runs, chunks claimed from
@@ -130,7 +161,6 @@ type Watchdog struct {
 type Job struct {
 	Label     string
 	Run       func(ctx context.Context) (any, error)
-	Sample    func() any
 	Heartbeat func() int64
 	Diagnose  func() string
 
@@ -163,6 +193,26 @@ type Manager struct {
 	active    int
 	preempted int
 	closed    bool
+	// census counts runs by state, all and per tenant; stalled counts the
+	// live runs the watchdog declares stuck. The transitions keep them,
+	// so reading them costs the same however many runs were ever served.
+	census  census
+	tenants map[string]*census
+	stalled int
+	// events is the undelivered tail of the event stream; pumping says a
+	// pump goroutine is delivering it.
+	events  []queuedEvent
+	pumping bool
+}
+
+// census counts runs by lifecycle state.
+type census [StateCheckpointed + 1]int
+
+// queuedEvent is an event awaiting delivery; done is closed once the
+// consumer has seen it.
+type queuedEvent struct {
+	ev   Event
+	done chan struct{}
 }
 
 // New returns a Manager with the given configuration.
@@ -174,7 +224,65 @@ func New(cfg Config) *Manager {
 	if sched == nil {
 		sched = NewFIFO()
 	}
-	return &Manager{cfg: cfg, byID: map[string]*Run{}, sched: sched}
+	return &Manager{cfg: cfg, byID: map[string]*Run{}, sched: sched, tenants: map[string]*census{}}
+}
+
+// setStateLocked moves r to state s and the censuses with it.
+func (m *Manager) setStateLocked(r *Run, s State) {
+	t := m.tenants[r.job.Tenant]
+	m.census[r.state]--
+	t[r.state]--
+	r.state = s
+	m.census[s]++
+	t[s]++
+}
+
+// emitLocked appends an event to the stream, makes sure a pump is
+// delivering it, and returns a channel closed on delivery.
+func (m *Manager) emitLocked(kind EventKind, r *Run) <-chan struct{} {
+	done := make(chan struct{})
+	if m.cfg.OnEvent == nil {
+		close(done)
+		return done
+	}
+	m.events = append(m.events, queuedEvent{Event{kind, r}, done})
+	if !m.pumping {
+		m.pumping = true
+		go m.pump()
+	}
+	return done
+}
+
+// pump delivers queued events in order until none are left; it exits
+// rather than idle, so a quiet manager holds no goroutine.
+func (m *Manager) pump() {
+	m.mu.Lock()
+	for len(m.events) > 0 {
+		batch := m.events
+		m.events = nil
+		m.mu.Unlock()
+		for _, q := range batch {
+			m.cfg.OnEvent(q.ev)
+			close(q.done)
+		}
+		m.mu.Lock()
+	}
+	m.pumping = false
+	m.mu.Unlock()
+}
+
+// runKey carries the executing *Run in the context handed to Job.Run.
+type runKey struct{}
+
+// EmitSnapshot publishes an EventSnapshot for the run whose Job.Run was
+// handed ctx and returns once the consumer has seen it — a job parking
+// restore points is paced by whoever makes them durable.
+func EmitSnapshot(ctx context.Context) {
+	r := ctx.Value(runKey{}).(*Run)
+	r.mgr.mu.Lock()
+	delivered := r.mgr.emitLocked(EventSnapshot, r)
+	r.mgr.mu.Unlock()
+	<-delivered
 }
 
 // Submit enqueues a job and returns its run handle. The job starts
@@ -214,20 +322,24 @@ func (m *Manager) SubmitID(id string, job Job) (*Run, error) {
 			m.seq = n
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	r := &Run{
 		id:        id,
 		mgr:       m,
 		job:       job,
 		state:     StateQueued,
 		submitted: time.Now(),
-		ctx:       ctx,
-		cancelCtx: cancel,
 		startedCh: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
+	r.ctx, r.cancelCtx = context.WithCancel(context.WithValue(context.Background(), runKey{}, r))
 	m.byID[r.id] = r
 	m.runs = append(m.runs, r)
+	if m.tenants[job.Tenant] == nil {
+		m.tenants[job.Tenant] = &census{}
+	}
+	m.census[StateQueued]++
+	m.tenants[job.Tenant][StateQueued]++
+	delivered := m.emitLocked(EventSubmitted, r)
 	m.sched.Push(r)
 	m.dispatchLocked()
 	victim := m.pickVictimLocked(r)
@@ -238,6 +350,7 @@ func (m *Manager) SubmitID(id string, job Job) (*Run, error) {
 		// the job drains.
 		m.preempt(victim)
 	}
+	<-delivered
 	return r, nil
 }
 
@@ -303,7 +416,7 @@ func (m *Manager) dispatchLocked() {
 		if r == nil || r.state != StateQueued {
 			continue // cancelled while waiting
 		}
-		r.state = StateRunning
+		m.setStateLocked(r, StateRunning)
 		r.started = time.Now()
 		r.attempts++
 		// Each dispatch gets an attempt-scoped context derived from the
@@ -311,6 +424,7 @@ func (m *Manager) dispatchLocked() {
 		// while a user cancel (r.cancelCtx) still reaches the job.
 		r.attemptCtx, r.cancelAttempt = context.WithCancel(r.ctx)
 		close(r.startedCh)
+		m.emitLocked(EventStarted, r)
 		m.active++
 		go m.exec(r)
 	}
@@ -345,10 +459,11 @@ func (m *Manager) exec(r *Run) {
 		// (r.ctx.Err() != nil) or a genuine outcome that raced the
 		// preemption wins and finalizes normally below.
 		r.preempting = false
-		r.state = StateQueued
+		m.setStateLocked(r, StateQueued)
 		r.started = time.Time{}
 		r.startedCh = make(chan struct{})
 		m.preempted++
+		m.emitLocked(EventPreempted, r)
 		m.sched.Push(r)
 	} else {
 		r.preempting = false
@@ -453,33 +568,31 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Submitted:     len(m.runs),
+		QueueDepth:    m.census[StateQueued],
+		Running:       m.census[StateRunning],
+		Done:          m.census[StateDone],
+		Failed:        m.census[StateFailed],
+		Cancelled:     m.census[StateCancelled],
+		Checkpointed:  m.census[StateCheckpointed],
+		Stalled:       m.stalled,
 		Preempted:     m.preempted,
 		Scheduler:     m.sched.Name(),
 		MaxConcurrent: m.cfg.MaxConcurrent,
 		Closed:        m.closed,
 	}
-	for _, r := range m.runs {
-		if r.stuck != "" && !r.state.Terminal() {
-			st.Stalled++
-		}
-		switch r.state {
-		case StateQueued:
-			st.QueueDepth++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		case StateCheckpointed:
-			st.Checkpointed++
-		}
+}
+
+// TenantLoad returns how many of the tenant's runs are waiting and
+// executing right now.
+func (m *Manager) TenantLoad(tenant string) (queued, running int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t := m.tenants[tenant]; t != nil {
+		return t[StateQueued], t[StateRunning]
 	}
-	return st
+	return 0, 0
 }
 
 // Get returns the run with the given ID.
@@ -505,23 +618,23 @@ func (m *Manager) Runs() []*Run {
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
-	live := make([]*Run, 0, len(m.runs))
-	for _, r := range m.runs {
-		if !r.state.Terminal() {
-			live = append(live, r)
-		}
-	}
 	m.mu.Unlock()
-	for _, r := range live {
-		r.Cancel()
+	for _, r := range m.Runs() {
+		r.Cancel() // a no-op on the terminal ones
 	}
 }
 
-// Drain blocks until every submitted run is terminal or ctx expires.
+// Drain blocks until every submitted run is terminal and its events have
+// been delivered, or ctx expires.
 func (m *Manager) Drain(ctx context.Context) error {
 	for _, r := range m.Runs() {
 		select {
 		case <-r.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		select {
+		case <-r.settled: // assigned before done was closed
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -538,6 +651,7 @@ type Run struct {
 	ctx       context.Context
 	cancelCtx context.CancelFunc
 	done      chan struct{}
+	settled   <-chan struct{} // closed once the Terminal event was delivered
 
 	// Guarded by mgr.mu.
 	state     State
@@ -568,6 +682,13 @@ type Run struct {
 func (r *Run) setStuck(diag string) {
 	r.mgr.mu.Lock()
 	defer r.mgr.mu.Unlock()
+	if !r.state.Terminal() && (r.stuck == "") != (diag == "") {
+		if diag == "" {
+			r.mgr.stalled--
+		} else {
+			r.mgr.stalled++
+		}
+	}
 	if diag == "" {
 		r.stuck, r.stuckAt = "", time.Time{}
 		return
@@ -591,18 +712,22 @@ func (r *Run) finalizeLocked(res any, err error) {
 		return
 	}
 	r.result, r.err = res, err
+	state := StateFailed
 	switch {
 	case err == nil:
-		r.state = StateDone
+		state = StateDone
 	case errors.Is(err, ErrCheckpointed):
-		r.state = StateCheckpointed
+		state = StateCheckpointed
 	case errors.Is(err, context.Canceled):
-		r.state = StateCancelled
-	default:
-		r.state = StateFailed
+		state = StateCancelled
+	}
+	r.mgr.setStateLocked(r, state)
+	if r.stuck != "" {
+		r.mgr.stalled-- // the diagnostic stays on the run; it is no longer live
 	}
 	r.finished = time.Now()
 	r.cancelCtx() // release the context's resources
+	r.settled = r.mgr.emitLocked(EventTerminal, r)
 	close(r.done)
 }
 
@@ -684,13 +809,4 @@ func (r *Run) Wait(ctx context.Context) (any, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// Sample returns the job's live progress value, or nil if the job does
-// not report progress (or has none yet).
-func (r *Run) Sample() any {
-	if r.job.Sample == nil {
-		return nil
-	}
-	return r.job.Sample()
 }

@@ -14,7 +14,15 @@ import (
 // statistics as an uninterrupted run, having parked a durable snapshot
 // at every k-claim boundary along the way.
 func TestCheckpointEveryChainCompletes(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 2})
+	var mu sync.Mutex
+	var seen []*repro.Checkpoint
+	rn := New(Config{MaxConcurrent: 2, OnEvent: func(ev Event) {
+		if ev.Kind == EventSnapshot {
+			mu.Lock()
+			seen = append(seen, ev.Run.Checkpoint())
+			mu.Unlock()
+		}
+	}})
 	defer rn.Close()
 	prog := finiteProgram(t, 64)
 
@@ -27,18 +35,11 @@ func TestCheckpointEveryChainCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var seen []*repro.Checkpoint
 	r, err := rn.Submit(Submission{
 		Program:         prog,
 		Options:         repro.Options{Procs: 4, Scheme: "gss"},
 		CheckpointEvery: 4,
-		OnSnapshot: func(ck *repro.Checkpoint) {
-			mu.Lock()
-			seen = append(seen, ck)
-			mu.Unlock()
-		},
-		Label: "chained",
+		Label:           "chained",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +63,7 @@ func TestCheckpointEveryChainCompletes(t *testing.T) {
 		t.Fatal("chain parked no periodic snapshots")
 	}
 	if int64(n) != r.Snapshots() {
-		t.Errorf("OnSnapshot fired %d times, Snapshots() = %d", n, r.Snapshots())
+		t.Errorf("Snapshot events fired %d times, Snapshots() = %d", n, r.Snapshots())
 	}
 	for i, ck := range seen {
 		if ck == nil || ck.Snapshot == nil || len(ck.Snapshot.ICBs) == 0 {

@@ -55,6 +55,26 @@ var (
 	ErrDuplicateID = runmgr.ErrDuplicateID
 )
 
+// EventKind re-exports the run-manager's lifecycle event vocabulary.
+type EventKind = runmgr.EventKind
+
+// Lifecycle events.
+const (
+	EventSubmitted = runmgr.EventSubmitted
+	EventStarted   = runmgr.EventStarted
+	EventSnapshot  = runmgr.EventSnapshot
+	EventPreempted = runmgr.EventPreempted
+	EventTerminal  = runmgr.EventTerminal
+)
+
+// Event is one step of one run's lifecycle, as Config.OnEvent sees it.
+// While an EventSnapshot is being consumed, Run.Checkpoint is the restore
+// point it announces: the leg that parked it waits for the delivery.
+type Event struct {
+	Kind EventKind
+	Run  *Run
+}
+
 // Config configures a Runner.
 type Config struct {
 	// MaxConcurrent is the maximum number of runs executing at once
@@ -89,6 +109,14 @@ type Config struct {
 	// "n1-run-0001"). Cluster nodes set their node name here so run IDs
 	// are unique cluster-wide and routable to their owner.
 	IDPrefix string
+	// OnEvent, if non-nil, receives every run's lifecycle as one sequence
+	// — Submitted (Started Snapshot* Preempted)* (Started Snapshot*)?
+	// Terminal — emitted where the state changes. Calls come one at a
+	// time, in transition order, outside the Runner's locks, and may block
+	// (the daemon fsyncs its journal here): Submit returns once its run's
+	// Submitted event was consumed, a CheckpointEvery leg resumes once its
+	// Snapshot was, Drain covers them all. It must not call Submit.
+	OnEvent func(Event)
 }
 
 // WatchdogConfig configures stuck-run detection for every submitted
@@ -129,22 +157,17 @@ type Submission struct {
 	Tenant string
 	// CheckpointEvery, when positive, runs the program as a chain of
 	// legs: each leg pauses at a checkpoint after that many chunk claims,
-	// parks the snapshot on the handle (Run.Checkpoint), reports it to
-	// OnSnapshot, and resumes immediately — so a live run always has a
-	// recent durable snapshot without ever stopping. The claim-boundary
-	// pause preserves the bit-identity contract: the chained run's
-	// iteration set and totals equal an uninterrupted run's. It overrides
+	// parks the snapshot on the handle (Run.Checkpoint), publishes it as
+	// an EventSnapshot, and resumes — so a live run always has a recent
+	// durable snapshot without ever stopping (the final checkpoint of a
+	// pausing or preempted run is its outcome, not a Snapshot). The
+	// claim-boundary pause preserves the bit-identity contract: the chained
+	// run's iteration set and totals equal an uninterrupted run's. It overrides
 	// Options.CheckpointAfter and requires a checkpointable configuration
 	// (cursor schemes; see Options.Checkpointable). A RequestCheckpoint
 	// or preemption ends the chain at the next leg boundary exactly as it
 	// would pause a CheckpointAfter run.
 	CheckpointEvery int64
-	// OnSnapshot, if non-nil, is called (from the run's goroutine) with
-	// each periodic snapshot a CheckpointEvery chain parks — the serving
-	// layer's hook for journaling restore points. Not called for the
-	// final checkpoint of a pausing/preempted run (that one is the
-	// terminal outcome, reported through the run state).
-	OnSnapshot func(*repro.Checkpoint)
 }
 
 // Progress is one streaming snapshot of a run, sampled live from the
@@ -185,17 +208,21 @@ type Runner struct {
 	tmet     *tenantMetrics
 	tenants  map[string]Tenant
 	watchdog WatchdogConfig
+	onEvent  func(Event)
+
+	// subMu serializes Submit: the tenant admission check and the manager
+	// submit are one step, and the run's Submitted event — delivered
+	// inside SubmitID — finds its handle in submitting.
+	subMu      sync.Mutex
+	submitting *Run
 
 	mu      sync.Mutex
 	byID    map[string]*Run
 	runs    []*Run
-	live    map[string][]*Run // per-tenant live handles, pruned on Submit
 	tallies map[string]*tenantTally
 }
 
-// metrics aggregates run outcomes into a Config.Metrics registry. A nil
-// *metrics is a valid no-op receiver, so the record path needs no
-// configuration checks.
+// metrics aggregates run outcomes into a Config.Metrics registry.
 type metrics struct {
 	submitted, done, failed, cancelled      *obs.Counter
 	checkpointed, budgetExceeded            *obs.Counter
@@ -210,10 +237,10 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
-		submitted:  reg.Counter("runner_runs_submitted_total", "Runs accepted by Submit."),
-		done:       reg.Counter("runner_runs_done_total", "Runs finished successfully."),
-		failed:     reg.Counter("runner_runs_failed_total", "Runs finalized with an error (including expired timeouts)."),
-		cancelled:  reg.Counter("runner_runs_cancelled_total", "Runs cancelled before completion."),
+		submitted: reg.Counter("runner_runs_submitted_total", "Runs accepted by Submit."),
+		done:      reg.Counter("runner_runs_done_total", "Runs finished successfully."),
+		failed:    reg.Counter("runner_runs_failed_total", "Runs finalized with an error (including expired timeouts)."),
+		cancelled: reg.Counter("runner_runs_cancelled_total", "Runs cancelled before completion."),
 		checkpointed: reg.Counter("runner_runs_checkpointed_total",
 			"Runs that paused at a checkpoint with a resumable snapshot."),
 		budgetExceeded: reg.Counter("runner_runs_budget_exceeded_total",
@@ -247,9 +274,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // finish folds one terminal run into the registry.
 func (m *metrics) finish(res *repro.Result, err error) {
-	if m == nil {
-		return
-	}
 	switch {
 	case err == nil:
 		m.done.Inc()
@@ -314,20 +338,21 @@ func New(cfg Config) *Runner {
 		panic(err)
 	}
 	rn := &Runner{
-		mgr: runmgr.New(runmgr.Config{
-			MaxConcurrent: cfg.MaxConcurrent,
-			QueueLimit:    cfg.QueueLimit,
-			Scheduler:     sched,
-			Watchdog:      wd,
-			IDPrefix:      cfg.IDPrefix,
-		}),
 		sample:   cfg.SampleInterval,
 		watchdog: cfg.Watchdog,
 		tenants:  cfg.Tenants,
+		onEvent:  cfg.OnEvent,
 		byID:     map[string]*Run{},
-		live:     map[string][]*Run{},
 		tallies:  map[string]*tenantTally{},
 	}
+	rn.mgr = runmgr.New(runmgr.Config{
+		MaxConcurrent: cfg.MaxConcurrent,
+		QueueLimit:    cfg.QueueLimit,
+		Scheduler:     sched,
+		Watchdog:      wd,
+		IDPrefix:      cfg.IDPrefix,
+		OnEvent:       rn.consume,
+	})
 	if cfg.Metrics != nil {
 		rn.met = newMetrics(cfg.Metrics)
 		rn.tmet = newTenantMetrics(cfg.Metrics)
@@ -401,16 +426,14 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 					// outcome: the manager either requeues (preemption in
 					// flight — the next attempt resumes from the snapshot) or
 					// finalizes as checkpointed (terminal and resumable, not a
-					// failure). A chain leg otherwise journals its snapshot and
-					// resumes immediately.
+					// failure). A chain leg otherwise publishes its snapshot and
+					// resumes.
 					r.ckpt.Store(cke.Checkpoint)
 					if sub.CheckpointEvery <= 0 || r.yield.Load() || ctx.Err() != nil {
 						return nil, fmt.Errorf("%v: %w", err, runmgr.ErrCheckpointed)
 					}
 					r.snapshots.Add(1)
-					if sub.OnSnapshot != nil {
-						sub.OnSnapshot(cke.Checkpoint)
-					}
+					runmgr.EmitSnapshot(ctx)
 					attempt.Resume = cke.Checkpoint
 					attempt.Verify = false
 					continue
@@ -423,12 +446,6 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 				}
 				return res, err
 			}
-		},
-		Sample: func() any {
-			if lv := r.probe.Load(); lv != nil {
-				return (*lv).LiveStats()
-			}
-			return nil
 		},
 	}
 	if checkpointable {
@@ -466,9 +483,11 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			return "(no probe: run not started)"
 		}
 	}
-	name := tenantName(sub.Tenant)
-	rn.mu.Lock()
-	if err := rn.admitLocked(sub.Tenant); err != nil {
+	rn.subMu.Lock()
+	defer rn.subMu.Unlock()
+	if err := rn.admit(sub.Tenant); err != nil {
+		name := tenantName(sub.Tenant)
+		rn.mu.Lock()
 		rn.tally(name).rejected++
 		rn.mu.Unlock()
 		if rn.tmet != nil {
@@ -476,37 +495,65 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 		}
 		return nil, err
 	}
-	// The manager submission happens under rn.mu so concurrent Submits
-	// cannot both pass the tenant's admission check (lock order is
-	// rn.mu → mgr.mu, matching every other path).
-	h, err := rn.mgr.SubmitID(sub.ID, job)
+	rn.submitting = r
+	_, err := rn.mgr.SubmitID(sub.ID, job)
+	rn.submitting = nil
 	if err != nil {
-		rn.mu.Unlock()
 		return nil, err
 	}
-	r.h = h
-	rn.byID[h.ID()] = r
-	rn.runs = append(rn.runs, r)
-	rn.live[sub.Tenant] = append(rn.live[sub.Tenant], r)
-	rn.tally(name).submitted++
+	return r, nil
+}
+
+// consume is the Runner's end of the manager's event stream: it folds
+// each event into the registry, the tenant tallies and the metrics, then
+// hands it on to Config.OnEvent. Outcomes fold once per run, on Terminal
+// — a preempted-and-resumed run counts once, with its final result.
+func (rn *Runner) consume(ev runmgr.Event) {
+	name := tenantName(ev.Run.Tenant())
+	var res *repro.Result
+	var err error
+	if ev.Kind == EventTerminal {
+		var v any
+		v, err = ev.Run.Result()
+		res, _ = v.(*repro.Result)
+	}
+	rn.mu.Lock()
+	t := rn.tally(name)
+	switch ev.Kind {
+	case EventSubmitted:
+		// Submit is inside SubmitID waiting for this delivery; the handle
+		// is registered before anything else about the run is published.
+		rn.submitting.h = ev.Run
+		rn.byID[ev.Run.ID()] = rn.submitting
+		rn.runs = append(rn.runs, rn.submitting)
+		t.submitted++
+	case EventPreempted:
+		t.preempted++
+	case EventTerminal:
+		if err == nil {
+			t.done++
+		} else {
+			t.failed++
+		}
+		if res != nil {
+			t.iterations += res.Stats.Iterations
+		}
+	}
+	out := Event{Kind: ev.Kind, Run: rn.byID[ev.Run.ID()]}
 	rn.mu.Unlock()
 	if rn.met != nil {
-		rn.met.submitted.Inc()
+		switch ev.Kind {
+		case EventSubmitted:
+			rn.met.submitted.Inc()
+			rn.tmet.submitted.With(name).Inc()
+		case EventTerminal:
+			rn.met.finish(res, err)
+			rn.tmet.finish(name, res, err)
+		}
 	}
-	if rn.tmet != nil {
-		rn.tmet.submitted.With(name).Inc()
+	if rn.onEvent != nil {
+		rn.onEvent(out)
 	}
-	// Outcomes fold into the registries exactly once per run, when the
-	// handle finalizes — not per attempt, so a preempted-and-resumed run
-	// counts once with its final result.
-	go func() {
-		<-h.Done()
-		v, err := h.Result()
-		res, _ := v.(*repro.Result)
-		rn.met.finish(res, err)
-		rn.tenantFinish(sub.Tenant, res, err, int64(h.Attempts()-1))
-	}()
-	return r, nil
 }
 
 // Get returns the run with the given ID.

@@ -71,26 +71,15 @@ func newTenantMetrics(reg *obs.Registry) *tenantMetrics {
 	}
 }
 
-// admitLocked enforces the tenant's admission limits against its live
-// runs, pruning terminal handles from the live set as a side effect.
-// Callers hold rn.mu.
-func (rn *Runner) admitLocked(tenant string) error {
-	live := rn.live[tenant][:0]
-	queued, running := 0, 0
-	for _, r := range rn.live[tenant] {
-		st := r.State()
-		if st.Terminal() {
-			continue
-		}
-		live = append(live, r)
-		if st == StateQueued {
-			queued++
-		} else {
-			running++
-		}
-	}
-	rn.live[tenant] = live
+// admit enforces the tenant's admission limits against its live runs,
+// which the manager counts at each transition. Callers hold rn.subMu, so
+// the counts can only fall between this check and the submit.
+func (rn *Runner) admit(tenant string) error {
 	lim := rn.tenants[tenant]
+	if lim.MaxInflight <= 0 && lim.MaxQueued <= 0 {
+		return nil
+	}
+	queued, running := rn.mgr.TenantLoad(tenant)
 	if lim.MaxInflight > 0 && queued+running >= lim.MaxInflight {
 		return ErrTenantInflight
 	}
@@ -111,35 +100,15 @@ func (rn *Runner) tally(name string) *tenantTally {
 	return t
 }
 
-// tenantFinish folds one terminal run into its tenant's tally;
-// preempts is the number of preemption requeues the run went through.
-func (rn *Runner) tenantFinish(tenant string, res *repro.Result, err error, preempts int64) {
-	name := tenantName(tenant)
-	if preempts < 0 {
-		preempts = 0
-	}
-	rn.mu.Lock()
-	t := rn.tally(name)
+// finish folds one terminal run into the tenant's labeled counters.
+func (m *tenantMetrics) finish(name string, res *repro.Result, err error) {
 	if err == nil {
-		t.done++
+		m.done.With(name).Inc()
 	} else {
-		t.failed++
-	}
-	t.preempted += preempts
-	if res != nil {
-		t.iterations += res.Stats.Iterations
-	}
-	rn.mu.Unlock()
-	if rn.tmet == nil {
-		return
-	}
-	if err == nil {
-		rn.tmet.done.With(name).Inc()
-	} else {
-		rn.tmet.failed.With(name).Inc()
+		m.failed.With(name).Inc()
 	}
 	if res != nil {
-		rn.tmet.iterations.With(name).Add(res.Stats.Iterations)
+		m.iterations.With(name).Add(res.Stats.Iterations)
 	}
 }
 
@@ -194,15 +163,12 @@ func (rn *Runner) TenantStats() []TenantStats {
 		r.Preempted = t.preempted
 		r.Iterations = t.iterations
 	}
-	for tenant, runs := range rn.live {
-		r := row(tenantName(tenant))
-		for _, run := range runs {
-			switch run.State() {
-			case StateQueued:
-				r.Queued++
-			case StateRunning:
-				r.Running++
-			}
+	for name, r := range rows {
+		r.Queued, r.Running = rn.mgr.TenantLoad(name)
+		if name == tenantName("") {
+			q, run := rn.mgr.TenantLoad("")
+			r.Queued += q
+			r.Running += run
 		}
 	}
 	out := make([]TenantStats, 0, len(rows))
