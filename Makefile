@@ -30,6 +30,7 @@ bench-compare:
 # bench-smoke is the fast sanity slice CI runs on every push.
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -reps 2 -o /tmp/BENCH_smoke.json
+	$(GO) test -run '^$$' -bench 'KernelFine|KernelNested|FetchAdd' -benchtime=1x . ./internal/machine/
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).

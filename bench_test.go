@@ -10,6 +10,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -316,3 +317,34 @@ func BenchmarkIterationOverhead(b *testing.B) {
 		})
 	}
 }
+
+// benchKernel is one op of the repo benchmark's kernel workloads
+// (bench/kernel.go) per b.N iteration: the compiled nest through the
+// library API on the real engine under ss at P = min(NumCPU, 4),
+// reported as wall nanoseconds per leaf iteration.
+func benchKernel(b *testing.B, nest *loopir.Nest) {
+	prog, err := Compile(nest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Procs: min(runtime.NumCPU(), 4), Scheme: "ss", Engine: EngineReal}
+	var iters int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := prog.Run(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += res.Stats.Iterations
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(iters), "ns/iter")
+}
+
+// BenchmarkKernelFine is the benchmark's kernel_fine nest: one instance,
+// one fetch-and-add per iteration — the O1 term of eq. (2).
+func BenchmarkKernelFine(b *testing.B) { benchKernel(b, workload.UniformDoall(400000, 1)) }
+
+// BenchmarkKernelNested is the benchmark's kernel_nested nest: 50k
+// four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2.
+func BenchmarkKernelNested(b *testing.B) { benchKernel(b, workload.ManyInstances(8, 50000, 4, 1)) }

@@ -293,8 +293,11 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "instances    %d   iterations %d   chunks %d\n", s.Instances, s.Iterations, s.Chunks)
 	fmt.Fprintf(out, "searches     %d   enters %d   exits %d   zero-trips %d\n",
 		s.Searches, s.Enters, s.Exits, s.ZeroTrips)
-	fmt.Fprintf(out, "overheads    O1=%d  O2=%d  O3=%d  dispatch=%d\n",
-		s.O1Time, s.O2Time, s.O3Time, s.DispatchTime)
+	// The whole eq. (1) budget: P x makespan is body + overheads + the
+	// processor time the kernel attributed to neither.
+	fmt.Fprintf(out, "overheads    O1=%d  O2=%d  O3=%d  dispatch=%d  body=%d  unaccounted=%d\n",
+		s.O1Time, s.O2Time, s.O3Time, s.DispatchTime, s.BodyTime,
+		int64(res.Procs)*res.Makespan-s.AccountedTime())
 	fmt.Fprintf(out, "pool         sweeps %d  walked %d  lock-failures %d  retests %d  saturated %d\n",
 		s.Search.Sweeps, s.Search.Walked, s.Search.LockFailures, s.Search.Retests, s.Search.Saturated)
 	if s.AdaptFits > 0 || s.AdaptSwitches > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +34,24 @@ func TestRunFig1WithVerify(t *testing.T) {
 		if !strings.Contains(out, w) {
 			t.Errorf("output missing %q:\n%s", w, out)
 		}
+	}
+}
+
+// TestOverheadsLineSumsToBudget: the overheads line carries the whole
+// eq. (1) budget — its six terms sum to P x makespan.
+func TestOverheadsLineSumsToBudget(t *testing.T) {
+	out := runCLI(t, "-workload", "flat", "-procs", "4", "-scheme", "ss")
+	var makespan, o1, o2, o3, disp, body, rest int64
+	for _, line := range strings.Split(out, "\n") {
+		fmt.Sscanf(line, "makespan %d", &makespan)
+		fmt.Sscanf(line, "overheads O1=%d O2=%d O3=%d dispatch=%d body=%d unaccounted=%d",
+			&o1, &o2, &o3, &disp, &body, &rest)
+	}
+	if body == 0 || makespan == 0 {
+		t.Fatalf("overheads line missing body= or makespan:\n%s", out)
+	}
+	if sum := o1 + o2 + o3 + disp + body + rest; sum != 4*makespan {
+		t.Errorf("terms sum to %d, want P x makespan = %d:\n%s", sum, 4*makespan, out)
 	}
 }
 

@@ -417,6 +417,7 @@ func (w *worker) restorePrologue() {
 			// the remainder completes takes the ordinary completion path
 			// and never rejoins the pool.
 			icb.PCount.FetchInc(pr)
+			w.mark() // the body interval opens here; republishing is uncharged
 			for _, r := range s.Pending {
 				if !w.runChunk(icb, lowsched.Assignment{Lo: r.Lo, Hi: r.Hi}) {
 					return // drain (abort): the resumed run is tearing down

@@ -56,6 +56,13 @@ type worker struct {
 	free []*pool.ICB
 	// barBuf is scratch for rendering BAR_COUNT keys.
 	barBuf []byte
+	// now is the worker's latest clock reading. The drive loop reads the
+	// clock once per phase boundary (tick, mark): the reading that closes
+	// one accounted interval opens the next, so the eq. (1) accounting
+	// costs one read per boundary instead of two per phase. On the
+	// virtual engine no machine time passes between one phase's end and
+	// the next one's start, so chaining them changes no figure there.
+	now machine.Time
 	// lastClaim is the engine time of this processor's most recent chunk
 	// claim (-1 before the first), stored host-side for the stuck-run
 	// watchdog's per-processor diagnostics; it charges no machine time.
@@ -89,6 +96,18 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 		w.needs = func(icb *pool.ICB) bool { return n.Needs(pr, icb) }
 	}
 }
+
+// tick is a phase boundary: one clock read that charges the interval
+// since the previous boundary to counter c and opens the next interval.
+func (w *worker) tick(c obs.ID) {
+	t := w.pr.Now()
+	w.shard.Add(c, t-w.now)
+	w.now = t
+}
+
+// mark is a phase boundary whose closing interval is charged to no
+// counter (the run's start, a successful unit claim, a modeled dispatch).
+func (w *worker) mark() { w.now = w.pr.Now() }
 
 // flushSearch folds the accumulated SEARCH work into the stats shard, so
 // live probes see search figures mid-run.
@@ -157,17 +176,21 @@ func (w *worker) run() {
 	}()
 	defer w.flushSearch()
 
+	w.mark() // the run's first boundary
+
 	// The program prologue: processor 0 activates the initial instances
 	// (the nodes without predecessors in the macro-dataflow graph) — or,
 	// on a resumed run, republishes the snapshot's in-flight instances.
 	if pr.ID() == 0 {
 		w.loc[1] = 1
 		if ex.restore != nil {
+			// Republishing is not accounted (the seeded totals already
+			// count the activations), so its interval closes uncharged.
 			w.restorePrologue()
+			w.mark()
 		} else {
-			t0 := pr.Now()
 			w.enter(ex.plan.prog.Entry, 1, w.loc)
-			w.shard.Add(cO3Time, pr.Now()-t0)
+			w.tick(cO3Time)
 			w.shard.Inc(cEnters)
 		}
 	}
@@ -178,7 +201,6 @@ func (w *worker) run() {
 		// (Algorithm 4); otherwise try to grab iterations of the held
 		// instance with the low-level scheme.
 		if icb == nil {
-			t0 := pr.Now()
 			icb = w.search()
 			w.flushSearch()
 			if icb == nil {
@@ -187,13 +209,15 @@ func (w *worker) run() {
 				// from the O2 accounting.
 				break
 			}
-			w.shard.Add(cO2Time, pr.Now()-t0)
+			w.tick(cO2Time)
 			w.shard.Inc(cSearches)
 			if ex.cfg.DispatchCost > 0 {
 				// OS-involved baseline: a dispatch costs real time but is
-				// overhead, not useful work.
+				// overhead, not useful work. It is charged at its nominal
+				// cost, so the boundary after it charges nothing.
 				pr.Idle(ex.cfg.DispatchCost)
 				w.shard.Add(cDispatchTime, ex.cfg.DispatchCost)
+				w.mark()
 			}
 		}
 
@@ -220,15 +244,14 @@ func (w *worker) run() {
 			}
 			continue
 		}
-		t0 := pr.Now()
 		a, ok, last := ex.policy.Next(pr, icb)
 		if !ok {
 			// All iterations scheduled elsewhere: drop our hold and find
 			// new work ({ip->pcount; Decrement}; SEARCH).
 			icb.PCount.FetchDec(pr)
-			w.shard.Add(cO1Time, pr.Now()-t0)
+			w.tick(cO1Time)
 			if w.rec != nil {
-				w.rec.Record(int64(pr.Now()), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
+				w.rec.Record(int64(w.now), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
 			}
 			icb = nil
 			continue
@@ -239,9 +262,12 @@ func (w *worker) run() {
 			ex.pool.Delete(pr, icb)
 		}
 		w.shard.Inc(cChunks)
-		w.lastClaim.Store(pr.Now())
+		// A successful unit claim's own interval is charged to no counter
+		// (DESIGN §17: charging it to O1 moves the virtual baselines).
+		w.mark()
+		w.lastClaim.Store(w.now)
 		if w.rec != nil {
-			w.rec.Record(int64(pr.Now()), flight.Claim, int32(pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
+			w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
 		}
 		if ex.ckptAfter > 0 && ex.claims.Add(1) == ex.ckptAfter {
 			// The deterministic claim-k trigger: this chunk still executes
@@ -261,9 +287,8 @@ func (w *worker) run() {
 					if !w.runChunk(icb, lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + allowed - 1}) {
 						return
 					}
-					t0 = pr.Now()
 					icb.ICount.FetchAdd(pr, allowed)
-					w.shard.Add(cO1Time, pr.Now()-t0)
+					w.tick(cO1Time)
 				}
 				ex.addPending(icb, lowsched.Assignment{Lo: a.Lo + allowed, Hi: a.Hi})
 				return
@@ -299,11 +324,10 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 	ex, pr := w.ex, w.pr
 	// update: count completed iterations; the completer of the final
 	// iteration activates successors and releases the ICB.
-	t0 := pr.Now()
 	done := icb.ICount.FetchAdd(pr, size) + size
-	w.shard.Add(cO1Time, pr.Now()-t0)
+	w.tick(cO1Time)
 	if w.rec != nil {
-		w.rec.Record(int64(pr.Now()), flight.Chunk, int32(pr.ID()), int32(icb.Loop), done, icb.Bound)
+		w.rec.Record(int64(w.now), flight.Chunk, int32(pr.ID()), int32(icb.Loop), done, icb.Bound)
 	}
 	if done > icb.Bound {
 		panic(fmt.Sprintf("core: icount %d exceeded bound %d (loop %d)", done, icb.Bound, icb.Loop))
@@ -311,11 +335,12 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 	if done != icb.Bound {
 		return true, true
 	}
-	t0 = pr.Now()
 	w.completeInstance(icb)
 	w.shard.Inc(cExits)
 	w.shard.Inc(cEnters)
 	if w.rec != nil {
+		// Mid-phase (the O3 interval closes after the release spin), so
+		// the recorder reads the clock itself.
 		w.rec.Record(int64(pr.Now()), flight.Exit, int32(pr.ID()), int32(icb.Loop), icb.Bound, 0)
 	}
 
@@ -342,7 +367,7 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 	}
 	ex.untrackICB(icb)
 	w.free = append(w.free, icb)
-	w.shard.Add(cO3Time, pr.Now()-t0)
+	w.tick(cO3Time)
 	return false, true
 }
 
@@ -360,13 +385,12 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 // neither lost nor repeated).
 func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 	ex, pr := w.ex, w.pr
-	t0 := pr.Now()
 	lease, ok, last := ex.leaser.Lease(pr, icb, ex.batch)
 	if !ok {
 		icb.PCount.FetchDec(pr)
-		w.shard.Add(cO1Time, pr.Now()-t0)
+		w.tick(cO1Time)
 		if w.rec != nil {
-			w.rec.Record(int64(pr.Now()), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
+			w.rec.Record(int64(w.now), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
 		}
 		return false, true
 	}
@@ -375,10 +399,10 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 	}
 	n := int64(lease.Len())
 	w.shard.Add(cChunks, n)
-	w.shard.Add(cO1Time, pr.Now()-t0)
-	w.lastClaim.Store(pr.Now())
+	w.tick(cO1Time)
+	w.lastClaim.Store(w.now)
 	if w.rec != nil {
-		w.rec.Record(int64(pr.Now()), flight.Claim, int32(pr.ID()), int32(icb.Loop), lease.Lo(), lease.Hi())
+		w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), lease.Lo(), lease.Hi())
 	}
 	if ex.ckptAfter > 0 {
 		// The trigger fires when the cumulative chunk count crosses the
@@ -409,9 +433,8 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 				// slice and the unsliced remainder pending, keep the hold
 				// and leave (the budget pause is a mid-lease pause).
 				if exec > 0 {
-					t0 = pr.Now()
 					icb.ICount.FetchAdd(pr, exec)
-					w.shard.Add(cO1Time, pr.Now()-t0)
+					w.tick(cO1Time)
 				}
 				ex.addPending(icb, a)
 				if rem, ok := lease.Remaining(); ok {
@@ -433,9 +456,8 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 				// The budget cut this slice short: post the executed
 				// prefix, record the slice's tail and the unsliced
 				// remainder pending, keep the hold and leave.
-				t0 = pr.Now()
 				icb.ICount.FetchAdd(pr, exec)
-				w.shard.Add(cO1Time, pr.Now()-t0)
+				w.tick(cO1Time)
 				ex.addPending(icb, lowsched.Assignment{Lo: run.Hi + 1, Hi: a.Hi})
 				if rem, ok := lease.Remaining(); ok {
 					ex.addPending(icb, rem)
@@ -452,9 +474,8 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 			if rem, ok := lease.Remaining(); ok {
 				// Post what ran, record the rest as the instance's
 				// pending range, keep the hold and leave.
-				t0 = pr.Now()
 				icb.ICount.FetchAdd(pr, exec)
-				w.shard.Add(cO1Time, pr.Now()-t0)
+				w.tick(cO1Time)
 				ex.addPending(icb, rem)
 				return true, false
 			}
@@ -471,15 +492,14 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 // between the fetch-and-add claim and the icount completion bookkeeping
 // — the claim/complete protocol is panic-safe.
 func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
-	ex, pr := w.ex, w.pr
+	ex := w.ex
 	lp := &ex.plan.leaves[icb.Loop]
 	w.ctx.bind(icb, lp.manualSync)
 	if ex.cfg.Failure == Isolate {
 		return w.runChunkIsolate(icb, lp, a)
 	}
-	tb := pr.Now()
 	cont, err := w.execSpan(icb, lp, a)
-	w.shard.Add(cBodyTime, pr.Now()-tb)
+	w.tick(cBodyTime)
 	if err != nil {
 		// FailFast: the first body failure is the run's stop-cause;
 		// every processor drains at its next preemption point.
@@ -543,11 +563,10 @@ func (w *worker) execSpan(icb *pool.ICB, lp *leafPlan, a lowsched.Assignment) (c
 // missing, and the FailureReport names them.
 func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignment) bool {
 	ex, pr := w.ex, w.pr
-	tb := pr.Now()
 	attempt := 1
 	for j := a.Lo; j <= a.Hi; {
 		if ex.aborted() {
-			w.shard.Add(cBodyTime, pr.Now()-tb)
+			w.tick(cBodyTime)
 			return false
 		}
 		err := w.execIter(icb, lp, j)
@@ -559,7 +578,7 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 		if ex.aborted() {
 			// The failure is a symptom of the drain (e.g. an aborted
 			// Doacross wait), not an iteration fault: do not record it.
-			w.shard.Add(cBodyTime, pr.Now()-tb)
+			w.tick(cBodyTime)
 			return false
 		}
 		if attempt <= ex.retry.Attempts {
@@ -586,7 +605,7 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 		j++
 		attempt = 1
 	}
-	w.shard.Add(cBodyTime, pr.Now()-tb)
+	w.tick(cBodyTime)
 	return true
 }
 

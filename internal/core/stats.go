@@ -156,8 +156,11 @@ func (sn Snapshot) Efficiency() float64 {
 // at any time, including while the run is in flight (the live-probe
 // path): each counter is read atomically, so values are monotone though
 // not mutually consistent to a single instant.
-func (s *Stats) Snap() Snapshot {
-	t := s.spine.Totals()
+func (s *Stats) Snap() Snapshot { return snapshotOf(s.spine.Totals()) }
+
+// snapshotOf reads merged spine totals (counter-ID order, as Stats.Snap
+// and RunSnapshot.Stats carry them) into a Snapshot.
+func snapshotOf(t []int64) Snapshot {
 	return Snapshot{
 		Iterations: t[cIterations], Chunks: t[cChunks],
 		Instances: t[cInstances], Searches: t[cSearches],
@@ -180,6 +183,6 @@ func (s *Stats) Snap() Snapshot {
 }
 
 func (sn Snapshot) String() string {
-	return fmt.Sprintf("iters=%d chunks=%d instances=%d searches=%d O1=%d O2=%d O3=%d",
-		sn.Iterations, sn.Chunks, sn.Instances, sn.Searches, sn.O1Time, sn.O2Time, sn.O3Time)
+	return fmt.Sprintf("iters=%d chunks=%d instances=%d searches=%d O1=%d O2=%d O3=%d dispatch=%d body=%d",
+		sn.Iterations, sn.Chunks, sn.Instances, sn.Searches, sn.O1Time, sn.O2Time, sn.O3Time, sn.DispatchTime, sn.BodyTime)
 }

@@ -210,8 +210,23 @@ func (s *SyncVar) Name() string { return s.name }
 // it evaluates in.Test against the current value and, on success, applies
 // in.Op. It returns the original value and whether the test succeeded.
 // The access is charged to p (contention accounting on the virtual engine).
+//
+// A null-test Increment, Decrement or Fetch&Add is the paper's single
+// indivisible fetch-and-add and executes as one atomic add; every other
+// instruction — a conditional one must make its test and its operation
+// one step — runs as a compare-and-swap retry loop.
 func (s *SyncVar) Exec(p Proc, in Instr) (old int64, ok bool) {
 	p.Access(s)
+	if in.Test == TestNone {
+		switch in.Op {
+		case OpInc:
+			return s.v.Add(1) - 1, true
+		case OpDec:
+			return s.v.Add(-1) + 1, true
+		case OpFetchAdd:
+			return s.v.Add(in.Operand) - in.Operand, true
+		}
+	}
 	for {
 		old = s.v.Load()
 		if !in.Test.Eval(old, in.TestVal) {

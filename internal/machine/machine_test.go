@@ -145,9 +145,42 @@ func TestSyncVarQuickSemantics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+
+	// Every Test x Op over small values, so the null-test adds (one atomic
+	// add) and everything else (the CAS loop) are both held to the model:
+	// Fetch&Add(0), and conditional adds — which must still take the test,
+	// including always-true ones that differ from a null test only in form.
+	vals := []int64{-3, -1, 0, 1, 4}
+	for tst := TestNone; tst <= TestNE; tst++ {
+		for op := OpFetch; op <= OpFetchAdd; op++ {
+			for _, init := range vals {
+				for _, tv := range vals {
+					for _, k := range vals {
+						in := Instr{Test: tst, TestVal: tv, Op: op, Operand: k}
+						v := NewSyncVar("x", init)
+						old, ok := v.Exec(p, in)
+						wantOK := tst.Eval(init, tv)
+						want := init
+						if wantOK {
+							want = op.Apply(init, k)
+						}
+						if old != init || ok != wantOK || v.Peek() != want {
+							t.Fatalf("%v on %d: got (old %d, ok %v) -> %d, want (old %d, ok %v) -> %d",
+								in, init, old, ok, v.Peek(), init, wantOK, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
-func TestRealEngineFetchIncIsAtomic(t *testing.T) {
+// checkAtomicAdds has 8 processors apply add — a null-test add of step —
+// perProc times each to one variable and checks indivisibility: every
+// intermediate value 0, step, 2*step, ... is returned as the old value
+// exactly once and the variable ends at the exact sum.
+func checkAtomicAdds(t *testing.T, step int64, add func(*SyncVar, Proc) int64) {
+	t.Helper()
 	const perProc = 2000
 	eng := NewReal(RealConfig{P: 8})
 	v := NewSyncVar("ctr", 0)
@@ -155,17 +188,19 @@ func TestRealEngineFetchIncIsAtomic(t *testing.T) {
 	rep := eng.Run(func(p Proc) {
 		local := make([]int64, 0, perProc)
 		for i := 0; i < perProc; i++ {
-			local = append(local, v.FetchInc(p))
+			local = append(local, add(v, p))
 		}
 		seen[p.ID()] = local
 	})
-	if v.Peek() != 8*perProc {
-		t.Fatalf("counter = %d, want %d", v.Peek(), 8*perProc)
+	if v.Peek() != 8*perProc*step {
+		t.Fatalf("counter = %d, want %d", v.Peek(), 8*perProc*step)
 	}
-	// Every value 0..N-1 must be fetched exactly once.
 	got := map[int64]bool{}
 	for _, s := range seen {
 		for _, x := range s {
+			if x%step != 0 || x/step < 0 || x/step >= 8*perProc {
+				t.Fatalf("fetched %d, not a multiple of %d below the final sum", x, step)
+			}
 			if got[x] {
 				t.Fatalf("value %d fetched twice", x)
 			}
@@ -178,6 +213,39 @@ func TestRealEngineFetchIncIsAtomic(t *testing.T) {
 	if rep.TotalAccesses() != 8*perProc {
 		t.Errorf("accesses = %d, want %d", rep.TotalAccesses(), 8*perProc)
 	}
+}
+
+func TestRealEngineFetchIncIsAtomic(t *testing.T) {
+	checkAtomicAdds(t, 1, (*SyncVar).FetchInc)
+}
+
+// TestRealEngineFetchAddIsAtomic covers the other null-test adds, which
+// execute as one atomic add, and their mix with conditional instructions
+// on the compare-and-swap path against the same variable.
+func TestRealEngineFetchAddIsAtomic(t *testing.T) {
+	t.Run("FetchDec", func(t *testing.T) { checkAtomicAdds(t, -1, (*SyncVar).FetchDec) })
+	t.Run("FetchAdd(3)", func(t *testing.T) {
+		checkAtomicAdds(t, 3, func(v *SyncVar, p Proc) int64 { return v.FetchAdd(p, 3) })
+	})
+	t.Run("FetchAdd(-5)", func(t *testing.T) {
+		checkAtomicAdds(t, -5, func(v *SyncVar, p Proc) int64 { return v.FetchAdd(p, -5) })
+	})
+	t.Run("mixed with CAS path", func(t *testing.T) {
+		// Odd processors add 2 by the always-true conditional {x != -1;
+		// Fetch&Add(2)}, which must take the CAS loop; even ones by the
+		// null-test instruction. Neither may lose the other's update.
+		cond := Instr{Test: TestNE, TestVal: -1, Op: OpFetchAdd, Operand: 2}
+		checkAtomicAdds(t, 2, func(v *SyncVar, p Proc) int64 {
+			if p.ID()%2 == 1 {
+				old, ok := v.Exec(p, cond)
+				if !ok {
+					t.Errorf("{x != -1} failed at %d", old)
+				}
+				return old
+			}
+			return v.FetchAdd(p, 2)
+		})
+	})
 }
 
 func TestRealEngineConditionalExec(t *testing.T) {
@@ -397,6 +465,16 @@ func BenchmarkFetchIncContended(b *testing.B) {
 		p := &testProc{}
 		for pb.Next() {
 			v.FetchInc(p)
+		}
+	})
+}
+
+func BenchmarkFetchAddContended(b *testing.B) {
+	v := NewSyncVar("v", 0)
+	b.RunParallel(func(pb *testing.PB) {
+		p := &testProc{}
+		for pb.Next() {
+			v.FetchAdd(p, 3)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -77,22 +76,25 @@ func (e *Real) Run(worker func(Proc)) RunReport {
 	}
 	for i := range procs {
 		p := &procs[i]
-		rep.Busy[i] = p.busy.Load()
-		rep.Accesses[i] = p.accesses.Load()
-		rep.Spins[i] = p.spins.Load()
+		rep.Busy[i] = p.busy
+		rep.Accesses[i] = p.accesses
+		rep.Spins[i] = p.spins
 	}
 	return rep
 }
 
 type realProc struct {
-	id       int
-	n        int
-	mode     WorkMode
-	start    time.Time
-	intr     *Interrupt
-	busy     atomic.Int64
-	accesses atomic.Int64
-	spins    atomic.Int64
+	id    int
+	n     int
+	mode  WorkMode
+	start time.Time
+	intr  *Interrupt
+	// busy, accesses and spins are written only by the processor's own
+	// goroutine and read by Run only after wg.Wait, which orders the two:
+	// plain fields, no atomics.
+	busy     Time
+	accesses int64
+	spins    int64
 	// The pad keeps neighboring processors in Run's value slice off each
 	// other's cache lines (the three counters above are the engine's
 	// hottest writes).
@@ -108,7 +110,7 @@ func (p *realProc) Work(cost Time) {
 	if cost < 0 {
 		panic(fmt.Sprintf("machine: negative work cost %d", cost))
 	}
-	p.busy.Add(cost)
+	p.busy += cost
 	if p.mode == WorkSpin && cost > 0 {
 		spinFor(time.Duration(cost), p.intr)
 	}
@@ -123,10 +125,10 @@ func (p *realProc) Idle(cost Time) {
 	}
 }
 
-func (p *realProc) Access(*SyncVar) { p.accesses.Add(1) }
+func (p *realProc) Access(*SyncVar) { p.accesses++ }
 
 func (p *realProc) Spin() {
-	p.spins.Add(1)
+	p.spins++
 	runtime.Gosched()
 }
 
