@@ -102,19 +102,10 @@ func run(args []string, out io.Writer) error {
 		file        = fs.String("file", "", "run a mini-language program file instead of a built-in workload")
 		list        = fs.Bool("list", false, "list workloads and exit")
 		listSchemes = fs.Bool("list-schemes", false, "list scheduling schemes and exit")
-		procs       = fs.Int("procs", 8, "processor count")
-		scheme      = fs.String("scheme", "ss", "low-level scheme (see -list-schemes)")
-		engine      = fs.String("engine", "virtual", "engine: virtual, real, real-spin")
-		access      = fs.Int64("access", 10, "virtual machine synchronization access cost")
-		combining   = fs.Bool("combining", false, "enable combining fetch-and-add")
-		remote      = fs.Int64("remote", 0, "NUMA remote-access penalty (virtual engine)")
-		poolKind    = fs.String("pool", "per-loop", "task pool: "+strings.Join(repro.KnownPools(), ", "))
-		dispatch    = fs.Int64("dispatch", 0, "per-task OS dispatch cost (baseline)")
 		timeout     = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = none)")
 		n           = fs.Int64("n", 0, "workload size override")
 		grain       = fs.Int64("grain", 0, "iteration grain override")
 		seed        = fs.Int64("seed", 1, "seed for -workload random")
-		verify      = fs.Bool("verify", false, "verify the run against the sequential reference")
 		showProgram = fs.Bool("show-program", false, "print the standardized program")
 		showTables  = fs.Bool("show-tables", false, "print the DEPTH/BOUND and DESCRPT tables")
 		gantt       = fs.Int("gantt", 0, "render a Gantt chart with the given width (0 = off)")
@@ -123,13 +114,12 @@ func run(args []string, out io.Writer) error {
 		jsonOut     = fs.Bool("json", false, "emit the run result as JSON")
 		coalesce    = fs.Bool("coalesce", false, "apply implicit loop coalescing")
 		diagnose    = fs.Bool("diagnose", false, "attach a flight recorder and print the scheduler diagnostic dump after the run")
-		ckptAfter   = fs.Int64("checkpoint-after", 0, "pause the run after this many chunk claims and emit a checkpoint")
 		ckptOut     = fs.String("checkpoint-out", "", "file to write the checkpoint to (default stdout)")
 		resumeFrom  = fs.String("resume", "", "resume from a checkpoint file written by -checkpoint-out")
-		claimBatch  = fs.Int("claim-batch", 0, "lease up to this many chunks per claim (0/1 = one chunk per claim)")
-		swShards    = fs.Int("sw-shards", 0, "split the pool's SW control word into this many shard words (0/1 = single word)")
-		combClaims  = fs.Bool("combine-claims", false, "mark the per-instance claim hot spots software-combinable (virtual engine)")
 	)
+	// Every run option is a flag, declared once in repro.Options.
+	opts := repro.Options{Procs: 8}
+	repro.BindFlags(fs, &opts)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -193,30 +183,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%s\n", prog.InstrumentationListing())
 	}
 
-	pool := *poolKind
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := repro.Options{
-		Procs:           *procs,
-		Scheme:          *scheme,
-		Engine:          repro.EngineKind(*engine),
-		AccessCost:      *access,
-		Combining:       *combining,
-		RemotePenalty:   *remote,
-		Pool:            pool,
-		DispatchCost:    *dispatch,
-		Verify:          *verify,
-		CollectTrace:    *gantt > 0,
-		CheckpointAfter: *ckptAfter,
-		ClaimBatch:      *claimBatch,
-		SWShards:        *swShards,
-		CombineClaims:   *combClaims,
-	}
+	opts.CollectTrace = *gantt > 0
 	var live repro.Live
 	if *diagnose {
 		opts.Diagnostics = true
@@ -271,8 +244,8 @@ func run(args []string, out io.Writer) error {
 			HotSpots    []repro.HotSpot `json:"hot_spots,omitempty"`
 		}
 		payload := jsonResult{
-			Workload: *name, Engine: orDefault(*engine, "virtual"),
-			Procs: res.Procs, Scheme: res.SchemeName, Pool: orDefault(pool, "per-loop"),
+			Workload: *name, Engine: orDefault(string(opts.Engine), "virtual"),
+			Procs: res.Procs, Scheme: res.SchemeName, Pool: orDefault(opts.Pool, "per-loop"),
 			Makespan: res.Makespan, Utilization: res.Utilization,
 			Busy: res.Busy, Stats: res.Stats, HotSpots: res.HotSpots,
 		}
@@ -285,7 +258,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "workload     %s\n", *name)
-	fmt.Fprintf(out, "engine       %s, P=%d\n", orDefault(*engine, "virtual"), res.Procs)
+	fmt.Fprintf(out, "engine       %s, P=%d\n", orDefault(string(opts.Engine), "virtual"), res.Procs)
 	fmt.Fprintf(out, "scheme       %s\n", res.SchemeName)
 	fmt.Fprintf(out, "makespan     %d\n", res.Makespan)
 	fmt.Fprintf(out, "utilization  %.4f\n", res.Utilization)
@@ -303,7 +276,7 @@ func run(args []string, out io.Writer) error {
 	if s.AdaptFits > 0 || s.AdaptSwitches > 0 {
 		fmt.Fprintf(out, "adaptive     fits %d  switches %d\n", s.AdaptFits, s.AdaptSwitches)
 	}
-	if *verify {
+	if opts.Verify {
 		fmt.Fprintln(out, "verify       OK (exactly-once execution, macro-dataflow precedence)")
 	}
 	if *gantt > 0 {

@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -243,5 +247,80 @@ func TestResumeErrorsAreFriendly(t *testing.T) {
 		"-checkpoint-after", "3"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "dynamic scheme") {
 		t.Errorf("static scheme err = %v, want checkpointing hint", err)
+	}
+}
+
+// helpFlags runs `loopsched -help` and parses the usage text the flag
+// package writes to stderr into name → "type default".
+func helpFlags(t *testing.T) map[string]string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	runErr := run([]string{"-help"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("run(-help) = %v", runErr)
+	}
+	flags := map[string]string{}
+	flagRE := regexp.MustCompile(`(?m)^  -(\S+)(?: (\S+))?\n    \t(.*)$`)
+	defaultRE := regexp.MustCompile(`\(default (.*)\)$`)
+	for _, m := range flagRE.FindAllStringSubmatch(string(usage), -1) {
+		typ, def := m[2], ""
+		switch typ {
+		case "":
+			typ, def = "bool", "false"
+		case "int":
+			def = "0"
+		}
+		if d := defaultRE.FindStringSubmatch(m[3]); d != nil {
+			def = strings.Trim(d[1], `"`)
+		}
+		flags[m[1]] = typ + " " + def
+	}
+	return flags
+}
+
+// TestRunOptionFlagsGolden pins the CLI's run-option flags — derived
+// from the repro.Options table — to the names and defaults the
+// hand-written list had, plus the seven it lacked.
+func TestRunOptionFlagsGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "run_option_flags.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := helpFlags(t)
+	n := 0
+	for _, line := range strings.Split(string(golden), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		n++
+		name, want, _ := strings.Cut(line, " ")
+		if got[name] != want {
+			t.Errorf("-%s: %q, want %q", name, got[name], want)
+		}
+	}
+	if n != 20 {
+		t.Errorf("golden lists %d flags, want 20", n)
+	}
+}
+
+// TestDerivedFlagsReachTheRun: a flag the hand-written list never had
+// configures the run.
+func TestDerivedFlagsReachTheRun(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-workload", "flat", "-n", "200", "-budget-iterations", "50"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "budget exceeded after 50 iteration") {
+		t.Errorf("run with -budget-iterations 50 = %v", err)
+	}
+	if err := run([]string{"-workload", "flat", "-procs", "4097"}, &buf); err == nil ||
+		!strings.Contains(err.Error(), "too many processors") {
+		t.Errorf("run with -procs 4097 = %v", err)
 	}
 }

@@ -287,7 +287,7 @@ func TestFailoverRacesSnapshotUpdate(t *testing.T) {
 		p := &placement{
 			id:   fmt.Sprintf("n9-run-feedface-%04d", i),
 			node: "n9",
-			sub:  journalSubmit{Program: program, Options: runOptions{Procs: 2, Scheme: "ss"}},
+			sub:  journalSubmit{Program: program, Options: runOptions{Options: repro.Options{Procs: 2, Scheme: "ss"}}},
 		}
 		c.adopt(p)
 		var wg sync.WaitGroup

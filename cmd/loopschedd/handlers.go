@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -31,71 +32,18 @@ type submitRequest struct {
 	ID string `json:"id,omitempty"`
 }
 
+// runOptions is the wire form of a run's options: the repro.Options
+// table (its json tags are the wire names) plus the two settings that
+// belong to the daemon rather than to one RunContext call.
 type runOptions struct {
-	Procs         int    `json:"procs,omitempty"`
-	Scheme        string `json:"scheme,omitempty"`
-	Engine        string `json:"engine,omitempty"`
-	Pool          string `json:"pool,omitempty"`
-	AccessCost    int64  `json:"access_cost,omitempty"`
-	SpinCost      int64  `json:"spin_cost,omitempty"`
-	Combining     bool   `json:"combining,omitempty"`
-	RemotePenalty int64  `json:"remote_penalty,omitempty"`
-	DispatchCost  int64  `json:"dispatch_cost,omitempty"`
-	Verify        bool   `json:"verify,omitempty"`
-	Coalesce      bool   `json:"coalesce,omitempty"`
-	Failure       string `json:"failure,omitempty"`
-	RetryAttempts int    `json:"retry_attempts,omitempty"`
-	RetryBackoff  int64  `json:"retry_backoff,omitempty"`
-	// Checkpointable enables POST /v1/runs/{id}/checkpoint for the run;
-	// CheckpointAfter pauses it on its own after that many chunk claims.
-	// Resume restores a checkpoint captured from an identical program
-	// (returned in a checkpointed run's status).
-	Checkpointable  bool              `json:"checkpointable,omitempty"`
-	CheckpointAfter int64             `json:"checkpoint_after,omitempty"`
-	Resume          *repro.Checkpoint `json:"resume,omitempty"`
+	repro.Options
+	// Coalesce compiles the program with implicit loop coalescing.
+	Coalesce bool `json:"coalesce,omitempty"`
 	// CheckpointEvery runs the program as a chain of legs, parking a
 	// durable snapshot every that-many chunk claims — the failover
 	// restore points. A clustered daemon started with -checkpoint-every
 	// applies that default to submissions that leave it zero.
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	// ClaimBatch leases up to that many chunks per claim (cursor schemes
-	// only); SWShards splits the pool control word; CombineClaims marks
-	// the claim hot spots software-combinable on the virtual engine.
-	ClaimBatch    int  `json:"claim_batch,omitempty"`
-	SWShards      int  `json:"sw_shards,omitempty"`
-	CombineClaims bool `json:"combine_claims,omitempty"`
-	// BudgetIterations caps the run's executed iterations;
-	// BudgetTime caps its machine time. A run that exhausts either
-	// finishes with a budget-exceeded error — checkpointable runs park a
-	// resumable snapshot in their status.
-	BudgetIterations int64 `json:"budget_iterations,omitempty"`
-	BudgetTime       int64 `json:"budget_time,omitempty"`
-}
-
-func (o runOptions) toOptions() repro.Options {
-	return repro.Options{
-		Procs:            o.Procs,
-		Scheme:           o.Scheme,
-		Engine:           repro.EngineKind(o.Engine),
-		Pool:             o.Pool,
-		AccessCost:       o.AccessCost,
-		SpinCost:         o.SpinCost,
-		Combining:        o.Combining,
-		RemotePenalty:    o.RemotePenalty,
-		DispatchCost:     o.DispatchCost,
-		Verify:           o.Verify,
-		Failure:          o.Failure,
-		RetryAttempts:    o.RetryAttempts,
-		RetryBackoff:     o.RetryBackoff,
-		Checkpointable:   o.Checkpointable,
-		CheckpointAfter:  o.CheckpointAfter,
-		Resume:           o.Resume,
-		ClaimBatch:       o.ClaimBatch,
-		SWShards:         o.SWShards,
-		CombineClaims:    o.CombineClaims,
-		BudgetIterations: o.BudgetIterations,
-		BudgetTime:       o.BudgetTime,
-	}
 }
 
 // runStatus is a progress snapshot plus, for a finished run, the result
@@ -118,8 +66,23 @@ type runResult struct {
 type errorResponse struct {
 	Error string `json:"error"`
 	// Valid lists acceptable values when the error is a typed option
-	// error (unknown engine/pool, bad scheme).
+	// error (unknown engine/pool, bad scheme) and the option names when
+	// the body named a field that does not exist.
 	Valid []string `json:"valid,omitempty"`
+}
+
+var errUnknownField = errors.New("unknown field")
+
+// optionNames lists the wire names a submission's "options" accepts,
+// read off the struct the decoder fills.
+func optionNames() []string {
+	var names []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(runOptions{})) {
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != "-" {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -133,13 +96,21 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req submitRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// A mistyped option name must not run with defaults: unknown fields
+	// are an error here (journal replay stays lenient — an old journal
+	// must always replay).
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body over %d bytes", tooBig.Limit))
 			return
+		}
+		// encoding/json has no typed error for this one.
+		if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+			err = fmt.Errorf("%w %s", errUnknownField, name)
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
@@ -163,8 +134,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !internal && s.cluster != nil && s.cluster.trySubmitRemote(w, req, tenant) {
 		return
 	}
-	sub.ID, sub.Tenant = req.ID, tenant
-	run, err := s.submit(sub, req.record(tenant))
+	sub.ID, sub.Tenant, sub.Record = req.ID, tenant, req.record(tenant)
+	run, err := s.rn.Submit(sub)
 	if err != nil {
 		status := statusFor(err)
 		if status == http.StatusTooManyRequests {
@@ -202,8 +173,8 @@ func (s *server) submitPlaced(req submitRequest, tenant string) error {
 	if err != nil {
 		return err
 	}
-	sub.ID, sub.Tenant = req.ID, tenant
-	_, err = s.submit(sub, req.record(tenant))
+	sub.ID, sub.Tenant, sub.Record = req.ID, tenant, req.record(tenant)
+	_, err = s.rn.Submit(sub)
 	return err
 }
 
@@ -245,7 +216,7 @@ func (s *server) buildSubmission(req submitRequest) (runner.Submission, error) {
 	}
 	return runner.Submission{
 		Program:         prog,
-		Options:         req.Options.toOptions(),
+		Options:         req.Options.Options,
 		Timeout:         timeout,
 		Label:           req.Label,
 		CheckpointEvery: every,
@@ -398,6 +369,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		resp.Valid = repro.KnownPools()
 	case errors.Is(err, repro.ErrBadFailure):
 		resp.Valid = repro.KnownFailurePolicies()
+	case errors.Is(err, errUnknownField):
+		resp.Valid = optionNames()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -106,21 +106,6 @@ func (s *server) appendRecord(kind journal.Kind, id string, payload any) {
 // healthz can read it atomically.
 type journalErr struct{ err error }
 
-// submit hands sub to the runner. rec is the wire submission to journal
-// for it; replay passes nil, its runs' submit records being in the file
-// already. The run's ID is minted inside Submit and its Submitted event
-// reaches onEvent before Submit returns, so submissions take turns and
-// the one in flight leaves its record in s.submitting: the submit record
-// is durable before the caller answers 201 and precedes every other
-// record of the run.
-func (s *server) submit(sub runner.Submission, rec *journalSubmit) (*runner.Run, error) {
-	s.submitMu.Lock()
-	defer s.submitMu.Unlock()
-	s.submitting = rec
-	defer func() { s.submitting = nil }()
-	return s.rn.Submit(sub)
-}
-
 // onEvent is the daemon's consumer of the run-lifecycle stream
 // (runner.Config.OnEvent): it journals each transition. Events arrive
 // one at a time, in transition order, outside the runner's locks — the
@@ -130,8 +115,13 @@ func (s *server) onEvent(ev runner.Event) {
 	id := ev.Run.ID()
 	switch ev.Kind {
 	case runner.EventSubmitted:
-		if s.submitting != nil {
-			s.appendRecord(kindSubmit, id, s.submitting)
+		// The submission carried its wire form here (Submission.Record);
+		// replay carries none, its runs' submit records being in the file
+		// already. Submit returns after this append, so the record is
+		// durable before the caller answers 201 and precedes every other
+		// record of the run.
+		if ev.Record != nil {
+			s.appendRecord(kindSubmit, id, ev.Record)
 		}
 	case runner.EventStarted:
 		s.appendRecord(kindStart, id, nil)
@@ -240,7 +230,7 @@ func (s *server) replayJournal(recs []journal.Record) []*placement {
 		// Tenant attribution survives the restart: the replayed run counts
 		// against its tenant's quotas and fair share like any fresh one.
 		sub.ID, sub.Tenant = id, p.sub.Tenant
-		if _, err := s.submit(sub, nil); err != nil {
+		if _, err := s.rn.Submit(sub); err != nil {
 			if errors.Is(err, runner.ErrQueueFull) {
 				log.Printf("loopschedd: journal replay: queue full, dropping run %s", id)
 				continue

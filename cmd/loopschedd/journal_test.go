@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/journal"
 )
 
@@ -42,7 +43,7 @@ func seedJournal(t *testing.T, path, program string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := journalSubmit{Program: program, Options: runOptions{Procs: 2, Scheme: "gss"}}
+	sub := journalSubmit{Program: program, Options: runOptions{Options: repro.Options{Procs: 2, Scheme: "gss"}}}
 	mustAppend(t, w, kindSubmit, "run-0001", sub)
 	mustAppend(t, w, kindStart, "run-0001", nil)
 	mustAppend(t, w, kindTerminal, "run-0001", journalTerminal{State: "done"})
@@ -138,7 +139,7 @@ func TestJournalReplayRespectsMaxConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := journalSubmit{Program: "doall I = 1..100000 { work 50 }", Options: runOptions{Procs: 2}}
+	sub := journalSubmit{Program: "doall I = 1..100000 { work 50 }", Options: runOptions{Options: repro.Options{Procs: 2}}}
 	mustAppend(t, w, kindSubmit, "run-0001", sub)
 	mustAppend(t, w, kindSubmit, "run-0002", sub)
 	if err := w.Close(); err != nil {

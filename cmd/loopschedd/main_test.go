@@ -123,6 +123,9 @@ func TestSubmitErrors(t *testing.T) {
 		{`{"program": "doall I = 1..4 { work 5 }", "options": {"engine": "abacus"}}`, http.StatusBadRequest, true},
 		{`{"program": "doall I = 1..4 { work 5 }", "timeout": "soon"}`, http.StatusBadRequest, false},
 		{`not json`, http.StatusBadRequest, false},
+		{`{"program": "doall I = 1..4 { work 5 }", "options": {"procs": 4097}}`, http.StatusBadRequest, false},
+		{`{"program": "doall I = 1..4 { work 5 }", "options": {"acess_cost": 5}}`, http.StatusBadRequest, true},
+		{`{"progam": "doall I = 1..4 { work 5 }"}`, http.StatusBadRequest, true},
 	}
 	for _, c := range cases {
 		resp, payload := postJSON(t, ts.URL+"/v1/runs", c.body)

@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,12 +57,8 @@ type server struct {
 	started  time.Time
 	draining atomic.Bool
 	// jw is the run journal (nil when journalling is off), written from
-	// onEvent. submitMu serializes submissions so the one in flight can
-	// leave its wire record in submitting for its Submitted event (see
-	// submit).
-	jw         *journal.Writer
-	submitMu   sync.Mutex
-	submitting *journalSubmit
+	// onEvent.
+	jw *journal.Writer
 	// jerr holds a *journalErr boxing the last append's outcome, for
 	// /healthz's journal component.
 	jerr atomic.Value

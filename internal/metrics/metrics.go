@@ -9,53 +9,6 @@ import (
 	"strings"
 )
 
-// Summary holds the usual scalar statistics of a sample.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-}
-
-// Summarize computes summary statistics. An empty sample yields zeros.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g std=%.3g min=%.3g max=%.3g", s.N, s.Mean, s.Std, s.Min, s.Max)
-}
-
-// Speedup returns serial/parallel (0 when parallel is 0).
-func Speedup(serial, parallel float64) float64 {
-	if parallel == 0 {
-		return 0
-	}
-	return serial / parallel
-}
-
 // Imbalance returns max/mean of per-processor busy times (1.0 = perfectly
 // balanced; 0 for empty or all-idle input).
 func Imbalance(busy []int64) float64 {

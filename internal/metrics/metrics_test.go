@@ -4,55 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Std-1.2909944) > 1e-6 {
-		t.Errorf("std = %v", s.Std)
-	}
-	if got := Summarize(nil); got.N != 0 || got.Mean != 0 {
-		t.Errorf("empty summary = %+v", got)
-	}
-	one := Summarize([]float64{7})
-	if one.Std != 0 || one.Mean != 7 {
-		t.Errorf("singleton summary = %+v", one)
-	}
-	if !strings.Contains(s.String(), "n=4") {
-		t.Errorf("String = %q", s.String())
-	}
-}
-
-func TestSummarizeQuick(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true
-			}
-		}
-		s := Summarize(xs)
-		if len(xs) == 0 {
-			return s.N == 0
-		}
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.Std >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(100, 25) != 4 {
-		t.Error("Speedup(100,25) != 4")
-	}
-	if Speedup(1, 0) != 0 {
-		t.Error("Speedup by zero should be 0")
-	}
-}
 
 func TestImbalance(t *testing.T) {
 	if got := Imbalance([]int64{10, 10, 10}); got != 1 {

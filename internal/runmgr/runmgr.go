@@ -179,6 +179,10 @@ type Job struct {
 	// hook) makes the manager cancel the attempt's context instead; the
 	// run requeues and restarts from scratch.
 	Preempt func() bool
+	// Payload is the submitter's own handle for the run, opaque to the
+	// manager: Run.Payload returns it, so an event consumer or a registry
+	// lookup gets back to it without a second map keyed by run ID.
+	Payload any
 }
 
 // Manager executes submitted jobs over a bounded worker budget.
@@ -766,6 +770,9 @@ func (r *Run) Started() <-chan struct{} {
 
 // Tenant returns the submission's tenant key ("" for anonymous work).
 func (r *Run) Tenant() string { return r.job.Tenant }
+
+// Payload returns the submission's Job.Payload.
+func (r *Run) Payload() any { return r.job.Payload }
 
 // Attempts returns the number of times the run has been dispatched;
 // values above 1 mean the run was preempted and redispatched.

@@ -256,3 +256,27 @@ func TestStatsCensus(t *testing.T) {
 		t.Fatal("Closed not reported after Close")
 	}
 }
+
+// TestPayloadRoundTrip: the submitter's handle comes back from the run,
+// on the event stream and through the registry.
+func TestPayloadRoundTrip(t *testing.T) {
+	type handle struct{ name string }
+	seen := make(chan any, 1)
+	m := New(Config{OnEvent: func(ev Event) {
+		if ev.Kind == EventSubmitted {
+			seen <- ev.Run.Payload()
+		}
+	}})
+	defer m.Close()
+	h := &handle{"mine"}
+	r, err := m.Submit(Job{Payload: h, Run: func(context.Context) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != h {
+		t.Errorf("Submitted event payload = %v, want %v", got, h)
+	}
+	if got, _ := m.Get(r.ID()); got.Payload() != h {
+		t.Errorf("registry payload = %v, want %v", got.Payload(), h)
+	}
+}

@@ -185,124 +185,6 @@ const (
 	EngineRealSpin EngineKind = "real-spin"
 )
 
-// Options configure one run.
-type Options struct {
-	// Procs is the processor count (default 4).
-	Procs int
-	// Scheme is the low-level self-scheduling policy specification,
-	// e.g. "ss", "css:K", "gss", "tss:F:L", "fac2", "af:CV", "tfss",
-	// or "auto" (the adaptive policy). KnownSchemes lists every
-	// accepted form; the default is "ss".
-	Scheme string
-	// Engine selects the substrate (default EngineVirtual).
-	Engine EngineKind
-	// AccessCost is the virtual machine's synchronization access cost
-	// (default 10; ignored by real engines).
-	AccessCost int64
-	// SpinCost is the virtual machine's busy-wait retry cost (defaults
-	// to AccessCost).
-	SpinCost int64
-	// Combining enables the virtual machine's combining network for
-	// fetch-and-add hot spots.
-	Combining bool
-	// RemotePenalty is the virtual machine's extra cost for accessing a
-	// synchronization variable homed on another processor (NUMA model).
-	RemotePenalty int64
-	// Pool selects the task-pool organization: "" or "per-loop" (the
-	// paper's m parallel lists + SW), "single" / "single-list" (one
-	// shared list), or "distributed" (per-processor lists with work
-	// stealing). KnownPools lists every accepted spelling.
-	Pool string
-	// DispatchCost models an OS dispatch on every task grab (baseline).
-	DispatchCost int64
-	// CollectTrace records an event trace into Result.Trace.
-	CollectTrace bool
-	// Verify re-executes the program sequentially after the run and
-	// checks exactly-once execution and macro-dataflow precedence
-	// against the trace (implies CollectTrace). Note that verification
-	// re-runs iteration bodies, so bodies must tolerate re-execution.
-	Verify bool
-	// Observe, if non-nil, is called once when the run starts, with a
-	// live probe of the execution. The probe may be sampled concurrently
-	// from other goroutines for the whole run; run managers use it to
-	// stream progress (iterations grabbed, instances completed, live
-	// scheduling efficiency) while the run is in flight.
-	Observe func(Live)
-	// Failure selects the partial-failure policy: "" or "failfast" /
-	// "fail-fast" (first body failure aborts the run) or "isolate"
-	// (failing iterations are quarantined and reported in
-	// Result.Stats.Failures while the rest of the nest completes).
-	// KnownFailurePolicies lists every accepted spelling. Verify cannot
-	// observe exactly-once execution for quarantined iterations, so a
-	// verifying run should not expect body failures.
-	Failure string
-	// RetryAttempts is the number of extra attempts the isolate policy
-	// gives a failing iteration before quarantining it (default 0: no
-	// retry).
-	RetryAttempts int
-	// RetryBackoff is the idle time (engine cost units) charged before
-	// the first retry; it doubles on each subsequent attempt.
-	RetryBackoff int64
-	// Diagnostics enables live-instance tracking so the probe handed to
-	// Observe can render a scheduling-state dump (core.Diagnoser); run
-	// managers use it for stuck-run watchdog reports. It adds a small
-	// host-side bookkeeping cost per instance activation.
-	Diagnostics bool
-	// FlightRecorder, when positive, attaches a kernel flight recorder
-	// retaining the last N scheduling events per processor; the tail is
-	// folded into diagnostic dumps (with Diagnostics) and costs no
-	// engine time, so virtual-time results are unchanged. Zero or
-	// negative disables it.
-	FlightRecorder int
-	// Checkpointable enables the checkpoint seam: the probe handed to
-	// Observe supports RequestCheckpoint (assert it to core.Checkpointer)
-	// and the run may end with a *CheckpointedError instead of a Result.
-	// Checkpointing requires a dynamically scheduled (non-static,
-	// non-Doacross) nest; Run rejects others with ErrNotCheckpointable.
-	Checkpointable bool
-	// CheckpointAfter, when positive, pauses the run at a checkpoint
-	// after that many chunk claims (a deterministic trigger on the
-	// virtual engine). It implies Checkpointable.
-	CheckpointAfter int64
-	// Resume restores a checkpoint captured from the same program (by
-	// fingerprint) before the run starts; the resumed run continues to
-	// completion, with cumulative statistics. Resume cannot be combined
-	// with Verify: the trace cannot observe pre-checkpoint iterations.
-	Resume *Checkpoint
-	// ClaimBatch, when greater than 1, makes each low-level claim lease a
-	// run of up to that many successive chunks with a single indivisible
-	// operation, amortizing the per-claim overhead (the O1 of eq. 2)
-	// across the batch; the lease is sliced locally without further
-	// synchronization accesses. Requires a cursor (dynamic) scheme. Zero
-	// or 1 is the paper's one-chunk-per-claim protocol, unchanged.
-	ClaimBatch int
-	// SWShards, when greater than 1, splits the task pool's SW control
-	// word into that many shard words, each charged as its own
-	// synchronization variable, so pool sweeps and appends to different
-	// shards stop contending on one memory module. Applies to the
-	// per-loop pool only; zero or 1 is the paper's single control word.
-	SWShards int
-	// BudgetIterations, when positive, caps the iterations the run may
-	// execute: the run pauses at exactly that count (on every engine,
-	// scheme and claim batch) and returns a *BudgetExceededError instead
-	// of a Result. With Checkpointable set the error carries a resumable
-	// Checkpoint. Zero is unmetered, with no cost on the claim path.
-	BudgetIterations int64
-	// BudgetTime, when positive, is an engine-time ceiling (virtual
-	// units, or nanoseconds on the real engines) checked at claim
-	// boundaries: once reached, no further chunks are claimed and the
-	// run returns a *BudgetExceededError. Claimed work still completes,
-	// so the overshoot is bounded by one chunk (or lease) per processor.
-	BudgetTime int64
-	// CombineClaims marks the per-instance claim hot spots (the ICB's
-	// Index and ICount) as software-combinable: on the virtual machine
-	// (without the global Combining network), concurrent accesses that
-	// arrive while one is in flight join its combining window instead of
-	// queueing behind it. Ignored by the real engines and subsumed by
-	// Options.Combining.
-	CombineClaims bool
-}
-
 // Live is a concurrency-safe view into a running execution, handed to
 // Options.Observe. Its LiveStats method snapshots the executor counters
 // (core.Snapshot) at any time during or after the run.
@@ -392,7 +274,7 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		tracer = log
 	}
 	var ckpt *core.CheckpointConfig
-	if opts.Checkpointable || opts.CheckpointAfter > 0 || opts.Resume != nil {
+	if opts.UsesCheckpoint() {
 		ckpt = &core.CheckpointConfig{AfterChunks: opts.CheckpointAfter}
 		if opts.Resume != nil {
 			if opts.Verify {

@@ -73,6 +73,8 @@ const (
 type Event struct {
 	Kind EventKind
 	Run  *Run
+	// Record is the run's Submission.Record, on its EventSubmitted only.
+	Record any
 }
 
 // Config configures a Runner.
@@ -168,6 +170,10 @@ type Submission struct {
 	// or preemption ends the chain at the next leg boundary exactly as it
 	// would pause a CheckpointAfter run.
 	CheckpointEvery int64
+	// Record rides, opaque, to the run's EventSubmitted and is dropped
+	// there: what the OnEvent consumer wants to write down about the
+	// submission (the daemon journals the wire request).
+	Record any
 }
 
 // Progress is one streaming snapshot of a run, sampled live from the
@@ -211,14 +217,12 @@ type Runner struct {
 	onEvent  func(Event)
 
 	// subMu serializes Submit: the tenant admission check and the manager
-	// submit are one step, and the run's Submitted event — delivered
-	// inside SubmitID — finds its handle in submitting.
-	subMu      sync.Mutex
-	submitting *Run
+	// submit are one step.
+	subMu sync.Mutex
 
+	// mu guards the tallies and every Run.h: a handle joins the registry
+	// (Get, Runs) when its Submitted event is consumed.
 	mu      sync.Mutex
-	byID    map[string]*Run
-	runs    []*Run
 	tallies map[string]*tenantTally
 }
 
@@ -342,7 +346,6 @@ func New(cfg Config) *Runner {
 		watchdog: cfg.Watchdog,
 		tenants:  cfg.Tenants,
 		onEvent:  cfg.OnEvent,
-		byID:     map[string]*Run{},
 		tallies:  map[string]*tenantTally{},
 	}
 	rn.mgr = runmgr.New(runmgr.Config{
@@ -377,7 +380,10 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	if err := sub.Options.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{sample: rn.sample}
+	r := &Run{sample: rn.sample, record: sub.Record}
+	// The job closure below holds sub for as long as the manager retains
+	// the run; the record must not ride along past its Submitted event.
+	sub.Record = nil
 	opts := sub.Options
 	userObserve := opts.Observe
 	opts.Observe = func(lv repro.Live) {
@@ -386,10 +392,9 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			userObserve(lv)
 		}
 	}
-	checkpointable := opts.Checkpointable || opts.CheckpointAfter > 0 ||
-		opts.Resume != nil || sub.CheckpointEvery > 0
 	ten := rn.tenants[sub.Tenant]
 	job := runmgr.Job{
+		Payload:  r,
 		Label:    sub.Label,
 		Tenant:   sub.Tenant,
 		Weight:   ten.Weight,
@@ -448,7 +453,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			}
 		},
 	}
-	if checkpointable {
+	if opts.UsesCheckpoint() || sub.CheckpointEvery > 0 {
 		// Cooperative preemption: a checkpointable run yields through a
 		// snapshot, preserving its exact progress across the requeue.
 		// RequestCheckpoint reports false before the probe exists; the
@@ -495,10 +500,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 		}
 		return nil, err
 	}
-	rn.submitting = r
-	_, err := rn.mgr.SubmitID(sub.ID, job)
-	rn.submitting = nil
-	if err != nil {
+	if _, err := rn.mgr.SubmitID(sub.ID, job); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -509,6 +511,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 // hands it on to Config.OnEvent. Outcomes fold once per run, on Terminal
 // — a preempted-and-resumed run counts once, with its final result.
 func (rn *Runner) consume(ev runmgr.Event) {
+	out := Event{Kind: ev.Kind, Run: ev.Run.Payload().(*Run)}
 	name := tenantName(ev.Run.Tenant())
 	var res *repro.Result
 	var err error
@@ -523,9 +526,8 @@ func (rn *Runner) consume(ev runmgr.Event) {
 	case EventSubmitted:
 		// Submit is inside SubmitID waiting for this delivery; the handle
 		// is registered before anything else about the run is published.
-		rn.submitting.h = ev.Run
-		rn.byID[ev.Run.ID()] = rn.submitting
-		rn.runs = append(rn.runs, rn.submitting)
+		out.Run.h = ev.Run
+		out.Record, out.Run.record = out.Run.record, nil
 		t.submitted++
 	case EventPreempted:
 		t.preempted++
@@ -539,7 +541,6 @@ func (rn *Runner) consume(ev runmgr.Event) {
 			t.iterations += res.Stats.Iterations
 		}
 	}
-	out := Event{Kind: ev.Kind, Run: rn.byID[ev.Run.ID()]}
 	rn.mu.Unlock()
 	if rn.met != nil {
 		switch ev.Kind {
@@ -558,18 +559,30 @@ func (rn *Runner) consume(ev runmgr.Event) {
 
 // Get returns the run with the given ID.
 func (rn *Runner) Get(id string) (*Run, bool) {
+	h, ok := rn.mgr.Get(id)
+	if !ok {
+		return nil, false
+	}
+	r := h.Payload().(*Run)
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	r, ok := rn.byID[id]
-	return r, ok
+	if r.h == nil {
+		return nil, false
+	}
+	return r, true
 }
 
 // Runs returns all runs in submission order.
 func (rn *Runner) Runs() []*Run {
+	hs := rn.mgr.Runs()
+	out := make([]*Run, 0, len(hs))
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	out := make([]*Run, len(rn.runs))
-	copy(out, rn.runs)
+	for _, h := range hs {
+		if r := h.Payload().(*Run); r.h != nil {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 
@@ -593,6 +606,7 @@ const watchdogFlightEvents = 64
 // Run is the handle of one submitted program run.
 type Run struct {
 	h      *runmgr.Run
+	record any // Submission.Record until the Submitted event takes it
 	sample time.Duration
 	probe  atomic.Pointer[repro.Live]
 	ckpt   atomic.Pointer[repro.Checkpoint]
