@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/descr"
@@ -348,3 +349,61 @@ func BenchmarkKernelFine(b *testing.B) { benchKernel(b, workload.UniformDoall(40
 // BenchmarkKernelNested is the benchmark's kernel_nested nest: 50k
 // four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2.
 func BenchmarkKernelNested(b *testing.B) { benchKernel(b, workload.ManyInstances(8, 50000, 4, 1)) }
+
+// BenchmarkKernelScaling is the scaling family over the benchmark's two
+// kernel nests: P = 1, 2, 4, … NumCPU on the real engine under ss. Each
+// leg reports wall ns per leaf iteration, the measured speedup over a
+// P=1 run of the same nest taken just before the timed loop, and the
+// utilization eq. (1) predicts from the leg's own counters
+// (tau, O1, O2/n, O3/N read off its Stats) — the method of "OpenMP Loop
+// Scheduling Revisited": judge the claim path per workload, with the
+// paper's terms as the ledger. P·eta_eq1 falling behind the measured
+// speedup's ideal P is the overhead the ledger sees; speedup falling
+// behind P·eta_eq1 is time it does not (idling, memory traffic).
+func BenchmarkKernelScaling(b *testing.B) {
+	nests := []struct {
+		name string
+		mk   func() *loopir.Nest
+	}{
+		{"fine", func() *loopir.Nest { return workload.UniformDoall(400000, 1) }},
+		{"nested", func() *loopir.Nest { return workload.ManyInstances(8, 50000, 4, 1) }},
+	}
+	var procs []int
+	for p := 1; p < runtime.NumCPU(); p *= 2 {
+		procs = append(procs, p)
+	}
+	procs = append(procs, runtime.NumCPU())
+	for _, n := range nests {
+		prog, err := Compile(n.mk())
+		if err != nil {
+			b.Fatal(err)
+		}
+		nsPerIter := func(b *testing.B, p, runs int) (float64, core.Snapshot) {
+			var st core.Snapshot
+			var iters int64
+			t0 := time.Now()
+			for i := 0; i < runs; i++ {
+				res, err := prog.Run(Options{Procs: p, Scheme: "ss", Engine: EngineReal})
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = res.Stats
+				iters += st.Iterations
+			}
+			return float64(time.Since(t0).Nanoseconds()) / float64(iters), st
+		}
+		for _, p := range procs {
+			b.Run(fmt.Sprintf("%s/P=%d", n.name, p), func(b *testing.B) {
+				serial, _ := nsPerIter(b, 1, 1)
+				b.ResetTimer()
+				ns, st := nsPerIter(b, p, b.N)
+				b.StopTimer()
+				b.ReportMetric(ns, "ns/iter")
+				b.ReportMetric(serial/ns, "speedup")
+				// tau/(tau + O1 + O2/n + O3/N) with every term a per-iteration
+				// average of the leg's counters is body/(body + O1 + O2 + O3).
+				b.ReportMetric(st.Efficiency(), "eta_eq1")
+			})
+		}
+	}
+}

@@ -315,7 +315,7 @@ func (f *fitter) bestCSSK(n int64) int64 {
 	bestK, bestMs := int64(1), math.Inf(1)
 	tried := map[int64]bool{}
 	try := func(k int64) {
-		if k < 1 || k > n || tried[k] {
+		if k < 1 || k > n || k > lowsched.MaxClaimAdd || tried[k] {
 			return
 		}
 		tried[k] = true

@@ -300,7 +300,7 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: checkpoint: instance (loop %d, ivec %v) carries no cursor state", icb.Loop, icb.IVec)
 		}
-		cursor := icb.Index.Peek()
+		cursor := lowsched.SettledCursor(calc, icb.Index.Peek(), icb.Bound, ex.batch)
 		var psz int64
 		ranges := make([]IterRange, 0, len(pend))
 		for _, r := range pend {
@@ -430,6 +430,7 @@ func (w *worker) restorePrologue() {
 			if !keep {
 				continue // completed and released in the prologue
 			}
+			w.tick(cO1Time) // the icount update; republishing is uncharged
 			icb.PCount.FetchDec(pr)
 		}
 		ex.pool.Append(pr, icb)

@@ -270,3 +270,35 @@ func TestRecorderDoesNotPerturbVirtualSchedule(t *testing.T) {
 		t.Errorf("recorded stats diverge:\n%+v\n%+v", g, f)
 	}
 }
+
+// TestFlightChunkRecordReadsTheClock: the Chunk record is written after
+// the icount update, mid-way through the O1 interval the next claim
+// closes, so it carries its own clock reading — not the boundary reading
+// taken at the body's end.
+func TestFlightChunkRecordReadsTheClock(t *testing.T) {
+	const work, access = 10, 5
+	prog, _ := compileStd(t, workload.UniformDoall(20, work))
+	rec := flight.New(1, 256)
+	if _, err := Run(prog, Config{
+		Engine: vmachine.New(vmachine.Config{P: 1, AccessCost: access}),
+		Scheme: lowsched.SS{}, Recorder: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var claimAt int64 = -1
+	chunks := 0
+	for _, e := range rec.Tail(256) {
+		switch e.Kind {
+		case flight.Claim:
+			claimAt = e.At
+		case flight.Chunk:
+			chunks++
+			if got := e.At - claimAt; got != work+access {
+				t.Errorf("chunk %d recorded %d after its claim, want body %d + icount access %d", chunks, got, work, access)
+			}
+		}
+	}
+	if chunks != 20 {
+		t.Fatalf("recorded %d chunk events, want 20", chunks)
+	}
+}

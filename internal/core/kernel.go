@@ -62,6 +62,10 @@ type worker struct {
 	// costs one read per boundary instead of two per phase. On the
 	// virtual engine no machine time passes between one phase's end and
 	// the next one's start, so chaining them changes no figure there.
+	// The O1 interval opens at a body's end and stays open across the
+	// icount update into the next claim: a unit chunk reads the clock
+	// twice (claim | body), and every way out of the drive loop closes
+	// the open interval before leaving.
 	now machine.Time
 	// lastClaim is the engine time of this processor's most recent chunk
 	// claim (-1 before the first), stored host-side for the stuck-run
@@ -106,7 +110,7 @@ func (w *worker) tick(c obs.ID) {
 }
 
 // mark is a phase boundary whose closing interval is charged to no
-// counter (the run's start, a successful unit claim, a modeled dispatch).
+// counter (the run's start, a modeled dispatch, the restore prologue).
 func (w *worker) mark() { w.now = w.pr.Now() }
 
 // flushSearch folds the accumulated SEARCH work into the stats shard, so
@@ -225,11 +229,14 @@ func (w *worker) run() {
 			// Pause (checkpoint or budget) at the claim boundary: leave
 			// without claiming. The hold is deliberately not dropped — the
 			// ICB must stay live so the snapshot captures it; abandoned
-			// pcounts are not part of the snapshot.
+			// pcounts are not part of the snapshot. The open interval is
+			// the previous chunk's icount update (nothing, after a SEARCH).
+			w.tick(cO1Time)
 			return
 		}
 		if ex.budTime > 0 && ex.budgetDue(pr) {
 			// Engine-time budget reached: same claim-boundary pause.
+			w.tick(cO1Time)
 			return
 		}
 		if ex.batch > 1 {
@@ -262,9 +269,10 @@ func (w *worker) run() {
 			ex.pool.Delete(pr, icb)
 		}
 		w.shard.Inc(cChunks)
-		// A successful unit claim's own interval is charged to no counter
-		// (DESIGN §17: charging it to O1 moves the virtual baselines).
-		w.mark()
+		// The claim closes the O1 interval the previous body's end (or the
+		// SEARCH) opened: the icount update, the fetch-and-add on index
+		// and, on the final claim, the DELETE.
+		w.tick(cO1Time)
 		w.lastClaim.Store(w.now)
 		if w.rec != nil {
 			w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
@@ -325,16 +333,20 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 	// update: count completed iterations; the completer of the final
 	// iteration activates successors and releases the ICB.
 	done := icb.ICount.FetchAdd(pr, size) + size
-	w.tick(cO1Time)
 	if w.rec != nil {
-		w.rec.Record(int64(w.now), flight.Chunk, int32(pr.ID()), int32(icb.Loop), done, icb.Bound)
+		// Mid-phase (the O1 interval closes at the next claim), so the
+		// recorder reads the clock itself.
+		w.rec.Record(int64(pr.Now()), flight.Chunk, int32(pr.ID()), int32(icb.Loop), done, icb.Bound)
 	}
 	if done > icb.Bound {
 		panic(fmt.Sprintf("core: icount %d exceeded bound %d (loop %d)", done, icb.Bound, icb.Loop))
 	}
 	if done != icb.Bound {
+		// The O1 interval stays open: the caller's next boundary (a claim,
+		// a failed claim's pcount drop, a pause) closes it.
 		return true, true
 	}
+	w.tick(cO1Time) // O3 starts clean
 	w.completeInstance(icb)
 	w.shard.Inc(cExits)
 	w.shard.Inc(cEnters)

@@ -3,6 +3,7 @@ package enginetest
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/adapt"
@@ -191,5 +192,48 @@ func BatchedCheckpointResume(t *testing.T, name string, f Factory) {
 	}
 	if !sawPending {
 		t.Errorf("no checkpoint in the matrix carried leased-but-unexecuted ranges; the Pending restore path went unexercised")
+	}
+}
+
+// ExhaustedInstances is the failed-claim half of the suite. The
+// fixed-stride claim is an unconditional fetch-and-add, so a processor
+// that finds an instance exhausted still advances its cursor; with more
+// processors than an instance has chunks, most claims of the run are
+// such failures. Every iteration must still execute exactly once — with
+// a chunk size that does not divide the bound, with leases that step
+// past it, and with each instance's holders racing its final claim.
+func ExhaustedInstances(t *testing.T, name string, f Factory) {
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.Doall("I", loopir.Const(60), func(b *loopir.B) {
+			b.DoallLeaf("B", loopir.Const(5), work(2))
+		})
+	})
+	prog, pl, ref := compile(t, nest)
+	for _, s := range []lowsched.Scheme{lowsched.SS{}, lowsched.CSS{K: 2}, lowsched.CSS{K: 64}} {
+		for _, batch := range []int{1, 4} {
+			for _, p := range []int{8, runtime.NumCPU()} {
+				t.Run(fmt.Sprintf("%s/b=%d/P=%d", s.Name(), batch, p), func(t *testing.T) {
+					intr := machine.NewInterrupt()
+					log := trace.New()
+					rep, err := core.RunPlan(pl, core.Config{
+						Engine: f(p, intr), Scheme: s, Tracer: log,
+						Interrupt: intr, ClaimBatch: batch,
+					})
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					if rep.Stats.Iterations != ref.Iterations {
+						t.Errorf("iterations = %d, want %d", rep.Stats.Iterations, ref.Iterations)
+					}
+					ctx := refexec.Context{
+						Nest:   fmt.Sprintf("exhausted/b=%d/P=%d", batch, p),
+						Scheme: s.Name(), Pool: core.PoolPerLoop.String(), Engine: name,
+					}
+					if err := log.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
 	}
 }

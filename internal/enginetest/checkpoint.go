@@ -132,3 +132,99 @@ func iterMultiset(l *trace.Log) map[string]int {
 	}
 	return m
 }
+
+// ExhaustedCheckpointResume pins the snapshot of an instance whose cursor
+// is already past its bound while leased iterations are still pending:
+// one lease covers the whole instance, the other holders' failed claims
+// push the cursor on, and the claim-k pause lands while the leaseholder
+// is mid-lease. The snapshot must record the cursor the final successful
+// claim left — not the word the failed claims raced it to — and resume
+// exactly-once; so must a snapshot whose cursor does carry failed claims'
+// strides (restore reads any word past the bound as exhausted).
+func ExhaustedCheckpointResume(t *testing.T, name string, f Factory) {
+	const (
+		p, batch = 8, 8
+		bound    = 5
+		settled  = 1 + batch // the cursor chain 1, 1+batch, … leaves this word past the bound
+	)
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.Doall("I", loopir.Const(12), func(b *loopir.B) {
+			b.DoallLeaf("B", loopir.Const(bound), work(10))
+		})
+	})
+	prog, pl, ref := compile(t, nest)
+	run := func(ck *core.CheckpointConfig) (*trace.Log, error) {
+		log := trace.New()
+		intr := machine.NewInterrupt()
+		_, err := core.RunPlan(pl, core.Config{
+			Engine: f(p, intr), Scheme: lowsched.SS{}, Tracer: log,
+			Interrupt: intr, ClaimBatch: batch, Checkpoint: ck,
+		})
+		return log, err
+	}
+	resume := func(t *testing.T, part *trace.Log, snap *core.RunSnapshot) {
+		t.Helper()
+		rest, err := run(&core.CheckpointConfig{Restore: snap})
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		got := iterMultiset(part)
+		for key, n := range iterMultiset(rest) {
+			got[key] += n
+		}
+		if int64(len(got)) != ref.Iterations {
+			t.Errorf("the two parts cover %d iterations, the oracle %d", len(got), ref.Iterations)
+		}
+		for key, n := range got {
+			if n != 1 {
+				t.Errorf("iteration %s executed %d times across the parts", key, n)
+			}
+		}
+	}
+
+	full, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := refexec.Context{Nest: "exhausted-resume", Scheme: "SS", Pool: core.PoolPerLoop.String(), Engine: name}
+	if err := full.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	sawExhausted := false
+	for k := int64(1); k <= ref.Iterations; k++ {
+		part, err := run(&core.CheckpointConfig{AfterChunks: k})
+		var cke *core.CheckpointedError
+		if !errors.As(err, &cke) {
+			t.Fatalf("k=%d: checkpoint run returned %v, want CheckpointedError", k, err)
+		}
+		snap := cke.Snapshot
+		exhausted := -1
+		for i, icb := range snap.ICBs {
+			if icb.Cursor <= icb.Bound {
+				continue
+			}
+			exhausted = i
+			if icb.Cursor != settled {
+				t.Errorf("k=%d: exhausted instance %v recorded cursor %d, want %d", k, icb.IVec, icb.Cursor, settled)
+			}
+			if len(icb.Pending) == 0 {
+				t.Errorf("k=%d: exhausted instance %v is live with nothing pending", k, icb.IVec)
+			}
+		}
+		if exhausted < 0 {
+			continue
+		}
+		sawExhausted = true
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { resume(t, part, snap) })
+		t.Run(fmt.Sprintf("k=%d/overshot", k), func(t *testing.T) {
+			over := *snap
+			over.ICBs = append([]core.ICBSnapshot(nil), snap.ICBs...)
+			over.ICBs[exhausted].Cursor += 3 * batch
+			resume(t, part, &over)
+		})
+	}
+	if !sawExhausted {
+		t.Error("no claim-k pause caught an instance with its cursor past the bound; the case went unexercised")
+	}
+}

@@ -49,11 +49,36 @@ func TestRealEngineBatchedClaims(t *testing.T) {
 	})
 }
 
+// TestVirtualEngineExhaustedInstances holds the simulator to exactly-once
+// execution when most claims of the run find their instance exhausted.
+func TestVirtualEngineExhaustedInstances(t *testing.T) {
+	ExhaustedInstances(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineExhaustedInstances does the same on goroutines; -race
+// makes it the memory-ordering stress for the unconditional claim.
+func TestRealEngineExhaustedInstances(t *testing.T) {
+	ExhaustedInstances(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}
+
 // TestVirtualEngineBatchedCheckpointResume holds the simulator to the
 // mid-lease pause contract: leased-but-unexecuted iterations travel in
 // the snapshot and restore exactly once.
 func TestVirtualEngineBatchedCheckpointResume(t *testing.T) {
 	BatchedCheckpointResume(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestVirtualEngineExhaustedCheckpointResume holds the simulator to the
+// snapshot contract for an instance exhausted mid-lease: the settled
+// cursor is recorded and the pending ranges resume exactly once.
+func TestVirtualEngineExhaustedCheckpointResume(t *testing.T) {
+	ExhaustedCheckpointResume(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
 		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro"
@@ -68,10 +69,12 @@ type Stream struct {
 }
 
 // FairnessGoal asserts the dispatch-order share between two tenants
-// over Window dispatched runs, Skip runs into the sequence (the first
-// dispatches go to idle slots in arrival order, before a backlog exists
-// for the scheduler to arbitrate): Tenants[0]'s completed iterations
-// over Tenants[1]'s must fall within [Ratio-Tol, Ratio+Tol].
+// over Window dispatched runs, Skip runs into the sequence: Tenants[0]'s
+// completed iterations over Tenants[1]'s must fall within
+// [Ratio-Tol, Ratio+Tol]. A case with a fairness goal is admitted whole
+// before anything dispatches (see holdSlots), so the order measured is
+// the scheduler's arbitration of the full backlog, not a race between
+// the submitting loop and the worker slots.
 type FairnessGoal struct {
 	Tenants [2]string
 	Skip    int
@@ -192,6 +195,15 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 
+	release := func() {}
+	if c.Goals.Fairness != nil {
+		var err error
+		if release, err = holdSlots(ctx, rn, class); err != nil {
+			return Report{}, fmt.Errorf("loadcheck: case %s: %w", c.Name, err)
+		}
+		defer release()
+	}
+
 	var ms0 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
@@ -245,6 +257,7 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 
+	release()
 	if err := rn.Drain(ctx); err != nil {
 		return Report{}, fmt.Errorf("loadcheck: case %s: %w", c.Name, err)
 	}
@@ -293,6 +306,47 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// holdSlots occupies every worker slot of the class with an anonymous
+// gate run whose body blocks until the returned release is called, and
+// returns once all gates are executing. Whatever is submitted in between
+// queues behind them, so the scheduler's first real dispatch already sees
+// the whole backlog — however slowly a starved host submits it. release
+// may be called more than once.
+func holdSlots(ctx context.Context, rn *runner.Runner, class MachineClass) (release func(), err error) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	holding := make(chan struct{}, class.Workers)
+	nest, err := repro.Build(func(b *repro.B) {
+		b.DoallLeaf("gate", repro.Const(1), func(repro.Env, repro.IVec, int64) {
+			holding <- struct{}{}
+			<-gate
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	prog, err := repro.Compile(nest)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < class.Workers; i++ {
+		if _, err := rn.Submit(runner.Submission{Program: prog, Options: repro.Options{Procs: class.Procs}}); err != nil {
+			release()
+			return nil, err
+		}
+	}
+	for i := 0; i < class.Workers; i++ {
+		select {
+		case <-holding:
+		case <-ctx.Done():
+			release()
+			return nil, ctx.Err()
+		}
+	}
+	return release, nil
 }
 
 func tenantKey(t string) string {

@@ -22,8 +22,8 @@ import (
 //     successor state. No machine access, no side effects, no storage.
 //   - calcPolicy: the one shared claim protocol. It realizes any
 //     calculator against the ICB's Index synchronization variable — a
-//     single fetch-and-add when the calculator advances by a fixed
-//     stride, a fetch + compare-and-store retry loop otherwise.
+//     single unconditional fetch-and-add when the calculator advances by
+//     a fixed stride, a fetch + compare-and-store retry loop otherwise.
 //   - Policy: what the execution kernel actually drives. Cursor schemes
 //     reach it through Bind's calcPolicy wrapper; pre-assignment schemes
 //     (static, affinity) implement it directly.
@@ -47,7 +47,8 @@ type ChunkCalculator interface {
 	// Stride returns (k, true) when the calculator always advances the
 	// cursor by the fixed stride k regardless of state (SS: 1, CSS: K).
 	// The claim protocol then uses a single indivisible fetch-and-add
-	// instead of a compare-and-store loop.
+	// instead of a compare-and-store loop; failed claims advance the
+	// cursor too, so any state past the bound must read as exhausted.
 	Stride() (k int64, fixed bool)
 	// Chunk maps cursor state s to the assignment it denotes and the
 	// successor state. ok is false when s encodes an exhausted instance.
@@ -177,8 +178,8 @@ func Bind(s Scheme, nprocs int) Policy {
 	case CalcScheme:
 		c := sc.Calculator(nprocs)
 		k, fixed := c.Stride()
-		if fixed && k < 1 {
-			panic(fmt.Sprintf("lowsched: calculator %s has fixed stride %d < 1", c.Name(), k))
+		if fixed && (k < 1 || k > MaxClaimAdd) {
+			panic(fmt.Sprintf("lowsched: calculator %s has fixed stride %d outside [1,%d]", c.Name(), k, MaxClaimAdd))
 		}
 		return calcPolicy{calc: c, stride: k, fixed: fixed}
 	case PolicyScheme:
@@ -211,17 +212,19 @@ func (c calcPolicy) Init(pr machine.Proc, icb *pool.ICB) {
 	}
 }
 
-// Next claims the next assignment. Fixed-stride calculators use the
-// paper's single indivisible {index <= bound; Fetch&add(k)}; state-
-// dependent calculators use a fetch + compare-and-store retry loop (the
+// Next claims the next assignment. Fixed-stride calculators issue the
+// paper's fetch-and-add with a null test — one indivisible instruction on
+// either engine — and test the returned cursor against the bound
+// themselves: the cursor only ever grows and is only ever compared with
+// the bound, so the strides failed claims add past it are invisible (any
+// state beyond the bound is the exhausted state). State-dependent
+// calculators use a fetch + compare-and-store retry loop (the
 // conditional-store realization of the read-modify-write they require —
 // the extra traffic is part of such schemes' measured overhead).
 func (c calcPolicy) Next(pr machine.Proc, icb *pool.ICB) (Assignment, bool, bool) {
 	if c.fixed {
-		j, ok := icb.Index.Exec(pr, machine.Instr{
-			Test: machine.TestLE, TestVal: icb.Bound, Op: machine.OpFetchAdd, Operand: c.stride,
-		})
-		if !ok {
+		j := icb.Index.FetchAdd(pr, c.stride)
+		if j > icb.Bound {
 			return Assignment{}, false, false
 		}
 		a, _, _ := c.calc.Chunk(j, icb.Bound)
@@ -245,26 +248,24 @@ func (c calcPolicy) Next(pr machine.Proc, icb *pool.ICB) (Assignment, bool, bool
 // Lease implements Leaser: claim up to batch successive chunks with the
 // same one-operation protocols Next uses. Fixed-stride calculators
 // advance the cursor by batch strides in a single indivisible
-// {index <= bound; Fetch&add(k*batch)} — with batch 1 this is exactly
-// Next's instruction. State-dependent calculators apply Chunk batch
-// times locally (pure arithmetic, no machine access) and publish the
-// final cursor with one compare-and-store, retrying from the new state
-// on a lost race — again exactly Next's traffic at batch 1.
+// Fetch&add(k*batch) — with batch 1 this is exactly Next's instruction.
+// State-dependent calculators apply Chunk batch times locally (pure
+// arithmetic, no machine access) and publish the final cursor with one
+// compare-and-store, retrying from the new state on a lost race — again
+// exactly Next's traffic at batch 1.
 func (c calcPolicy) Lease(pr machine.Proc, icb *pool.ICB, batch int) (Lease, bool, bool) {
 	if batch < 1 {
 		batch = 1
 	}
 	if c.fixed {
-		add := c.stride * int64(batch)
-		j, ok := icb.Index.Exec(pr, machine.Instr{
-			Test: machine.TestLE, TestVal: icb.Bound, Op: machine.OpFetchAdd, Operand: add,
-		})
-		if !ok {
+		add := claimAdd(c.stride, batch)
+		j := icb.Index.FetchAdd(pr, add)
+		if j > icb.Bound {
 			return Lease{}, false, false
 		}
 		// Chunks whose cursor stayed within the bound are ours; the
-		// overshoot past the bound leases nothing (later claimers fail
-		// the test, exactly as after a final unit claim).
+		// overshoot past the bound leases nothing (later claimers read a
+		// cursor past the bound, exactly as after a final unit claim).
 		n := int((min64(j+add-1, icb.Bound)-j)/c.stride) + 1
 		first, _, _ := c.calc.Chunk(j, icb.Bound)
 		lastA, _, _ := c.calc.Chunk(j+int64(n-1)*c.stride, icb.Bound)
@@ -298,6 +299,21 @@ func (c calcPolicy) Lease(pr machine.Proc, icb *pool.ICB, batch int) (Lease, boo
 		}
 		pr.Spin() // lost the race; recompute from the new state
 	}
+}
+
+// MaxClaimAdd bounds what one fixed-stride claim adds to the cursor
+// (stride × batch). A failed claim adds it too, so the bound is what keeps
+// an exhausted instance's cursor from wrapping back under its bound: 2^31
+// failed claims of the largest add still fit an int64.
+const MaxClaimAdd int64 = 1 << 32
+
+// claimAdd is the cursor advance of one fixed-stride claim of batch >= 1
+// chunks, with the batch clamped so the advance stays within MaxClaimAdd.
+func claimAdd(stride int64, batch int) int64 {
+	if int64(batch) > MaxClaimAdd/stride {
+		return MaxClaimAdd / stride * stride
+	}
+	return stride * int64(batch)
 }
 
 func min64(a, b int64) int64 {

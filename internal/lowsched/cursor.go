@@ -63,12 +63,28 @@ func (c calcPolicy) CursorCalc(*pool.ICB) (ChunkCalculator, bool) { return c.cal
 // cursor chain, so assigned iterations always form a contiguous prefix,
 // and the next chunk's Lo-1 is its length (bound when s encodes
 // exhaustion — fixed-stride cursors overshoot the bound on the final
-// claim). For a quiescent instance whose claimed chunks all completed —
-// the checkpoint invariant — this equals the instance's icount.
+// claim and on every failed one). For a quiescent instance whose claimed
+// chunks all completed — the checkpoint invariant — this equals the
+// instance's icount.
 func ExecutedPrefix(c ChunkCalculator, s, bound int64) int64 {
 	a, _, ok := c.Chunk(s, bound)
 	if !ok {
 		return bound
 	}
 	return a.Lo - 1
+}
+
+// SettledCursor returns the word a snapshot records for cursor state s
+// of a run claiming batch >= 1 chunks at a time. A fixed-stride cursor
+// past the bound also carries one stride per failed claim — how many is
+// a race on the real engine — so it is settled to the value the final
+// successful claim left: the smallest word past the bound on s's stride
+// lattice. Snapshots of one logical state are then equal on every
+// engine; every other state is recorded as it stands.
+func SettledCursor(c ChunkCalculator, s, bound int64, batch int) int64 {
+	k, fixed := c.Stride()
+	if !fixed || s <= bound {
+		return s
+	}
+	return bound + 1 + (s-bound-1)%claimAdd(k, batch)
 }

@@ -218,8 +218,8 @@ func init() {
 		Params: []string{"K"},
 		Help:   "chunk self-scheduling: fixed chunks of K iterations per fetch",
 		New: func(args []int64) (Scheme, error) {
-			if args[0] < 1 {
-				return nil, fmt.Errorf("lowsched: css chunk %d < 1", args[0])
+			if args[0] < 1 || args[0] > MaxClaimAdd {
+				return nil, fmt.Errorf("lowsched: css chunk %d outside [1,%d]", args[0], MaxClaimAdd)
 			}
 			return CSS{K: args[0]}, nil
 		},

@@ -23,6 +23,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -145,9 +146,13 @@ func (in Instr) String() string {
 // SyncVar is a synchronization variable: an integer in shared memory that
 // may only be accessed through indivisible test-and-op instructions.
 // Create with NewSyncVar, or embed by value and call Init.
+//
+// The value comes first and the struct is three words, so an owner that
+// embeds several variables decides which of them share a cache line (the
+// ICB puts index and icount on one). The debug name is interned: a
+// per-variable string header would cost two of those words.
 type SyncVar struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 	// gen counts lifetimes of the storage. Reset bumps it so engines that
 	// key per-variable state by identity (the virtual engine's module
 	// availability, NUMA home and contention stats) treat a recycled
@@ -160,6 +165,38 @@ type SyncVar struct {
 	// serializing them. The real engine ignores the flag — a hardware
 	// LOCK XADD already combines in the coherence fabric.
 	combining atomic.Bool
+	// name indexes the interned debug-name table.
+	name uint32
+}
+
+// varNames interns debug names: variables are labelled from a small set
+// (index, icount, pcount, SW, L(i).next, …), so the table stays tiny
+// while every variable carries four bytes instead of a string header.
+// Names are looked up where variables are created and by the virtual
+// engine's contention profile, never on a claim path. Entry 0 is the
+// empty name, so a zero SyncVar is unnamed.
+var varNames = struct {
+	sync.RWMutex
+	ids  map[string]uint32
+	text []string
+}{ids: map[string]uint32{"": 0}, text: []string{""}}
+
+func internName(name string) uint32 {
+	varNames.RLock()
+	id, ok := varNames.ids[name]
+	varNames.RUnlock()
+	if ok {
+		return id
+	}
+	varNames.Lock()
+	defer varNames.Unlock()
+	if id, ok := varNames.ids[name]; ok {
+		return id
+	}
+	id = uint32(len(varNames.text))
+	varNames.text = append(varNames.text, name)
+	varNames.ids[name] = id
+	return id
 }
 
 // NewSyncVar returns a synchronization variable with the given debug name
@@ -174,7 +211,7 @@ func NewSyncVar(name string, init int64) *SyncVar {
 // charging an access. It is for variables embedded by value in larger
 // structures; it must not race with concurrent accessors.
 func (s *SyncVar) Init(name string, init int64) {
-	s.name = name
+	s.name = internName(name)
 	s.v.Store(init)
 }
 
@@ -204,7 +241,11 @@ func (s *SyncVar) SetCombining(on bool) { s.combining.Store(on) }
 func (s *SyncVar) Combining() bool { return s.combining.Load() }
 
 // Name returns the variable's debug name.
-func (s *SyncVar) Name() string { return s.name }
+func (s *SyncVar) Name() string {
+	varNames.RLock()
+	defer varNames.RUnlock()
+	return varNames.text[s.name]
+}
 
 // Exec indivisibly executes the instruction on behalf of processor p:
 // it evaluates in.Test against the current value and, on success, applies

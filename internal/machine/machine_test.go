@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // testProc is a minimal Proc for exercising SyncVar logic single-threaded.
@@ -108,6 +110,34 @@ func TestSyncVarHelpers(t *testing.T) {
 	if v.Name() != "v" {
 		t.Errorf("Name = %q", v.Name())
 	}
+}
+
+// TestSyncVarNamesAreInterned: a variable is three words because its
+// label is an index into a shared table; variables created concurrently,
+// with known and new labels alike, must each read their own label back.
+func TestSyncVarNamesAreInterned(t *testing.T) {
+	if sz := unsafe.Sizeof(SyncVar{}); sz != 24 {
+		t.Errorf("SyncVar is %d bytes, want 24", sz)
+	}
+	var zero SyncVar
+	if zero.Name() != "" {
+		t.Errorf("zero SyncVar is named %q", zero.Name())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, label := range []string{"index", fmt.Sprintf("L(%d).next", i%17), fmt.Sprintf("g%d/%d", g, i)} {
+					if got := NewSyncVar(label, 0).Name(); got != label {
+						t.Errorf("variable labelled %q reads back %q", label, got)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSyncVarQuickSemantics property-tests Exec against a sequential model.

@@ -43,7 +43,7 @@ func (d *Distributed) Append(pr machine.Proc, icb *ICB) {
 		panic(fmt.Sprintf("pool: loop %d out of range [1,%d]", icb.Loop, d.m))
 	}
 	home := pr.ID() % d.procs
-	icb.home = home
+	icb.home = int32(home)
 	l := &d.lists[home]
 	l.lock.Lock(pr)
 	if icb.inList {

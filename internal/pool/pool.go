@@ -53,20 +53,39 @@ type SyncState interface {
 
 // ICB is an instance control block: one entry of a parallel linked list,
 // representing an active instance of an innermost parallel loop.
+//
+// The block is three 64-byte cache lines, grouped by who writes them, and
+// 192 bytes is an allocator size class whose blocks start on a line
+// boundary (TestICBLayout pins both):
+//
+//	line 0  Index, ICount — a worker's complete→claim is two back-to-back
+//	        fetch-and-adds, so they share the one line that travels
+//	line 1  PCount, the list links and membership, Sync — written per
+//	        adoption and per list operation, not per iteration
+//	line 2  Loop, Bound, IVec, Sched — written at activation only
 type ICB struct {
-	// right and left link the list; they are guarded by the list's lock.
-	right, left *ICB
-
 	// Index is the shared iteration index: the next iteration (1-based) to
 	// be scheduled. Low-level self-scheduling fetches from it.
 	Index machine.SyncVar
 	// ICount counts completed iterations; the processor that completes the
 	// last iteration activates the successors.
 	ICount machine.SyncVar
+	_      [16]byte
+
 	// PCount counts processors currently holding a pointer to this ICB;
 	// the instance completer waits for PCount to drain to 1 before
 	// releasing the block (Algorithm 3).
 	PCount machine.SyncVar
+	// right and left link the list; they are guarded by the list's lock.
+	right, left *ICB
+	// inList tracks membership for double-append/delete detection
+	// (guarded by the list lock).
+	inList bool
+	// home is the owning list index in a Distributed pool.
+	home int32
+	// Sync is executor-private state, attached by the two-level executor
+	// at activation.
+	Sync SyncState
 
 	// Loop is the innermost parallel loop number (1..m).
 	Loop int
@@ -74,19 +93,10 @@ type ICB struct {
 	Bound int64
 	// IVec is the index vector of the enclosing loops.
 	IVec loopir.IVec
-
 	// Sched is scheme-private state, attached by the low-level scheduling
 	// scheme at activation.
 	Sched SchedState
-	// Sync is executor-private state, attached by the two-level executor
-	// at activation.
-	Sync SyncState
-
-	// inList tracks membership for double-append/delete detection
-	// (guarded by the list lock).
-	inList bool
-	// home is the owning list index in a Distributed pool.
-	home int
+	_     [8]byte
 }
 
 // NewICB returns an ICB for an instance of loop num with the given bound
