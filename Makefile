@@ -49,8 +49,10 @@ verify:
 # under the race detector with shuffled order — the enginetest
 # matrices on both engines (kernel, chaos, batched claims, budgets,
 # resume, failover restore), the scheduler/runner/daemon serving suites,
-# the three-node cluster chaos suite, loadcheck — then the journal
-# decoder's fuzz seed corpus, the auto-vs-static gate on the irregular
+# the three-node cluster chaos suite, loadcheck — then the runner's
+# randomized event storms fifty times over (they were flaky once: a census
+# race shows in about 3 runs of 100), the journal decoder's fuzz seed
+# corpus, the auto-vs-static gate on the irregular
 # family, and one run of every virtual-engine scenario (the irregular
 # family included) compared bit-for-bit against the committed baseline:
 # every seam must cost nothing, and change nothing, when off (adaptive
@@ -58,6 +60,7 @@ verify:
 # are not).
 verify-gates:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -run FuzzDecode ./internal/journal/
 	$(GO) test -run TestIrregularFamilyGatesAuto ./internal/benchkit/
 	$(GO) run ./cmd/benchsuite run -filter 'virtual$$' -reps 2 -o /tmp/BENCH_gates.json

@@ -100,11 +100,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/journal"
+	"repro/runner"
 )
 
 // clusterFlags folds the cluster flags into clusterOptions. -cluster
@@ -172,7 +174,7 @@ func main() {
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
 		journalPath    = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
 		journalSync    = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
-		scheduler      = flag.String("scheduler", "fifo", "dispatch policy: fifo or wfq")
+		scheduler      = flag.String("scheduler", "fifo", "dispatch policy: "+strings.Join(runner.SchedulerNames(), " or "))
 		tenantsPath    = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
 		node           = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
 		peers          = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")

@@ -7,14 +7,15 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/runmgr"
 	"repro/runner"
 )
 
@@ -73,8 +74,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	// Validate the policy name here, where it arrives from a flag:
 	// runner.New treats an unknown scheduler as a programming error.
-	if _, err := runmgr.NewScheduler(cfg.Scheduler); err != nil {
-		return nil, fmt.Errorf("loopschedd: %w", err)
+	if names := runner.SchedulerNames(); cfg.Scheduler != "" && !slices.Contains(names, cfg.Scheduler) {
+		return nil, fmt.Errorf("loopschedd: unknown scheduler %q (known: %s)", cfg.Scheduler, strings.Join(names, ", "))
 	}
 	idPrefix := ""
 	if cfg.Cluster.enabled() {

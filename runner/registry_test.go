@@ -2,14 +2,15 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 )
 
 // TestRecordRidesToSubmittedEvent: Submission.Record reaches the
-// consumer on the run's Submitted event, on no other event, and the
-// handle does not keep it.
+// consumer on the run's Submitted event and on no other event (the run
+// has no field that could keep it).
 func TestRecordRidesToSubmittedEvent(t *testing.T) {
 	var mu sync.Mutex
 	got := map[EventKind]any{}
@@ -37,16 +38,13 @@ func TestRecordRidesToSubmittedEvent(t *testing.T) {
 	if got[EventStarted] != nil || got[EventTerminal] != nil {
 		t.Errorf("later events carried a record: %v", got)
 	}
-	if run.record != nil {
-		t.Error("the handle still references the record")
-	}
 }
 
-// TestRegistryAdmitsOnSubmitted: the Runner's registry is the manager's,
-// but a run joins it only once its Submitted event was consumed — a Get
-// by a caller-chosen ID while the submission is still in flight misses,
-// exactly as when the Runner kept its own map.
-func TestRegistryAdmitsOnSubmitted(t *testing.T) {
+// TestRegistryAdmitsAtSubmit: there is one registry, and a run joins it in
+// the step that takes its ID — Get, Runs and the duplicate check agree
+// even while the run's Submitted event is still waiting behind a slow
+// consumer.
+func TestRegistryAdmitsAtSubmit(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	rn := New(Config{MaxConcurrent: 2, OnEvent: func(ev Event) {
 		if ev.Kind == EventStarted && ev.Run.ID() == "run-0001" {
@@ -68,24 +66,27 @@ func TestRegistryAdmitsOnSubmitted(t *testing.T) {
 		}
 		submitted <- r
 	}()
-	for {
-		if _, ok := rn.mgr.Get("placed-0002"); ok {
-			break
-		}
+	var placed *Run
+	for placed == nil {
 		time.Sleep(time.Millisecond)
+		placed, _ = rn.Get("placed-0002")
 	}
-	if r, ok := rn.Get("placed-0002"); ok || r != nil {
-		t.Error("Get found a run whose Submitted event is still queued")
-	}
-	if n := len(rn.Runs()); n != 1 {
-		t.Errorf("Runs lists %d run(s) mid-submission, want 1", n)
-	}
-	close(release)
-	r := <-submitted
-	if got, ok := rn.Get("placed-0002"); !ok || got != r {
-		t.Errorf("Get after Submit = %v, %v; want the submitted handle", got, ok)
+	if p := placed.Progress(); p.ID != "placed-0002" {
+		t.Errorf("a handle found mid-submission reports %+v", p)
 	}
 	if n := len(rn.Runs()); n != 2 {
-		t.Errorf("Runs lists %d run(s), want 2", n)
+		t.Errorf("Runs lists %d run(s) mid-submission, want 2", n)
+	}
+	if _, err := rn.Submit(Submission{Program: finiteProgram(t, 50), ID: "placed-0002"}); !errors.Is(err, ErrDuplicateID) {
+		t.Errorf("second submission of the ID mid-submission: %v, want ErrDuplicateID", err)
+	}
+	select {
+	case <-submitted:
+		t.Fatal("Submit returned before its Submitted event was delivered")
+	default:
+	}
+	close(release)
+	if r := <-submitted; r != placed {
+		t.Errorf("Submit returned %v, Get had found %v", r, placed)
 	}
 }

@@ -1,4 +1,4 @@
-package runmgr
+package runner
 
 import (
 	"context"
@@ -6,27 +6,29 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro"
 )
 
-// qrun builds a bare queued run for scheduler unit tests (no manager).
+// qrun builds a bare queued run for scheduler unit tests (no Runner).
 func qrun(id, tenant string, weight, prio int) *Run {
-	return &Run{id: id, state: StateQueued, job: Job{Tenant: tenant, Weight: weight, Priority: prio}}
+	return &Run{id: id, tenant: tenant, ledger: &ledger{name: tenantName(tenant)}, weight: weight, priority: prio}
 }
 
 // TestFIFOGoldenSequence pins the default scheduler to strict submission
 // order — the manager's historical queue-slice behavior.
 func TestFIFOGoldenSequence(t *testing.T) {
-	f := NewFIFO()
+	f := &fifo{}
 	for i := 0; i < 5; i++ {
-		f.Push(qrun(fmt.Sprintf("r%d", i), "", 0, 0))
+		f.push(qrun(fmt.Sprintf("r%d", i), "", 0, 0))
 	}
 	for i := 0; i < 5; i++ {
-		r := f.Pop()
+		r := f.pop()
 		if r == nil || r.id != fmt.Sprintf("r%d", i) {
 			t.Fatalf("pop %d = %v, want r%d", i, r, i)
 		}
 	}
-	if f.Pop() != nil || f.Len() != 0 {
+	if f.pop() != nil || f.len() != 0 {
 		t.Fatalf("drained FIFO not empty")
 	}
 }
@@ -35,18 +37,18 @@ func TestFIFOGoldenSequence(t *testing.T) {
 // backlog, tenants with 3:1 weights receive dispatch slots in a 3:1
 // ratio over any window that is a multiple of the schedule period.
 func TestWFQWeightedShare(t *testing.T) {
-	w := NewWFQ()
+	w, _ := newScheduler("wfq")
 	for i := 0; i < 20; i++ {
-		w.Push(qrun(fmt.Sprintf("a%d", i), "alpha", 3, 0))
-		w.Push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
+		w.push(qrun(fmt.Sprintf("a%d", i), "alpha", 3, 0))
+		w.push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 12; i++ {
-		r := w.Pop()
+		r := w.pop()
 		if r == nil {
 			t.Fatalf("pop %d: empty", i)
 		}
-		counts[r.job.Tenant]++
+		counts[r.tenant]++
 	}
 	if counts["alpha"] != 9 || counts["beta"] != 3 {
 		t.Fatalf("12 dispatches split %v, want alpha:9 beta:3", counts)
@@ -57,19 +59,19 @@ func TestWFQWeightedShare(t *testing.T) {
 // credit — after rejoining it still shares 1:1 with an equal-weight
 // tenant instead of monopolizing the queue to "catch up".
 func TestWFQIdleTenantNoWindfall(t *testing.T) {
-	w := NewWFQ()
+	w, _ := newScheduler("wfq")
 	for i := 0; i < 10; i++ {
-		w.Push(qrun(fmt.Sprintf("a%d", i), "alpha", 1, 0))
+		w.push(qrun(fmt.Sprintf("a%d", i), "alpha", 1, 0))
 	}
 	for i := 0; i < 6; i++ { // alpha runs alone for a while
-		w.Pop()
+		w.pop()
 	}
 	for i := 0; i < 10; i++ { // beta joins late
-		w.Push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
+		w.push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 8; i++ {
-		counts[w.Pop().job.Tenant]++
+		counts[w.pop().tenant]++
 	}
 	if counts["alpha"] != 4 || counts["beta"] != 4 {
 		t.Fatalf("post-join dispatches split %v, want 4:4", counts)
@@ -80,14 +82,14 @@ func TestWFQIdleTenantNoWindfall(t *testing.T) {
 // priority present always dispatches first, and a tenant's urgent run
 // does not queue behind its own bulk work.
 func TestWFQPriorityClasses(t *testing.T) {
-	w := NewWFQ()
-	w.Push(qrun("bulk1", "alpha", 1, 0))
-	w.Push(qrun("bulk2", "alpha", 1, 0))
-	w.Push(qrun("other", "beta", 1, 0))
-	w.Push(qrun("urgent", "alpha", 1, 5))
+	w, _ := newScheduler("wfq")
+	w.push(qrun("bulk1", "alpha", 1, 0))
+	w.push(qrun("bulk2", "alpha", 1, 0))
+	w.push(qrun("other", "beta", 1, 0))
+	w.push(qrun("urgent", "alpha", 1, 5))
 	order := []string{}
-	for w.Len() > 0 {
-		order = append(order, w.Pop().id)
+	for w.len() > 0 {
+		order = append(order, w.pop().id)
 	}
 	if order[0] != "urgent" {
 		t.Fatalf("dispatch order %v, want urgent first", order)
@@ -98,7 +100,7 @@ func TestWFQPriorityClasses(t *testing.T) {
 // lower priorities are evicted, the lowest loses, and ties forfeit the
 // most recently started run (least progress lost).
 func TestWFQVictimSelection(t *testing.T) {
-	w := NewWFQ()
+	w, _ := newScheduler("wfq")
 	mk := func(id string, prio int, started time.Time) *Run {
 		r := qrun(id, "t", 1, prio)
 		r.state = StateRunning
@@ -110,105 +112,87 @@ func TestWFQVictimSelection(t *testing.T) {
 	oldLow := mk("old-low", 1, t0)
 	newLow := mk("new-low", 1, t0.Add(time.Second))
 	queued := qrun("q", "t", 1, 3)
-	if v := w.Victim(queued, []*Run{peer}); v != nil {
+	if v := w.(preempter).victim(queued, []*Run{peer}); v != nil {
 		t.Fatalf("preempted equal-priority peer %s", v.id)
 	}
-	if v := w.Victim(queued, []*Run{peer, oldLow, newLow}); v != newLow {
+	if v := w.(preempter).victim(queued, []*Run{peer, oldLow, newLow}); v != newLow {
 		t.Fatalf("victim = %v, want the most recently started low-priority run", v)
+	}
+	newLow.preempting = true // its eviction is already in flight
+	if v := w.(preempter).victim(queued, []*Run{peer, oldLow, newLow}); v != oldLow {
+		t.Fatalf("victim = %v, want the low-priority run not already being evicted", v)
 	}
 }
 
 // TestManagerPreemptCooperative drives the full preemption state
-// machine with a checkpointing job: a higher-priority submission evicts
-// the running run through its Preempt hook, the run requeues (attempt
-// count grows), and it finishes after the urgent run releases the slot.
+// machine with a checkpointing run: a higher-priority submission evicts
+// the running run through its probe's checkpoint seam, the run requeues
+// (attempt count grows), and it finishes after the urgent run releases
+// the slot.
 func TestManagerPreemptCooperative(t *testing.T) {
-	m := New(Config{MaxConcurrent: 1, Scheduler: NewWFQ()})
-	defer m.Close()
+	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	defer rn.Close()
 
-	yield := make(chan struct{}, 1)
+	probe := yielder()
 	proceed := make(chan struct{})
+	resumed := &repro.Result{}
 	attempts := 0
-	low, err := m.Submit(Job{
-		Label: "low", Priority: 0,
-		Run: func(ctx context.Context) (any, error) {
-			attempts++
-			if attempts == 1 {
-				<-yield
-				return nil, fmt.Errorf("yielding: %w", ErrCheckpointed)
-			}
-			<-proceed
-			return "resumed", nil
-		},
-		Preempt: func() bool { yield <- struct{}{}; return true },
+	low := mustSubmit(t, rn, probe.attach(&Run{label: "low"}), func(context.Context) (*repro.Result, error) {
+		attempts++
+		if attempts == 1 {
+			<-probe.yield
+			return nil, fmt.Errorf("yielding: %w", yielded())
+		}
+		<-proceed
+		return resumed, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	<-low.Started()
 
-	high, err := m.Submit(Job{
-		Label: "high", Priority: 5,
-		Run: func(ctx context.Context) (any, error) { return "urgent", nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	high := mustSubmit(t, rn, &Run{label: "high", tenant: "high"}, noop)
 	if _, err := high.Wait(context.Background()); err != nil {
 		t.Fatalf("urgent run: %v", err)
 	}
 	close(proceed)
 	res, err := low.Wait(context.Background())
-	if err != nil || res != "resumed" {
+	if err != nil || res != resumed {
 		t.Fatalf("preempted run finished (%v, %v), want resumed", res, err)
 	}
-	if got := low.Attempts(); got != 2 {
+	if got := attemptsOf(low); got != 2 {
 		t.Errorf("attempts = %d, want 2 (dispatched, preempted, redispatched)", got)
 	}
-	if st := m.Stats(); st.Preempted != 1 || st.Scheduler != "wfq" {
+	if st := rn.Stats(); st.Preempted != 1 || st.Scheduler != "wfq" {
 		t.Errorf("stats = %+v, want Preempted 1 under wfq", st)
 	}
 }
 
-// TestManagerPreemptNonCheckpointable: a job without a Preempt hook is
-// evicted through its attempt context and restarts from scratch; the
+// TestManagerPreemptNonCheckpointable: a run without the checkpoint seam
+// is evicted through its attempt context and restarts from scratch; the
 // run's own context stays live, so the restart is not a user cancel.
 func TestManagerPreemptNonCheckpointable(t *testing.T) {
-	m := New(Config{MaxConcurrent: 1, Scheduler: NewWFQ()})
-	defer m.Close()
+	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	defer rn.Close()
 
 	attempts := make(chan int, 2)
+	second := &repro.Result{}
 	n := 0
-	low, err := m.Submit(Job{
-		Label: "low", Priority: 0,
-		Run: func(ctx context.Context) (any, error) {
-			n++
-			attempts <- n
-			if n == 1 {
-				<-ctx.Done() // evicted via the attempt context
-				return nil, ctx.Err()
-			}
-			return "second attempt", nil
-		},
+	low := mustSubmit(t, rn, &Run{label: "low"}, func(ctx context.Context) (*repro.Result, error) {
+		n++
+		attempts <- n
+		if n == 1 {
+			<-ctx.Done() // evicted via the attempt context
+			return nil, ctx.Err()
+		}
+		return second, nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if a := <-attempts; a != 1 {
 		t.Fatalf("first attempt numbered %d", a)
 	}
-	high, err := m.Submit(Job{
-		Label: "high", Priority: 9,
-		Run: func(ctx context.Context) (any, error) { return nil, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	high := mustSubmit(t, rn, &Run{label: "high", tenant: "urgent"}, noop)
 	if _, err := high.Wait(context.Background()); err != nil {
 		t.Fatalf("urgent run: %v", err)
 	}
 	res, err := low.Wait(context.Background())
-	if err != nil || res != "second attempt" {
+	if err != nil || res != second {
 		t.Fatalf("restarted run finished (%v, %v)", res, err)
 	}
 	if got := low.State(); got != StateDone {
@@ -220,22 +204,11 @@ func TestManagerPreemptNonCheckpointable(t *testing.T) {
 // preemption is in flight finalizes the run as cancelled — it is not
 // resurrected into the queue.
 func TestManagerPreemptUserCancelWins(t *testing.T) {
-	m := New(Config{MaxConcurrent: 1, Scheduler: NewWFQ()})
-	defer m.Close()
+	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	defer rn.Close()
 
-	running := make(chan struct{})
-	low, err := m.Submit(Job{
-		Label: "low", Priority: 0,
-		Run: func(ctx context.Context) (any, error) {
-			close(running)
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-running
+	low := mustSubmit(t, rn, &Run{label: "low"}, untilCancelled)
+	<-low.Started()
 	low.Cancel()
 	if _, err := low.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
@@ -246,34 +219,22 @@ func TestManagerPreemptUserCancelWins(t *testing.T) {
 }
 
 // TestFIFONeverPreempts: the default scheduler does not implement the
-// Preempter seam, so a high-priority submission waits its turn.
+// preempter seam, so a high-priority submission waits its turn.
 func TestFIFONeverPreempts(t *testing.T) {
-	m := New(Config{MaxConcurrent: 1})
-	defer m.Close()
+	rn := New(Config{MaxConcurrent: 1, Tenants: classes})
+	defer rn.Close()
 
 	release := make(chan struct{})
-	first, err := m.Submit(Job{
-		Label: "first",
-		Run: func(ctx context.Context) (any, error) {
-			select {
-			case <-release:
-				return nil, nil
-			case <-ctx.Done():
-				return nil, fmt.Errorf("first run evicted: %w", ctx.Err())
-			}
-		},
+	first := mustSubmit(t, rn, &Run{label: "first"}, func(ctx context.Context) (*repro.Result, error) {
+		select {
+		case <-release:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, fmt.Errorf("first run evicted: %w", ctx.Err())
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	<-first.Started()
-	second, err := m.Submit(Job{
-		Label: "urgent", Priority: 100,
-		Run: func(ctx context.Context) (any, error) { return nil, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustSubmit(t, rn, &Run{label: "urgent", tenant: "urgent"}, noop)
 	if st := second.State(); st != StateQueued {
 		t.Fatalf("urgent run under fifo is %v, want queued", st)
 	}
@@ -284,7 +245,7 @@ func TestFIFONeverPreempts(t *testing.T) {
 	if _, err := second.Wait(context.Background()); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if st := m.Stats(); st.Preempted != 0 || st.Scheduler != "fifo" {
+	if st := rn.Stats(); st.Preempted != 0 || st.Scheduler != "fifo" {
 		t.Errorf("stats = %+v, want zero preemptions under fifo", st)
 	}
 }

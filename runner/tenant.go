@@ -35,7 +35,10 @@ type Tenant struct {
 	MaxInflight int `json:"max_inflight,omitempty"`
 }
 
-// tenantName normalizes the metrics/census key for a submission tenant.
+// tenantName is the one tenant key: keyless work ("" on a Submission) is
+// the tenant named "anonymous" — in Config.Tenants, in admission, in the
+// scheduler's queues, in the ledgers and in the metrics labels. Only
+// Run.Tenant and Progress.Tenant still say "", what was submitted.
 func tenantName(t string) string {
 	if t == "" {
 		return "anonymous"
@@ -43,10 +46,38 @@ func tenantName(t string) string {
 	return t
 }
 
-// tenantTally is one tenant's lifetime outcome tally, guarded by rn.mu.
-type tenantTally struct {
+// ledger is one tenant's books, guarded by rn.mu: the census of its runs
+// by state, kept by the transitions, and its lifetime outcome tallies,
+// folded from the event stream.
+type ledger struct {
+	name   string
+	census census
+
 	submitted, done, failed, rejected, preempted int64
 	iterations                                   int64
+}
+
+// ledgerLocked returns (creating if needed) the tenant's ledger.
+func (rn *Runner) ledgerLocked(name string) *ledger {
+	t := rn.ledgers[name]
+	if t == nil {
+		t = &ledger{name: name}
+		rn.ledgers[name] = t
+	}
+	return t
+}
+
+// admit enforces the tenant's admission limits against its live runs.
+// Callers hold rn.mu, so the check and the submit are one step.
+func (lim Tenant) admit(t *ledger) error {
+	queued, running := t.census[StateQueued], t.census[StateRunning]
+	if lim.MaxInflight > 0 && queued+running >= lim.MaxInflight {
+		return ErrTenantInflight
+	}
+	if lim.MaxQueued > 0 && queued >= lim.MaxQueued {
+		return ErrTenantQueueFull
+	}
+	return nil
 }
 
 // tenantMetrics is the labeled-counter mirror of the tallies, rendered
@@ -69,35 +100,6 @@ func newTenantMetrics(reg *obs.Registry) *tenantMetrics {
 		iterations: reg.CounterVec("runner_tenant_iterations_total",
 			"Loop iterations executed by finished runs, by tenant.", "tenant"),
 	}
-}
-
-// admit enforces the tenant's admission limits against its live runs,
-// which the manager counts at each transition. Callers hold rn.subMu, so
-// the counts can only fall between this check and the submit.
-func (rn *Runner) admit(tenant string) error {
-	lim := rn.tenants[tenant]
-	if lim.MaxInflight <= 0 && lim.MaxQueued <= 0 {
-		return nil
-	}
-	queued, running := rn.mgr.TenantLoad(tenant)
-	if lim.MaxInflight > 0 && queued+running >= lim.MaxInflight {
-		return ErrTenantInflight
-	}
-	if lim.MaxQueued > 0 && queued >= lim.MaxQueued {
-		return ErrTenantQueueFull
-	}
-	return nil
-}
-
-// tally returns (creating if needed) the tenant's tally. Callers hold
-// rn.mu.
-func (rn *Runner) tally(name string) *tenantTally {
-	t := rn.tallies[name]
-	if t == nil {
-		t = &tenantTally{}
-		rn.tallies[name] = t
-	}
-	return t
 }
 
 // finish folds one terminal run into the tenant's labeled counters.
@@ -130,50 +132,34 @@ type TenantStats struct {
 	Iterations  int64  `json:"iterations"`
 }
 
-// TenantStats returns the per-tenant census, sorted by tenant name.
-// Configured tenants appear even before their first submission; the
-// anonymous tenant appears once keyless work has been seen.
+// TenantStats returns the per-tenant census, sorted by tenant name: one
+// snapshot under the Runner's lock. Configured tenants appear even before
+// their first submission; the anonymous tenant appears once keyless work
+// has been seen.
 func (rn *Runner) TenantStats() []TenantStats {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	rows := map[string]*TenantStats{}
-	row := func(name string) *TenantStats {
-		r := rows[name]
-		if r == nil {
-			r = &TenantStats{Tenant: name, Weight: 1}
-			rows[name] = r
+	out := make([]TenantStats, 0, len(rn.ledgers)+len(rn.cfg.Tenants))
+	row := func(name string, t *ledger) {
+		cfg := rn.cfg.Tenants[name]
+		r := TenantStats{
+			Tenant: name, Weight: max(cfg.Weight, 1), Priority: cfg.Priority,
+			MaxQueued: cfg.MaxQueued, MaxInflight: cfg.MaxInflight,
 		}
-		return r
-	}
-	for name, t := range rn.tenants {
-		r := row(tenantName(name))
-		if t.Weight > 0 {
-			r.Weight = t.Weight
+		if t != nil {
+			r.Queued, r.Running = t.census[StateQueued], t.census[StateRunning]
+			r.Submitted, r.Done, r.Failed = t.submitted, t.done, t.failed
+			r.Rejected, r.Preempted, r.Iterations = t.rejected, t.preempted, t.iterations
 		}
-		r.Priority = t.Priority
-		r.MaxQueued = t.MaxQueued
-		r.MaxInflight = t.MaxInflight
+		out = append(out, r)
 	}
-	for name, t := range rn.tallies {
-		r := row(name)
-		r.Submitted = t.submitted
-		r.Done = t.done
-		r.Failed = t.failed
-		r.Rejected = t.rejected
-		r.Preempted = t.preempted
-		r.Iterations = t.iterations
+	for name, t := range rn.ledgers {
+		row(name, t)
 	}
-	for name, r := range rows {
-		r.Queued, r.Running = rn.mgr.TenantLoad(name)
-		if name == tenantName("") {
-			q, run := rn.mgr.TenantLoad("")
-			r.Queued += q
-			r.Running += run
+	for name := range rn.cfg.Tenants {
+		if rn.ledgers[name] == nil {
+			row(name, nil)
 		}
-	}
-	out := make([]TenantStats, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

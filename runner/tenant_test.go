@@ -93,6 +93,62 @@ func TestTenantQueueCap(t *testing.T) {
 	}
 }
 
+// TestAnonymousIsOneTenant pins the one tenant key: keyless work and
+// work submitted as "anonymous" are the same tenant — one admission
+// quota (the one configured under "anonymous"), one ledger, one census
+// row, one metrics label — while each handle still reports the tenant it
+// was submitted with.
+func TestAnonymousIsOneTenant(t *testing.T) {
+	reg := obs.NewRegistry()
+	rn := New(Config{
+		MaxConcurrent: 1,
+		Metrics:       reg,
+		Tenants:       map[string]Tenant{"anonymous": {Weight: 2, MaxInflight: 2}},
+	})
+	defer rn.Close()
+	gate := make(chan struct{})
+	submit := func(tenant string) (*Run, error) {
+		return rn.Submit(Submission{Program: gatedProgram(t, 8, gate), Options: repro.Options{Procs: 2}, Tenant: tenant})
+	}
+	keyless, err := submit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := submit("anonymous")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"", "anonymous"} {
+		if _, err := submit(tenant); !errors.Is(err, ErrTenantInflight) {
+			t.Errorf("third submission as %q: %v, want ErrTenantInflight from the shared quota", tenant, err)
+		}
+	}
+	if keyless.Tenant() != "" || named.Tenant() != "anonymous" {
+		t.Errorf("handles report tenants %q and %q, want what was submitted", keyless.Tenant(), named.Tenant())
+	}
+	<-keyless.Started()
+	rows := rn.TenantStats()
+	if len(rows) != 1 {
+		t.Fatalf("TenantStats has %d rows, want the one anonymous tenant: %+v", len(rows), rows)
+	}
+	want := TenantStats{Tenant: "anonymous", Weight: 2, MaxInflight: 2, Queued: 1, Running: 1, Submitted: 2, Rejected: 2}
+	if rows[0] != want {
+		t.Errorf("anonymous row = %+v, want %+v", rows[0], want)
+	}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := rn.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	reg.WriteProm(&sb)
+	if !strings.Contains(sb.String(), `runner_tenant_runs_done_total{tenant="anonymous"} 2`) ||
+		strings.Contains(sb.String(), `tenant=""`) {
+		t.Errorf("metrics do not carry the two runs under the one label:\n%s", sb.String())
+	}
+}
+
 // TestWFQFairnessIterations is the fairness regression test on the
 // virtual engine: two backlogged tenants with 3:1 weights submit
 // identical programs through a wfq Runner with one worker slot; over
@@ -150,8 +206,8 @@ func TestWFQFairnessIterations(t *testing.T) {
 	sort := func(rs []*Run) {
 		for i := 1; i < len(rs); i++ {
 			for j := i; j > 0; j-- {
-				_, si, _ := rs[j].h.Times()
-				_, sp, _ := rs[j-1].h.Times()
+				_, si, _ := rs[j].Times()
+				_, sp, _ := rs[j-1].Times()
 				if si.Before(sp) {
 					rs[j], rs[j-1] = rs[j-1], rs[j]
 				} else {
@@ -249,7 +305,7 @@ func TestPreemptResumeExactIterations(t *testing.T) {
 	if st := rn.Stats(); st.Preempted > 0 {
 		// Preemption landed (it can race completion of a short run; the
 		// iteration exactness above must hold either way).
-		if got := low.h.Attempts(); got < 2 {
+		if got := attemptsOf(low); got < 2 {
 			t.Errorf("preempted run has %d attempt(s), want >= 2", got)
 		}
 	}

@@ -3,13 +3,272 @@ package runner
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 )
+
+// TestPanickedJobReleasesEverything is the panic-path regression test:
+// a panicking body must finalize as failed with its context cancelled
+// (nothing derived from it may leak) and the panic stack preserved.
+func TestPanickedJobReleasesEverything(t *testing.T) {
+	rn := New(Config{MaxConcurrent: 2})
+	before := runtime.NumGoroutine()
+
+	var leaked atomic.Int32
+	for i := 0; i < 8; i++ {
+		r := mustSubmit(t, rn, &Run{label: "panicker"}, func(ctx context.Context) (*repro.Result, error) {
+			// A goroutine tied to the run's context: it must be
+			// released when the panicking run finalizes.
+			leaked.Add(1)
+			go func() {
+				<-ctx.Done()
+				leaked.Add(-1)
+			}()
+			panic("job exploded")
+		})
+		if _, err := r.Wait(context.Background()); err == nil {
+			t.Fatal("panicked body reported success")
+		} else {
+			if !strings.Contains(err.Error(), "run panicked: job exploded") {
+				t.Fatalf("err = %v", err)
+			}
+			if !strings.Contains(err.Error(), "watchdog_test.go") && !strings.Contains(err.Error(), "goroutine") {
+				t.Errorf("panic error lacks a stack trace: %v", err)
+			}
+		}
+		if r.State() != StateFailed {
+			t.Fatalf("state = %v, want failed", r.State())
+		}
+		if r.ctx.Err() == nil {
+			t.Fatal("panicked run's context never cancelled (cancel func leaked)")
+		}
+	}
+
+	// Every context-bound goroutine must unwind.
+	deadline := time.Now().Add(5 * time.Second)
+	for leaked.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := leaked.Load(); n != 0 {
+		t.Fatalf("%d context-bound goroutines still alive after panic finalization", n)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back
+// to before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; ; i++ {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		if i > 200 {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d -> %d\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWatchdogDeclaresStuckRun: a run whose heartbeat stops advancing is
+// declared stuck, its probe's dump is captured, and with CancelStuck the
+// run is cancelled. TestWatchdogCancelsStuckRun is the same verdict on a
+// real program.
+func TestWatchdogDeclaresStuckRun(t *testing.T) {
+	var stuckRuns atomic.Int32
+	rn := New(Config{
+		MaxConcurrent: 1,
+		Watchdog: WatchdogConfig{
+			Interval:    50 * time.Millisecond,
+			CancelStuck: true,
+			OnStuck:     func(_, _, _ string) { stuckRuns.Add(1) },
+		},
+	})
+	probe := &fakeProbe{diag: "SW=0001 list 1: 3 ICB(s)"}
+	probe.beat.Store(42) // never advances
+	r := mustSubmit(t, rn, probe.attach(&Run{label: "wedged"}), untilCancelled)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := r.Wait(ctx); err == nil {
+		t.Fatal("stuck run finished without error")
+	}
+	if r.State() != StateCancelled {
+		t.Fatalf("state = %v, want cancelled by watchdog", r.State())
+	}
+	diag := r.Progress().Stuck
+	if diag == "" {
+		t.Fatal("run not marked stuck")
+	}
+	for _, want := range []string{"run-0001 (wedged)", "heartbeat pinned at 42", "SW=0001"} {
+		if !strings.Contains(diag, want) {
+			t.Errorf("diagnostic missing %q:\n%s", want, diag)
+		}
+	}
+	if stuckRuns.Load() == 0 {
+		t.Error("OnStuck never fired")
+	}
+	if st := rn.Stats(); st.Stalled != 0 {
+		// terminal runs no longer count as stalled
+		t.Errorf("Stalled = %d after cancellation, want 0", st.Stalled)
+	}
+}
+
+// TestWatchdogClearsOnProgress: a slow-but-alive run must not stay
+// declared stuck once its heartbeat advances again.
+func TestWatchdogClearsOnProgress(t *testing.T) {
+	release := make(chan struct{})
+	rn := New(Config{
+		MaxConcurrent: 1,
+		Watchdog:      WatchdogConfig{Interval: 40 * time.Millisecond}, // no cancel
+	})
+	probe := &fakeProbe{}
+	r := mustSubmit(t, rn, probe.attach(&Run{label: "slow"}), func(context.Context) (*repro.Result, error) {
+		<-release
+		return nil, nil
+	})
+	// Let the watchdog declare the run stuck...
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Progress().Stuck == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("watchdog never declared the pinned run stuck")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := rn.Stats(); st.Stalled != 1 {
+		t.Errorf("Stalled = %d, want 1", st.Stalled)
+	}
+	// ...then resume progress and watch the verdict clear.
+	probe.beat.Add(1)
+	for r.Progress().Stuck != "" {
+		if time.Now().After(deadline) {
+			t.Fatal("stuck verdict never cleared after progress resumed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := rn.Stats(); st.Stalled != 0 {
+		t.Errorf("Stalled = %d after the verdict cleared, want 0", st.Stalled)
+	}
+	close(release)
+	if _, err := r.Wait(context.Background()); err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+}
+
+// TestWatchdogDisabledWithoutHeartbeat: a run whose executor has not
+// published a probe has no heartbeat to judge and is never declared
+// stuck, whatever the interval.
+func TestWatchdogDisabledWithoutHeartbeat(t *testing.T) {
+	rn := New(Config{
+		MaxConcurrent: 1,
+		Watchdog:      WatchdogConfig{Interval: 10 * time.Millisecond, CancelStuck: true},
+	})
+	r := mustSubmit(t, rn, &Run{label: "no-heartbeat"}, func(ctx context.Context) (*repro.Result, error) {
+		select {
+		case <-time.After(100 * time.Millisecond):
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	if _, err := r.Wait(context.Background()); err != nil {
+		t.Fatalf("probe-less run was disturbed: %v", err)
+	}
+}
+
+// TestWatchdogStopsWithRun: the monitor goroutine must not outlive its
+// run (leak check across many short runs).
+func TestWatchdogStopsWithRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rn := New(Config{
+		MaxConcurrent: 4,
+		Watchdog:      WatchdogConfig{Interval: 20 * time.Millisecond},
+	})
+	for i := 0; i < 16; i++ {
+		r := mustSubmit(t, rn, (&fakeProbe{}).attach(&Run{}), noop)
+		if _, err := r.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainRunner(t, rn) // the event pump exits once the stream is delivered
+	waitGoroutines(t, before)
+}
+
+// TestStuckVictimFinalizesOnce races the two eviction mechanisms
+// against each other: a run with a pinned heartbeat is declared stuck
+// by the watchdog (CancelStuck) at the same moment a higher-priority
+// submission picks it as a preemption victim. Whatever the
+// interleaving — watchdog cancel before the preemption, after it, or
+// between the attempt unwinding and the requeue — the run must settle
+// in exactly one terminal state (cancelled), never resurrect from the
+// queue, and never double-finalize (which would panic closing its done
+// channel twice).
+func TestStuckVictimFinalizesOnce(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		stuckCh := make(chan string, 1)
+		rn := New(Config{
+			MaxConcurrent: 1,
+			Scheduler:     "wfq",
+			Tenants:       classes,
+			Watchdog: WatchdogConfig{
+				Interval:    20 * time.Millisecond,
+				CancelStuck: true,
+				OnStuck:     func(id, _, _ string) { stuckCh <- id },
+			},
+		})
+
+		// The probe's heartbeat is pinned and its checkpoint seam refuses:
+		// the preemption falls back to cancelling the attempt context, the
+		// same signal shape the watchdog's cancel produces — maximal
+		// overlap between the paths.
+		victim := mustSubmit(t, rn, (&fakeProbe{}).attach(&Run{label: "stuck-victim"}), untilCancelled)
+		<-victim.Started()
+
+		// The instant the watchdog declares the run stuck, submit the
+		// preemptor so victim selection races the watchdog's Cancel.
+		select {
+		case <-stuckCh:
+		case <-time.After(5 * time.Second):
+			t.Fatal("watchdog never declared the run stuck")
+		}
+		high := mustSubmit(t, rn, &Run{label: "preemptor", tenant: "high"}, noop)
+
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if _, err := high.Wait(ctx); err != nil {
+			t.Fatalf("preemptor: %v", err)
+		}
+		if _, err := victim.Wait(ctx); err == nil {
+			t.Fatal("stuck victim reported success")
+		}
+		cancel()
+
+		if st := victim.State(); st != StateCancelled {
+			t.Fatalf("victim state = %v, want cancelled", st)
+		}
+		// Exactly one terminal outcome: the census counts the victim once,
+		// and a settled run must not flip state afterwards.
+		st := rn.Stats()
+		if got := st.Done + st.Failed + st.Cancelled + st.Checkpointed; got != 2 {
+			t.Fatalf("terminal runs = %d (%+v), want 2", got, st)
+		}
+		time.Sleep(5 * time.Millisecond) // let any straggling requeue surface
+		if st := victim.State(); st != StateCancelled {
+			t.Fatalf("victim resurrected to %v after finalizing", st)
+		}
+		if st := rn.Stats(); st.QueueDepth != 0 || st.Running != 0 {
+			t.Fatalf("live work left behind: %+v", st)
+		}
+		rn.Close()
+	}
+}
 
 // TestWatchdogReportsStuckRun: a run whose iteration bodies block stops
 // advancing the heartbeat; the watchdog must surface a diagnostic that
