@@ -1,11 +1,13 @@
 GO ?= go
 
-# bench/bench-compare knobs: BENCH_OUT is where `make bench` writes its
-# result file; BENCH_BASE is the baseline `make bench-compare` and
-# `make verify-gates` gate against: BENCH_pr16.json, every virtual-engine
-# scenario, recorded when O1 started charging the successful claim.
-# BENCH_seed.json stays as the trajectory's first point (same makespans,
-# accesses, utilization, chunks and searches; a smaller `overhead`).
+# The deterministic ledger's knobs (wall clock is bench/'s ledger —
+# BENCHMARK.json, `bash bench/run.sh`). BENCH_OUT is where `make bench`
+# writes its result file; BENCH_BASE is the baseline `make bench-compare`
+# and `make verify-gates` compare against bit for bit: BENCH_pr16.json,
+# the whole registry, recorded when O1 started charging the successful
+# claim. BENCH_seed.json stays as the trajectory's first point (same
+# makespans, accesses, utilization, chunks and searches; a smaller
+# `overhead`; its */real rows are history, no scenario matches them).
 REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
 BENCH_BASE ?= BENCH_pr16.json
@@ -18,19 +20,21 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the reproducible performance suite (internal/benchkit):
-# warmup + repeated timed runs per scenario, robust statistics, and a
-# schema-versioned result file for the BENCH_*.json trajectory.
+# bench runs the deterministic ledger (internal/benchkit): every
+# scenario on the virtual-time machine, warmup + repeated runs checked
+# bit-identical, written as a schema-versioned BENCH_*.json.
 bench:
 	$(GO) run ./cmd/benchsuite run -o $(BENCH_OUT)
 
 # bench-compare gates the latest result file against the baseline:
-# nonzero exit when a gated metric regresses beyond the threshold
-# outside the measured noise interval.
+# nonzero exit when a deterministic metric differs from it at all, or a
+# gated one (an adaptive scenario's) regresses beyond the threshold.
 bench-compare:
-	$(GO) run ./cmd/benchsuite compare $(BENCH_BASE) $(BENCH_OUT)
+	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) $(BENCH_OUT)
 
-# bench-smoke is the fast sanity slice CI runs on every push.
+# bench-smoke is the fast sanity slice CI runs on every push: the smoke
+# scenarios, then one iteration of the wall-clock kernel benchmarks —
+# the line that keeps the real engine compiling and running.
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -reps 2 -o /tmp/BENCH_smoke.json
 	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd' -benchtime=1x . ./internal/machine/
@@ -49,19 +53,16 @@ verify:
 # under the race detector with shuffled order — the enginetest
 # matrices on both engines (kernel, chaos, batched claims, budgets,
 # resume, failover restore), the scheduler/runner/daemon serving suites,
-# the three-node cluster chaos suite, loadcheck — then the runner's
-# randomized event storms fifty times over (they were flaky once: a census
-# race shows in about 3 runs of 100), the journal decoder's fuzz seed
-# corpus, the auto-vs-static gate on the irregular
-# family, and one run of every virtual-engine scenario (the irregular
-# family included) compared bit-for-bit against the committed baseline:
-# every seam must cost nothing, and change nothing, when off (adaptive
-# scenarios are exempt from cross-file bit-identity; the static ones
-# are not).
+# the three-node cluster chaos suite, loadcheck, the journal decoder's
+# fuzz seed corpus, the auto-vs-static gate on the irregular family —
+# then the runner's randomized event storms fifty times over (they were
+# flaky once: a census race shows in about 3 runs of 100), and one run
+# of the whole registry compared bit-for-bit against the committed
+# baseline: every seam must cost nothing, and change nothing, when off
+# (adaptive scenarios are exempt from cross-file bit-identity; the
+# static ones are not).
 verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
-	$(GO) test -run FuzzDecode ./internal/journal/
-	$(GO) test -run TestIrregularFamilyGatesAuto ./internal/benchkit/
-	$(GO) run ./cmd/benchsuite run -filter 'virtual$$' -reps 2 -o /tmp/BENCH_gates.json
+	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) /tmp/BENCH_gates.json

@@ -1,10 +1,12 @@
 package repro
 
-// Benchmark harness: one benchmark per reproduced figure/result (see
-// DESIGN.md's per-experiment index). Benchmarks on the virtual machine are
-// deterministic; custom metrics report the quantities the paper's analysis
-// is about (virtual makespan, utilization) alongside Go's wall-clock
-// numbers. Run with:
+// Wall-clock micro-benchmarks of the host-side code: the frontend and
+// descriptor compiler, and the real engine's claim path (the Kernel*
+// funcs are one op of bench/'s kernel workloads, for profiling while
+// you work). Virtual-time results are not benchmarked here: the
+// configurations of the paper's figures run — and are asserted — in
+// internal/experiments (E1-E11, F7), and the deterministic baseline is
+// benchkit's (`make bench`). Run with:
 //
 //	go test -bench=. -benchmem
 
@@ -20,205 +22,8 @@ import (
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
-	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
-
-// benchRun executes the nest once per b.N iteration on a fresh virtual
-// machine and reports virtual makespan and utilization.
-func benchRun(b *testing.B, mk func() *loopir.Nest, vcfg vmachine.Config, ccfg core.Config) {
-	b.Helper()
-	std, err := mk().Standardize()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := descr.Compile(std)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rep *core.Report
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := ccfg
-		cfg.Engine = vmachine.New(vcfg)
-		rep, err = core.Run(prog, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rep.Makespan), "vtime")
-	b.ReportMetric(rep.Utilization(), "utilization")
-}
-
-// BenchmarkTaskPoolFig1 (F7): the Fig. 1 program through the task pool.
-func BenchmarkTaskPoolFig1(b *testing.B) {
-	for _, scheme := range []lowsched.Scheme{lowsched.SS{}, lowsched.GSS{}} {
-		b.Run(scheme.Name(), func(b *testing.B) {
-			cfg := workload.DefaultFig1()
-			cfg.NA, cfg.NB, cfg.NC, cfg.ND, cfg.NE, cfg.NF, cfg.NG, cfg.NH = 16, 16, 16, 16, 16, 16, 16, 16
-			benchRun(b, func() *loopir.Nest { return workload.Fig1(cfg) },
-				vmachine.Config{P: 8, AccessCost: 10},
-				core.Config{Scheme: scheme})
-		})
-	}
-}
-
-// BenchmarkUtilizationModel (E1): eq. (1) grain sweep.
-func BenchmarkUtilizationModel(b *testing.B) {
-	for _, tau := range []int64{20, 100, 500, 2000} {
-		b.Run(fmt.Sprintf("tau=%d", tau), func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.UniformDoall(2000, tau) },
-				vmachine.Config{P: 8, AccessCost: 10},
-				core.Config{Scheme: lowsched.SS{}})
-		})
-	}
-}
-
-// BenchmarkChunkSweep (E2): eq. (2)/(7) chunk-size sweep.
-func BenchmarkChunkSweep(b *testing.B) {
-	for _, k := range []int64{1, 8, 64, 512, 2048} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.UniformDoall(4096, 30) },
-				vmachine.Config{P: 8, AccessCost: 15},
-				core.Config{Scheme: lowsched.CSS{K: k}})
-		})
-	}
-}
-
-// BenchmarkDoacrossChunk (E3): chunking a distance-1 Doacross loop.
-func BenchmarkDoacrossChunk(b *testing.B) {
-	for _, k := range []int64{1, 2, 5, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.Wavefront(240, 1, 10, 90) },
-				vmachine.Config{P: 8, AccessCost: 2},
-				core.Config{Scheme: lowsched.CSS{K: k}})
-		})
-	}
-}
-
-// BenchmarkSchemeComparison (E4): low-level schemes on irregular loops.
-func BenchmarkSchemeComparison(b *testing.B) {
-	schemes := []lowsched.Scheme{
-		lowsched.SS{}, lowsched.CSS{K: 8}, lowsched.CSS{K: 64},
-		lowsched.GSS{}, lowsched.TSS{}, lowsched.FSC{}, lowsched.AFS{},
-	}
-	loads := map[string]func() *loopir.Nest{
-		"adjoint":  func() *loopir.Nest { return workload.AdjointConvolution(512, 4) },
-		"radjoint": func() *loopir.Nest { return workload.ReverseAdjoint(512, 4) },
-		"branchy":  func() *loopir.Nest { return workload.Branchy(24, 64, 16, 200, 5) },
-	}
-	for name, mk := range loads {
-		for _, s := range schemes {
-			b.Run(name+"/"+s.Name(), func(b *testing.B) {
-				benchRun(b, mk, vmachine.Config{P: 8, AccessCost: 10}, core.Config{Scheme: s})
-			})
-		}
-	}
-}
-
-// BenchmarkPoolScaling (E5): m parallel lists vs a single list.
-func BenchmarkPoolScaling(b *testing.B) {
-	for _, P := range []int{4, 16} {
-		for _, kind := range []core.PoolKind{core.PoolPerLoop, core.PoolSingleList} {
-			name := fmt.Sprintf("P=%d/multi", P)
-			if kind == core.PoolSingleList {
-				name = fmt.Sprintf("P=%d/single", P)
-			}
-			b.Run(name, func(b *testing.B) {
-				benchRun(b, func() *loopir.Nest { return workload.ManyInstances(12, 96, 4, 30) },
-					vmachine.Config{P: P, AccessCost: 10},
-					core.Config{Pool: kind})
-			})
-		}
-	}
-}
-
-// BenchmarkTwoLevelVsOS (E6): self-scheduling vs per-dispatch OS cost.
-func BenchmarkTwoLevelVsOS(b *testing.B) {
-	cfg := workload.DefaultFig1()
-	cfg.NA, cfg.NB, cfg.NC, cfg.ND, cfg.NE, cfg.NF, cfg.NG, cfg.NH = 16, 16, 16, 16, 16, 16, 16, 16
-	for _, d := range []int64{0, 2000, 20000} {
-		b.Run(fmt.Sprintf("dispatch=%d", d), func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.Fig1(cfg) },
-				vmachine.Config{P: 8, AccessCost: 10},
-				core.Config{DispatchCost: d})
-		})
-	}
-}
-
-// BenchmarkCombining (E7): serialized vs combining fetch-and-add.
-func BenchmarkCombining(b *testing.B) {
-	for _, comb := range []bool{false, true} {
-		name := "serialized"
-		if comb {
-			name = "combining"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.UniformDoall(2000, 5) },
-				vmachine.Config{P: 16, AccessCost: 10, Combining: comb},
-				core.Config{Scheme: lowsched.SS{}})
-		})
-	}
-}
-
-// BenchmarkStaticVsDynamic (E10): static pre-assignment vs dynamic
-// self-scheduling on a bimodal load.
-func BenchmarkStaticVsDynamic(b *testing.B) {
-	for _, s := range []lowsched.Scheme{
-		lowsched.StaticBlock{}, lowsched.StaticCyclic{}, lowsched.SS{}, lowsched.GSS{},
-	} {
-		b.Run(s.Name(), func(b *testing.B) {
-			benchRun(b, func() *loopir.Nest { return workload.BimodalDoall(2048, 10, 1000, 16, 99) },
-				vmachine.Config{P: 8, AccessCost: 10},
-				core.Config{Scheme: s})
-		})
-	}
-}
-
-// BenchmarkPoolLocality (E11): task-pool structures under NUMA penalties.
-func BenchmarkPoolLocality(b *testing.B) {
-	for _, pen := range []int64{0, 80} {
-		for _, kind := range []core.PoolKind{core.PoolPerLoop, core.PoolDistributed} {
-			b.Run(fmt.Sprintf("penalty=%d/%s", pen, kind), func(b *testing.B) {
-				benchRun(b, func() *loopir.Nest { return workload.ManyInstances(12, 96, 4, 30) },
-					vmachine.Config{P: 8, AccessCost: 10, RemotePenalty: pen},
-					core.Config{Pool: kind})
-			})
-		}
-	}
-}
-
-// BenchmarkSections (E8): parallel sections vs serialized bodies.
-func BenchmarkSections(b *testing.B) {
-	mk := func(parallel bool) func() *loopir.Nest {
-		return func() *loopir.Nest {
-			return loopir.MustBuild(func(bb *loopir.B) {
-				sec := func(name string, n, g int64) func(*loopir.B) {
-					return func(bb *loopir.B) {
-						bb.DoallLeaf(name, loopir.Const(n), func(e loopir.Env, iv loopir.IVec, j int64) {
-							e.Work(g)
-						})
-					}
-				}
-				if parallel {
-					bb.Sections("PAR", sec("X", 24, 200), sec("Y", 48, 50), sec("Z", 8, 100))
-				} else {
-					sec("X", 24, 200)(bb)
-					sec("Y", 48, 50)(bb)
-					sec("Z", 8, 100)(bb)
-				}
-			})
-		}
-	}
-	b.Run("sections", func(b *testing.B) {
-		benchRun(b, mk(true), vmachine.Config{P: 8, AccessCost: 5}, core.Config{})
-	})
-	b.Run("serialized", func(b *testing.B) {
-		benchRun(b, mk(false), vmachine.Config{P: 8, AccessCost: 5}, core.Config{})
-	})
-}
 
 // BenchmarkLangParse measures the mini-language frontend.
 func BenchmarkLangParse(b *testing.B) {

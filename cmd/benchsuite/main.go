@@ -1,5 +1,6 @@
-// Command benchsuite runs the reproducible performance suite
-// (internal/benchkit) and gates regressions between result files.
+// Command benchsuite runs the deterministic performance ledger
+// (internal/benchkit: every scenario on the virtual-time machine) and
+// gates regressions between result files. Wall clock is bench/'s ledger.
 //
 // Usage:
 //
@@ -7,27 +8,32 @@
 //	               [-cpuprofile DIR] [-memprofile DIR] [-trace DIR]
 //	benchsuite compare [-threshold 0.10] [-bit-identical] BASELINE.json CANDIDATE.json
 //	benchsuite list [-filter RE]
+//	benchsuite sweep [-workload NAME | -file PROG] [-procs 1,2,4] [-schemes ss,gss]
+//	                 [-access N] [-remote N] [-pool NAME] [-csv]
 //
 // `run` executes the scenario registry (or the -filter subset, matched
 // against scenario names and tags — e.g. -filter smoke) with warmup
-// plus N timed repetitions per scenario and writes a schema-versioned
-// BENCH_<rev>.json. Virtual-engine scenarios are checked bit-identical
-// across repetitions; the profile flags capture one CPU/heap/execution
-// profile per scenario for hot-path digging.
+// plus N repetitions per scenario, checked bit-identical, and writes a
+// schema-versioned BENCH_<rev>.json; the profile flags capture one
+// CPU/heap/execution profile per scenario for hot-path digging.
 //
 // `compare` exits 0 when no gated metric of the candidate regresses
-// against the baseline beyond the threshold outside the measured noise
-// interval, and exits 1 (after printing the delta table) when one does.
-// With -bit-identical it additionally requires every deterministic
-// (virtual-engine) scenario to report exactly the baseline's simulator
-// metrics — the check CI runs, immune to host noise.
+// against the baseline beyond the threshold, and exits 1 (after
+// printing the delta table) when one does. With -bit-identical it
+// additionally requires every deterministic scenario to report exactly
+// the baseline's simulator metrics — the check `make verify-gates` runs.
+//
+// `sweep` prints the processors × schemes grid (speedup over a P=1 ss
+// run, utilization, imbalance) of one built-in workload or program
+// file, as a table or CSV: ad-hoc scenarios through the runner `run` uses.
 //
 // Examples:
 //
 //	benchsuite run -o BENCH_base.json
 //	... hack on the scheduler ...
-//	benchsuite run -o BENCH_new.json && benchsuite compare BENCH_base.json BENCH_new.json
+//	benchsuite run -o BENCH_new.json && benchsuite compare -bit-identical BENCH_base.json BENCH_new.json
 //	benchsuite run -filter 'adjoint/gss' -cpuprofile prof/
+//	benchsuite sweep -workload adjoint -procs 1,2,4,8,16 -schemes ss,css:8,gss,tss,fsc
 package main
 
 import (
@@ -60,7 +66,7 @@ func main() {
 // run dispatches the subcommand; separated from main for testing.
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New(`missing subcommand: "run", "compare" or "list"`)
+		return errors.New(`missing subcommand: "run", "compare", "list" or "sweep"`)
 	}
 	switch args[0] {
 	case "run":
@@ -69,8 +75,10 @@ func run(args []string, out io.Writer) error {
 		return cmdCompare(args[1:], out)
 	case "list":
 		return cmdList(args[1:], out)
+	case "sweep":
+		return cmdSweep(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, compare or list)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, compare, list or sweep)", args[0])
 	}
 }
 
@@ -78,8 +86,8 @@ func cmdRun(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchsuite run", flag.ContinueOnError)
 	var (
 		filter  = fs.String("filter", "", "regexp selecting scenarios by name or tag (e.g. smoke)")
-		reps    = fs.Int("reps", 5, "timed repetitions per scenario")
-		warmup  = fs.Int("warmup", 1, "untimed warmup runs per scenario")
+		reps    = fs.Int("reps", 5, "repetitions per scenario")
+		warmup  = fs.Int("warmup", 1, "unmeasured warmup runs per scenario")
 		outPath = fs.String("o", "", "output file (default BENCH_<git-rev>.json)")
 		cpuDir  = fs.String("cpuprofile", "", "directory for per-scenario CPU profiles")
 		memDir  = fs.String("memprofile", "", "directory for per-scenario heap profiles")
@@ -127,7 +135,7 @@ func cmdCompare(args []string, out io.Writer) error {
 	threshold := fs.Float64("threshold", benchkit.DefaultThreshold,
 		"relative median movement a gated metric must exceed to regress")
 	bitIdentical := fs.Bool("bit-identical", false,
-		"additionally require deterministic (virtual-engine) scenarios to match the baseline exactly")
+		"additionally require deterministic scenarios to match the baseline exactly")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -141,10 +149,6 @@ func cmdCompare(args []string, out io.Writer) error {
 	cand, err := benchkit.Load(fs.Arg(1))
 	if err != nil {
 		return err
-	}
-	if old.Env.GoVersion != cand.Env.GoVersion || old.Env.NumCPU != cand.Env.NumCPU {
-		fmt.Fprintf(out, "WARNING: environments differ (%s/%d CPUs vs %s/%d CPUs); wall-clock deltas may be meaningless\n",
-			old.Env.GoVersion, old.Env.NumCPU, cand.Env.GoVersion, cand.Env.NumCPU)
 	}
 	c, err := benchkit.Compare(old, cand, *threshold)
 	if err != nil {

@@ -41,8 +41,8 @@ func TestRunWritesValidFile(t *testing.T) {
 		t.Fatal("no scenarios in result")
 	}
 	for _, sc := range f.Scenarios {
-		if sc.Engine == "virtual" && !sc.Deterministic {
-			t.Fatalf("virtual scenario %q not deterministic", sc.Name)
+		if sc.Engine != "virtual" || !sc.Deterministic {
+			t.Fatalf("scenario %q: engine %q, deterministic %v", sc.Name, sc.Engine, sc.Deterministic)
 		}
 	}
 }
@@ -51,13 +51,10 @@ func TestCompareSameBaselineExitsZero(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "BENCH_a.json")
 	b := filepath.Join(dir, "BENCH_b.json")
-	// Virtual scenarios only: their gated metrics are bit-identical
-	// across runs, so exit 0 is guaranteed rather than probabilistic
-	// (real-engine wall clock under -race can legitimately swing past
-	// the gate; that path is covered by benchkit's interval-overlap
-	// unit tests).
-	runFiltered(t, "virtual$", a)
-	runFiltered(t, "virtual$", b)
+	// Gated metrics are bit-identical across runs, so exit 0 is
+	// guaranteed rather than probabilistic.
+	runFiltered(t, "smoke|contention", a)
+	runFiltered(t, "smoke|contention", b)
 	var sb strings.Builder
 	if err := run([]string{"compare", a, b}, &sb); err != nil {
 		t.Fatalf("same-baseline compare failed: %v\n%s", err, sb.String())
@@ -135,6 +132,12 @@ func TestListAndErrors(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "adjoint/gss/virtual") {
 		t.Fatalf("list output:\n%s", sb.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		if !strings.HasSuffix(name, "/virtual") && !strings.HasSuffix(line, " scenarios") {
+			t.Errorf("list prints a non-virtual scenario: %q", line)
+		}
 	}
 	if err := run(nil, &sb); err == nil {
 		t.Fatal("missing subcommand not rejected")

@@ -1,5 +1,6 @@
 // Command dotgraph emits the macro-dataflow graph (the paper's Fig. 4) of
-// a built-in workload in Graphviz DOT format.
+// a built-in workload (the table loopsched -list prints) in Graphviz DOT
+// format.
 //
 // Usage:
 //
@@ -14,7 +15,6 @@ import (
 	"os"
 
 	"repro"
-	"repro/internal/loopir"
 	"repro/internal/workload"
 )
 
@@ -30,40 +30,18 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dotgraph", flag.ContinueOnError)
 	var (
-		name = fs.String("workload", "fig1", "workload: fig1, triangular, branchy, many")
-		n    = fs.Int64("n", 0, "size override")
+		name = fs.String("workload", "fig1", "built-in workload name (loopsched -list)")
+		n    = fs.Int64("n", 0, "size override (the defaults are sized for timing runs; a readable graph wants a small one)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var nest *loopir.Nest
-	switch *name {
-	case "fig1":
-		nest = workload.Fig1(workload.DefaultFig1())
-	case "triangular":
-		size := *n
-		if size <= 0 {
-			size = 5
-		}
-		nest = workload.Triangular(size, 1)
-	case "branchy":
-		size := *n
-		if size <= 0 {
-			size = 6
-		}
-		nest = workload.Branchy(size, 2, 2, 1, 1)
-	case "many":
-		size := *n
-		if size <= 0 {
-			size = 8
-		}
-		nest = workload.ManyInstances(4, size, 2, 1)
-	default:
+	w, ok := workload.Lookup(*name)
+	if !ok {
 		return fmt.Errorf("unknown workload %q", *name)
 	}
-
-	prog, err := repro.Compile(nest)
+	prog, err := repro.Compile(w.Make(*n, 0, 1))
 	if err != nil {
 		return err
 	}

@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestDOTOutput(t *testing.T) {
-	for _, wl := range []string{"fig1", "triangular", "branchy", "many"} {
+	for _, w := range workload.Builtins {
+		wl := w.Name
 		var buf bytes.Buffer
 		if err := run([]string{"-workload", wl, "-n", "3"}, &buf); err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}
 		out := buf.String()
-		if !strings.HasPrefix(out, "digraph macrodataflow") || !strings.Contains(out, "->") {
+		// A single-leaf workload is one node; the nests have edges.
+		leaf := strings.Count(out, "[shape=") == 1
+		if !strings.HasPrefix(out, "digraph macrodataflow") || strings.Contains(out, "->") == leaf {
 			t.Errorf("%s output not DOT:\n%s", wl, out)
 		}
 	}

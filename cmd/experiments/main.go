@@ -54,13 +54,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		for _, c := range v.Checks {
-			status := "PASS"
-			if !c.OK {
-				status = "FAIL"
-			}
-			fmt.Fprintf(out, "check [%s] %s: %s\n", status, c.Name, c.Note)
-		}
+		v.Write(out)
 		if !v.OK() {
 			return fmt.Errorf("experiment %s has failing shape checks", e.ID)
 		}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -35,56 +34,6 @@ import (
 	"repro/internal/lowsched"
 	"repro/internal/workload"
 )
-
-type workloadDef struct {
-	desc string
-	mk   func(n, grain, seed int64) *loopir.Nest
-}
-
-var workloads = map[string]workloadDef{
-	"fig1": {"the paper's Fig. 1 example program", func(n, grain, _ int64) *loopir.Nest {
-		cfg := workload.DefaultFig1()
-		if n > 0 {
-			cfg.NA, cfg.NB, cfg.NC, cfg.ND, cfg.NE, cfg.NF, cfg.NG, cfg.NH = n, n, n, n, n, n, n, n
-		}
-		if grain > 0 {
-			cfg.IterCost = grain
-		}
-		return workload.Fig1(cfg)
-	}},
-	"adjoint": {"decreasing-cost adjoint convolution", func(n, grain, _ int64) *loopir.Nest {
-		return workload.AdjointConvolution(defN(n, 512), defN(grain, 4))
-	}},
-	"radjoint": {"increasing-cost reverse adjoint convolution", func(n, grain, _ int64) *loopir.Nest {
-		return workload.ReverseAdjoint(defN(n, 512), defN(grain, 4))
-	}},
-	"triangular": {"Gaussian-elimination-shaped triangular nest", func(n, grain, _ int64) *loopir.Nest {
-		return workload.Triangular(defN(n, 64), defN(grain, 50))
-	}},
-	"wavefront": {"distance-1 Doacross recurrence", func(n, grain, _ int64) *loopir.Nest {
-		g := defN(grain, 100)
-		return workload.Wavefront(defN(n, 200), 1, g/10+1, g)
-	}},
-	"branchy": {"IF-THEN-ELSE nest with 40:1 branch costs", func(n, grain, _ int64) *loopir.Nest {
-		return workload.Branchy(defN(n, 24), 64, 16, defN(grain, 200), 5)
-	}},
-	"flat": {"single flat Doall loop", func(n, grain, _ int64) *loopir.Nest {
-		return workload.UniformDoall(defN(n, 2000), defN(grain, 100))
-	}},
-	"many": {"many small instances across 12 inner loops", func(n, grain, _ int64) *loopir.Nest {
-		return workload.ManyInstances(12, defN(n, 96), 4, defN(grain, 30))
-	}},
-	"random": {"seeded random general nest", func(_, _, seed int64) *loopir.Nest {
-		return workload.Random(seed, workload.DefaultRandConfig())
-	}},
-}
-
-func defN(v, d int64) int64 {
-	if v > 0 {
-		return v
-	}
-	return d
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -125,14 +74,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *list {
-		var names []string
-		for k := range workloads {
-			names = append(names, k)
-		}
-		sort.Strings(names)
 		tw := tabwriter.NewWriter(out, 0, 4, 2, ' ', 0)
-		for _, k := range names {
-			fmt.Fprintf(tw, "%s\t%s\n", k, workloads[k].desc)
+		for _, w := range workload.Builtins {
+			fmt.Fprintf(tw, "%s\t%s\n", w.Name, w.Desc)
 		}
 		tw.Flush()
 		return nil
@@ -158,11 +102,11 @@ func run(args []string, out io.Writer) error {
 		}
 		*name = *file
 	} else {
-		def, ok := workloads[*name]
+		w, ok := workload.Lookup(*name)
 		if !ok {
 			return fmt.Errorf("unknown workload %q (try -list)", *name)
 		}
-		nest = def.mk(*n, *grain, *seed)
+		nest = w.Make(*n, *grain, *seed)
 	}
 
 	var copts []repro.CompileOption

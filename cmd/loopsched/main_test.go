@@ -12,6 +12,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -175,7 +177,8 @@ func TestTimeout(t *testing.T) {
 
 func TestWorkloadTableComplete(t *testing.T) {
 	// Every built-in workload must compile and run at a small size.
-	for name := range workloads {
+	for _, w := range workload.Builtins {
+		name := w.Name
 		args := []string{"-workload", name, "-procs", "2"}
 		if name == "fig1" || name == "random" {
 			args = append(args, "-n", "2")

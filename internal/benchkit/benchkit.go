@@ -1,36 +1,30 @@
-// Package benchkit is the reproducible performance suite behind
-// cmd/benchsuite and `make bench`: it turns "did this PR make the
-// schedulers faster?" into a measurement with a stable, versioned
-// answer.
+// Package benchkit is the deterministic ledger behind cmd/benchsuite and
+// `make bench`: every scenario runs on the virtual-time multiprocessor,
+// so its makespan, utilization, overhead and access counts are exact
+// functions of the code, and a committed BENCH_*.json is a baseline
+// `make verify-gates` compares bit for bit. Wall clock is bench/'s
+// ledger (BENCHMARK.json), not this one's.
 //
-// The kit has five parts:
+// The kit has four parts:
 //
 //   - a scenario registry (Default) spanning workloads × low-level
-//     schemes × task-pool variants × engines. Virtual-engine scenarios
-//     run on the deterministic virtual-time multiprocessor and must
-//     report bit-identical makespan/utilization on every repetition
-//     (enforced; a mismatch fails the run). Real-engine scenarios run
-//     on goroutines and measure wall clock;
-//   - a repetition controller (Run) with warmup iterations followed by
-//     N timed repetitions per scenario;
-//   - robust statistics per metric (Summarize): median, min, mean,
-//     median absolute deviation, and a MAD-based normal-approximation
-//     confidence interval, so one scheduler hiccup does not masquerade
-//     as a regression;
-//   - an environment fingerprint (CaptureEnv) — GOMAXPROCS, Go
-//     version, CPU count, git revision — stamped into every result
-//     file;
+//     schemes × task-pool variants × claim-path knobs; `benchsuite
+//     sweep` runs ad-hoc scenarios through the same Run;
+//   - a repetition controller (Run): warmups, then N repetitions that
+//     must report bit-identical simulator metrics (a mismatch fails
+//     the run);
 //   - a versioned JSON schema (File, SchemaVersion) written to
-//     BENCH_<rev>.json, and a regression gate (Compare) that checks a
-//     new result file against a baseline: a gated metric regresses only
-//     when its median moves beyond a configurable threshold AND the two
-//     confidence intervals are disjoint.
+//     BENCH_<rev>.json: per metric a Summary (median, min, mean, MAD
+//     and a MAD-based interval — zero-width for simulator metrics),
+//     plus an environment fingerprint (CaptureEnv);
+//   - the gate (Compare, BitIdentical) that checks a new result file
+//     against a baseline.
 //
 // The metrics mirror the paper's Section IV quantities: virtual
 // makespan and utilization (eq. 1's eta), total scheduling-overhead
 // time (the O1/O2/O3 decomposition via core.Snapshot.OverheadTime),
 // synchronization access counts, SEARCH calls and low-level chunk
-// fetches, alongside Go-level wall time and allocation counts.
+// fetches; wall_ns and allocs are provenance columns, never gated.
 package benchkit
 
 import (
@@ -38,7 +32,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/loadcheck"
 	"repro/internal/loopir"
 )
 
@@ -53,40 +46,11 @@ type Scenario struct {
 	// Nest builds the workload's nest; called once per suite run.
 	Nest func() *loopir.Nest
 	// Opts is the complete run configuration (procs, scheme, pool,
-	// engine, virtual-machine costs).
+	// virtual-machine costs). The engine must be the virtual one.
 	Opts repro.Options
 	// Tags select subsets: "smoke" marks the fast sanity slice run in CI.
 	Tags []string
-	// Serve, when non-nil, runs the scenario through the serving layer
-	// (a runner under a loadcheck machine class) instead of a direct
-	// Program.Run, measuring submit→dispatch latency and serving
-	// throughput. Serve scenarios ignore Nest and Opts and are never
-	// deterministic (dispatch is wall-clock work).
-	Serve *loadcheck.Case
 }
-
-// HasTag reports whether the scenario carries the given tag.
-func (s Scenario) HasTag(tag string) bool {
-	for _, t := range s.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// engine returns the scenario's engine label ("" normalizes to virtual).
-func (s Scenario) engine() string {
-	if s.Opts.Engine == "" {
-		return string(repro.EngineVirtual)
-	}
-	return string(s.Opts.Engine)
-}
-
-// virtual reports whether the scenario runs on the deterministic
-// virtual-time engine (and therefore must be bit-identical across
-// repetitions).
-func (s Scenario) virtual() bool { return s.engine() == string(repro.EngineVirtual) }
 
 // adaptive reports whether the scenario runs the online adaptive
 // policy. Adaptive scenarios are exempt from the cross-file
@@ -112,9 +76,9 @@ func (s Scenario) poolName() string {
 	return s.Opts.Pool
 }
 
-// validateScenarios checks registry invariants: non-empty unique names
-// and buildable nests are the caller's concern; this guards the
-// structural fields compare and the schema rely on.
+// validateScenarios checks registry invariants: non-empty unique names,
+// a workload builder, valid options and the virtual engine — what
+// compare, the schema and the determinism contract rely on.
 func validateScenarios(scs []Scenario) error {
 	seen := map[string]bool{}
 	for _, s := range scs {
@@ -125,20 +89,14 @@ func validateScenarios(scs []Scenario) error {
 			return fmt.Errorf("benchkit: duplicate scenario name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if s.Serve != nil {
-			// Serve scenarios carry their whole configuration in the
-			// loadcheck case; the class name is the only reference to
-			// validate up front.
-			if _, ok := loadcheck.Classes[s.Serve.Class]; !ok {
-				return fmt.Errorf("benchkit: scenario %q: unknown machine class %q", s.Name, s.Serve.Class)
-			}
-			continue
-		}
 		if s.Nest == nil {
 			return fmt.Errorf("benchkit: scenario %q has no workload builder", s.Name)
 		}
 		if err := s.Opts.Validate(); err != nil {
 			return fmt.Errorf("benchkit: scenario %q: %w", s.Name, err)
+		}
+		if e := s.Opts.Engine; e != "" && e != repro.EngineVirtual {
+			return fmt.Errorf("benchkit: scenario %q: engine %q is not deterministic (wall clock is bench/'s ledger)", s.Name, e)
 		}
 	}
 	return nil

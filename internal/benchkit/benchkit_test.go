@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro"
@@ -21,14 +22,22 @@ func TestDefaultRegistryShape(t *testing.T) {
 	}
 	workloads := map[string]bool{}
 	schemes := map[string]bool{}
-	engines := map[string]bool{}
 	smoke := 0
 	for _, s := range scs {
 		workloads[s.Workload] = true
 		schemes[s.scheme()] = true
-		engines[s.engine()] = true
-		if s.HasTag("smoke") {
-			smoke++
+		// The ledger is deterministic: every registered scenario is
+		// virtual, and its name says so (the baselines key on it).
+		if e := s.Opts.Engine; e != "" && e != repro.EngineVirtual {
+			t.Errorf("scenario %q runs on engine %q", s.Name, e)
+		}
+		if !strings.HasSuffix(s.Name, "/virtual") {
+			t.Errorf("scenario name %q lacks the /virtual suffix", s.Name)
+		}
+		for _, tag := range s.Tags {
+			if tag == "smoke" {
+				smoke++
+			}
 		}
 	}
 	if len(workloads) < 3 {
@@ -36,9 +45,6 @@ func TestDefaultRegistryShape(t *testing.T) {
 	}
 	if len(schemes) < 2 {
 		t.Fatalf("registry covers %d schemes, want >= 2", len(schemes))
-	}
-	if !engines[string(repro.EngineVirtual)] || !engines[string(repro.EngineReal)] {
-		t.Fatalf("registry must cover both engines, got %v", engines)
 	}
 	if smoke == 0 {
 		t.Fatal("registry has no smoke-tagged scenarios")
@@ -66,8 +72,8 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-// tinyScenarios is a fast two-scenario suite (one per engine) for
-// exercising the repetition controller end to end.
+// tinyScenarios is a fast two-scenario suite (a static scheme and the
+// adaptive one) for exercising the repetition controller end to end.
 func tinyScenarios() []Scenario {
 	mk := func() *loopir.Nest { return workload.UniformDoall(64, 10) }
 	return []Scenario{
@@ -77,8 +83,8 @@ func tinyScenarios() []Scenario {
 			Tags: []string{"smoke"},
 		},
 		{
-			Name: "tiny/ss/real", Workload: "tiny", Nest: mk,
-			Opts: repro.Options{Procs: 4, Scheme: "ss", Engine: repro.EngineReal},
+			Name: "tiny/auto/virtual", Workload: "tiny", Nest: mk,
+			Opts: repro.Options{Procs: 4, Scheme: "auto", AccessCost: 10},
 		},
 	}
 }
@@ -95,7 +101,7 @@ func TestRunProducesValidFile(t *testing.T) {
 		t.Fatalf("got %d scenario results", len(f.Scenarios))
 	}
 	for _, sc := range f.Scenarios {
-		for _, name := range []string{"wall_ns", "makespan", "utilization", "overhead", "accesses", "searches", "chunks", "allocs"} {
+		for _, name := range []string{"wall_ns", "makespan", "utilization", "imbalance", "overhead", "accesses", "searches", "chunks", "allocs"} {
 			m, ok := sc.Metrics[name]
 			if !ok {
 				t.Fatalf("scenario %q missing metric %q", sc.Name, name)
@@ -119,12 +125,14 @@ func TestRunProducesValidFile(t *testing.T) {
 			t.Fatalf("virtual metric %q should gate", name)
 		}
 	}
-	real := f.Scenarios[1]
-	if real.Deterministic {
-		t.Fatal("real scenario marked deterministic")
+	auto := f.Scenarios[1]
+	if auto.Deterministic {
+		t.Fatal("adaptive scenario marked deterministic")
 	}
-	if !real.Metrics["wall_ns"].Gate || real.Metrics["makespan"].Gate {
-		t.Fatalf("real scenario gates mis-set: %+v", real.Metrics)
+	for _, sc := range f.Scenarios {
+		if sc.Engine != "virtual" || sc.Metrics["wall_ns"].Gate || !sc.Metrics["makespan"].Gate {
+			t.Fatalf("scenario %q: engine %q, gates mis-set: %+v", sc.Name, sc.Engine, sc.Metrics)
+		}
 	}
 	if f.Env.GoVersion == "" || f.Env.NumCPU <= 0 {
 		t.Fatalf("fingerprint incomplete: %+v", f.Env)
@@ -266,5 +274,14 @@ func TestRunRejectsBadSuite(t *testing.T) {
 	bad[0].Opts.Scheme = "no-such-scheme"
 	if _, err := Run(bad, RunConfig{Reps: 1}); err == nil {
 		t.Fatal("invalid options not rejected")
+	}
+	// Wall clock belongs to bench/: a goroutine-engine scenario is refused.
+	for _, eng := range repro.KnownEngines() {
+		sc := tinyScenarios()[:1]
+		sc[0].Opts.Engine = repro.EngineKind(eng)
+		_, err := Run(sc, RunConfig{Reps: 1})
+		if virtual := eng == string(repro.EngineVirtual); (err == nil) != virtual {
+			t.Fatalf("engine %q: err = %v", eng, err)
+		}
 	}
 }

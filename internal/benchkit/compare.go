@@ -100,11 +100,9 @@ func Compare(old, new *File, threshold float64) (*Comparison, error) {
 // inside the simulated machine, so they are exempt from cross-file
 // bit-identity.
 var hostSideMetrics = map[string]bool{
-	"wall_ns":              true,
-	"allocs":               true,
-	"bytes_per_iter":       true,
-	"fault_overhead_ns":    true,
-	"recorder_overhead_ns": true,
+	"wall_ns":        true,
+	"allocs":         true,
+	"bytes_per_iter": true,
 }
 
 // BitIdentical extends the virtual engine's determinism contract across

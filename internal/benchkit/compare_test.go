@@ -174,12 +174,12 @@ func TestBitIdentical(t *testing.T) {
 		t.Fatalf("host-side wall_ns flagged for bit-identity: %v", viol)
 	}
 
-	// Non-deterministic (real-engine) scenarios are exempt.
-	oldReal := mkFile("makespan", gated(1000, 0, BetterLess))
-	newReal := mkFile("makespan", gated(2000, 0, BetterLess))
-	oldReal.Scenarios[0].Deterministic = false
-	newReal.Scenarios[0].Deterministic = false
-	if viol := BitIdentical(oldReal, newReal); len(viol) != 0 {
-		t.Fatalf("real-engine scenario flagged for bit-identity: %v", viol)
+	// Non-deterministic (adaptive) scenarios are exempt.
+	oldAuto := mkFile("makespan", gated(1000, 0, BetterLess))
+	newAuto := mkFile("makespan", gated(2000, 0, BetterLess))
+	oldAuto.Scenarios[0].Deterministic = false
+	newAuto.Scenarios[0].Deterministic = false
+	if viol := BitIdentical(oldAuto, newAuto); len(viol) != 0 {
+		t.Fatalf("adaptive scenario flagged for bit-identity: %v", viol)
 	}
 }

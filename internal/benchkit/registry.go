@@ -2,53 +2,54 @@ package benchkit
 
 import (
 	"repro"
-	"repro/internal/loadcheck"
 	"repro/internal/loopir"
 	"repro/internal/workload"
-	"repro/runner"
 )
 
 // Suite configuration shared by every default scenario: 8 processors
 // and the standard virtual access cost, matching the experiment
-// settings of bench_test.go and EXPERIMENTS.md.
+// settings of EXPERIMENTS.md.
 const (
 	defaultProcs      = 8
 	defaultAccessCost = 10
 )
 
-// Default returns the registered scenario suite:
+// Default returns the registered scenario suite, every scenario on the
+// virtual machine:
 //
 //   - a core matrix of three workload families (adjoint — decreasing
 //     iteration cost, flat — uniform cost, branchy — bimodal
-//     IF-dominated cost) × two low-level schemes (ss, gss) × both
-//     engines (deterministic virtual machine, real goroutines);
-//   - chunked-scheme and Doacross extensions on the virtual machine
-//     (flat/css:8, wavefront/css:2);
+//     IF-dominated cost) × two low-level schemes (ss, gss);
+//   - chunked-scheme and Doacross extensions (flat/css:8,
+//     wavefront/css:2);
 //   - the task-pool ablation: the many-instances workload through the
 //     paper's per-loop pool, the single shared list, and the
-//     work-stealing distributed pool.
+//     work-stealing distributed pool;
+//   - the contention (claim-path) and irregular (adaptive) families.
 //
-// Scenario names are "workload/scheme[/pool]/engine"; "smoke" tags the
-// fast sanity slice CI runs on every push.
+// Scenario names are "workload/scheme[/variant]/virtual" — the suffix is
+// what the committed baselines key on; "smoke" tags the fast sanity
+// slice CI runs on every push.
 func Default() []Scenario {
 	type wl struct {
 		name string
 		mk   func() *loopir.Nest
+		tags []string
 	}
 	workloads := []wl{
-		{"adjoint", func() *loopir.Nest { return workload.AdjointConvolution(256, 4) }},
-		{"flat", func() *loopir.Nest { return workload.UniformDoall(2048, 100) }},
-		{"branchy", func() *loopir.Nest { return workload.Branchy(24, 64, 16, 200, 5) }},
+		{"adjoint", func() *loopir.Nest { return workload.AdjointConvolution(256, 4) }, nil},
+		// Smoke: the cheapest workload under each scheme.
+		{"flat", func() *loopir.Nest { return workload.UniformDoall(2048, 100) }, []string{"smoke"}},
+		{"branchy", func() *loopir.Nest { return workload.Branchy(24, 64, 16, 200, 5) }, nil},
 	}
-	engines := []repro.EngineKind{repro.EngineVirtual, repro.EngineReal}
 
 	var out []Scenario
-	add := func(wname string, mk func() *loopir.Nest, scheme, pool string, eng repro.EngineKind, tags ...string) {
+	add := func(wname string, mk func() *loopir.Nest, scheme, pool string, tags ...string) {
 		name := wname + "/" + scheme
 		if pool != "" && pool != "per-loop" {
 			name += "/" + pool
 		}
-		name += "/" + string(eng)
+		name += "/virtual"
 		out = append(out, Scenario{
 			Name:     name,
 			Workload: wname,
@@ -57,7 +58,6 @@ func Default() []Scenario {
 				Procs:      defaultProcs,
 				Scheme:     scheme,
 				Pool:       pool,
-				Engine:     eng,
 				AccessCost: defaultAccessCost,
 			},
 			Tags: tags,
@@ -66,36 +66,25 @@ func Default() []Scenario {
 
 	for _, w := range workloads {
 		for _, scheme := range []string{"ss", "gss"} {
-			for _, eng := range engines {
-				var tags []string
-				// Smoke: one virtual and one real scenario per scheme,
-				// on the cheapest workload.
-				if w.name == "flat" {
-					tags = append(tags, "smoke")
-				}
-				add(w.name, w.mk, scheme, "", eng, tags...)
-			}
+			add(w.name, w.mk, scheme, "", w.tags...)
 		}
 	}
 
-	// Chunked scheme and Doacross coverage (virtual: deterministic).
-	add("flat", func() *loopir.Nest { return workload.UniformDoall(2048, 100) },
-		"css:8", "", repro.EngineVirtual)
-	add("wavefront", func() *loopir.Nest { return workload.Wavefront(240, 1, 10, 90) },
-		"css:2", "", repro.EngineVirtual)
+	// Chunked scheme and Doacross coverage.
+	add("flat", func() *loopir.Nest { return workload.UniformDoall(2048, 100) }, "css:8", "")
+	add("wavefront", func() *loopir.Nest { return workload.Wavefront(240, 1, 10, 90) }, "css:2", "")
 
 	// Task-pool ablation on the pool-stressing workload (experiment E5).
 	manyNest := func() *loopir.Nest { return workload.ManyInstances(8, 64, 4, 30) }
-	add("many", manyNest, "ss", "per-loop", repro.EngineVirtual, "smoke")
-	add("many", manyNest, "ss", "single", repro.EngineVirtual)
-	add("many", manyNest, "ss", "distributed", repro.EngineVirtual)
+	add("many", manyNest, "ss", "per-loop", "smoke")
+	add("many", manyNest, "ss", "single")
+	add("many", manyNest, "ss", "distributed")
 
 	// Contention family (claim-path ablation): tiny-body nests at high
 	// P, where nearly all virtual time is synchronization — the regime
 	// the batched-claim, SW-sharding and combining knobs exist for. Each
-	// variant gets its own scenario name (the seed baseline has none of
-	// them, so the regression gate skips the family and the ungated
-	// ns_per_claim / sweep_ns trends carry the comparison):
+	// variant gets its own scenario name (BENCH_seed.json predates the
+	// family; BENCH_pr16.json pins it):
 	//
 	//   - contention/*: a flat grain-1 doall under ss and css:4, plain
 	//     vs ClaimBatch 8 (b8) vs software combining (comb);
@@ -105,7 +94,6 @@ func Default() []Scenario {
 		o := repro.Options{
 			Procs:      2 * defaultProcs,
 			Scheme:     scheme,
-			Engine:     repro.EngineVirtual,
 			AccessCost: defaultAccessCost,
 		}
 		if mut != nil {
@@ -115,7 +103,7 @@ func Default() []Scenario {
 		if variant != "" {
 			name += "/" + variant
 		}
-		name += "/" + string(repro.EngineVirtual)
+		name += "/virtual"
 		out = append(out, Scenario{
 			Name: name, Workload: wname, Nest: mk, Opts: o,
 			Tags: []string{"contention"},
@@ -131,29 +119,6 @@ func Default() []Scenario {
 	addC("", flood, "contention-pool", "ss", nil)
 	addC("shard4", flood, "contention-pool", "ss", func(o *repro.Options) { o.SWShards = 4 })
 
-	// Serving family: the mixed-tenant burst case through the runner,
-	// measuring the serving layer itself (ungated admission_ns and
-	// throughput trends; the seed baseline predates the family, so the
-	// regression gate skips it like the contention scenarios).
-	out = append(out, Scenario{
-		Name:     "serve/mixed-burst/wfq",
-		Workload: "serve",
-		Tags:     []string{"serve"},
-		Serve: &loadcheck.Case{
-			Name:      "mixed_tenant_burst",
-			Class:     "small",
-			Scheduler: "wfq",
-			Tenants: map[string]runner.Tenant{
-				"gold":   {Weight: 3},
-				"bronze": {Weight: 1},
-			},
-			Streams: []loadcheck.Stream{
-				{Tenant: "bronze", Runs: 24, Iters: 48, Burst: true},
-				{Tenant: "gold", Runs: 24, Iters: 48, Burst: true},
-			},
-		},
-	})
-
 	// Adaptive-scheduling family: the phase-varying irregular workload
 	// under the online auto policy and the static roster it chooses
 	// from. Small grain against a raised access cost makes per-claim
@@ -162,7 +127,7 @@ func Default() []Scenario {
 	// to within 10% of the best static scheme and strictly better than
 	// the worst.
 	for _, scheme := range IrregularSchemes() {
-		add("irregular", IrregularNest, scheme, "", repro.EngineVirtual, "adapt")
+		add("irregular", IrregularNest, scheme, "", "adapt")
 	}
 
 	return out

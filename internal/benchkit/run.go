@@ -1,7 +1,6 @@
 package benchkit
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,21 +8,20 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"sort"
 	"strings"
 	"time"
 
 	"repro"
-	"repro/internal/loadcheck"
+	"repro/internal/machine"
 )
 
 // RunConfig configures one suite execution.
 type RunConfig struct {
-	// Reps is the number of timed repetitions per scenario (default 5).
+	// Reps is the number of repetitions per scenario (default 5).
 	Reps int `json:"reps"`
-	// Warmup is the number of untimed warmup runs per scenario
-	// (default 1). Warmups pre-fault code paths and steady the Go
-	// runtime before anything is measured.
+	// Warmup is the number of unmeasured warmup runs per scenario (zero
+	// is none). Warmups only steady the host-side columns (wall_ns,
+	// allocs); the simulator metrics do not depend on them.
 	Warmup int `json:"warmup"`
 	// Filter, if non-empty, is the regular expression (matched against
 	// scenario names and tags) that selected the suite subset; recorded
@@ -48,9 +46,6 @@ type RunConfig struct {
 func (cfg *RunConfig) defaults() {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 5
-	}
-	if cfg.Warmup < 0 {
-		cfg.Warmup = 1
 	}
 }
 
@@ -80,9 +75,9 @@ func Filter(scs []Scenario, expr string) ([]Scenario, error) {
 	return out, nil
 }
 
-// Run executes every scenario (warmup runs, then Reps timed
-// repetitions), enforces the virtual-engine determinism contract, and
-// returns the validated result file.
+// Run executes every scenario (warmup runs, then Reps repetitions),
+// enforces the virtual-engine determinism contract, and returns the
+// validated result file.
 func Run(scs []Scenario, cfg RunConfig) (*File, error) {
 	cfg.defaults()
 	if err := validateScenarios(scs); err != nil {
@@ -114,11 +109,12 @@ func Run(scs []Scenario, cfg RunConfig) (*File, error) {
 	return f, nil
 }
 
-// repSample is the raw measurement of one timed repetition.
+// repSample is the raw measurement of one repetition.
 type repSample struct {
 	wallNS       float64
 	makespan     float64
 	utilization  float64
+	imbalance    float64
 	overhead     float64
 	accesses     float64
 	searches     float64
@@ -130,18 +126,15 @@ type repSample struct {
 }
 
 func runScenario(s Scenario, cfg RunConfig) (ScenarioResult, error) {
-	if s.Serve != nil {
-		return runServeScenario(s, cfg)
-	}
 	out := ScenarioResult{
 		Name:          s.Name,
 		Workload:      s.Workload,
 		Scheme:        s.scheme(),
 		Pool:          s.poolName(),
-		Engine:        s.engine(),
+		Engine:        string(repro.EngineVirtual),
 		Procs:         s.Opts.Procs,
 		Tags:          s.Tags,
-		Deterministic: s.virtual() && !s.adaptive(),
+		Deterministic: !s.adaptive(),
 	}
 	prog, err := repro.Compile(s.Nest())
 	if err != nil {
@@ -177,6 +170,7 @@ func runScenario(s Scenario, cfg RunConfig) (ScenarioResult, error) {
 			wallNS:      float64(wall.Nanoseconds()),
 			makespan:    float64(res.Makespan),
 			utilization: res.Utilization,
+			imbalance:   machine.Imbalance(res.Busy),
 			overhead:    float64(res.Stats.OverheadTime()),
 			accesses:    float64(accesses),
 			searches:    float64(res.Stats.Searches),
@@ -203,160 +197,44 @@ func runScenario(s Scenario, cfg RunConfig) (ScenarioResult, error) {
 		}
 	}
 
-	gather := func(get func(repSample) float64) []float64 {
+	sum := func(get func(repSample) float64) Summary {
 		vals := make([]float64, len(samples))
 		for i, sm := range samples {
 			vals[i] = get(sm)
 		}
-		return vals
+		return Summarize(vals)
 	}
-	// Gating: virtual scenarios gate on the deterministic simulator
-	// quantities; real scenarios gate on wall clock (the only metric
-	// whose noise the confidence interval is there to absorb).
-	virt := s.virtual()
+	// Gating: the deterministic simulator quantities gate; what the host
+	// measured (wall clock, allocator) is recorded for provenance only.
 	out.Metrics = map[string]Metric{
-		"wall_ns":     {Unit: "ns", Better: BetterLess, Gate: !virt, Summary: Summarize(gather(func(r repSample) float64 { return r.wallNS }))},
-		"makespan":    {Unit: engineTimeUnit(virt), Better: BetterLess, Gate: virt, Summary: Summarize(gather(func(r repSample) float64 { return r.makespan }))},
-		"utilization": {Unit: "ratio", Better: BetterMore, Gate: virt, Summary: Summarize(gather(func(r repSample) float64 { return r.utilization }))},
-		"overhead":    {Unit: engineTimeUnit(virt), Better: BetterLess, Gate: virt, Summary: Summarize(gather(func(r repSample) float64 { return r.overhead }))},
-		"accesses":    {Unit: "count", Better: BetterLess, Gate: virt, Summary: Summarize(gather(func(r repSample) float64 { return r.accesses }))},
-		"searches":    {Unit: "count", Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.searches }))},
-		"chunks":      {Unit: "count", Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.chunks }))},
-		"allocs":      {Unit: "count", Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.allocs }))},
+		"wall_ns":     {Unit: "ns", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.wallNS })},
+		"makespan":    {Unit: "vtime", Better: BetterLess, Gate: true, Summary: sum(func(r repSample) float64 { return r.makespan })},
+		"utilization": {Unit: "ratio", Better: BetterMore, Gate: true, Summary: sum(func(r repSample) float64 { return r.utilization })},
+		"overhead":    {Unit: "vtime", Better: BetterLess, Gate: true, Summary: sum(func(r repSample) float64 { return r.overhead })},
+		"accesses":    {Unit: "count", Better: BetterLess, Gate: true, Summary: sum(func(r repSample) float64 { return r.accesses })},
+		"searches":    {Unit: "count", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.searches })},
+		"chunks":      {Unit: "count", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.chunks })},
+		"allocs":      {Unit: "count", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.allocs })},
+		// imbalance is max/mean of per-processor busy time: the load-balance
+		// column of a sweep. Ungated — makespan already gates its effect.
+		"imbalance": {Unit: "ratio", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.imbalance })},
 		// bytes_per_iter is heap bytes allocated per executed iteration —
 		// the steady-state allocation figure the ICB freelist exists to
 		// shrink. Ungated: GC timing makes it noisy on small runs.
-		"bytes_per_iter": {Unit: "bytes", Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.bytesPerIter }))},
+		"bytes_per_iter": {Unit: "bytes", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.bytesPerIter })},
 		// ns_per_claim is the low-level scheduling cost per claimed chunk
 		// (O1 time / chunks): what one pass through the bound ChunkCalculator
-		// costs, dispatch included. Ungated — it tracks the scheme layer's
-		// overhead trend across both engines without failing the suite.
-		"ns_per_claim": {Unit: engineTimeUnit(virt), Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.perClaim }))},
+		// costs, dispatch included. Ungated — a trend metric for the scheme
+		// layer's overhead.
+		"ns_per_claim": {Unit: "vtime", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.perClaim })},
 		// sweep_ns is the medium-level cost per pool sweep (O2 time /
 		// SEARCH sweeps): what one pass over the SW control word(s) and
 		// the retest/lock protocol costs. Ungated for the same reason as
 		// ns_per_claim — a trend metric for the claim-path work, tracked
 		// across sharding and combining variants.
-		"sweep_ns": {Unit: engineTimeUnit(virt), Better: BetterLess, Summary: Summarize(gather(func(r repSample) float64 { return r.perSweep }))},
-	}
-	if !virt {
-		m, err := faultOverhead(prog, s, cfg, samples)
-		if err != nil {
-			return out, err
-		}
-		out.Metrics["fault_overhead_ns"] = m
-		m, err = recorderOverhead(prog, s, cfg, samples)
-		if err != nil {
-			return out, err
-		}
-		out.Metrics["recorder_overhead_ns"] = m
+		"sweep_ns": {Unit: "vtime", Better: BetterLess, Summary: sum(func(r repSample) float64 { return r.perSweep })},
 	}
 	return out, nil
-}
-
-// faultOverhead measures what the isolate failure policy's per-chunk
-// bookkeeping (open-coded recover frames, failure-log checks) costs on
-// the real engines: paired repetitions under Failure="isolate" with no
-// injector, differenced against the base reps per executed iteration.
-// Ungated — a wall-clock trend metric, not a regression gate.
-func faultOverhead(prog *repro.Program, s Scenario, cfg RunConfig, base []repSample) (Metric, error) {
-	iso := s.Opts
-	iso.Failure = "isolate"
-	if _, err := prog.Run(iso); err != nil {
-		return Metric{}, fmt.Errorf("isolate warmup: %w", err)
-	}
-	vals := make([]float64, 0, cfg.Reps)
-	for i := 0; i < cfg.Reps; i++ {
-		t0 := time.Now()
-		res, err := prog.Run(iso)
-		wall := float64(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return Metric{}, fmt.Errorf("isolate rep %d: %w", i, err)
-		}
-		if res.Stats.Iterations > 0 {
-			vals = append(vals, (wall-base[i].wallNS)/float64(res.Stats.Iterations))
-		}
-	}
-	return Metric{Unit: "ns", Better: BetterLess, Summary: Summarize(vals)}, nil
-}
-
-// recorderOverhead measures what an attached flight recorder costs on
-// the real engines: paired repetitions with a per-processor event ring,
-// differenced against the base reps per executed iteration. Ungated —
-// a wall-clock trend metric; the recorder's disabled-cost (zero) is
-// enforced separately by bit-identity against the seed baselines.
-func recorderOverhead(prog *repro.Program, s Scenario, cfg RunConfig, base []repSample) (Metric, error) {
-	rec := s.Opts
-	rec.FlightRecorder = 256
-	if _, err := prog.Run(rec); err != nil {
-		return Metric{}, fmt.Errorf("recorder warmup: %w", err)
-	}
-	vals := make([]float64, 0, cfg.Reps)
-	for i := 0; i < cfg.Reps; i++ {
-		t0 := time.Now()
-		res, err := prog.Run(rec)
-		wall := float64(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return Metric{}, fmt.Errorf("recorder rep %d: %w", i, err)
-		}
-		if res.Stats.Iterations > 0 {
-			vals = append(vals, (wall-base[i].wallNS)/float64(res.Stats.Iterations))
-		}
-	}
-	return Metric{Unit: "ns", Better: BetterLess, Summary: Summarize(vals)}, nil
-}
-
-// runServeScenario measures the serving layer: each repetition runs the
-// scenario's loadcheck case to completion. Every metric is an ungated
-// trend — dispatch latency is wall-clock work on a shared machine, so
-// these track the serving path's cost without failing the suite (and
-// the seed baseline predates the family, so Compare skips it anyway).
-func runServeScenario(s Scenario, cfg RunConfig) (ScenarioResult, error) {
-	out := ScenarioResult{
-		Name:     s.Name,
-		Workload: s.Workload,
-		Scheme:   s.Serve.Scheduler,
-		Pool:     "per-loop",
-		Engine:   string(repro.EngineVirtual),
-		Procs:    loadcheck.Classes[s.Serve.Class].Procs,
-		Tags:     s.Tags,
-	}
-	ctx := context.Background()
-	for i := 0; i < cfg.Warmup; i++ {
-		if _, err := loadcheck.Run(ctx, *s.Serve); err != nil {
-			return out, fmt.Errorf("warmup %d: %w", i, err)
-		}
-	}
-	wall := make([]float64, cfg.Reps)
-	admission := make([]float64, cfg.Reps)
-	throughput := make([]float64, cfg.Reps)
-	for i := 0; i < cfg.Reps; i++ {
-		rep, err := loadcheck.Run(ctx, *s.Serve)
-		if err != nil {
-			return out, fmt.Errorf("rep %d: %w", i, err)
-		}
-		wall[i] = float64(rep.Elapsed.Nanoseconds())
-		if lat := append([]float64(nil), rep.AdmissionNS...); len(lat) > 0 {
-			sort.Float64s(lat)
-			admission[i] = median(lat)
-		}
-		throughput[i] = rep.Throughput
-	}
-	out.Metrics = map[string]Metric{
-		"wall_ns": {Unit: "ns", Better: BetterLess, Summary: Summarize(wall)},
-		// admission_ns is the median submit→dispatch latency per run in
-		// one repetition: what the queue added on top of execution.
-		"admission_ns": {Unit: "ns", Better: BetterLess, Summary: Summarize(admission)},
-		"throughput":   {Unit: "runs/s", Better: BetterMore, Summary: Summarize(throughput)},
-	}
-	return out, nil
-}
-
-func engineTimeUnit(virtual bool) string {
-	if virtual {
-		return "vtime"
-	}
-	return "ns"
 }
 
 // checkDeterminism enforces the virtual engine's contract: every timed

@@ -39,12 +39,12 @@ type ScenarioResult struct {
 	Engine   string   `json:"engine"`
 	Procs    int      `json:"procs"`
 	Tags     []string `json:"tags,omitempty"`
-	// Deterministic is true for virtual-engine scenarios, whose
-	// makespan/utilization were verified bit-identical across reps.
+	// Deterministic is true for every scenario but the adaptive ones:
+	// its simulator metrics were verified bit-identical across reps and
+	// must match a baseline's exactly (BitIdentical).
 	Deterministic bool `json:"deterministic"`
-	// Metrics maps metric name (wall_ns, makespan, utilization,
-	// overhead, accesses, searches, chunks, allocs, bytes_per_iter) to
-	// its summary.
+	// Metrics maps metric name (makespan, utilization, overhead,
+	// accesses, searches, chunks, imbalance, …) to its summary.
 	Metrics map[string]Metric `json:"metrics"`
 }
 
@@ -55,9 +55,8 @@ type Metric struct {
 	Unit string `json:"unit"`
 	// Better is BetterLess or BetterMore.
 	Better string `json:"better"`
-	// Gate marks the metric as regression-gating for Compare. Virtual
-	// scenarios gate on the deterministic simulator quantities; real
-	// scenarios gate on wall time.
+	// Gate marks the metric as regression-gating for Compare: the
+	// deterministic simulator quantities gate, host-side columns never do.
 	Gate    bool `json:"gate"`
 	Summary      // inlined: n, median, min, mean, mad, ci_lo, ci_hi
 }

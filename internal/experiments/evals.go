@@ -9,7 +9,6 @@ import (
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
@@ -60,7 +59,7 @@ func runE1(w io.Writer) (Verdict, error) {
 		acc   = 10
 	)
 	taus := []int64{20, 50, 100, 200, 500, 1000, 2000}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("eq. (1) validation: flat Doall, N=%d, P=%d, access cost %d, SS", iters, P, acc),
 		"tau", "eta measured", "eta model", "rel err", "O1/iter", "n", "N")
 	var etas []float64
@@ -75,7 +74,7 @@ func runE1(w io.Writer) (Verdict, error) {
 		meas := rep.Utilization()
 		p := calibrate(rep, float64(tau))
 		pred := model.Utilization(p)
-		re := metrics.RelErr(meas, pred)
+		re := RelErr(meas, pred)
 		tb.Add(tau, meas, pred, re, p.O1, p.NIter, p.N)
 		etas = append(etas, meas)
 		relErrCoarse = re
@@ -108,7 +107,7 @@ func runE2(w io.Writer) (Verdict, error) {
 		acc   = 15
 	)
 	ks := []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("eq. (2)/(7): CSS(k) sweep, flat Doall N=%d tau=%d, P=%d, access cost %d", iters, tau, P, acc),
 		"k", "eta measured", "eta model", "makespan", "chunks")
 	type pt struct {
@@ -159,7 +158,7 @@ func runE3(w io.Writer) (Verdict, error) {
 		acc  = 2
 	)
 	ks := []int64{1, 2, 3, 4, 5, 6, 8}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("Doacross chunking: wavefront n=%d head=%d tail=%d dist=1, P=%d", n, head, tail, P),
 		"k", "makespan", "model T(k)", "overlap lost (meas)", "overlap lost (model)")
 	dp := model.DoacrossParams{N: n, Head: head, Tail: tail, P: P}
@@ -196,7 +195,7 @@ func runE3(w io.Writer) (Verdict, error) {
 		"measured loss %.2f vs model 0.80", lost5)
 	ratio := k5 / t1
 	mratio := model.DoacrossTime(dp, 5) / model.DoacrossTime(dp, 1)
-	v.check("k=5 slowdown matches the model ratio", metrics.RelErr(ratio, mratio) < 0.3,
+	v.check("k=5 slowdown matches the model ratio", RelErr(ratio, mratio) < 0.3,
 		"measured %.2fx vs model %.2fx", ratio, mratio)
 	return v, nil
 }
@@ -228,7 +227,7 @@ func runE4(w io.Writer) (Verdict, error) {
 	}
 	results := map[string]map[string]result{}
 	for _, wl := range workloads {
-		tb := metrics.NewTable("scheme comparison: "+wl.name+fmt.Sprintf(" (P=%d)", P),
+		tb := NewTable("scheme comparison: "+wl.name+fmt.Sprintf(" (P=%d)", P),
 			"scheme", "makespan", "eta", "imbalance", "chunks")
 		results[wl.name] = map[string]result{}
 		var busies []int64
@@ -242,7 +241,7 @@ func runE4(w io.Writer) (Verdict, error) {
 				name:      s.Name(),
 				makespan:  rep.Makespan,
 				eta:       rep.Utilization(),
-				imbalance: metrics.Imbalance(rep.Busy),
+				imbalance: machine.Imbalance(rep.Busy),
 				chunks:    rep.Stats.Chunks,
 			}
 			results[wl.name][s.Name()] = r
@@ -275,7 +274,7 @@ func runE4(w io.Writer) (Verdict, error) {
 		"GSS %d chunks vs SS %d", adj["GSS"].chunks, adj["SS"].chunks)
 	gssChunksPerInstance := model.GSSChunkCount(512, P)
 	v.check("GSS chunk count matches the [14] series",
-		metrics.RelErr(float64(adj["GSS"].chunks), float64(gssChunksPerInstance)) < 0.5,
+		RelErr(float64(adj["GSS"].chunks), float64(gssChunksPerInstance)) < 0.5,
 		"measured %d vs series %d", adj["GSS"].chunks, gssChunksPerInstance)
 	v.check("affinity scheduling's stealing repairs the decreasing workload",
 		adj["AFS"].makespan < adj["CSS(64)"].makespan,
@@ -294,7 +293,7 @@ func runE5(w io.Writer) (Verdict, error) {
 		grain     = 30
 		acc       = 10
 	)
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("task pool scaling: %d loops, %d instances x %d iterations, grain %d", m, instances, iters, grain),
 		"P", "multi-list makespan", "single-list makespan", "single/multi")
 	ratios := map[int]float64{}
@@ -330,7 +329,7 @@ func runE6(w io.Writer) (Verdict, error) {
 	cfg.NA, cfg.NB, cfg.NC, cfg.ND, cfg.NE, cfg.NF, cfg.NG, cfg.NH = 16, 16, 16, 16, 16, 16, 16, 16
 	cfg.IterCost = 100
 	dispatches := []int64{0, 200, 2000, 20000}
-	tb := metrics.NewTable("self-scheduling vs OS-involved dispatch (Fig. 1 workload, P=8)",
+	tb := NewTable("self-scheduling vs OS-involved dispatch (Fig. 1 workload, P=8)",
 		"dispatch cost", "makespan", "eta", "dispatch time share")
 	var etas []float64
 	for _, d := range dispatches {
@@ -366,7 +365,7 @@ func runE7(w io.Writer) (Verdict, error) {
 		tau   = 5
 		acc   = 10
 	)
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("combining vs serialized fetch-and-add: flat Doall N=%d tau=%d, access cost %d", iters, tau, acc),
 		"P", "serialized makespan", "combining makespan", "serialized/combining")
 	ratios := map[int]float64{}
@@ -427,7 +426,7 @@ func runE8(w io.Writer) (Verdict, error) {
 			}
 		})
 	}
-	tb := metrics.NewTable("parallel sections vs serialized sections (P=8)",
+	tb := NewTable("parallel sections vs serialized sections (P=8)",
 		"layout", "makespan", "eta")
 	var par, ser int64
 	for _, parallel := range []bool{false, true} {
@@ -464,7 +463,7 @@ func runE9(w io.Writer) (Verdict, error) {
 		acc       = 10
 	)
 	kinds := []core.PoolKind{core.PoolPerLoop, core.PoolSingleList, core.PoolDistributed}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("task-pool structures: %d loops, %d instances x %d iterations, grain %d",
 			m, instances, iters, grain),
 		"P", "per-loop", "single-list", "distributed")
@@ -525,7 +524,7 @@ func runE10(w io.Writer) (Verdict, error) {
 	}
 	results := map[string]map[string]int64{}
 	for _, wl := range loads {
-		tb := metrics.NewTable("static vs dynamic: "+wl.name+fmt.Sprintf(" (P=%d)", P),
+		tb := NewTable("static vs dynamic: "+wl.name+fmt.Sprintf(" (P=%d)", P),
 			"scheme", "makespan", "eta", "imbalance")
 		results[wl.name] = map[string]int64{}
 		for _, s := range schemes {
@@ -534,7 +533,7 @@ func runE10(w io.Writer) (Verdict, error) {
 				return v, err
 			}
 			results[wl.name][s.Name()] = rep.Makespan
-			tb.Add(s.Name(), rep.Makespan, rep.Utilization(), metrics.Imbalance(rep.Busy))
+			tb.Add(s.Name(), rep.Makespan, rep.Utilization(), machine.Imbalance(rep.Busy))
 		}
 		fmt.Fprintf(w, "%s\n", tb)
 	}
@@ -580,7 +579,7 @@ func runE11(w io.Writer) (Verdict, error) {
 		P         = 8
 		acc       = 10
 	)
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("task-pool locality under NUMA penalties: %d instances, P=%d, access cost %d",
 			instances, P, acc),
 		"remote penalty", "per-loop makespan", "distributed makespan", "per-loop/distributed")

@@ -4,10 +4,11 @@
 //	F1-F8  the structural figures (example program, standardization,
 //	       coalescing, macro-dataflow graph, descriptor arrays, task pool,
 //	       ENTER activation cases),
-//	E1-E7  the quantitative results (eq. 1 and eq. 2/7 validation,
+//	E1-E11 the quantitative results (eq. 1 and eq. 2/7 validation,
 //	       Doacross chunking loss, scheme comparison, pool scaling,
 //	       self-scheduling vs OS dispatch, combining vs serialized
-//	       fetch-and-add).
+//	       fetch-and-add, parallel sections, alternative pools, static
+//	       vs dynamic, pool locality).
 //
 // Each experiment prints its tables to a writer and returns a Verdict:
 // machine-checkable shape assertions ("who wins, by roughly what factor,
@@ -59,8 +60,8 @@ func (v *Verdict) check(name string, ok bool, format string, args ...any) {
 	v.Checks = append(v.Checks, Check{Name: name, OK: ok, Note: fmt.Sprintf(format, args...)})
 }
 
-// write renders the verdict at the end of an experiment's output.
-func (v Verdict) write(w io.Writer) {
+// Write renders the verdict at the end of an experiment's output.
+func (v Verdict) Write(w io.Writer) {
 	for _, c := range v.Checks {
 		status := "PASS"
 		if !c.OK {
@@ -134,7 +135,7 @@ func RunAll(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
-		v.write(w)
+		v.Write(w)
 		if !v.OK() {
 			failed = append(failed, e.ID)
 		}

@@ -88,7 +88,7 @@ func TestVerdictHelpers(t *testing.T) {
 		t.Errorf("failures = %+v", f)
 	}
 	var buf bytes.Buffer
-	v.write(&buf)
+	v.Write(&buf)
 	if !strings.Contains(buf.String(), "[FAIL] b") {
 		t.Errorf("verdict rendering:\n%s", buf.String())
 	}

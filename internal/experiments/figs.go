@@ -9,7 +9,6 @@ import (
 	"repro/internal/descr"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
-	"repro/internal/metrics"
 	"repro/internal/refexec"
 	"repro/internal/trace"
 	"repro/internal/vmachine"
@@ -198,7 +197,7 @@ func runF7(w io.Writer) (Verdict, error) {
 	if err != nil {
 		return v, err
 	}
-	tb := metrics.NewTable("task pool activity (Fig. 1, P=8, SS)",
+	tb := NewTable("task pool activity (Fig. 1, P=8, SS)",
 		"metric", "value")
 	tb.Add("innermost parallel loops (lists)", prog.M)
 	tb.Add("instances (ICBs) activated", rep.Stats.Instances)

@@ -1,33 +1,10 @@
-// Package metrics provides the small statistics and table-formatting
-// toolkit the experiments use to report results in the shape of the
-// paper's figures and equations.
-package metrics
+package experiments
 
 import (
 	"fmt"
 	"math"
 	"strings"
 )
-
-// Imbalance returns max/mean of per-processor busy times (1.0 = perfectly
-// balanced; 0 for empty or all-idle input).
-func Imbalance(busy []int64) float64 {
-	if len(busy) == 0 {
-		return 0
-	}
-	var sum, max int64
-	for _, b := range busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(busy))
-	return float64(max) / mean
-}
 
 // RelErr returns |got-want| / |want| (infinite for want = 0, got != 0).
 func RelErr(got, want float64) float64 {

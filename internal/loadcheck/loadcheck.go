@@ -9,9 +9,10 @@
 // pairs a submission workload with optimization goals; a report says
 // whether the goals were met. Checks run entirely on the virtual
 // engine, so a case measures the serving path (admission, scheduling,
-// dispatch, census) rather than host-machine compute — goals are
-// deliberately conservative so the suite gates regressions in CI
-// without flaking on slow runners.
+// dispatch, census) rather than host-machine compute. The wall-clock
+// goal (MinThroughput) is a deliberately conservative floor, so the
+// suite does not flake on slow runners; the memory and fairness goals
+// are near-deterministic and ratcheted to what was measured (cases.go).
 package loadcheck
 
 import (
@@ -70,17 +71,16 @@ type Stream struct {
 
 // FairnessGoal asserts the dispatch-order share between two tenants
 // over Window dispatched runs, Skip runs into the sequence: Tenants[0]'s
-// completed iterations over Tenants[1]'s must fall within
-// [Ratio-Tol, Ratio+Tol]. A case with a fairness goal is admitted whole
-// before anything dispatches (see holdSlots), so the order measured is
-// the scheduler's arbitration of the full backlog, not a race between
-// the submitting loop and the worker slots.
+// completed iterations over Tenants[1]'s must be exactly Ratio. A case
+// with a fairness goal is admitted whole before anything dispatches (see
+// holdSlots), so the order measured is the scheduler's arbitration of
+// the full backlog — deterministic — not a race between the submitting
+// loop and the worker slots.
 type FairnessGoal struct {
 	Tenants [2]string
 	Skip    int
 	Window  int
 	Ratio   float64
-	Tol     float64
 }
 
 // Goals are a case's pass/fail criteria. Zero fields are unchecked.
@@ -116,7 +116,6 @@ type Report struct {
 	Submitted int
 	Completed int
 	Shed      int
-	Elapsed   time.Duration
 	// Throughput is completed runs per second of wall clock.
 	Throughput float64
 	// BytesPerRun is allocated bytes per completed run.
@@ -124,11 +123,6 @@ type Report struct {
 	// TenantIters is completed iterations by tenant over the fairness
 	// window (the whole run set when no fairness goal is declared).
 	TenantIters map[string]int64
-	// AdmissionNS is each completed run's submit→dispatch latency in
-	// nanoseconds, in dispatch order — the queueing delay the serving
-	// layer added on top of execution. Benchkit summarizes it as the
-	// admission_ns trend metric.
-	AdmissionNS []float64
 	// FairnessRatio is the observed share ratio for the fairness goal
 	// (0 when none declared).
 	FairnessRatio float64
@@ -147,9 +141,9 @@ func (r Report) Check(g Goals) []string {
 		bad = append(bad, fmt.Sprintf("shed %d submissions, goal allows %d", r.Shed, g.MaxShed))
 	}
 	if f := g.Fairness; f != nil {
-		if r.FairnessRatio < f.Ratio-f.Tol || r.FairnessRatio > f.Ratio+f.Tol {
-			bad = append(bad, fmt.Sprintf("fairness %s:%s = %.2f outside %g±%g",
-				f.Tenants[0], f.Tenants[1], r.FairnessRatio, f.Ratio, f.Tol))
+		if r.FairnessRatio != f.Ratio {
+			bad = append(bad, fmt.Sprintf("fairness %s:%s = %.2f, want exactly %g",
+				f.Tenants[0], f.Tenants[1], r.FairnessRatio, f.Ratio))
 		}
 	}
 	return bad
@@ -261,7 +255,7 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	if err := rn.Drain(ctx); err != nil {
 		return Report{}, fmt.Errorf("loadcheck: case %s: %w", c.Name, err)
 	}
-	rep.Elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 
@@ -289,12 +283,8 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		if i >= lo && i < hi {
 			rep.TenantIters[tenantKey(r.Tenant())] += res.Stats.Iterations
 		}
-		sub, started, _ := r.Times()
-		if !started.IsZero() {
-			rep.AdmissionNS = append(rep.AdmissionNS, float64(started.Sub(sub).Nanoseconds()))
-		}
 	}
-	rep.Throughput = float64(rep.Completed) / rep.Elapsed.Seconds()
+	rep.Throughput = float64(rep.Completed) / elapsed.Seconds()
 	if rep.Completed > 0 {
 		rep.BytesPerRun = int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(rep.Completed)
 	}

@@ -383,6 +383,23 @@ func (r RunReport) TotalBusy() Time {
 	return busy
 }
 
+// Imbalance returns max/mean of per-processor busy times (1.0 = perfectly
+// balanced; 0 for empty or all-idle input).
+func Imbalance(busy []Time) float64 {
+	var sum, max Time
+	for _, b := range busy {
+		sum += b
+		if b > max {
+			max = b
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := float64(sum) / float64(len(busy))
+	return float64(max) / mean
+}
+
 // TotalAccesses returns the sum of per-processor synchronization accesses.
 func (r RunReport) TotalAccesses() int64 {
 	var n int64

@@ -508,3 +508,15 @@ func BenchmarkFetchAddContended(b *testing.B) {
 		}
 	})
 }
+
+func TestImbalance(t *testing.T) {
+	if got := Imbalance([]int64{10, 10, 10}); got != 1 {
+		t.Errorf("balanced = %v", got)
+	}
+	if got := Imbalance([]int64{30, 0, 0}); got != 3 {
+		t.Errorf("imbalanced = %v", got)
+	}
+	if Imbalance(nil) != 0 || Imbalance([]int64{0, 0}) != 0 {
+		t.Error("degenerate imbalance not 0")
+	}
+}

@@ -267,3 +267,26 @@ func TestRandomCoversFeatures(t *testing.T) {
 		t.Errorf("coverage: doacross=%d zeroBounds=%d", doacross, zeroBounds)
 	}
 }
+
+// TestBuiltinTable: the CLIs print the table in name order and resolve
+// names through Lookup; sizes and grain override only when positive.
+func TestBuiltinTable(t *testing.T) {
+	for i, w := range Builtins {
+		if i > 0 && Builtins[i-1].Name >= w.Name {
+			t.Errorf("table not in name order at %q", w.Name)
+		}
+		if got, ok := Lookup(w.Name); !ok || got.Desc != w.Desc {
+			t.Errorf("Lookup(%q) = %+v, %v", w.Name, got, ok)
+		}
+	}
+	if _, ok := Lookup("nope"); ok {
+		t.Error("Lookup found an unknown name")
+	}
+	flat, _ := Lookup("flat")
+	if got := stdRun(t, flat.Make(0, 0, 1)).Iterations; got != 2000 {
+		t.Errorf("flat default = %d iterations, want 2000", got)
+	}
+	if got := stdRun(t, flat.Make(7, 3, 1)).Iterations; got != 7 {
+		t.Errorf("flat -n 7 = %d iterations", got)
+	}
+}
