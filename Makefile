@@ -33,11 +33,12 @@ bench-compare:
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) $(BENCH_OUT)
 
 # bench-smoke is the fast sanity slice CI runs on every push: the smoke
-# scenarios, then one iteration of the wall-clock kernel benchmarks —
-# the line that keeps the real engine compiling and running.
+# scenarios, then one iteration of the wall-clock benchmarks — the
+# kernel ones keep the real engine compiling and running, VirtualServed
+# checks the served programs' makespans on the virtual engine.
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -reps 2 -o /tmp/BENCH_smoke.json
-	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd' -benchtime=1x . ./internal/machine/
+	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd|VirtualServed' -benchtime=1x . ./internal/machine/
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).

@@ -1,9 +1,11 @@
 package repro
 
 // Wall-clock micro-benchmarks of the host-side code: the frontend and
-// descriptor compiler, and the real engine's claim path (the Kernel*
-// funcs are one op of bench/'s kernel workloads, for profiling while
-// you work). Virtual-time results are not benchmarked here: the
+// descriptor compiler, the real engine's claim path and the virtual
+// engine's cost per served run (the Kernel* and VirtualServed funcs are
+// one op of bench/'s kernel and serve workloads without the daemon, for
+// profiling while you work). Virtual-time results are not benchmarked
+// here (VirtualServed only asserts its makespans): the
 // configurations of the paper's figures run — and are asserted — in
 // internal/experiments (E1-E11, F7), and the deterministic baseline is
 // benchkit's (`make bench`). Run with:
@@ -12,6 +14,7 @@ package repro
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -154,6 +157,47 @@ func BenchmarkKernelFine(b *testing.B) { benchKernel(b, workload.UniformDoall(40
 // BenchmarkKernelNested is the benchmark's kernel_nested nest: 50k
 // four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2.
 func BenchmarkKernelNested(b *testing.B) { benchKernel(b, workload.ManyInstances(8, 50000, 4, 1)) }
+
+// BenchmarkVirtualServed is what loopschedd executes for one run of the
+// benchmark's serve workloads: each program bench/ submits, on the
+// virtual engine at the P it is submitted with. ns/op is the host cost
+// of simulating one run (vmachine.run_us in a traced bench run); the
+// makespan is virtual time, so any other value is a determinism bug.
+func BenchmarkVirtualServed(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		makespan int64
+	}{
+		{"fig1", 6060}, {"pipeline", 8170}, {"flat64", 2290}, {"tri16", 6910},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			src, err := os.ReadFile("bench/programs/" + tc.name + ".loop")
+			if err != nil {
+				b.Fatal(err)
+			}
+			nest, err := lang.Parse(string(src))
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := Compile(nest)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := prog.Run(Options{Procs: 4})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Makespan != tc.makespan {
+					b.Fatalf("makespan = %d, want %d", res.Makespan, tc.makespan)
+				}
+			}
+			b.ReportMetric(float64(tc.makespan), "makespan")
+		})
+	}
+}
 
 // BenchmarkKernelScaling is the scaling family over the benchmark's two
 // kernel nests: P = 1, 2, 4, … NumCPU on the real engine under ss. Each

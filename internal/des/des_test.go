@@ -2,6 +2,9 @@ package des
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -215,7 +218,182 @@ func TestSpawnAfterRunPanics(t *testing.T) {
 	s.Spawn(1, 0, func(p *Process) {})
 }
 
+// A script is one process of the order-equivalence property: where it
+// starts and the AdvanceTo targets it issues, relative (Advance) or
+// absolute, before returning.
+type script struct {
+	start Time
+	ops   []scriptOp
+}
+
+type scriptOp struct {
+	abs bool
+	t   Time
+}
+
+type resume struct {
+	id  int
+	now Time
+}
+
+// reference is the sequential model Sim must be indistinguishable from:
+// every wake-up is an (at, seq) entry, and the smallest runs next.
+func reference(scripts []script) (trace []resume, makespan Time) {
+	type entry struct {
+		at  Time
+		seq int
+		id  int
+	}
+	var pending []entry
+	seq := 0
+	for id, sc := range scripts {
+		seq++
+		pending = append(pending, entry{sc.start, seq, id})
+	}
+	pc := make([]int, len(scripts))
+	for len(pending) > 0 {
+		sort.Slice(pending, func(i, j int) bool {
+			if pending[i].at != pending[j].at {
+				return pending[i].at < pending[j].at
+			}
+			return pending[i].seq < pending[j].seq
+		})
+		e := pending[0]
+		pending = pending[1:]
+		trace = append(trace, resume{e.id, e.at})
+		makespan = max(makespan, e.at)
+		if ops := scripts[e.id].ops; pc[e.id] < len(ops) {
+			op := ops[pc[e.id]]
+			pc[e.id]++
+			t := op.t
+			if !op.abs {
+				t += e.at
+			}
+			seq++
+			pending = append(pending, entry{max(t, e.at), seq, e.id})
+		}
+	}
+	return trace, makespan
+}
+
+func simulate(scripts []script) (trace []resume, makespan Time) {
+	s := New()
+	for id, sc := range scripts {
+		s.Spawn(id, sc.start, func(p *Process) {
+			trace = append(trace, resume{p.ID(), p.Now()})
+			for _, op := range sc.ops {
+				if op.abs {
+					p.AdvanceTo(op.t)
+				} else {
+					p.Advance(op.t)
+				}
+				trace = append(trace, resume{p.ID(), p.Now()})
+			}
+		})
+	}
+	return trace, s.Run()
+}
+
+func TestOrderMatchesReferenceModel(t *testing.T) {
+	// The case the no-switch path must not take: process 1 advances to
+	// exactly the queue's minimum (process 0 at 5), and the older entry
+	// runs first.
+	tie := []script{
+		{0, []scriptOp{{false, 5}}},
+		{0, []scriptOp{{true, 5}}},
+	}
+	want := []resume{{0, 0}, {1, 0}, {0, 5}, {1, 5}}
+	if got, _ := simulate(tie); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("tie with the queue minimum: trace = %v, want %v", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n < 2000; n++ {
+		// Small values everywhere, so that equal wake times, zero
+		// advances and targets in the past are the common case.
+		scripts := make([]script, 1+rng.Intn(8))
+		for i := range scripts {
+			scripts[i].start = Time(rng.Intn(4))
+			scripts[i].ops = make([]scriptOp, rng.Intn(10)) // 0: returns at once
+			for k := range scripts[i].ops {
+				if rng.Intn(3) == 0 {
+					scripts[i].ops[k] = scriptOp{true, Time(rng.Intn(24))}
+				} else {
+					scripts[i].ops[k] = scriptOp{false, Time(rng.Intn(4))}
+				}
+			}
+		}
+		wantTrace, wantEnd := reference(scripts)
+		gotTrace, gotEnd := simulate(scripts)
+		if gotEnd != wantEnd || fmt.Sprint(gotTrace) != fmt.Sprint(wantTrace) {
+			t.Fatalf("script %d %+v:\n got %v end %d\nwant %v end %d",
+				n, scripts, gotTrace, gotEnd, wantTrace, wantEnd)
+		}
+	}
+}
+
+// TestPanicReraisedByRun pins the panic contract: the value reaches Run's
+// caller, the other processes are unwound without executing further, and
+// no coroutine is left behind.
+func TestPanicReraisedByRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	unwound, ranOn := 0, 0
+	for i := 0; i < 4; i++ {
+		s.Spawn(i, 0, func(p *Process) {
+			defer func() { unwound++ }()
+			p.Advance(10)
+			if p.ID() == 2 {
+				p.Advance(-1)
+			}
+			p.Advance(10)
+			ranOn++
+		})
+	}
+	s.Spawn(4, 100, func(p *Process) { ranOn++ }) // never started
+	func() {
+		defer func() {
+			if r := recover(); r != "des: negative advance -1" {
+				t.Errorf("Run panicked with %v, want the process's panic value", r)
+			}
+		}()
+		s.Run()
+		t.Error("Run returned after a process panicked")
+	}()
+	// When 2 panics at time 10, 0 and 1 are suspended in their second
+	// Advance and 3 in its first; none may reach the line after it.
+	if unwound != 4 || ranOn != 0 {
+		t.Errorf("unwound = %d, ran on = %d; want 4 processes unwound and none run on", unwound, ranOn)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before Run, %d after the panic", before, after)
+	}
+}
+
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct{ procs, steps int }{
+		{1, 50}, {4, 50}, {64, 50},
+		{64, 0}, // every process finishes at once
+	} {
+		before := runtime.NumGoroutine()
+		s := New()
+		for i := 0; i < tc.procs; i++ {
+			s.Spawn(i, 0, func(p *Process) {
+				for k := 0; k < tc.steps; k++ {
+					p.Advance(Time(1 + (p.ID()+k)%3))
+				}
+			})
+		}
+		s.Run()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%d processes x %d steps: %d goroutines before Run, %d after",
+				tc.procs, tc.steps, before, after)
+		}
+	}
+}
+
 func BenchmarkAdvance(b *testing.B) {
+	b.ReportAllocs()
 	s := New()
 	s.Spawn(0, 0, func(p *Process) {
 		for i := 0; i < b.N; i++ {
@@ -227,6 +405,7 @@ func BenchmarkAdvance(b *testing.B) {
 }
 
 func BenchmarkEightProcessInterleave(b *testing.B) {
+	b.ReportAllocs()
 	s := New()
 	for i := 0; i < 8; i++ {
 		i := i

@@ -81,14 +81,21 @@ type varKey struct {
 	gen uint64
 }
 
+// varState is everything the engine keeps about one variable lifetime:
+// its contention profile, when its memory module is next free, and the
+// processor it is homed on (-1 until first touched under RemotePenalty).
+type varState struct {
+	VarStat
+	avail machine.Time
+	home  int
+}
+
 // Engine is a virtual multiprocessor. It implements machine.Engine.
 // An Engine is single-use: create a new one for each Run.
 type Engine struct {
 	cfg   Config
 	sim   *des.Sim
-	avail map[varKey]machine.Time
-	stats map[varKey]*VarStat
-	home  map[varKey]int
+	vars  map[varKey]*varState
 	procs []*vproc
 }
 
@@ -111,11 +118,9 @@ type VarStat struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:   cfg,
-		sim:   des.New(),
-		avail: make(map[varKey]machine.Time),
-		stats: make(map[varKey]*VarStat),
-		home:  make(map[varKey]int),
+		cfg:  cfg,
+		sim:  des.New(),
+		vars: make(map[varKey]*varState),
 	}
 }
 
@@ -154,9 +159,9 @@ func (e *Engine) Run(worker func(machine.Proc)) machine.RunReport {
 // entries. With Combining enabled queueing is zero and ordering falls
 // back to access counts.
 func (e *Engine) HotSpots(n int) []VarStat {
-	out := make([]VarStat, 0, len(e.stats))
-	for _, st := range e.stats {
-		out = append(out, *st)
+	out := make([]VarStat, 0, len(e.vars))
+	for _, st := range e.vars {
+		out = append(out, st.VarStat)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Wait != out[j].Wait {
@@ -211,7 +216,7 @@ func (v *vproc) Idle(cost machine.Time) {
 
 // Access models one synchronization access: the processor waits for the
 // variable's memory module to become free (unless combining), occupies it
-// for AccessCost, and resumes afterwards. The avail map is shared but safe:
+// for AccessCost, and resumes afterwards. The vars map is shared but safe:
 // only one des process executes at a time.
 //
 // A variable flagged SyncVar.SetCombining is served by the software
@@ -223,44 +228,38 @@ func (v *vproc) Idle(cost machine.Time) {
 // needed at all.
 func (v *vproc) Access(sv *machine.SyncVar) {
 	v.accesses++
-	cfg := v.eng.cfg
+	cfg := &v.eng.cfg
 	key := varKey{sv: sv, gen: sv.Generation()}
 	now := v.p.Now()
-	st, ok := v.eng.stats[key]
-	if !ok {
-		st = &VarStat{Name: sv.Name()}
-		v.eng.stats[key] = st
+	st := v.eng.vars[key]
+	if st == nil {
+		st = &varState{VarStat: VarStat{Name: sv.Name()}, home: -1}
+		v.eng.vars[key] = st
 	}
 	st.Accesses++
-	if !cfg.Combining && sv.Combining() {
-		if a, ok := v.eng.avail[key]; ok && a > now {
+	start := now
+	if !cfg.Combining && st.avail > now {
+		if sv.Combining() {
 			// Join the open window: finish with the in-flight combined
 			// operation, leaving avail untouched.
 			st.Combined++
-			v.p.AdvanceTo(a)
+			v.p.AdvanceTo(st.avail)
 			return
 		}
-	}
-	start := now
-	if !cfg.Combining {
-		if a, ok := v.eng.avail[key]; ok && a > start {
-			start = a
-		}
+		start = st.avail
 	}
 	cost := cfg.AccessCost
 	if cfg.RemotePenalty > 0 {
-		home, ok := v.eng.home[key]
-		if !ok {
-			home = v.p.ID() // first toucher homes the variable
-			v.eng.home[key] = home
+		if st.home < 0 {
+			st.home = v.p.ID() // first toucher homes the variable
 		}
-		if home != v.p.ID() {
+		if st.home != v.p.ID() {
 			cost += cfg.RemotePenalty
 		}
 	}
 	end := start + cost
 	if !cfg.Combining {
-		v.eng.avail[key] = end
+		st.avail = end
 	}
 	st.Wait += start - now
 	v.p.AdvanceTo(end)

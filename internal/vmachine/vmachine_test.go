@@ -1,7 +1,9 @@
 package vmachine
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -288,13 +290,69 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func BenchmarkVirtualFetchInc(b *testing.B) {
+// TestWorkerPanicReraisedByRun: a panic on one processor reaches the
+// caller of Engine.Run (des.Sim.Run's contract), and the processors
+// queued on the hot variable behind it are torn down with it.
+func TestWorkerPanicReraisedByRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := New(Config{P: 8, AccessCost: 10})
+	v := machine.NewSyncVar("hot", 0)
+	func() {
+		defer func() {
+			if r := recover(); r != "vmachine: negative work cost -1" {
+				t.Errorf("Run panicked with %v, want the processor's panic value", r)
+			}
+		}()
+		e.Run(func(p machine.Proc) {
+			v.FetchInc(p)
+			if p.ID() == 3 {
+				p.Work(-1)
+			}
+			v.FetchInc(p)
+		})
+		t.Error("Run returned after a processor panicked")
+	}()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before Run, %d after the panic", before, after)
+	}
+}
+
+// TestInterruptedRunLeavesNoGoroutines: an interrupt tripped mid-run
+// stops Work from costing time, and the cooperative drain — every
+// processor leaves at its next look at the interrupt — still ends every
+// processor.
+func TestInterruptedRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	intr := machine.NewInterrupt()
+	e := New(Config{P: 8, AccessCost: 10, Interrupt: intr})
+	v := machine.NewSyncVar("hot", 0)
+	rep := e.Run(func(p machine.Proc) {
+		for !intr.Tripped() {
+			if v.FetchInc(p) == 100 {
+				intr.Trip(errors.New("stop"))
+			}
+			p.Work(50)
+		}
+	})
+	if rep.TotalAccesses() < 100 || rep.TotalAccesses() > 108 {
+		t.Errorf("accesses = %d, want the 100 before the trip and at most one more per processor", rep.TotalAccesses())
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before Run, %d after the interrupted run", before, after)
+	}
+}
+
+// BenchmarkVirtualFetchInc: b.N accesses to one hot variable, dealt
+// round-robin to eight processors.
+func BenchmarkVirtualFetchInc(b *testing.B) {
+	b.ReportAllocs()
+	const P = 8
+	e := New(Config{P: P, AccessCost: 10})
 	v := machine.NewSyncVar("v", 0)
 	n := b.N
 	b.ResetTimer()
 	e.Run(func(p machine.Proc) {
-		for i := 0; i < n/8+1; i++ {
+		for i := p.ID(); i < n; i += P {
 			v.FetchInc(p)
 		}
 	})

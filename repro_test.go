@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -242,5 +243,47 @@ func TestCombiningOption(t *testing.T) {
 	}
 	if c, s := run(true), run(false); c >= s {
 		t.Errorf("combining (%d) should beat serialized (%d) on a hot index", c, s)
+	}
+}
+
+// unprintable is a panic value no recover-and-format can contain: its
+// Error method panics with itself, and fmt gives up on the second
+// failure and re-panics inside the recovering function.
+type unprintable struct{}
+
+func (u unprintable) Error() string { panic(u) }
+
+// TestEscapedPanicSurfacesOnCaller pins des.Sim.Run's panic contract
+// through the public API. The body's panic defeats both of the kernel's
+// containment layers (each formats the recovered value), so it leaves
+// the processor's function — on the virtual engine that used to be a
+// bare goroutine, and the process died. Now Run re-raises it here, where
+// a caller such as runner can turn it into a failed run, and the other
+// three processors are gone by the time it does.
+func TestEscapedPanicSurfacesOnCaller(t *testing.T) {
+	nest := MustBuild(func(b *B) {
+		b.DoallLeaf("L", Const(40), func(e Env, iv IVec, j int64) {
+			e.Work(10)
+			if j == 17 {
+				panic(unprintable{})
+			}
+		})
+	})
+	prog, err := Compile(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r := recover(); r != (unprintable{}) {
+				t.Errorf("Run panicked with a %T, want the body's panic value", r)
+			}
+		}()
+		res, err := prog.Run(Options{Procs: 4})
+		t.Errorf("Run returned (%v, %v) after a panic escaped a processor", res, err)
+	}()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before Run, %d after the panic", before, after)
 	}
 }
