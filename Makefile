@@ -35,10 +35,11 @@ bench-compare:
 # bench-smoke is the fast sanity slice CI runs on every push: the smoke
 # scenarios, then one iteration of the wall-clock benchmarks — the
 # kernel ones keep the real engine compiling and running, VirtualServed
-# checks the served programs' makespans on the virtual engine.
+# checks the served programs' makespans on the virtual engine, and
+# ServedRetained fails when a terminal run keeps more than 4 kB of heap.
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -reps 2 -o /tmp/BENCH_smoke.json
-	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd|VirtualServed' -benchtime=1x . ./internal/machine/
+	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd|VirtualServed|ServedRetained' -benchtime=1x . ./internal/machine/
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).

@@ -119,10 +119,11 @@ func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
 
 // TestJournalChainedRunRecords: a CheckpointEvery run journals submit,
 // start, one snapshot per parked restore point, terminal — and nothing
-// else.
+// else. The snapshots are restore points of a live run: once the chain is
+// done neither its terminal record nor its status carries one.
 func TestJournalChainedRunRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
-	s, _ := newTestServer(t, serverConfig{JournalPath: path, JournalSync: journal.SyncNone})
+	s, ts := newTestServer(t, serverConfig{JournalPath: path, JournalSync: journal.SyncNone})
 	id := submitInProcess(t, s,
 		`{"program": "doall I = 1..64 { work 20 }", "options": {"procs": 2, "scheme": "ss", "checkpoint_every": 8}}`)
 	drainServer(t, s)
@@ -138,6 +139,20 @@ func TestJournalChainedRunRecords(t *testing.T) {
 	want = append(want, kindTerminal)
 	if got := journalKinds(t, path)[id]; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("chained run journaled kinds %v, want %v (Snapshots() = %d)", got, want, n)
+	}
+	recs, err := journal.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var term, status map[string]any
+	if err := json.Unmarshal(recs[len(recs)-1].Data, &term); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, ts.URL+"/v1/runs/"+id, &status)
+	for name, got := range map[string]map[string]any{"terminal record": term, "status": status} {
+		if _, ok := got["checkpoint"]; ok || got["state"] != "done" {
+			t.Errorf("%s of a done chain = %v, want state done and no checkpoint", name, got)
+		}
 	}
 }
 

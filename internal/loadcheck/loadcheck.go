@@ -67,6 +67,10 @@ type Stream struct {
 	// daemon's failover-restore-point cadence. The goals then measure
 	// what the snapshot machinery costs the serving path.
 	CheckpointEvery int64
+	// Window, when positive, makes the stream a closed loop: a submission
+	// waits until the run admitted Window submissions earlier is terminal,
+	// so a long stream never outruns the class's backlog.
+	Window int
 }
 
 // FairnessGoal asserts the dispatch-order share between two tenants
@@ -91,6 +95,11 @@ type Goals struct {
 	// MaxBytesPerRun caps allocated bytes (runtime TotalAlloc delta)
 	// per completed run.
 	MaxBytesPerRun int64
+	// MaxRetainedBytesPerRun caps the heap still in use per completed
+	// run once everything has drained (HeapAlloc delta, both sides
+	// after two collections, the Runner and its run registry still
+	// reachable): what a terminal run keeps for as long as it is served.
+	MaxRetainedBytesPerRun int64
 	// MaxShed caps admission rejections; -1 means shedding is expected
 	// and unbounded, 0 (the zero value) means none tolerated.
 	MaxShed int
@@ -120,6 +129,9 @@ type Report struct {
 	Throughput float64
 	// BytesPerRun is allocated bytes per completed run.
 	BytesPerRun int64
+	// RetainedBytesPerRun is heap still in use per completed run after
+	// the drain.
+	RetainedBytesPerRun int64
 	// TenantIters is completed iterations by tenant over the fairness
 	// window (the whole run set when no fairness goal is declared).
 	TenantIters map[string]int64
@@ -136,6 +148,9 @@ func (r Report) Check(g Goals) []string {
 	}
 	if g.MaxBytesPerRun > 0 && r.BytesPerRun > g.MaxBytesPerRun {
 		bad = append(bad, fmt.Sprintf("memory %d B/run over goal %d", r.BytesPerRun, g.MaxBytesPerRun))
+	}
+	if g.MaxRetainedBytesPerRun > 0 && r.RetainedBytesPerRun > g.MaxRetainedBytesPerRun {
+		bad = append(bad, fmt.Sprintf("retained %d B/run over goal %d", r.RetainedBytesPerRun, g.MaxRetainedBytesPerRun))
 	}
 	if g.MaxShed >= 0 && r.Shed > g.MaxShed {
 		bad = append(bad, fmt.Sprintf("shed %d submissions, goal allows %d", r.Shed, g.MaxShed))
@@ -198,14 +213,15 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		defer release()
 	}
 
-	var ms0 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
+	ms0 := settledMemStats()
 	start := time.Now()
 
 	rep := Report{Case: c.Name, Class: c.Class, TenantIters: map[string]int64{}}
 	var runs []*runner.Run
 	submit := func(st Stream) error {
+		if w := st.Window; w > 0 && len(runs) >= w {
+			<-runs[len(runs)-w].Done()
+		}
 		r, err := rn.Submit(runner.Submission{
 			Program:         progs[st.Iters],
 			Options:         repro.Options{Procs: class.Procs},
@@ -258,6 +274,9 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	elapsed := time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
+	// rn and runs are both used below: every terminal run is still
+	// reachable the way a serving daemon's registry keeps it.
+	retained := int64(settledMemStats().HeapAlloc) - int64(ms0.HeapAlloc)
 
 	// Fairness is a dispatch-order property: reconstruct the dispatch
 	// sequence from per-run start times and account the goal window
@@ -287,6 +306,7 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	rep.Throughput = float64(rep.Completed) / elapsed.Seconds()
 	if rep.Completed > 0 {
 		rep.BytesPerRun = int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(rep.Completed)
+		rep.RetainedBytesPerRun = retained / int64(rep.Completed)
 	}
 	if f := c.Goals.Fairness; f != nil {
 		a := rep.TenantIters[tenantKey(f.Tenants[0])]
@@ -296,6 +316,17 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// settledMemStats reads the allocator's figures after two collections:
+// the second one sweeps what the first one's finalizers and cleared
+// pools released, so HeapAlloc is what is reachable.
+func settledMemStats() runtime.MemStats {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms
 }
 
 // holdSlots occupies every worker slot of the class with an anonymous

@@ -18,9 +18,9 @@ func TestCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s@%s: %d submitted, %d completed, %d shed, %.1f runs/s, %d B/run, iters %v",
+			t.Logf("%s@%s: %d submitted, %d completed, %d shed, %.1f runs/s, %d B/run, %d B/run retained, iters %v",
 				rep.Case, rep.Class, rep.Submitted, rep.Completed, rep.Shed,
-				rep.Throughput, rep.BytesPerRun, rep.TenantIters)
+				rep.Throughput, rep.BytesPerRun, rep.RetainedBytesPerRun, rep.TenantIters)
 			for _, v := range rep.Check(c.Goals) {
 				t.Error(v)
 			}

@@ -367,7 +367,9 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		SchemeName:  rep.Scheme,
 		Procs:       eng.NumProcs(),
 		Trace:       log,
-		prog:        p,
+	}
+	if log != nil {
+		res.prog = p // for GanttChart only: a kept Result must not pin the Program
 	}
 	if ve, ok := eng.(*vmachine.Engine); ok {
 		for _, h := range ve.HotSpots(10) {

@@ -3,7 +3,9 @@ package repro
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func quickNest() *Nest {
@@ -145,6 +147,46 @@ func TestSingleListAndDispatchOptions(t *testing.T) {
 	}
 	if res.Stats.DispatchTime == 0 {
 		t.Error("dispatch cost not applied")
+	}
+}
+
+// TestResultWithoutTraceReleasesProgram: GanttChart is the only reader
+// of a Result's Program, and it needs a trace — so a Result kept without
+// one (every served run's) must not keep the compiled program alive.
+func TestResultWithoutTraceReleasesProgram(t *testing.T) {
+	var freed atomic.Bool
+	run := func(opts Options) *Result {
+		prog, err := Compile(quickNest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(prog, func(*Program) { freed.Store(true) })
+		res, err := prog.Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	collected := func() bool {
+		for i := 0; i < 100 && !freed.Load(); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		return freed.Load()
+	}
+	res := run(Options{Procs: 2})
+	if !collected() {
+		t.Error("a Result without a trace keeps its Program alive")
+	}
+	runtime.KeepAlive(res)
+
+	freed.Store(false)
+	traced := run(Options{Procs: 2, CollectTrace: true})
+	if collected() {
+		t.Error("a traced Result's Program was collected while the Result is held")
+	}
+	if traced.GanttChart(40) == "" {
+		t.Error("GanttChart of a traced Result is empty")
 	}
 }
 

@@ -51,6 +51,12 @@ func TestCheckpointEveryChainCompletes(t *testing.T) {
 	if st := r.State(); st != StateDone {
 		t.Fatalf("state = %v, want done", st)
 	}
+	// The periodic snapshots are restore points of a live run: a chain
+	// that finished has nothing to resume, and must not pin (or report,
+	// or journal) its last leg's.
+	if ck := r.Checkpoint(); ck != nil {
+		t.Errorf("done chain still parks a checkpoint (%d snapshots taken)", r.Snapshots())
+	}
 	f, g := refRes.Stats, got.Stats
 	if g.Iterations != f.Iterations || g.Chunks != f.Chunks || g.Instances != f.Instances ||
 		g.Exits != f.Exits {
@@ -172,6 +178,9 @@ func TestCheckpointEveryPreemption(t *testing.T) {
 	}
 	if got.Stats.Iterations != bound {
 		t.Errorf("preempted chain executed %d iterations, want exactly %d", got.Stats.Iterations, bound)
+	}
+	if low.Checkpoint() != nil {
+		t.Error("done preempted chain still parks a checkpoint")
 	}
 	if st := rn.Stats(); st.Preempted > 0 {
 		// Preemption landed (it can race a fast chain's completion; the

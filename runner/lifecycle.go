@@ -273,8 +273,14 @@ func (rn *Runner) pickVictimLocked(r *Run) *Run {
 // context, and the run restarts from scratch. Either way the body
 // returns shortly and exec requeues the run.
 func (r *Run) preempt() {
-	if !r.RequestCheckpoint() {
-		r.cancelAttempt()
+	if r.RequestCheckpoint() {
+		return
+	}
+	r.rn.mu.Lock()
+	cancel := r.cancelAttempt
+	r.rn.mu.Unlock()
+	if cancel != nil { // nil: the victim finished first
+		cancel()
 	}
 }
 
@@ -371,8 +377,24 @@ func (r *Run) finalizeLocked(res *repro.Result, err error) {
 		rn.stalled-- // the diagnostic stays on the run; it is no longer live
 	}
 	r.finished = time.Now()
-	r.cancelCtx() // release the context's resources
-	r.body = nil  // and the program and options the body holds
+	// Terminal is where a run lets go of its machine: the contexts, the
+	// program and options its body holds, the executor behind the probe
+	// (its counters read first when no result carries them) and, done,
+	// the restore point of a chain with nothing left to resume.
+	r.cancelCtx()
+	r.ctx, r.cancelCtx, r.attemptCtx, r.cancelAttempt, r.body = nil, nil, nil, nil, nil
+	if lv := r.probe.Swap(nil); res != nil {
+		r.final = &res.Stats
+	} else if lv != nil {
+		sn := (*lv).LiveStats()
+		r.final = &sn
+	}
+	if state == StateDone {
+		r.ckpt.Store(nil)
+	}
+	if r.startedCh = nil; !r.started.IsZero() {
+		r.startedCh = r.done
+	}
 	last := rn.live[len(rn.live)-1]
 	rn.live[r.liveAt], last.liveAt = last, r.liveAt
 	rn.live = rn.live[:len(rn.live)-1]

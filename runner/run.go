@@ -25,10 +25,10 @@ type Run struct {
 	// fill with fakes. Nil once the run is terminal.
 	body func(ctx context.Context) (*repro.Result, error)
 
-	ctx       context.Context
-	cancelCtx context.CancelFunc
-	done      chan struct{}
+	done chan struct{}
 
+	// probe is the current attempt's executor; the Terminal transition
+	// drops it (a finished run keeps its outcome, not its machine).
 	probe atomic.Pointer[repro.Live]
 	ckpt  atomic.Pointer[repro.Checkpoint]
 	// yield distinguishes "someone wants this run to stop at its next
@@ -46,15 +46,20 @@ type Run struct {
 	finished  time.Time
 	result    *repro.Result
 	err       error
-	liveAt    int // index in rn.live while the run is live
+	// final is the counters a terminal run reports: its result's, or what
+	// the Terminal transition read off the executor when there is none.
+	final  *core.Snapshot
+	liveAt int // index in rn.live while the run is live
 	// startedCh is closed when an attempt begins; a preempted run gets a
-	// fresh channel for its next attempt (so it is guarded here, not
-	// immutable like done).
+	// fresh one for its next attempt (so it is guarded here, not immutable
+	// like done). Terminal: done itself, or nil for a run that never started.
 	startedCh chan struct{}
-	// attemptCtx/cancelAttempt scope the current dispatch: a preemption
-	// cancels the attempt, a user Cancel cancels ctx (and with it every
-	// attempt). attempts counts dispatches; preempting marks a run whose
-	// eviction is in flight.
+	// ctx/cancelCtx span the run, attemptCtx/cancelAttempt the current
+	// dispatch: a preemption cancels the attempt, a user Cancel cancels ctx
+	// (and with it every attempt); all nil once terminal. attempts counts
+	// dispatches; preempting marks a run whose eviction is in flight.
+	ctx           context.Context
+	cancelCtx     context.CancelFunc
 	attemptCtx    context.Context
 	cancelAttempt context.CancelFunc
 	attempts      int
@@ -111,10 +116,13 @@ func (r *Run) Cancel() {
 	if r.state == StateQueued {
 		r.finalizeLocked(nil, context.Canceled)
 	}
+	cancel := r.cancelCtx
 	r.rn.mu.Unlock()
 	// For a running run, cancelling outside the lock lets the body's
 	// drain path call back into the Runner freely.
-	r.cancelCtx()
+	if cancel != nil {
+		cancel()
+	}
 }
 
 // RequestCheckpoint asks a running checkpointable run to pause at its
@@ -146,7 +154,8 @@ func (r *Run) RequestCheckpoint() bool {
 // finalized as StateCheckpointed, for a checkpointable run that failed
 // with repro.ErrBudgetExceeded (resubmit it with Options.Resume and a
 // fresh budget), and — continuously, while the run is still live — the
-// latest periodic snapshot of a CheckpointEvery chain. Nil otherwise.
+// latest periodic snapshot of a CheckpointEvery chain. Nil otherwise: a
+// chain that finished done has nothing left to resume.
 func (r *Run) Checkpoint() *repro.Checkpoint { return r.ckpt.Load() }
 
 // Snapshots returns how many periodic snapshots a CheckpointEvery
@@ -211,13 +220,17 @@ func (r *Run) Wait(ctx context.Context) (*repro.Result, error) {
 	}
 }
 
-// Progress samples the run's live counters into one snapshot. It is
-// safe to call at any time from any goroutine.
+// Progress samples the run's counters into one snapshot: live from the
+// executor while the run is in flight, afterwards from its Result (or,
+// with none, from what its Terminal transition last read). It is safe to
+// call at any time from any goroutine.
 func (r *Run) Progress() Progress {
 	p := Progress{ID: r.id, Label: r.label, Tenant: r.tenant}
 	r.rn.mu.Lock()
 	st, started, finished, err := r.state, r.started, r.finished, r.err
 	p.Stuck = r.stuck
+	// Under the lock: no sample pairs a live state with a dropped probe.
+	lv, sn := r.probe.Load(), r.final
 	r.rn.mu.Unlock()
 	p.State = st.String()
 	if !started.IsZero() {
@@ -227,8 +240,11 @@ func (r *Run) Progress() Progress {
 		}
 		p.Elapsed = end.Sub(started)
 	}
-	if lv := r.probe.Load(); lv != nil {
-		sn := (*lv).LiveStats()
+	if lv != nil {
+		live := (*lv).LiveStats()
+		sn = &live
+	}
+	if sn != nil {
 		p.Instances = sn.Instances
 		p.InstancesDone = sn.Exits
 		p.Iterations = sn.Iterations
