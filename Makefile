@@ -58,7 +58,10 @@ verify:
 # the three-node cluster chaos suite, loadcheck, the journal decoder's
 # fuzz seed corpus, the auto-vs-static gate on the irregular family —
 # then the runner's randomized event storms fifty times over (they were
-# flaky once: a census race shows in about 3 runs of 100), and one run
+# flaky once: a census race shows in about 3 runs of 100), the
+# three-node cold start on real sockets twenty times over (every node
+# placeable on every other within half a probe interval of the last
+# listener — the figure serve_cluster3's setup_s rests on), and one run
 # of the whole registry compared bit-for-bit against the committed
 # baseline: every seam must cost nothing, and change nothing, when off
 # (adaptive scenarios are exempt from cross-file bit-identity; the
@@ -66,5 +69,6 @@ verify:
 verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
+	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
 	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) /tmp/BENCH_gates.json

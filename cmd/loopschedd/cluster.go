@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,14 +23,13 @@ import (
 // from a peer, not a client). Internal submissions may carry a
 // caller-chosen run ID and resolve their tenant from tenantHeader —
 // the placing node already authenticated the client. The marker is
-// only honored when clusterAuthHeader carries the cluster's shared
-// secret: peers and clients share one listener, so without the secret
-// any client could set these headers and impersonate a tenant or mint
-// run IDs.
+// only honored on a call that carries the cluster's shared secret
+// (cluster.AuthHeader, stamped by the RPC client): peers and clients
+// share one listener, so without the secret any client could set these
+// headers and impersonate a tenant or mint run IDs.
 const (
-	internalHeader    = "X-Loopschedd-Internal"
-	tenantHeader      = "X-Loopschedd-Tenant"
-	clusterAuthHeader = "X-Loopschedd-Cluster-Auth"
+	internalHeader = "X-Loopschedd-Internal"
+	tenantHeader   = "X-Loopschedd-Tenant"
 )
 
 // clusterOptions is the daemon-side cluster configuration; a zero Node
@@ -47,9 +45,9 @@ type clusterOptions struct {
 	// traffic share a listener, and without a secret the internal-call
 	// headers would be client-spoofable.
 	Secret string
-	// ProbeInterval is the membership health-probe period (default
-	// 500ms); SuspectAfter/DeadAfter are the consecutive-failure counts
-	// for the state demotions (defaults 1/3).
+	// ProbeInterval spaces the membership's counted health probes
+	// (default 500ms); SuspectAfter/DeadAfter are how many of them in a
+	// row must meet silence for the state demotions (defaults 1/3).
 	ProbeInterval time.Duration
 	SuspectAfter  int
 	DeadAfter     int
@@ -112,6 +110,8 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 		return nil, errors.New("cluster: a shared secret is required (-cluster-secret or the cluster file's \"secret\"); without one, intra-cluster headers would be client-spoofable")
 	}
 	client := cluster.NewClient(cluster.ClientConfig{
+		Node:    opts.Node,
+		Secret:  opts.Secret,
 		Timeout: opts.RPCTimeout,
 		Faults:  opts.Faults,
 	})
@@ -137,6 +137,7 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 			return st.Running + st.QueueDepth
 		},
 		LocalDraining: func() bool { return s.draining.Load() },
+		Metrics:       s.reg,
 	})
 	if err != nil {
 		return nil, err
@@ -146,11 +147,10 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 	return c, nil
 }
 
-// start probes once (so placement has state before the first tick),
-// restores replayed placements, and launches the probe loop and the
-// placement tracker.
+// start restores replayed placements and launches the membership's
+// probes and the placement tracker. Nothing is placeable until a peer
+// has answered; submissions that arrive before then run locally.
 func (c *clusterState) start(replayed []*placement) {
-	c.mem.Probe(c.ctx)
 	for _, p := range replayed {
 		c.adopt(p)
 	}
@@ -173,12 +173,11 @@ func (c *clusterState) close() {
 	<-c.tracked
 }
 
-// internalHdr builds the headers for an intra-cluster call, including
-// the shared-secret credential peers verify.
+// internalHdr builds the headers for an intra-cluster call; the client
+// adds the shared-secret credential peers verify.
 func (c *clusterState) internalHdr(tenant string) http.Header {
 	h := http.Header{}
 	h.Set(internalHeader, "1")
-	h.Set(clusterAuthHeader, c.opts.Secret)
 	if tenant != "" {
 		h.Set(tenantHeader, tenant)
 	}
@@ -195,8 +194,8 @@ func (s *server) isInternal(r *http.Request) bool {
 	if c == nil || r.Header.Get(internalHeader) != "1" {
 		return false
 	}
-	return subtle.ConstantTimeCompare(
-		[]byte(r.Header.Get(clusterAuthHeader)), []byte(c.opts.Secret)) == 1
+	_, ok := c.client.Sender(r)
+	return ok
 }
 
 // placementID mints the run ID for a placement on target: the owner's

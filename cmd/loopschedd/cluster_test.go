@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -110,6 +111,9 @@ func startClusterSampling(t *testing.T, n int, dir string, faults *cluster.NetIn
 		tc.srvs = append(tc.srvs, s)
 		tc.handlers[i].Store(s)
 	}
+	// Nothing is placed on a peer before it has answered a probe, so a
+	// test that expects remote placement waits for the fact first.
+	awaitPlaceable(t, tc.srvs, time.Now().Add(30*time.Second))
 	t.Cleanup(func() {
 		// Servers first: each close stops that node's prober before any
 		// listener drops, so teardown never masquerades as node death.
@@ -128,6 +132,31 @@ func startClusterSampling(t *testing.T, n int, dir string, faults *cluster.NetIn
 }
 
 func (tc *testCluster) url(i int) string { return tc.https[i].URL }
+
+// awaitPlaceable blocks until each of srvs holds every one of them
+// placeable, and fails the test if that has not happened by deadline.
+func awaitPlaceable(t *testing.T, srvs []*server, deadline time.Time) {
+	t.Helper()
+	for _, s := range srvs {
+		for placeableNodes(s) != len(srvs) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s holds %d of %d nodes placeable: %+v",
+					s.cluster.self.Name, placeableNodes(s), len(srvs), s.cluster.mem.Nodes())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+func placeableNodes(s *server) int {
+	n := 0
+	for _, row := range s.cluster.mem.Nodes() {
+		if row.Placeable() {
+			n++
+		}
+	}
+	return n
+}
 
 // kill is node death: the listener drops with every in-flight
 // connection, so peers see transport failures, not clean errors. The
@@ -668,11 +697,11 @@ func TestClusterSpoofedInternalRejected(t *testing.T) {
 	if tenant, _ := tc.srvs[0].resolveTenant(treq); tenant == "spoofed" {
 		t.Fatal("tenant header honored without the cluster secret")
 	}
-	treq.Header.Set(clusterAuthHeader, testClusterSecret)
+	treq.Header.Set(cluster.AuthHeader, testClusterSecret)
 	if tenant, err := tc.srvs[0].resolveTenant(treq); err != nil || tenant != "spoofed" {
 		t.Fatalf("authenticated internal call resolved tenant %q (err %v), want the forwarded tenant", tenant, err)
 	}
-	treq.Header.Set(clusterAuthHeader, "wrong-secret")
+	treq.Header.Set(cluster.AuthHeader, "wrong-secret")
 	if tenant, _ := tc.srvs[0].resolveTenant(treq); tenant == "spoofed" {
 		t.Fatal("tenant header honored with a wrong cluster secret")
 	}
@@ -746,5 +775,86 @@ func TestClusterPlacementRetryIsIdempotent(t *testing.T) {
 	getJSON(t, tc.url(0)+"/v1/runs", &runs)
 	if len(runs) != 1 {
 		t.Fatalf("owner hosts %d runs after a retried forward, want 1 (%v)", len(runs), runs)
+	}
+}
+
+// TestClusterColdStart boots three nodes one after another on real
+// sockets with the default probe settings, the way three daemons start:
+// listener, server, serve. While a peer's listener is down its probes
+// are refused; every node must still hold all three placeable well
+// inside one probe interval of the last listener coming up — membership
+// converges on the hellos, not on the ticker — and must hold no peer
+// placeable before that peer has answered.
+func TestClusterColdStart(t *testing.T) {
+	const interval = 500 * time.Millisecond // the -probe-interval default
+	names := []string{"n1", "n2", "n3"}
+	addrs := make([]string, len(names))
+	specs := make([]string, len(names))
+	for i, name := range names {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		specs[i] = name + "=http://" + addrs[i]
+		ln.Close() // the address is only reserved: nothing listens until the node boots
+	}
+	var srvs []*server
+	var lastListener time.Time
+	for i, name := range names {
+		opts, err := clusterFlags(name, strings.Join(specs, ","), "", testClusterSecret, 0, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastListener = time.Now()
+		s, err := newServer(serverConfig{MaxConcurrent: 2, Cluster: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: s}
+		go hs.Serve(ln)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			s.close(ctx)
+			hs.Close()
+		})
+		srvs = append(srvs, s)
+		for _, row := range s.cluster.mem.Nodes() {
+			if row.Placeable() && !row.Self && row.SinceAnswerMS < 0 {
+				t.Fatalf("%s holds %s placeable before it ever answered: %+v", name, row.Peer.Name, row)
+			}
+		}
+		// A daemon's launcher waits for /readyz before starting the next.
+		resp, err := http.Get("http://" + addrs[i] + "/readyz")
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /readyz: %v %v", name, resp, err)
+		}
+		resp.Body.Close()
+	}
+	awaitPlaceable(t, srvs, lastListener.Add(interval/2))
+	// /v1/cluster says how each row is known, not only what it says.
+	var info struct {
+		Nodes []struct {
+			Self    bool   `json:"self"`
+			Breaker string `json:"breaker"`
+			Since   *int64 `json:"since_answer_ms"`
+		} `json:"nodes"`
+	}
+	getJSON(t, "http://"+addrs[0]+"/v1/cluster", &info)
+	for _, n := range info.Nodes {
+		if !n.Self && (n.Breaker != "closed" || n.Since == nil || *n.Since < 0 || *n.Since > interval.Milliseconds()) {
+			t.Errorf("/v1/cluster peer row: breaker %q, since_answer_ms %v; want closed and an answer inside the last interval", n.Breaker, n.Since)
+		}
+	}
+	var sb strings.Builder
+	srvs[0].reg.WriteProm(&sb)
+	if !strings.Contains(sb.String(), `loopschedd_cluster_peer_state{peer="n3"} 1`) ||
+		strings.Contains(sb.String(), `loopschedd_cluster_probes_counted_total{outcome="silent"}`) {
+		t.Errorf("n1's /metrics after a rolling start should show n3 alive and no counted miss:\n%s", sb.String())
 	}
 }

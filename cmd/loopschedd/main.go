@@ -25,9 +25,11 @@
 //	                             carries the node's load (and draining
 //	                             flag) in headers for cluster probes
 //	GET  /v1/cluster             membership view: every node's observed
-//	                             state, load and draining flag, plus the
-//	                             local placement count (404 when
-//	                             clustering is off)
+//	                             state, load and draining flag, the
+//	                             breaker to it and the ms since it last
+//	                             answered a probe, plus the local
+//	                             placement count (404 when clustering is
+//	                             off)
 //	GET  /stats                  service census: queue depth, running/
 //	                             done/failed/cancelled/stalled counts,
 //	                             per-tenant rows, uptime
@@ -36,7 +38,10 @@
 //	                             over finished runs (iterations,
 //	                             instances, searches, busy time, sync
 //	                             accesses), per-tenant counters, live
-//	                             queue gauges, uptime
+//	                             queue gauges, uptime, and on a clustered
+//	                             node the membership series (peer and
+//	                             breaker state, probes by outcome, state
+//	                             transitions, boot-to-converged seconds)
 //
 // With -journal FILE the daemon appends every submission and lifecycle
 // transition to a durable append-only journal; on the next boot, runs
@@ -69,13 +74,20 @@
 // idempotent: the placing node mints the run ID and resends it on
 // every retry, so a forward whose first attempt timed out after the
 // owner created the run dedupes (409) instead of executing twice.
-// Nodes probe
-// each other's /readyz every -probe-interval through a hardened RPC
-// client — per-attempt deadlines (-rpc-timeout), bounded retries with
-// exponential backoff and jitter, and a per-peer circuit breaker — and
-// a peer that misses -dead-after consecutive probes is declared dead:
-// every run placed on it is re-placed on a survivor, resuming from its
-// last journaled snapshot (clustered submissions snapshot every
+// Data
+// calls between nodes go through a hardened RPC client — per-attempt
+// deadlines (-rpc-timeout), bounded retries with exponential backoff
+// and jitter, and a per-peer circuit breaker. Membership converges on
+// evidence: a node probes every peer's /readyz the moment it boots, a
+// peer that receives a call from a node it does not hold alive probes
+// it straight back, and a silent peer is re-probed on a short backoff —
+// so a cluster is placeable one round trip after its last listener is
+// up. Death is judged on the -probe-interval grid alone: a peer is
+// declared dead once -dead-after interval-spaced probes in a row have
+// met silence (an HTTP answer of any status is not silence, and neither
+// a shed call nor an out-of-cycle probe counts), and every run placed
+// on it is then re-placed on a survivor, resuming from its last
+// journaled snapshot (clustered submissions snapshot every
 // -checkpoint-every chunk claims). A partitioned or draining node
 // degrades gracefully: it keeps serving the runs it owns and runs new
 // submissions locally instead of failing them. Pair clustering with
@@ -97,6 +109,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -163,26 +176,26 @@ func clusterFlags(node, peers, path, secret string, probe, rpcTimeout time.Durat
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		maxConcurrent  = flag.Int("max-concurrent", 4, "maximum runs executing at once")
-		queueLimit     = flag.Int("queue-limit", 64, "maximum queued runs (0 = unbounded)")
-		sample         = flag.Duration("sample", 200*time.Millisecond, "progress sampling interval")
-		defaultTimeout = flag.Duration("default-timeout", 0, "timeout applied to runs that specify none (0 = none)")
-		maxBodyBytes   = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes")
-		watchdog       = flag.Duration("watchdog", 0, "declare a run stuck after this long without scheduling progress (0 = off)")
-		watchdogCancel = flag.Bool("watchdog-cancel", false, "cancel runs the watchdog declares stuck")
-		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
-		journalPath    = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
-		journalSync    = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
-		scheduler      = flag.String("scheduler", "fifo", "dispatch policy: "+strings.Join(runner.SchedulerNames(), " or "))
-		tenantsPath    = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
-		node           = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
-		peers          = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")
-		clusterPath    = flag.String("cluster", "", "cluster config file: {\"self\": \"n1\", \"secret\": \"...\", \"peers\": {\"n1\": \"http://...\", ...}} (alternative to -node/-peers)")
-		clusterSecret  = flag.String("cluster-secret", "", "shared secret authenticating intra-cluster calls (required with -peers; overrides the cluster file's)")
-		probeInterval  = flag.Duration("probe-interval", 500*time.Millisecond, "cluster health-probe period")
-		rpcTimeout     = flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline on intra-cluster requests")
-		deadAfter      = flag.Int("dead-after", 3, "consecutive missed probes before a peer is declared dead and failed over")
+		addr            = flag.String("addr", ":8080", "listen address")
+		maxConcurrent   = flag.Int("max-concurrent", 4, "maximum runs executing at once")
+		queueLimit      = flag.Int("queue-limit", 64, "maximum queued runs (0 = unbounded)")
+		sample          = flag.Duration("sample", 200*time.Millisecond, "progress sampling interval")
+		defaultTimeout  = flag.Duration("default-timeout", 0, "timeout applied to runs that specify none (0 = none)")
+		maxBodyBytes    = flag.Int64("max-body-bytes", 1<<20, "maximum request body size in bytes")
+		watchdog        = flag.Duration("watchdog", 0, "declare a run stuck after this long without scheduling progress (0 = off)")
+		watchdogCancel  = flag.Bool("watchdog-cancel", false, "cancel runs the watchdog declares stuck")
+		drainTimeout    = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
+		journalPath     = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
+		journalSync     = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
+		scheduler       = flag.String("scheduler", "fifo", "dispatch policy: "+strings.Join(runner.SchedulerNames(), " or "))
+		tenantsPath     = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
+		node            = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
+		peers           = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")
+		clusterPath     = flag.String("cluster", "", "cluster config file: {\"self\": \"n1\", \"secret\": \"...\", \"peers\": {\"n1\": \"http://...\", ...}} (alternative to -node/-peers)")
+		clusterSecret   = flag.String("cluster-secret", "", "shared secret authenticating intra-cluster calls (required with -peers; overrides the cluster file's)")
+		probeInterval   = flag.Duration("probe-interval", 500*time.Millisecond, "spacing of the cluster health probes that count toward -dead-after (each probe's deadline is at most this)")
+		rpcTimeout      = flag.Duration("rpc-timeout", 2*time.Second, "per-attempt deadline on intra-cluster requests")
+		deadAfter       = flag.Int("dead-after", 3, "interval-spaced probes that met silence, in a row, before a peer is declared dead and failed over")
 		checkpointEvery = flag.Int64("checkpoint-every", 0, "default periodic-snapshot period (chunk claims) applied to clustered submissions; 0 = snapshots only when a submission asks")
 	)
 	flag.Parse()
@@ -202,6 +215,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Listen before the server exists: a clustered node's first probes
+	// are its hello, and the peers that probe straight back must find the
+	// socket open (their connections wait in the backlog until Serve).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	srv, err := newServer(serverConfig{
 		MaxConcurrent:  *maxConcurrent,
 		QueueLimit:     *queueLimit,
@@ -219,7 +239,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -237,7 +257,7 @@ func main() {
 	}()
 
 	log.Printf("loopschedd listening on %s (max-concurrent %d, scheduler %s)", *addr, *maxConcurrent, *scheduler)
-	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-drained

@@ -150,7 +150,14 @@ func newServer(cfg serverConfig) (*server, error) {
 	return s, nil
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.cluster != nil {
+		// Any call from a peer is evidence it is up; membership decides
+		// whether that is news worth a probe.
+		s.cluster.mem.Hello(r)
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // handleReady reports readiness: 200 while serving, 503 once draining,
 // so a load balancer stops routing submissions before shutdown cuts

@@ -12,18 +12,24 @@
 //
 // Membership is static: the peer set comes from a flag or a cluster
 // file and never changes at runtime. What changes is each peer's
-// observed state — alive, suspect after the first failed health probe,
-// dead after DeadAfter consecutive failures — plus the load figure a
-// healthy probe reports. The suspect rung exists so one dropped probe
-// (common under injected faults) de-prioritizes a peer for placement
-// without triggering failover; only dead does that.
+// observed state — unconfirmed until it first answers a probe, alive
+// while it answers, suspect after the first interval-spaced probe met
+// with silence, dead after DeadAfter of them in a row — plus the load
+// figure an answered probe reports. Convergence does not wait for the
+// interval: a node probes at boot, a call from a peer not held alive is
+// answered with a probe of that peer, and a silent peer is re-probed on
+// a short backoff; none of these extra probes can demote anyone. The
+// suspect rung exists so one dropped probe (common under injected
+// faults) takes a peer out of placement without triggering failover;
+// only dead does that.
 //
-// Every cross-node call goes through Client: a per-attempt context
-// deadline, bounded retries with exponential backoff and jitter, and a
-// per-peer circuit breaker that stops traffic to a failing peer until a
-// cooldown expires (one half-open probe then decides). The breaker is
-// what turns "node killed" into "peers shed within one probe interval"
-// instead of every caller eating its own timeout.
+// Every cross-node data call goes through Client.Do: a per-attempt
+// context deadline, bounded retries with exponential backoff and
+// jitter, and a per-peer circuit breaker that stops traffic to a
+// failing peer until a cooldown expires (one half-open call then
+// decides) or a health probe — one attempt, never shed — finds the peer
+// answering. The breaker is what turns "node killed" into "callers shed
+// at once" instead of every caller eating its own timeout.
 package cluster
 
 import (

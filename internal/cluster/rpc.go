@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,14 @@ import (
 	"net/http"
 	"sync"
 	"time"
+)
+
+// Wire headers every intra-cluster call carries. Peers and clients share
+// one listener, so a call is a peer's only when AuthHeader holds the
+// cluster's shared secret; NodeHeader names the sender beside it.
+const (
+	AuthHeader = "X-Loopschedd-Cluster-Auth"
+	NodeHeader = "X-Loopschedd-Node"
 )
 
 // RPC client errors.
@@ -40,6 +49,11 @@ func (e *StatusError) Error() string {
 // ClientConfig configures the hardened RPC client. Zero values pick the
 // documented defaults.
 type ClientConfig struct {
+	// Node and Secret are this node's name and the cluster's shared
+	// secret: every outbound call is stamped with both, and Sender
+	// checks inbound calls against the secret. An empty Secret stamps
+	// nothing and authenticates nobody.
+	Node, Secret string
 	// Timeout bounds each attempt; every request carries a context
 	// deadline of at most this (default 2s).
 	Timeout time.Duration
@@ -119,6 +133,34 @@ func (c *Client) Breaker(peer string) *Breaker {
 		c.breakers[peer] = b
 	}
 	return b
+}
+
+// Sender authenticates an inbound request as an intra-cluster call: ok
+// when it carries the cluster's secret, node the name the sender gave
+// (a claim — any holder of the secret can make it).
+func (c *Client) Sender(r *http.Request) (node string, ok bool) {
+	if c.cfg.Secret == "" ||
+		subtle.ConstantTimeCompare([]byte(r.Header.Get(AuthHeader)), []byte(c.cfg.Secret)) != 1 {
+		return "", false
+	}
+	return r.Header.Get(NodeHeader), true
+}
+
+// Probe is one health probe of peer: a single GET /readyz under ctx's
+// deadline (and the per-attempt one). It is never retried and never
+// shed — a probe is how an open circuit learns its peer is back — but
+// its outcome is reported to the peer's breaker, so a live answer
+// closes the circuit at once. Any HTTP answer, a draining 503 included,
+// is a Response; nil is transport silence. A probe cut short by ctx's
+// cancellation reports nothing: that is the caller stopping, not the
+// peer failing.
+func (c *Client) Probe(ctx context.Context, peer Peer) *Response {
+	resp, err := c.attempt(ctx, peer, http.MethodGet, "/readyz", "GET /readyz", nil, nil)
+	if errors.Is(ctx.Err(), context.Canceled) {
+		return nil
+	}
+	c.Breaker(peer.Name).Report(err == nil)
+	return resp
 }
 
 // Do calls method path on peer. A non-nil in is JSON-encoded as the
@@ -241,6 +283,10 @@ func (c *Client) attempt(ctx context.Context, peer Peer, method, path, op string
 	}
 	for k, vs := range hdr {
 		req.Header[k] = vs
+	}
+	if c.cfg.Secret != "" {
+		req.Header.Set(AuthHeader, c.cfg.Secret)
+		req.Header.Set(NodeHeader, c.cfg.Node)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

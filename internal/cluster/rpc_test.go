@@ -94,7 +94,9 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := fastClient(t, ClientConfig{Attempts: 3})
-	var out struct{ OK bool `json:"ok"` }
+	var out struct {
+		OK bool `json:"ok"`
+	}
 	if _, err := c.Do(context.Background(), testPeer(ts), http.MethodGet, "/", nil, &out); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -276,4 +278,80 @@ func TestClientBackoffCancelDoesNotLeakProbe(t *testing.T) {
 		t.Fatal("half-open probe leaked: the breaker permanently sheds the peer")
 	}
 	c.Breaker(testPeer(ts).Name).Report(false)
+}
+
+// A probe is one attempt that an open breaker does not shed — it is how
+// the circuit learns the peer is back — and whose answer closes it.
+func TestClientProbeBypassesAndFeedsBreaker(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+	c := fastClient(t, ClientConfig{Attempts: 3, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	dead := Peer{Name: "peer", URL: "http://127.0.0.1:1"}
+	for i := 0; i < 2; i++ {
+		if resp := c.Probe(context.Background(), dead); resp != nil {
+			t.Fatalf("probe of a closed port answered %+v", resp)
+		}
+	}
+	if st := c.Breaker("peer").State(); st != BreakerOpen {
+		t.Fatalf("breaker %v after two silent probes at threshold 2, want open", st)
+	}
+	if _, err := c.Do(context.Background(), testPeer(ts), http.MethodGet, "/", nil, nil); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("data call through an open breaker: %v, want ErrPeerDown", err)
+	}
+	// The peer is back (same name, live address): one probe, one attempt
+	// even on a 503, and the data path is open at once.
+	resp := c.Probe(context.Background(), testPeer(ts))
+	if resp == nil || resp.Status != http.StatusServiceUnavailable || calls.Load() != 1 {
+		t.Fatalf("probe through an open breaker: %+v after %d request(s), want the 503 after one", resp, calls.Load())
+	}
+	if st := c.Breaker("peer").State(); st != BreakerClosed {
+		t.Fatalf("breaker %v after an answered probe, want closed", st)
+	}
+	// A probe its caller cancels says nothing about the peer.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 3; i++ {
+		c.Probe(ctx, dead)
+	}
+	if st := c.Breaker("peer").State(); st != BreakerClosed {
+		t.Fatalf("breaker %v after cancelled probes, want closed", st)
+	}
+}
+
+// Every call carries the sender's name and the shared secret, and Sender
+// accepts exactly the calls that carry the secret.
+func TestClientStampsAndAuthenticatesSender(t *testing.T) {
+	c := fastClient(t, ClientConfig{Node: "n2", Secret: "s3cret"})
+	seen := make(chan *http.Request, 2) // one probe, one data call
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Clone(context.Background())
+	}))
+	defer ts.Close()
+	c.Probe(context.Background(), testPeer(ts))
+	if _, err := c.DoHeader(context.Background(), testPeer(ts), http.MethodGet, "/x", http.Header{"X-Extra": {"1"}}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		r := <-seen
+		if node, ok := c.Sender(r); !ok || node != "n2" {
+			t.Errorf("Sender(%s) = %q, %v; want n2, true", r.URL.Path, node, ok)
+		}
+	}
+	forged := httptest.NewRequest(http.MethodGet, "/readyz", nil)
+	forged.Header.Set(NodeHeader, "n2")
+	if _, ok := c.Sender(forged); ok {
+		t.Error("a request without the secret authenticated")
+	}
+	forged.Header.Set(AuthHeader, "guess")
+	if _, ok := c.Sender(forged); ok {
+		t.Error("a request with a wrong secret authenticated")
+	}
+	forged.Header.Set(AuthHeader, "")
+	if _, ok := NewClient(ClientConfig{}).Sender(forged); ok {
+		t.Error("a client without a secret authenticated an empty credential")
+	}
 }

@@ -195,6 +195,10 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type gauge struct {
 	name, help string
 	fn         func() float64
+	// label and vec make a labeled family: vec returns label value →
+	// sample at render time.
+	label string
+	vec   func() map[string]float64
 }
 
 // NewRegistry returns an empty registry.
@@ -277,10 +281,7 @@ func (v *CounterVec) Values() map[string]int64 {
 // sample line per label value, sorted for stable output.
 func (v *CounterVec) promBlock() string {
 	var sb strings.Builder
-	if v.help != "" {
-		fmt.Fprintf(&sb, "# HELP %s %s\n", v.name, v.help)
-	}
-	fmt.Fprintf(&sb, "# TYPE %s counter\n", v.name)
+	promHeader(&sb, v.name, v.help, "counter")
 	v.mu.Lock()
 	vals := make([]string, 0, len(v.kids))
 	for k := range v.kids {
@@ -308,6 +309,40 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 	r.gauges = append(r.gauges, gauge{name: name, help: help, fn: fn})
 }
 
+// GaugeVec registers a callback gauge family distinguished by one
+// low-cardinality label (a peer name, not a run ID): fn is evaluated at
+// render time and returns label value → sample. Registering a name
+// twice panics.
+func (r *Registry) GaugeVec(name, help, label string, fn func() map[string]float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.byName[name] {
+		panic(fmt.Sprintf("obs: metric %q already registered", name))
+	}
+	r.byName[name] = true
+	r.gauges = append(r.gauges, gauge{name: name, help: help, label: label, vec: fn})
+}
+
+// promBlock renders the gauge: one unlabeled sample, or for a family
+// one sample per label value, sorted for stable output.
+func (g gauge) promBlock() string {
+	if g.vec == nil {
+		return promLine(g.name, g.help, "gauge", g.fn())
+	}
+	var sb strings.Builder
+	promHeader(&sb, g.name, g.help, "gauge")
+	vals := g.vec()
+	keys := make([]string, 0, len(vals))
+	for k := range vals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "%s{%s=%q} %g\n", g.name, g.label, k, vals[k])
+	}
+	return sb.String()
+}
+
 // WriteProm renders the registry in the Prometheus text exposition
 // format, metrics sorted by name.
 func (r *Registry) WriteProm(sb *strings.Builder) {
@@ -323,7 +358,7 @@ func (r *Registry) WriteProm(sb *strings.Builder) {
 		entries = append(entries, entry{v.name, v.promBlock()})
 	}
 	for _, g := range r.gauges {
-		entries = append(entries, entry{g.name, promLine(g.name, g.help, "gauge", g.fn())})
+		entries = append(entries, entry{g.name, g.promBlock()})
 	}
 	r.mu.Unlock()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
@@ -332,12 +367,16 @@ func (r *Registry) WriteProm(sb *strings.Builder) {
 	}
 }
 
+func promHeader(sb *strings.Builder, name, help, typ string) {
+	if help != "" {
+		fmt.Fprintf(sb, "# HELP %s %s\n", name, help)
+	}
+	fmt.Fprintf(sb, "# TYPE %s %s\n", name, typ)
+}
+
 func promLine(name, help, typ string, v float64) string {
 	var sb strings.Builder
-	if help != "" {
-		fmt.Fprintf(&sb, "# HELP %s %s\n", name, help)
-	}
-	fmt.Fprintf(&sb, "# TYPE %s %s\n", name, typ)
+	promHeader(&sb, name, help, typ)
 	if v == float64(int64(v)) {
 		fmt.Fprintf(&sb, "%s %d\n", name, int64(v))
 	} else {

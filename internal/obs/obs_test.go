@@ -113,6 +113,9 @@ func TestRegistryProm(t *testing.T) {
 	}
 	r.Gauge("queue_depth", "queued runs", func() float64 { return 2 })
 	r.Gauge("ratio", "", func() float64 { return 0.5 })
+	r.GaugeVec("peer_state", "state by peer", "peer", func() map[string]float64 {
+		return map[string]float64{"n3": 1, "n2": 0.5}
+	})
 	var sb strings.Builder
 	r.WriteProm(&sb)
 	out := sb.String()
@@ -120,6 +123,7 @@ func TestRegistryProm(t *testing.T) {
 		"# HELP runs_total total runs\n# TYPE runs_total counter\nruns_total 3\n",
 		"# TYPE queue_depth gauge\nqueue_depth 2\n",
 		"# TYPE ratio gauge\nratio 0.5\n",
+		"# HELP peer_state state by peer\n# TYPE peer_state gauge\npeer_state{peer=\"n2\"} 0.5\npeer_state{peer=\"n3\"} 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q; got:\n%s", want, out)
