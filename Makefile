@@ -3,14 +3,13 @@ GO ?= go
 # The deterministic ledger's knobs (wall clock is bench/'s ledger —
 # BENCHMARK.json, `bash bench/run.sh`). BENCH_OUT is where `make bench`
 # writes its result file; BENCH_BASE is the baseline `make bench-compare`
-# and `make verify-gates` compare against bit for bit: BENCH_pr16.json,
-# the whole registry, recorded when O1 started charging the successful
-# claim. BENCH_seed.json stays as the trajectory's first point (same
-# makespans, accesses, utilization, chunks and searches; a smaller
-# `overhead`; its */real rows are history, no scenario matches them).
+# and `make verify-gates` compare against bit for bit: BENCH_pr22.json,
+# the whole registry, recorded when the icount post moved from every
+# chunk to the end of a hold. BENCH_pr16.json (recorded when O1 started
+# charging the successful claim) stays as the previous trajectory point.
 REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
-BENCH_BASE ?= BENCH_pr16.json
+BENCH_BASE ?= BENCH_pr22.json
 
 .PHONY: build test bench bench-compare bench-smoke bench-go verify verify-gates
 
@@ -61,8 +60,11 @@ verify:
 # flaky once: a census race shows in about 3 runs of 100), the
 # three-node cold start on real sockets twenty times over (every node
 # placeable on every other within half a probe interval of the last
-# listener — the figure serve_cluster3's setup_s rests on), and one run
-# of the whole registry compared bit-for-bit against the committed
+# listener — the figure serve_cluster3's setup_s rests on), eight
+# goroutines racing the posts of four-iteration instances twenty times
+# over under the race detector (every chunk of such an instance is tail:
+# post, claim, and whoever's post completes the count runs EXIT), and one
+# run of the whole registry compared bit-for-bit against the committed
 # baseline: every seam must cost nothing, and change nothing, when off
 # (adaptive scenarios are exempt from cross-file bit-identity; the
 # static ones are not).
@@ -70,5 +72,6 @@ verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
+	$(GO) test -race -count=20 -run 'TestRealEngineTailInstances' ./internal/enginetest/
 	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) /tmp/BENCH_gates.json

@@ -168,7 +168,7 @@ func BenchmarkVirtualServed(b *testing.B) {
 		name     string
 		makespan int64
 	}{
-		{"fig1", 6060}, {"pipeline", 8170}, {"flat64", 2290}, {"tri16", 6910},
+		{"fig1", 6060}, {"pipeline", 8150}, {"flat64", 2140}, {"tri16", 6740},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			src, err := os.ReadFile("bench/programs/" + tc.name + ".loop")

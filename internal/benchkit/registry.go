@@ -83,8 +83,8 @@ func Default() []Scenario {
 	// Contention family (claim-path ablation): tiny-body nests at high
 	// P, where nearly all virtual time is synchronization — the regime
 	// the batched-claim, SW-sharding and combining knobs exist for. Each
-	// variant gets its own scenario name (BENCH_seed.json predates the
-	// family; BENCH_pr16.json pins it):
+	// variant gets its own scenario name (the committed baselines pin
+	// the family since BENCH_pr16.json):
 	//
 	//   - contention/*: a flat grain-1 doall under ss and css:4, plain
 	//     vs ClaimBatch 8 (b8) vs software combining (comb);

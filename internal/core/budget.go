@@ -19,8 +19,9 @@ import (
 // claim and the run is bit-identical to a build without the seam.
 //
 // Exhaustion is schedule-independent and exact: the claim that crosses
-// the budget executes only its allowed prefix, posts the executed count
-// to the instance's icount, and records the unexecuted remainder as a
+// the budget executes only its allowed prefix, posts it — with whatever
+// else the worker had executed on the instance and not yet posted — to
+// the instance's icount, and records the unexecuted remainder as a
 // pending range (the same machinery a mid-lease checkpoint pause uses),
 // so the run executes exactly min(total iterations, budget) iterations
 // on every engine, scheme and batch factor. The pause then rides the

@@ -17,19 +17,21 @@ import (
 //
 // The consistency point is claim-quiescence. A claimed chunk always
 // executes to completion — there is no preemption point between a
-// successful Policy.Next and the icount bookkeeping that accounts for
-// it — so when a checkpoint is requested, workers pause only at the
-// claim boundary: before fetching another chunk, and in the SEARCH
-// sweep. Once every worker has drained out, each live instance
-// satisfies the invariant
+// successful Policy.Next and the end of its body — so when a checkpoint
+// is requested, workers pause only at the claim boundary: before
+// fetching another chunk, and in the SEARCH sweep. A worker counts the
+// iterations it completes privately and posts them to icount when it
+// stops claiming from the instance; a pause is such a stop, so no worker
+// leaves the drive loop with unposted work (worker.pause). Once every
+// worker has drained out, each live instance satisfies the invariant
 //
 //	icount == ExecutedPrefix(cursor)
 //
-// (every claimed iteration has completed), which makes the instance's
-// whole scheduling state a single cursor word. Under batched claiming
-// (Config.ClaimBatch) a worker may additionally pause between the slices
-// of a lease; it then posts the executed prefix and records the
-// unexecuted remainder, generalizing the invariant to
+// (every claimed iteration has completed and been posted), which makes
+// the instance's whole scheduling state a single cursor word. Under
+// batched claiming (Config.ClaimBatch) a worker may additionally pause
+// between the slices of a lease; it then posts what it executed and
+// records the unexecuted remainder, generalizing the invariant to
 //
 //	icount + pending == ExecutedPrefix(cursor)
 //
@@ -258,6 +260,9 @@ func (ex *executor) seedRestore() error {
 		ex.bars[bs.Key] = machine.NewSyncVar("BAR_COUNT", bs.Count)
 	}
 	ex.failures.seed(snap.Failures)
+	// The seeded iteration totals sit on shard 0 and were all posted by
+	// the paused run: processor 0's executed-unposted figure starts at 0.
+	ex.workers[0].posted.Store(sh.Get(cIterations) + sh.Get(cFailedIterations))
 	ex.restore = snap
 	return nil
 }
@@ -423,14 +428,15 @@ func (w *worker) restorePrologue() {
 					return // drain (abort): the resumed run is tearing down
 				}
 			}
-			keep, cont := w.finishChunk(icb, psz)
+			w.unposted = psz
+			keep, cont := w.post(icb)
 			if !cont {
 				return
 			}
 			if !keep {
 				continue // completed and released in the prologue
 			}
-			w.tick(cO1Time) // the icount update; republishing is uncharged
+			w.tick(cO1Time) // the icount post; republishing is uncharged
 			icb.PCount.FetchDec(pr)
 		}
 		ex.pool.Append(pr, icb)

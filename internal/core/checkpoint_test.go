@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/flight"
+	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
@@ -246,6 +247,37 @@ func TestDiagnoseIncludesFlightTail(t *testing.T) {
 	}
 }
 
+// TestDiagnoseShowsUnpostedWork: icount lags executed work, so a dump
+// taken mid-hold prints each processor's executed-unposted count beside
+// the instances' icount. On one processor, inside iteration 10 of 40, the
+// nine iterations before it are complete and none is posted.
+func TestDiagnoseShowsUnpostedWork(t *testing.T) {
+	var probe Probe
+	var dump string
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.DoallLeaf("L", loopir.Const(40), func(e loopir.Env, iv loopir.IVec, j int64) {
+			if j == 10 {
+				dump = probe.(Diagnoser).Diagnose()
+			}
+			e.Work(5)
+		})
+	})
+	if _, err := Run(compileOnly(t, nest), Config{
+		Engine: vEngine(1), Scheme: lowsched.SS{}, Diagnostics: true,
+		OnStart: func(p Probe) { probe = p },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"icount 0,", "proc 0: chunks=10 searches=1 iters=9 unposted=9 "} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("mid-hold dump missing %q:\n%s", want, dump)
+		}
+	}
+	if done := probe.(Diagnoser).Diagnose(); !strings.Contains(done, "iters=40 unposted=0 ") {
+		t.Errorf("finished run still shows unposted work:\n%s", done)
+	}
+}
+
 func TestRecorderDoesNotPerturbVirtualSchedule(t *testing.T) {
 	// Bit-identity: the recorder charges no machine time, so a recorded
 	// virtual run must finish at exactly the same makespan with exactly
@@ -271,13 +303,15 @@ func TestRecorderDoesNotPerturbVirtualSchedule(t *testing.T) {
 	}
 }
 
-// TestFlightChunkRecordReadsTheClock: the Chunk record is written after
-// the icount update, mid-way through the O1 interval the next claim
-// closes, so it carries its own clock reading — not the boundary reading
-// taken at the body's end.
+// TestFlightChunkRecordReadsTheClock: the Chunk record is written at the
+// body's end and carries that boundary's clock reading and the chunk's
+// own iterations; the Post record is written after the icount access,
+// mid-way through the O1 interval the next boundary closes, so it reads
+// the clock itself. On one processor only the final iteration is tail:
+// the hold posts once, all twenty iterations.
 func TestFlightChunkRecordReadsTheClock(t *testing.T) {
-	const work, access = 10, 5
-	prog, _ := compileStd(t, workload.UniformDoall(20, work))
+	const n, work, access = 20, 10, 5
+	prog, _ := compileStd(t, workload.UniformDoall(n, work))
 	rec := flight.New(1, 256)
 	if _, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 1, AccessCost: access}),
@@ -285,20 +319,32 @@ func TestFlightChunkRecordReadsTheClock(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var claimAt int64 = -1
-	chunks := 0
+	var claim, chunk flight.Event
+	chunks, posts := 0, 0
 	for _, e := range rec.Tail(256) {
 		switch e.Kind {
 		case flight.Claim:
-			claimAt = e.At
+			claim = e
 		case flight.Chunk:
+			chunk = e
 			chunks++
-			if got := e.At - claimAt; got != work+access {
-				t.Errorf("chunk %d recorded %d after its claim, want body %d + icount access %d", chunks, got, work, access)
+			if got := e.At - claim.At; got != work {
+				t.Errorf("chunk %d recorded %d after its claim, want the body's %d", chunks, got, work)
+			}
+			if e.A != claim.A || e.B != claim.B {
+				t.Errorf("chunk %d records [%d,%d], its claim [%d,%d]", chunks, e.A, e.B, claim.A, claim.B)
+			}
+		case flight.Post:
+			posts++
+			if got := e.At - chunk.At; got != access {
+				t.Errorf("post recorded %d after the chunk before it, want the icount access %d", got, access)
+			}
+			if e.A != n || e.B != n || chunks != n {
+				t.Errorf("post of %d (icount %d) after %d chunks, want one post of %d after all of them", e.A, e.B, chunks, n)
 			}
 		}
 	}
-	if chunks != 20 {
-		t.Fatalf("recorded %d chunk events, want 20", chunks)
+	if chunks != n || posts != 1 {
+		t.Fatalf("recorded %d chunk and %d post events, want %d and 1", chunks, posts, n)
 	}
 }

@@ -64,9 +64,16 @@ func goldenRun(t *testing.T, nest *loopir.Nest, cfg Config) (accounting, *RunSna
 // (one read per phase boundary); they hold as long as no machine time
 // passes between the end of one accounted phase and the start of the next.
 // The O1 column of the unit-claim cases was captured again when the
-// successful claim's interval moved from no counter to O1; every other
-// figure, and every lease case, is the original capture — which is what
-// shows that each way out of the drive loop closes the open O1 interval.
+// successful claim's interval moved from no counter to O1, and the O1 and
+// Makespan columns of the ss and css cases whose instances are more than
+// P chunks long (flat, wavefront, the flat budget and lease legs) a third
+// time when the icount post moved from every chunk to the end of a hold:
+// fewer icount accesses shorten O1 and shift the schedule. Nothing else
+// may move with the post — O2, O3, Body, Dispatch, Chunks and Searches
+// are the original capture everywhere, and the many/*, fig1 and gss cases
+// (every chunk is tail and posts as before) are the original capture in
+// every column — which is what shows that each way out of the drive loop
+// posts and closes the open O1 interval.
 func TestAccountingGolden(t *testing.T) {
 	flat := func() *loopir.Nest { return workload.UniformDoall(2048, 100) }
 	many := func() *loopir.Nest { return workload.ManyInstances(8, 64, 4, 30) }
@@ -140,19 +147,20 @@ func TestAccountingGolden(t *testing.T) {
 
 // goldenAccounting holds TestAccountingGolden's expectations, captured at
 // the parent of the chained-clock change (O1 of the unit-claim cases: at
-// the change that charges the claim).
+// the change that charges the claim; O1 and Makespan of the long-instance
+// cases: at the change that posts per hold).
 var goldenAccounting = map[string][]accounting{
 	"flat/ss": {
-		{Makespan: 56535, O1: 20530, O2: 510, O3: 45, Body: 204800, Dispatch: 0, Chunks: 2048, Searches: 4},
+		{Makespan: 53980, O1: 10310, O2: 510, O3: 45, Body: 204800, Dispatch: 0, Chunks: 2048, Searches: 4},
 	},
 	"many/ss": {
 		{Makespan: 5615, O1: 5180, O2: 6785, O3: 2510, Body: 7680, Dispatch: 0, Chunks: 256, Searches: 122},
 	},
 	"wavefront/css:2": {
-		{Makespan: 7375, O1: 1550, O2: 510, O3: 45, Body: 27005, Dispatch: 0, Chunks: 150, Searches: 4},
+		{Makespan: 7190, O1: 820, O2: 510, O3: 45, Body: 27005, Dispatch: 0, Chunks: 150, Searches: 4},
 	},
 	"flat/ss/batch4": {
-		{Makespan: 52695, O1: 5170, O2: 510, O3: 45, Body: 204800, Dispatch: 0, Chunks: 2048, Searches: 4},
+		{Makespan: 52060, O1: 2630, O2: 510, O3: 45, Body: 204800, Dispatch: 0, Chunks: 2048, Searches: 4},
 	},
 	"many/gss/batch3": {
 		{Makespan: 5155, O1: 4295, O2: 5880, O3: 2530, Body: 7680, Dispatch: 0, Chunks: 256, Searches: 113},
@@ -164,16 +172,16 @@ var goldenAccounting = map[string][]accounting{
 		{Makespan: 12225, O1: 1635, O2: 4430, O3: 1880, Body: 7200, Dispatch: 33500, Chunks: 72, Searches: 67},
 	},
 	"flat/css:8/budget+resume": {
-		{Makespan: 0, O1: 1260, O2: 510, O3: 40, Body: 100100, Dispatch: 0, Chunks: 126, Searches: 4},
-		{Makespan: 27605, O1: 2615, O2: 3180, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
+		{Makespan: 0, O1: 650, O2: 510, O3: 40, Body: 100100, Dispatch: 0, Chunks: 126, Searches: 4},
+		{Makespan: 27445, O1: 1375, O2: 3180, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
 	},
 	"flat/css:8/batch4/budget+resume": {
-		{Makespan: 0, O1: 320, O2: 510, O3: 40, Body: 100100, Dispatch: 0, Chunks: 128, Searches: 4},
-		{Makespan: 28215, O1: 695, O2: 7980, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
+		{Makespan: 0, O1: 180, O2: 510, O3: 40, Body: 100100, Dispatch: 0, Chunks: 128, Searches: 4},
+		{Makespan: 28180, O1: 415, O2: 7980, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
 	},
 	"flat/css:8/batch4/budget1000+resume": {
-		{Makespan: 0, O1: 320, O2: 510, O3: 40, Body: 100000, Dispatch: 0, Chunks: 128, Searches: 4},
-		{Makespan: 28315, O1: 695, O2: 8280, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
+		{Makespan: 0, O1: 180, O2: 510, O3: 40, Body: 100000, Dispatch: 0, Chunks: 128, Searches: 4},
+		{Makespan: 28280, O1: 415, O2: 8280, O3: 45, Body: 204800, Dispatch: 0, Chunks: 256, Searches: 8},
 	},
 	"many/ss/batch2/checkpoint+resume": {
 		{Makespan: 0, O1: 1340, O2: 1835, O3: 2155, Body: 2970, Dispatch: 0, Chunks: 100, Searches: 35},
@@ -181,37 +189,74 @@ var goldenAccounting = map[string][]accounting{
 	},
 }
 
-// countingEngine wraps an engine's processors to count Now() calls.
+// countingEngine wraps an engine's processors to count Now() calls and
+// the accesses to icount.
 type countingEngine struct {
 	Engine
-	nows atomic.Int64
+	nows, posts atomic.Int64
 }
 
 type countingProc struct {
 	machine.Proc
-	nows *atomic.Int64
+	e *countingEngine
 }
 
 func (p countingProc) Now() machine.Time {
-	p.nows.Add(1)
+	p.e.nows.Add(1)
 	return p.Proc.Now()
 }
 
-func (e *countingEngine) Run(worker func(machine.Proc)) machine.RunReport {
-	return e.Engine.Run(func(pr machine.Proc) { worker(countingProc{pr, &e.nows}) })
+func (p countingProc) Access(v *machine.SyncVar) {
+	if v.Name() == "icount" {
+		p.e.posts.Add(1)
+	}
+	p.Proc.Access(v)
 }
 
-// clockReads runs nest under ss on a counting 4-processor virtual machine
+func (e *countingEngine) Run(worker func(machine.Proc)) machine.RunReport {
+	return e.Engine.Run(func(pr machine.Proc) { worker(countingProc{pr, e}) })
+}
+
+// countedProcs is the machine size of the counting runs.
+const countedProcs = 4
+
+// countedRun runs nest under ss on a counting 4-processor virtual machine
 // (deterministic, so the figures are exact) with no tracer, recorder or
-// budget, and returns the number of Now() calls and the run's stats.
-func clockReads(t *testing.T, nest *loopir.Nest) (int64, Snapshot) {
+// budget, and returns the engine's counts and the run's stats.
+func countedRun(t *testing.T, nest *loopir.Nest) (*countingEngine, Snapshot) {
 	t.Helper()
-	eng := &countingEngine{Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5})}
+	eng := &countingEngine{Engine: vmachine.New(vmachine.Config{P: countedProcs, AccessCost: 5})}
 	rep, err := Run(compileOnly(t, nest), Config{Engine: eng, Scheme: lowsched.SS{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.nows.Load(), rep.Stats
+	return eng, rep.Stats
+}
+
+// TestPostBudget pins the completion count's traffic the way
+// TestClockBudget pins the clock's: the claim is the one shared-memory
+// operation a unit chunk pays. On a flat doall icount is accessed at most
+// 2P times however long the loop — the fewer than P tail iterations post
+// one by one, and each processor posts the rest of its hold once, when
+// its claim fails. An instance of at most P iterations is all tail, so it
+// takes one post per chunk, Algorithm 3's figure, and never more.
+func TestPostBudget(t *testing.T) {
+	for _, n := range []int64{2000, 20000} {
+		eng, st := countedRun(t, workload.UniformDoall(n, 20))
+		posts := eng.posts.Load()
+		t.Logf("flat doall %d: %d icount accesses over %d chunks", n, posts, st.Chunks)
+		if posts > 2*countedProcs {
+			t.Errorf("flat doall %d: %d icount accesses, want <= 2P = %d independent of N", n, posts, 2*countedProcs)
+		}
+	}
+	for _, inst := range []int64{64, 640} {
+		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30))
+		per := float64(eng.posts.Load()) / float64(st.Instances)
+		t.Logf("many instances %d: %.2f icount accesses per 4-iteration instance", inst, per)
+		if per > 4 {
+			t.Errorf("many instances %d: %.2f icount accesses per instance, want <= one per iteration (4)", inst, per)
+		}
+	}
 }
 
 // TestClockBudget pins the kernel's clock reads the way
@@ -223,7 +268,8 @@ func clockReads(t *testing.T, nest *loopir.Nest) (int64, Snapshot) {
 func TestClockBudget(t *testing.T) {
 	const perChunk, slack = 2, 32
 	for _, n := range []int64{2000, 20000} {
-		nows, st := clockReads(t, workload.UniformDoall(n, 20))
+		eng, st := countedRun(t, workload.UniformDoall(n, 20))
+		nows := eng.nows.Load()
 		t.Logf("flat doall %d: %d clock reads over %d chunks", n, nows, st.Chunks)
 		if st.Chunks != n {
 			t.Fatalf("ss claimed %d chunks for %d iterations", st.Chunks, n)
@@ -239,7 +285,8 @@ func TestClockBudget(t *testing.T) {
 	// one for its next SEARCH — at most P-1 such workers per instance.
 	const perInstance = 3 + 2*3
 	for _, inst := range []int64{64, 640} {
-		nows, st := clockReads(t, workload.ManyInstances(8, inst, 4, 30))
+		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30))
+		nows := eng.nows.Load()
 		surplus := float64(nows-perChunk*st.Chunks) / float64(st.Instances)
 		t.Logf("many instances %d: %d clock reads, %d chunks, %d instances: surplus %.2f per instance",
 			inst, nows, st.Chunks, st.Instances, surplus)

@@ -24,10 +24,15 @@
 //
 // # Deviations from the paper's pseudocode (all documented in DESIGN.md)
 //
-//   - Iteration completion uses {Fetch(icount)&add(size)} with the chunk
-//     size instead of per-iteration {icount < b-1; Increment}, so that
-//     chunking schemes (CSS/GSS/TSS/FSC) keep a single completion test;
-//     for size 1 the two are equivalent.
+//   - Iteration completion uses {Fetch(icount)&add(n)} instead of the
+//     per-iteration {icount < b-1; Increment}, and n is everything the
+//     processor has executed on the instance since its previous post:
+//     it posts when it stops claiming from the instance (its claim
+//     fails, it pauses) and, near the instance's tail, after every
+//     chunk. Only the claim is serialized at a shared word per chunk;
+//     the processor whose post brings icount to the bound runs
+//     EXIT/ENTER, exactly once, because the posts sum to the bound
+//     exactly once (worker.executed, worker.post).
 //   - EXIT takes an explicit starting level. The paper's ENTER calls
 //     EXIT(cur, loc_indexes) when an IF with an empty FALSE branch is
 //     skipped; starting the walk at DEPTH(cur) would consult descriptor
@@ -237,7 +242,9 @@ type Config struct {
 	// CombineClaims marks every instance's claim-path variables (Index,
 	// ICount) as served by the machine's software-combining network
 	// (machine.SyncVar.SetCombining): on the virtual engine, concurrent
-	// fetch-and-adds against them coalesce instead of serializing. The
+	// fetch-and-adds against them coalesce instead of serializing — the
+	// per-chunk claims on Index, and on ICount the posts (one per hold,
+	// per chunk only near an instance's tail: worker.executed). The
 	// real engine ignores the flag — hardware read-modify-writes already
 	// combine in the coherence fabric. Off by default (bit-identical).
 	CombineClaims bool
@@ -347,6 +354,9 @@ type executor struct {
 	batch     int
 	leaser    lowsched.Leaser
 	combine   bool
+	// nprocs is the machine size P as the tail rule compares it with an
+	// instance's remaining chunks (worker.executed).
+	nprocs int64
 	// budMeter and budTime hoist cfg.Budget the same way: budMeter is
 	// the one test the claim path pays when no iteration budget is set,
 	// budTime the engine-time ceiling (0: none).
@@ -398,6 +408,7 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		inj:     cfg.Inject,
 		retry:   cfg.Retry,
 		rec:     cfg.Recorder,
+		nprocs:  int64(nprocs),
 	}
 	if cfg.Checkpoint != nil {
 		ex.ckptAfter = cfg.Checkpoint.AfterChunks
@@ -609,16 +620,20 @@ func (ex *executor) Diagnose() string {
 			}
 			return a.IVec.String() < c.IVec.String()
 		})
-		fmt.Fprintf(&b, "instances: %d live\n", len(icbs))
+		fmt.Fprintf(&b, "instances: %d live (icount lags executed work by the holders' unposted iterations, per proc below)\n", len(icbs))
 		for _, icb := range icbs {
 			fmt.Fprintf(&b, "  %v\n", icb)
 		}
 	}
 	for i := range ex.workers {
 		sh := ex.stats.shard(i)
-		fmt.Fprintf(&b, "proc %d: chunks=%d searches=%d iters=%d last-claim=%d\n",
-			i, sh.Get(cChunks), sh.Get(cSearches), sh.Get(cIterations),
-			ex.workers[i].lastClaim.Load())
+		// posted is read first: the executed-unposted figure may then run
+		// a chunk ahead of the instant, never negative.
+		posted := ex.workers[i].posted.Load()
+		iters := sh.Get(cIterations)
+		fmt.Fprintf(&b, "proc %d: chunks=%d searches=%d iters=%d unposted=%d last-claim=%d\n",
+			i, sh.Get(cChunks), sh.Get(cSearches), iters,
+			iters+sh.Get(cFailedIterations)-posted, ex.workers[i].lastClaim.Load())
 	}
 	if d, ok := ex.policy.(interface{ DiagnoseString() string }); ok {
 		b.WriteString(d.DiagnoseString())

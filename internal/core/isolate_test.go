@@ -416,7 +416,7 @@ func TestDiagnoseRendersSchedulingState(t *testing.T) {
 		t.Fatal("executor probe does not implement Diagnoser")
 	}
 	dump := d.Diagnose()
-	for _, want := range []string{"core: done=true", "pool:", "proc 0:", "last-claim="} {
+	for _, want := range []string{"core: done=true", "pool:", "proc 0:", "unposted=0", "last-claim="} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("diagnostic dump missing %q:\n%s", want, dump)
 		}

@@ -62,11 +62,23 @@ type worker struct {
 	// costs one read per boundary instead of two per phase. On the
 	// virtual engine no machine time passes between one phase's end and
 	// the next one's start, so chaining them changes no figure there.
-	// The O1 interval opens at a body's end and stays open across the
-	// icount update into the next claim: a unit chunk reads the clock
-	// twice (claim | body), and every way out of the drive loop closes
-	// the open interval before leaving.
+	// The O1 interval opens at a body's end and stays open into the next
+	// claim (across the icount post, when there is one): a unit chunk
+	// reads the clock twice (claim | body), and every way out of the
+	// drive loop closes the open interval before leaving.
 	now machine.Time
+	// unposted counts the iterations this processor has executed on the
+	// instance it holds and not yet added to the instance's icount. Only
+	// the claim has to be serialized at the shared word; the completion
+	// count is posted with one fetch-and-add when the worker stops
+	// claiming from the instance (post). It is zero whenever the worker
+	// holds no instance, and no worker leaves the drive loop with a
+	// nonzero count unless the run is aborting.
+	unposted int64
+	// posted totals the iterations this processor has posted, host-side:
+	// Diagnose derives the executed-unposted count from it and the shard's
+	// iteration counters, so the hot path publishes nothing extra.
+	posted atomic.Int64
 	// lastClaim is the engine time of this processor's most recent chunk
 	// claim (-1 before the first), stored host-side for the stuck-run
 	// watchdog's per-processor diagnostics; it charges no machine time.
@@ -225,18 +237,13 @@ func (w *worker) run() {
 			}
 		}
 
-		if ex.ckptReq.Load() {
-			// Pause (checkpoint or budget) at the claim boundary: leave
-			// without claiming. The hold is deliberately not dropped — the
-			// ICB must stay live so the snapshot captures it; abandoned
-			// pcounts are not part of the snapshot. The open interval is
-			// the previous chunk's icount update (nothing, after a SEARCH).
-			w.tick(cO1Time)
-			return
-		}
-		if ex.budTime > 0 && ex.budgetDue(pr) {
-			// Engine-time budget reached: same claim-boundary pause.
-			w.tick(cO1Time)
+		if ex.ckptReq.Load() || (ex.budTime > 0 && ex.budgetDue(pr)) {
+			// Pause (checkpoint, iteration budget, engine-time budget) at
+			// the claim boundary: post, then leave without claiming. The
+			// hold is deliberately not dropped — the ICB must stay live so
+			// the snapshot captures it; abandoned pcounts are not part of
+			// the snapshot.
+			w.pause(icb)
 			return
 		}
 		if ex.batch > 1 {
@@ -253,12 +260,10 @@ func (w *worker) run() {
 		}
 		a, ok, last := ex.policy.Next(pr, icb)
 		if !ok {
-			// All iterations scheduled elsewhere: drop our hold and find
-			// new work ({ip->pcount; Decrement}; SEARCH).
-			icb.PCount.FetchDec(pr)
-			w.tick(cO1Time)
-			if w.rec != nil {
-				w.rec.Record(int64(w.now), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
+			// All iterations scheduled elsewhere: post what we executed,
+			// drop our hold and find new work.
+			if !w.leave(icb) {
+				return
 			}
 			icb = nil
 			continue
@@ -270,8 +275,8 @@ func (w *worker) run() {
 		}
 		w.shard.Inc(cChunks)
 		// The claim closes the O1 interval the previous body's end (or the
-		// SEARCH) opened: the icount update, the fetch-and-add on index
-		// and, on the final claim, the DELETE.
+		// SEARCH) opened: a tail post if there was one, the fetch-and-add
+		// on index and, on the final claim, the DELETE.
 		w.tick(cO1Time)
 		w.lastClaim.Store(w.now)
 		if w.rec != nil {
@@ -286,8 +291,8 @@ func (w *worker) run() {
 		if ex.budMeter {
 			if allowed := ex.budgetClaim(a.Size()); allowed < a.Size() {
 				// The claim crossed the iteration budget: execute only the
-				// allowed prefix, post it, and record the remainder as the
-				// instance's pending range — exactly a mid-lease pause, so
+				// allowed prefix, record the remainder as the instance's
+				// pending range and pause — exactly a mid-lease pause, so
 				// the claim-quiescence invariant (icount + pending ==
 				// executed cursor prefix) holds for the snapshot. The hold
 				// is kept, like every other pause at a claim site.
@@ -295,10 +300,10 @@ func (w *worker) run() {
 					if !w.runChunk(icb, lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + allowed - 1}) {
 						return
 					}
-					icb.ICount.FetchAdd(pr, allowed)
-					w.tick(cO1Time)
+					w.unposted += allowed
 				}
 				ex.addPending(icb, lowsched.Assignment{Lo: a.Lo + allowed, Hi: a.Hi})
+				w.pause(icb)
 				return
 			}
 		}
@@ -312,7 +317,7 @@ func (w *worker) run() {
 			return
 		}
 
-		keep, cont := w.finishChunk(icb, a.Size())
+		keep, cont := w.executed(icb, a.Size(), a)
 		if !cont {
 			return
 		}
@@ -322,21 +327,77 @@ func (w *worker) run() {
 	}
 }
 
-// finishChunk is the update step of Algorithm 3 after executing size
-// iterations of icb: count completed iterations and, on the final one,
-// run the completion path (EXIT/ENTER fan-out, the pcount release spin,
-// freelist recycling). keep=false means the worker no longer holds the
-// instance; cont=false means the worker must drain out (abort, or a
-// checkpoint pause observed inside the release spin).
-func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
+// executed is the update step of Algorithm 3 after a body: n more
+// iterations of icb are complete, the last of them chunk a. They are
+// counted privately and posted when the worker stops claiming from the
+// instance (leave, pause) — except near the instance's tail, where the
+// next claim will probably fail: once fewer than P chunks of a's size lie
+// beyond it (for unit chunks, fewer than P iterations) the worker posts
+// before claiming, so the completion that triggers EXIT does not wait
+// behind a failed claim queued at the hot index word. The final claim
+// (a.Hi == bound) is the tail's last case; an instance of at most P
+// chunks is all tail, and so is every GSS chunk (ceil(remaining/P) each):
+// those post chunk by chunk, as Algorithm 3 writes it. keep and cont are
+// post's.
+func (w *worker) executed(icb *pool.ICB, n int64, a lowsched.Assignment) (keep, cont bool) {
+	w.unposted += n
+	if icb.Bound-a.Hi >= w.ex.nprocs*a.Size() {
+		return true, true
+	}
+	return w.post(icb)
+}
+
+// leave is the way off an instance whose claim failed: post, then drop
+// the hold ({ip->pcount; Decrement}; SEARCH follows). When the post is
+// the one that completes the instance, this processor runs EXIT/ENTER and
+// the release spin drops the hold instead. cont=false means the worker
+// must drain out.
+func (w *worker) leave(icb *pool.ICB) (cont bool) {
+	if w.unposted > 0 {
+		if keep, cont := w.post(icb); !keep {
+			return cont
+		}
+	}
+	icb.PCount.FetchDec(w.pr)
+	w.tick(cO1Time)
+	if w.rec != nil {
+		w.rec.Record(int64(w.now), flight.Switch, int32(w.pr.ID()), int32(icb.Loop), 0, 0)
+	}
+	return true
+}
+
+// pause is the way out of the drive loop at a claim boundary (checkpoint
+// request, budget exhaustion, a budget cut, a mid-lease pause): post, so
+// that every snapshot satisfies icount + pending == ExecutedPrefix(cursor),
+// and close the open O1 interval. The hold is kept. A post that completes
+// the instance has closed the interval itself, before EXIT.
+func (w *worker) pause(icb *pool.ICB) {
+	if w.unposted > 0 {
+		if keep, _ := w.post(icb); !keep {
+			return
+		}
+	}
+	w.tick(cO1Time)
+}
+
+// post adds the worker's unposted iterations to icb's icount with one
+// fetch-and-add and, when that brings the count to the bound, runs the
+// completion path (EXIT/ENTER fan-out, the pcount release spin, freelist
+// recycling): whichever processor's post completes the count is the
+// instance's one completer, however late it posts. keep=false means the
+// worker no longer holds the instance; cont=false means the worker must
+// drain out (abort, or a checkpoint pause observed inside the release
+// spin).
+func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	ex, pr := w.ex, w.pr
-	// update: count completed iterations; the completer of the final
-	// iteration activates successors and releases the ICB.
-	done := icb.ICount.FetchAdd(pr, size) + size
+	n := w.unposted
+	w.unposted = 0
+	w.posted.Add(n)
+	done := icb.ICount.FetchAdd(pr, n) + n
 	if w.rec != nil {
 		// Mid-phase (the O1 interval closes at the next claim), so the
 		// recorder reads the clock itself.
-		w.rec.Record(int64(pr.Now()), flight.Chunk, int32(pr.ID()), int32(icb.Loop), done, icb.Bound)
+		w.rec.Record(int64(pr.Now()), flight.Post, int32(pr.ID()), int32(icb.Loop), n, done)
 	}
 	if done > icb.Bound {
 		panic(fmt.Sprintf("core: icount %d exceeded bound %d (loop %d)", done, icb.Bound, icb.Loop))
@@ -384,11 +445,12 @@ func (w *worker) finishChunk(icb *pool.ICB, size int64) (keep, cont bool) {
 }
 
 // runLease is the batched claim-and-execute step: acquire a lease of up
-// to ex.batch chunks with one synchronization operation, slice it
-// locally, and post the completed-iteration count once for the whole
-// lease. Chunk accounting (cChunks, the claim-k checkpoint trigger) is
-// per covered chunk at claim time, so trend metrics and triggers keep
-// chunk granularity while the synchronization traffic is per lease.
+// to ex.batch chunks with one synchronization operation and slice it
+// locally; the executed slices join the same private count unit chunks
+// use (executed), so a hold that takes several leases posts once. Chunk
+// accounting (cChunks, the claim-k checkpoint trigger) is per covered
+// chunk at claim time, so trend metrics and triggers keep chunk
+// granularity while the synchronization traffic is per lease.
 //
 // The checkpoint pause is honored between slices: the executed prefix is
 // posted to icount and the unexecuted remainder is recorded as the
@@ -399,12 +461,7 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 	ex, pr := w.ex, w.pr
 	lease, ok, last := ex.leaser.Lease(pr, icb, ex.batch)
 	if !ok {
-		icb.PCount.FetchDec(pr)
-		w.tick(cO1Time)
-		if w.rec != nil {
-			w.rec.Record(int64(w.now), flight.Switch, int32(pr.ID()), int32(icb.Loop), 0, 0)
-		}
-		return false, true
+		return false, w.leave(icb)
 	}
 	if last {
 		ex.pool.Delete(pr, icb)
@@ -433,67 +490,54 @@ func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
 	}
 
 	var exec int64
+	var final lowsched.Assignment // the lease's last slice
 	for {
 		a, ok := lease.Slice()
 		if !ok {
 			break
 		}
+		final = a
 		run := a
 		if budLeft >= 0 && a.Size() > budLeft {
-			if budLeft == 0 {
-				// Budget exhausted mid-lease: post what ran, record this
-				// slice and the unsliced remainder pending, keep the hold
-				// and leave (the budget pause is a mid-lease pause).
-				if exec > 0 {
-					icb.ICount.FetchAdd(pr, exec)
-					w.tick(cO1Time)
-				}
-				ex.addPending(icb, a)
-				if rem, ok := lease.Remaining(); ok {
-					ex.addPending(icb, rem)
-				}
-				return true, false
+			run.Hi = a.Lo + budLeft - 1 // empty when the budget is spent
+		}
+		if run.Hi >= run.Lo {
+			if !w.runChunk(icb, run) {
+				// Drain (abort): the unposted iterations are abandoned with
+				// the run, exactly like an aborted unit chunk.
+				return false, false
 			}
-			run = lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + budLeft - 1}
+			exec += run.Size()
+			budLeft -= run.Size() // stays negative when uncapped
 		}
-		if !w.runChunk(icb, run) {
-			// Drain (abort): the unposted iterations are abandoned with
-			// the run, exactly like an aborted unit chunk.
-			return false, false
+		// A pause between slices: the budget cut this slice short (or left
+		// none of it), or — only when the iteration meter is off — a
+		// checkpoint was requested. A metered lease was charged in full at
+		// claim time, and the meter's exactness contract (executed ==
+		// consumed) requires every charged iteration to run; a metered
+		// lease therefore behaves like a unit chunk and honors the pause
+		// at its end.
+		cut := run.Hi < a.Hi
+		if !cut && (ex.budMeter || !ex.ckptReq.Load()) {
+			continue
 		}
-		exec += run.Size()
-		if budLeft >= 0 {
-			budLeft -= run.Size()
-			if run.Hi < a.Hi {
-				// The budget cut this slice short: post the executed
-				// prefix, record the slice's tail and the unsliced
-				// remainder pending, keep the hold and leave.
-				icb.ICount.FetchAdd(pr, exec)
-				w.tick(cO1Time)
-				ex.addPending(icb, lowsched.Assignment{Lo: run.Hi + 1, Hi: a.Hi})
-				if rem, ok := lease.Remaining(); ok {
-					ex.addPending(icb, rem)
-				}
-				return true, false
-			}
+		rem, more := lease.Remaining()
+		if !cut && !more {
+			break // the pause fell on the lease's end: the claim boundary takes it
 		}
-		if budLeft < 0 && ex.ckptReq.Load() {
-			// Mid-lease pause — only when the iteration meter is off. A
-			// metered lease was charged in full at claim time, and the
-			// meter's exactness contract (executed == consumed) requires
-			// every charged iteration to run; a metered lease therefore
-			// behaves like a unit chunk and honors the pause at its end.
-			if rem, ok := lease.Remaining(); ok {
-				// Post what ran, record the rest as the instance's
-				// pending range, keep the hold and leave.
-				icb.ICount.FetchAdd(pr, exec)
-				w.tick(cO1Time)
-				ex.addPending(icb, rem)
-				return true, false
-			}
+		// Post what ran, record the rest as the instance's pending range,
+		// keep the hold and leave.
+		if cut {
+			ex.addPending(icb, lowsched.Assignment{Lo: run.Hi + 1, Hi: a.Hi})
 		}
+		if more {
+			ex.addPending(icb, rem)
+		}
+		w.unposted += exec
+		w.pause(icb)
+		return true, false
 	}
-	return w.finishChunk(icb, exec)
+	return w.executed(icb, exec, final)
 }
 
 // runChunk executes the assigned iterations [a.Lo, a.Hi] of icb under
@@ -507,16 +551,25 @@ func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 	ex := w.ex
 	lp := &ex.plan.leaves[icb.Loop]
 	w.ctx.bind(icb, lp.manualSync)
+	var cont bool
 	if ex.cfg.Failure == Isolate {
-		return w.runChunkIsolate(icb, lp, a)
+		cont = w.runChunkIsolate(icb, lp, a)
+	} else {
+		var err error
+		cont, err = w.execSpan(icb, lp, a)
+		w.tick(cBodyTime)
+		if err != nil {
+			// FailFast: the first body failure is the run's stop-cause;
+			// every processor drains at its next preemption point.
+			ex.trip(err)
+			return false
+		}
 	}
-	cont, err := w.execSpan(icb, lp, a)
-	w.tick(cBodyTime)
-	if err != nil {
-		// FailFast: the first body failure is the run's stop-cause;
-		// every processor drains at its next preemption point.
-		ex.trip(err)
-		return false
+	if cont && w.rec != nil {
+		// The chunk's end, at the body boundary's clock reading, with the
+		// iterations that ran; the icount they are posted to lags them,
+		// and the post has its own record.
+		w.rec.Record(int64(w.now), flight.Chunk, int32(w.pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
 	}
 	return cont
 }

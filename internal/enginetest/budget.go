@@ -202,8 +202,8 @@ func BudgetResume(t *testing.T, name string, f Factory) {
 // deterministic engine: a nil budget, a zero budget and an
 // over-provisioned budget must all produce the identical run — same
 // makespan, same stats — because the meter charges no machine time.
-// (The benchsuite seed gate checks the same property against
-// BENCH_seed.json at the repository level.)
+// (make verify-gates checks the same property at the repository level:
+// the whole registry, no budget set, against the committed baseline.)
 func BudgetIdentity(t *testing.T, name string, f Factory) {
 	_, pl, _ := compile(t, loopir.MustBuild(func(b *loopir.B) {
 		b.Doall("I", loopir.Const(3), func(b *loopir.B) {

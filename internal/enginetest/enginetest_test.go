@@ -151,3 +151,29 @@ func TestVirtualEngineBudgetIdentity(t *testing.T) {
 		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
 	})
 }
+
+// TestVirtualEngineDelayedPosters holds the simulator to exactly-one
+// EXIT and the snapshot invariant when completions are posted late: a
+// planted straggler, and pauses taken while every worker holds unposted
+// work.
+func TestVirtualEngineDelayedPosters(t *testing.T) {
+	DelayedPosters(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestVirtualEngineTailInstances holds the simulator to exactly-once on
+// instances no longer than the machine is wide, where every chunk posts.
+func TestVirtualEngineTailInstances(t *testing.T) {
+	TailInstances(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineTailInstances does the same on goroutines; make
+// verify-gates runs it twenty times under -race.
+func TestRealEngineTailInstances(t *testing.T) {
+	TailInstances(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}

@@ -1,7 +1,7 @@
 // Package flight implements the kernel flight recorder: a fixed-size,
 // per-processor ring buffer of scheduling events (instance activation,
-// chunk claims and completions, instance exits, barrier completions,
-// hold switches) the execution kernel appends to as it drives the
+// chunk claims and completions, icount posts, instance exits, barrier
+// completions, hold switches) the execution kernel appends to as it drives the
 // paper's algorithms. It is the forensic counterpart of core.Tracer —
 // where a tracer streams every event to an observer, the recorder keeps
 // only the last writes per processor, cheaply enough to leave on in a
@@ -44,8 +44,9 @@ const (
 	Begin Kind = 1 + iota
 	// Claim: a chunk of iterations was claimed. A = lo, B = hi.
 	Claim
-	// Chunk: a claimed chunk finished executing. A = iterations done so
-	// far (icount after the chunk), B = bound.
+	// Chunk: a claimed chunk (or a slice of a lease) finished executing,
+	// stamped with the body's end. A = lo, B = hi. The iterations are
+	// complete but not yet counted: icount moves at the processor's Post.
 	Chunk
 	// Exit: an instance completed (its final iteration finished and the
 	// EXIT walk ran). A = bound, B = first enclosing index.
@@ -56,11 +57,17 @@ const (
 	// Switch: a processor dropped an exhausted hold to SEARCH for new
 	// work ({pcount Decrement} on an instance with nothing left).
 	Switch
+	// Post: a processor added the iterations it had executed since its
+	// previous post to the instance's icount — when it stopped claiming
+	// from the instance, paused, or near the instance's tail. A = the
+	// iterations posted, B = icount after the post (== the Begin record's
+	// bound on the post that completes the instance).
+	Post
 )
 
 var kindNames = [...]string{
 	Begin: "begin", Claim: "claim", Chunk: "chunk",
-	Exit: "exit", Barrier: "barrier", Switch: "switch",
+	Exit: "exit", Barrier: "barrier", Switch: "switch", Post: "post",
 }
 
 func (k Kind) String() string {
@@ -87,10 +94,10 @@ func (e Event) String() string {
 	switch e.Kind {
 	case Begin, Exit:
 		return fmt.Sprintf("t=%-8d p%-2d %-7s loop %d bound %d", e.At, e.Proc, e.Kind, e.Loop, e.A)
-	case Claim:
+	case Claim, Chunk:
 		return fmt.Sprintf("t=%-8d p%-2d %-7s loop %d [%d,%d]", e.At, e.Proc, e.Kind, e.Loop, e.A, e.B)
-	case Chunk:
-		return fmt.Sprintf("t=%-8d p%-2d %-7s loop %d done %d/%d", e.At, e.Proc, e.Kind, e.Loop, e.A, e.B)
+	case Post:
+		return fmt.Sprintf("t=%-8d p%-2d %-7s loop %d +%d icount %d", e.At, e.Proc, e.Kind, e.Loop, e.A, e.B)
 	case Barrier:
 		return fmt.Sprintf("t=%-8d p%-2d %-7s loop %d bound %d", e.At, e.Proc, e.Kind, e.Loop, e.A)
 	default:

@@ -103,16 +103,17 @@ func TestDumpRendering(t *testing.T) {
 	g := r.Ring(0)
 	g.Record(5, Begin, 0, 2, 10, 0)
 	g.Record(7, Claim, 0, 2, 1, 4)
-	g.Record(9, Chunk, 0, 2, 4, 10)
+	g.Record(9, Chunk, 0, 2, 1, 4)
+	g.Record(10, Post, 0, 2, 4, 10)
 	g.Record(11, Switch, 0, 2, 0, 0)
 	g.Record(13, Exit, 0, 2, 10, 0)
 	g.Record(15, Barrier, 0, 1, 3, 0)
 
 	d := r.Dump(16)
 	for _, want := range []string{
-		"flight recorder: 6 event(s) recorded, last 6:",
-		"begin", "claim", "chunk", "switch", "exit", "barrier",
-		"[1,4]", "done 4/10",
+		"flight recorder: 7 event(s) recorded, last 7:",
+		"begin", "claim", "chunk   loop 2 [1,4]", "switch", "exit", "barrier",
+		"claim   loop 2 [1,4]", "post    loop 2 +4 icount 10",
 	} {
 		if !strings.Contains(d, want) {
 			t.Errorf("dump missing %q:\n%s", want, d)

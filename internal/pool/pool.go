@@ -58,8 +58,11 @@ type SyncState interface {
 // 192 bytes is an allocator size class whose blocks start on a line
 // boundary (TestICBLayout pins both):
 //
-//	line 0  Index, ICount — a worker's complete→claim is two back-to-back
-//	        fetch-and-adds, so they share the one line that travels
+//	line 0  Index, ICount — the claim's fetch-and-add is the line's
+//	        per-chunk traffic; a worker posts to ICount once per hold and,
+//	        near the instance's tail, before each claim (post→claim, two
+//	        back-to-back fetch-and-adds), so they share the line that
+//	        travels
 //	line 1  PCount, the list links and membership, Sync — written per
 //	        adoption and per list operation, not per iteration
 //	line 2  Loop, Bound, IVec, Sched — written at activation only
@@ -67,8 +70,9 @@ type ICB struct {
 	// Index is the shared iteration index: the next iteration (1-based) to
 	// be scheduled. Low-level self-scheduling fetches from it.
 	Index machine.SyncVar
-	// ICount counts completed iterations; the processor that completes the
-	// last iteration activates the successors.
+	// ICount counts completed iterations as their processors post them —
+	// it lags executed work by each holder's unposted count; the processor
+	// whose post brings it to Bound activates the successors.
 	ICount machine.SyncVar
 	_      [16]byte
 

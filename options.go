@@ -131,7 +131,10 @@ type Options struct {
 	// Index and ICount) as software-combinable: on the virtual machine
 	// (without the global Combining network), concurrent accesses that
 	// arrive while one is in flight join its combining window instead of
-	// queueing behind it. Ignored by the real engines and subsumed by
+	// queueing behind it. The claim on Index is the per-chunk access it
+	// serves; ICount takes one post per hold (and one per chunk near an
+	// instance's tail), so it is hot only on instances of a few
+	// iterations. Ignored by the real engines and subsumed by
 	// Options.Combining.
 	CombineClaims bool `json:"combine_claims,omitempty" flag:"combine-claims" help:"mark the per-instance claim hot spots software-combinable (virtual engine)"`
 }
