@@ -33,12 +33,14 @@ bench-compare:
 
 # bench-smoke is the fast sanity slice CI runs on every push: the smoke
 # scenarios, then one iteration of the wall-clock benchmarks — the
-# kernel ones keep the real engine compiling and running, VirtualServed
-# checks the served programs' makespans on the virtual engine, and
-# ServedRetained fails when a terminal run keeps more than 4 kB of heap.
+# kernel ones keep the real engine compiling and running (KernelLeased
+# is the one place outside `go test` where it slices a held lease),
+# VirtualServed checks the served programs' makespans on the virtual
+# engine, and ServedRetained fails when a terminal run keeps more than
+# 4 kB of heap.
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -reps 2 -o /tmp/BENCH_smoke.json
-	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Scaling)|FetchAdd|VirtualServed|ServedRetained' -benchtime=1x . ./internal/machine/
+	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Leased|Scaling)|FetchAdd|VirtualServed|ServedRetained' -benchtime=1x . ./internal/machine/
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).
@@ -63,7 +65,10 @@ verify:
 # listener — the figure serve_cluster3's setup_s rests on), eight
 # goroutines racing the posts of four-iteration instances twenty times
 # over under the race detector (every chunk of such an instance is tail:
-# post, claim, and whoever's post completes the count runs EXIT), and one
+# post, claim, and whoever's post completes the count runs EXIT), the
+# batched checkpoint/resume matrix on eight goroutines twenty times over
+# under it too (the lease a worker holds is private state that crosses
+# the pause: its unstarted slices must travel as pending ranges), and one
 # run of the whole registry compared bit-for-bit against the committed
 # baseline: every seam must cost nothing, and change nothing, when off
 # (adaptive scenarios are exempt from cross-file bit-identity; the
@@ -72,6 +77,6 @@ verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngineTailInstances' ./internal/enginetest/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)' ./internal/enginetest/
 	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) /tmp/BENCH_gates.json

@@ -129,14 +129,14 @@ func BenchmarkIterationOverhead(b *testing.B) {
 
 // benchKernel is one op of the repo benchmark's kernel workloads
 // (bench/kernel.go) per b.N iteration: the compiled nest through the
-// library API on the real engine under ss at P = min(NumCPU, 4),
-// reported as wall nanoseconds per leaf iteration.
-func benchKernel(b *testing.B, nest *loopir.Nest) {
+// library API on the real engine under ss at P = min(NumCPU, 4) — opts
+// adds to that — reported as wall nanoseconds per leaf iteration.
+func benchKernel(b *testing.B, nest *loopir.Nest, opts Options) {
 	prog, err := Compile(nest)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Procs: min(runtime.NumCPU(), 4), Scheme: "ss", Engine: EngineReal}
+	opts.Procs, opts.Scheme, opts.Engine = min(runtime.NumCPU(), 4), "ss", EngineReal
 	var iters int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -152,11 +152,20 @@ func benchKernel(b *testing.B, nest *loopir.Nest) {
 
 // BenchmarkKernelFine is the benchmark's kernel_fine nest: one instance,
 // one fetch-and-add per iteration — the O1 term of eq. (2).
-func BenchmarkKernelFine(b *testing.B) { benchKernel(b, workload.UniformDoall(400000, 1)) }
+func BenchmarkKernelFine(b *testing.B) { benchKernel(b, workload.UniformDoall(400000, 1), Options{}) }
+
+// BenchmarkKernelLeased is kernel_fine's nest claimed eight chunks at a
+// time: the only place outside `go test` where the real engine slices a
+// held lease (one fetch-and-add per eight iterations).
+func BenchmarkKernelLeased(b *testing.B) {
+	benchKernel(b, workload.UniformDoall(400000, 1), Options{ClaimBatch: 8})
+}
 
 // BenchmarkKernelNested is the benchmark's kernel_nested nest: 50k
 // four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2.
-func BenchmarkKernelNested(b *testing.B) { benchKernel(b, workload.ManyInstances(8, 50000, 4, 1)) }
+func BenchmarkKernelNested(b *testing.B) {
+	benchKernel(b, workload.ManyInstances(8, 50000, 4, 1), Options{})
+}
 
 // BenchmarkVirtualServed is what loopschedd executes for one run of the
 // benchmark's serve workloads: each program bench/ submits, on the

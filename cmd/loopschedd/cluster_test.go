@@ -119,6 +119,12 @@ func startClusterSampling(t *testing.T, n int, dir string, faults *cluster.NetIn
 		// listener drops, so teardown never masquerades as node death.
 		for i := range tc.srvs {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			if tc.https[i] == nil {
+				// A killed node's zombie gets no drain window: nothing can
+				// reach its runs (an endless one would sit the window out),
+				// and a real zombie's would die with its process.
+				cancel()
+			}
 			tc.srvs[i].close(ctx)
 			cancel()
 		}

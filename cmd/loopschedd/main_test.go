@@ -218,6 +218,12 @@ func TestQueueLimitShedsLoad(t *testing.T) {
 		if resp.StatusCode != wantStatus {
 			t.Fatalf("submit %d status = %d, want %d (%v)", i, resp.StatusCode, wantStatus, payload)
 		}
+		if id, ok := payload["id"].(string); ok {
+			// The test is finished with the run once it is admitted; left
+			// alive, an endless run makes the server's close sit out its
+			// whole drain window.
+			defer postJSON(t, ts.URL+"/v1/runs/"+id+"/cancel", "")
+		}
 	}
 }
 

@@ -10,25 +10,26 @@ import (
 // Gas-style execution budgets on the claim path.
 //
 // A budget meters the run at the one place every iteration already
-// passes through a shared synchronization point: the chunk claim. Each
-// successful claim (or lease, under Config.ClaimBatch) charges its full
-// iteration count against a host-side atomic before any of it executes,
-// so the meter costs one decrement per claim — amortized by the batch
-// factor exactly like the claim itself — and charges no machine time.
-// With no budget configured the kernel pays a single boolean test per
-// claim and the run is bit-identical to a build without the seam.
+// passes through: the drive loop's claim site. Each chunk about to run —
+// a fresh claim, or the next slice of a lease the worker holds
+// (Config.ClaimBatch) — charges its iteration count against a host-side
+// atomic before any of it executes, so the meter costs one decrement per
+// chunk and charges no machine time. With no budget configured the
+// kernel pays a single boolean test per chunk and the run is
+// bit-identical to a build without the seam.
 //
-// Exhaustion is schedule-independent and exact: the claim that crosses
+// Exhaustion is schedule-independent and exact: the chunk that crosses
 // the budget executes only its allowed prefix, posts it — with whatever
 // else the worker had executed on the instance and not yet posted — to
 // the instance's icount, and records the unexecuted remainder as a
-// pending range (the same machinery a mid-lease checkpoint pause uses),
-// so the run executes exactly min(total iterations, budget) iterations
-// on every engine, scheme and batch factor. The pause then rides the
-// checkpoint drain: workers stop at claim boundaries, claimed work
-// always completes, and nothing is cut mid-chunk. For runs with the
-// checkpoint seam enabled the resulting BudgetExceededError carries a
-// resumable RunSnapshot; others report consumption only.
+// pending range (with the slices of its lease still in hand, exactly as
+// a checkpoint pause records them), so the run executes exactly
+// min(total iterations, budget) iterations on every engine, scheme and
+// batch factor. The pause then rides the checkpoint drain: workers stop
+// at claim boundaries, a started chunk always completes, and nothing is
+// cut mid-chunk. For runs with the checkpoint seam enabled the resulting
+// BudgetExceededError carries a resumable RunSnapshot; others report
+// consumption only.
 
 // Budget caps one run's execution, enforced on the claim path.
 type Budget struct {
@@ -36,9 +37,10 @@ type Budget struct {
 	// claim; the run pauses at exactly this count (or completes earlier).
 	Iterations int64
 	// Time, if positive, is an engine-time ceiling checked at claim
-	// boundaries: once pr.Now() reaches it no further chunks are claimed.
-	// Claimed work still completes, so the overshoot is bounded by one
-	// chunk (or lease) per processor.
+	// boundaries: once pr.Now() reaches it no further chunk starts — the
+	// unstarted slices of a held lease become pending. A started chunk
+	// still completes, so the overshoot is bounded by one chunk per
+	// processor at any batch factor.
 	Time machine.Time
 }
 
@@ -72,11 +74,11 @@ func (e *BudgetExceededError) Error() string {
 // Is makes errors.Is(err, ErrBudgetExceeded) true for BudgetExceededErrors.
 func (e *BudgetExceededError) Is(target error) bool { return target == ErrBudgetExceeded }
 
-// budgetClaim charges a claim of s iterations against the iteration
+// budgetClaim charges a chunk of s iterations against the iteration
 // budget and returns how many of them may execute. The charge happens
 // before execution, through one host-side atomic add, so concurrent
 // claimers partition the remaining budget exactly: the allowed counts
-// across all claims sum to precisely Budget.Iterations when the run
+// across all chunks sum to precisely Budget.Iterations when the run
 // exhausts. Crossing (or meeting) the limit requests the pause; the
 // caller executes the allowed prefix and records the remainder pending.
 func (ex *executor) budgetClaim(s int64) int64 {

@@ -29,9 +29,11 @@ import (
 //
 // (every claimed iteration has completed and been posted), which makes
 // the instance's whole scheduling state a single cursor word. Under
-// batched claiming (Config.ClaimBatch) a worker may additionally pause
-// between the slices of a lease; it then posts what it executed and
-// records the unexecuted remainder, generalizing the invariant to
+// batched claiming (Config.ClaimBatch) the claim boundary also falls
+// between the slices of the lease a worker holds; a worker that pauses
+// with slices in hand posts what it executed and records the unexecuted
+// remainder (a budget cut records the rest of its chunk the same way),
+// generalizing the invariant to
 //
 //	icount + pending == ExecutedPrefix(cursor)
 //
@@ -115,9 +117,10 @@ type ICBSnapshot struct {
 	// Calc, when non-empty, is the calculator spec the instance was
 	// pinned to at activation (adaptive policies pin per instance).
 	Calc string `json:"calc,omitempty"`
-	// Pending are leased-but-unexecuted iteration ranges: under batched
-	// claiming (Config.ClaimBatch) a worker paused mid-lease posts the
-	// executed prefix and records the remainder here. Restore executes
+	// Pending are claimed-but-unexecuted iteration ranges: a worker that
+	// pauses with slices of its lease in hand (Config.ClaimBatch), or
+	// whose chunk crossed the iteration budget, posts the executed prefix
+	// and records the remainder here. Restore executes
 	// them before republishing the instance, so Done + the pending sizes
 	// always equals the cursor's executed prefix.
 	Pending []IterRange `json:"pending,omitempty"`

@@ -220,13 +220,14 @@ func (e *countingEngine) Run(worker func(machine.Proc)) machine.RunReport {
 // countedProcs is the machine size of the counting runs.
 const countedProcs = 4
 
-// countedRun runs nest under ss on a counting 4-processor virtual machine
-// (deterministic, so the figures are exact) with no tracer, recorder or
-// budget, and returns the engine's counts and the run's stats.
-func countedRun(t *testing.T, nest *loopir.Nest) (*countingEngine, Snapshot) {
+// countedRun runs nest under ss, claiming batch chunks per operation, on
+// a counting 4-processor virtual machine (deterministic, so the figures
+// are exact) with no tracer, recorder or budget, and returns the engine's
+// counts and the run's stats.
+func countedRun(t *testing.T, nest *loopir.Nest, batch int) (*countingEngine, Snapshot) {
 	t.Helper()
 	eng := &countingEngine{Engine: vmachine.New(vmachine.Config{P: countedProcs, AccessCost: 5})}
-	rep, err := Run(compileOnly(t, nest), Config{Engine: eng, Scheme: lowsched.SS{}})
+	rep, err := Run(compileOnly(t, nest), Config{Engine: eng, Scheme: lowsched.SS{}, ClaimBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func countedRun(t *testing.T, nest *loopir.Nest) (*countingEngine, Snapshot) {
 // takes one post per chunk, Algorithm 3's figure, and never more.
 func TestPostBudget(t *testing.T) {
 	for _, n := range []int64{2000, 20000} {
-		eng, st := countedRun(t, workload.UniformDoall(n, 20))
+		eng, st := countedRun(t, workload.UniformDoall(n, 20), 1)
 		posts := eng.posts.Load()
 		t.Logf("flat doall %d: %d icount accesses over %d chunks", n, posts, st.Chunks)
 		if posts > 2*countedProcs {
@@ -250,7 +251,7 @@ func TestPostBudget(t *testing.T) {
 		}
 	}
 	for _, inst := range []int64{64, 640} {
-		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30))
+		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30), 1)
 		per := float64(eng.posts.Load()) / float64(st.Instances)
 		t.Logf("many instances %d: %.2f icount accesses per 4-iteration instance", inst, per)
 		if per > 4 {
@@ -264,11 +265,13 @@ func TestPostBudget(t *testing.T) {
 // reads — one after the claim, one after the body; the icount update
 // rides in the next claim's interval — and an instance a small constant
 // more (its completion path and the SEARCH that follows). Scaling the
-// nest must not move either per-unit figure.
+// nest must not move either per-unit figure. A slice taken from a held
+// lease is no claim: it costs the body's read alone, and the lease's one
+// claim read is shared by its slices — 1 + 1/batch per chunk.
 func TestClockBudget(t *testing.T) {
 	const perChunk, slack = 2, 32
 	for _, n := range []int64{2000, 20000} {
-		eng, st := countedRun(t, workload.UniformDoall(n, 20))
+		eng, st := countedRun(t, workload.UniformDoall(n, 20), 1)
 		nows := eng.nows.Load()
 		t.Logf("flat doall %d: %d clock reads over %d chunks", n, nows, st.Chunks)
 		if st.Chunks != n {
@@ -276,6 +279,17 @@ func TestClockBudget(t *testing.T) {
 		}
 		if nows > perChunk*st.Chunks+slack {
 			t.Errorf("flat doall %d: %d clock reads, want <= %d per chunk + %d", n, nows, perChunk, slack)
+		}
+
+		const batch = 8
+		eng, st = countedRun(t, workload.UniformDoall(n, 20), batch)
+		nows = eng.nows.Load()
+		t.Logf("flat doall %d, batch %d: %d clock reads over %d chunks", n, batch, nows, st.Chunks)
+		if st.Chunks != n {
+			t.Fatalf("ss leased %d chunks for %d iterations", st.Chunks, n)
+		}
+		if nows > st.Chunks+st.Chunks/batch+slack {
+			t.Errorf("flat doall %d, batch %d: %d clock reads, want <= one per chunk + one per lease + %d", n, batch, nows, slack)
 		}
 	}
 
@@ -285,7 +299,7 @@ func TestClockBudget(t *testing.T) {
 	// one for its next SEARCH — at most P-1 such workers per instance.
 	const perInstance = 3 + 2*3
 	for _, inst := range []int64{64, 640} {
-		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30))
+		eng, st := countedRun(t, workload.ManyInstances(8, inst, 4, 30), 1)
 		nows := eng.nows.Load()
 		surplus := float64(nows-perChunk*st.Chunks) / float64(st.Instances)
 		t.Logf("many instances %d: %d clock reads, %d chunks, %d instances: surplus %.2f per instance",

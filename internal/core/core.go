@@ -226,9 +226,11 @@ type Config struct {
 	Checkpoint *CheckpointConfig
 	// ClaimBatch is the lease batch factor: a worker's claim acquires up
 	// to this many successive chunks with one synchronization operation
-	// and slices them locally (lowsched.Leaser). 0 and 1 select the
-	// classic one-chunk-per-claim protocol, bit-identical to builds
-	// without the seam. Values above 1 require a scheme whose policy
+	// (lowsched.Leaser) and keeps them; the drive loop's claim site takes
+	// the next slice from the lease in hand before it performs another
+	// operation, so everything else — pause, budget meter, body, post —
+	// is the unit chunk's code. 0 and 1 claim one chunk per operation
+	// (lowsched.Policy.Next). Values above 1 require a scheme whose policy
 	// implements lowsched.Leaser (every cursor scheme does; static
 	// pre-assignment schemes do not).
 	ClaimBatch int
@@ -249,8 +251,9 @@ type Config struct {
 	// combine in the coherence fabric. Off by default (bit-identical).
 	CombineClaims bool
 	// Budget, if non-nil, meters the run on the claim path (see
-	// budget.go): iteration and engine-time budgets are charged per claim
-	// — amortized by ClaimBatch — and exhaustion pauses the run at
+	// budget.go): the iteration budget is charged per chunk, the
+	// engine-time budget is looked at before every chunk — a slice of a
+	// held lease is a chunk — and exhaustion pauses the run at
 	// claim-quiescence with a typed *BudgetExceededError. Nil (and the
 	// zero Budget) costs the hot path one boolean test per claim and
 	// keeps runs bit-identical to a build without the meter.
@@ -345,7 +348,9 @@ type executor struct {
 	// executor so the kernel's hot path reads one flat field; ckptAfter,
 	// restore and rec hoist the checkpoint trigger, the resume snapshot
 	// and the flight recorder the same way; batch, leaser and combine
-	// hoist the claim-path tuning (ClaimBatch, CombineClaims).
+	// hoist the claim-path tuning (ClaimBatch, CombineClaims): leaser is
+	// the policy as a lowsched.Leaser when batch > 1 and nil otherwise,
+	// which is how the claim site chooses its synchronization operation.
 	inj       *fault.Injector
 	retry     Retry
 	ckptAfter int64
@@ -362,9 +367,10 @@ type executor struct {
 	// budTime the engine-time ceiling (0: none).
 	budMeter bool
 	budTime  machine.Time
-	// pend records leased-but-unexecuted iteration ranges of workers
-	// paused mid-lease, keyed by instance; capture folds them into the
-	// snapshot. Only ever written under a checkpoint pause (cold path).
+	// pend records claimed-but-unexecuted iteration ranges — the slices a
+	// pausing worker still had in hand, the rest of a chunk the iteration
+	// budget cut — keyed by instance; capture folds them into the
+	// snapshot. Only ever written under a pause (cold path).
 	pendMu sync.Mutex
 	pend   map[*pool.ICB][]lowsched.Assignment
 	// failures is the Isolate policy's quarantine log.
@@ -460,8 +466,8 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 	return ex
 }
 
-// addPending records a mid-lease pause's unexecuted remainder (see
-// worker.runLease and capture).
+// addPending records a pausing worker's claimed-but-unexecuted range (see
+// worker.pause, the budget cut in worker.run, and capture).
 func (ex *executor) addPending(icb *pool.ICB, a lowsched.Assignment) {
 	ex.pendMu.Lock()
 	if ex.pend == nil {

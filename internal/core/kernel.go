@@ -22,6 +22,11 @@ import (
 //   - lowsched.Policy supplies the iteration-claiming rule; the kernel
 //     never knows a scheme's chunk formula.
 //
+// The loop has one claim site. A lease (Config.ClaimBatch) is a claim the
+// worker keeps: the claim site takes the next slice from worker.lease
+// before it performs another synchronization operation, so pause, budget
+// meter, body and post are the same code at every batch factor.
+//
 // No SEARCH, EXIT or ENTER control flow exists outside this package.
 
 // worker is the worker layer: one processor's private scratch for the
@@ -86,6 +91,10 @@ type worker struct {
 	// rec is this processor's flight-recorder ring, nil when recording
 	// is off — every record site pays exactly one nil test then.
 	rec *flight.Ring
+	// lease is the unconsumed part of the worker's last batched claim, zero
+	// when there is none. It is consumed, or recorded as pending by a pause,
+	// before the worker lets go of the instance.
+	lease lowsched.Lease
 	// pad keeps adjacent workers in the executor's slice from sharing a
 	// cache line (the shard and freelist headers above are written on
 	// every scheduling decision).
@@ -246,56 +255,66 @@ func (w *worker) run() {
 			w.pause(icb)
 			return
 		}
-		if ex.batch > 1 {
-			// Batched claiming: one synchronization operation leases a
-			// run of chunks the worker slices locally.
-			keep, cont := w.runLease(icb)
-			if !cont {
-				return
+
+		// grab iterations: the next slice of the lease in hand (a branch on a
+		// worker-private word), or else the synchronization operation, which
+		// claims n chunks covering span: one, or a lease of up to ClaimBatch.
+		var a lowsched.Assignment
+		if w.lease.Len() > 0 {
+			a, _ = w.lease.Slice()
+		} else {
+			var ok, last bool
+			span, n := a, int64(1)
+			if ex.leaser == nil {
+				a, ok, last = ex.policy.Next(pr, icb)
+				span = a
+			} else {
+				w.lease, ok, last = ex.leaser.Lease(pr, icb, ex.batch)
+				span = lowsched.Assignment{Lo: w.lease.Lo(), Hi: w.lease.Hi()}
+				n = int64(w.lease.Len())
+				a, _ = w.lease.Slice()
 			}
-			if !keep {
+			if !ok {
+				// All iterations scheduled elsewhere: post what we executed,
+				// drop our hold and find new work.
+				if !w.leave(icb) {
+					return
+				}
 				icb = nil
+				continue
 			}
-			continue
-		}
-		a, ok, last := ex.policy.Next(pr, icb)
-		if !ok {
-			// All iterations scheduled elsewhere: post what we executed,
-			// drop our hold and find new work.
-			if !w.leave(icb) {
-				return
+			if last {
+				// We grabbed the final iterations: remove the ICB from the
+				// pool so later searchers move on (DELETE, Algorithm 1).
+				ex.pool.Delete(pr, icb)
 			}
-			icb = nil
-			continue
-		}
-		if last {
-			// We grabbed the final iterations: remove the ICB from the
-			// pool so later searchers move on (DELETE, Algorithm 1).
-			ex.pool.Delete(pr, icb)
-		}
-		w.shard.Inc(cChunks)
-		// The claim closes the O1 interval the previous body's end (or the
-		// SEARCH) opened: a tail post if there was one, the fetch-and-add
-		// on index and, on the final claim, the DELETE.
-		w.tick(cO1Time)
-		w.lastClaim.Store(w.now)
-		if w.rec != nil {
-			w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
-		}
-		if ex.ckptAfter > 0 && ex.claims.Add(1) == ex.ckptAfter {
-			// The deterministic claim-k trigger: this chunk still executes
-			// (claimed work always completes); the pause takes effect at
-			// every worker's next claim boundary.
-			ex.ckptReq.Store(true)
+			// Chunks (here, and the claim-k trigger below) are counted per
+			// operation, for every chunk it covered.
+			w.shard.Add(cChunks, n)
+			// The claim closes the O1 interval the previous body's end (or the
+			// SEARCH) opened: a tail post if there was one, the fetch-and-add
+			// on index and, on the final claim, the DELETE.
+			w.tick(cO1Time)
+			w.lastClaim.Store(w.now)
+			if w.rec != nil {
+				w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), span.Lo, span.Hi)
+			}
+			if ex.ckptAfter > 0 {
+				// The deterministic claim-k trigger fires when the cumulative
+				// chunk count reaches k (a lease may step past it, never
+				// around it). This chunk still executes; the pause takes
+				// effect at every worker's next claim boundary.
+				if c := ex.claims.Add(n); c-n < ex.ckptAfter && ex.ckptAfter <= c {
+					ex.ckptReq.Store(true)
+				}
+			}
 		}
 		if ex.budMeter {
 			if allowed := ex.budgetClaim(a.Size()); allowed < a.Size() {
-				// The claim crossed the iteration budget: execute only the
+				// The chunk crossed the iteration budget: execute only the
 				// allowed prefix, record the remainder as the instance's
-				// pending range and pause — exactly a mid-lease pause, so
-				// the claim-quiescence invariant (icount + pending ==
-				// executed cursor prefix) holds for the snapshot. The hold
-				// is kept, like every other pause at a claim site.
+				// pending range (icount + pending == executed cursor prefix
+				// holds for the snapshot) and pause, keeping the hold.
 				if allowed > 0 {
 					if !w.runChunk(icb, lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + allowed - 1}) {
 						return
@@ -317,7 +336,7 @@ func (w *worker) run() {
 			return
 		}
 
-		keep, cont := w.executed(icb, a.Size(), a)
+		keep, cont := w.executed(icb, a)
 		if !cont {
 			return
 		}
@@ -327,21 +346,22 @@ func (w *worker) run() {
 	}
 }
 
-// executed is the update step of Algorithm 3 after a body: n more
-// iterations of icb are complete, the last of them chunk a. They are
-// counted privately and posted when the worker stops claiming from the
-// instance (leave, pause) — except near the instance's tail, where the
-// next claim will probably fail: once fewer than P chunks of a's size lie
-// beyond it (for unit chunks, fewer than P iterations) the worker posts
-// before claiming, so the completion that triggers EXIT does not wait
-// behind a failed claim queued at the hot index word. The final claim
-// (a.Hi == bound) is the tail's last case; an instance of at most P
-// chunks is all tail, and so is every GSS chunk (ceil(remaining/P) each):
-// those post chunk by chunk, as Algorithm 3 writes it. keep and cont are
-// post's.
-func (w *worker) executed(icb *pool.ICB, n int64, a lowsched.Assignment) (keep, cont bool) {
-	w.unposted += n
-	if icb.Bound-a.Hi >= w.ex.nprocs*a.Size() {
+// executed is the update step of Algorithm 3 after a body: chunk a of icb
+// is complete. Its iterations are counted privately and posted when the
+// worker stops claiming from the instance (leave, pause) — except near the
+// instance's tail, where the next claim will probably fail: once fewer
+// than P chunks of a's size lie beyond it (for unit chunks, fewer than P
+// iterations) the worker posts before claiming, so the completion that
+// triggers EXIT does not wait behind a failed claim queued at the hot
+// index word. The final claim (a.Hi == bound) is the tail's last case; an
+// instance of at most P chunks is all tail, and so is every GSS chunk
+// (ceil(remaining/P) each): those post chunk by chunk, as Algorithm 3
+// writes it. With slices of a lease still in hand the next claim is no
+// synchronization operation and cannot fail, so the rule waits for the
+// lease's last slice. keep and cont are post's.
+func (w *worker) executed(icb *pool.ICB, a lowsched.Assignment) (keep, cont bool) {
+	w.unposted += a.Size()
+	if icb.Bound-a.Hi >= w.ex.nprocs*a.Size() || w.lease.Len() > 0 {
 		return true, true
 	}
 	return w.post(icb)
@@ -367,11 +387,15 @@ func (w *worker) leave(icb *pool.ICB) (cont bool) {
 }
 
 // pause is the way out of the drive loop at a claim boundary (checkpoint
-// request, budget exhaustion, a budget cut, a mid-lease pause): post, so
-// that every snapshot satisfies icount + pending == ExecutedPrefix(cursor),
-// and close the open O1 interval. The hold is kept. A post that completes
-// the instance has closed the interval itself, before EXIT.
+// request, budget exhaustion, a budget cut): record the slices still in
+// hand as pending — restore runs them before it republishes the instance —
+// and post, so that every snapshot satisfies icount + pending ==
+// ExecutedPrefix(cursor); then close the open O1 interval. The hold is
+// kept. A post that completes the instance has closed the interval itself.
 func (w *worker) pause(icb *pool.ICB) {
+	if rem, ok := w.lease.Remaining(); ok {
+		w.ex.addPending(icb, rem)
+	}
 	if w.unposted > 0 {
 		if keep, _ := w.post(icb); !keep {
 			return
@@ -442,102 +466,6 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	w.free = append(w.free, icb)
 	w.tick(cO3Time)
 	return false, true
-}
-
-// runLease is the batched claim-and-execute step: acquire a lease of up
-// to ex.batch chunks with one synchronization operation and slice it
-// locally; the executed slices join the same private count unit chunks
-// use (executed), so a hold that takes several leases posts once. Chunk
-// accounting (cChunks, the claim-k checkpoint trigger) is per covered
-// chunk at claim time, so trend metrics and triggers keep chunk
-// granularity while the synchronization traffic is per lease.
-//
-// The checkpoint pause is honored between slices: the executed prefix is
-// posted to icount and the unexecuted remainder is recorded as the
-// instance's pending range, which restore re-executes before
-// republishing the instance (the leased-but-unexecuted iterations are
-// neither lost nor repeated).
-func (w *worker) runLease(icb *pool.ICB) (keep, cont bool) {
-	ex, pr := w.ex, w.pr
-	lease, ok, last := ex.leaser.Lease(pr, icb, ex.batch)
-	if !ok {
-		return false, w.leave(icb)
-	}
-	if last {
-		ex.pool.Delete(pr, icb)
-	}
-	n := int64(lease.Len())
-	w.shard.Add(cChunks, n)
-	w.tick(cO1Time)
-	w.lastClaim.Store(w.now)
-	if w.rec != nil {
-		w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), lease.Lo(), lease.Hi())
-	}
-	if ex.ckptAfter > 0 {
-		// The trigger fires when the cumulative chunk count crosses the
-		// threshold; a lease may step past it, never around it.
-		if c := ex.claims.Add(n); c-n < ex.ckptAfter && c >= ex.ckptAfter {
-			ex.ckptReq.Store(true)
-		}
-	}
-
-	// budLeft caps this lease's execution when the iteration budget is
-	// metered (-1: uncapped). The whole lease is charged up front — one
-	// atomic add per lease, the same amortization as the claim itself.
-	budLeft := int64(-1)
-	if ex.budMeter {
-		budLeft = ex.budgetClaim(lease.Hi() - lease.Lo() + 1)
-	}
-
-	var exec int64
-	var final lowsched.Assignment // the lease's last slice
-	for {
-		a, ok := lease.Slice()
-		if !ok {
-			break
-		}
-		final = a
-		run := a
-		if budLeft >= 0 && a.Size() > budLeft {
-			run.Hi = a.Lo + budLeft - 1 // empty when the budget is spent
-		}
-		if run.Hi >= run.Lo {
-			if !w.runChunk(icb, run) {
-				// Drain (abort): the unposted iterations are abandoned with
-				// the run, exactly like an aborted unit chunk.
-				return false, false
-			}
-			exec += run.Size()
-			budLeft -= run.Size() // stays negative when uncapped
-		}
-		// A pause between slices: the budget cut this slice short (or left
-		// none of it), or — only when the iteration meter is off — a
-		// checkpoint was requested. A metered lease was charged in full at
-		// claim time, and the meter's exactness contract (executed ==
-		// consumed) requires every charged iteration to run; a metered
-		// lease therefore behaves like a unit chunk and honors the pause
-		// at its end.
-		cut := run.Hi < a.Hi
-		if !cut && (ex.budMeter || !ex.ckptReq.Load()) {
-			continue
-		}
-		rem, more := lease.Remaining()
-		if !cut && !more {
-			break // the pause fell on the lease's end: the claim boundary takes it
-		}
-		// Post what ran, record the rest as the instance's pending range,
-		// keep the hold and leave.
-		if cut {
-			ex.addPending(icb, lowsched.Assignment{Lo: run.Hi + 1, Hi: a.Hi})
-		}
-		if more {
-			ex.addPending(icb, rem)
-		}
-		w.unposted += exec
-		w.pause(icb)
-		return true, false
-	}
-	return w.executed(icb, exec, final)
 }
 
 // runChunk executes the assigned iterations [a.Lo, a.Hi] of icb under

@@ -53,8 +53,10 @@ const (
 	numCounters
 )
 
-// statDescs declares the spine counters in ID order (names double as the
-// /metrics stems of services that re-export a run's counters).
+// statDescs declares the spine counters in ID order. The names identify
+// the counters within the spine only: the one service that re-exports a
+// run's counters names its /metrics series itself (runner.resultMetrics
+// — runner_pool_walked_total, not search_walked).
 var statDescs = []obs.Desc{
 	{Name: "iterations", Help: "leaf iterations executed", Unit: "count"},
 	{Name: "chunks", Help: "low-level assignments fetched", Unit: "count"},

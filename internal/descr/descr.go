@@ -44,6 +44,11 @@ type Guard struct {
 	Altern int
 }
 
+// String renders the guard as "label->altern loop number" (0: none). The
+// condition is a function: %v would print its address, which changes from
+// build to build.
+func (g Guard) String() string { return fmt.Sprintf("%s->%d", g.Label, g.Altern) }
+
 // LevelDesc is the DESCRPT_i(j) record for one enclosing level.
 type LevelDesc struct {
 	// Parallel reports whether the enclosing loop at this level is a

@@ -112,73 +112,22 @@ func BatchedCheckpointResume(t *testing.T, name string, f Factory) {
 		for _, pk := range pools {
 			for _, k := range []int64{2, 5} {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", s.Name(), pk, k), func(t *testing.T) {
-					// Uninterrupted baseline, same batch factor.
-					fullLog := trace.New()
-					intr := machine.NewInterrupt()
-					full, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: fullLog, Interrupt: intr, ClaimBatch: batch,
-					})
-					if err != nil {
-						t.Fatalf("uninterrupted run: %v", err)
-					}
+					// Pause after k claimed chunks — with batch 8 the trigger
+					// crosses inside a lease, leaving leased-but-unexecuted
+					// iterations behind — and resume at the same batch factor.
 					ctx := refexec.Context{Nest: "batched-resume", Scheme: s.Name(), Pool: pk.String(), Engine: name}
-					if err := fullLog.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
-						t.Fatal(err)
+					r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: s, Pool: pk, ClaimBatch: batch},
+						func(cfg *core.Config) { cfg.Checkpoint = &core.CheckpointConfig{AfterChunks: k} })
+					if !errors.Is(r.pause, core.ErrCheckpointed) {
+						t.Fatalf("checkpoint run returned %v, want CheckpointedError", r.pause)
 					}
-
-					// Part one: pause after k claimed chunks — with batch 8
-					// the trigger crosses inside a lease, leaving
-					// leased-but-unexecuted iterations behind.
-					partLog := trace.New()
-					intr = machine.NewInterrupt()
-					_, err = core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: partLog, Interrupt: intr, ClaimBatch: batch,
-						Checkpoint: &core.CheckpointConfig{AfterChunks: k},
-					})
-					var cke *core.CheckpointedError
-					if !errors.As(err, &cke) {
-						t.Fatalf("checkpoint run returned %v, want CheckpointedError", err)
-					}
-					for _, icb := range cke.Snapshot.ICBs {
+					for _, icb := range r.snap.ICBs {
 						if len(icb.Pending) > 0 {
 							sawPending = true
 						}
 					}
 
-					// Part two: resume on a fresh engine, same batch factor.
-					restLog := trace.New()
-					intr = machine.NewInterrupt()
-					rep, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: restLog, Interrupt: intr, ClaimBatch: batch,
-						Checkpoint: &core.CheckpointConfig{Restore: cke.Snapshot},
-					})
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-
-					want := iterMultiset(fullLog)
-					got := iterMultiset(partLog)
-					for key, n := range iterMultiset(restLog) {
-						got[key] += n
-					}
-					if len(got) != len(want) {
-						t.Errorf("combined parts cover %d iterations, uninterrupted run %d", len(got), len(want))
-					}
-					for key, n := range want {
-						if got[key] != n {
-							t.Errorf("iteration %s executed %d time(s) across the parts, want %d", key, got[key], n)
-						}
-					}
-					for key := range got {
-						if _, ok := want[key]; !ok {
-							t.Errorf("parts executed %s, absent from the uninterrupted run", key)
-						}
-					}
-
-					fs, gs := full.Stats, rep.Stats
+					fs, gs := r.full.Stats, r.rest.Stats
 					if gs.Iterations != fs.Iterations || gs.Instances != fs.Instances ||
 						gs.Enters != fs.Enters || gs.Exits != fs.Exits || gs.ZeroTrips != fs.ZeroTrips {
 						t.Errorf("resumed totals diverge:\nresumed       %+v\nuninterrupted %+v", gs, fs)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/loopir"
@@ -23,7 +24,9 @@ import (
 // not perturb the run at all: same report, same iteration count, and
 // (checked separately below) the same virtual-time makespan as a run
 // with no budget configured, pinning the meter's zero-cost-when-idle
-// contract structurally rather than statistically.
+// contract structurally rather than statistically. Two more rows cover
+// the engine-time ceiling (budgetTime) and a checkpoint request reaching
+// a metered leaseholder (budgetedLeaseCheckpoint).
 func Budgets(t *testing.T, name string, f Factory) {
 	schemes := []lowsched.Scheme{
 		lowsched.SS{}, lowsched.CSS{K: 3}, lowsched.GSS{}, lowsched.TFSS{},
@@ -97,6 +100,114 @@ func Budgets(t *testing.T, name string, f Factory) {
 			}
 		}
 	}
+	t.Run("Time", func(t *testing.T) { budgetTime(t, name, f) })
+	t.Run("LeaseCheckpoint", func(t *testing.T) { budgetedLeaseCheckpoint(t, name, f) })
+}
+
+// budgetTime is the engine-time half of Budgets. Once a processor's
+// clock reaches the ceiling it starts no further chunk, so the run returns
+// a BudgetExceededError whose Elapsed is at least the ceiling and which
+// overshoots it by at most the chunk each processor had already started —
+// at any batch factor, because the slices of a held lease are chunks the
+// worker has not started (they travel in the snapshot as pending ranges).
+// The overshoot is asserted on the trace's own clock readings, which are
+// the ones the ceiling is compared with: per processor, no more than one
+// chunk's iterations begin at or after the ceiling. The resumed run must
+// complete the uninterrupted run's iteration multiset.
+func budgetTime(t *testing.T, name string, f Factory) {
+	const (
+		p       = 4
+		grain   = 20_000 // engine time one iteration takes, at least
+		ceiling = 10*grain + grain/2
+	)
+	// The body costs grain on whichever clock the engine keeps: grain units
+	// of accounted work, and grain nanoseconds of the host's time.
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.Doall("I", loopir.Const(3), func(b *loopir.B) {
+			b.DoallLeaf("B", loopir.Const(80), func(e loopir.Env, iv loopir.IVec, j int64) {
+				e.Work(grain)
+				for t0 := time.Now(); time.Since(t0) < grain; {
+				}
+			})
+		})
+	})
+	prog, pl, ref := compile(t, nest)
+	for _, s := range []struct {
+		scheme lowsched.Scheme
+		chunk  int
+	}{{lowsched.SS{}, 1}, {lowsched.CSS{K: 3}, 3}} {
+		for _, batch := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/b=%d", s.scheme.Name(), batch), func(t *testing.T) {
+				ctx := refexec.Context{Nest: "budget-time", Scheme: s.scheme.Name(), Engine: name}
+				r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: s.scheme, ClaimBatch: batch},
+					func(cfg *core.Config) {
+						cfg.Budget = &core.Budget{Time: ceiling}
+						cfg.Checkpoint = &core.CheckpointConfig{}
+					})
+				var be *core.BudgetExceededError
+				if !errors.As(r.pause, &be) {
+					t.Fatalf("run returned %v, want BudgetExceededError", r.pause)
+				}
+				if be.Elapsed < ceiling {
+					t.Errorf("paused at engine time %d, before the ceiling %d", be.Elapsed, ceiling)
+				}
+				late := make([]int, p)
+				for _, e := range r.part.Events() {
+					if e.Kind == trace.EvIterStart && e.At >= ceiling {
+						late[e.Proc]++
+					}
+				}
+				for proc, n := range late {
+					if n > s.chunk {
+						t.Errorf("processor %d began %d iteration(s) at or after the ceiling, want at most one chunk's %d", proc, n, s.chunk)
+					}
+				}
+			})
+		}
+	}
+}
+
+// budgetedLeaseCheckpoint pins that the iteration meter does not change
+// when a checkpoint request is honoured: a metered worker holding a lease
+// pauses at its next claim boundary — between two slices — like an
+// unmetered one, leaving the slices it had not started pending, and the
+// resumed run executes them exactly once.
+func budgetedLeaseCheckpoint(t *testing.T, name string, f Factory) {
+	const p, n, batch, at = 4, 64, 8, 2 // iteration at is the second slice of the lease [1, batch]
+	var ck core.Checkpointer            // the interrupted leg's executor, once it has started
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.DoallLeaf("A", loopir.Const(n), func(e loopir.Env, iv loopir.IVec, j int64) {
+			e.Work(5)
+			if j == at && ck != nil {
+				ck.RequestCheckpoint()
+			}
+		})
+	})
+	prog, pl, ref := compile(t, nest)
+	ctx := refexec.Context{Nest: "budgeted-lease-checkpoint", Scheme: "SS", Engine: name}
+	r := resumeLegs(t, f, p, prog, pl, ref, ctx,
+		core.Config{Scheme: lowsched.SS{}, ClaimBatch: batch, Budget: &core.Budget{Iterations: 1 << 40}},
+		func(cfg *core.Config) {
+			cfg.Checkpoint = &core.CheckpointConfig{}
+			cfg.OnStart = func(pr core.Probe) { ck = pr.(core.Checkpointer) }
+		})
+	if !errors.Is(r.pause, core.ErrCheckpointed) {
+		t.Fatalf("run returned %v, want CheckpointedError", r.pause)
+	}
+	for _, e := range r.part.Events() {
+		if e.Kind == trace.EvIterStart && e.J > at && e.J <= batch {
+			t.Errorf("iteration %d ran after the request: the lease's holder did not pause before its end", e.J)
+		}
+	}
+	var pending int64
+	for _, icb := range r.snap.ICBs {
+		for _, rg := range icb.Pending {
+			pending += rg.Hi - rg.Lo + 1
+		}
+	}
+	if pending < batch-at {
+		t.Errorf("snapshot carries %d pending iteration(s), want at least the requesting lease's %d", pending, batch-at)
+	}
 }
 
 // BudgetResume extends the budget contract to the checkpoint seam: a
@@ -122,71 +233,24 @@ func BudgetResume(t *testing.T, name string, f Factory) {
 		for _, batch := range batches {
 			for _, B := range []int64{7, 23} {
 				t.Run(fmt.Sprintf("%s/b=%d/B=%d", s.Name(), batch, B), func(t *testing.T) {
-					// Uninterrupted baseline.
-					fullLog := trace.New()
-					intr := machine.NewInterrupt()
-					_, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Tracer: fullLog,
-						Interrupt: intr, ClaimBatch: batch,
-					})
-					if err != nil {
-						t.Fatalf("uninterrupted run: %v", err)
-					}
+					// Run out of budget with the checkpoint seam on, resume
+					// without a budget.
 					ctx := refexec.Context{Nest: "budget-resume", Scheme: s.Name(), Engine: name}
-					if err := fullLog.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
-						t.Fatal(err)
-					}
-
-					// Part one: run out of budget with the checkpoint seam on.
-					partLog := trace.New()
-					intr = machine.NewInterrupt()
-					_, err = core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Tracer: partLog,
-						Interrupt: intr, ClaimBatch: batch,
-						Budget:     &core.Budget{Iterations: B},
-						Checkpoint: &core.CheckpointConfig{},
-					})
+					r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: s, ClaimBatch: batch},
+						func(cfg *core.Config) {
+							cfg.Budget = &core.Budget{Iterations: B}
+							cfg.Checkpoint = &core.CheckpointConfig{}
+						})
 					var be *core.BudgetExceededError
-					if !errors.As(err, &be) {
-						t.Fatalf("budgeted run returned %v, want BudgetExceededError", err)
-					}
-					if be.Snapshot == nil {
-						t.Fatalf("checkpointable budgeted run carries no snapshot")
+					if !errors.As(r.pause, &be) {
+						t.Fatalf("budgeted run returned %v, want BudgetExceededError", r.pause)
 					}
 					if be.Iterations != B {
 						t.Errorf("consumed %d, want %d", be.Iterations, B)
 					}
-					for _, icb := range be.Snapshot.ICBs {
+					for _, icb := range r.snap.ICBs {
 						if len(icb.Pending) > 0 {
 							sawPending = true
-						}
-					}
-
-					// Part two: resume without a budget, run to completion.
-					restLog := trace.New()
-					intr = machine.NewInterrupt()
-					_, err = core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Tracer: restLog,
-						Interrupt: intr, ClaimBatch: batch,
-						Checkpoint: &core.CheckpointConfig{Restore: be.Snapshot},
-					})
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-
-					want := iterMultiset(fullLog)
-					got := iterMultiset(partLog)
-					for key, n := range iterMultiset(restLog) {
-						got[key] += n
-					}
-					for key, n := range want {
-						if got[key] != n {
-							t.Errorf("iteration %s executed %d time(s) across the parts, want %d", key, got[key], n)
-						}
-					}
-					for key := range got {
-						if _, ok := want[key]; !ok {
-							t.Errorf("parts executed %s, absent from the uninterrupted run", key)
 						}
 					}
 				})

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/core"
+	"repro/internal/descr"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
@@ -40,71 +41,18 @@ func CheckpointResume(t *testing.T, name string, f Factory) {
 		for _, pk := range pools {
 			for _, k := range []int64{2, 5} {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", s.Name(), pk, k), func(t *testing.T) {
-					// Uninterrupted baseline.
-					fullLog := trace.New()
-					intr := machine.NewInterrupt()
-					full, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: fullLog, Interrupt: intr,
-					})
-					if err != nil {
-						t.Fatalf("uninterrupted run: %v", err)
-					}
+					// Pause after k chunk claims, resume on a fresh engine.
 					ctx := refexec.Context{Nest: "resume", Scheme: s.Name(), Pool: pk.String(), Engine: name}
-					if err := fullLog.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
-						t.Fatal(err)
-					}
-
-					// Part one: pause after k chunk claims.
-					partLog := trace.New()
-					intr = machine.NewInterrupt()
-					_, err = core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: partLog, Interrupt: intr,
-						Checkpoint: &core.CheckpointConfig{AfterChunks: k},
-					})
-					var cke *core.CheckpointedError
-					if !errors.As(err, &cke) {
-						t.Fatalf("checkpoint run returned %v, want CheckpointedError", err)
-					}
-
-					// Part two: resume from the snapshot on a fresh engine.
-					restLog := trace.New()
-					intr = machine.NewInterrupt()
-					rep, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Pool: pk,
-						Tracer: restLog, Interrupt: intr,
-						Checkpoint: &core.CheckpointConfig{Restore: cke.Snapshot},
-					})
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-
-					// The two parts together execute exactly the uninterrupted
-					// run's iteration multiset — nothing lost, nothing doubled.
-					want := iterMultiset(fullLog)
-					got := iterMultiset(partLog)
-					for key, n := range iterMultiset(restLog) {
-						got[key] += n
-					}
-					if len(got) != len(want) {
-						t.Errorf("combined parts cover %d iterations, uninterrupted run %d", len(got), len(want))
-					}
-					for key, n := range want {
-						if got[key] != n {
-							t.Errorf("iteration %s executed %d time(s) across the parts, want %d", key, got[key], n)
-						}
-					}
-					for key := range got {
-						if _, ok := want[key]; !ok {
-							t.Errorf("parts executed %s, absent from the uninterrupted run", key)
-						}
+					r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: s, Pool: pk},
+						func(cfg *core.Config) { cfg.Checkpoint = &core.CheckpointConfig{AfterChunks: k} })
+					if !errors.Is(r.pause, core.ErrCheckpointed) {
+						t.Fatalf("checkpoint run returned %v, want CheckpointedError", r.pause)
 					}
 
 					// Trajectory: the resumed run's cumulative statistics are
 					// seeded from the snapshot, so its final totals must land
 					// exactly on the uninterrupted run's.
-					fs, gs := full.Stats, rep.Stats
+					fs, gs := r.full.Stats, r.rest.Stats
 					if gs.Iterations != fs.Iterations || gs.Instances != fs.Instances ||
 						gs.Enters != fs.Enters || gs.Exits != fs.Exits || gs.ZeroTrips != fs.ZeroTrips {
 						t.Errorf("resumed totals diverge:\nresumed       %+v\nuninterrupted %+v", gs, fs)
@@ -131,6 +79,86 @@ func iterMultiset(l *trace.Log) map[string]int {
 		}
 	}
 	return m
+}
+
+// resumed is what resumeLegs reports: the uninterrupted and the resumed
+// run's reports, and the interrupted leg's error, snapshot and trace.
+type resumed struct {
+	full, rest *core.Report
+	pause      error
+	snap       *core.RunSnapshot
+	part       *trace.Log
+}
+
+// resumeLegs runs the three legs of an interrupt-and-resume scenario on
+// fresh p-processor engines: cfg uninterrupted (verified against the
+// oracle), cfg with interrupt applied — which must pause the run with a
+// snapshot — and cfg resumed from that snapshot. The two parts together
+// must execute exactly the uninterrupted run's iteration multiset.
+func resumeLegs(t *testing.T, f Factory, p int, prog *descr.Program, pl *core.Plan, ref *refexec.Result,
+	ctx refexec.Context, cfg core.Config, interrupt func(*core.Config)) resumed {
+	t.Helper()
+	leg := func(cfg core.Config) (*core.Report, *trace.Log, error) {
+		intr, log := machine.NewInterrupt(), trace.New()
+		cfg.Engine, cfg.Interrupt, cfg.Tracer = f(p, intr), intr, log
+		rep, err := core.RunPlan(pl, cfg)
+		return rep, log, err
+	}
+	full, fullLog, err := leg(cfg)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	if err := fullLog.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	part := cfg
+	interrupt(&part)
+	_, partLog, pause := leg(part)
+	var snap *core.RunSnapshot
+	var cke *core.CheckpointedError
+	var be *core.BudgetExceededError
+	switch {
+	case errors.As(pause, &cke):
+		snap = cke.Snapshot
+	case errors.As(pause, &be):
+		snap = be.Snapshot
+	}
+	if snap == nil {
+		t.Fatalf("interrupted run returned %v, want a pause that carries a snapshot", pause)
+	}
+
+	cfg.Checkpoint = &core.CheckpointConfig{Restore: snap}
+	rest, restLog, err := leg(cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	verifyParts(t, fullLog, partLog, restLog)
+	return resumed{full: full, rest: rest, pause: pause, snap: snap, part: partLog}
+}
+
+// verifyParts checks that the parts of an interrupted run together
+// executed exactly the uninterrupted run's iteration multiset — nothing
+// lost, nothing doubled, nothing invented.
+func verifyParts(t *testing.T, full *trace.Log, parts ...*trace.Log) {
+	t.Helper()
+	want := iterMultiset(full)
+	got := map[string]int{}
+	for _, l := range parts {
+		for key, n := range iterMultiset(l) {
+			got[key] += n
+		}
+	}
+	for key, n := range want {
+		if got[key] != n {
+			t.Errorf("iteration %s executed %d time(s) across the parts, want %d", key, got[key], n)
+		}
+	}
+	for key := range got {
+		if _, ok := want[key]; !ok {
+			t.Errorf("parts executed %s, absent from the uninterrupted run", key)
+		}
+	}
 }
 
 // ExhaustedCheckpointResume pins the snapshot of an instance whose cursor

@@ -74,6 +74,16 @@ func TestVirtualEngineBatchedCheckpointResume(t *testing.T) {
 	})
 }
 
+// TestRealEngineBatchedCheckpointResume does the same on goroutines, and
+// on eight of them whatever width the matrix asks for: the lease a worker
+// holds is private state that crosses the pause, so make verify-gates
+// runs this twenty times under -race.
+func TestRealEngineBatchedCheckpointResume(t *testing.T) {
+	BatchedCheckpointResume(t, "real", func(_ int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: 8, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}
+
 // TestVirtualEngineExhaustedCheckpointResume holds the simulator to the
 // snapshot contract for an instance exhausted mid-lease: the settled
 // cursor is recorded and the pending ranges resume exactly once.

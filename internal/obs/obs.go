@@ -26,8 +26,7 @@ import (
 
 // Desc declares one spine counter.
 type Desc struct {
-	// Name is the counter's identifier, in snake_case (it doubles as the
-	// Prometheus metric stem).
+	// Name is the counter's identifier within its spine, in snake_case.
 	Name string
 	// Help is a one-line description.
 	Help string

@@ -123,9 +123,10 @@ type Options struct {
 	BudgetIterations int64 `json:"budget_iterations,omitempty" flag:"budget-iterations" help:"stop after exactly this many iterations with a budget-exceeded error (0 = unmetered)"`
 	// BudgetTime, when positive, is an engine-time ceiling (virtual
 	// units, or nanoseconds on the real engines) checked at claim
-	// boundaries: once reached, no further chunks are claimed and the
-	// run returns a *BudgetExceededError. Claimed work still completes,
-	// so the overshoot is bounded by one chunk (or lease) per processor.
+	// boundaries: once reached, no further chunk starts and the run
+	// returns a *BudgetExceededError. A started chunk still completes, so
+	// the overshoot is bounded by one chunk per processor at any
+	// ClaimBatch (the unstarted slices of a lease stay pending).
 	BudgetTime int64 `json:"budget_time,omitempty" flag:"budget-time" help:"engine-time ceiling checked at claim boundaries (0 = none)"`
 	// CombineClaims marks the per-instance claim hot spots (the ICB's
 	// Index and ICount) as software-combinable: on the virtual machine

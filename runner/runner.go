@@ -224,19 +224,60 @@ type Runner struct {
 
 // metrics aggregates run outcomes into a Config.Metrics registry.
 type metrics struct {
-	submitted, done, failed, cancelled      *obs.Counter
-	checkpointed, budgetExceeded            *obs.Counter
-	iterations, instances, chunks, searches *obs.Counter
-	accesses, busy                          *obs.Counter
-	adaptFits, adaptSwitches                *obs.Counter
+	submitted, done, failed, cancelled *obs.Counter
+	checkpointed, budgetExceeded       *obs.Counter
+	// totals[i] sums resultMetrics[i] over the finished runs.
+	totals []*obs.Counter
+}
 
-	sweeps, sweepWalked, sweepLockFailures *obs.Counter
-	sweepRetests, sweepSaturated           *obs.Counter
-	icbAllocs, icbReuses                   *obs.Counter
+// resultMetrics is the one table of the per-run figures the registry
+// re-exports as totals over finished runs: registration (newMetrics) and
+// accumulation (finish) both loop over it, in this order.
+var resultMetrics = []struct {
+	name, help string
+	get        func(*repro.Result) int64
+}{
+	{"runner_iterations_total", "Loop iterations executed by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Iterations }},
+	{"runner_instances_total", "Loop instances activated by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Instances }},
+	{"runner_chunks_total", "Low-level iteration assignments grabbed by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Chunks }},
+	{"runner_searches_total", "Task-pool SEARCH calls by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Searches }},
+	{"runner_sync_accesses_total", "Synchronization-variable accesses by finished runs.",
+		func(r *repro.Result) int64 { return sum(r.Accesses) }},
+	{"runner_busy_time_total", "Summed per-processor busy time of finished runs (engine units).",
+		func(r *repro.Result) int64 { return sum(r.Busy) }},
+	{"runner_adapt_fits_total", "Adaptive-policy model fits performed by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.AdaptFits }},
+	{"runner_adapt_switches_total", "Adaptive-policy scheme switches performed by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.AdaptSwitches }},
+	{"runner_pool_sweeps_total", "Task-pool SW sweeps (leading-one scans) by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Search.Sweeps }},
+	{"runner_pool_walked_total", "Task-pool lists examined across sweeps by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Search.Walked }},
+	{"runner_pool_lock_failures_total", "Task-pool list-lock acquisition failures by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.Search.LockFailures }},
+	{"runner_pool_retests_total", "Task-pool SW retests that found the list emptied under the lock.",
+		func(r *repro.Result) int64 { return r.Stats.Search.Retests }},
+	{"runner_pool_saturated_total", "Task-pool adoption attempts that found every ICB saturated.",
+		func(r *repro.Result) int64 { return r.Stats.Search.Saturated }},
+	{"runner_icb_allocs_total", "Instance control blocks freshly allocated by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.ICBAllocs }},
+	{"runner_icb_reuses_total", "Instance control blocks adopted from worker freelists by finished runs.",
+		func(r *repro.Result) int64 { return r.Stats.ICBReuses }},
+}
+
+func sum(xs []int64) (t int64) {
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
-	return &metrics{
+	m := &metrics{
 		submitted: reg.Counter("runner_runs_submitted_total", "Runs accepted by Submit."),
 		done:      reg.Counter("runner_runs_done_total", "Runs finished successfully."),
 		failed:    reg.Counter("runner_runs_failed_total", "Runs finalized with an error (including expired timeouts)."),
@@ -245,31 +286,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Runs that paused at a checkpoint with a resumable snapshot."),
 		budgetExceeded: reg.Counter("runner_runs_budget_exceeded_total",
 			"Runs that exhausted their execution budget before completing."),
-		iterations: reg.Counter("runner_iterations_total", "Loop iterations executed by finished runs."),
-		instances:  reg.Counter("runner_instances_total", "Loop instances activated by finished runs."),
-		chunks:     reg.Counter("runner_chunks_total", "Low-level iteration assignments grabbed by finished runs."),
-		searches:   reg.Counter("runner_searches_total", "Task-pool SEARCH calls by finished runs."),
-		accesses:   reg.Counter("runner_sync_accesses_total", "Synchronization-variable accesses by finished runs."),
-		busy:       reg.Counter("runner_busy_time_total", "Summed per-processor busy time of finished runs (engine units)."),
-		adaptFits: reg.Counter("runner_adapt_fits_total",
-			"Adaptive-policy model fits performed by finished runs."),
-		adaptSwitches: reg.Counter("runner_adapt_switches_total",
-			"Adaptive-policy scheme switches performed by finished runs."),
-		sweeps: reg.Counter("runner_pool_sweeps_total",
-			"Task-pool SW sweeps (leading-one scans) by finished runs."),
-		sweepWalked: reg.Counter("runner_pool_walked_total",
-			"Task-pool lists examined across sweeps by finished runs."),
-		sweepLockFailures: reg.Counter("runner_pool_lock_failures_total",
-			"Task-pool list-lock acquisition failures by finished runs."),
-		sweepRetests: reg.Counter("runner_pool_retests_total",
-			"Task-pool SW retests that found the list emptied under the lock."),
-		sweepSaturated: reg.Counter("runner_pool_saturated_total",
-			"Task-pool adoption attempts that found every ICB saturated."),
-		icbAllocs: reg.Counter("runner_icb_allocs_total",
-			"Instance control blocks freshly allocated by finished runs."),
-		icbReuses: reg.Counter("runner_icb_reuses_total",
-			"Instance control blocks adopted from worker freelists by finished runs."),
 	}
+	for _, row := range resultMetrics {
+		m.totals = append(m.totals, reg.Counter(row.name, row.help))
+	}
+	return m
 }
 
 // finish folds one terminal run into the registry.
@@ -289,28 +310,9 @@ func (m *metrics) finish(res *repro.Result, err error) {
 	if res == nil {
 		return
 	}
-	m.iterations.Add(res.Stats.Iterations)
-	m.instances.Add(res.Stats.Instances)
-	m.chunks.Add(res.Stats.Chunks)
-	m.searches.Add(res.Stats.Searches)
-	var acc, busy int64
-	for _, a := range res.Accesses {
-		acc += a
+	for i, row := range resultMetrics {
+		m.totals[i].Add(row.get(res))
 	}
-	for _, b := range res.Busy {
-		busy += b
-	}
-	m.accesses.Add(acc)
-	m.busy.Add(busy)
-	m.adaptFits.Add(res.Stats.AdaptFits)
-	m.adaptSwitches.Add(res.Stats.AdaptSwitches)
-	m.sweeps.Add(res.Stats.Search.Sweeps)
-	m.sweepWalked.Add(res.Stats.Search.Walked)
-	m.sweepLockFailures.Add(res.Stats.Search.LockFailures)
-	m.sweepRetests.Add(res.Stats.Search.Retests)
-	m.sweepSaturated.Add(res.Stats.Search.Saturated)
-	m.icbAllocs.Add(res.Stats.ICBAllocs)
-	m.icbReuses.Add(res.Stats.ICBReuses)
 }
 
 // New returns a Runner with the given configuration.
