@@ -47,8 +47,11 @@ bench-smoke:
 bench-go:
 	$(GO) test -bench=. -benchtime=1x .
 
-# verify is the tier-1 gate: everything builds, every test passes.
+# verify is the tier-1 gate: every file is gofmt-formatted, everything
+# builds, every test passes.
 verify:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -59,7 +62,9 @@ verify:
 # the three-node cluster chaos suite, loadcheck, the journal decoder's
 # fuzz seed corpus, the auto-vs-static gate on the irregular family —
 # then the runner's randomized event storms fifty times over (they were
-# flaky once: a census race shows in about 3 runs of 100), the
+# flaky once: a census race shows in about 3 runs of 100), the terminal
+# runs' release checks fifty times over (their preempted-then-done case
+# once raced its own preemption: about 1 run in 100), the
 # three-node cold start on real sockets twenty times over (every node
 # placeable on every other within half a probe interval of the last
 # listener — the figure serve_cluster3's setup_s rests on), eight
@@ -76,6 +81,7 @@ verify:
 verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
+	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
 	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)' ./internal/enginetest/
 	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json

@@ -624,6 +624,31 @@ func TestHealthzJSON(t *testing.T) {
 	if d := health.Components["cluster"].Detail; d != "3/3 node(s) up" {
 		t.Errorf("cluster detail %q, want \"3/3 node(s) up\"", d)
 	}
+
+	// Three nodes, one peer answering and one that never does: only
+	// answering nodes are up. The silent peer stays unconfirmed or suspect
+	// — the probe interval is far longer than the test — and is not up.
+	answering := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	t.Cleanup(answering.Close)
+	silent := httptest.NewServer(http.NotFoundHandler())
+	silent.Close() // its address refuses every probe
+	peers, err := cluster.ParsePeers("n1=http://127.0.0.1:1,n2=" + answering.URL + ",n3=" + silent.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, ts3 := newTestServer(t, serverConfig{Cluster: clusterOptions{
+		Node: "n1", Peers: peers, Secret: testClusterSecret,
+		ProbeInterval: time.Hour, RPCTimeout: 2 * time.Second, DeadAfter: 3,
+	}})
+	for deadline := time.Now().Add(30 * time.Second); placeableNodes(s3) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("n2 never answered: %+v", s3.cluster.mem.Nodes())
+		}
+	}
+	getJSON(t, ts3.URL+"/healthz", &health)
+	if d := health.Components["cluster"].Detail; d != "2/3 node(s) up" {
+		t.Errorf("cluster detail %q with one silent peer, want \"2/3 node(s) up\"", d)
+	}
 }
 
 // TestClusterPlacerRebootResumesWatch: a placer that reboots re-adopts

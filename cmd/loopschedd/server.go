@@ -228,15 +228,14 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		cl.Detail = "disabled"
 	} else {
-		alive, dead := 0, 0
-		for _, n := range s.cluster.mem.Nodes() {
-			if n.State == cluster.NodeDead {
-				dead++
-			} else {
-				alive++
+		// Up means answering: an unconfirmed or suspect peer is not.
+		up, nodes := 0, s.cluster.mem.Nodes()
+		for _, n := range nodes {
+			if n.State == cluster.NodeAlive {
+				up++
 			}
 		}
-		cl.Detail = fmt.Sprintf("%d/%d node(s) up", alive, alive+dead)
+		cl.Detail = fmt.Sprintf("%d/%d node(s) up", up, len(nodes))
 	}
 	resp.Components["cluster"] = cl
 

@@ -8,9 +8,9 @@ import (
 // fakeClock is an advanceable time source for breaker cooldown tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1000, 0)} }
 func newTestBreaker(clk *fakeClock, th int) *Breaker {
 	return NewBreaker(th, time.Second, clk.now)
 }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/flight"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
 
 // Checkpoint/resume for the execution kernel.
@@ -409,11 +409,8 @@ func (w *worker) restorePrologue() {
 		// seeded totals already count (cInstances, cEnters, O3 time): the
 		// resumed run's final snapshot must be the whole run's.
 		ex.live.Add(1)
-		if ex.cfg.Tracer != nil {
-			ex.cfg.Tracer.InstanceActivated(s.Loop, icb.IVec, s.Bound, pr.Now())
-		}
-		if w.rec != nil {
-			w.rec.Record(int64(pr.Now()), flight.Begin, int32(pr.ID()), int32(s.Loop), s.Bound, 0)
+		if w.sink != nil {
+			w.sink.Record(w.event(pr.Now(), trace.EvActivated, s.Loop, icb.IVec, s.Bound, 0))
 		}
 		ex.trackICB(icb)
 		if psz > 0 {

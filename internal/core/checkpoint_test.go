@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/flight"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
@@ -16,11 +16,11 @@ import (
 func vEngine(p int) Engine { return vmachine.New(vmachine.Config{P: p, AccessCost: 5}) }
 
 // runToCheckpoint runs the nest until the claim-k trigger fires and
-// returns the snapshot plus the tracer covering the pre-pause segment.
+// returns the snapshot plus the sink covering the pre-pause segment.
 func runToCheckpoint(t *testing.T, cfg Config, k int64) (*RunSnapshot, *recTracer) {
 	t.Helper()
 	tr := newRecTracer()
-	cfg.Tracer = tr
+	cfg.Sink = tr
 	cfg.Checkpoint = &CheckpointConfig{AfterChunks: k}
 	prog, _ := compileStd(t, workload.ManyInstances(6, 32, 2, 10))
 	_, err := Run(prog, cfg)
@@ -38,7 +38,7 @@ func TestCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	// Uninterrupted reference.
 	prog, ref := compileStd(t, workload.ManyInstances(6, 32, 2, 10))
 	full := newRecTracer()
-	fullRep, err := Run(prog, Config{Engine: vEngine(4), Scheme: lowsched.GSS{}, Tracer: full})
+	fullRep, err := Run(prog, Config{Engine: vEngine(4), Scheme: lowsched.GSS{}, Sink: full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	tr2 := newRecTracer()
 	prog2, _ := compileStd(t, workload.ManyInstances(6, 32, 2, 10))
 	rep2, err := Run(prog2, Config{
-		Engine: vEngine(4), Scheme: lowsched.GSS{}, Tracer: tr2,
+		Engine: vEngine(4), Scheme: lowsched.GSS{}, Sink: tr2,
 		Checkpoint: &CheckpointConfig{Restore: &back},
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestCheckpointRequestBeforeStartSnapshotsInitialPool(t *testing.T) {
 	var probe Probe
 	tr := newRecTracer()
 	_, err := Run(prog, Config{
-		Engine: vEngine(4), Scheme: lowsched.SS{}, Tracer: tr,
+		Engine: vEngine(4), Scheme: lowsched.SS{}, Sink: tr,
 		Checkpoint: &CheckpointConfig{},
 		OnStart: func(p Probe) {
 			probe = p
@@ -137,7 +137,7 @@ func TestCheckpointRequestBeforeStartSnapshotsInitialPool(t *testing.T) {
 	tr2 := newRecTracer()
 	prog2, ref2 := compileStd(t, workload.ManyInstances(4, 16, 2, 10))
 	rep, err := Run(prog2, Config{
-		Engine: vEngine(4), Scheme: lowsched.SS{}, Tracer: tr2,
+		Engine: vEngine(4), Scheme: lowsched.SS{}, Sink: tr2,
 		Checkpoint: &CheckpointConfig{Restore: cke.Snapshot},
 	})
 	if err != nil {
@@ -225,10 +225,10 @@ func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 
 func TestDiagnoseIncludesFlightTail(t *testing.T) {
 	prog, _ := compileStd(t, workload.ManyInstances(3, 8, 2, 10))
-	rec := flight.New(4, 64)
+	rec := trace.NewRing(4, 64)
 	var probe Probe
 	if _, err := Run(prog, Config{
-		Engine: vEngine(4), Diagnostics: true, Recorder: rec,
+		Engine: vEngine(4), Diagnostics: true, Sink: rec,
 		OnStart: func(p Probe) { probe = p },
 	}); err != nil {
 		t.Fatal(err)
@@ -241,9 +241,10 @@ func TestDiagnoseIncludesFlightTail(t *testing.T) {
 		t.Errorf("Diagnose() does not fold in the flight tail:\n%s", d)
 	}
 	// The 32-event tail of a completed run always ends in claims, chunk
-	// completions and exits (begins may have been evicted by then).
-	if !strings.Contains(d, "claim") || !strings.Contains(d, "chunk") || !strings.Contains(d, "exit") {
-		t.Errorf("flight tail missing claim/chunk/exit events:\n%s", d)
+	// completions and instance completions (activations may have been
+	// evicted by then).
+	if !strings.Contains(d, "claim") || !strings.Contains(d, "chunk") || !strings.Contains(d, "completed") {
+		t.Errorf("flight tail missing claim/chunk/completed events:\n%s", d)
 	}
 }
 
@@ -288,8 +289,8 @@ func TestRecorderDoesNotPerturbVirtualSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog, _ := compileStd(t, workload.ManyInstances(6, 32, 2, 10))
-	rec := flight.New(4, 128)
-	got, err := Run(prog, Config{Engine: vEngine(4), Scheme: lowsched.GSS{}, Recorder: rec})
+	rec := trace.NewRing(4, 128)
+	got, err := Run(prog, Config{Engine: vEngine(4), Scheme: lowsched.GSS{}, Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,20 +313,20 @@ func TestRecorderDoesNotPerturbVirtualSchedule(t *testing.T) {
 func TestFlightChunkRecordReadsTheClock(t *testing.T) {
 	const n, work, access = 20, 10, 5
 	prog, _ := compileStd(t, workload.UniformDoall(n, work))
-	rec := flight.New(1, 256)
+	rec := trace.NewRing(1, 256)
 	if _, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 1, AccessCost: access}),
-		Scheme: lowsched.SS{}, Recorder: rec,
+		Scheme: lowsched.SS{}, Sink: rec,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var claim, chunk flight.Event
+	var claim, chunk trace.Event
 	chunks, posts := 0, 0
 	for _, e := range rec.Tail(256) {
 		switch e.Kind {
-		case flight.Claim:
+		case trace.EvClaim:
 			claim = e
-		case flight.Chunk:
+		case trace.EvChunk:
 			chunk = e
 			chunks++
 			if got := e.At - claim.At; got != work {
@@ -334,7 +335,7 @@ func TestFlightChunkRecordReadsTheClock(t *testing.T) {
 			if e.A != claim.A || e.B != claim.B {
 				t.Errorf("chunk %d records [%d,%d], its claim [%d,%d]", chunks, e.A, e.B, claim.A, claim.B)
 			}
-		case flight.Post:
+		case trace.EvPost:
 			posts++
 			if got := e.At - chunk.At; got != access {
 				t.Errorf("post recorded %d after the chunk before it, want the icount access %d", got, access)

@@ -60,23 +60,13 @@ import (
 
 	"repro/internal/descr"
 	"repro/internal/fault"
-	"repro/internal/flight"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
-
-// Tracer observes executor events. Implementations must be safe for
-// concurrent use; times are engine times (virtual on the simulator).
-// The zero-cost observer contract: tracer calls charge no machine time.
-type Tracer interface {
-	InstanceActivated(loop int, ivec loopir.IVec, bound int64, at machine.Time)
-	IterStart(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time)
-	IterEnd(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time)
-	InstanceCompleted(loop int, ivec loopir.IVec, at machine.Time)
-}
 
 // TaskPool abstracts the high-level task pool so alternative parallel
 // data structures (the paper's [24] note) can be compared; implemented by
@@ -173,8 +163,14 @@ type Config struct {
 	Scheme lowsched.Scheme
 	// Pool selects the task-pool organization (default PoolPerLoop).
 	Pool PoolKind
-	// Tracer, if non-nil, observes activation/iteration/completion events.
-	Tracer Tracer
+	// Sink, if non-nil, receives the kernel's events (trace.Event), one
+	// call per scheduling point — activation, claim, chunk, post, switch,
+	// barrier, completion — and per iteration start and end unless the
+	// sink keeps scheduling kinds only (trace.SchedulingOnly). Diagnose
+	// folds a sink's Dump (the flight-recorder Ring's tail) into its
+	// report. Nil — the default — costs one pointer test per event site;
+	// recording is host-side and charges no machine time either way.
+	Sink trace.Sink
 	// DispatchCost, if positive, adds a fixed Work charge to every SEARCH
 	// success — modeling an operating-system dispatch on every task grab
 	// (the "OS-involved scheduling" baseline of experiment E6). Zero for
@@ -209,13 +205,6 @@ type Config struct {
 	// instances (index/icount/pcount). Off by default — the activation
 	// path stays lock-free without it.
 	Diagnostics bool
-	// Recorder, if non-nil, is the kernel flight recorder: every worker
-	// appends its scheduling events (activation, claim, chunk, exit,
-	// barrier, switch) to its per-processor ring, and Diagnose folds the
-	// merged tail into its dump. Nil — the default — costs the hot path
-	// a single pointer test per event site; recording is host-side and
-	// charges no machine time either way.
-	Recorder *flight.Recorder
 	// Checkpoint, if non-nil, enables the run's checkpoint/resume seam
 	// (see checkpoint.go): the run pauses at claim-quiescence when
 	// requested (RequestCheckpoint, or automatically after AfterChunks
@@ -262,7 +251,7 @@ type Config struct {
 
 // Probe is a live, concurrency-safe view into one execution. The counters
 // it reports are monotone while the run progresses; sampling them charges
-// no machine time (zero-cost observer, like Tracer).
+// no machine time (zero-cost observer, like Config.Sink).
 type Probe interface {
 	// LiveStats snapshots the executor counters.
 	LiveStats() Snapshot
@@ -345,17 +334,16 @@ type executor struct {
 	claims atomic.Int64
 
 	// inj and retry are cfg.Inject and cfg.Retry hoisted onto the
-	// executor so the kernel's hot path reads one flat field; ckptAfter,
-	// restore and rec hoist the checkpoint trigger, the resume snapshot
-	// and the flight recorder the same way; batch, leaser and combine
-	// hoist the claim-path tuning (ClaimBatch, CombineClaims): leaser is
-	// the policy as a lowsched.Leaser when batch > 1 and nil otherwise,
-	// which is how the claim site chooses its synchronization operation.
+	// executor so the kernel's hot path reads one flat field; ckptAfter
+	// and restore hoist the checkpoint trigger and the resume snapshot
+	// the same way; batch, leaser and combine hoist the claim-path tuning
+	// (ClaimBatch, CombineClaims): leaser is the policy as a
+	// lowsched.Leaser when batch > 1 and nil otherwise, which is how the
+	// claim site chooses its synchronization operation.
 	inj       *fault.Injector
 	retry     Retry
 	ckptAfter int64
 	restore   *RunSnapshot
-	rec       *flight.Recorder
 	batch     int
 	leaser    lowsched.Leaser
 	combine   bool
@@ -413,7 +401,6 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		workers: make([]worker, nprocs),
 		inj:     cfg.Inject,
 		retry:   cfg.Retry,
-		rec:     cfg.Recorder,
 		nprocs:  int64(nprocs),
 	}
 	if cfg.Checkpoint != nil {
@@ -644,10 +631,10 @@ func (ex *executor) Diagnose() string {
 	if d, ok := ex.policy.(interface{ DiagnoseString() string }); ok {
 		b.WriteString(d.DiagnoseString())
 	}
-	if ex.rec != nil {
+	if d, ok := ex.cfg.Sink.(interface{ Dump(int) string }); ok {
 		// The flight-recorder tail: the last scheduler events before the
 		// run went quiet, merged across processors.
-		b.WriteString(ex.rec.Dump(diagnoseTailEvents))
+		b.WriteString(d.Dump(diagnoseTailEvents))
 	}
 	return b.String()
 }

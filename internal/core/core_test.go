@@ -10,6 +10,7 @@ import (
 	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/refexec"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
@@ -33,28 +34,26 @@ func newRecTracer() *recTracer {
 
 func ikey(loop int, ivec loopir.IVec) string { return fmt.Sprintf("%d%v", loop, ivec) }
 
-func (r *recTracer) InstanceActivated(loop int, ivec loopir.IVec, bound int64, at machine.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.order = append(r.order, ikey(loop, ivec))
-}
-func (r *recTracer) IterStart(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := ikey(loop, ivec)
-	if cur, ok := r.starts[k]; !ok || at < cur {
-		r.starts[k] = at
+// Record implements trace.Sink; it keeps the four verification kinds,
+// which are the first four.
+func (r *recTracer) Record(e trace.Event) {
+	if e.Kind > trace.EvCompleted {
+		return
 	}
-}
-func (r *recTracer) IterEnd(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.iters[ikey(loop, ivec)]++
-}
-func (r *recTracer) InstanceCompleted(loop int, ivec loopir.IVec, at machine.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ends[ikey(loop, ivec)] = at
+	switch k := ikey(int(e.Loop), e.IVec); e.Kind {
+	case trace.EvActivated:
+		r.order = append(r.order, k)
+	case trace.EvIterStart:
+		if cur, ok := r.starts[k]; !ok || e.At < cur {
+			r.starts[k] = e.At
+		}
+	case trace.EvIterEnd:
+		r.iters[k]++
+	case trace.EvCompleted:
+		r.ends[k] = e.At
+	}
 }
 
 func compileStd(t *testing.T, nest *loopir.Nest) (*descr.Program, *refexec.Result) {
@@ -87,7 +86,7 @@ func runBoth(t *testing.T, nest *loopir.Nest, scheme lowsched.Scheme) (*Report, 
 	} {
 		prog, ref := compileStd(t, nest)
 		tr := newRecTracer()
-		rep, err := Run(prog, Config{Engine: mk(), Scheme: scheme, Tracer: tr})
+		rep, err := Run(prog, Config{Engine: mk(), Scheme: scheme, Sink: tr})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -185,7 +184,7 @@ func TestStaticSchemesOnRandomPrograms(t *testing.T) {
 		rep, err := Run(prog, Config{
 			Engine: vmachine.New(vmachine.Config{P: int(seed%6) + 1, AccessCost: 4}),
 			Scheme: scheme,
-			Tracer: tr,
+			Sink:   tr,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -207,7 +206,7 @@ func TestSerialLoopPrecedence(t *testing.T) {
 	tr := newRecTracer()
 	if _, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
-		Tracer: tr,
+		Sink:   tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestOuterParallelBarrier(t *testing.T) {
 	tr := newRecTracer()
 	if _, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
-		Tracer: tr,
+		Sink:   tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +438,7 @@ func TestSingleListPool(t *testing.T) {
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
 		Pool:   PoolSingleList,
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +452,7 @@ func TestDistributedPool(t *testing.T) {
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
 		Pool:   PoolDistributed,
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +467,7 @@ func TestDistributedPoolRealEngine(t *testing.T) {
 		Engine: machine.NewReal(machine.RealConfig{P: 8}),
 		Pool:   PoolDistributed,
 		Scheme: lowsched.GSS{},
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -535,7 +534,7 @@ func TestSingleProcessor(t *testing.T) {
 	tr := newRecTracer()
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 1, AccessCost: 5}),
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -552,7 +551,7 @@ func TestManyProcessorsFewIterations(t *testing.T) {
 	tr := newRecTracer()
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 16, AccessCost: 5}),
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package core
 
 import (
 	"repro/internal/descr"
-	"repro/internal/flight"
 	"repro/internal/lowsched"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
 
 // exitFrom is Algorithm 5 (EXIT) generalized with an explicit starting
@@ -33,8 +33,8 @@ func (w *worker) exitFrom(cur, lvl int, loc []int64) int {
 				return 0
 			}
 			// Barrier complete: the whole parallel loop finished.
-			if w.rec != nil {
-				w.rec.Record(int64(w.pr.Now()), flight.Barrier, int32(w.pr.ID()), int32(d.LoopID), bound, 0)
+			if w.sink != nil {
+				w.sink.Record(w.event(w.pr.Now(), trace.EvBarrier, d.LoopID, userIVec(loc, lvl-1), bound, 0))
 			}
 		} else {
 			if loc[lvl] < bound {
@@ -174,11 +174,8 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 	}
 	ex.live.Add(1)
 	w.shard.Inc(cInstances)
-	if ex.cfg.Tracer != nil {
-		ex.cfg.Tracer.InstanceActivated(leaf.Num, icb.IVec, bound, w.pr.Now())
-	}
-	if w.rec != nil {
-		w.rec.Record(int64(w.pr.Now()), flight.Begin, int32(w.pr.ID()), int32(leaf.Num), bound, 0)
+	if w.sink != nil {
+		w.sink.Record(w.event(w.pr.Now(), trace.EvActivated, leaf.Num, icb.IVec, bound, 0))
 	}
 	// Register before Append: once published, any processor may claim,
 	// complete and release the block.
@@ -187,15 +184,16 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 }
 
 // completeInstance is the completion path of Algorithm 3: the processor
-// that finished the instance's final iteration computes the exit level and
-// activates the successors.
+// whose post completed the instance computes the exit level and activates
+// the successors. The completion event precedes the EXIT walk, so the
+// barrier and activations the walk produces follow it.
 func (w *worker) completeInstance(icb *pool.ICB) {
 	ex, loc := w.ex, w.loc
 	loc[1] = 1
 	copy(loc[2:], icb.IVec)
 	leaf := ex.plan.leaf(icb.Loop)
-	if ex.cfg.Tracer != nil {
-		ex.cfg.Tracer.InstanceCompleted(icb.Loop, icb.IVec, w.pr.Now())
+	if w.sink != nil {
+		w.sink.Record(w.event(w.pr.Now(), trace.EvCompleted, icb.Loop, icb.IVec, icb.Bound, 0))
 	}
 	if nl := w.exitFrom(icb.Loop, leaf.Depth, loc); nl != 0 {
 		targ := leaf.Levels[nl].Next

@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/flight"
+	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/trace"
 )
 
 // This file is the execution kernel: the one copy of the paper's drive
@@ -88,9 +89,10 @@ type worker struct {
 	// claim (-1 before the first), stored host-side for the stuck-run
 	// watchdog's per-processor diagnostics; it charges no machine time.
 	lastClaim atomic.Int64
-	// rec is this processor's flight-recorder ring, nil when recording
-	// is off — every record site pays exactly one nil test then.
-	rec *flight.Ring
+	// sink is Config.Sink, and iter the same sink unless it keeps
+	// scheduling kinds only: every event site pays exactly one nil test
+	// when there is none, and the iteration sites when it is a Ring.
+	sink, iter trace.Sink
 	// lease is the unconsumed part of the worker's last batched claim, zero
 	// when there is none. It is consumed, or recorded as pending by a pause,
 	// before the worker lets go of the instance.
@@ -113,13 +115,18 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 	// programs without structural parallel loops never pay for it.
 	w.ctx = Ctx{pr: pr, abort: ex.abortFn, shard: w.shard}
 	w.stop = ex.stopFn
-	w.rec = nil
-	if ex.rec != nil {
-		w.rec = ex.rec.Ring(pr.ID())
+	w.sink, w.iter = ex.cfg.Sink, ex.cfg.Sink
+	if _, ok := w.sink.(trace.SchedulingOnly); ok {
+		w.iter = nil
 	}
 	if n, ok := ex.policy.(lowsched.Needer); ok {
 		w.needs = func(icb *pool.ICB) bool { return n.Needs(pr, icb) }
 	}
+}
+
+// event is one kernel event stamped with this processor, for the sink.
+func (w *worker) event(at machine.Time, k trace.Kind, loop int, ivec loopir.IVec, a, b int64) trace.Event {
+	return trace.Event{At: at, Kind: k, Proc: int32(w.pr.ID()), Loop: int32(loop), IVec: ivec, A: a, B: b}
 }
 
 // tick is a phase boundary: one clock read that charges the interval
@@ -296,8 +303,8 @@ func (w *worker) run() {
 			// on index and, on the final claim, the DELETE.
 			w.tick(cO1Time)
 			w.lastClaim.Store(w.now)
-			if w.rec != nil {
-				w.rec.Record(int64(w.now), flight.Claim, int32(pr.ID()), int32(icb.Loop), span.Lo, span.Hi)
+			if w.sink != nil {
+				w.sink.Record(w.event(w.now, trace.EvClaim, icb.Loop, icb.IVec, span.Lo, span.Hi))
 			}
 			if ex.ckptAfter > 0 {
 				// The deterministic claim-k trigger fires when the cumulative
@@ -378,10 +385,13 @@ func (w *worker) leave(icb *pool.ICB) (cont bool) {
 			return cont
 		}
 	}
+	// Once the hold is dropped the completer may recycle the block, so the
+	// event names the loop read before the drop, and no index vector.
+	loop := icb.Loop
 	icb.PCount.FetchDec(w.pr)
 	w.tick(cO1Time)
-	if w.rec != nil {
-		w.rec.Record(int64(w.now), flight.Switch, int32(w.pr.ID()), int32(icb.Loop), 0, 0)
+	if w.sink != nil {
+		w.sink.Record(w.event(w.now, trace.EvSwitch, loop, nil, 0, 0))
 	}
 	return true
 }
@@ -418,10 +428,10 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	w.unposted = 0
 	w.posted.Add(n)
 	done := icb.ICount.FetchAdd(pr, n) + n
-	if w.rec != nil {
+	if w.sink != nil {
 		// Mid-phase (the O1 interval closes at the next claim), so the
-		// recorder reads the clock itself.
-		w.rec.Record(int64(pr.Now()), flight.Post, int32(pr.ID()), int32(icb.Loop), n, done)
+		// event reads the clock itself.
+		w.sink.Record(w.event(pr.Now(), trace.EvPost, icb.Loop, icb.IVec, n, done))
 	}
 	if done > icb.Bound {
 		panic(fmt.Sprintf("core: icount %d exceeded bound %d (loop %d)", done, icb.Bound, icb.Loop))
@@ -435,11 +445,6 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	w.completeInstance(icb)
 	w.shard.Inc(cExits)
 	w.shard.Inc(cEnters)
-	if w.rec != nil {
-		// Mid-phase (the O3 interval closes after the release spin), so
-		// the recorder reads the clock itself.
-		w.rec.Record(int64(pr.Now()), flight.Exit, int32(pr.ID()), int32(icb.Loop), icb.Bound, 0)
-	}
 
 	// Wait for the other holders to drop the ICB, then release it
 	// (the paper's {pcount = 1; Decrement} spin). Only then may
@@ -493,11 +498,11 @@ func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 			return false
 		}
 	}
-	if cont && w.rec != nil {
+	if cont && w.sink != nil {
 		// The chunk's end, at the body boundary's clock reading, with the
 		// iterations that ran; the icount they are posted to lags them,
-		// and the post has its own record.
-		w.rec.Record(int64(w.now), flight.Chunk, int32(w.pr.ID()), int32(icb.Loop), a.Lo, a.Hi)
+		// and the post has its own event.
+		w.sink.Record(w.event(w.now, trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
 	}
 	return cont
 }
@@ -525,8 +530,8 @@ func (w *worker) execSpan(icb *pool.ICB, lp *leafPlan, a lowsched.Assignment) (c
 					pr.ID(), icb.Loop, j, ierr)
 			}
 		}
-		if ex.cfg.Tracer != nil {
-			ex.cfg.Tracer.IterStart(icb.Loop, icb.IVec, j, pr.ID(), pr.Now())
+		if w.iter != nil {
+			w.iter.Record(w.event(pr.Now(), trace.EvIterStart, icb.Loop, icb.IVec, j, 0))
 		}
 		if w.ctx.dep != nil && !w.ctx.manual {
 			w.ctx.AwaitDep()
@@ -537,8 +542,8 @@ func (w *worker) execSpan(icb *pool.ICB, lp *leafPlan, a lowsched.Assignment) (c
 			// did not post explicitly (otherwise successors deadlock).
 			w.ctx.PostDep()
 		}
-		if ex.cfg.Tracer != nil {
-			ex.cfg.Tracer.IterEnd(icb.Loop, icb.IVec, j, pr.ID(), pr.Now())
+		if w.iter != nil {
+			w.iter.Record(w.event(pr.Now(), trace.EvIterEnd, icb.Loop, icb.IVec, j, 0))
 		}
 		w.shard.Inc(cIterations)
 	}
@@ -617,8 +622,8 @@ func (w *worker) execIter(icb *pool.ICB, lp *leafPlan, j int64) (err error) {
 			return ierr
 		}
 	}
-	if ex.cfg.Tracer != nil {
-		ex.cfg.Tracer.IterStart(icb.Loop, icb.IVec, j, pr.ID(), pr.Now())
+	if w.iter != nil {
+		w.iter.Record(w.event(pr.Now(), trace.EvIterStart, icb.Loop, icb.IVec, j, 0))
 	}
 	if w.ctx.dep != nil && !w.ctx.manual {
 		w.ctx.AwaitDep()
@@ -627,8 +632,8 @@ func (w *worker) execIter(icb *pool.ICB, lp *leafPlan, j int64) (err error) {
 	if w.ctx.dep != nil {
 		w.ctx.PostDep()
 	}
-	if ex.cfg.Tracer != nil {
-		ex.cfg.Tracer.IterEnd(icb.Loop, icb.IVec, j, pr.ID(), pr.Now())
+	if w.iter != nil {
+		w.iter.Record(w.event(pr.Now(), trace.EvIterEnd, icb.Loop, icb.IVec, j, 0))
 	}
 	w.shard.Inc(cIterations)
 	return nil

@@ -124,10 +124,6 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Recorder != nil && cfg.Recorder.Procs() < cfg.Engine.NumProcs() {
-		return nil, fmt.Errorf("core: flight recorder covers %d processors, engine has %d",
-			cfg.Recorder.Procs(), cfg.Engine.NumProcs())
-	}
 	if cfg.ClaimBatch < 0 {
 		return nil, fmt.Errorf("core: negative claim batch %d", cfg.ClaimBatch)
 	}

@@ -5,9 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
@@ -21,12 +21,13 @@ type iterSetTracer struct {
 
 func newIterSetTracer() *iterSetTracer { return &iterSetTracer{iters: map[string]int64{}} }
 
-func (r *iterSetTracer) InstanceActivated(int, loopir.IVec, int64, machine.Time) {}
-func (r *iterSetTracer) IterStart(int, loopir.IVec, int64, int, machine.Time)    {}
-func (r *iterSetTracer) InstanceCompleted(int, loopir.IVec, machine.Time)        {}
-func (r *iterSetTracer) IterEnd(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time) {
+// Record implements trace.Sink.
+func (r *iterSetTracer) Record(e trace.Event) {
+	if e.Kind != trace.EvIterEnd {
+		return
+	}
 	r.mu.Lock()
-	r.iters[fmt.Sprintf("%d%v#%d", loop, ivec, j)]++
+	r.iters[fmt.Sprintf("%d%v#%d", e.Loop, e.IVec, e.A)]++
 	r.mu.Unlock()
 }
 
@@ -60,7 +61,7 @@ func TestPropertyPoolEquivalence(t *testing.T) {
 				var basePool PoolKind
 				for _, pk := range pools {
 					tr := newIterSetTracer()
-					rep, err := Run(prog, Config{Engine: eng.mk(), Scheme: scheme, Pool: pk, Tracer: tr})
+					rep, err := Run(prog, Config{Engine: eng.mk(), Scheme: scheme, Pool: pk, Sink: tr})
 					if err != nil {
 						t.Fatalf("%s/%s: %v", eng.name, pk, err)
 					}

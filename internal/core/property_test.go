@@ -49,7 +49,7 @@ func TestPropertyRandomProgramsVirtual(t *testing.T) {
 					AccessCost: 3 + seed%5,
 				}),
 				Scheme: schemes[seed%int64(len(schemes))],
-				Tracer: tr,
+				Sink:   tr,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v\nprogram:\n%s", err, std)
@@ -92,7 +92,7 @@ func TestPropertyDeepRandomPrograms(t *testing.T) {
 		rep, err := Run(prog, Config{
 			Engine: vmachine.New(vmachine.Config{P: int(seed%8) + 1, AccessCost: 2}),
 			Scheme: schemes[seed%int64(len(schemes))],
-			Tracer: tr,
+			Sink:   tr,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v"+"\nprogram:\n%s", seed, err, std)
@@ -132,7 +132,7 @@ func TestPropertyRandomProgramsReal(t *testing.T) {
 			rep, err := Run(prog, Config{
 				Engine: machine.NewReal(machine.RealConfig{P: 4}),
 				Scheme: schemes[seed%int64(len(schemes))],
-				Tracer: tr,
+				Sink:   tr,
 			})
 			if err != nil {
 				t.Fatalf("Run: %v\nprogram:\n%s", err, std)
@@ -165,7 +165,7 @@ func TestClassicWorkloadsAllSchemes(t *testing.T) {
 				rep, err := Run(prog, Config{
 					Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
 					Scheme: s,
-					Tracer: tr,
+					Sink:   tr,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -28,7 +28,7 @@ func TestManyLeavesMultiwordSW(t *testing.T) {
 	tr := newRecTracer()
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 8, AccessCost: 3}),
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestWideFanOut(t *testing.T) {
 	tr := newRecTracer()
 	rep, err := Run(prog, Config{
 		Engine: vmachine.New(vmachine.Config{P: 16, AccessCost: 2}),
-		Tracer: tr,
+		Sink:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			func() machine.Engine { return machine.NewReal(machine.RealConfig{P: 5}) },
 		} {
 			tr := newRecTracer()
-			rep, err := Run(prog, Config{Engine: mk(), Scheme: lowsched.TSS{}, Tracer: tr})
+			rep, err := Run(prog, Config{Engine: mk(), Scheme: lowsched.TSS{}, Sink: tr})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -154,7 +154,7 @@ func TestRepeatedRunsOnSameProgram(t *testing.T) {
 		tr := newRecTracer()
 		rep, err := Run(prog, Config{
 			Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
-			Tracer: tr,
+			Sink:   tr,
 		})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)

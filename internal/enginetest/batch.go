@@ -61,7 +61,7 @@ func BatchedClaims(t *testing.T, name string, f Factory) {
 							Engine:     f(4, intr),
 							Scheme:     s,
 							Pool:       pk,
-							Tracer:     log,
+							Sink:       log,
 							Interrupt:  intr,
 							ClaimBatch: batch,
 						})
@@ -165,7 +165,7 @@ func ExhaustedInstances(t *testing.T, name string, f Factory) {
 					intr := machine.NewInterrupt()
 					log := trace.New()
 					rep, err := core.RunPlan(pl, core.Config{
-						Engine: f(p, intr), Scheme: s, Tracer: log,
+						Engine: f(p, intr), Scheme: s, Sink: log,
 						Interrupt: intr, ClaimBatch: batch,
 					})
 					if err != nil {

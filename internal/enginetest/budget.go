@@ -51,7 +51,7 @@ func Budgets(t *testing.T, name string, f Factory) {
 						Engine:     f(4, intr),
 						Scheme:     s,
 						Interrupt:  intr,
-						Tracer:     log,
+						Sink:       log,
 						ClaimBatch: batch,
 						Budget:     &core.Budget{Iterations: B},
 					})
@@ -195,8 +195,8 @@ func budgetedLeaseCheckpoint(t *testing.T, name string, f Factory) {
 		t.Fatalf("run returned %v, want CheckpointedError", r.pause)
 	}
 	for _, e := range r.part.Events() {
-		if e.Kind == trace.EvIterStart && e.J > at && e.J <= batch {
-			t.Errorf("iteration %d ran after the request: the lease's holder did not pause before its end", e.J)
+		if e.Kind == trace.EvIterStart && e.A > at && e.A <= batch {
+			t.Errorf("iteration %d ran after the request: the lease's holder did not pause before its end", e.A)
 		}
 	}
 	var pending int64

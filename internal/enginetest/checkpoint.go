@@ -75,7 +75,7 @@ func iterMultiset(l *trace.Log) map[string]int {
 	m := map[string]int{}
 	for _, e := range l.Events() {
 		if e.Kind == trace.EvIterStart {
-			m[fmt.Sprintf("%d%v#%d", e.Loop, e.IVec, e.J)]++
+			m[fmt.Sprintf("%d%v#%d", e.Loop, e.IVec, e.A)]++
 		}
 	}
 	return m
@@ -100,7 +100,7 @@ func resumeLegs(t *testing.T, f Factory, p int, prog *descr.Program, pl *core.Pl
 	t.Helper()
 	leg := func(cfg core.Config) (*core.Report, *trace.Log, error) {
 		intr, log := machine.NewInterrupt(), trace.New()
-		cfg.Engine, cfg.Interrupt, cfg.Tracer = f(p, intr), intr, log
+		cfg.Engine, cfg.Interrupt, cfg.Sink = f(p, intr), intr, log
 		rep, err := core.RunPlan(pl, cfg)
 		return rep, log, err
 	}
@@ -185,7 +185,7 @@ func ExhaustedCheckpointResume(t *testing.T, name string, f Factory) {
 		log := trace.New()
 		intr := machine.NewInterrupt()
 		_, err := core.RunPlan(pl, core.Config{
-			Engine: f(p, intr), Scheme: lowsched.SS{}, Tracer: log,
+			Engine: f(p, intr), Scheme: lowsched.SS{}, Sink: log,
 			Interrupt: intr, ClaimBatch: batch, Checkpoint: ck,
 		})
 		return log, err

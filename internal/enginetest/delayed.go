@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/flight"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
@@ -49,12 +48,12 @@ func straggler(t *testing.T, name string, f Factory) {
 	// and the iterations it ran before it — unposted for the whole stall,
 	// which outlasts the other three processors' sweep of the instance.
 	inj := fault.New(1).At(loopA, nil, stalled, fault.Fault{Kind: fault.Delay, Cost: 100 * n}, 1)
-	rec := flight.New(p, 4*n)
+	rec := trace.NewRing(p, 4*n)
 	log := trace.New()
 	intr := machine.NewInterrupt()
 	rep, err := core.RunPlan(pl, core.Config{
 		Engine: f(p, intr), Scheme: lowsched.SS{}, Interrupt: intr,
-		Tracer: log, Recorder: rec, Inject: inj,
+		Sink: trace.Attach(log, rec), Inject: inj,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -69,12 +68,12 @@ func straggler(t *testing.T, name string, f Factory) {
 
 	// The stalled iteration's end, its processor, and B's first start.
 	var stallEnd, firstB machine.Time = -1, -1
-	slow := -1
+	var slow int32 = -1
 	for _, e := range log.Events() {
 		switch {
-		case e.Kind == trace.EvIterEnd && e.Loop == loopA && e.J == stalled:
+		case e.Kind == trace.EvIterEnd && int(e.Loop) == loopA && e.A == stalled:
 			stallEnd, slow = e.At, e.Proc
-		case e.Kind == trace.EvIterStart && e.Loop == loopB && (firstB < 0 || e.At < firstB):
+		case e.Kind == trace.EvIterStart && int(e.Loop) == loopB && (firstB < 0 || e.At < firstB):
 			firstB = e.At
 		}
 	}
@@ -83,29 +82,30 @@ func straggler(t *testing.T, name string, f Factory) {
 	}
 
 	// A's posts sum to its bound; the straggler's is the last, carries
-	// more than the stalled iteration alone, and is the one EXIT follows.
+	// more than the stalled iteration alone, and is the one the completion
+	// follows.
 	var posted int64
-	var last flight.Event
+	var last trace.Event
 	exits := 0
 	for _, e := range rec.Tail(0) {
 		if int(e.Loop) != loopA {
 			continue
 		}
 		switch e.Kind {
-		case flight.Post:
+		case trace.EvPost:
 			posted += e.A
 			last = e
-		case flight.Exit:
+		case trace.EvCompleted:
 			exits++
-			if int(e.Proc) != slow || last.B != n || e.At < last.At {
-				t.Errorf("A exited on processor %d at %d; the completing post was %v, the straggler is processor %d", e.Proc, e.At, last, slow)
+			if e.Proc != slow || last.B != n || e.At < last.At {
+				t.Errorf("A completed on processor %d at %d; the completing post was %v, the straggler is processor %d", e.Proc, e.At, last, slow)
 			}
 		}
 	}
 	if posted != n || exits != 1 {
 		t.Errorf("A: %d iterations posted, %d exit(s); want %d and 1", posted, exits, n)
 	}
-	if int(last.Proc) != slow || last.A < 2 || last.At < int64(stallEnd) {
+	if last.Proc != slow || last.A < 2 || last.At < stallEnd {
 		t.Errorf("A's completing post is %v; want processor %d's, after %d, carrying the iterations it held through the stall", last, slow, stallEnd)
 	}
 }
@@ -132,12 +132,12 @@ func pausedHolders(t *testing.T, name string, f Factory) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			rec := flight.New(p, 2*n)
+			rec := trace.NewRing(p, 2*n)
 			partLog := trace.New()
 			intr := machine.NewInterrupt()
 			cfg := tc.cfg
 			cfg.Engine, cfg.Scheme, cfg.Interrupt = f(p, intr), tc.scheme, intr
-			cfg.Tracer, cfg.Recorder = partLog, rec
+			cfg.Sink = trace.Attach(partLog, rec)
 			_, err := core.RunPlan(pl, cfg)
 			var snap *core.RunSnapshot
 			var cke *core.CheckpointedError
@@ -157,7 +157,7 @@ func pausedHolders(t *testing.T, name string, f Factory) {
 			holders := map[int32]bool{}
 			var posted int64
 			for _, e := range rec.Tail(0) {
-				if e.Kind == flight.Post {
+				if e.Kind == trace.EvPost {
 					posted += e.A
 					if e.A >= 2 {
 						holders[e.Proc] = true
@@ -187,7 +187,7 @@ func pausedHolders(t *testing.T, name string, f Factory) {
 			restLog := trace.New()
 			intr = machine.NewInterrupt()
 			rep, err := core.RunPlan(pl, core.Config{
-				Engine: f(p, intr), Scheme: tc.scheme, Interrupt: intr, Tracer: restLog,
+				Engine: f(p, intr), Scheme: tc.scheme, Interrupt: intr, Sink: restLog,
 				Checkpoint: &core.CheckpointConfig{Restore: snap},
 			})
 			if err != nil {
@@ -232,7 +232,7 @@ func TailInstances(t *testing.T, name string, f Factory) {
 		t.Run(s.Name(), func(t *testing.T) {
 			intr := machine.NewInterrupt()
 			log := trace.New()
-			rep, err := core.RunPlan(pl, core.Config{Engine: f(p, intr), Scheme: s, Tracer: log, Interrupt: intr})
+			rep, err := core.RunPlan(pl, core.Config{Engine: f(p, intr), Scheme: s, Sink: log, Interrupt: intr})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

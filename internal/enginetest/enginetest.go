@@ -129,7 +129,7 @@ func exactlyOnce(t *testing.T, name string, f Factory) {
 							Engine:    f(p, intr),
 							Scheme:    s,
 							Pool:      pk,
-							Tracer:    log,
+							Sink:      log,
 							Interrupt: intr,
 						})
 						if err != nil {

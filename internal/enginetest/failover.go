@@ -53,7 +53,7 @@ func FailoverRestore(t *testing.T, name string, f Factory) {
 				intr := machine.NewInterrupt()
 				full, err := core.RunPlan(pl, core.Config{
 					Engine: f(p, intr), Scheme: s, Pool: core.PoolSingleList,
-					Tracer: fullLog, Interrupt: intr, ClaimBatch: batch,
+					Sink: fullLog, Interrupt: intr, ClaimBatch: batch,
 				})
 				if err != nil {
 					t.Fatalf("uninterrupted run: %v", err)
@@ -65,7 +65,7 @@ func FailoverRestore(t *testing.T, name string, f Factory) {
 					intr := machine.NewInterrupt()
 					_, err := core.RunPlan(pl, core.Config{
 						Engine: f(p, intr), Scheme: s, Pool: core.PoolSingleList,
-						Tracer: tr, Interrupt: intr, ClaimBatch: batch,
+						Sink: tr, Interrupt: intr, ClaimBatch: batch,
 						Checkpoint: &core.CheckpointConfig{AfterChunks: k, Restore: restore},
 					})
 					var cke *core.CheckpointedError
@@ -90,7 +90,7 @@ func FailoverRestore(t *testing.T, name string, f Factory) {
 					intr := machine.NewInterrupt()
 					rep, err := core.RunPlan(pl, core.Config{
 						Engine: f(p, intr), Scheme: s, Pool: core.PoolSingleList,
-						Tracer: tr, Interrupt: intr, ClaimBatch: batch,
+						Sink: tr, Interrupt: intr, ClaimBatch: batch,
 						Checkpoint: &core.CheckpointConfig{Restore: s2.Snapshot},
 					})
 					if err != nil {

@@ -192,7 +192,7 @@ func runF7(w io.Writer) (Verdict, error) {
 	rep, err := core.Run(prog, core.Config{
 		Engine: vmachine.New(vmachine.Config{P: 8, AccessCost: 10}),
 		Scheme: lowsched.SS{},
-		Tracer: log,
+		Sink:   log,
 	})
 	if err != nil {
 		return v, err
@@ -290,13 +290,13 @@ func runF8(w io.Writer) (Verdict, error) {
 		log := trace.New()
 		if _, err := core.Run(prog, core.Config{
 			Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 5}),
-			Tracer: log,
+			Sink:   log,
 		}); err != nil {
 			return v, err
 		}
 		got := 0
 		for _, e := range log.Events() {
-			if e.Kind == trace.EvActivated && prog.Leaf(e.Loop).Node.Label == c.label {
+			if e.Kind == trace.EvActivated && prog.Leaf(int(e.Loop)).Node.Label == c.label {
 				got++
 			}
 		}

@@ -18,11 +18,11 @@ func FuzzDecode(f *testing.F) {
 	r1, _ := Encode(1, "run-1", []byte(`{"workload":"flat","n":96}`))
 	r2, _ := Encode(2, "run-1", nil)
 	r3, _ := Encode(3, "run-2", []byte("checkpoint"))
-	seed()                 // empty journal
-	seed(r1)               // single record
-	seed(r1, r2, r3)       // healthy multi-record journal
-	seed(r1[:len(r1)/2])   // crash mid-first-record
-	seed(r1, r2[:5])       // crash mid-header
+	seed()               // empty journal
+	seed(r1)             // single record
+	seed(r1, r2, r3)     // healthy multi-record journal
+	seed(r1[:len(r1)/2]) // crash mid-first-record
+	seed(r1, r2[:5])     // crash mid-header
 	flipped := append([]byte(nil), bytes.Join([][]byte{r1, r2, r3}, nil)...)
 	flipped[len(r1)+headerLen] ^= 0x01
 	seed(flipped) // bit flip in the middle record

@@ -70,7 +70,7 @@ doall I = 1..6 {
 				rep, err := core.Run(prog, core.Config{
 					Engine: vmachine.New(vmachine.Config{P: 6, AccessCost: 4}),
 					Scheme: scheme,
-					Tracer: log,
+					Sink:   log,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -13,7 +13,8 @@
 //     exposition format.
 //
 // Recording through the spine charges no machine time — it is host-side
-// bookkeeping, part of the zero-cost observer contract of core.Tracer.
+// bookkeeping, part of the zero-cost observer contract the kernel's event
+// sinks (core.Config.Sink) share.
 package obs
 
 import (

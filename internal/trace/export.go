@@ -29,10 +29,10 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	for _, e := range l.Events() {
 		je := jsonEvent{
 			Kind: e.Kind.String(),
-			Loop: e.Loop,
+			Loop: int(e.Loop),
 			IVec: e.IVec,
-			J:    e.J,
-			Proc: e.Proc,
+			J:    e.A,
+			Proc: int(e.Proc),
 			At:   e.At,
 			Seq:  e.Seq,
 		}
@@ -49,47 +49,36 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 // are ignored.
 func ReadJSONL(r io.Reader) (*Log, error) {
 	l := New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
+	dec := json.NewDecoder(r)
+	for n := 1; ; n++ {
 		var je jsonEvent
-		if err := json.Unmarshal(raw, &je); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		if err := dec.Decode(&je); err == io.EOF {
+			return l, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", n, err)
 		}
 		kind, err := parseEventKind(je.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			return nil, fmt.Errorf("trace: event %d: %w", n, err)
 		}
 		l.events = append(l.events, Event{
 			Kind: kind,
-			Loop: je.Loop,
+			Loop: int32(je.Loop),
 			IVec: loopir.IVec(je.IVec),
-			J:    je.J,
-			Proc: je.Proc,
+			A:    je.J,
+			Proc: int32(je.Proc),
 			At:   machine.Time(je.At),
 			Seq:  je.Seq,
 		})
-		if je.Seq > l.seq {
-			l.seq = je.Seq
-		}
+		l.seq = max(l.seq, je.Seq)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return l, nil
 }
 
-// parseEventKind is the inverse of EventKind.String.
-func parseEventKind(name string) (EventKind, error) {
-	for k, n := range evNames {
+// parseEventKind is the inverse of Kind.String.
+func parseEventKind(name string) (Kind, error) {
+	for k, n := range kindNames {
 		if n == name {
-			return EventKind(k), nil
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("unknown event kind %q", name)

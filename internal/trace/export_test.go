@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/descr"
 	"repro/internal/loopir"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
@@ -21,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // a recording Log. The virtual engine makes the event stream (order,
 // times, processors) bit-identical on every run, which is what lets the
 // JSONL format be golden-filed at all.
-func exportLog(t *testing.T) *Log {
+func exportLog(t *testing.T) *trace.Log {
 	t.Helper()
 	std, err := workload.Triangular(4, 10).Standardize()
 	if err != nil {
@@ -31,10 +32,10 @@ func exportLog(t *testing.T) *Log {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := New()
+	log := trace.New()
 	if _, err := core.Run(prog, core.Config{
 		Engine: vmachine.New(vmachine.Config{P: 2, AccessCost: 10}),
-		Tracer: log,
+		Sink:   log,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err := log.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := trace.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		w, g := want[i], got[i]
-		if g.Kind != w.Kind || g.Loop != w.Loop || g.J != w.J ||
+		if g.Kind != w.Kind || g.Loop != w.Loop || g.A != w.A ||
 			g.Proc != w.Proc || g.At != w.At || g.Seq != w.Seq {
 			t.Fatalf("event %d: got %+v, want %+v", i, g, w)
 		}
@@ -114,13 +115,13 @@ func firstLines(s string, n int) string {
 }
 
 func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
+	if _, err := trace.ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
 		t.Fatal("malformed JSON not rejected")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"kind":"warp-drive","loop":1,"proc":0,"at":0,"seq":1}` + "\n")); err == nil {
+	if _, err := trace.ReadJSONL(strings.NewReader(`{"kind":"warp-drive","loop":1,"proc":0,"at":0,"seq":1}` + "\n")); err == nil {
 		t.Fatal("unknown event kind not rejected")
 	}
-	l, err := ReadJSONL(strings.NewReader("\n\n"))
+	l, err := trace.ReadJSONL(strings.NewReader("\n\n"))
 	if err != nil || l.Len() != 0 {
 		t.Fatalf("blank lines: %v, %d events", err, l.Len())
 	}
@@ -131,17 +132,17 @@ func TestReadJSONLErrors(t *testing.T) {
 // sequence numbers.
 func TestReadJSONLContinuesSequence(t *testing.T) {
 	var buf bytes.Buffer
-	src := New()
-	src.IterStart(1, loopir.IVec{2}, 3, 0, 100)
-	src.IterEnd(1, loopir.IVec{2}, 3, 0, 110)
+	src := trace.New()
+	src.Record(trace.Event{Kind: trace.EvIterStart, Loop: 1, IVec: loopir.IVec{2}, A: 3, At: 100})
+	src.Record(trace.Event{Kind: trace.EvIterEnd, Loop: 1, IVec: loopir.IVec{2}, A: 3, At: 110})
 	if err := src.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := trace.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back.InstanceCompleted(1, loopir.IVec{2}, 120)
+	back.Record(trace.Event{Kind: trace.EvCompleted, Loop: 1, IVec: loopir.IVec{2}, At: 120})
 	evs := back.Events()
 	if len(evs) != 3 || evs[2].Seq != 3 {
 		t.Fatalf("sequence not continued: %+v", evs)

@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/descr"
 	"repro/internal/loopir"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 )
 
@@ -23,10 +24,10 @@ func TestGanttRendersOccupiedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := New()
+	log := trace.New()
 	if _, err := core.Run(prog, core.Config{
 		Engine: vmachine.New(vmachine.Config{P: 4, AccessCost: 2}),
-		Tracer: log,
+		Sink:   log,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +50,22 @@ func TestGanttEmptyLog(t *testing.T) {
 	})
 	std, _ := nest.Standardize()
 	prog, _ := descr.Compile(std)
-	g := New().Gantt(prog, 2, 10)
+	g := trace.New().Gantt(prog, 2, 10)
 	if !strings.Contains(g, "..........") {
 		t.Errorf("empty log should render idle rows:\n%s", g)
 	}
 }
 
 func TestWriteJSONL(t *testing.T) {
-	log := New()
-	log.InstanceActivated(2, loopir.IVec{1}, 4, 5)
-	log.IterStart(2, loopir.IVec{1}, 1, 0, 6)
-	log.IterEnd(2, loopir.IVec{1}, 1, 0, 9)
-	log.InstanceCompleted(2, loopir.IVec{1}, 9)
+	log := trace.New()
+	for _, e := range []trace.Event{
+		{Kind: trace.EvActivated, Loop: 2, IVec: loopir.IVec{1}, A: 4, At: 5},
+		{Kind: trace.EvIterStart, Loop: 2, IVec: loopir.IVec{1}, A: 1, At: 6},
+		{Kind: trace.EvIterEnd, Loop: 2, IVec: loopir.IVec{1}, A: 1, At: 9},
+		{Kind: trace.EvCompleted, Loop: 2, IVec: loopir.IVec{1}, At: 9},
+	} {
+		log.Record(e)
+	}
 	var buf bytes.Buffer
 	if err := log.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -86,17 +91,21 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 func TestOccupancy(t *testing.T) {
-	log := New()
+	log := trace.New()
 	// P0 busy [0,50] of makespan 100; P1 busy [0,100].
-	log.IterStart(1, nil, 1, 0, 0)
-	log.IterEnd(1, nil, 1, 0, 50)
-	log.IterStart(1, nil, 2, 1, 0)
-	log.IterEnd(1, nil, 2, 1, 100)
+	for _, e := range []trace.Event{
+		{Kind: trace.EvIterStart, Loop: 1, A: 1, At: 0},
+		{Kind: trace.EvIterEnd, Loop: 1, A: 1, At: 50},
+		{Kind: trace.EvIterStart, Loop: 1, A: 2, Proc: 1, At: 0},
+		{Kind: trace.EvIterEnd, Loop: 1, A: 2, Proc: 1, At: 100},
+	} {
+		log.Record(e)
+	}
 	occ := log.Occupancy(2)
 	if occ[0] != 0.5 || occ[1] != 1.0 {
 		t.Errorf("occupancy = %v, want [0.5 1]", occ)
 	}
-	if got := New().Occupancy(2); got[0] != 0 || got[1] != 0 {
+	if got := trace.New().Occupancy(2); got[0] != 0 || got[1] != 0 {
 		t.Errorf("empty occupancy = %v", got)
 	}
 }

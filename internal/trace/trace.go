@@ -1,21 +1,21 @@
-// Package trace records executor events and verifies executions against
-// the program's semantics:
+// Package trace is the kernel's one event stream: package core reports
+// each scheduling point of the paper's Algorithms 3–6 once, as an Event,
+// to the run's one Sink. Two sinks live here, both host-side (recording
+// charges no machine time, so it cannot change a virtual schedule):
 //
-//   - exactly-once execution: every instance the sequential reference
-//     records (with bound > 0) is activated exactly once and executes each
-//     of its iterations exactly once;
-//   - macro-dataflow precedence: for every edge of the program's Fig. 4
-//     graph between executed instances (projected through condition nodes
-//     and untaken branches), the predecessor completes before the
-//     successor's first iteration starts.
-//
-// The Log implements the executor's Tracer interface and is safe for
-// concurrent use.
+//   - the Log keeps the verification kinds and checks exactly-once
+//     execution (every instance the sequential reference records with
+//     bound > 0 is activated once and runs each iteration once) and
+//     macro-dataflow precedence (along every Fig. 4 edge between executed
+//     instances, projected through condition nodes and untaken branches,
+//     the predecessor completes before the successor's first iteration);
+//   - the Ring is the flight recorder (ring.go).
 package trace
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/descr"
@@ -24,41 +24,108 @@ import (
 	"repro/internal/refexec"
 )
 
-// EventKind discriminates trace events.
-type EventKind uint8
+// Kind discriminates kernel events.
+type Kind uint8
 
-// Event kinds.
+// Event kinds, with their A/B payload words.
 const (
-	EvActivated EventKind = iota
-	EvIterStart
-	EvIterEnd
-	EvCompleted
+	EvActivated Kind = iota // an instance was activated; A = bound
+	EvIterStart             // iteration A began on processor Proc
+	EvIterEnd               // iteration A ended on processor Proc
+	EvCompleted             // the instance's icount reached its bound, before the EXIT walk; A = bound
+	EvClaim                 // a chunk (or a lease of chunks) [A, B] was claimed
+	EvChunk                 // chunk [A, B] finished executing; icount moves at the next post
+	EvPost                  // A executed iterations were added to icount, which became B
+	EvSwitch                // a processor dropped an exhausted hold to SEARCH; no IVec (the block may be recycled)
+	EvBarrier               // the BAR_COUNT barrier of structural loop Loop filled; A = bound
 )
 
-var evNames = [...]string{"activated", "iter-start", "iter-end", "completed"}
-
-func (k EventKind) String() string {
-	if int(k) < len(evNames) {
-		return evNames[k]
-	}
-	return fmt.Sprintf("EventKind(%d)", uint8(k))
+var kindNames = [...]string{
+	"activated", "iter-start", "iter-end", "completed",
+	"claim", "chunk", "post", "switch", "barrier",
 }
 
-// Event is one recorded executor event.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Event is one kernel event. At is engine time (virtual units on the
+// simulator, nanoseconds on the real engines). Seq is the sink's record
+// order: global for the Log, per processor for the Ring. The kernel's
+// IVec is only valid during Record — the block it belongs to is recycled
+// — so a sink that keeps it clones it.
 type Event struct {
-	Kind EventKind
-	Loop int
-	IVec loopir.IVec
-	J    int64 // iteration (EvIterStart/EvIterEnd)
-	Proc int   // processor (EvIterStart/EvIterEnd)
 	At   machine.Time
-	Seq  int64 // global record order
+	Seq  int64
+	IVec loopir.IVec
+	A, B int64
+	Kind Kind
+	Proc int32
+	Loop int32
 }
 
 // Key returns the instance identity "loop(ivec)".
 func (e Event) Key() string { return fmt.Sprintf("%d%v", e.Loop, e.IVec) }
 
-// Log is a concurrent event recorder implementing core.Tracer.
+// String renders the event in the Ring's dump format.
+func (e Event) String() string {
+	head := fmt.Sprintf("t=%-8d p%-2d %-7s loop %d", e.At, e.Proc, e.Kind, e.Loop)
+	switch e.Kind {
+	case EvActivated, EvCompleted:
+		return fmt.Sprintf("%s bound %d outer %d", head, e.A, e.B)
+	case EvClaim, EvChunk:
+		return fmt.Sprintf("%s [%d,%d]", head, e.A, e.B)
+	case EvPost:
+		return fmt.Sprintf("%s +%d icount %d", head, e.A, e.B)
+	case EvBarrier:
+		return fmt.Sprintf("%s bound %d", head, e.A)
+	}
+	return head
+}
+
+// Sink receives the kernel's events, one Record call per event, from
+// every processor concurrently; it must not block for long and must not
+// charge machine time.
+type Sink interface {
+	Record(Event)
+}
+
+// SchedulingOnly is implemented by a sink that keeps none of the
+// iteration kinds (EvIterStart, EvIterEnd): the kernel then makes no
+// call on its per-iteration path, so such a sink costs a body nothing.
+type SchedulingOnly interface {
+	Sink
+	SchedulingOnly()
+}
+
+// Attach returns the sink of a run that wants the Log, the Ring, both or
+// neither (nil).
+func Attach(log *Log, ring *Ring) Sink {
+	switch {
+	case ring == nil && log == nil:
+		return nil
+	case ring == nil:
+		return log
+	case log == nil:
+		return ring
+	}
+	return logRing{log, ring}
+}
+
+// logRing is both sinks on one run; its dump is the Ring's.
+type logRing struct {
+	log  *Log
+	ring *Ring
+}
+
+func (s logRing) Record(e Event)    { s.log.Record(e); s.ring.Record(e) }
+func (s logRing) Dump(n int) string { return s.ring.Dump(n) }
+
+// Log is the verification sink: it keeps every event of the four
+// verification kinds and is safe for concurrent use.
 type Log struct {
 	mu     sync.Mutex
 	events []Event
@@ -68,33 +135,26 @@ type Log struct {
 // New returns an empty log.
 func New() *Log { return &Log{} }
 
-func (l *Log) add(e Event) {
+// Record implements Sink. Of the verification kinds the Log keeps what
+// verification and the JSONL format read — an activation's bound, an
+// iteration's index and processor — and drops the other kinds.
+func (l *Log) Record(e Event) {
+	switch e.Kind {
+	case EvIterStart, EvIterEnd:
+	case EvActivated:
+		e.Proc = 0
+	case EvCompleted:
+		e.Proc, e.A = 0, 0
+	default:
+		return
+	}
+	e.B = 0
+	e.IVec = e.IVec.Clone()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.seq++
 	e.Seq = l.seq
-	e.IVec = e.IVec.Clone()
 	l.events = append(l.events, e)
-}
-
-// InstanceActivated implements core.Tracer.
-func (l *Log) InstanceActivated(loop int, ivec loopir.IVec, bound int64, at machine.Time) {
-	l.add(Event{Kind: EvActivated, Loop: loop, IVec: ivec, J: bound, At: at})
-}
-
-// IterStart implements core.Tracer.
-func (l *Log) IterStart(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time) {
-	l.add(Event{Kind: EvIterStart, Loop: loop, IVec: ivec, J: j, Proc: proc, At: at})
-}
-
-// IterEnd implements core.Tracer.
-func (l *Log) IterEnd(loop int, ivec loopir.IVec, j int64, proc int, at machine.Time) {
-	l.add(Event{Kind: EvIterEnd, Loop: loop, IVec: ivec, J: j, Proc: proc, At: at})
-}
-
-// InstanceCompleted implements core.Tracer.
-func (l *Log) InstanceCompleted(loop int, ivec loopir.IVec, at machine.Time) {
-	l.add(Event{Kind: EvCompleted, Loop: loop, IVec: ivec, At: at})
+	l.mu.Unlock()
 }
 
 // Events returns a copy of the recorded events in record order.
@@ -113,61 +173,50 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// instance is the per-instance digest built from a log.
+// instance is the per-instance digest built from a log: the oracle's
+// observation plus what precedence checking reads.
 type instance struct {
-	activations int
-	completions int
-	bound       int64
-	iters       map[int64]int
-	firstStart  machine.Time
-	completedAt machine.Time
-	sawStart    bool
+	refexec.InstanceObs
+	firstStart, completedAt machine.Time
+	sawStart                bool
 }
 
 func (l *Log) digest() map[string]*instance {
 	m := map[string]*instance{}
-	get := func(k string) *instance {
-		in, ok := m[k]
-		if !ok {
-			in = &instance{iters: map[int64]int{}}
-			m[k] = in
-		}
-		return in
-	}
 	for _, e := range l.Events() {
-		in := get(e.Key())
+		in := m[e.Key()]
+		if in == nil {
+			in = &instance{InstanceObs: refexec.InstanceObs{Iters: map[int64]int{}}}
+			m[e.Key()] = in
+		}
 		switch e.Kind {
 		case EvActivated:
-			in.activations++
-			in.bound = e.J
+			in.Activations++
+			in.Bound = e.A
 		case EvIterStart:
 			if !in.sawStart || e.At < in.firstStart {
 				in.firstStart = e.At
 				in.sawStart = true
 			}
 		case EvIterEnd:
-			in.iters[e.J]++
+			in.Iters[e.A]++
 		case EvCompleted:
-			in.completions++
+			in.Completions++
 			in.completedAt = e.At
 		}
 	}
 	return m
 }
 
-// Observed converts the log's digest into the oracle checker's
-// observation form (refexec.Observed), keyed "loop(ivec)".
-func (l *Log) Observed() *refexec.Observed {
+// VerifyExactlyOnceIn is VerifyExactlyOnce with an execution Context
+// identifying the configuration (nest, scheme, pool, engine) in the
+// oracle's mismatch dump.
+func (l *Log) VerifyExactlyOnceIn(prog *descr.Program, ref *refexec.Result, ctx refexec.Context) error {
 	obs := &refexec.Observed{Instances: map[string]*refexec.InstanceObs{}}
 	for k, in := range l.digest() {
-		obs.Instances[k] = &refexec.InstanceObs{
-			Activations: in.activations,
-			Completions: in.completions,
-			Bound:       in.bound,
-			Iters:       in.iters,
-		}
+		obs.Instances[k] = &in.InstanceObs
 	}
-	return obs
+	return refexec.Check(ref, prog.NumOf, obs, ctx)
 }
 
 // VerifyExactlyOnce checks the log against the reference execution: the
@@ -178,13 +227,6 @@ func (l *Log) Observed() *refexec.Observed {
 // label the dump with the failing configuration.
 func (l *Log) VerifyExactlyOnce(prog *descr.Program, ref *refexec.Result) error {
 	return l.VerifyExactlyOnceIn(prog, ref, refexec.Context{})
-}
-
-// VerifyExactlyOnceIn is VerifyExactlyOnce with an execution Context
-// identifying the configuration (nest, scheme, pool, engine) in the
-// oracle's mismatch dump.
-func (l *Log) VerifyExactlyOnceIn(prog *descr.Program, ref *refexec.Result, ctx refexec.Context) error {
-	return refexec.Check(ref, prog.NumOf, l.Observed(), ctx)
 }
 
 // VerifyPrecedence checks the macro-dataflow precedence: for every
@@ -248,12 +290,5 @@ func joinErrs(errs []string) error {
 	if len(errs) > max {
 		errs = append(errs[:max], fmt.Sprintf("... and %d more", len(errs)-max))
 	}
-	out := ""
-	for i, e := range errs {
-		if i > 0 {
-			out += "\n"
-		}
-		out += e
-	}
-	return fmt.Errorf("trace: %s", out)
+	return fmt.Errorf("trace: %s", strings.Join(errs, "\n"))
 }

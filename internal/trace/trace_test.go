@@ -1,21 +1,21 @@
-package trace
+package trace_test
 
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/descr"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/refexec"
+	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
 
-var _ core.Tracer = (*Log)(nil)
-
-func runTraced(t *testing.T, nest *loopir.Nest, p int) (*descr.Program, *refexec.Result, *Log) {
+func runTraced(t *testing.T, nest *loopir.Nest, p int) (*descr.Program, *refexec.Result, *trace.Log) {
 	t.Helper()
 	std, err := nest.Standardize()
 	if err != nil {
@@ -29,11 +29,11 @@ func runTraced(t *testing.T, nest *loopir.Nest, p int) (*descr.Program, *refexec
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := New()
+	log := trace.New()
 	if _, err := core.Run(prog, core.Config{
 		Engine: vmachine.New(vmachine.Config{P: p, AccessCost: 4}),
 		Scheme: lowsched.GSS{},
-		Tracer: log,
+		Sink:   log,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRandomProgramsTraceVerify(t *testing.T) {
 
 func TestVerifyDetectsMissingInstance(t *testing.T) {
 	prog, ref, _ := runTraced(t, workload.Fig1(workload.DefaultFig1()), 2)
-	empty := New()
+	empty := trace.New()
 	err := empty.VerifyExactlyOnce(prog, ref)
 	if err == nil || !strings.Contains(err.Error(), "never executed") {
 		t.Errorf("empty log passed verification: %v", err)
@@ -87,7 +87,7 @@ func TestVerifyDetectsDuplicateIteration(t *testing.T) {
 	})
 	prog, ref, log := runTraced(t, nest, 1)
 	// Re-inject a duplicate iteration end.
-	log.IterEnd(1, nil, 1, 0, 99)
+	log.Record(trace.Event{Kind: trace.EvIterEnd, Loop: 1, A: 1, At: 99})
 	err := log.VerifyExactlyOnce(prog, ref)
 	if err == nil || !strings.Contains(err.Error(), "executed 2 times") {
 		t.Errorf("duplicate iteration not detected: %v", err)
@@ -103,15 +103,19 @@ func TestVerifyDetectsPrecedenceViolation(t *testing.T) {
 	std, _ := nest.Standardize()
 	prog, _ := descr.Compile(std)
 	g := descr.BuildGraph(prog)
-	log := New()
-	log.InstanceActivated(1, nil, 1, 0)
-	log.IterStart(1, nil, 1, 0, 10)
-	log.IterEnd(1, nil, 1, 0, 20)
-	log.InstanceCompleted(1, nil, 20)
-	log.InstanceActivated(2, nil, 1, 5)
-	log.IterStart(2, nil, 1, 1, 5) // starts before A completes
-	log.IterEnd(2, nil, 1, 1, 8)
-	log.InstanceCompleted(2, nil, 8)
+	log := trace.New()
+	for _, e := range []trace.Event{
+		{Kind: trace.EvActivated, Loop: 1, A: 1},
+		{Kind: trace.EvIterStart, Loop: 1, A: 1, At: 10},
+		{Kind: trace.EvIterEnd, Loop: 1, A: 1, At: 20},
+		{Kind: trace.EvCompleted, Loop: 1, At: 20},
+		{Kind: trace.EvActivated, Loop: 2, A: 1, At: 5},
+		{Kind: trace.EvIterStart, Loop: 2, A: 1, Proc: 1, At: 5}, // starts before A completes
+		{Kind: trace.EvIterEnd, Loop: 2, A: 1, Proc: 1, At: 8},
+		{Kind: trace.EvCompleted, Loop: 2, At: 8},
+	} {
+		log.Record(e)
+	}
 	err := log.VerifyPrecedence(prog, g)
 	if err == nil || !strings.Contains(err.Error(), "precedence violated") {
 		t.Errorf("violation not detected: %v", err)
@@ -139,8 +143,8 @@ func TestVerifyProjectsThroughCondNodes(t *testing.T) {
 }
 
 func TestEventAccessors(t *testing.T) {
-	log := New()
-	log.IterStart(3, loopir.IVec{1, 2}, 7, 1, 42)
+	log := trace.New()
+	log.Record(trace.Event{Kind: trace.EvIterStart, Loop: 3, IVec: loopir.IVec{1, 2}, A: 7, Proc: 1, At: 42})
 	evs := log.Events()
 	if len(evs) != 1 {
 		t.Fatalf("events = %d", len(evs))
@@ -148,5 +152,26 @@ func TestEventAccessors(t *testing.T) {
 	e := evs[0]
 	if e.Kind.String() != "iter-start" || e.Key() != "3(1,2)" || e.Seq != 1 {
 		t.Errorf("event = %+v", e)
+	}
+}
+
+// TestLogKeepsVerificationKinds: the Log drops the scheduling kinds and
+// keeps of the rest what it has always kept — the JSONL golden and the
+// memory a Verify run holds depend on it.
+func TestLogKeepsVerificationKinds(t *testing.T) {
+	log := trace.New()
+	for _, k := range []trace.Kind{trace.EvClaim, trace.EvChunk, trace.EvPost, trace.EvSwitch, trace.EvBarrier} {
+		log.Record(trace.Event{Kind: k, Loop: 1, A: 1, B: 2})
+	}
+	if n := log.Len(); n != 0 {
+		t.Fatalf("log kept %d scheduling event(s)", n)
+	}
+	log.Record(trace.Event{Kind: trace.EvCompleted, Loop: 1, IVec: loopir.IVec{2}, A: 9, B: 2, Proc: 1, At: 7})
+	want := trace.Event{Kind: trace.EvCompleted, Loop: 1, IVec: loopir.IVec{2}, At: 7, Seq: 1}
+	if got := log.Events()[0]; got.Key() != want.Key() || got.A != 0 || got.B != 0 || got.Proc != 0 || got.At != 7 || got.Seq != 1 {
+		t.Errorf("completed event kept as %+v, want %+v", got, want)
+	}
+	if size := unsafe.Sizeof(trace.Event{}); size > 72 {
+		t.Errorf("trace.Event is %d bytes, want at most 72", size)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	_ "repro/internal/adapt" // registers the adaptive "auto" scheme
 	"repro/internal/core"
 	"repro/internal/descr"
-	"repro/internal/flight"
 	"repro/internal/loopir"
 	"repro/internal/machine"
 	"repro/internal/refexec"
@@ -268,10 +267,12 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 	intr := machine.NewInterrupt()
 	eng := rs.mkEngine(intr)
 	var log *trace.Log
-	var tracer core.Tracer
 	if opts.CollectTrace || opts.Verify {
 		log = trace.New()
-		tracer = log
+	}
+	var ring *trace.Ring
+	if opts.FlightRecorder > 0 {
+		ring = trace.NewRing(rs.procs, opts.FlightRecorder)
 	}
 	var ckpt *core.CheckpointConfig
 	if opts.UsesCheckpoint() {
@@ -290,10 +291,6 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 			ckpt.Restore = opts.Resume.Snapshot
 		}
 	}
-	var rec *flight.Recorder
-	if opts.FlightRecorder > 0 {
-		rec = flight.New(rs.procs, opts.FlightRecorder)
-	}
 	var budget *core.Budget
 	if opts.BudgetIterations > 0 || opts.BudgetTime > 0 {
 		budget = &core.Budget{
@@ -305,14 +302,13 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		Engine:        eng,
 		Scheme:        rs.scheme,
 		Pool:          rs.pool,
-		Tracer:        tracer,
+		Sink:          trace.Attach(log, ring),
 		DispatchCost:  opts.DispatchCost,
 		Interrupt:     intr,
 		OnStart:       opts.Observe,
 		Failure:       rs.failure,
 		Retry:         rs.retry,
 		Diagnostics:   opts.Diagnostics,
-		Recorder:      rec,
 		Checkpoint:    ckpt,
 		ClaimBatch:    opts.ClaimBatch,
 		SWShards:      opts.SWShards,

@@ -172,13 +172,17 @@ func TestTerminalRunReleasesItsMachine(t *testing.T) {
 		}},
 		{"preempted then done", StateDone, 2, func(t *testing.T, w *watcher) *Run {
 			rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: map[string]Tenant{"gold": {Priority: 10}}})
-			// The victim's first attempt sits in its gated bodies, so it is
-			// certainly still running when the preemption (delivered before
-			// the preemptor's Submit returns) cancels it; the second attempt
-			// finds the gate open and finishes.
+			// The victim is checkpointable, so the preemption is its
+			// executor's checkpoint request, raised before the preemptor's
+			// Submit returns. Its first attempt sits in its gated unit chunks
+			// until then, so it pauses at its next claim boundary with work
+			// left — whatever the goroutines' timing — and the second attempt
+			// resumes from the snapshot and finishes. (Preempting by
+			// cancellation lands asynchronously: TestManagerPreemptNonCheckpointable.)
 			gate := make(chan struct{})
-			r, started := w.submit(t, rn, gatedProgram(t, 64, gate), repro.Options{Procs: 2})
-			<-started
+			r, started := w.submit(t, rn, gatedProgram(t, 64, gate),
+				repro.Options{Procs: 2, Scheme: "ss", Checkpointable: true})
+			<-started // the victim's probe is published: the request can land
 			high, err := rn.Submit(Submission{Program: finiteProgram(t, 8), Options: repro.Options{Procs: 2}, Tenant: "gold"})
 			if err != nil {
 				t.Fatal(err)
