@@ -73,7 +73,10 @@ verify:
 # post, claim, and whoever's post completes the count runs EXIT), the
 # batched checkpoint/resume matrix on eight goroutines twenty times over
 # under it too (the lease a worker holds is private state that crosses
-# the pause: its unstarted slices must travel as pending ranges), and one
+# the pause: its unstarted slices must travel as pending ranges), the
+# clock-read budget with its real-engine rows twenty times over under it
+# (a hold reads its clock at its edges, its first claim, its tail and one
+# sampled chunk in every stride, whatever the interleaving), and one
 # run of the whole registry compared bit-for-bit against the committed
 # baseline: every seam must cost nothing, and change nothing, when off
 # (adaptive scenarios are exempt from cross-file bit-identity; the
@@ -83,6 +86,6 @@ verify-gates:
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)' ./internal/enginetest/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
 	$(GO) run ./cmd/benchsuite run -reps 2 -o /tmp/BENCH_gates.json
 	$(GO) run ./cmd/benchsuite compare -bit-identical $(BENCH_BASE) /tmp/BENCH_gates.json

@@ -100,7 +100,9 @@ func BenchmarkRealEngine(b *testing.B) {
 }
 
 // BenchmarkIterationOverhead measures the per-iteration scheduling cost on
-// the real engine: a flat loop with empty bodies isolates O1.
+// the real engine: a flat loop with empty bodies isolates O1. It runs at
+// benchKernel's P = min(NumCPU, 4): more workers than CPUs would time
+// goroutines yielding to each other, not the claim path.
 func BenchmarkIterationOverhead(b *testing.B) {
 	for _, scheme := range []lowsched.Scheme{lowsched.SS{}, lowsched.CSS{K: 64}, lowsched.GSS{}} {
 		b.Run(scheme.Name(), func(b *testing.B) {
@@ -118,7 +120,7 @@ func BenchmarkIterationOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := core.Run(prog, core.Config{
-				Engine: machine.NewReal(machine.RealConfig{P: 8}),
+				Engine: machine.NewReal(machine.RealConfig{P: min(runtime.NumCPU(), 4)}),
 				Scheme: scheme,
 			}); err != nil {
 				b.Fatal(err)

@@ -436,7 +436,7 @@ func (w *worker) restorePrologue() {
 			if !keep {
 				continue // completed and released in the prologue
 			}
-			w.tick(cO1Time) // the icount post; republishing is uncharged
+			w.endHold() // the icount post; republishing is uncharged
 			icb.PCount.FetchDec(pr)
 		}
 		ex.pool.Append(pr, icb)

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -35,12 +37,23 @@ func accountingOf(makespan int64, sn Snapshot) accounting {
 	}
 }
 
-// goldenRun executes nest on a fresh 4-processor virtual machine and
-// returns its accounting. A paused run (checkpoint or budget) reports the
-// totals its snapshot carries, with makespan 0, and the snapshot.
-func goldenRun(t *testing.T, nest *loopir.Nest, cfg Config) (accounting, *RunSnapshot) {
+// stridedEngine gives an engine the clock stride the real engine has, so
+// the kernel's sampled accounting runs where a read is free and every
+// figure can be compared with the same run at stride 1.
+type stridedEngine struct {
+	Engine
+	stride int
+}
+
+func (e stridedEngine) ClockStride() int { return e.stride }
+
+// stridedRun executes nest on a fresh p-processor virtual machine whose
+// clock stride is stride and returns its accounting. A paused run
+// (checkpoint or budget) reports the totals its snapshot carries, with
+// makespan 0, and the snapshot.
+func stridedRun(t *testing.T, nest *loopir.Nest, cfg Config, p, stride int) (accounting, *RunSnapshot) {
 	t.Helper()
-	cfg.Engine = vmachine.New(vmachine.Config{P: 4, AccessCost: 5})
+	cfg.Engine = stridedEngine{vmachine.New(vmachine.Config{P: p, AccessCost: 5}), stride}
 	rep, err := Run(compileOnly(t, nest), cfg)
 	var be *BudgetExceededError
 	var ce *CheckpointedError
@@ -75,6 +88,33 @@ func goldenRun(t *testing.T, nest *loopir.Nest, cfg Config) (accounting, *RunSna
 // every column — which is what shows that each way out of the drive loop
 // posts and closes the open O1 interval.
 func TestAccountingGolden(t *testing.T) {
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			legs := tc.legs(t, 4, 1)
+			want := goldenAccounting[tc.name]
+			if len(want) != len(legs) {
+				t.Fatalf("golden table has %d leg(s) for this case, run produced %v", len(want), legs)
+			}
+			for i := range legs {
+				if legs[i] != want[i] {
+					t.Errorf("leg %d accounting moved:\n got %v\nwant %v", i, legs[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// goldenCase is one TestAccountingGolden configuration.
+type goldenCase struct {
+	name string
+	nest func() *loopir.Nest
+	cfg  Config
+	// resume continues a paused first leg from its snapshot; the golden
+	// entry then lists the pause's totals followed by the finished run's.
+	resume bool
+}
+
+func goldenCases() []goldenCase {
 	flat := func() *loopir.Nest { return workload.UniformDoall(2048, 100) }
 	many := func() *loopir.Nest { return workload.ManyInstances(8, 64, 4, 30) }
 	flaky := func() *loopir.Nest {
@@ -87,14 +127,7 @@ func TestAccountingGolden(t *testing.T) {
 			})
 		})
 	}
-	cases := []struct {
-		name string
-		nest func() *loopir.Nest
-		cfg  Config
-		// resume continues a paused first leg from its snapshot; the golden
-		// entry then lists the pause's totals followed by the finished run's.
-		resume bool
-	}{
+	return []goldenCase{
 		{name: "flat/ss", nest: flat, cfg: Config{Scheme: lowsched.SS{}}},
 		{name: "many/ss", nest: many, cfg: Config{Scheme: lowsched.SS{}}},
 		{name: "wavefront/css:2", nest: func() *loopir.Nest { return workload.Wavefront(300, 2, 20, 60) },
@@ -115,34 +148,28 @@ func TestAccountingGolden(t *testing.T) {
 		{name: "many/ss/batch2/checkpoint+resume", nest: many, resume: true,
 			cfg: Config{Scheme: lowsched.SS{}, ClaimBatch: 2, Checkpoint: &CheckpointConfig{AfterChunks: 100}}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, snap := goldenRun(t, tc.nest(), tc.cfg)
-			legs := []accounting{got}
-			if tc.resume {
-				if snap == nil {
-					t.Fatal("first leg ran to completion; the case must pause")
-				}
-				cfg := tc.cfg
-				cfg.Budget = nil
-				cfg.Checkpoint = &CheckpointConfig{Restore: snap}
-				got, snap = goldenRun(t, tc.nest(), cfg)
-				if snap != nil {
-					t.Fatal("resumed leg paused again")
-				}
-				legs = append(legs, got)
-			}
-			want := goldenAccounting[tc.name]
-			if len(want) != len(legs) {
-				t.Fatalf("golden table has %d leg(s) for this case, run produced %v", len(want), legs)
-			}
-			for i := range legs {
-				if legs[i] != want[i] {
-					t.Errorf("leg %d accounting moved:\n got %v\nwant %v", i, legs[i], want[i])
-				}
-			}
-		})
+}
+
+// legs runs the case on a p-processor virtual machine at the given clock
+// stride and returns the accounting of each leg.
+func (tc goldenCase) legs(t *testing.T, p, stride int) []accounting {
+	t.Helper()
+	got, snap := stridedRun(t, tc.nest(), tc.cfg, p, stride)
+	legs := []accounting{got}
+	if tc.resume {
+		if snap == nil {
+			t.Fatal("first leg ran to completion; the case must pause")
+		}
+		cfg := tc.cfg
+		cfg.Budget = nil
+		cfg.Checkpoint = &CheckpointConfig{Restore: snap}
+		got, snap = stridedRun(t, tc.nest(), cfg, p, stride)
+		if snap != nil {
+			t.Fatal("resumed leg paused again")
+		}
+		legs = append(legs, got)
 	}
+	return legs
 }
 
 // goldenAccounting holds TestAccountingGolden's expectations, captured at
@@ -189,6 +216,54 @@ var goldenAccounting = map[string][]accounting{
 	},
 }
 
+// sampledStride is the stride the split is checked at: the real engine's.
+const sampledStride = 16
+
+// TestSampledSplit runs every golden case, and flat/ss at P=1 and P=4, at
+// the real engine's clock stride on the virtual engine, where a read is
+// free, so the sampled split can be held to the exact one. Reading the
+// clock less moves no machine time and no hold edge: the makespan, the
+// counts, O2, O3, dispatch and the O1+body total are exact. Only the split
+// of a window between O1 and body is estimated, from the worker's exact
+// samples: on the long flat holds (flat/ss, and its batch-4 leases, whose
+// slices are no claims) O1 must land within 2 % of the exact figure, and
+// elsewhere body within a tenth of O1+body.
+func TestSampledSplit(t *testing.T) {
+	type run struct {
+		goldenCase
+		p int
+	}
+	var runs []run
+	for _, tc := range goldenCases() {
+		runs = append(runs, run{tc, 4})
+	}
+	flat := goldenCases()[0]
+	runs = append(runs, run{flat, 1})
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s/P=%d", r.name, r.p), func(t *testing.T) {
+			exact, sampled := r.legs(t, r.p, 1), r.legs(t, r.p, sampledStride)
+			for i := range exact {
+				e, s := exact[i], sampled[i]
+				t.Logf("leg %d: O1 %d → %d, body %d → %d", i, e.O1, s.O1, e.Body, s.Body)
+				if e.O1+e.Body != s.O1+s.Body {
+					t.Errorf("leg %d: O1+body %d at stride 1, %d sampled", i, e.O1+e.Body, s.O1+s.Body)
+				}
+				if strings.HasPrefix(r.name, "flat/ss") {
+					if d := math.Abs(float64(s.O1-e.O1)) / float64(e.O1); d > 0.02 {
+						t.Errorf("leg %d: sampled O1 %d is %.1f %% off the exact %d, want <= 2 %%", i, s.O1, 100*d, e.O1)
+					}
+				} else if d := math.Abs(float64(s.Body-e.Body)) / float64(e.O1+e.Body); d > 0.10 {
+					t.Errorf("leg %d: sampled body %d is off the exact %d by %.3f of O1+body, want <= 0.10", i, s.Body, e.Body, d)
+				}
+				e.O1, e.Body, s.O1, s.Body = 0, 0, 0, 0
+				if e != s {
+					t.Errorf("leg %d: sampling moved more than the split:\n exact   %v\n sampled %v", i, e, s)
+				}
+			}
+		})
+	}
+}
+
 // countingEngine wraps an engine's processors to count Now() calls and
 // the accesses to icount.
 type countingEngine struct {
@@ -217,6 +292,10 @@ func (e *countingEngine) Run(worker func(machine.Proc)) machine.RunReport {
 	return e.Engine.Run(func(pr machine.Proc) { worker(countingProc{pr, e}) })
 }
 
+// ClockStride forwards the wrapped engine's stride, which embedding the
+// Engine interface would hide.
+func (e *countingEngine) ClockStride() int { return clockStride(e.Engine) }
+
 // countedProcs is the machine size of the counting runs.
 const countedProcs = 4
 
@@ -226,7 +305,13 @@ const countedProcs = 4
 // counts and the run's stats.
 func countedRun(t *testing.T, nest *loopir.Nest, batch int) (*countingEngine, Snapshot) {
 	t.Helper()
-	eng := &countingEngine{Engine: vmachine.New(vmachine.Config{P: countedProcs, AccessCost: 5})}
+	return countedOn(t, vmachine.New(vmachine.Config{P: countedProcs, AccessCost: 5}), nest, batch)
+}
+
+// countedOn is countedRun on the given engine.
+func countedOn(t *testing.T, e Engine, nest *loopir.Nest, batch int) (*countingEngine, Snapshot) {
+	t.Helper()
+	eng := &countingEngine{Engine: e}
 	rep, err := Run(compileOnly(t, nest), Config{Engine: eng, Scheme: lowsched.SS{}, ClaimBatch: batch})
 	if err != nil {
 		t.Fatal(err)
@@ -261,13 +346,16 @@ func TestPostBudget(t *testing.T) {
 }
 
 // TestClockBudget pins the kernel's clock reads the way
-// TestAllocsSteadyState pins its allocations: a unit chunk costs two
-// reads — one after the claim, one after the body; the icount update
-// rides in the next claim's interval — and an instance a small constant
-// more (its completion path and the SEARCH that follows). Scaling the
-// nest must not move either per-unit figure. A slice taken from a held
-// lease is no claim: it costs the body's read alone, and the lease's one
-// claim read is shared by its slices — 1 + 1/batch per chunk.
+// TestAllocsSteadyState pins its allocations. At stride 1 (the virtual
+// engine) a unit chunk costs two reads — one after the claim, one after
+// the body; the icount update rides in the next claim's interval — and an
+// instance a small constant more (its completion path and the SEARCH that
+// follows). Scaling the nest must not move either per-unit figure. A slice
+// taken from a held lease is no claim: it costs the body's read alone, and
+// the lease's one claim read is shared by its slices — 1 + 1/batch per
+// chunk. On the real engine (stride s) a long hold reads three times per
+// sample, one sample in s chunks, plus a constant per hold: its edges, its
+// first claim, its tail chunks.
 func TestClockBudget(t *testing.T) {
 	const perChunk, slack = 2, 32
 	for _, n := range []int64{2000, 20000} {
@@ -307,6 +395,36 @@ func TestClockBudget(t *testing.T) {
 		if surplus > perInstance {
 			t.Errorf("many instances %d: %.2f clock reads per instance beyond the chunks', want <= %d",
 				inst, surplus, perInstance)
+		}
+	}
+
+	// The real engine: per processor, the run's first mark, processor 0's
+	// prologue, the adoption, the hold's first claim, the first sample's
+	// body, its leave and the reads of a sample in progress — and at most
+	// two per tail chunk, fewer than P of them.
+	for _, p := range []int{2, 4} {
+		real := func() Engine { return machine.NewReal(machine.RealConfig{P: p}) }
+		s := clockStride(real())
+		perHold := int64(10 * p)
+		for _, n := range []int64{2000, 20000, 200000} {
+			eng, st := countedOn(t, real(), workload.UniformDoall(n, 20), 1)
+			nows := eng.nows.Load()
+			t.Logf("real P=%d, flat doall %d: %d clock reads over %d chunks (%.3f per chunk)",
+				p, n, nows, st.Chunks, float64(nows)/float64(st.Chunks))
+			if nows > 3*st.Chunks/int64(s)+perHold {
+				t.Errorf("real P=%d, flat doall %d: %d clock reads, want <= 3/%d per chunk + %d", p, n, nows, s, perHold)
+			}
+		}
+		for _, inst := range []int64{64, 640} {
+			eng, st := countedOn(t, real(), workload.ManyInstances(8, inst, 4, 30), 1)
+			nows := eng.nows.Load()
+			surplus := float64(nows-perChunk*st.Chunks) / float64(st.Instances)
+			t.Logf("real P=%d, many instances %d: %d clock reads, %d chunks, %d instances: surplus %.2f per instance",
+				p, inst, nows, st.Chunks, st.Instances, surplus)
+			if want := 3 + 2*(p-1); surplus > float64(want) {
+				t.Errorf("real P=%d, many instances %d: %.2f clock reads per instance beyond the chunks', want <= %d",
+					p, inst, surplus, want)
+			}
 		}
 	}
 }

@@ -348,8 +348,10 @@ type executor struct {
 	leaser    lowsched.Leaser
 	combine   bool
 	// nprocs is the machine size P as the tail rule compares it with an
-	// instance's remaining chunks (worker.executed).
+	// instance's remaining chunks (worker.tail).
 	nprocs int64
+	// stride is the engine's clock stride (clockStride), asked once.
+	stride int
 	// budMeter and budTime hoist cfg.Budget the same way: budMeter is
 	// the one test the claim path pays when no iteration budget is set,
 	// budTime the engine-time ceiling (0: none).
@@ -402,6 +404,7 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		inj:     cfg.Inject,
 		retry:   cfg.Retry,
 		nprocs:  int64(nprocs),
+		stride:  clockStride(cfg.Engine),
 	}
 	if cfg.Checkpoint != nil {
 		ex.ckptAfter = cfg.Checkpoint.AfterChunks
@@ -581,8 +584,11 @@ type Diagnoser interface {
 // Diagnose renders the run's scheduling state: completion flags, the
 // pool's control word and list occupancy, open BAR_COUNT entries, every
 // live instance's index/icount/pcount (when Config.Diagnostics enabled
-// tracking), and each processor's claim history. This is the dump a
-// watchdog emits when a run stops claiming chunks.
+// tracking), and each processor's claim history: chunk and iteration
+// counts and last-claim, the engine time of its latest timed claim (every
+// claim on the virtual engine; on the real one a hold's first, a sampled
+// and a tail claim — DESIGN §17). This is the dump a watchdog emits when a
+// run stops claiming chunks.
 func (ex *executor) Diagnose() string {
 	var b strings.Builder
 	sn := ex.LiveStats()

@@ -22,3 +22,21 @@ type Engine interface {
 	// returned.
 	Run(worker func(machine.Proc)) machine.RunReport
 }
+
+// clockStrider is an Engine's optional say in how often the kernel reads
+// its processors' clocks inside a hold: stride s means one sampled chunk
+// in every s, besides the hold's edges, its first claim and its tail
+// chunks (DESIGN §17). An engine without the method — the virtual one,
+// where a read is free — gets s = 1: every phase boundary reads, and
+// every interval is exact. The kernel asks once per run.
+type clockStrider interface {
+	ClockStride() int
+}
+
+// clockStride is eng's clock stride, at least 1.
+func clockStride(eng Engine) int {
+	if cs, ok := eng.(clockStrider); ok {
+		return max(cs.ClockStride(), 1)
+	}
+	return 1
+}

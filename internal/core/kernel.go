@@ -63,16 +63,35 @@ type worker struct {
 	// barBuf is scratch for rendering BAR_COUNT keys.
 	barBuf []byte
 	// now is the worker's latest clock reading. The drive loop reads the
-	// clock once per phase boundary (tick, mark): the reading that closes
-	// one accounted interval opens the next, so the eq. (1) accounting
-	// costs one read per boundary instead of two per phase. On the
-	// virtual engine no machine time passes between one phase's end and
-	// the next one's start, so chaining them changes no figure there.
-	// The O1 interval opens at a body's end and stays open into the next
-	// claim (across the icount post, when there is one): a unit chunk
-	// reads the clock twice (claim | body), and every way out of the
-	// drive loop closes the open interval before leaving.
+	// clock at phase boundaries (tick, mark): the reading that closes one
+	// accounted interval opens the next. On the virtual engine no machine
+	// time passes between one phase's end and the next one's start, so
+	// chaining them changes no figure there. The O1 interval opens at a
+	// body's end and stays open into the next claim (across the icount
+	// post, when there is one), and every way out of the drive loop
+	// closes the open interval before leaving.
 	now machine.Time
+	// claims and iters are the open window: the O1 phases (one per
+	// synchronization claim, one for the phase that ends a hold) and the
+	// body iterations since now that no reading closed. With a clock
+	// stride of 1 every boundary reads and the window holds at most the
+	// phase its reading closes; above 1 a hold reads only at its edges,
+	// its first claim, its tail chunks and one sampled chunk in every
+	// stride, and the reading that closes a mixed window splits it
+	// (split).
+	claims, iters int64
+	// o1Sum/o1N and bodySum/bodyN total the exact intervals the worker
+	// has read — O1 time over O1 phases, body time over iterations — whose
+	// ratio a mixed window is split in.
+	o1Sum, o1N, bodySum, bodyN int64
+	// stride is the engine's clock stride s (Engine's optional
+	// ClockStride; 1 when the engine has none), and left counts the
+	// chunks until the next sample; it persists across holds. readClaim
+	// makes the next claim read the clock (a hold's first, or a
+	// sample's), armed the next body end (a sample's); at stride 1 both
+	// stay set.
+	stride, left     int
+	readClaim, armed bool
 	// unposted counts the iterations this processor has executed on the
 	// instance it holds and not yet added to the instance's icount. Only
 	// the claim has to be serialized at the shared word; the completion
@@ -85,9 +104,10 @@ type worker struct {
 	// Diagnose derives the executed-unposted count from it and the shard's
 	// iteration counters, so the hot path publishes nothing extra.
 	posted atomic.Int64
-	// lastClaim is the engine time of this processor's most recent chunk
-	// claim (-1 before the first), stored host-side for the stuck-run
-	// watchdog's per-processor diagnostics; it charges no machine time.
+	// lastClaim is the engine time of this processor's latest timed claim
+	// — a claim whose boundary read the clock (-1 before the first) —
+	// stored host-side for the stuck-run watchdog's per-processor
+	// diagnostics; it charges no machine time.
 	lastClaim atomic.Int64
 	// sink is Config.Sink, and iter the same sink unless it keeps
 	// scheduling kinds only: every event site pays exactly one nil test
@@ -109,6 +129,9 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 	w.pr = pr
 	w.shard = ex.stats.shard(pr.ID())
 	w.lastClaim.Store(-1)
+	// The first chunk the worker runs is a sample, so both means exist
+	// before any window needs splitting.
+	w.stride, w.left, w.armed = ex.stride, ex.stride, true
 	off := pr.ID() * ex.locStride
 	w.loc = ex.locs[off : off+ex.plan.maxDepth+1 : off+ex.locStride]
 	// barBuf stays nil until the first barrier completion grows it —
@@ -130,16 +153,85 @@ func (w *worker) event(at machine.Time, k trace.Kind, loop int, ivec loopir.IVec
 }
 
 // tick is a phase boundary: one clock read that charges the interval
-// since the previous boundary to counter c and opens the next interval.
+// since the previous reading to counter c and opens the next interval.
+// The caller has counted the phase the reading closes into the window
+// (a claim or a hold's end into claims, a body's iterations into iters).
+// A window of one kind is an exact interval, and it also feeds the means
+// split uses; a window of both kinds is split between O1 and body.
 func (w *worker) tick(c obs.ID) {
 	t := w.pr.Now()
-	w.shard.Add(c, t-w.now)
+	d := t - w.now
 	w.now = t
+	switch {
+	case w.claims != 0 && w.iters != 0:
+		w.split(d)
+	case w.iters != 0:
+		w.shard.Add(c, d)
+		w.bodySum += d
+		w.bodyN += w.iters
+	default:
+		w.shard.Add(c, d)
+		if w.claims == 1 {
+			w.o1Sum += d
+			w.o1N++
+		}
+	}
+	w.claims, w.iters = 0, 0
+}
+
+// split charges a window of d that holds unread phases to O1 and body in
+// the ratio the worker's exact intervals predict: claims × the mean O1
+// phase against iters × the mean body time per iteration. A side with no
+// exact interval yet weighs one unit per phase or iteration.
+func (w *worker) split(d machine.Time) {
+	o, b := float64(w.claims), float64(w.iters)
+	if w.o1N > 0 {
+		o *= float64(w.o1Sum) / float64(w.o1N)
+	}
+	if w.bodyN > 0 {
+		b *= float64(w.bodySum) / float64(w.bodyN)
+	}
+	o1 := d
+	if o+b > 0 {
+		o1 = machine.Time(float64(d)*o/(o+b) + 0.5)
+	}
+	w.shard.Add(cO1Time, o1)
+	w.shard.Add(cBodyTime, d-o1)
+}
+
+// endHold is the reading that closes a hold's last O1 phase — a failed
+// claim's post and pcount drop, a pause's post, the post that completes
+// the instance — whatever the stride: every way off an instance reads.
+func (w *worker) endHold() {
+	w.claims++
+	w.tick(cO1Time)
 }
 
 // mark is a phase boundary whose closing interval is charged to no
 // counter (the run's start, a modeled dispatch, the restore prologue).
 func (w *worker) mark() { w.now = w.pr.Now() }
+
+// tail reports whether chunk a lies in icb's tail: fewer than P chunks of
+// its size lie beyond it. Tail chunks post before the next claim
+// (executed), and their claims and body ends read the clock.
+func (w *worker) tail(icb *pool.ICB, a lowsched.Assignment) bool {
+	return icb.Bound-a.Hi < w.ex.nprocs*a.Size()
+}
+
+// timeBody reports whether chunk a's body end reads the clock: the body
+// of a sample, a tail chunk's, or the read that arms the next sample —
+// the previous body's end, so the sampled claim and body are exact
+// intervals. A sample is never armed while slices of a lease are in
+// hand: the next chunk must start with a synchronization claim.
+func (w *worker) timeBody(icb *pool.ICB, a lowsched.Assignment) bool {
+	read := w.armed || w.tail(icb, a)
+	w.armed = w.stride == 1
+	if w.left--; w.left <= 0 && w.lease.Len() == 0 {
+		w.left, w.armed, w.readClaim = w.stride, true, true
+		return true
+	}
+	return read
+}
 
 // flushSearch folds the accumulated SEARCH work into the stats shard, so
 // live probes see search figures mid-run.
@@ -243,6 +335,7 @@ func (w *worker) run() {
 			}
 			w.tick(cO2Time)
 			w.shard.Inc(cSearches)
+			w.readClaim = true // a hold's first claim reads the clock
 			if ex.cfg.DispatchCost > 0 {
 				// OS-involved baseline: a dispatch costs real time but is
 				// overhead, not useful work. It is charged at its nominal
@@ -300,11 +393,22 @@ func (w *worker) run() {
 			w.shard.Add(cChunks, n)
 			// The claim closes the O1 interval the previous body's end (or the
 			// SEARCH) opened: a tail post if there was one, the fetch-and-add
-			// on index and, on the final claim, the DELETE.
-			w.tick(cO1Time)
-			w.lastClaim.Store(w.now)
+			// on index and, on the final claim, the DELETE. Above stride 1
+			// only a hold's first claim, a sample's and a tail chunk's read
+			// the clock; the others stay in the open window.
+			w.claims++
+			timed := w.readClaim || w.tail(icb, a)
+			if timed {
+				w.readClaim = w.stride == 1
+				w.tick(cO1Time)
+				w.lastClaim.Store(w.now)
+			}
 			if w.sink != nil {
-				w.sink.Record(w.event(w.now, trace.EvClaim, icb.Loop, icb.IVec, span.Lo, span.Hi))
+				at := w.now
+				if !timed {
+					at = pr.Now()
+				}
+				w.sink.Record(w.event(at, trace.EvClaim, icb.Loop, icb.IVec, span.Lo, span.Hi))
 			}
 			if ex.ckptAfter > 0 {
 				// The deterministic claim-k trigger fires when the cumulative
@@ -368,7 +472,7 @@ func (w *worker) run() {
 // lease's last slice. keep and cont are post's.
 func (w *worker) executed(icb *pool.ICB, a lowsched.Assignment) (keep, cont bool) {
 	w.unposted += a.Size()
-	if icb.Bound-a.Hi >= w.ex.nprocs*a.Size() || w.lease.Len() > 0 {
+	if !w.tail(icb, a) || w.lease.Len() > 0 {
 		return true, true
 	}
 	return w.post(icb)
@@ -389,7 +493,7 @@ func (w *worker) leave(icb *pool.ICB) (cont bool) {
 	// event names the loop read before the drop, and no index vector.
 	loop := icb.Loop
 	icb.PCount.FetchDec(w.pr)
-	w.tick(cO1Time)
+	w.endHold()
 	if w.sink != nil {
 		w.sink.Record(w.event(w.now, trace.EvSwitch, loop, nil, 0, 0))
 	}
@@ -411,7 +515,7 @@ func (w *worker) pause(icb *pool.ICB) {
 			return
 		}
 	}
-	w.tick(cO1Time)
+	w.endHold()
 }
 
 // post adds the worker's unposted iterations to icb's icount with one
@@ -441,7 +545,7 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 		// a failed claim's pcount drop, a pause) closes it.
 		return true, true
 	}
-	w.tick(cO1Time) // O3 starts clean
+	w.endHold() // O3 starts clean
 	w.completeInstance(icb)
 	w.shard.Inc(cExits)
 	w.shard.Inc(cEnters)
@@ -485,26 +589,39 @@ func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 	lp := &ex.plan.leaves[icb.Loop]
 	w.ctx.bind(icb, lp.manualSync)
 	var cont bool
+	var err error
 	if ex.cfg.Failure == Isolate {
 		cont = w.runChunkIsolate(icb, lp, a)
 	} else {
-		var err error
 		cont, err = w.execSpan(icb, lp, a)
+	}
+	// A chunk the run drains out of is a way out of the drive loop: its
+	// body end always reads.
+	w.iters += a.Size()
+	timed := !cont || w.timeBody(icb, a)
+	if timed {
 		w.tick(cBodyTime)
+	}
+	if !cont {
 		if err != nil {
 			// FailFast: the first body failure is the run's stop-cause;
 			// every processor drains at its next preemption point.
 			ex.trip(err)
-			return false
 		}
+		return false
 	}
-	if cont && w.sink != nil {
-		// The chunk's end, at the body boundary's clock reading, with the
-		// iterations that ran; the icount they are posted to lags them,
-		// and the post has its own event.
-		w.sink.Record(w.event(w.now, trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
+	if w.sink != nil {
+		// The chunk's end, at the body boundary's clock reading (its own
+		// when the boundary did not read), with the iterations that ran;
+		// the icount they are posted to lags them, and the post has its
+		// own event.
+		at := w.now
+		if !timed {
+			at = w.pr.Now()
+		}
+		w.sink.Record(w.event(at, trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
 	}
-	return cont
+	return true
 }
 
 // execSpan runs iterations a.Lo..a.Hi of the bound instance with panic
@@ -564,7 +681,6 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 	attempt := 1
 	for j := a.Lo; j <= a.Hi; {
 		if ex.aborted() {
-			w.tick(cBodyTime)
 			return false
 		}
 		err := w.execIter(icb, lp, j)
@@ -576,7 +692,6 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 		if ex.aborted() {
 			// The failure is a symptom of the drain (e.g. an aborted
 			// Doacross wait), not an iteration fault: do not record it.
-			w.tick(cBodyTime)
 			return false
 		}
 		if attempt <= ex.retry.Attempts {
@@ -603,7 +718,6 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 		j++
 		attempt = 1
 	}
-	w.tick(cBodyTime)
 	return true
 }
 

@@ -17,6 +17,10 @@ import (
 //
 // Time counters are summed processor time (engine units) measured around
 // the corresponding code sections; on the virtual machine they are exact.
+// On the real engine O2, O3 and every hold's total are exact too, but the
+// split of a hold's time between O1 and body is sampled: the kernel reads
+// the clock around one chunk in the engine's clock stride and divides the
+// unread stretches in the ratio those samples predict (DESIGN §17).
 const (
 	cIterations  obs.ID = iota // leaf iterations executed
 	cChunks                    // low-level assignments fetched

@@ -51,6 +51,17 @@ func NewReal(cfg RealConfig) *Real {
 // NumProcs returns the processor count.
 func (e *Real) NumProcs() int { return e.cfg.P }
 
+// realClockStride is the real engine's clock stride: inside a hold the
+// scheduling kernel reads a processor's clock around one sampled chunk in
+// this many, not at every phase boundary, because on this engine a read
+// (runtime.nanotime) costs more than the fetch-and-add it would time.
+// Chosen by measurement (DESIGN §17).
+const realClockStride = 16
+
+// ClockStride returns the kernel's clock stride on this engine (the
+// optional method the scheduling kernel asks its engine once per run).
+func (e *Real) ClockStride() int { return realClockStride }
+
 // Run executes worker on P goroutines and blocks until all return.
 func (e *Real) Run(worker func(Proc)) RunReport {
 	// One value slice instead of P separate allocations; the structs are
