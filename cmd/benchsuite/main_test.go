@@ -15,7 +15,7 @@ import (
 func runFiltered(t *testing.T, filter, path string) {
 	t.Helper()
 	var sb strings.Builder
-	err := run([]string{"run", "-filter", filter, "-reps", "2", "-warmup", "0", "-q", "-o", path}, &sb)
+	err := run([]string{"run", "-filter", filter, "-q", "-o", path}, &sb)
 	if err != nil {
 		t.Fatalf("benchsuite run: %v\n%s", err, sb.String())
 	}
@@ -41,8 +41,8 @@ func TestRunWritesValidFile(t *testing.T) {
 		t.Fatal("no scenarios in result")
 	}
 	for _, sc := range f.Scenarios {
-		if sc.Engine != "virtual" || !sc.Deterministic {
-			t.Fatalf("scenario %q: engine %q, deterministic %v", sc.Name, sc.Engine, sc.Deterministic)
+		if !strings.HasSuffix(sc.Name, "/virtual") || sc.Adaptive || len(sc.Metrics) != 9 {
+			t.Fatalf("scenario %q: adaptive %v, %d metrics", sc.Name, sc.Adaptive, len(sc.Metrics))
 		}
 	}
 }
@@ -51,15 +51,15 @@ func TestCompareSameBaselineExitsZero(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "BENCH_a.json")
 	b := filepath.Join(dir, "BENCH_b.json")
-	// Gated metrics are bit-identical across runs, so exit 0 is
-	// guaranteed rather than probabilistic.
+	// The ledger is deterministic, so exit 0 is guaranteed rather than
+	// probabilistic.
 	runFiltered(t, "smoke|contention", a)
 	runFiltered(t, "smoke|contention", b)
 	var sb strings.Builder
 	if err := run([]string{"compare", a, b}, &sb); err != nil {
 		t.Fatalf("same-baseline compare failed: %v\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "no regressions") {
+	if !strings.Contains(sb.String(), "scenarios match") {
 		t.Fatalf("compare output:\n%s", sb.String())
 	}
 }
@@ -70,27 +70,13 @@ func TestCompareSyntheticSlowdownExitsNonzero(t *testing.T) {
 	slow := filepath.Join(dir, "BENCH_slow.json")
 	runSmoke(t, base)
 
-	// Synthesize a candidate where every gated metric is 2x worse.
+	// Synthesize a candidate whose makespans are one unit longer.
 	f, err := benchkit.Load(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for si := range f.Scenarios {
-		for name, m := range f.Scenarios[si].Metrics {
-			if !m.Gate {
-				continue
-			}
-			scale := 2.0
-			if m.Better == benchkit.BetterMore {
-				scale = 0.5
-			}
-			m.Median *= scale
-			m.Min *= scale
-			m.Mean *= scale
-			m.CILo *= scale
-			m.CIHi *= scale
-			f.Scenarios[si].Metrics[name] = m
-		}
+	for _, sc := range f.Scenarios {
+		sc.Metrics["makespan"]++
 	}
 	if err := f.WriteFile(slow); err != nil {
 		t.Fatal(err)
@@ -99,29 +85,48 @@ func TestCompareSyntheticSlowdownExitsNonzero(t *testing.T) {
 	var sb strings.Builder
 	err = run([]string{"compare", base, slow}, &sb)
 	if !errors.Is(err, errRegression) {
-		t.Fatalf("2x slowdown: err = %v, want errRegression\n%s", err, sb.String())
+		t.Fatalf("one-unit drift: err = %v, want errRegression\n%s", err, sb.String())
 	}
-	if !strings.Contains(sb.String(), "REGRESSION") {
-		t.Fatalf("delta table missing REGRESSION rows:\n%s", sb.String())
+	if got := strings.Count(sb.String(), "MISMATCH: "); got != len(f.Scenarios) {
+		t.Fatalf("%d MISMATCH lines for %d drifted scenarios:\n%s", got, len(f.Scenarios), sb.String())
 	}
 }
 
-func TestRunProfileFlags(t *testing.T) {
-	dir := t.TempDir()
-	prof := filepath.Join(dir, "prof")
-	path := filepath.Join(dir, "BENCH_p.json")
-	var sb strings.Builder
-	err := run([]string{"run", "-filter", "^many/ss/virtual$", "-reps", "1", "-warmup", "0", "-q",
-		"-o", path, "-cpuprofile", prof, "-memprofile", prof, "-trace", prof}, &sb)
-	if err != nil {
-		t.Fatal(err)
+// TestCompareMissingScenarioFails: a candidate holding a subset of the
+// committed baseline's scenarios fails, and so does a baseline holding
+// a subset of the candidate's.
+func TestCompareMissingScenarioFails(t *testing.T) {
+	one := filepath.Join(t.TempDir(), "BENCH_one.json")
+	runFiltered(t, "^flat/ss/virtual$", one)
+	for _, args := range [][]string{
+		{"compare", "../../BENCH_pr22.json", one},
+		{"compare", one, "../../BENCH_pr22.json"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if !errors.Is(err, errRegression) || !strings.Contains(sb.String(), "adjoint/ss/virtual: missing from") {
+			t.Errorf("%v: err = %v\n%s", args, err, sb.String())
+		}
 	}
-	entries, err := os.ReadDir(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("profile dir has %d files, want 3", len(entries))
+}
+
+// TestCommittedBaselines: both committed files load, and each names
+// exactly the registry's scenarios, in registry order.
+func TestCommittedBaselines(t *testing.T) {
+	scs := benchkit.Default()
+	for _, path := range []string{"../../BENCH_pr22.json", "../../BENCH_pr16.json"} {
+		f, err := benchkit.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Scenarios) != len(scs) {
+			t.Fatalf("%s holds %d scenarios, registry has %d", path, len(f.Scenarios), len(scs))
+		}
+		for i, r := range f.Scenarios {
+			if r.Name != scs[i].Name {
+				t.Errorf("%s scenario %d is %q, registry's is %q", path, i, r.Name, scs[i].Name)
+			}
+		}
 	}
 }
 
@@ -151,10 +156,19 @@ func TestListAndErrors(t *testing.T) {
 	if err := run([]string{"compare", "only-one.json"}, &sb); err == nil {
 		t.Fatal("compare with one file not rejected")
 	}
+	// The ledger has no -reps or -bit-identical flag.
+	for _, args := range [][]string{
+		{"run", "-reps", "2"},
+		{"compare", "-bit-identical", "a.json", "b.json"},
+	} {
+		if err := run(args, &sb); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
 }
 
-// TestSchemaFieldsStable pins the JSON surface: renaming these fields is
-// a schema change and must bump benchkit.SchemaVersion.
+// TestSchemaFieldsStable pins the JSON surface: a "scenarios" list,
+// one line each, of {name, adaptive?, metrics{name: value}}.
 func TestSchemaFieldsStable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_s.json")
 	runSmoke(t, path)
@@ -162,16 +176,22 @@ func TestSchemaFieldsStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
+	var doc struct {
+		Scenarios []map[string]json.RawMessage `json:"scenarios"`
+	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"schema_version", "created_unix", "env", "config", "scenarios"} {
-		if _, ok := doc[key]; !ok {
-			t.Fatalf("result file missing top-level %q:\n%s", key, raw[:200])
-		}
+	if len(doc.Scenarios) == 0 || strings.Count(string(raw), "\n") != len(doc.Scenarios)+2 {
+		t.Fatalf("want one line per scenario:\n%s", raw)
 	}
-	if v := doc["schema_version"].(float64); int(v) != benchkit.SchemaVersion {
-		t.Fatalf("schema_version = %v", v)
+	for _, sc := range doc.Scenarios {
+		var metrics map[string]float64
+		if err := json.Unmarshal(sc["metrics"], &metrics); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sc["name"]; !ok || len(sc) != 2 || len(metrics) != 9 {
+			t.Fatalf("scenario object %v: want name and nine metrics", sc)
+		}
 	}
 }

@@ -20,9 +20,8 @@ import (
 
 // cmdSweep is the processors × schemes grid over one workload — the
 // standard way to read a loop-scheduling result — as a view over the
-// ledger: each cell is an ad-hoc scenario run once through benchkit.Run
-// (the virtual engine is deterministic, one repetition is the value),
-// and speedup is read against a P=1 ss run of the same workload.
+// ledger: each cell is an ad-hoc scenario run through benchkit.Run, and
+// speedup is read against a P=1 ss run of the same workload.
 func cmdSweep(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchsuite sweep", flag.ContinueOnError)
 	var (
@@ -92,22 +91,24 @@ func cmdSweep(args []string, out io.Writer) error {
 			labels = append(labels, sch.Name())
 		}
 	}
-	f, err := benchkit.Run(scs, benchkit.RunConfig{Reps: 1})
+	f, err := benchkit.Run(scs, nil)
 	if err != nil {
 		return err
 	}
 
-	// Result 0 is the serial baseline; every other result is one grid cell.
+	// Result 0 is the serial baseline; every other result is one grid
+	// cell, run from scs[i+1].
 	cells := f.Scenarios[1:]
-	val := func(i int, metric string) float64 { return cells[i].Metrics[metric].Median }
-	speedup := func(i int) float64 { return f.Scenarios[0].Metrics["makespan"].Median / val(i, "makespan") }
+	procsOf := func(i int) int { return scs[i+1].Opts.Procs }
+	val := func(i int, metric string) float64 { return cells[i].Metrics[metric] }
+	speedup := func(i int) float64 { return f.Scenarios[0].Metrics["makespan"] / val(i, "makespan") }
 	if *csvOut {
 		// csv.Writer keeps the first write error; Error reports it after Flush.
 		cw := csv.NewWriter(out)
 		cw.Write([]string{"procs", "scheme", "makespan", "utilization", "speedup", "imbalance", "chunks", "searches"})
-		for i, sc := range cells {
+		for i := range cells {
 			cw.Write([]string{
-				strconv.Itoa(sc.Procs), labels[i],
+				strconv.Itoa(procsOf(i)), labels[i],
 				strconv.FormatInt(int64(val(i, "makespan")), 10),
 				strconv.FormatFloat(val(i, "utilization"), 'f', 4, 64),
 				strconv.FormatFloat(speedup(i), 'f', 3, 64),
@@ -121,8 +122,8 @@ func cmdSweep(args []string, out io.Writer) error {
 	}
 	tb := experiments.NewTable(fmt.Sprintf("sweep: %s (access %d, pool %s)", *name, *access, *pool),
 		"P", "scheme", "makespan", "eta", "speedup", "imbalance", "chunks")
-	for i, sc := range cells {
-		tb.Add(sc.Procs, labels[i], int64(val(i, "makespan")), val(i, "utilization"),
+	for i := range cells {
+		tb.Add(procsOf(i), labels[i], int64(val(i, "makespan")), val(i, "utilization"),
 			speedup(i), val(i, "imbalance"), int64(val(i, "chunks")))
 	}
 	_, err = fmt.Fprint(out, tb)

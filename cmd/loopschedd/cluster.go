@@ -46,10 +46,10 @@ type clusterOptions struct {
 	// headers would be client-spoofable.
 	Secret string
 	// ProbeInterval spaces the membership's counted health probes
-	// (default 500ms); SuspectAfter/DeadAfter are how many of them in a
-	// row must meet silence for the state demotions (defaults 1/3).
+	// (default 500ms); DeadAfter is how many of them in a row must meet
+	// silence before a peer is declared dead (default 3; a peer turns
+	// suspect at the first).
 	ProbeInterval time.Duration
-	SuspectAfter  int
 	DeadAfter     int
 	// RPCTimeout bounds each intra-cluster request attempt (default 2s).
 	RPCTimeout time.Duration
@@ -125,13 +125,12 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	mem, err := cluster.NewMembership(cluster.MembershipConfig{
-		Self:         opts.Node,
-		Peers:        opts.Peers,
-		Client:       client,
-		Interval:     opts.ProbeInterval,
-		SuspectAfter: opts.SuspectAfter,
-		DeadAfter:    opts.DeadAfter,
-		OnDead:       c.onDead,
+		Self:      opts.Node,
+		Peers:     opts.Peers,
+		Client:    client,
+		Interval:  opts.ProbeInterval,
+		DeadAfter: opts.DeadAfter,
+		OnDead:    c.onDead,
 		LocalLoad: func() int {
 			st := s.rn.Stats()
 			return st.Running + st.QueueDepth
@@ -400,7 +399,6 @@ func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id 
 		interval = 200 * time.Millisecond
 	}
 	delay := min(2*time.Millisecond, interval)
-	misses := 0
 	for {
 		var st runStatus
 		if err := json.Unmarshal(resp.Body, &st); err != nil {
@@ -415,22 +413,23 @@ func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id 
 		if terminalState(st.State) {
 			return true
 		}
-		select {
-		case <-r.Context().Done():
-			return true
-		case <-time.After(delay):
-		}
-		delay = min(2*delay, interval)
-		if resp, ok = c.fetchStatus(r.Context(), id); !ok {
-			// The owner may be mid-failover; tolerate a few misses before
-			// ending the stream.
+		// Re-poll until the owner answers: a miss emits nothing. The owner
+		// may be mid-failover; tolerate a few misses before ending the
+		// stream.
+		for misses := 0; ; {
+			select {
+			case <-r.Context().Done():
+				return true
+			case <-time.After(delay):
+			}
+			delay = min(2*delay, interval)
+			if resp, ok = c.fetchStatus(r.Context(), id); ok {
+				break
+			}
 			if misses++; misses > 5 {
 				return true
 			}
-			resp = &cluster.Response{Body: []byte("{}")}
-			continue
 		}
-		misses = 0
 	}
 }
 

@@ -356,6 +356,67 @@ func TestClusterPlacementAndProxy(t *testing.T) {
 	}
 }
 
+// TestClusterProxiedProgressSkipsMissedPolls: while the owner's status
+// GETs fail for a window mid-stream, a progress stream proxied through
+// another node re-polls without writing anything, so every line the
+// client reads is a real snapshot of the run.
+func TestClusterProxiedProgressSkipsMissedPolls(t *testing.T) {
+	tc := startCluster(t, 2, t.TempDir(), nil, 0)
+
+	// Submitted on n1 with both nodes idle, the run stays on n1 and is
+	// not a placement: only the proxied stream polls its status.
+	_, payload := postJSON(t, tc.url(0)+"/v1/runs",
+		`{"program": "doall I = 1..1099511627776 { work 1 }", "options": {"procs": 2}}`)
+	id, _ := payload["id"].(string)
+	if !strings.HasPrefix(id, "n1-") {
+		t.Fatalf("run ID %q, want one owned by n1", id)
+	}
+	var failing atomic.Int64 // status GETs of the run still to fail
+	tc.intercept(0, func(w http.ResponseWriter, r *http.Request, next http.Handler) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/runs/"+id && failing.Add(-1) >= 0 {
+			http.Error(w, `{"error":"not found"}`, http.StatusNotFound)
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
+
+	resp, err := http.Get(tc.url(1) + "/v1/runs/" + id + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	lines, last := 0, ""
+	for sc.Scan() {
+		lines++
+		var p struct {
+			ID    string `json:"id"`
+			State string `json:"state"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil || p.ID != id || p.State == "" {
+			t.Fatalf("line %d of the proxied stream is not a snapshot of %s: %s", lines, id, sc.Text())
+		}
+		last = p.State
+		switch lines {
+		case 1:
+			failing.Store(3) // the next three re-polls miss
+		case 2:
+			// Past the window: end the run so the stream ends.
+			cresp, err := http.Post(tc.url(0)+"/v1/runs/"+id+"/cancel", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cresp.Body.Close()
+		}
+	}
+	if failing.Load() >= 0 {
+		t.Fatalf("the owner failed only %d of 3 status polls", 3-failing.Load())
+	}
+	if lines < 3 || last != "cancelled" {
+		t.Fatalf("stream ended after %d line(s) in state %q, want a terminal cancelled snapshot", lines, last)
+	}
+}
+
 // TestClusterFailoverRestore is the chaos gate: under seeded network
 // faults, a run placed on a node that dies mid-run is restored on a
 // survivor from its last journaled snapshot — same run ID, and final

@@ -1,30 +1,27 @@
 // Package benchkit is the deterministic ledger behind cmd/benchsuite and
 // `make bench`: every scenario runs on the virtual-time multiprocessor,
 // so its makespan, utilization, overhead and access counts are exact
-// functions of the code, and a committed BENCH_*.json is a baseline
-// `make verify-gates` compares bit for bit. Wall clock is bench/'s
-// ledger (BENCHMARK.json), not this one's.
+// functions of the code, and a committed BENCH_*.json is a golden file
+// `make verify-gates` compares exactly. Wall clock is bench/'s ledger
+// (BENCHMARK.json), not this one's.
 //
-// The kit has four parts:
+// The kit has three parts:
 //
 //   - a scenario registry (Default) spanning workloads × low-level
 //     schemes × task-pool variants × claim-path knobs; `benchsuite
 //     sweep` runs ad-hoc scenarios through the same Run;
-//   - a repetition controller (Run): warmups, then N repetitions that
-//     must report bit-identical simulator metrics (a mismatch fails
-//     the run);
-//   - a versioned JSON schema (File, SchemaVersion) written to
-//     BENCH_<rev>.json: per metric a Summary (median, min, mean, MAD
-//     and a MAD-based interval — zero-width for simulator metrics),
-//     plus an environment fingerprint (CaptureEnv);
-//   - the gate (Compare, BitIdentical) that checks a new result file
-//     against a baseline.
+//   - Run: each scenario runs twice, the two runs must agree on every
+//     metric (a mismatch fails the run), and the File records one value
+//     per metric, one scenario to a line;
+//   - Compare: a candidate must hold exactly the baseline's scenarios
+//     and values; an adaptive scenario may instead get worse by at most
+//     10 % on makespan, utilization, overhead and accesses.
 //
 // The metrics mirror the paper's Section IV quantities: virtual
 // makespan and utilization (eq. 1's eta), total scheduling-overhead
 // time (the O1/O2/O3 decomposition via core.Snapshot.OverheadTime),
-// synchronization access counts, SEARCH calls and low-level chunk
-// fetches; wall_ns and allocs are provenance columns, never gated.
+// synchronization access counts, SEARCH calls, low-level chunk fetches,
+// load imbalance, and the per-event costs ns_per_claim and sweep_ns.
 package benchkit
 
 import (
@@ -43,7 +40,7 @@ type Scenario struct {
 	Name string
 	// Workload names the workload family (registry key, e.g. "adjoint").
 	Workload string
-	// Nest builds the workload's nest; called once per suite run.
+	// Nest builds the workload's nest; called once per Run.
 	Nest func() *loopir.Nest
 	// Opts is the complete run configuration (procs, scheme, pool,
 	// virtual-machine costs). The engine must be the virtual one.
@@ -53,10 +50,9 @@ type Scenario struct {
 }
 
 // adaptive reports whether the scenario runs the online adaptive
-// policy. Adaptive scenarios are exempt from the cross-file
-// bit-identity contract: the fitter's trajectory is part of the
-// algorithm under development, so baselines gate its medians, not its
-// exact virtual-time values.
+// policy. Adaptive scenarios are exempt from cross-file equality: the
+// fitter's trajectory is part of the algorithm under development, so a
+// baseline holds them within a band, not to their exact values.
 func (s Scenario) adaptive() bool { return strings.HasPrefix(s.scheme(), "auto") }
 
 // scheme returns the scenario's scheme spec ("" normalizes to ss).
@@ -67,18 +63,9 @@ func (s Scenario) scheme() string {
 	return s.Opts.Scheme
 }
 
-// poolName returns the scenario's task-pool label ("" normalizes to
-// per-loop).
-func (s Scenario) poolName() string {
-	if s.Opts.Pool == "" {
-		return "per-loop"
-	}
-	return s.Opts.Pool
-}
-
 // validateScenarios checks registry invariants: non-empty unique names,
 // a workload builder, valid options and the virtual engine — what
-// compare, the schema and the determinism contract rely on.
+// Compare and the determinism contract rely on.
 func validateScenarios(scs []Scenario) error {
 	seen := map[string]bool{}
 	for _, s := range scs {

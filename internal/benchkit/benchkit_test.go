@@ -1,10 +1,11 @@
 package benchkit
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -73,7 +74,7 @@ func TestFilter(t *testing.T) {
 }
 
 // tinyScenarios is a fast two-scenario suite (a static scheme and the
-// adaptive one) for exercising the repetition controller end to end.
+// adaptive one) for exercising Run end to end.
 func tinyScenarios() []Scenario {
 	mk := func() *loopir.Nest { return workload.UniformDoall(64, 10) }
 	return []Scenario{
@@ -89,58 +90,41 @@ func tinyScenarios() []Scenario {
 	}
 }
 
+// metricNames are the nine simulator metrics every result carries.
+var metricNames = []string{"makespan", "utilization", "overhead", "accesses", "searches",
+	"chunks", "imbalance", "ns_per_claim", "sweep_ns"}
+
 func TestRunProducesValidFile(t *testing.T) {
-	f, err := Run(tinyScenarios(), RunConfig{Reps: 3, Warmup: 1})
+	f, err := Run(tinyScenarios(), nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Scenarios) != 2 {
 		t.Fatalf("got %d scenario results", len(f.Scenarios))
 	}
 	for _, sc := range f.Scenarios {
-		for _, name := range []string{"wall_ns", "makespan", "utilization", "imbalance", "overhead", "accesses", "searches", "chunks", "allocs"} {
-			m, ok := sc.Metrics[name]
-			if !ok {
+		if len(sc.Metrics) != len(metricNames) {
+			t.Errorf("scenario %q has metrics %v, want exactly %v", sc.Name, sc.Metrics, metricNames)
+		}
+		for _, name := range metricNames {
+			if _, ok := sc.Metrics[name]; !ok {
 				t.Fatalf("scenario %q missing metric %q", sc.Name, name)
 			}
-			if m.N != 3 {
-				t.Fatalf("scenario %q metric %q has %d samples, want 3", sc.Name, name, m.N)
-			}
+		}
+		if sc.Metrics["makespan"] <= 0 {
+			t.Fatalf("scenario %q: makespan %v", sc.Name, sc.Metrics["makespan"])
 		}
 	}
-	virt := f.Scenarios[0]
-	if !virt.Deterministic {
-		t.Fatalf("virtual scenario not marked deterministic: %+v", virt)
+	if f.Scenarios[0].Adaptive {
+		t.Fatal("static scenario marked adaptive")
 	}
-	// Bit-identical repetitions ⇒ zero spread on the simulator metrics.
-	for _, name := range []string{"makespan", "utilization", "accesses"} {
-		m := virt.Metrics[name]
-		if m.MAD != 0 || m.CILo != m.CIHi {
-			t.Fatalf("virtual metric %q has spread: %+v", name, m)
-		}
-		if !m.Gate {
-			t.Fatalf("virtual metric %q should gate", name)
-		}
-	}
-	auto := f.Scenarios[1]
-	if auto.Deterministic {
-		t.Fatal("adaptive scenario marked deterministic")
-	}
-	for _, sc := range f.Scenarios {
-		if sc.Engine != "virtual" || sc.Metrics["wall_ns"].Gate || !sc.Metrics["makespan"].Gate {
-			t.Fatalf("scenario %q: engine %q, gates mis-set: %+v", sc.Name, sc.Engine, sc.Metrics)
-		}
-	}
-	if f.Env.GoVersion == "" || f.Env.NumCPU <= 0 {
-		t.Fatalf("fingerprint incomplete: %+v", f.Env)
+	if !f.Scenarios[1].Adaptive {
+		t.Fatal("auto scenario not marked adaptive")
 	}
 }
 
 func TestRunFileRoundTrip(t *testing.T) {
-	f, err := Run(tinyScenarios()[:1], RunConfig{Reps: 2, Warmup: 0})
+	f, err := Run(tinyScenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,66 +136,60 @@ func TestRunFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(f)
-	b, _ := json.Marshal(back)
-	if string(a) != string(b) {
-		t.Fatalf("round trip changed the file:\n%s\nvs\n%s", a, b)
+	if !reflect.DeepEqual(f, back) {
+		t.Fatalf("round trip changed the file:\n%+v\nvs\n%+v", f, back)
 	}
-	// Two runs of the same deterministic scenario must compare clean.
-	f2, err := Run(tinyScenarios()[:1], RunConfig{Reps: 2, Warmup: 0})
+	// One scenario to a line: the file is a golden table.
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compare(f, f2, 0)
+	if lines := strings.Count(string(raw), "\n"); lines != len(f.Scenarios)+2 {
+		t.Fatalf("file has %d lines for %d scenarios:\n%s", lines, len(f.Scenarios), raw)
+	}
+	// Two runs of the same scenarios must compare clean.
+	f2, err := Run(tinyScenarios(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs := c.Regressions(); len(regs) != 0 {
-		t.Fatalf("same-baseline compare regressed: %+v", regs)
+	if viol := Compare(f, f2); len(viol) != 0 {
+		t.Fatalf("same-code compare failed: %v", viol)
 	}
 }
 
-func TestRunProfileCapture(t *testing.T) {
-	dir := t.TempDir()
-	_, err := Run(tinyScenarios()[:1], RunConfig{
-		Reps: 2, Warmup: 0,
-		CPUProfileDir: dir, MemProfileDir: dir, TraceDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"tiny_ss_virtual.cpu.pprof", "tiny_ss_virtual.mem.pprof", "tiny_ss_virtual.trace"} {
-		st, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("profile %s: %v", name, err)
-		}
-		if st.Size() == 0 && name != "tiny_ss_virtual.cpu.pprof" {
-			t.Fatalf("profile %s is empty", name)
-		}
-	}
-}
-
+// TestCheckDeterminism: a scenario whose second run differs from its
+// first fails Run. The planted body works one unit longer on every run
+// than on the one before, so the two runs' makespans cannot agree.
 func TestCheckDeterminism(t *testing.T) {
-	same := []repSample{{makespan: 10, utilization: 0.5}, {makespan: 10, utilization: 0.5}}
-	if err := checkDeterminism(same); err != nil {
-		t.Fatal(err)
+	var runs atomic.Int64
+	drift := []Scenario{{
+		Name: "drift/ss/virtual", Workload: "drift",
+		Nest: func() *loopir.Nest {
+			return loopir.MustBuild(func(b *loopir.B) {
+				b.DoallLeaf("D", loopir.Const(16), func(e loopir.Env, iv loopir.IVec, j int64) {
+					if j == 1 {
+						runs.Add(1)
+					}
+					e.Work(10 + runs.Load())
+				})
+			})
+		},
+		Opts: repro.Options{Procs: 1, Scheme: "ss", AccessCost: 10},
+	}}
+	_, err := Run(drift, nil)
+	if err == nil || !strings.Contains(err.Error(), "determinism violation") {
+		t.Fatalf("planted nondeterminism: err = %v, want a determinism violation", err)
 	}
-	drift := []repSample{{makespan: 10}, {makespan: 11}}
-	if err := checkDeterminism(drift); err == nil {
-		t.Fatal("makespan drift not caught")
-	}
-	udrift := []repSample{{utilization: 0.5}, {utilization: 0.6}}
-	if err := checkDeterminism(udrift); err == nil {
-		t.Fatal("utilization drift not caught")
+	if _, err := Run(tinyScenarios(), nil); err != nil {
+		t.Fatalf("deterministic scenarios: %v", err)
 	}
 }
 
 // TestIrregularFamilyGatesAuto is the acceptance gate for the adaptive
 // policy: on the phase-varying irregular family, auto's virtual
 // makespan must land within 10% of the best static scheme and strictly
-// beat the worst. It runs the registered irregular scenarios directly
-// (one rep each — the virtual engine is deterministic), so the gate
-// measures exactly what `make bench` would record.
+// beat the worst. It runs the registered irregular scenarios through
+// Run, so the gate measures exactly what `make bench` would record.
 func TestIrregularFamilyGatesAuto(t *testing.T) {
 	scs, err := Filter(Default(), "^irregular/")
 	if err != nil {
@@ -220,27 +198,27 @@ func TestIrregularFamilyGatesAuto(t *testing.T) {
 	if len(scs) != len(IrregularSchemes()) {
 		t.Fatalf("irregular family has %d scenarios, want %d", len(scs), len(IrregularSchemes()))
 	}
-	f, err := Run(scs, RunConfig{Reps: 1, Warmup: 0})
+	f, err := Run(scs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var auto float64
 	best, worst := -1.0, -1.0
 	bestName, worstName := "", ""
-	for _, sc := range f.Scenarios {
-		ms := sc.Metrics["makespan"].Median
+	for i, sc := range f.Scenarios {
+		ms := sc.Metrics["makespan"]
 		if ms <= 0 {
 			t.Fatalf("scenario %q reports makespan %g", sc.Name, ms)
 		}
-		if sc.Scheme == "auto" {
+		if scs[i].scheme() == "auto" {
 			auto = ms
-			if sc.Deterministic {
-				t.Errorf("auto scenario marked deterministic (exempt from cross-file bit-identity)")
+			if !sc.Adaptive {
+				t.Errorf("auto scenario not marked adaptive (exempt from cross-file equality)")
 			}
 			continue
 		}
-		if !sc.Deterministic {
-			t.Errorf("static virtual scenario %q not marked deterministic", sc.Name)
+		if sc.Adaptive {
+			t.Errorf("static virtual scenario %q marked adaptive", sc.Name)
 		}
 		if best < 0 || ms < best {
 			best, bestName = ms, sc.Name
@@ -263,23 +241,23 @@ func TestIrregularFamilyGatesAuto(t *testing.T) {
 }
 
 func TestRunRejectsBadSuite(t *testing.T) {
-	if _, err := Run(nil, RunConfig{Reps: 1}); err == nil {
+	if _, err := Run(nil, nil); err == nil {
 		t.Fatal("empty suite not rejected")
 	}
 	dup := []Scenario{tinyScenarios()[0], tinyScenarios()[0]}
-	if _, err := Run(dup, RunConfig{Reps: 1}); err == nil {
+	if _, err := Run(dup, nil); err == nil {
 		t.Fatal("duplicate names not rejected")
 	}
 	bad := tinyScenarios()[:1]
 	bad[0].Opts.Scheme = "no-such-scheme"
-	if _, err := Run(bad, RunConfig{Reps: 1}); err == nil {
+	if _, err := Run(bad, nil); err == nil {
 		t.Fatal("invalid options not rejected")
 	}
 	// Wall clock belongs to bench/: a goroutine-engine scenario is refused.
 	for _, eng := range repro.KnownEngines() {
 		sc := tinyScenarios()[:1]
 		sc[0].Opts.Engine = repro.EngineKind(eng)
-		_, err := Run(sc, RunConfig{Reps: 1})
+		_, err := Run(sc, nil)
 		if virtual := eng == string(repro.EngineVirtual); (err == nil) != virtual {
 			t.Fatalf("engine %q: err = %v", eng, err)
 		}

@@ -1,185 +1,151 @@
 package benchkit
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// mkFile builds a minimal valid result file with one scenario holding
-// the given gated metric.
-func mkFile(metric string, m Metric) *File {
-	return &File{
-		SchemaVersion: SchemaVersion,
-		Env:           CaptureEnv(),
-		Scenarios: []ScenarioResult{{
-			Name: "w/ss/virtual", Workload: "w", Scheme: "ss", Pool: "per-loop",
-			Engine: "virtual", Procs: 8, Deterministic: true,
-			Metrics: map[string]Metric{metric: m},
-		}},
-	}
+// mkFile builds a one-scenario ledger holding the given metrics.
+func mkFile(name string, adaptive bool, metrics map[string]float64) *File {
+	return &File{Scenarios: []Result{{Name: name, Adaptive: adaptive, Metrics: metrics}}}
 }
 
-func gated(median, spread float64, better string) Metric {
-	return Metric{
-		Unit: "vtime", Better: better, Gate: true,
-		Summary: Summary{N: 5, Median: median, Min: median - spread, Mean: median,
-			MAD: spread, CILo: median - spread, CIHi: median + spread},
-	}
+// autoFile is the adaptive scenario with the four banded metrics.
+func autoFile(makespan, utilization, overhead, accesses float64) *File {
+	return mkFile("irregular/auto/virtual", true, map[string]float64{
+		"makespan": makespan, "utilization": utilization, "overhead": overhead, "accesses": accesses,
+		"chunks": 100,
+	})
 }
 
 func TestCompareIdenticalPasses(t *testing.T) {
-	f := mkFile("makespan", gated(1000, 0, BetterLess))
-	c, err := Compare(f, f, 0)
-	if err != nil {
-		t.Fatal(err)
+	f := mkFile("w/ss/virtual", false, map[string]float64{"makespan": 1000, "utilization": 0.9})
+	if viol := Compare(f, f); len(viol) != 0 {
+		t.Fatalf("identical files produced violations: %v", viol)
 	}
-	if n := len(c.Regressions()); n != 0 {
-		t.Fatalf("identical files produced %d regressions", n)
+	a := autoFile(1000, 0.9, 200, 50)
+	if viol := Compare(a, a); len(viol) != 0 {
+		t.Fatalf("identical adaptive files produced violations: %v", viol)
+	}
+}
+
+// TestBitIdentical: a deterministic scenario must equal the baseline
+// exactly — a one-unit drift in any of its values fails, whichever way
+// it moves and whether or not the adaptive band would pass it.
+func TestBitIdentical(t *testing.T) {
+	base := map[string]float64{"makespan": 1000, "utilization": 0.9, "overhead": 200,
+		"accesses": 50, "searches": 7, "chunks": 100, "imbalance": 1.25, "ns_per_claim": 12.5, "sweep_ns": 30}
+	old := mkFile("w/ss/virtual", false, base)
+	for name, v := range base {
+		for _, d := range []float64{+1, -1} {
+			moved := map[string]float64{}
+			for k, x := range base {
+				moved[k] = x
+			}
+			moved[name] = v + d
+			viol := Compare(old, mkFile("w/ss/virtual", false, moved))
+			if len(viol) != 1 || !strings.Contains(viol[0], name) {
+				t.Errorf("%s %+g: violations %v, want one naming the metric", name, d, viol)
+			}
+		}
+	}
+	// A metric the baseline does not carry (an older file) is not gated;
+	// one the candidate lacks is.
+	if viol := Compare(mkFile("w/ss/virtual", false, map[string]float64{"makespan": 1000}), old); len(viol) != 0 {
+		t.Fatalf("extra candidate metrics flagged: %v", viol)
+	}
+	if viol := Compare(old, mkFile("w/ss/virtual", false, map[string]float64{"makespan": 1000})); len(viol) != len(base)-1 {
+		t.Fatalf("candidate missing %d metrics: violations %v", len(base)-1, viol)
+	}
+}
+
+// TestCompareBelowThresholdSuppresses: the adaptive scenario may get
+// worse by up to 10 % on a banded metric.
+func TestCompareBelowThresholdSuppresses(t *testing.T) {
+	old := autoFile(1000, 0.9, 200, 50)
+	if viol := Compare(old, autoFile(1090, 0.9, 200, 50)); len(viol) != 0 {
+		t.Fatalf("auto makespan +9%% must pass: %v", viol)
+	}
+	if viol := Compare(old, autoFile(1100, 0.82, 220, 55)); len(viol) != 0 {
+		t.Fatalf("auto at exactly the band must pass: %v", viol)
 	}
 }
 
 func TestCompareDoubleSlowdownFails(t *testing.T) {
-	old := mkFile("makespan", gated(1000, 0, BetterLess))
-	slow := mkFile("makespan", gated(2000, 0, BetterLess))
-	c, err := Compare(old, slow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := c.Regressions()
-	if len(regs) != 1 {
-		t.Fatalf("2x slowdown produced %d regressions, want 1", len(regs))
-	}
-	if regs[0].Ratio != 2 {
-		t.Fatalf("ratio = %g, want 2", regs[0].Ratio)
+	old := autoFile(1000, 0.9, 200, 50)
+	for _, c := range []struct {
+		metric string
+		cand   *File
+	}{
+		{"makespan", autoFile(1110, 0.9, 200, 50)},
+		{"makespan", autoFile(2000, 0.9, 200, 50)},
+		{"overhead", autoFile(1000, 0.9, 221, 50)},
+		{"accesses", autoFile(1000, 0.9, 200, 56)},
+	} {
+		viol := Compare(old, c.cand)
+		if len(viol) != 1 || !strings.Contains(viol[0], c.metric) {
+			t.Errorf("auto %s beyond the band: violations %v, want one", c.metric, viol)
+		}
 	}
 }
 
 func TestCompareBetterMoreDirection(t *testing.T) {
-	old := mkFile("utilization", gated(0.9, 0, BetterMore))
-	worse := mkFile("utilization", gated(0.4, 0, BetterMore))
-	improved := mkFile("utilization", gated(0.95, 0, BetterMore))
-	if c, _ := Compare(old, worse, 0); len(c.Regressions()) != 1 {
-		t.Fatal("utilization drop not flagged")
+	old := autoFile(1000, 0.9, 200, 50)
+	if viol := Compare(old, autoFile(1000, 0.4, 200, 50)); len(viol) != 1 {
+		t.Fatalf("auto utilization drop not flagged: %v", viol)
 	}
-	if c, _ := Compare(old, improved, 0); len(c.Regressions()) != 0 {
-		t.Fatal("utilization gain flagged as regression")
+	if viol := Compare(old, autoFile(500, 0.95, 100, 25)); len(viol) != 0 {
+		t.Fatalf("auto improvement flagged: %v", viol)
 	}
 }
 
-func TestCompareNoiseOverlapSuppresses(t *testing.T) {
-	// 30% slower, but both intervals are wide and overlap: the movement
-	// is inside measured noise, so it must not gate.
-	old := mkFile("wall_ns", gated(1000, 400, BetterLess))
-	noisy := mkFile("wall_ns", gated(1300, 400, BetterLess))
-	c, err := Compare(old, noisy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Regressions()) != 0 {
-		t.Fatal("overlapping confidence intervals must suppress the regression")
-	}
-}
-
-func TestCompareBelowThresholdSuppresses(t *testing.T) {
-	old := mkFile("makespan", gated(1000, 0, BetterLess))
-	slight := mkFile("makespan", gated(1050, 0, BetterLess))
-	c, err := Compare(old, slight, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Regressions()) != 0 {
-		t.Fatal("5% movement must pass a 10% threshold")
-	}
-}
-
+// TestCompareUngatedNeverRegresses: the adaptive scenario's metrics
+// outside the band (chunks, searches, …) may move freely.
 func TestCompareUngatedNeverRegresses(t *testing.T) {
-	m := gated(100, 0, BetterLess)
-	m.Gate = false
-	old := mkFile("allocs", m)
-	worse := mkFile("allocs", gatedClone(m, 10000))
-	c, err := Compare(old, worse, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Regressions()) != 0 {
-		t.Fatal("non-gated metric must not gate")
+	old := autoFile(1000, 0.9, 200, 50)
+	cand := autoFile(1000, 0.9, 200, 50)
+	cand.Scenarios[0].Metrics["chunks"] = 1e6
+	if viol := Compare(old, cand); len(viol) != 0 {
+		t.Fatalf("ungated adaptive metric gated: %v", viol)
 	}
 }
 
-func gatedClone(m Metric, median float64) Metric {
-	m.Median, m.Min, m.Mean, m.CILo, m.CIHi = median, median, median, median, median
-	return m
-}
-
+// TestCompareMissingScenariosReported: a scenario on one side only
+// fails the compare, in either direction.
 func TestCompareMissingScenariosReported(t *testing.T) {
-	old := mkFile("makespan", gated(1000, 0, BetterLess))
-	other := mkFile("makespan", gated(1000, 0, BetterLess))
-	other.Scenarios[0].Name = "renamed/ss/virtual"
-	c, err := Compare(old, other, 0)
-	if err != nil {
-		t.Fatal(err)
+	two := &File{Scenarios: []Result{
+		{Name: "a/ss/virtual", Metrics: map[string]float64{"makespan": 1}},
+		{Name: "b/ss/virtual", Metrics: map[string]float64{"makespan": 2}},
+	}}
+	one := &File{Scenarios: two.Scenarios[:1]}
+	viol := Compare(two, one)
+	if len(viol) != 1 || viol[0] != "b/ss/virtual: missing from candidate" {
+		t.Fatalf("baseline scenario missing from candidate: %v", viol)
 	}
-	if len(c.MissingOld) != 1 || len(c.MissingNew) != 1 {
-		t.Fatalf("missing lists: old=%v new=%v", c.MissingOld, c.MissingNew)
-	}
-	var sb strings.Builder
-	c.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "renamed/ss/virtual") {
-		t.Fatalf("table does not report the mismatch:\n%s", sb.String())
+	viol = Compare(one, two)
+	if len(viol) != 1 || viol[0] != "b/ss/virtual: missing from baseline" {
+		t.Fatalf("candidate scenario missing from baseline: %v", viol)
 	}
 }
 
+// TestCompareRejectsBadSchema: Load refuses a file in another format
+// (the summary-per-metric schema the ledger used to write), an empty
+// one and duplicate scenario names.
 func TestCompareRejectsBadSchema(t *testing.T) {
-	f := mkFile("makespan", gated(1000, 0, BetterLess))
-	bad := mkFile("makespan", gated(1000, 0, BetterLess))
-	bad.SchemaVersion = 99
-	if _, err := Compare(f, bad, 0); err == nil {
-		t.Fatal("schema-version mismatch not rejected")
-	}
-}
-
-func TestWriteTableMarksRegression(t *testing.T) {
-	old := mkFile("makespan", gated(1000, 0, BetterLess))
-	slow := mkFile("makespan", gated(2000, 0, BetterLess))
-	c, err := Compare(old, slow, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	c.WriteTable(&sb)
-	if !strings.Contains(sb.String(), "REGRESSION") {
-		t.Fatalf("table missing REGRESSION marker:\n%s", sb.String())
-	}
-}
-
-func TestBitIdentical(t *testing.T) {
-	old := mkFile("makespan", gated(1000, 0, BetterLess))
-	same := mkFile("makespan", gated(1000, 0, BetterLess))
-	if viol := BitIdentical(old, same); len(viol) != 0 {
-		t.Fatalf("identical deterministic files flagged: %v", viol)
-	}
-
-	// A 1-unit makespan drift on a deterministic scenario is a violation
-	// even though the gate's threshold would pass it.
-	drift := mkFile("makespan", gated(1001, 0, BetterLess))
-	viol := BitIdentical(old, drift)
-	if len(viol) != 1 || !strings.Contains(viol[0], "makespan") {
-		t.Fatalf("1-unit deterministic drift not flagged: %v", viol)
-	}
-
-	// Host-side metrics are exempt: wall clock may move freely.
-	oldWall := mkFile("wall_ns", gated(1000, 0, BetterLess))
-	newWall := mkFile("wall_ns", gated(9999, 0, BetterLess))
-	if viol := BitIdentical(oldWall, newWall); len(viol) != 0 {
-		t.Fatalf("host-side wall_ns flagged for bit-identity: %v", viol)
-	}
-
-	// Non-deterministic (adaptive) scenarios are exempt.
-	oldAuto := mkFile("makespan", gated(1000, 0, BetterLess))
-	newAuto := mkFile("makespan", gated(2000, 0, BetterLess))
-	oldAuto.Scenarios[0].Deterministic = false
-	newAuto.Scenarios[0].Deterministic = false
-	if viol := BitIdentical(oldAuto, newAuto); len(viol) != 0 {
-		t.Fatalf("adaptive scenario flagged for bit-identity: %v", viol)
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"old.json":   `{"schema_version": 1, "scenarios": [{"name": "a", "metrics": {"makespan": {"median": 1}}}]}`,
+		"empty.json": `{"scenarios": []}`,
+		"dup.json":   `{"scenarios": [{"name": "a", "metrics": {}}, {"name": "a", "metrics": {}}]}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

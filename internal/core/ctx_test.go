@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -90,9 +92,34 @@ func TestStatsSnapshotString(t *testing.T) {
 	}
 }
 
+// TestStatsSpineCoversAllCounters: every counter ID has a slot in the
+// spine and lands in exactly one Snapshot field, and every counter
+// field of the Snapshot is fed by one.
 func TestStatsSpineCoversAllCounters(t *testing.T) {
-	if got := len(statDescs); got != int(numCounters) {
-		t.Fatalf("statDescs has %d entries for %d counter IDs", got, int(numCounters))
+	s := newStats(2)
+	for id := obs.ID(0); id < numCounters; id++ {
+		s.shard(int(id)%2).Add(id, int64(id)+1)
+	}
+	fields := map[int64]int{} // value → how many int64 fields hold it
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int64:
+				fields[f.Int()]++
+			case reflect.Struct:
+				walk(f)
+			}
+		}
+	}
+	walk(reflect.ValueOf(s.Snap()))
+	for id := obs.ID(0); id < numCounters; id++ {
+		if n := fields[int64(id)+1]; n != 1 {
+			t.Errorf("counter %d lands in %d Snapshot fields, want 1", id, n)
+		}
+	}
+	if n := fields[0]; n != 0 {
+		t.Errorf("%d Snapshot counter field(s) read no counter", n)
 	}
 }
 

@@ -57,39 +57,6 @@ const (
 	numCounters
 )
 
-// statDescs declares the spine counters in ID order. The names identify
-// the counters within the spine only: the one service that re-exports a
-// run's counters names its /metrics series itself (runner.resultMetrics
-// — runner_pool_walked_total, not search_walked).
-var statDescs = []obs.Desc{
-	{Name: "iterations", Help: "leaf iterations executed", Unit: "count"},
-	{Name: "chunks", Help: "low-level assignments fetched", Unit: "count"},
-	{Name: "instances", Help: "loop instances activated (ICBs)", Unit: "count"},
-	{Name: "searches", Help: "high-level SEARCH calls", Unit: "count"},
-	{Name: "enters", Help: "ENTER invocations", Unit: "count"},
-	{Name: "exits", Help: "completed instances", Unit: "count"},
-	{Name: "zero_trips", Help: "vacuously completed constructs", Unit: "count"},
-	{Name: "guards_false", Help: "IF guards that evaluated false", Unit: "count"},
-	{Name: "o1_time", Help: "iteration-grab overhead time", Unit: "vtime"},
-	{Name: "o2_time", Help: "SEARCH overhead time", Unit: "vtime"},
-	{Name: "o3_time", Help: "EXIT/ENTER overhead time", Unit: "vtime"},
-	{Name: "dispatch_time", Help: "modeled OS dispatch time", Unit: "vtime"},
-	{Name: "body_time", Help: "useful iteration body time", Unit: "vtime"},
-	{Name: "search_sweeps", Help: "SW leading-one sweeps", Unit: "count"},
-	{Name: "search_lock_failures", Help: "lists skipped under held locks", Unit: "count"},
-	{Name: "search_retests", Help: "lists empty on locked retest", Unit: "count"},
-	{Name: "search_walked", Help: "ICBs inspected during SEARCH", Unit: "count"},
-	{Name: "search_saturated", Help: "lists walked without adoption", Unit: "count"},
-	{Name: "icb_allocs", Help: "ICBs freshly allocated", Unit: "count"},
-	{Name: "icb_reuses", Help: "ICBs recycled via freelists", Unit: "count"},
-	{Name: "dep_awaits", Help: "Doacross dependence waits", Unit: "count"},
-	{Name: "dep_posts", Help: "Doacross dependence posts", Unit: "count"},
-	{Name: "failed_iterations", Help: "iterations quarantined under Isolate", Unit: "count"},
-	{Name: "retries", Help: "Isolate retry attempts", Unit: "count"},
-	{Name: "adapt_fits", Help: "adaptive-policy model refits", Unit: "count"},
-	{Name: "adapt_switches", Help: "adaptive-policy scheme switches", Unit: "count"},
-}
-
 // Stats is the executor's sharded counter spine: one obs.Shard per
 // processor, written lock-free on the scheduling hot path and merged on
 // read. The zero value is not usable; construct with newStats.
@@ -99,7 +66,7 @@ type Stats struct {
 
 // newStats returns a spine with one shard per processor.
 func newStats(nprocs int) Stats {
-	return Stats{spine: obs.NewSpine(nprocs, statDescs)}
+	return Stats{spine: obs.NewSpine(nprocs, int(numCounters))}
 }
 
 // shard returns processor i's private counter shard.

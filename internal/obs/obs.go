@@ -25,25 +25,13 @@ import (
 	"sync/atomic"
 )
 
-// Desc declares one spine counter.
-type Desc struct {
-	// Name is the counter's identifier within its spine, in snake_case.
-	Name string
-	// Help is a one-line description.
-	Help string
-	// Unit is a display unit ("count", "vtime", "ns", "bytes").
-	Unit string
-}
-
-// ID indexes a counter within a Spine; IDs are assigned in declaration
-// order, so packages can declare them as iota constants parallel to
-// their Desc slice.
+// ID indexes a counter within a Spine; packages declare them as iota
+// constants, with the count as the last one.
 type ID int
 
-// Spine is a sharded counter block: len(descs) counters × nshards
-// shards. The zero value is not usable; construct with NewSpine.
+// Spine is a sharded counter block: ncounters counters × nshards shards.
+// The zero value is not usable; construct with NewSpine.
 type Spine struct {
-	descs  []Desc
 	shards []Shard
 }
 
@@ -64,39 +52,20 @@ func shardStride(ncounters int) int {
 	return (ncounters + per - 1) / per * per
 }
 
-// NewSpine returns a spine with the given shard count (one per
-// processor, at least 1) over the declared counters.
-func NewSpine(nshards int, descs []Desc) *Spine {
+// NewSpine returns a spine of ncounters counters with the given shard
+// count (one per processor, at least 1).
+func NewSpine(nshards, ncounters int) *Spine {
 	if nshards < 1 {
 		nshards = 1
 	}
-	for i, d := range descs {
-		if d.Name == "" {
-			panic("obs: counter with empty name")
-		}
-		for _, prev := range descs[:i] {
-			if prev.Name == d.Name {
-				panic(fmt.Sprintf("obs: duplicate counter %q", d.Name))
-			}
-		}
-	}
-	stride := shardStride(len(descs))
+	stride := shardStride(ncounters)
 	vals := make([]atomic.Int64, nshards*stride)
-	s := &Spine{descs: descs, shards: make([]Shard, nshards)}
+	s := &Spine{shards: make([]Shard, nshards)}
 	for i := range s.shards {
-		s.shards[i] = Shard{vals: vals[i*stride : i*stride+len(descs) : i*stride+stride]}
+		s.shards[i] = Shard{vals: vals[i*stride : i*stride+ncounters : i*stride+stride]}
 	}
 	return s
 }
-
-// NumShards returns the shard count.
-func (s *Spine) NumShards() int { return len(s.shards) }
-
-// NumCounters returns the declared counter count.
-func (s *Spine) NumCounters() int { return len(s.descs) }
-
-// Descs returns the counter declarations in ID order.
-func (s *Spine) Descs() []Desc { return s.descs }
 
 // Shard returns shard i for its owning writer.
 func (s *Spine) Shard(i int) *Shard { return &s.shards[i] }
@@ -110,18 +79,9 @@ func (sh *Shard) Inc(id ID) { sh.vals[id].Add(1) }
 // Get returns the shard's own value of counter id.
 func (sh *Shard) Get(id ID) int64 { return sh.vals[id].Load() }
 
-// Total merges counter id across all shards.
-func (s *Spine) Total(id ID) int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.vals[id].Load()
-	}
-	return n
-}
-
 // Totals merges every counter across all shards, indexed by ID.
 func (s *Spine) Totals() []int64 {
-	out := make([]int64, len(s.descs))
+	out := make([]int64, len(s.shards[0].vals))
 	for _, sh := range s.shards {
 		for i := range out {
 			out[i] += sh.vals[i].Load()
@@ -146,26 +106,6 @@ func (s *Spine) Sum(ids []ID, out []int64) {
 		}
 	}
 }
-
-// View is a window into a shard starting at a base ID. Subsystems that
-// declare their own counter block relative to zero (e.g. the task
-// pool's SEARCH counters) record through a View placed at the base the
-// spine owner assigned them, so one spine serves several packages
-// without shared ID constants.
-type View struct {
-	sh   *Shard
-	base ID
-}
-
-// ViewAt returns a view of sh whose local counter 0 is spine counter
-// base.
-func ViewAt(sh *Shard, base ID) View { return View{sh: sh, base: base} }
-
-// Add adds v to local counter i.
-func (v View) Add(i int, n int64) { v.sh.vals[int(v.base)+i].Add(n) }
-
-// Inc increments local counter i.
-func (v View) Inc(i int) { v.sh.vals[int(v.base)+i].Add(1) }
 
 // Registry holds process-lifetime counters and gauges for services.
 // All methods are safe for concurrent use.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 const (
@@ -12,16 +13,8 @@ const (
 	numTest
 )
 
-var testDescs = []Desc{
-	{Name: "alpha", Help: "first", Unit: "count"},
-	{Name: "beta", Help: "second", Unit: "vtime"},
-}
-
 func TestSpineShardedMerge(t *testing.T) {
-	s := NewSpine(4, testDescs)
-	if s.NumShards() != 4 || s.NumCounters() != int(numTest) {
-		t.Fatalf("shape: %d shards, %d counters", s.NumShards(), s.NumCounters())
-	}
+	s := NewSpine(4, int(numTest))
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
@@ -35,11 +28,8 @@ func TestSpineShardedMerge(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	if got := s.Total(cAlpha); got != 4000 {
-		t.Errorf("alpha total = %d, want 4000", got)
-	}
 	tot := s.Totals()
-	if tot[cAlpha] != 4000 || tot[cBeta] != 8000 {
+	if len(tot) != int(numTest) || tot[cAlpha] != 4000 || tot[cBeta] != 8000 {
 		t.Errorf("totals = %v, want [4000 8000]", tot)
 	}
 	if got := s.Shard(0).Get(cAlpha); got != 1000 {
@@ -57,7 +47,7 @@ func TestSpineShardedMerge(t *testing.T) {
 func TestSpineConcurrentReadDuringWrite(t *testing.T) {
 	// Merged reads must be race-safe against live writers (the probe /
 	// live-stats use case).
-	s := NewSpine(2, testDescs)
+	s := NewSpine(2, int(numTest))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -66,41 +56,47 @@ func TestSpineConcurrentReadDuringWrite(t *testing.T) {
 			sh.Inc(cAlpha)
 		}
 	}()
+	sum := make([]int64, 1)
 	for i := 0; i < 100; i++ {
-		_ = s.Total(cAlpha)
+		s.Sum([]ID{cAlpha}, sum)
 		_ = s.Totals()
 	}
 	<-done
-	if got := s.Total(cAlpha); got != 5000 {
+	if got := s.Totals()[cAlpha]; got != 5000 {
 		t.Errorf("alpha = %d, want 5000", got)
 	}
 }
 
 func TestSpineClampsShards(t *testing.T) {
-	if got := NewSpine(0, testDescs).NumShards(); got != 1 {
-		t.Errorf("NumShards = %d, want 1", got)
+	s := NewSpine(0, int(numTest))
+	if got := len(s.shards); got != 1 {
+		t.Fatalf("%d shards, want 1", got)
+	}
+	s.Shard(0).Add(cBeta, 3)
+	if tot := s.Totals(); tot[cAlpha] != 0 || tot[cBeta] != 3 {
+		t.Errorf("totals = %v, want [0 3]", tot)
 	}
 }
 
-func TestSpineRejectsDuplicateNames(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on duplicate counter name")
+// TestSpineShardLayout pins the layout: one backing array, each shard
+// starting on its own 64-byte cache line.
+func TestSpineShardLayout(t *testing.T) {
+	for _, n := range []int{1, 8, 9, 26} {
+		s := NewSpine(3, n)
+		stride := shardStride(n)
+		if stride%8 != 0 || stride < n {
+			t.Fatalf("%d counters: stride %d", n, stride)
 		}
-	}()
-	NewSpine(1, []Desc{{Name: "x"}, {Name: "x"}})
-}
-
-func TestViewOffsets(t *testing.T) {
-	s := NewSpine(1, testDescs)
-	v := ViewAt(s.Shard(0), cBeta)
-	v.Inc(0)
-	v.Add(0, 9)
-	if got := s.Total(cBeta); got != 10 {
-		t.Errorf("beta = %d, want 10", got)
-	}
-	if got := s.Total(cAlpha); got != 0 {
-		t.Errorf("alpha = %d, want 0", got)
+		base := &s.Shard(0).vals[0]
+		for i := range s.shards {
+			sh := s.Shard(i)
+			if len(sh.vals) != n || cap(sh.vals) != stride {
+				t.Errorf("%d counters, shard %d: len %d cap %d, want %d/%d", n, i, len(sh.vals), cap(sh.vals), n, stride)
+			}
+			if off := uintptr(unsafe.Pointer(&sh.vals[0])) - uintptr(unsafe.Pointer(base)); off != uintptr(i*stride*8) {
+				t.Errorf("%d counters, shard %d at byte %d of the backing array, want %d", n, i, off, i*stride*8)
+			}
+		}
 	}
 }
 
