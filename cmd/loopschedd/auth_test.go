@@ -1,12 +1,15 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 	"repro/runner"
@@ -218,18 +221,54 @@ func TestTenantQuota429(t *testing.T) {
 	}
 }
 
-func TestSchedulerNameValidated(t *testing.T) {
-	if _, err := newServer(serverConfig{Scheduler: "lottery"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("newServer(scheduler=lottery) err = %v, want unknown scheduler", err)
+// TestTenantWeightsDispatchBacklog: declaring weights in the tenants
+// file is all it takes for them to bind. With one worker slot held, a
+// bronze burst queues ahead of a gold one; once the slot frees, the
+// backlog dispatches 3:1 gold:bronze, not in submission order.
+func TestTenantWeightsDispatchBacklog(t *testing.T) {
+	tf := writeTenantsFile(t, `{
+  "tenants": {"gold": {"weight": 3}, "bronze": {"weight": 1}},
+  "keys": {"k-gold": "gold", "k-bronze": "bronze"}
+}`)
+	s, ts := newTestServer(t, serverConfig{MaxConcurrent: 1, Tenants: tf})
+	defer cancelAll(s)
+
+	resp, payload := postAuth(t, ts.URL+"/v1/runs", `{"program": "doall I = 1..1099511627776 { work 100 }"}`, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("anchor submit status = %d (%v)", resp.StatusCode, payload)
 	}
-	s, err := newServer(serverConfig{Scheduler: "wfq", MaxConcurrent: 1})
-	if err != nil {
-		t.Fatalf("newServer(scheduler=wfq): %v", err)
+	anchor, _ := s.rn.Get(payload["id"].(string))
+	const each = 8
+	for _, key := range []string{"k-bronze", "k-gold"} {
+		for i := 0; i < each; i++ {
+			resp, payload := postAuth(t, ts.URL+"/v1/runs", `{"program": "doall I = 1..16 { work 10 }"}`,
+				map[string]string{"Authorization": "Bearer " + key})
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s submit %d status = %d (%v)", key, i, resp.StatusCode, payload)
+			}
+		}
 	}
-	defer s.rn.Close()
-	if got := s.rn.Stats().Scheduler; got != "wfq" {
-		t.Errorf("runner scheduler = %q, want wfq", got)
+	anchor.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.rn.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var backlog []*runner.Run
+	for _, r := range s.rn.Runs() {
+		if r.Tenant() != "" {
+			backlog = append(backlog, r)
+		}
+	}
+	startOf := func(r *runner.Run) time.Time { _, started, _ := r.Times(); return started }
+	sort.Slice(backlog, func(i, j int) bool { return startOf(backlog[i]).Before(startOf(backlog[j])) })
+	window := map[string]int{}
+	for _, r := range backlog[:each] { // two periods of the 3:1 schedule
+		window[r.Tenant()]++
+	}
+	if window["gold"] != 6 || window["bronze"] != 2 {
+		t.Errorf("first %d dispatches split %v, want gold:6 bronze:2", each, window)
 	}
 }
 
@@ -247,8 +286,9 @@ func TestJournalTenantReplay(t *testing.T) {
 	}
 
 	s1, ts1 := newTestServer(t, cfg)
-	// One endless run holds the worker so a second, gold-attributed run
-	// is still queued (non-terminal) when the daemon goes down.
+	// Two endless runs keep each other live, so the second, gold-attributed
+	// one is non-terminal when the daemon goes down: gold's priority class
+	// preempts the keyless anchor, which waits requeued.
 	resp, _ := postAuth(t, ts1.URL+"/v1/runs",
 		`{"program": "doall I = 1..1099511627776 { work 100 }"}`, nil)
 	if resp.StatusCode != http.StatusCreated {

@@ -19,18 +19,14 @@ import (
 	"repro/runner"
 )
 
-// internalHeader marks a request as intra-cluster (a forward or proxy
-// from a peer, not a client). Internal submissions may carry a
-// caller-chosen run ID and resolve their tenant from tenantHeader —
-// the placing node already authenticated the client. The marker is
-// only honored on a call that carries the cluster's shared secret
-// (cluster.AuthHeader, stamped by the RPC client): peers and clients
-// share one listener, so without the secret any client could set these
-// headers and impersonate a tenant or mint run IDs.
-const (
-	internalHeader = "X-Loopschedd-Internal"
-	tenantHeader   = "X-Loopschedd-Tenant"
-)
+// tenantHeader carries, on an intra-cluster submission, the tenant the
+// placing node already resolved: the client authenticated once, at the
+// node it reached. A call is intra-cluster when it carries the cluster's
+// shared secret (cluster.AuthHeader, stamped by the RPC client on every
+// call) and on nothing else: peers and clients share one listener, so a
+// request without the secret is an ordinary client's, whose tenant header
+// is ignored and whose caller-chosen run ID is rejected.
+const tenantHeader = "X-Loopschedd-Tenant"
 
 // clusterOptions is the daemon-side cluster configuration; a zero Node
 // disables clustering entirely (single-node mode, bit-identical to the
@@ -172,28 +168,23 @@ func (c *clusterState) close() {
 	<-c.tracked
 }
 
-// internalHdr builds the headers for an intra-cluster call; the client
-// adds the shared-secret credential peers verify.
-func (c *clusterState) internalHdr(tenant string) http.Header {
-	h := http.Header{}
-	h.Set(internalHeader, "1")
-	if tenant != "" {
-		h.Set(tenantHeader, tenant)
+// tenantHdr builds the headers of an intra-cluster submission: the
+// resolved tenant, when there is one.
+func tenantHdr(tenant string) http.Header {
+	if tenant == "" {
+		return nil
 	}
-	return h
+	return http.Header{tenantHeader: {tenant}}
 }
 
 // isInternal reports whether the request came from a cluster peer:
 // clustering must be on and the request must present the cluster's
-// shared secret. A request that claims to be internal but fails the
-// secret check is treated as external — its tenant header is ignored
-// and a caller-chosen run ID is rejected like any client's.
+// shared secret.
 func (s *server) isInternal(r *http.Request) bool {
-	c := s.cluster
-	if c == nil || r.Header.Get(internalHeader) != "1" {
+	if s.cluster == nil {
 		return false
 	}
-	_, ok := c.client.Sender(r)
+	_, ok := s.cluster.client.Sender(r)
 	return ok
 }
 
@@ -208,8 +199,7 @@ func (c *clusterState) placementID(target string) string {
 // confirmPlaced asks target whether run id exists — the tiebreaker
 // after an ambiguous forward outcome.
 func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.Response, bool) {
-	resp, err := c.client.DoHeader(c.ctx, target, http.MethodGet, "/v1/runs/"+id,
-		c.internalHdr(""), nil, nil)
+	resp, err := c.client.Do(c.ctx, target, http.MethodGet, "/v1/runs/"+id, nil, nil)
 	return resp, err == nil && resp.Status == http.StatusOK
 }
 
@@ -245,7 +235,7 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 	}
 	var st runStatus
 	resp, err := c.client.DoHeader(c.ctx, target.Peer, http.MethodPost, "/v1/runs",
-		c.internalHdr(tenant), req, &st)
+		tenantHdr(tenant), req, &st)
 	if err == nil && resp.Status == http.StatusCreated {
 		return adopt(resp.Body)
 	}
@@ -277,8 +267,7 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 	// that, if the submit did land, the orphan stops instead of running
 	// to completion unobserved; then run locally under a fresh local ID.
 	go func(p cluster.Peer, id string) {
-		c.client.DoHeader(c.ctx, p, http.MethodPost, "/v1/runs/"+id+"/cancel",
-			c.internalHdr(""), nil, nil)
+		c.client.Do(c.ctx, p, http.MethodPost, "/v1/runs/"+id+"/cancel", nil, nil)
 	}(target.Peer, req.ID)
 	log.Printf("loopschedd: placement on %s failed (%v), running locally", target.Peer.Name, err)
 	return false
@@ -297,15 +286,10 @@ func (c *clusterState) ownerOf(id string) (cluster.Peer, bool) {
 	} else if i := strings.LastIndex(id, "-run-"); i > 0 {
 		name = id[:i]
 	}
-	if name == "" || name == c.self.Name {
+	if name == "" {
 		return cluster.Peer{}, false
 	}
-	for _, n := range c.mem.Nodes() {
-		if n.Peer.Name == name {
-			return n.Peer, true
-		}
-	}
-	return cluster.Peer{}, false
+	return c.peerNamed(name)
 }
 
 // scatter offers run id's resolved owner, then — if try declines it —
@@ -330,7 +314,7 @@ func (c *clusterState) scatter(id string, try func(cluster.Peer) bool) bool {
 // fetchStatus GETs a run's status from whichever node serves it.
 func (c *clusterState) fetchStatus(ctx context.Context, id string) (resp *cluster.Response, ok bool) {
 	ok = c.scatter(id, func(p cluster.Peer) bool {
-		got, err := c.client.DoHeader(ctx, p, http.MethodGet, "/v1/runs/"+id, c.internalHdr(""), nil, nil)
+		got, err := c.client.Do(ctx, p, http.MethodGet, "/v1/runs/"+id, nil, nil)
 		resp = got
 		return err == nil && got.Status == http.StatusOK
 	})
@@ -361,8 +345,7 @@ func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id strin
 func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, action string) bool {
 	var answer *cluster.Response
 	c.scatter(id, func(p cluster.Peer) bool {
-		resp, err := c.client.DoHeader(r.Context(), p, http.MethodPost,
-			"/v1/runs/"+id+"/"+action, c.internalHdr(""), nil, nil)
+		resp, err := c.client.Do(r.Context(), p, http.MethodPost, "/v1/runs/"+id+"/"+action, nil, nil)
 		if err != nil && resp == nil {
 			return false
 		}
@@ -485,7 +468,7 @@ func (c *clusterState) failover(p *placement) {
 	if ok && target.Peer.Name != c.self.Name {
 		var st runStatus
 		resp, err := c.client.DoHeader(c.ctx, target.Peer, http.MethodPost, "/v1/runs",
-			c.internalHdr(tenant), req, &st)
+			tenantHdr(tenant), req, &st)
 		var se *cluster.StatusError
 		// 409 means the target already hosts this ID — it replayed the run
 		// from its own journal, or an earlier failover attempt landed.
@@ -569,8 +552,7 @@ func (c *clusterState) pollRemote(p *placement) {
 		return
 	}
 	var st runStatus
-	_, err := c.client.DoHeader(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id,
-		c.internalHdr(""), nil, &st)
+	_, err := c.client.Do(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id, nil, &st)
 	if err != nil {
 		var se *cluster.StatusError
 		if errors.As(err, &se) && se.Status == http.StatusNotFound {
@@ -623,13 +605,10 @@ func (c *clusterState) finishPlacement(p *placement, state string) {
 	}
 }
 
+// peerNamed returns the named peer; false for self and unknown names.
 func (c *clusterState) peerNamed(name string) (cluster.Peer, bool) {
-	for _, n := range c.mem.Nodes() {
-		if n.Peer.Name == name && !n.Self {
-			return n.Peer, true
-		}
-	}
-	return cluster.Peer{}, false
+	n, ok := c.mem.Node(name)
+	return n.Peer, ok && !n.Self
 }
 
 // clusterInfo is the GET /v1/cluster body.

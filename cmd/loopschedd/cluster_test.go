@@ -600,7 +600,6 @@ func TestClusterDisabledSingleNode(t *testing.T) {
 
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/runs",
 		strings.NewReader(`{"id": "evil-run-0001", "program": "doall I = 1..10 { work 5 }", "options": {}}`))
-	req.Header.Set(internalHeader, "1")
 	req.Header.Set(tenantHeader, "spoofed")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -771,7 +770,6 @@ func TestClusterSpoofedInternalRejected(t *testing.T) {
 	// ordinary client request: IDs are server-assigned, 400.
 	req, _ := http.NewRequest(http.MethodPost, tc.url(0)+"/v1/runs",
 		strings.NewReader(`{"id": "n1-run-6666", "program": "doall I = 1..10 { work 5 }", "options": {}}`))
-	req.Header.Set(internalHeader, "1")
 	req.Header.Set(tenantHeader, "spoofed")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -784,7 +782,6 @@ func TestClusterSpoofedInternalRejected(t *testing.T) {
 
 	// The tenant header is ignored without the secret and honored with it.
 	treq, _ := http.NewRequest(http.MethodPost, "/v1/runs", nil)
-	treq.Header.Set(internalHeader, "1")
 	treq.Header.Set(tenantHeader, "spoofed")
 	if tenant, _ := tc.srvs[0].resolveTenant(treq); tenant == "spoofed" {
 		t.Fatal("tenant header honored without the cluster secret")

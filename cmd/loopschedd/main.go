@@ -46,7 +46,7 @@
 // With -journal FILE the daemon appends every submission and lifecycle
 // transition to a durable append-only journal; on the next boot, runs
 // whose last record is not terminal are re-queued under their original
-// IDs. -journal-sync picks the fsync policy (always|close|none).
+// IDs. -journal-sync picks the fsync policy (always|none).
 //
 // With -tenants FILE the daemon becomes multi-tenant: the file declares
 // tenants (scheduling weight, priority class, admission quotas) and the
@@ -57,9 +57,10 @@
 // a Retry-After header; the header's value is advisory — a small
 // jittered delay in whole seconds (currently 1..3, so synchronized
 // clients spread their retries) — and only its presence and positivity
-// are API. -scheduler picks the dispatch policy: fifo (strict
-// submission order, the default) or wfq (weighted-fair across tenants
-// with priority preemption).
+// are API. Queued runs dispatch weighted-fair across tenants, by
+// priority class first, and a submission may preempt a running run of a
+// strictly lower class; with one tenant, runs dispatch in submission
+// order.
 //
 // With -node/-peers (or -cluster FILE) the daemon joins a static peer
 // set and the nodes serve one API: any node accepts a submission,
@@ -97,7 +98,7 @@
 //
 // Example:
 //
-//	loopschedd -addr :8080 -max-concurrent 4 -scheduler wfq -tenants tenants.json &
+//	loopschedd -addr :8080 -max-concurrent 4 -tenants tenants.json &
 //	curl -s localhost:8080/v1/runs -H 'Authorization: Bearer secret-1' \
 //	     -d '{"program":"doall I = 1..2000 { work 100 }","options":{"procs":8,"scheme":"gss"}}'
 //	curl -s localhost:8080/v1/runs/run-0001
@@ -113,13 +114,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/journal"
-	"repro/runner"
 )
 
 // clusterFlags folds the cluster flags into clusterOptions. -cluster
@@ -186,8 +185,7 @@ func main() {
 		watchdogCancel  = flag.Bool("watchdog-cancel", false, "cancel runs the watchdog declares stuck")
 		drainTimeout    = flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for live runs to finish before cancelling them")
 		journalPath     = flag.String("journal", "", "durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)")
-		journalSync     = flag.String("journal-sync", "always", "journal fsync policy: always, close or none")
-		scheduler       = flag.String("scheduler", "fifo", "dispatch policy: "+strings.Join(runner.SchedulerNames(), " or "))
+		journalSync     = flag.String("journal-sync", "always", "journal fsync policy: always or none")
 		tenantsPath     = flag.String("tenants", "", "tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)")
 		node            = flag.String("node", "", "this node's name in the cluster peer set (\"\" = single-node mode)")
 		peers           = flag.String("peers", "", "static cluster peer set as name=url,name=url (self included)")
@@ -232,7 +230,6 @@ func main() {
 		WatchdogCancel: *watchdogCancel,
 		JournalPath:    *journalPath,
 		JournalSync:    syncPolicy,
-		Scheduler:      *scheduler,
 		Tenants:        tenants,
 		Cluster:        clusterOpts,
 	})
@@ -256,7 +253,7 @@ func main() {
 		httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("loopschedd listening on %s (max-concurrent %d, scheduler %s)", *addr, *maxConcurrent, *scheduler)
+	log.Printf("loopschedd listening on %s (max-concurrent %d)", *addr, *maxConcurrent)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

@@ -7,9 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -37,9 +35,6 @@ type serverConfig struct {
 	JournalPath string
 	// JournalSync is the journal's fsync policy.
 	JournalSync journal.Sync
-	// Scheduler is the dispatch policy name ("" or "fifo" for strict
-	// submission order, "wfq" for weighted-fair queueing across tenants).
-	Scheduler string
 	// Tenants enables multi-tenant auth and admission; nil serves
 	// everything as the anonymous tenant with no authentication.
 	Tenants *tenantsFile
@@ -72,11 +67,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
-	// Validate the policy name here, where it arrives from a flag:
-	// runner.New treats an unknown scheduler as a programming error.
-	if names := runner.SchedulerNames(); cfg.Scheduler != "" && !slices.Contains(names, cfg.Scheduler) {
-		return nil, fmt.Errorf("loopschedd: unknown scheduler %q (known: %s)", cfg.Scheduler, strings.Join(names, ", "))
-	}
 	idPrefix := ""
 	if cfg.Cluster.enabled() {
 		// Node-name-prefixed run IDs are unique cluster-wide, so any node
@@ -95,7 +85,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		QueueLimit:     cfg.QueueLimit,
 		SampleInterval: cfg.SampleInterval,
 		Metrics:        reg,
-		Scheduler:      cfg.Scheduler,
 		Tenants:        cfg.Tenants.tenantConfig(),
 		IDPrefix:       idPrefix,
 		OnEvent:        s.onEvent,

@@ -27,9 +27,9 @@ const (
 
 // NodeState is a peer's observed liveness. A row moves on the outcome of
 // this node's own probes and on nothing else: any answer makes the peer
-// alive; SuspectAfter, then DeadAfter, consecutive counted probes met
-// with silence make it suspect, then dead — from unconfirmed as from
-// alive, so a peer that never comes up is failed over too.
+// alive; the first counted probe met with silence makes it suspect, and
+// DeadAfter of them in a row dead — from unconfirmed as from alive, so a
+// peer that never comes up is failed over too.
 type NodeState uint8
 
 const (
@@ -38,9 +38,9 @@ const (
 	NodeUnconfirmed NodeState = iota
 	// NodeAlive peers answered their most recent probe.
 	NodeAlive
-	// NodeSuspect peers met at least SuspectAfter counted probes with
-	// silence: not placed on, but not failed over — one dropped probe is
-	// routine under injected faults.
+	// NodeSuspect peers met silence on their latest counted probe: not
+	// placed on, but not failed over — one dropped probe is routine under
+	// injected faults.
 	NodeSuspect
 	// NodeDead peers met DeadAfter counted probes with silence: their
 	// checkpointable runs are eligible for failover.
@@ -94,12 +94,11 @@ type MembershipConfig struct {
 	// Interval spaces the counted probes of one peer, and bounds each
 	// probe's deadline (default 500ms).
 	Interval time.Duration
-	// SuspectAfter / DeadAfter are the counts of consecutive counted
-	// probes met with silence that demote a peer (defaults 1 / 3), so a
-	// peer is declared dead after DeadAfter·Interval of silence and no
-	// sooner. DeadAfter must be at least SuspectAfter.
-	SuspectAfter int
-	DeadAfter    int
+	// DeadAfter is the count of consecutive counted probes met with
+	// silence that declares a peer dead (default 3), so a peer is declared
+	// dead after DeadAfter·Interval of silence and no sooner; the first
+	// such probe makes it suspect.
+	DeadAfter int
 	// OnDead, if non-nil, is called (from the peer's probe goroutine,
 	// without locks held) each time a peer transitions into NodeDead —
 	// the daemon's failover hook.
@@ -124,8 +123,8 @@ type MembershipConfig struct {
 // two kinds of probe:
 //
 //   - Counted probes are spaced Interval apart, measured from the peer's
-//     last answer. Only they can demote a peer, so SuspectAfter and
-//     DeadAfter count intervals of real silence.
+//     last answer. Only they can demote a peer, so DeadAfter counts
+//     intervals of real silence.
 //   - Uncounted probes converge faster than the interval without
 //     shortening it: the first probe at Start, re-probes of a peer that
 //     is not alive on a doubling backoff, and one probe per Hello. Their
@@ -169,14 +168,8 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 1
-	}
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 3
-	}
-	if cfg.DeadAfter < cfg.SuspectAfter {
-		return nil, fmt.Errorf("cluster: DeadAfter %d < SuspectAfter %d", cfg.DeadAfter, cfg.SuspectAfter)
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -340,11 +333,9 @@ func (m *Membership) fold(r *memberRow, resp *Response, counted bool) (alive, ju
 	case counted:
 		r.failures++
 		r.ready = false
-		switch {
-		case r.failures >= m.cfg.DeadAfter:
+		r.state = NodeSuspect
+		if r.failures >= m.cfg.DeadAfter {
 			r.state = NodeDead
-		case r.failures >= m.cfg.SuspectAfter:
-			r.state = NodeSuspect
 		}
 	}
 	if counted {

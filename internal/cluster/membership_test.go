@@ -802,10 +802,4 @@ func TestMembershipValidation(t *testing.T) {
 	if _, err := NewMembership(MembershipConfig{Self: "n1", Peers: []Peer{{Name: "n1", URL: "u"}}}); err == nil {
 		t.Fatal("nil client accepted")
 	}
-	if _, err := NewMembership(MembershipConfig{
-		Self: "n1", Peers: []Peer{{Name: "n1", URL: "u"}}, Client: c,
-		SuspectAfter: 5, DeadAfter: 2,
-	}); err == nil {
-		t.Fatal("DeadAfter < SuspectAfter accepted")
-	}
 }

@@ -179,7 +179,7 @@ func (c *Client) Do(ctx context.Context, peer Peer, method, path string, in, out
 }
 
 // DoHeader is Do with extra request headers (copied onto every
-// attempt) — the daemon marks intra-cluster calls this way.
+// attempt) — the daemon forwards a resolved tenant this way.
 func (c *Client) DoHeader(ctx context.Context, peer Peer, method, path string, hdr http.Header, in, out any) (*Response, error) {
 	br := c.Breaker(peer.Name)
 	if !br.Allow() {

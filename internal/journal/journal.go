@@ -157,32 +157,25 @@ const (
 	// SyncAlways fsyncs after every append: a crash loses at most the
 	// record being written. The durable default.
 	SyncAlways Sync = iota
-	// SyncClose fsyncs only on Close: cheap appends, a crash may lose
-	// the records since the last clean shutdown.
-	SyncClose
 	// SyncNone never fsyncs; durability is left to the OS page cache.
 	SyncNone
 )
 
-// ParseSync maps the CLI spellings "always", "close" and "none".
+// ParseSync maps the CLI spellings "always" and "none".
 func ParseSync(s string) (Sync, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "close":
-		return SyncClose, nil
 	case "none":
 		return SyncNone, nil
 	}
-	return 0, fmt.Errorf("journal: unknown sync policy %q (want always, close or none)", s)
+	return 0, fmt.Errorf("journal: unknown sync policy %q (want always or none)", s)
 }
 
 func (s Sync) String() string {
 	switch s {
 	case SyncAlways:
 		return "always"
-	case SyncClose:
-		return "close"
 	case SyncNone:
 		return "none"
 	}

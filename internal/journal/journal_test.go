@@ -136,7 +136,7 @@ func TestEncodeRejectsOversize(t *testing.T) {
 
 func TestWriterAppendsAcrossReopens(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
-	for _, policy := range []Sync{SyncAlways, SyncClose, SyncNone} {
+	for _, policy := range []Sync{SyncAlways, SyncNone} {
 		w, err := Open(path, policy)
 		if err != nil {
 			t.Fatal(err)
@@ -161,10 +161,10 @@ func TestWriterAppendsAcrossReopens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("decoded %d records after 3 reopens, want 3", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("decoded %d records after 2 reopens, want 2", len(recs))
 	}
-	for i, want := range []string{"always", "close", "none"} {
+	for i, want := range []string{"always", "none"} {
 		if recs[i].ID != want {
 			t.Errorf("record %d id = %q, want %q", i, recs[i].ID, want)
 		}
@@ -259,13 +259,15 @@ func TestOpenTruncatesUnreachableTail(t *testing.T) {
 }
 
 func TestParseSync(t *testing.T) {
-	for s, want := range map[string]Sync{"always": SyncAlways, "close": SyncClose, "none": SyncNone} {
+	for s, want := range map[string]Sync{"always": SyncAlways, "none": SyncNone} {
 		got, err := ParseSync(s)
 		if err != nil || got != want {
 			t.Errorf("ParseSync(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSync("sometimes"); err == nil {
-		t.Error("ParseSync accepted an unknown policy")
+	for _, s := range []string{"sometimes", "close"} {
+		if _, err := ParseSync(s); err == nil {
+			t.Errorf("ParseSync accepted the unknown policy %q", s)
+		}
 	}
 }

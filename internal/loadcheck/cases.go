@@ -15,12 +15,11 @@ import "repro/runner"
 // clock on a shared box and stays a floor — bench/ owns that number.
 var Cases = []Case{
 	{
-		// Sustained anonymous load of tiny nests through the default
-		// FIFO path: the baseline serving-throughput and per-run
-		// allocation check.
-		Name:      "steady_tiny",
-		Class:     "typical",
-		Scheduler: "fifo",
+		// Sustained anonymous load of tiny nests through one tenant's
+		// queue, dispatched in submission order: the baseline
+		// serving-throughput and per-run allocation check.
+		Name:  "steady_tiny",
+		Class: "typical",
 		Streams: []Stream{
 			{Runs: 300, Iters: 32},
 		},
@@ -33,12 +32,11 @@ var Cases = []Case{
 		},
 	},
 	{
-		// A bursty heavyweight tenant against a steady lightweight one
-		// under wfq: the burst must not capture the dispatch order —
+		// A bursty heavyweight tenant against a steady lightweight one:
+		// the burst must not capture the dispatch order —
 		// the 3:1 weighted share holds over the contended window.
-		Name:      "mixed_tenant_burst",
-		Class:     "small",
-		Scheduler: "wfq",
+		Name:  "mixed_tenant_burst",
+		Class: "small",
 		Tenants: map[string]runner.Tenant{
 			"gold":   {Weight: 3},
 			"bronze": {Weight: 1},
@@ -65,9 +63,8 @@ var Cases = []Case{
 		// restore points. The throughput goal bounds what the snapshot
 		// machinery may cost the serving path; the memory goal bounds
 		// the per-leg snapshot allocations.
-		Name:      "chained_snapshots",
-		Class:     "typical",
-		Scheduler: "fifo",
+		Name:  "chained_snapshots",
+		Class: "typical",
 		Streams: []Stream{
 			{Runs: 150, Iters: 32, CheckpointEvery: 4},
 		},
@@ -81,9 +78,8 @@ var Cases = []Case{
 		// Admission pressure on the small class: a quota-capped tenant
 		// floods the box; the box sheds cleanly (typed rejections, no
 		// wedge) and completes everything it admitted.
-		Name:      "admission_shed",
-		Class:     "small",
-		Scheduler: "fifo",
+		Name:  "admission_shed",
+		Class: "small",
 		Tenants: map[string]runner.Tenant{
 			"capped": {MaxInflight: 4},
 		},
@@ -102,9 +98,8 @@ var Cases = []Case{
 		// of tiny runs, 64 in flight, through one Runner that never
 		// forgets a run. What is left per terminal run is its outcome
 		// record, not its machine: measured 1.27 kB (13.6 kB before).
-		Name:      "soak_tiny",
-		Class:     "typical",
-		Scheduler: "fifo",
+		Name:  "soak_tiny",
+		Class: "typical",
 		Streams: []Stream{
 			{Runs: 5000, Iters: 8, Window: 64},
 		},

@@ -107,15 +107,14 @@ type Goals struct {
 	Fairness *FairnessGoal
 }
 
-// Case is one workload check: a machine class, a scheduler, tenants,
-// submission streams and goals.
+// Case is one workload check: a machine class, tenants, submission
+// streams and goals.
 type Case struct {
-	Name      string
-	Class     string
-	Scheduler string
-	Tenants   map[string]runner.Tenant
-	Streams   []Stream
-	Goals     Goals
+	Name    string
+	Class   string
+	Tenants map[string]runner.Tenant
+	Streams []Stream
+	Goals   Goals
 }
 
 // Report is a case's measured outcome.
@@ -186,7 +185,6 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	rn := runner.New(runner.Config{
 		MaxConcurrent: class.Workers,
 		QueueLimit:    class.QueueLimit,
-		Scheduler:     c.Scheduler,
 		Tenants:       c.Tenants,
 	})
 	defer rn.Close()

@@ -139,7 +139,7 @@ func TestCheckpointEveryYieldsToPauseRequest(t *testing.T) {
 // higher-priority submission yields through a snapshot, requeues, and
 // still finishes with uninterrupted totals.
 func TestCheckpointEveryPreemption(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: map[string]Tenant{
+	rn := New(Config{MaxConcurrent: 1, Tenants: map[string]Tenant{
 		"gold": {Priority: 10},
 	}})
 	defer rn.Close()

@@ -217,7 +217,7 @@ func TestEventGrammar(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			log := newEventLog(t)
 			log.fakes = true
-			rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes, OnEvent: log.record})
+			rn := New(Config{MaxConcurrent: 1, Tenants: classes, OnEvent: log.record})
 			defer rn.Close()
 			r := tc.drive(env{rn, log})
 			drainRunner(t, rn)
@@ -283,8 +283,7 @@ func checkCensus(t *testing.T, rn *Runner, when string) {
 		load[name] = l
 	}
 	got := rn.Stats()
-	want.Preempted, want.Scheduler, want.MaxConcurrent, want.Closed =
-		got.Preempted, got.Scheduler, got.MaxConcurrent, got.Closed
+	want.Preempted, want.MaxConcurrent, want.Closed = got.Preempted, got.MaxConcurrent, got.Closed
 	if got != want {
 		t.Errorf("%s: Stats() = %+v, recount over Runs() = %+v", when, got, want)
 	}
@@ -306,7 +305,6 @@ func TestEventStormKeepsCensusAndGrammar(t *testing.T) {
 	log.fakes = true
 	rn := New(Config{
 		MaxConcurrent: 3,
-		Scheduler:     "wfq",
 		Tenants:       map[string]Tenant{"alpha": {Priority: 1}, "beta": {Priority: 2}, "gamma": {Priority: 2}},
 		OnEvent:       log.record,
 	})
@@ -449,7 +447,6 @@ func TestEventGrammarRunnerPaths(t *testing.T) {
 		log := newEventLog(t)
 		rn := New(Config{
 			MaxConcurrent: 1,
-			Scheduler:     "wfq",
 			Tenants:       map[string]Tenant{"bulk": {}, "urgent": {Priority: 5}},
 			OnEvent:       log.record,
 		})
@@ -484,7 +481,7 @@ func TestEventGrammarRunnerPaths(t *testing.T) {
 }
 
 // TestEventStormTenantCensus is the randomized storm over real programs: four
-// goroutines submit for three tenants under wfq (priorities preempt,
+// goroutines submit for three tenants (priorities preempt,
 // admission caps reject) and cancel at random. Quiesced mid-flight and
 // again after the drain, Stats() equals a recount over Runs(), every
 // tenant's queued/running figures equal a recount, and every run's
@@ -493,7 +490,6 @@ func TestEventStormTenantCensus(t *testing.T) {
 	log := newEventLog(t)
 	rn := New(Config{
 		MaxConcurrent: 2,
-		Scheduler:     "wfq",
 		Tenants: map[string]Tenant{
 			"gold":   {Weight: 3, Priority: 2},
 			"silver": {Priority: 1, MaxInflight: 6},

@@ -167,23 +167,21 @@ func (rn *Runner) deliver(ev Event) {
 // queue and the first dispatch are one step. It returns once the run's
 // Submitted event, carrying record, has been delivered.
 func (rn *Runner) submit(r *Run, record any) error {
-	key := tenantName(r.tenant)
-	ten := rn.cfg.Tenants[key]
 	rn.mu.Lock()
 	if rn.closed {
 		rn.mu.Unlock()
 		return ErrClosed
 	}
-	t := rn.ledgerLocked(key)
-	if err := ten.admit(t); err != nil {
+	t := rn.ledgerLocked(tenantName(r.tenant))
+	if err := t.admit(); err != nil {
 		t.rejected++
 		rn.mu.Unlock()
 		if rn.tmet != nil {
-			rn.tmet.rejected.With(key).Inc()
+			rn.tmet.rejected.With(t.name).Inc()
 		}
 		return err
 	}
-	if rn.cfg.QueueLimit > 0 && rn.sched.len() >= rn.cfg.QueueLimit {
+	if rn.cfg.QueueLimit > 0 && rn.queued >= rn.cfg.QueueLimit {
 		rn.mu.Unlock()
 		return ErrQueueFull
 	}
@@ -202,7 +200,6 @@ func (rn *Runner) submit(r *Run, record any) error {
 		}
 	}
 	r.rn, r.ledger = rn, t
-	r.weight, r.priority = ten.Weight, ten.Priority
 	r.submitted = time.Now()
 	r.startedCh = make(chan struct{})
 	r.done = make(chan struct{})
@@ -214,7 +211,7 @@ func (rn *Runner) submit(r *Run, record any) error {
 	rn.census[StateQueued]++
 	t.census[StateQueued]++
 	delivered := rn.emitLocked(Event{Kind: EventSubmitted, Run: r, Record: record})
-	rn.sched.push(r)
+	rn.pushLocked(r)
 	rn.dispatchLocked()
 	victim := rn.pickVictimLocked(r)
 	rn.mu.Unlock()
@@ -248,24 +245,6 @@ func trailingNumber(id string) (int, bool) {
 	return n, true
 }
 
-// pickVictimLocked asks a preempting scheduler for a running victim when
-// the freshly pushed run is still queued with every worker slot busy. It
-// offers exactly the running set — at most MaxConcurrent runs, however
-// many the Runner has ever served. The victim is marked preempting under
-// the lock (so a run is never preempted twice concurrently); the caller
-// delivers the preemption outside it.
-func (rn *Runner) pickVictimLocked(r *Run) *Run {
-	p, ok := rn.sched.(preempter)
-	if !ok || r.state != StateQueued || len(rn.running) < rn.cfg.MaxConcurrent {
-		return nil
-	}
-	v := p.victim(r, rn.running)
-	if v != nil {
-		v.preempting = true
-	}
-	return v
-}
-
 // preempt delivers a preemption decision to the run, outside the
 // Runner's lock: cooperatively through its executor's checkpoint request
 // when the run has the seam — it then yields shortly with a snapshot and
@@ -286,9 +265,9 @@ func (r *Run) preempt() {
 
 // dispatchLocked starts queued runs while the worker budget has room.
 func (rn *Runner) dispatchLocked() {
-	for len(rn.running) < rn.cfg.MaxConcurrent && rn.sched.len() > 0 {
-		r := rn.sched.pop()
-		if r == nil || r.state != StateQueued {
+	for len(rn.running) < rn.cfg.MaxConcurrent && rn.queued > 0 {
+		r := rn.popLocked()
+		if r.state != StateQueued {
 			continue // cancelled while waiting
 		}
 		rn.setStateLocked(r, StateRunning)
@@ -336,8 +315,8 @@ func (rn *Runner) exec(r *Run) {
 		(errors.Is(err, repro.ErrCheckpointed) || errors.Is(err, context.Canceled)) {
 		// Preemption took effect: the attempt yielded (cooperatively with
 		// a checkpoint, or through the attempt-context cancel). The run is
-		// not terminal — it goes back to the queue and redispatches when
-		// the scheduler next selects it; a checkpointing run resumes from
+		// not terminal — it goes back to its tenant's queue and redispatches
+		// when the queue next selects it; a checkpointing run resumes from
 		// its snapshot, others restart from scratch. A user cancel
 		// (r.ctx.Err() != nil) or a genuine outcome that raced the
 		// preemption wins and finalizes normally below.
@@ -346,7 +325,7 @@ func (rn *Runner) exec(r *Run) {
 		r.startedCh = make(chan struct{})
 		rn.preempted++
 		rn.emitLocked(Event{Kind: EventPreempted, Run: r})
-		rn.sched.push(r)
+		rn.pushLocked(r)
 	} else {
 		r.finalizeLocked(res, err)
 	}

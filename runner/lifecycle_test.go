@@ -427,52 +427,29 @@ func TestStartedSignal(t *testing.T) {
 	}
 }
 
-// offerLog is a preempting scheduler that records what victim was
-// offered and always declines.
-type offerLog struct {
-	fifo
-	offers [][]*Run
-}
-
-func (o *offerLog) victim(_ *Run, running []*Run) *Run {
-	o.offers = append(o.offers, append([]*Run(nil), running...))
-	return nil
-}
-
 // TestVictimScanIsBounded pins the per-request work of a contended
 // submit, of Close and of Drain: after 1 000 runs have come and gone, the
-// scheduler is offered exactly the running set, and the Runner's live set
+// victim scan covers exactly the running set, and the Runner's live set
 // holds the live runs only.
 func TestVictimScanIsBounded(t *testing.T) {
-	sched := &offerLog{}
 	rn := New(Config{MaxConcurrent: 2})
-	rn.sched = sched
 	defer rn.Close()
 	for i := 0; i < 1000; i++ {
 		mustSubmit(t, rn, &Run{}, noop)
 	}
 	drainRunner(t, rn)
-	for _, offer := range sched.offers { // the submits that found both slots busy
-		if len(offer) != 2 {
-			t.Fatalf("victim was offered %d run(s) with 2 slots", len(offer))
-		}
-	}
-	sched.offers = nil
 
 	holders := []*Run{mustSubmit(t, rn, &Run{}, untilCancelled), mustSubmit(t, rn, &Run{}, untilCancelled)}
 	waiting := mustSubmit(t, rn, &Run{}, noop)
-	if len(sched.offers) != 1 {
-		t.Fatalf("victim consulted %d time(s) by one contended submit, want 1", len(sched.offers))
-	}
-	offer := sched.offers[0]
-	if len(offer) != 2 || !(offer[0] == holders[0] && offer[1] == holders[1] || offer[0] == holders[1] && offer[1] == holders[0]) {
-		t.Errorf("victim was offered %d run(s), want exactly the two running ones", len(offer))
-	}
 	rn.mu.Lock()
+	scan := append([]*Run(nil), rn.running...) // what pickVictimLocked scans
 	live, running := len(rn.live), len(rn.running)
 	rn.mu.Unlock()
 	if live != 3 || running != 2 {
-		t.Errorf("live set holds %d run(s) and running set %d after 1000 terminal runs, want 3 and 2", live, running)
+		t.Fatalf("live set holds %d run(s) and running set %d after 1000 terminal runs, want 3 and 2", live, running)
+	}
+	if !(scan[0] == holders[0] && scan[1] == holders[1] || scan[0] == holders[1] && scan[1] == holders[0]) {
+		t.Errorf("victim scan does not cover exactly the two running runs")
 	}
 
 	// Drain waits on the live runs (and the event pump), not on history.

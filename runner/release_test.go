@@ -171,7 +171,7 @@ func TestTerminalRunReleasesItsMachine(t *testing.T) {
 			return r
 		}},
 		{"preempted then done", StateDone, 2, func(t *testing.T, w *watcher) *Run {
-			rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: map[string]Tenant{"gold": {Priority: 10}}})
+			rn := New(Config{MaxConcurrent: 1, Tenants: map[string]Tenant{"gold": {Priority: 10}}})
 			// The victim is checkpointable, so the preemption is its
 			// executor's checkpoint request, raised before the preemptor's
 			// Submit returns. Its first attempt sits in its gated unit chunks

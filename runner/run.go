@@ -16,10 +16,9 @@ type Run struct {
 	id     string
 	label  string
 	tenant string // as submitted ("" for keyless work); ledger is its key
+	// ledger is the tenant's record: its weight and priority class, and
+	// the queue the run waits in.
 	ledger *ledger
-	// weight and priority are the tenant's scheduling identity, consumed by
-	// tenant-aware schedulers (wfq); fifo ignores them.
-	weight, priority int
 	// body executes one attempt of the run under the attempt's context.
 	// Submit builds it from the Submission; it is the seam in-package tests
 	// fill with fakes. Nil once the run is terminal.

@@ -59,15 +59,12 @@ type Config struct {
 	// unbounded. Submissions beyond the cap fail with ErrQueueFull rather
 	// than blocking, so a serving frontend can shed load.
 	QueueLimit int
-	// Scheduler selects the queue policy: "" or "fifo" (strict
-	// submission order) or "wfq" (per-tenant weighted-fair queueing with
-	// priority classes and preemption). New panics on unknown names —
-	// validate user-supplied values against SchedulerNames first.
-	Scheduler string
-	// Tenants configures tenant identities and admission limits, keyed
-	// by tenant name; keyless work (Submission.Tenant "") is the tenant
-	// named "anonymous". Submissions naming an unconfigured tenant run with
-	// the zero-value Tenant (weight 1, priority 0, no caps).
+	// Tenants configures tenant identities, dispatch shares and admission
+	// limits, keyed by tenant name; keyless work (Submission.Tenant "") is
+	// the tenant named "anonymous". Submissions naming an unconfigured
+	// tenant run with the zero-value Tenant (weight 1, priority 0, no
+	// caps). Queued runs dispatch weighted-fair across tenants, by priority
+	// class first (sched.go); with one tenant, in submission order.
 	Tenants map[string]Tenant
 	// SampleInterval is the period of Watch progress streams (default
 	// 50ms).
@@ -195,11 +192,10 @@ type Runner struct {
 
 	// mu is the Runner's one lock. It guards everything below and the
 	// fields of every Run and ledger marked so.
-	mu    sync.Mutex
-	seq   int
-	byID  map[string]*Run
-	runs  []*Run // every run ever accepted, in submission order
-	sched scheduler
+	mu   sync.Mutex
+	seq  int
+	byID map[string]*Run
+	runs []*Run // every run ever accepted, in submission order
 	// live holds the queued and running runs (Run.liveAt is the run's
 	// index), running the executing ones — at most MaxConcurrent. The
 	// transitions keep both, so Close, Drain and the preemption scan cost
@@ -213,7 +209,12 @@ type Runner struct {
 	census    census
 	stalled   int
 	preempted int
-	ledgers   map[string]*ledger
+	// ledgers is every tenant's record, its dispatch queue included;
+	// queued counts the entries of those queues and vnow is their virtual
+	// time (sched.go).
+	ledgers map[string]*ledger
+	queued  int
+	vnow    float64
 	// events is the undelivered tail of the event stream and pumping says a
 	// pump goroutine is on it; delivered is closed once the most recently
 	// queued event — and so every event before it — has been delivered.
@@ -323,13 +324,10 @@ func New(cfg Config) *Runner {
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 50 * time.Millisecond
 	}
-	sched, err := newScheduler(cfg.Scheduler)
-	if err != nil {
-		// A scheduler name reaches here from code, not users: loopschedd
-		// validates its -scheduler flag before constructing the Runner.
-		panic(err)
+	rn := &Runner{cfg: cfg, byID: map[string]*Run{}, ledgers: map[string]*ledger{}}
+	for name := range cfg.Tenants {
+		rn.ledgerLocked(name)
 	}
-	rn := &Runner{cfg: cfg, byID: map[string]*Run{}, sched: sched, ledgers: map[string]*ledger{}}
 	if cfg.Metrics != nil {
 		rn.met = newMetrics(cfg.Metrics)
 		rn.tmet = newTenantMetrics(cfg.Metrics)
@@ -346,7 +344,8 @@ func New(cfg Config) *Runner {
 // Submit validates and enqueues a run. It returns the run's handle, or
 // a validation error (errors.Is-able against the repro sentinels) /
 // queue error without enqueueing anything. The run starts immediately if
-// the worker budget has room, otherwise it waits its scheduler's turn.
+// the worker budget has room, otherwise it waits its turn in its tenant's
+// queue.
 func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	if sub.Program == nil {
 		return nil, ErrNoProgram
@@ -468,11 +467,9 @@ type Stats struct {
 	Checkpointed int `json:"checkpointed"`
 	// Stalled counts live runs the watchdog currently declares stuck.
 	Stalled int `json:"stalled"`
-	// Preempted counts preemption requeues: every time a scheduler
-	// evicted a running run in favor of a higher-priority submission.
+	// Preempted counts preemption requeues: every time a running run was
+	// evicted in favor of a higher-priority submission.
 	Preempted int `json:"preempted"`
-	// Scheduler names the queue policy ("fifo", "wfq").
-	Scheduler string `json:"scheduler"`
 	// MaxConcurrent echoes the configured worker budget.
 	MaxConcurrent int `json:"max_concurrent"`
 	// Closed reports whether the Runner has stopped accepting work.
@@ -494,7 +491,6 @@ func (rn *Runner) Stats() Stats {
 		Checkpointed:  rn.census[StateCheckpointed],
 		Stalled:       rn.stalled,
 		Preempted:     rn.preempted,
-		Scheduler:     rn.sched.name(),
 		MaxConcurrent: rn.cfg.MaxConcurrent,
 		Closed:        rn.closed,
 	}

@@ -4,32 +4,53 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
 )
 
-// qrun builds a bare queued run for scheduler unit tests (no Runner).
-func qrun(id, tenant string, weight, prio int) *Run {
-	return &Run{id: id, tenant: tenant, ledger: &ledger{name: tenantName(tenant)}, weight: weight, priority: prio}
+// qrun builds a bare queued run of tenant on rn's ledgers, for
+// dispatch-policy unit tests that push and pop without executing.
+func qrun(rn *Runner, id, tenant string) *Run {
+	return &Run{id: id, tenant: tenant, ledger: rn.ledgerLocked(tenantName(tenant))}
 }
 
-// TestFIFOGoldenSequence pins the default scheduler to strict submission
-// order — the manager's historical queue-slice behavior.
+// TestFIFOGoldenSequence pins single-tenant dispatch to strict submission
+// order — the manager's historical queue-slice behavior: with one tenant
+// and one worker slot, N submissions start in the order they were made.
 func TestFIFOGoldenSequence(t *testing.T) {
-	f := &fifo{}
-	for i := 0; i < 5; i++ {
-		f.push(qrun(fmt.Sprintf("r%d", i), "", 0, 0))
+	const n = 8
+	rn := New(Config{MaxConcurrent: 1})
+	defer rn.Close()
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var order []string
+	for i := 0; i < n; i++ {
+		label := fmt.Sprintf("r%d", i)
+		mustSubmit(t, rn, &Run{label: label}, func(context.Context) (*repro.Result, error) {
+			if i == 0 {
+				<-gate // hold the slot until the backlog is queued
+			}
+			mu.Lock()
+			order = append(order, label)
+			mu.Unlock()
+			return nil, nil
+		})
 	}
-	for i := 0; i < 5; i++ {
-		r := f.pop()
-		if r == nil || r.id != fmt.Sprintf("r%d", i) {
-			t.Fatalf("pop %d = %v, want r%d", i, r, i)
+	if st := rn.Stats(); st.QueueDepth != n-1 {
+		t.Fatalf("queue depth %d behind the held run, want %d", st.QueueDepth, n-1)
+	}
+	close(gate)
+	drainRunner(t, rn)
+	if len(order) != n {
+		t.Fatalf("%d of %d runs dispatched", len(order), n)
+	}
+	for i, label := range order {
+		if want := fmt.Sprintf("r%d", i); label != want {
+			t.Fatalf("dispatch order %v, want submission order", order)
 		}
-	}
-	if f.pop() != nil || f.len() != 0 {
-		t.Fatalf("drained FIFO not empty")
 	}
 }
 
@@ -37,14 +58,14 @@ func TestFIFOGoldenSequence(t *testing.T) {
 // backlog, tenants with 3:1 weights receive dispatch slots in a 3:1
 // ratio over any window that is a multiple of the schedule period.
 func TestWFQWeightedShare(t *testing.T) {
-	w, _ := newScheduler("wfq")
+	rn := New(Config{Tenants: map[string]Tenant{"alpha": {Weight: 3}, "beta": {Weight: 1}}})
 	for i := 0; i < 20; i++ {
-		w.push(qrun(fmt.Sprintf("a%d", i), "alpha", 3, 0))
-		w.push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
+		rn.pushLocked(qrun(rn, fmt.Sprintf("a%d", i), "alpha"))
+		rn.pushLocked(qrun(rn, fmt.Sprintf("b%d", i), "beta"))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 12; i++ {
-		r := w.pop()
+		r := rn.popLocked()
 		if r == nil {
 			t.Fatalf("pop %d: empty", i)
 		}
@@ -59,19 +80,19 @@ func TestWFQWeightedShare(t *testing.T) {
 // credit — after rejoining it still shares 1:1 with an equal-weight
 // tenant instead of monopolizing the queue to "catch up".
 func TestWFQIdleTenantNoWindfall(t *testing.T) {
-	w, _ := newScheduler("wfq")
+	rn := New(Config{})
 	for i := 0; i < 10; i++ {
-		w.push(qrun(fmt.Sprintf("a%d", i), "alpha", 1, 0))
+		rn.pushLocked(qrun(rn, fmt.Sprintf("a%d", i), "alpha"))
 	}
 	for i := 0; i < 6; i++ { // alpha runs alone for a while
-		w.pop()
+		rn.popLocked()
 	}
 	for i := 0; i < 10; i++ { // beta joins late
-		w.push(qrun(fmt.Sprintf("b%d", i), "beta", 1, 0))
+		rn.pushLocked(qrun(rn, fmt.Sprintf("b%d", i), "beta"))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 8; i++ {
-		counts[w.pop().tenant]++
+		counts[rn.popLocked().tenant]++
 	}
 	if counts["alpha"] != 4 || counts["beta"] != 4 {
 		t.Fatalf("post-join dispatches split %v, want 4:4", counts)
@@ -79,17 +100,18 @@ func TestWFQIdleTenantNoWindfall(t *testing.T) {
 }
 
 // TestWFQPriorityClasses: priority sits above fairness — the highest
-// priority present always dispatches first, and a tenant's urgent run
-// does not queue behind its own bulk work.
+// priority present always dispatches first, however much lower-class work
+// queued before it. A class is a tenant attribute, so the urgent run is
+// its own tenant's.
 func TestWFQPriorityClasses(t *testing.T) {
-	w, _ := newScheduler("wfq")
-	w.push(qrun("bulk1", "alpha", 1, 0))
-	w.push(qrun("bulk2", "alpha", 1, 0))
-	w.push(qrun("other", "beta", 1, 0))
-	w.push(qrun("urgent", "alpha", 1, 5))
+	rn := New(Config{Tenants: map[string]Tenant{"urgent": {Priority: 5}}})
+	rn.pushLocked(qrun(rn, "bulk1", "alpha"))
+	rn.pushLocked(qrun(rn, "bulk2", "alpha"))
+	rn.pushLocked(qrun(rn, "other", "beta"))
+	rn.pushLocked(qrun(rn, "urgent", "urgent"))
 	order := []string{}
-	for w.len() > 0 {
-		order = append(order, w.pop().id)
+	for rn.queued > 0 {
+		order = append(order, rn.popLocked().id)
 	}
 	if order[0] != "urgent" {
 		t.Fatalf("dispatch order %v, want urgent first", order)
@@ -100,26 +122,31 @@ func TestWFQPriorityClasses(t *testing.T) {
 // lower priorities are evicted, the lowest loses, and ties forfeit the
 // most recently started run (least progress lost).
 func TestWFQVictimSelection(t *testing.T) {
-	w, _ := newScheduler("wfq")
-	mk := func(id string, prio int, started time.Time) *Run {
-		r := qrun(id, "t", 1, prio)
+	rn := New(Config{Tenants: map[string]Tenant{"peer": {Priority: 3}, "low": {Priority: 1}}})
+	mk := func(id, tenant string, started time.Time) *Run {
+		r := qrun(rn, id, tenant)
 		r.state = StateRunning
 		r.started = started
 		return r
 	}
 	t0 := time.Now()
-	peer := mk("peer", 3, t0)
-	oldLow := mk("old-low", 1, t0)
-	newLow := mk("new-low", 1, t0.Add(time.Second))
-	queued := qrun("q", "t", 1, 3)
-	if v := w.(preempter).victim(queued, []*Run{peer}); v != nil {
-		t.Fatalf("preempted equal-priority peer %s", v.id)
+	peer := mk("peer", "peer", t0)
+	oldLow := mk("old-low", "low", t0)
+	newLow := mk("new-low", "low", t0.Add(time.Second))
+	queued := qrun(rn, "q", "peer")
+	if rn.running = []*Run{peer}; rn.pickVictimLocked(queued) != nil {
+		t.Fatalf("preempted equal-priority peer")
 	}
-	if v := w.(preempter).victim(queued, []*Run{peer, oldLow, newLow}); v != newLow {
+	rn.running = []*Run{peer, oldLow, newLow}
+	if v := rn.pickVictimLocked(queued); v != newLow {
 		t.Fatalf("victim = %v, want the most recently started low-priority run", v)
 	}
-	newLow.preempting = true // its eviction is already in flight
-	if v := w.(preempter).victim(queued, []*Run{peer, oldLow, newLow}); v != oldLow {
+	// The pick marked newLow: its eviction is in flight, so it is not
+	// picked again.
+	if !newLow.preempting {
+		t.Fatal("the picked victim is not marked preempting")
+	}
+	if v := rn.pickVictimLocked(queued); v != oldLow {
 		t.Fatalf("victim = %v, want the low-priority run not already being evicted", v)
 	}
 }
@@ -130,7 +157,7 @@ func TestWFQVictimSelection(t *testing.T) {
 // (attempt count grows), and it finishes after the urgent run releases
 // the slot.
 func TestManagerPreemptCooperative(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	rn := New(Config{MaxConcurrent: 1, Tenants: classes})
 	defer rn.Close()
 
 	probe := yielder()
@@ -160,8 +187,8 @@ func TestManagerPreemptCooperative(t *testing.T) {
 	if got := attemptsOf(low); got != 2 {
 		t.Errorf("attempts = %d, want 2 (dispatched, preempted, redispatched)", got)
 	}
-	if st := rn.Stats(); st.Preempted != 1 || st.Scheduler != "wfq" {
-		t.Errorf("stats = %+v, want Preempted 1 under wfq", st)
+	if st := rn.Stats(); st.Preempted != 1 {
+		t.Errorf("stats = %+v, want Preempted 1", st)
 	}
 }
 
@@ -169,7 +196,7 @@ func TestManagerPreemptCooperative(t *testing.T) {
 // is evicted through its attempt context and restarts from scratch; the
 // run's own context stays live, so the restart is not a user cancel.
 func TestManagerPreemptNonCheckpointable(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	rn := New(Config{MaxConcurrent: 1, Tenants: classes})
 	defer rn.Close()
 
 	attempts := make(chan int, 2)
@@ -204,7 +231,7 @@ func TestManagerPreemptNonCheckpointable(t *testing.T) {
 // preemption is in flight finalizes the run as cancelled — it is not
 // resurrected into the queue.
 func TestManagerPreemptUserCancelWins(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 1, Scheduler: "wfq", Tenants: classes})
+	rn := New(Config{MaxConcurrent: 1, Tenants: classes})
 	defer rn.Close()
 
 	low := mustSubmit(t, rn, &Run{label: "low"}, untilCancelled)
@@ -215,37 +242,5 @@ func TestManagerPreemptUserCancelWins(t *testing.T) {
 	}
 	if got := low.State(); got != StateCancelled {
 		t.Fatalf("state = %v, want cancelled", got)
-	}
-}
-
-// TestFIFONeverPreempts: the default scheduler does not implement the
-// preempter seam, so a high-priority submission waits its turn.
-func TestFIFONeverPreempts(t *testing.T) {
-	rn := New(Config{MaxConcurrent: 1, Tenants: classes})
-	defer rn.Close()
-
-	release := make(chan struct{})
-	first := mustSubmit(t, rn, &Run{label: "first"}, func(ctx context.Context) (*repro.Result, error) {
-		select {
-		case <-release:
-			return nil, nil
-		case <-ctx.Done():
-			return nil, fmt.Errorf("first run evicted: %w", ctx.Err())
-		}
-	})
-	<-first.Started()
-	second := mustSubmit(t, rn, &Run{label: "urgent", tenant: "urgent"}, noop)
-	if st := second.State(); st != StateQueued {
-		t.Fatalf("urgent run under fifo is %v, want queued", st)
-	}
-	close(release)
-	if _, err := first.Wait(context.Background()); err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	if _, err := second.Wait(context.Background()); err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if st := rn.Stats(); st.Preempted != 0 || st.Scheduler != "fifo" {
-		t.Errorf("stats = %+v, want zero preemptions under fifo", st)
 	}
 }

@@ -21,11 +21,10 @@ var (
 // Tenant is one tenant's scheduling identity and admission limits.
 // The zero value is the default tenant: weight 1, priority 0, no caps.
 type Tenant struct {
-	// Weight scales the tenant's fair share under the wfq scheduler
-	// (0 means 1). FIFO ignores it.
+	// Weight scales the tenant's fair share of dispatch slots (0 means 1).
 	Weight int `json:"weight,omitempty"`
-	// Priority is the tenant's scheduling class under wfq: larger values
-	// dispatch first and may preempt strictly lower running runs.
+	// Priority is the tenant's scheduling class: larger values dispatch
+	// first and may preempt strictly lower running runs.
 	Priority int `json:"priority,omitempty"`
 	// MaxQueued caps the tenant's waiting submissions; exceeding it
 	// rejects with ErrTenantQueueFull. 0 is unbounded.
@@ -37,8 +36,8 @@ type Tenant struct {
 
 // tenantName is the one tenant key: keyless work ("" on a Submission) is
 // the tenant named "anonymous" — in Config.Tenants, in admission, in the
-// scheduler's queues, in the ledgers and in the metrics labels. Only
-// Run.Tenant and Progress.Tenant still say "", what was submitted.
+// ledgers and their queues and in the metrics labels. Only Run.Tenant and
+// Progress.Tenant still say "", what was submitted.
 func tenantName(t string) string {
 	if t == "" {
 		return "anonymous"
@@ -46,22 +45,30 @@ func tenantName(t string) string {
 	return t
 }
 
-// ledger is one tenant's books, guarded by rn.mu: the census of its runs
-// by state, kept by the transitions, and its lifetime outcome tallies,
-// folded from the event stream.
+// ledger is one tenant's record, guarded by rn.mu: its configuration
+// (Weight at least 1), the census of its runs by state, kept by the
+// transitions, its lifetime outcome tallies, folded from the event stream,
+// and its dispatch queue (sched.go).
 type ledger struct {
-	name   string
+	name string
+	Tenant
 	census census
 
 	submitted, done, failed, rejected, preempted int64
 	iterations                                   int64
+
+	// q holds the tenant's queued runs in arrival order; vtime is the
+	// virtual time its dispatches have been charged, 1/Weight each.
+	q     []*Run
+	vtime float64
 }
 
 // ledgerLocked returns (creating if needed) the tenant's ledger.
 func (rn *Runner) ledgerLocked(name string) *ledger {
 	t := rn.ledgers[name]
 	if t == nil {
-		t = &ledger{name: name}
+		t = &ledger{name: name, Tenant: rn.cfg.Tenants[name]}
+		t.Weight = max(t.Weight, 1)
 		rn.ledgers[name] = t
 	}
 	return t
@@ -69,12 +76,12 @@ func (rn *Runner) ledgerLocked(name string) *ledger {
 
 // admit enforces the tenant's admission limits against its live runs.
 // Callers hold rn.mu, so the check and the submit are one step.
-func (lim Tenant) admit(t *ledger) error {
+func (t *ledger) admit() error {
 	queued, running := t.census[StateQueued], t.census[StateRunning]
-	if lim.MaxInflight > 0 && queued+running >= lim.MaxInflight {
+	if t.MaxInflight > 0 && queued+running >= t.MaxInflight {
 		return ErrTenantInflight
 	}
-	if lim.MaxQueued > 0 && queued >= lim.MaxQueued {
+	if t.MaxQueued > 0 && queued >= t.MaxQueued {
 		return ErrTenantQueueFull
 	}
 	return nil
@@ -134,32 +141,20 @@ type TenantStats struct {
 
 // TenantStats returns the per-tenant census, sorted by tenant name: one
 // snapshot under the Runner's lock. Configured tenants appear even before
-// their first submission; the anonymous tenant appears once keyless work
-// has been seen.
+// their first submission (New opens their ledgers); the anonymous tenant
+// appears once keyless work has been seen.
 func (rn *Runner) TenantStats() []TenantStats {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	out := make([]TenantStats, 0, len(rn.ledgers)+len(rn.cfg.Tenants))
-	row := func(name string, t *ledger) {
-		cfg := rn.cfg.Tenants[name]
-		r := TenantStats{
-			Tenant: name, Weight: max(cfg.Weight, 1), Priority: cfg.Priority,
-			MaxQueued: cfg.MaxQueued, MaxInflight: cfg.MaxInflight,
-		}
-		if t != nil {
-			r.Queued, r.Running = t.census[StateQueued], t.census[StateRunning]
-			r.Submitted, r.Done, r.Failed = t.submitted, t.done, t.failed
-			r.Rejected, r.Preempted, r.Iterations = t.rejected, t.preempted, t.iterations
-		}
-		out = append(out, r)
-	}
-	for name, t := range rn.ledgers {
-		row(name, t)
-	}
-	for name := range rn.cfg.Tenants {
-		if rn.ledgers[name] == nil {
-			row(name, nil)
-		}
+	out := make([]TenantStats, 0, len(rn.ledgers))
+	for _, t := range rn.ledgers {
+		out = append(out, TenantStats{
+			Tenant: t.name, Weight: t.Weight, Priority: t.Priority,
+			MaxQueued: t.MaxQueued, MaxInflight: t.MaxInflight,
+			Queued: t.census[StateQueued], Running: t.census[StateRunning],
+			Submitted: t.submitted, Done: t.done, Failed: t.failed,
+			Rejected: t.rejected, Preempted: t.preempted, Iterations: t.iterations,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

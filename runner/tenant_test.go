@@ -151,14 +151,13 @@ func TestAnonymousIsOneTenant(t *testing.T) {
 
 // TestWFQFairnessIterations is the fairness regression test on the
 // virtual engine: two backlogged tenants with 3:1 weights submit
-// identical programs through a wfq Runner with one worker slot; over
+// identical programs through a Runner with one worker slot; over
 // the completed prefix, their executed-iteration shares must match the
 // weights within ε. Runs execute deterministically on the virtual
 // engine, so the only nondeterminism is dispatch completion order.
 func TestWFQFairnessIterations(t *testing.T) {
 	rn := New(Config{
 		MaxConcurrent: 1,
-		Scheduler:     "wfq",
 		Tenants: map[string]Tenant{
 			"gold":   {Weight: 3},
 			"bronze": {Weight: 1},
@@ -250,7 +249,6 @@ func TestWFQFairnessIterations(t *testing.T) {
 func TestPreemptResumeExactIterations(t *testing.T) {
 	rn := New(Config{
 		MaxConcurrent: 1,
-		Scheduler:     "wfq",
 		Tenants: map[string]Tenant{
 			"bulk":   {Priority: 0},
 			"urgent": {Priority: 5},

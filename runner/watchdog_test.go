@@ -218,7 +218,6 @@ func TestStuckVictimFinalizesOnce(t *testing.T) {
 		stuckCh := make(chan string, 1)
 		rn := New(Config{
 			MaxConcurrent: 1,
-			Scheduler:     "wfq",
 			Tenants:       classes,
 			Watchdog: WatchdogConfig{
 				Interval:    20 * time.Millisecond,
