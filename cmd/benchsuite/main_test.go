@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -192,6 +193,41 @@ func TestSchemaFieldsStable(t *testing.T) {
 		}
 		if _, ok := sc["name"]; !ok || len(sc) != 2 || len(metrics) != 9 {
 			t.Fatalf("scenario object %v: want name and nine metrics", sc)
+		}
+	}
+}
+
+// TestLedgerMatchesGolden holds the whole registry to the committed
+// golden file in tier-1: compare must pass, and since every scenario is
+// deterministic — the adaptive one too, although compare grants it a
+// band — the regenerated file must equal the golden byte for byte.
+func TestLedgerMatchesGolden(t *testing.T) {
+	const golden = "../../BENCH_pr22.json"
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	var sb strings.Builder
+	if err := run([]string{"run", "-q", "-o", path}, &sb); err != nil {
+		t.Fatalf("benchsuite run: %v\n%s", err, sb.String())
+	}
+	if err := run([]string{"compare", golden, path}, &sb); err != nil {
+		t.Fatalf("%v\n%s", err, sb.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	// Compare passed, so the drift is inside the adaptive band; the
+	// ledger is deterministic, so the golden is regenerated on purpose.
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("%s line %d:\n got %s\nwant %s", golden, i+1, gotLines[i], wantLines[i])
 		}
 	}
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's report body")
 
 func TestList(t *testing.T) {
 	var buf bytes.Buffer
@@ -35,25 +39,47 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestReportIsByteStable pins what EXPERIMENTS.md's "verbatim output"
-// contract rests on: the full report is the same bytes from every build
-// and every run. A formatted function value prints its address (0x…),
-// which moves from build to build; two runs catch anything else that does
-// not repeat.
+// TestReportIsByteStable pins EXPERIMENTS.md's "verbatim output"
+// contract: the full report equals the committed body (the fenced block
+// after that phrase) byte for byte. A formatted function value prints its
+// address (0x…), which moves from build to build, so none may appear.
+// Rewrite the body with `go test -run TestReportIsByteStable ./cmd/experiments -update`.
 func TestReportIsByteStable(t *testing.T) {
-	var first, second bytes.Buffer
-	if err := run(nil, &first); err != nil {
+	const path, anchor, fence = "../../EXPERIMENTS.md", "verbatim output", "```\n"
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(first.String(), "\n") {
+	for _, line := range strings.Split(out.String(), "\n") {
 		if strings.Contains(line, "0x") {
 			t.Errorf("report prints an address: %q", line)
 		}
 	}
-	if err := run(nil, &second); err != nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Error("two runs of the full report differ")
+	doc := string(raw)
+	_, rest, ok1 := strings.Cut(doc, anchor)
+	_, rest, ok2 := strings.Cut(rest, fence)
+	body, _, ok3 := strings.Cut(rest, fence)
+	if !ok1 || !ok2 || !ok3 {
+		t.Fatalf("%s has no fenced block after %q", path, anchor)
+	}
+	if body == out.String() {
+		return
+	}
+	if !*update {
+		got, want := strings.Split(out.String(), "\n"), strings.Split(body, "\n")
+		n := 0
+		for n < len(got)-1 && n < len(want)-1 && got[n] == want[n] {
+			n++
+		}
+		t.Fatalf("%s report body is stale (rerun with -update); first difference, report line %d:\n got %q\nwant %q",
+			path, n+1, got[n], want[n])
+	}
+	i := len(doc) - len(rest)
+	if err := os.WriteFile(path, []byte(doc[:i]+out.String()+doc[i+len(body):]), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

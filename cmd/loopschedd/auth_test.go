@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/journal"
 	"repro/runner"
 )
 
@@ -281,7 +280,7 @@ func TestJournalTenantReplay(t *testing.T) {
 	cfg := serverConfig{
 		MaxConcurrent: 1,
 		JournalPath:   path,
-		JournalSync:   journal.SyncAlways,
+		JournalSync:   "always",
 		Tenants:       tf,
 	}
 

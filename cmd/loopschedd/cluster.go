@@ -28,31 +28,26 @@ import (
 // is ignored and whose caller-chosen run ID is rejected.
 const tenantHeader = "X-Loopschedd-Tenant"
 
-// clusterOptions is the daemon-side cluster configuration; a zero Node
-// disables clustering entirely (single-node mode, bit-identical to the
-// pre-cluster daemon).
+// clusterOptions are the daemon's cluster settings, part of the same
+// table. A zero Node disables clustering entirely (single-node mode,
+// bit-identical to the pre-cluster daemon); with clustering on, Node
+// must appear in Peers and Secret is required — cluster and client
+// traffic share a listener, and without a secret the internal-call
+// headers would be client-spoofable. A zero ProbeInterval, RPCTimeout
+// or DeadAfter takes the cluster package's own default.
 type clusterOptions struct {
-	// Node is this node's name; it must appear in Peers.
-	Node string
-	// Peers is the full static peer set, self included.
+	Node            string        `flag:"node" help:"this node's name in the cluster peer set (\"\" = single-node mode)"`
+	PeerList        string        `flag:"peers" help:"static cluster peer set as name=url,name=url (self included)"`
+	File            string        `flag:"cluster" help:"cluster config file: {\"self\": \"n1\", \"secret\": \"...\", \"peers\": {\"n1\": \"http://...\", ...}} (alternative to -node/-peers)"`
+	Secret          string        `flag:"cluster-secret" help:"shared secret authenticating intra-cluster calls (required with -peers; overrides the cluster file's)"`
+	ProbeInterval   time.Duration `flag:"probe-interval" default:"500ms" help:"spacing of the cluster health probes that count toward -dead-after (each probe's deadline is at most this)"`
+	RPCTimeout      time.Duration `flag:"rpc-timeout" default:"2s" help:"per-attempt deadline on intra-cluster requests"`
+	DeadAfter       int           `flag:"dead-after" default:"3" help:"interval-spaced probes that met silence, in a row, before a peer is declared dead and failed over"`
+	CheckpointEvery int64         `flag:"checkpoint-every" help:"default periodic-snapshot period (chunk claims) applied to clustered submissions; 0 = snapshots only when a submission asks"`
+
+	// Peers, parsed from PeerList or File, is the full static peer set,
+	// self included.
 	Peers []cluster.Peer
-	// Secret is the shared token that authenticates intra-cluster calls
-	// (every node must carry the same one). Required: cluster and client
-	// traffic share a listener, and without a secret the internal-call
-	// headers would be client-spoofable.
-	Secret string
-	// ProbeInterval spaces the membership's counted health probes
-	// (default 500ms); DeadAfter is how many of them in a row must meet
-	// silence before a peer is declared dead (default 3; a peer turns
-	// suspect at the first).
-	ProbeInterval time.Duration
-	DeadAfter     int
-	// RPCTimeout bounds each intra-cluster request attempt (default 2s).
-	RPCTimeout time.Duration
-	// CheckpointEvery, when positive, is the default periodic-snapshot
-	// period (in chunk claims) applied to submissions that do not pick
-	// their own — the failover restore points.
-	CheckpointEvery int64
 	// Faults injects deterministic network faults into every
 	// intra-cluster call — the chaos-test hook; nil in production.
 	Faults *cluster.NetInjector
@@ -102,9 +97,6 @@ type clusterState struct {
 }
 
 func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
-	if opts.Secret == "" {
-		return nil, errors.New("cluster: a shared secret is required (-cluster-secret or the cluster file's \"secret\"); without one, intra-cluster headers would be client-spoofable")
-	}
 	client := cluster.NewClient(cluster.ClientConfig{
 		Node:    opts.Node,
 		Secret:  opts.Secret,

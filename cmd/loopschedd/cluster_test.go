@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -810,12 +811,12 @@ func TestClusterSecretRequired(t *testing.T) {
 		t.Fatalf("secretless cluster config accepted (err %v)", err)
 	}
 	// The flag path enforces it too, and threads the value through.
-	if _, err := clusterFlags("n1", "n1=http://localhost:1", "", "", 0, 0, 0, 0); err == nil {
-		t.Fatal("clusterFlags accepted -peers without a secret")
+	if err := run([]string{"-node", "n1", "-peers", "n1=http://localhost:1"}, io.Discard); err == nil {
+		t.Fatal("run accepted -peers without a secret")
 	}
-	opts, err := clusterFlags("n1", "n1=http://localhost:1", "", "s3cr3t", 0, 0, 0, 0)
-	if err != nil || opts.Secret != "s3cr3t" {
-		t.Fatalf("clusterFlags with secret: opts %+v, err %v", opts, err)
+	cfg := serverConfig{Cluster: clusterOptions{Node: "n1", PeerList: "n1=http://localhost:1", Secret: "s3cr3t"}}
+	if err := cfg.resolve(); err != nil || cfg.Cluster.Secret != "s3cr3t" {
+		t.Fatalf("resolve with secret: opts %+v, err %v", cfg.Cluster, err)
 	}
 }
 
@@ -891,16 +892,14 @@ func TestClusterColdStart(t *testing.T) {
 	var srvs []*server
 	var lastListener time.Time
 	for i, name := range names {
-		opts, err := clusterFlags(name, strings.Join(specs, ","), "", testClusterSecret, 0, 0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ln, err := net.Listen("tcp", addrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		lastListener = time.Now()
-		s, err := newServer(serverConfig{MaxConcurrent: 2, Cluster: opts})
+		s, err := newServer(serverConfig{MaxConcurrent: 2, Cluster: clusterOptions{
+			Node: name, PeerList: strings.Join(specs, ","), Secret: testClusterSecret,
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestQueuedRunsHoldNoGoroutines(t *testing.T) {
 	s, err := newServer(serverConfig{
 		MaxConcurrent: 1,
 		JournalPath:   filepath.Join(t.TempDir(), "runs.journal"),
-		JournalSync:   journal.SyncNone,
+		JournalSync:   "none",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestQueuedRunsHoldNoGoroutines(t *testing.T) {
 // start, terminal — in that order — on every one of 200 repetitions.
 func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
-	s, _ := newTestServer(t, serverConfig{JournalPath: path, JournalSync: journal.SyncNone})
+	s, _ := newTestServer(t, serverConfig{JournalPath: path, JournalSync: "none"})
 	const reps = 200
 	ids := make([]string, reps)
 	for i := range ids {
@@ -123,7 +123,7 @@ func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
 // done neither its terminal record nor its status carries one.
 func TestJournalChainedRunRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
-	s, ts := newTestServer(t, serverConfig{JournalPath: path, JournalSync: journal.SyncNone})
+	s, ts := newTestServer(t, serverConfig{JournalPath: path, JournalSync: "none"})
 	id := submitInProcess(t, s,
 		`{"program": "doall I = 1..64 { work 20 }", "options": {"procs": 2, "scheme": "ss", "checkpoint_every": 8}}`)
 	drainServer(t, s)

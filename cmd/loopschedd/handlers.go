@@ -204,6 +204,9 @@ func (s *server) buildSubmission(req submitRequest) (runner.Submission, error) {
 		if timeout, err = time.ParseDuration(req.Timeout); err != nil {
 			return runner.Submission{}, fmt.Errorf("bad timeout: %w", err)
 		}
+		if timeout < 0 {
+			return runner.Submission{}, errors.New("timeout must be non-negative")
+		}
 	}
 	every := req.Options.CheckpointEvery
 	if every < 0 {

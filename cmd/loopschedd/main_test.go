@@ -122,6 +122,7 @@ func TestSubmitErrors(t *testing.T) {
 		{`{"program": "doall I = 1..4 { work 5 }", "options": {"scheme": "wrong"}}`, http.StatusBadRequest, true},
 		{`{"program": "doall I = 1..4 { work 5 }", "options": {"engine": "abacus"}}`, http.StatusBadRequest, true},
 		{`{"program": "doall I = 1..4 { work 5 }", "timeout": "soon"}`, http.StatusBadRequest, false},
+		{`{"program": "doall I = 1..4 { work 5 }", "timeout": "-1s"}`, http.StatusBadRequest, false},
 		{`not json`, http.StatusBadRequest, false},
 		{`{"program": "doall I = 1..4 { work 5 }", "options": {"procs": 4097}}`, http.StatusBadRequest, false},
 		{`{"program": "doall I = 1..4 { work 5 }", "options": {"acess_cost": 5}}`, http.StatusBadRequest, true},

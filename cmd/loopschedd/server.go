@@ -17,30 +17,33 @@ import (
 	"repro/runner"
 )
 
+// serverConfig is the daemon's settings table, bound by flagtab like
+// repro.Options: a tagged field's tags are the only spelling of its flag,
+// default and help. resolve derives the untagged fields (a config built
+// in code may set them) and gives a zero MaxBodyBytes or JournalSync the
+// table's default.
 type serverConfig struct {
-	MaxConcurrent  int
-	QueueLimit     int
-	SampleInterval time.Duration
-	DefaultTimeout time.Duration
-	// MaxBodyBytes caps request body sizes; 0 applies the 1 MiB default.
-	MaxBodyBytes int64
-	// Watchdog declares a run stuck after this long without scheduling
-	// progress; 0 disables the watchdog.
-	Watchdog time.Duration
-	// WatchdogCancel cancels runs the watchdog declares stuck.
-	WatchdogCancel bool
-	// JournalPath is the durable run journal file; "" disables
-	// journalling. On boot the journal is replayed and every run without
-	// a terminal record is re-queued under its original ID.
-	JournalPath string
-	// JournalSync is the journal's fsync policy.
-	JournalSync journal.Sync
-	// Tenants enables multi-tenant auth and admission; nil serves
-	// everything as the anonymous tenant with no authentication.
-	Tenants *tenantsFile
-	// Cluster joins this daemon to a static peer set; the zero value is
-	// single-node mode, byte-for-byte the pre-cluster daemon.
+	Addr           string        `flag:"addr" default:":8080" help:"listen address"`
+	MaxConcurrent  int           `flag:"max-concurrent" default:"4" help:"maximum runs executing at once"`
+	QueueLimit     int           `flag:"queue-limit" default:"64" help:"maximum queued runs (0 = unbounded)"`
+	SampleInterval time.Duration `flag:"sample" default:"200ms" help:"progress sampling interval"`
+	DefaultTimeout time.Duration `flag:"default-timeout" help:"timeout applied to runs that specify none (0 = none)"`
+	MaxBodyBytes   int64         `flag:"max-body-bytes" default:"1048576" help:"maximum request body size in bytes"`
+	Watchdog       time.Duration `flag:"watchdog" help:"declare a run stuck after this long without scheduling progress (0 = off)"`
+	WatchdogCancel bool          `flag:"watchdog-cancel" help:"cancel runs the watchdog declares stuck"`
+	DrainTimeout   time.Duration `flag:"drain-timeout" default:"10s" help:"how long shutdown waits for live runs to finish before cancelling them"`
+	JournalPath    string        `flag:"journal" help:"durable run journal file; on boot, non-terminal runs are re-queued from it (\"\" = no journal)"`
+	JournalSync    string        `flag:"journal-sync" default:"always" help:"journal fsync policy: always or none"`
+	TenantsPath    string        `flag:"tenants" help:"tenant config file mapping API keys to tenants, weights, priorities and quotas (\"\" = single-tenant)"`
+	// Cluster is the nested cluster table; its zero value is single-node
+	// mode, byte-for-byte the pre-cluster daemon.
 	Cluster clusterOptions
+
+	syncPolicy journal.Sync // JournalSync, parsed
+	// Tenants, loaded from TenantsPath, enables multi-tenant auth and
+	// admission; nil serves everything as the anonymous tenant with no
+	// authentication.
+	Tenants *tenantsFile
 }
 
 // server is the HTTP front end over a runner.Runner. It is an
@@ -64,8 +67,8 @@ type server struct {
 }
 
 func newServer(cfg serverConfig) (*server, error) {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
+	if err := cfg.resolve(); err != nil {
+		return nil, err
 	}
 	idPrefix := ""
 	if cfg.Cluster.enabled() {
@@ -119,7 +122,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if err != nil {
 			log.Printf("loopschedd: journal %s has damaged records (replaying the intact ones): %v", cfg.JournalPath, err)
 		}
-		if s.jw, err = journal.Open(cfg.JournalPath, cfg.JournalSync); err != nil {
+		if s.jw, err = journal.Open(cfg.JournalPath, cfg.syncPolicy); err != nil {
 			s.rn.Close()
 			return nil, fmt.Errorf("loopschedd: open journal: %w", err)
 		}

@@ -2,7 +2,7 @@
 // `make bench`: every scenario runs on the virtual-time multiprocessor,
 // so its makespan, utilization, overhead and access counts are exact
 // functions of the code, and a committed BENCH_*.json is a golden file
-// `make verify-gates` compares exactly. Wall clock is bench/'s ledger
+// `go test ./cmd/benchsuite` compares exactly. Wall clock is bench/'s ledger
 // (BENCHMARK.json), not this one's.
 //
 // The kit has three parts:

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"reflect"
 
 	"repro/internal/core"
+	"repro/internal/flagtab"
 	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/vmachine"
@@ -144,37 +144,7 @@ type Options struct {
 // declares one, storing into o. A field's current value in o is its
 // flag default; a zero field takes the table's default, so a caller
 // presets only where it differs (loopsched: Procs 8).
-func BindFlags(fs *flag.FlagSet, o *Options) {
-	v := reflect.ValueOf(o).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		tag := v.Type().Field(i).Tag
-		name, help := tag.Get("flag"), tag.Get("help")
-		if name == "" {
-			continue
-		}
-		switch p := v.Field(i).Addr().Interface().(type) {
-		case *int:
-			fs.IntVar(p, name, *p, help)
-		case *int64:
-			fs.Int64Var(p, name, *p, help)
-		case *bool:
-			fs.BoolVar(p, name, *p, help)
-		case *string:
-			fs.StringVar(p, name, *p, help)
-		case *EngineKind:
-			fs.StringVar((*string)(p), name, string(*p), help)
-		default:
-			panic(fmt.Sprintf("repro: option %s: no flag binding for %T", name, p))
-		}
-		if def := tag.Get("default"); def != "" && v.Field(i).IsZero() {
-			f := fs.Lookup(name)
-			if err := f.Value.Set(def); err != nil {
-				panic(fmt.Sprintf("repro: option %s: default %q: %v", name, def, err))
-			}
-			f.DefValue = def
-		}
-	}
-}
+func BindFlags(fs *flag.FlagSet, o *Options) { flagtab.Bind(fs, o) }
 
 // UsesCheckpoint reports whether the run needs the checkpoint seam:
 // asked for outright, paused by a claim count, or resumed from one.
