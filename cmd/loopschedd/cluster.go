@@ -113,16 +113,13 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	mem, err := cluster.NewMembership(cluster.MembershipConfig{
-		Self:      opts.Node,
-		Peers:     opts.Peers,
-		Client:    client,
-		Interval:  opts.ProbeInterval,
-		DeadAfter: opts.DeadAfter,
-		OnDead:    c.onDead,
-		LocalLoad: func() int {
-			st := s.rn.Stats()
-			return st.Running + st.QueueDepth
-		},
+		Self:          opts.Node,
+		Peers:         opts.Peers,
+		Client:        client,
+		Interval:      opts.ProbeInterval,
+		DeadAfter:     opts.DeadAfter,
+		OnDead:        c.onDead,
+		LocalLoad:     s.load,
 		LocalDraining: func() bool { return s.draining.Load() },
 		Metrics:       s.reg,
 	})
@@ -195,13 +192,15 @@ func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.R
 	return resp, err == nil && resp.Status == http.StatusOK
 }
 
-// trySubmitRemote implements run placement: pick the least-loaded
-// placeable node; if that is a live peer, forward the submission there
-// under a placer-minted run ID, record the placement, journal it,
-// hand it to the placement tracker, and answer the client. Returns false
-// when the run should execute locally instead — self is the best
-// target, no peer is placeable, or the forward definitively failed
-// (graceful degradation: a partitioned node still serves).
+// trySubmitRemote implements run placement: ask membership where the
+// run goes (LeastLoaded — self unless a placeable peer is strictly
+// lighter); if that is a peer, forward the submission there under a
+// placer-minted run ID, charge the run to the peer's load until its next
+// probe, record the placement, journal it, hand it to the placement
+// tracker, and answer the client. Returns false when the run should
+// execute locally instead — no peer is lighter than self, or the forward
+// definitively failed (graceful degradation: a partitioned node still
+// serves).
 //
 // The forward is idempotent: every retry attempt carries the same
 // minted ID, so an attempt that times out after the owner already
@@ -217,6 +216,7 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 	}
 	req.ID = c.placementID(target.Peer.Name)
 	adopt := func(body []byte) bool {
+		c.mem.Placed(target.Peer.Name)
 		p := &placement{id: req.ID, node: target.Peer.Name, sub: *req.record(tenant)}
 		c.s.appendRecord(kindPlace, p.id, journalPlace{Node: p.node, Sub: p.sub})
 		c.adopt(p)
@@ -436,10 +436,10 @@ func (c *clusterState) onDead(p cluster.Peer) {
 
 // failover re-places a run whose owner died: resubmit the original
 // program under the same run ID — resuming from the last journaled
-// snapshot when one exists, from scratch otherwise — on the
-// least-loaded survivor (self included). The run keeps its ID, so
-// clients polling it never notice beyond a progress reset to the
-// snapshot's restore point.
+// snapshot when one exists, from scratch otherwise — where the submit
+// placement rule puts it: on this node, unless a placeable survivor is
+// strictly lighter. The run keeps its ID, so clients polling it never
+// notice beyond a progress reset to the snapshot's restore point.
 func (c *clusterState) failover(p *placement) {
 	c.mu.Lock()
 	if c.placements[p.id] != p || p.inFailover {
@@ -467,6 +467,7 @@ func (c *clusterState) failover(p *placement) {
 		// Either way the run lives there: adopt it, don't restore again.
 		if (err == nil && resp.Status == http.StatusCreated) ||
 			(errors.As(err, &se) && se.Status == http.StatusConflict) {
+			c.mem.Placed(target.Peer.Name)
 			c.mu.Lock()
 			p.node = target.Peer.Name
 			c.mu.Unlock()

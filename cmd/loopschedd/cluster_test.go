@@ -217,6 +217,35 @@ func (tc *testCluster) awaitJournaledSnapshot(i int, id string) {
 	}
 }
 
+// ballast makes node i strictly busier than its idle peers: it submits
+// an endless run there, which stays local — a node keeps a run unless a
+// peer is strictly lighter — so the node's next submission is forwarded
+// to its lightest peer, the lower name among ties. The returned release
+// cancels the ballast and waits until it has left the node's load: until
+// it is terminal — cancelled, or checkpointed when the cancel lands on a
+// periodic snapshot's pause.
+func (tc *testCluster) ballast(i int) (release func()) {
+	tc.t.Helper()
+	resp, payload := postJSON(tc.t, tc.url(i)+"/v1/runs",
+		`{"program": "doall I = 1..1099511627776 { work 50 }", "options": {"procs": 1}}`)
+	id, _ := payload["id"].(string)
+	if resp.StatusCode != http.StatusCreated || !strings.HasPrefix(id, tc.names[i]+"-") {
+		tc.t.Fatalf("ballast via %s: status %d, payload %v; want a run it keeps", tc.names[i], resp.StatusCode, payload)
+	}
+	return func() {
+		tc.t.Helper()
+		cresp, err := http.Post(tc.url(i)+"/v1/runs/"+id+"/cancel", "application/json", nil)
+		if err != nil {
+			tc.t.Fatal(err)
+		}
+		cresp.Body.Close()
+		tc.pollStatus(i, id, 30*time.Second, func(st map[string]any) bool {
+			state, _ := st["state"].(string)
+			return terminalState(state)
+		})
+	}
+}
+
 func jsonDecode(resp *http.Response, into *map[string]any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -244,14 +273,16 @@ func referenceStats(t *testing.T, program string, opts repro.Options) *repro.Res
 	return res
 }
 
-// TestClusterPlacementAndProxy: any node accepts a submit, placement
-// goes to the least-loaded node, and every other node can answer
-// polls, progress streams and cancels for the run by ID.
+// TestClusterPlacementAndProxy: any node accepts a submit, a busier
+// placer forwards it to its lightest peer, and every other node can
+// answer polls, progress streams and cancels for the run by ID.
 func TestClusterPlacementAndProxy(t *testing.T) {
 	tc := startCluster(t, 3, t.TempDir(), nil, 0)
 
-	// All loads are zero, so placement ties break by name: a submit via
-	// n2 lands on n1, and the response carries n1's run ID.
+	// With ballast on n2, n1 and n3 tie below it and the tie breaks by
+	// name: a submit via n2 lands on n1, and the response carries n1's
+	// run ID. The later submits, ballast gone, stay on n2.
+	release := tc.ballast(1)
 	resp, payload := postJSON(t, tc.url(1)+"/v1/runs",
 		`{"program": "doall I = 1..400 { work 20 }", "options": {"procs": 4, "scheme": "gss"}}`)
 	if resp.StatusCode != http.StatusCreated {
@@ -261,6 +292,7 @@ func TestClusterPlacementAndProxy(t *testing.T) {
 	if !strings.HasPrefix(id, "n1-") {
 		t.Fatalf("run placed as %q, want an n1-prefixed ID (least-loaded tie breaks by name)", id)
 	}
+	release()
 
 	// Every node answers a poll for it: the owner directly, the placer
 	// from its placement table, the third node by ID prefix.
@@ -432,7 +464,9 @@ func TestClusterFailoverRestore(t *testing.T) {
 	const program = "doall I = 1..1000000 { work 50 }"
 	ref := referenceStats(t, program, repro.Options{Procs: 4, Scheme: "ss"})
 
-	// Submitted via n2, placed on n1 (zero-load tie break).
+	// Submitted via a ballasted n2, placed on n1 (the lower name of the
+	// two lighter peers).
+	release := tc.ballast(1)
 	resp, payload := postJSON(t, tc.url(1)+"/v1/runs",
 		fmt.Sprintf(`{"program": %q, "options": {"procs": 4, "scheme": "ss"}}`, program))
 	if resp.StatusCode != http.StatusCreated {
@@ -442,6 +476,7 @@ func TestClusterFailoverRestore(t *testing.T) {
 	if !strings.HasPrefix(id, "n1-") {
 		t.Fatalf("run placed as %q, want n1-prefixed", id)
 	}
+	release()
 
 	// Wait until the owner has parked at least one periodic snapshot and
 	// the placer's tracker has journaled it: the restore point is then in
@@ -475,11 +510,10 @@ func TestClusterFailoverRestore(t *testing.T) {
 		}
 	}
 
-	// With every load at zero the least-loaded survivor is the placer
-	// itself, so the run was restored on n2 — and from there on each
-	// restore point it parked is in n2's journal exactly once: as many
-	// snapshot records after the re-placement as the restored run counts,
-	// and no record twice.
+	// No survivor is lighter than the placer, so the run was restored
+	// on n2 itself — and from there on each restore point it parked is
+	// in n2's journal exactly once: as many snapshot records after the
+	// re-placement as the restored run counts, and no record twice.
 	if restored, ok := tc.srvs[1].rn.Get(id); ok {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		err := tc.srvs[1].rn.Drain(ctx)
@@ -553,8 +587,9 @@ func TestClusterFailoverRestore(t *testing.T) {
 func TestClusterCancelAfterFailover(t *testing.T) {
 	tc := startCluster(t, 3, t.TempDir(), nil, 25000)
 
-	// An endless run placed on n1 via n2; wait for a parked snapshot so
-	// the failover has a restore point.
+	// An endless run placed on n1 via a ballasted n2; wait for a parked
+	// snapshot so the failover has a restore point.
+	release := tc.ballast(1)
 	resp, payload := postJSON(t, tc.url(1)+"/v1/runs",
 		`{"program": "doall I = 1..1099511627776 { work 50 }", "options": {"procs": 4, "scheme": "ss"}}`)
 	if resp.StatusCode != http.StatusCreated {
@@ -564,6 +599,7 @@ func TestClusterCancelAfterFailover(t *testing.T) {
 	if !strings.HasPrefix(id, "n1-") {
 		t.Fatalf("run placed as %q, want n1-prefixed", id)
 	}
+	release()
 	tc.pollStatus(1, id, 30*time.Second, func(st map[string]any) bool {
 		return st["checkpoint"] != nil && st["state"] == "running"
 	})
@@ -719,8 +755,9 @@ func TestClusterPlacerRebootResumesWatch(t *testing.T) {
 	dir := t.TempDir()
 	tc := startCluster(t, 2, dir, nil, 25000)
 
-	// n1 is the zero-load tie-break winner, so submit via n2 to place
-	// remotely.
+	// Ballast makes n2 the busier node, so a submit via n2 places
+	// remotely, on n1.
+	release := tc.ballast(1)
 	resp, payload := postJSON(t, tc.url(1)+"/v1/runs",
 		`{"program": "doall I = 1..600000 { work 50 }", "options": {"procs": 4, "scheme": "ss"}}`)
 	if resp.StatusCode != http.StatusCreated {
@@ -730,6 +767,7 @@ func TestClusterPlacerRebootResumesWatch(t *testing.T) {
 	if !strings.HasPrefix(id, "n1-") {
 		t.Fatalf("run placed as %q, want n1-prefixed", id)
 	}
+	release()
 	tc.pollStatus(1, id, 30*time.Second, func(st map[string]any) bool {
 		return st["state"] == "running"
 	})
@@ -843,6 +881,8 @@ func TestClusterPlacementRetryIsIdempotent(t *testing.T) {
 		next.ServeHTTP(w, r)
 	})
 
+	// Ballast on n2 makes the submit via n2 a forward to n1.
+	release := tc.ballast(1)
 	resp, payload := postJSON(t, tc.url(1)+"/v1/runs",
 		`{"program": "doall I = 1..400 { work 20 }", "options": {"procs": 4}}`)
 	if resp.StatusCode != http.StatusCreated {
@@ -855,6 +895,7 @@ func TestClusterPlacementRetryIsIdempotent(t *testing.T) {
 	if !strings.HasPrefix(id, "n1-") {
 		t.Fatalf("run placed as %q, want n1-prefixed", id)
 	}
+	release()
 	tc.pollStatus(0, id, 30*time.Second, func(st map[string]any) bool {
 		return st["state"] == "done"
 	})

@@ -125,12 +125,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// External submissions on a clustered node go to the least-loaded
-	// live node; this node runs them itself when it is that node, when
-	// no peer is placeable, or when the forward fails (a partitioned
-	// node degrades to serving locally rather than erroring). Internal
-	// submissions are already placed — forwarding them again could
-	// ping-pong.
+	// An external submission on a clustered node stays here unless a
+	// placeable peer is strictly less loaded, and then goes to the
+	// lightest such peer; it also runs here when the forward fails (a
+	// partitioned node degrades to serving locally rather than
+	// erroring). Internal submissions are already placed — forwarding
+	// them again could ping-pong.
 	if !internal && s.cluster != nil && s.cluster.trySubmitRemote(w, req, tenant) {
 		return
 	}

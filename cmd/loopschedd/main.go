@@ -55,9 +55,10 @@
 // whose value is advisory (a jittered 1..3 s: only its presence and
 // positivity are API). With
 // -node/-peers or -cluster FILE the daemon joins a static peer set whose
-// nodes serve one API: any node places a submission on the least-loaded
-// live node and proxies for runs it does not own, and a dead node's runs
-// are re-placed from their last journaled snapshot. README.md's
+// nodes serve one API: any node accepts a submission and runs it itself
+// unless a live peer is strictly less loaded, proxies for runs it does
+// not own, and re-places a dead node's runs from their last journaled
+// snapshot. README.md's
 // "Multi-tenant serving" and "Cluster serving" and DESIGN.md §15 hold
 // the full contracts.
 //

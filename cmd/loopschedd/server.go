@@ -151,6 +151,15 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// load is this node's placement load: live runs, running or queued. It
+// is both the figure /readyz reports to the peers and the one the
+// node's own membership row carries, so the placement rule compares
+// like with like.
+func (s *server) load() int {
+	st := s.rn.Stats()
+	return st.Running + st.QueueDepth
+}
+
 // handleReady reports readiness: 200 while serving, 503 once draining,
 // so a load balancer stops routing submissions before shutdown cuts
 // live runs off. The load and draining headers ride every response —
@@ -158,8 +167,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // even when the status is 503 (a draining node is alive and still
 // serving its local runs; it just takes no new placements).
 func (s *server) handleReady(w http.ResponseWriter, r *http.Request) {
-	st := s.rn.Stats()
-	w.Header().Set(cluster.LoadHeader, strconv.Itoa(st.Running+st.QueueDepth))
+	w.Header().Set(cluster.LoadHeader, strconv.Itoa(s.load()))
 	if s.draining.Load() {
 		w.Header().Set(cluster.DrainingHeader, "1")
 		w.WriteHeader(http.StatusServiceUnavailable)

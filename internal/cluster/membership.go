@@ -17,7 +17,8 @@ import (
 // node still reports load) and on internal calls.
 const (
 	// LoadHeader carries a node's current load figure (active + queued
-	// runs) on /readyz responses.
+	// runs) on /readyz responses — the same figure the node's own
+	// LocalLoad supplies, since placement compares the two.
 	LoadHeader = "X-Loopschedd-Load"
 	// DrainingHeader is "1" on /readyz responses from a node that is
 	// shutting down gracefully: alive, still serving its local runs, but
@@ -104,7 +105,8 @@ type MembershipConfig struct {
 	// the daemon's failover hook.
 	OnDead func(Peer)
 	// LocalLoad and LocalDraining supply this node's own row. Nil means
-	// load 0 / not draining.
+	// load 0 / not draining. LocalLoad must be the figure the node serves
+	// under LoadHeader: LeastLoaded compares it with the peers'.
 	LocalLoad     func() int
 	LocalDraining func() bool
 	// Metrics, if non-nil, is where the membership series go: probes by
@@ -368,18 +370,22 @@ func (m *Membership) Nodes() []NodeInfo {
 	out := make([]NodeInfo, 0, len(m.rows)+1)
 	out = append(out, m.selfRowLocked())
 	for _, r := range m.rows {
-		since := int64(-1)
-		if !r.answered.IsZero() {
-			since = m.cfg.Now().Sub(r.answered).Milliseconds()
-		}
-		out = append(out, NodeInfo{
-			Peer: r.peer, State: r.state, StateStr: r.state.String(),
-			Draining: r.draining, Ready: r.ready, Load: r.load, Failures: r.failures,
-			Breaker: r.breaker.State().String(), SinceAnswerMS: since,
-		})
+		out = append(out, m.rowLocked(r))
 	}
 	sort.Slice(out[1:], func(i, j int) bool { return out[i+1].Peer.Name < out[j+1].Peer.Name })
 	return out
+}
+
+func (m *Membership) rowLocked(r *memberRow) NodeInfo {
+	since := int64(-1)
+	if !r.answered.IsZero() {
+		since = m.cfg.Now().Sub(r.answered).Milliseconds()
+	}
+	return NodeInfo{
+		Peer: r.peer, State: r.state, StateStr: r.state.String(),
+		Draining: r.draining, Ready: r.ready, Load: r.load, Failures: r.failures,
+		Breaker: r.breaker.State().String(), SinceAnswerMS: since,
+	}
 }
 
 func (m *Membership) selfRowLocked() NodeInfo {
@@ -397,32 +403,49 @@ func (m *Membership) selfRowLocked() NodeInfo {
 	}
 }
 
-// LeastLoaded picks the placeable node with the lowest load, breaking
-// ties by name (self competes like any peer, so a loaded placer ships
-// work away). ok is false when no node — including self — is
-// placeable.
+// LeastLoaded picks where a new run goes: self, unless a placeable peer
+// is strictly lighter — then the lightest such peer, the lower name
+// among ties. Work leaves the node that received it only when the load
+// is uneven, so an idle cluster forwards nothing; a draining self is not
+// placeable and competes as no node at all. ok is false when no node —
+// including self — is placeable.
 func (m *Membership) LeastLoaded() (NodeInfo, bool) {
 	var best NodeInfo
 	ok := false
+	// Nodes lists self first and peers by name, so a strict < keeps a tie
+	// on self, then on the lower name.
 	for _, n := range m.Nodes() {
-		if !n.Placeable() {
-			continue
-		}
-		if !ok || n.Load < best.Load || (n.Load == best.Load && n.Peer.Name < best.Peer.Name) {
+		if n.Placeable() && (!ok || n.Load < best.Load) {
 			best, ok = n, true
 		}
 	}
 	return best, ok
 }
 
+// Placed charges one run to the named peer's load. The placer calls it
+// after each forward that landed there, so placements made between two
+// probes do not all go to the peer the last probe showed lightest; the
+// peer's next probe answer replaces the figure.
+func (m *Membership) Placed(name string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r := m.rows[name]; r != nil {
+		r.load++
+	}
+}
+
 // Node returns the named node's row.
 func (m *Membership) Node(name string) (NodeInfo, bool) {
-	for _, n := range m.Nodes() {
-		if n.Peer.Name == name {
-			return n, true
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if name == m.self.Name {
+		return m.selfRowLocked(), true
 	}
-	return NodeInfo{}, false
+	r := m.rows[name]
+	if r == nil {
+		return NodeInfo{}, false
+	}
+	return m.rowLocked(r), true
 }
 
 // register puts the membership's series into reg.

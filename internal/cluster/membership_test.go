@@ -56,6 +56,7 @@ const (
 	nodeDown     nodeMode = iota // refuses connections
 	nodeUp                       // 200
 	nodeDraining                 // 503 + draining header
+	nodeUnready                  // 503, not draining
 	nodeHang                     // swallows the request until its context ends
 )
 
@@ -152,9 +153,12 @@ func (w *fakeWorld) RoundTrip(req *http.Request) (*http.Response, error) {
 		Body:       io.NopCloser(strings.NewReader("ready\n")),
 		Request:    req,
 	}
-	if n.mode == nodeDraining {
+	switch n.mode {
+	case nodeDraining:
 		resp.StatusCode = http.StatusServiceUnavailable
 		resp.Header.Set(DrainingHeader, "1")
+	case nodeUnready:
+		resp.StatusCode = http.StatusServiceUnavailable
 	}
 	return resp, nil
 }
@@ -715,8 +719,9 @@ func TestMembershipDeathAndRevival(t *testing.T) {
 	}
 }
 
-// LeastLoaded places on the lowest-load placeable node, self included,
-// with name as the tiebreak.
+// LeastLoaded keeps a run on the placer unless a placeable peer is
+// strictly lighter, and then picks the lightest such peer, the lower
+// name among ties; a forward's charge holds until the peer's next probe.
 func TestMembershipLeastLoaded(t *testing.T) {
 	w := newFakeWorld(t, "n1", "n2", "n3")
 	w.set("n2", nodeUp)
@@ -738,10 +743,78 @@ func TestMembershipLeastLoaded(t *testing.T) {
 	if best, _ = m.LeastLoaded(); best.Peer.Name != "n1" {
 		t.Fatalf("LeastLoaded = %s, want self once lightest", best.Peer.Name)
 	}
-	// Ties break by name: n1 at 2 vs n2 at 2.
+	// A tie stays on self: n1 at 2 vs n2 at 2.
 	w.nodes["n1"].load = 2
 	if best, _ = m.LeastLoaded(); best.Peer.Name != "n1" {
 		t.Fatalf("tie at load 2 broke to %s, want n1", best.Peer.Name)
+	}
+
+	// Each row boots placer on a fresh world where every peer is up
+	// unless modes says otherwise, runs then, and asks LeastLoaded.
+	for _, row := range []struct {
+		name   string
+		placer string
+		loads  map[string]int
+		modes  map[string]nodeMode
+		then   func(w *fakeWorld, m *Membership)
+		want   string
+	}{
+		{name: "tie with a lower name stays on self", placer: "n2",
+			want: "n2"},
+		{name: "a strictly lighter peer", placer: "n1",
+			loads: map[string]int{"n1": 3, "n2": 2, "n3": 1}, want: "n3"},
+		{name: "two peers tied below self: the lower name", placer: "n3",
+			loads: map[string]int{"n1": 1, "n2": 1, "n3": 2}, want: "n1"},
+		{name: "a forward counts against its target", placer: "n2",
+			loads: map[string]int{"n2": 1},
+			then:  func(w *fakeWorld, m *Membership) { m.Placed("n1") }, want: "n3"},
+		{name: "the next probe answer replaces the charge", placer: "n2",
+			loads: map[string]int{"n2": 1},
+			then: func(w *fakeWorld, m *Membership) {
+				m.Placed("n1")
+				w.advance(testInterval)
+			}, want: "n1"},
+		{name: "a draining peer is never picked", placer: "n1",
+			loads: map[string]int{"n1": 5, "n3": 5},
+			modes: map[string]nodeMode{"n2": nodeDraining}, want: "n1"},
+		{name: "a not-ready peer is never picked", placer: "n1",
+			loads: map[string]int{"n1": 5, "n3": 5},
+			modes: map[string]nodeMode{"n2": nodeUnready}, want: "n1"},
+		{name: "a suspect peer is never picked", placer: "n1",
+			loads: map[string]int{"n1": 5, "n3": 5},
+			then: func(w *fakeWorld, m *Membership) {
+				w.set("n2", nodeDown)
+				w.advance(testInterval)
+				if row := mustRow(w.t, m, "n2"); row.State != NodeSuspect || row.Load != 0 {
+					w.t.Fatalf("n2 row after one counted miss: %+v, want suspect at load 0", row)
+				}
+			}, want: "n1"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := newFakeWorld(t, "n1", "n2", "n3")
+			for name, n := range w.nodes {
+				n.load = row.loads[name]
+				if name != row.placer {
+					w.set(name, nodeUp)
+				}
+			}
+			for name, mode := range row.modes {
+				w.set(name, mode)
+			}
+			m := w.boot(row.placer)
+			for name := range row.modes {
+				if got := mustRow(t, m, name); got.State != NodeAlive {
+					t.Fatalf("%s row: %+v, want alive (answering, but not placeable)", name, got)
+				}
+			}
+			if row.then != nil {
+				row.then(w, m)
+			}
+			if best, ok := m.LeastLoaded(); !ok || best.Peer.Name != row.want {
+				t.Fatalf("LeastLoaded on %s = %+v ok=%v, want %s (rows %+v)",
+					row.placer, best, ok, row.want, m.Nodes())
+			}
+		})
 	}
 }
 
