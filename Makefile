@@ -70,11 +70,7 @@ verify:
 # once raced its own preemption: about 1 run in 100), the
 # three-node cold start on real sockets twenty times over (every node
 # placeable on every other within half a probe interval of the last
-# listener — the figure serve_cluster3's setup_s rests on), the five
-# cluster tests that place remotely by ballasting the placer ten times
-# over under the race detector (a run leaves the node that received it
-# only for a strictly lighter peer, so a ballast not yet counted when
-# the forward decides shows up there as a flake), eight
+# listener — the figure serve_cluster3's setup_s rests on), eight
 # goroutines racing the posts of four-iteration instances twenty times
 # over under the race detector (every chunk of such an instance is tail:
 # post, claim, and whoever's post completes the count runs EXIT), the
@@ -91,5 +87,4 @@ verify-gates:
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=10 -run 'TestCluster(PlacementAndProxy|FailoverRestore|CancelAfterFailover|PlacerRebootResumesWatch|PlacementRetryIsIdempotent)$$' ./cmd/loopschedd/
 	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/

@@ -195,12 +195,11 @@ func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.R
 // trySubmitRemote implements run placement: ask membership where the
 // run goes (LeastLoaded — self unless a placeable peer is strictly
 // lighter); if that is a peer, forward the submission there under a
-// placer-minted run ID, charge the run to the peer's load until its next
-// probe, record the placement, journal it, hand it to the placement
-// tracker, and answer the client. Returns false when the run should
-// execute locally instead — no peer is lighter than self, or the forward
-// definitively failed (graceful degradation: a partitioned node still
-// serves).
+// placer-minted run ID, record the placement, journal it, hand it to the
+// placement tracker, and answer the client. Returns false when the run
+// should execute locally instead — no peer is lighter than self, or the
+// forward definitively failed (graceful degradation: a partitioned node
+// still serves).
 //
 // The forward is idempotent: every retry attempt carries the same
 // minted ID, so an attempt that times out after the owner already
@@ -216,7 +215,6 @@ func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest,
 	}
 	req.ID = c.placementID(target.Peer.Name)
 	adopt := func(body []byte) bool {
-		c.mem.Placed(target.Peer.Name)
 		p := &placement{id: req.ID, node: target.Peer.Name, sub: *req.record(tenant)}
 		c.s.appendRecord(kindPlace, p.id, journalPlace{Node: p.node, Sub: p.sub})
 		c.adopt(p)
@@ -467,7 +465,6 @@ func (c *clusterState) failover(p *placement) {
 		// Either way the run lives there: adopt it, don't restore again.
 		if (err == nil && resp.Status == http.StatusCreated) ||
 			(errors.As(err, &se) && se.Status == http.StatusConflict) {
-			c.mem.Placed(target.Peer.Name)
 			c.mu.Lock()
 			p.node = target.Peer.Name
 			c.mu.Unlock()

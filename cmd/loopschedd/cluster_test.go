@@ -119,13 +119,10 @@ func startClusterSampling(t *testing.T, n int, dir string, faults *cluster.NetIn
 		// Servers first: each close stops that node's prober before any
 		// listener drops, so teardown never masquerades as node death.
 		for i := range tc.srvs {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			if tc.https[i] == nil {
-				// A killed node's zombie gets no drain window: nothing can
-				// reach its runs (an endless one would sit the window out),
-				// and a real zombie's would die with its process.
-				cancel()
+				continue // kill stopped it
 			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			tc.srvs[i].close(ctx)
 			cancel()
 		}
@@ -166,13 +163,18 @@ func placeableNodes(s *server) int {
 }
 
 // kill is node death: the listener drops with every in-flight
-// connection, so peers see transport failures, not clean errors. The
-// node's goroutines keep running (as a real zombie's would until the
-// OS reaps it); its work is unreachable either way.
+// connection, so peers see transport failures, not clean errors, and
+// the node stops as a killed process does — its prober, its tracker
+// and its runs, with no drain window. A node left running behind a
+// closed listener would keep burning the CPU its peers answer probes
+// on, and a starved answer reads as silence.
 func (tc *testCluster) kill(i int) {
 	tc.https[i].CloseClientConnections()
 	tc.https[i].Close()
 	tc.https[i] = nil
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tc.srvs[i].close(ctx)
 }
 
 // pollStatus fetches one run's status via node i until cond says stop.
@@ -220,12 +222,15 @@ func (tc *testCluster) awaitJournaledSnapshot(i int, id string) {
 // ballast makes node i strictly busier than its idle peers: it submits
 // an endless run there, which stays local — a node keeps a run unless a
 // peer is strictly lighter — so the node's next submission is forwarded
-// to its lightest peer, the lower name among ties. The returned release
-// cancels the ballast and waits until it has left the node's load: until
-// it is terminal — cancelled, or checkpointed when the cancel lands on a
-// periodic snapshot's pause.
+// to its lightest peer, the lower name among ties. It first waits until
+// every peer is placeable again: a false suspicion while the test was
+// busy elsewhere (a reference run starves the probes) would keep the
+// forward home. The returned release cancels the ballast and waits until
+// it has left the node's load: until it is terminal — cancelled, or
+// checkpointed when the cancel lands on a periodic snapshot's pause.
 func (tc *testCluster) ballast(i int) (release func()) {
 	tc.t.Helper()
+	awaitPlaceable(tc.t, tc.srvs, time.Now().Add(30*time.Second))
 	resp, payload := postJSON(tc.t, tc.url(i)+"/v1/runs",
 		`{"program": "doall I = 1..1099511627776 { work 50 }", "options": {"procs": 1}}`)
 	id, _ := payload["id"].(string)

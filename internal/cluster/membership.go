@@ -422,18 +422,6 @@ func (m *Membership) LeastLoaded() (NodeInfo, bool) {
 	return best, ok
 }
 
-// Placed charges one run to the named peer's load. The placer calls it
-// after each forward that landed there, so placements made between two
-// probes do not all go to the peer the last probe showed lightest; the
-// peer's next probe answer replaces the figure.
-func (m *Membership) Placed(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if r := m.rows[name]; r != nil {
-		r.load++
-	}
-}
-
 // Node returns the named node's row.
 func (m *Membership) Node(name string) (NodeInfo, bool) {
 	m.mu.Lock()

@@ -721,7 +721,7 @@ func TestMembershipDeathAndRevival(t *testing.T) {
 
 // LeastLoaded keeps a run on the placer unless a placeable peer is
 // strictly lighter, and then picks the lightest such peer, the lower
-// name among ties; a forward's charge holds until the peer's next probe.
+// name among ties.
 func TestMembershipLeastLoaded(t *testing.T) {
 	w := newFakeWorld(t, "n1", "n2", "n3")
 	w.set("n2", nodeUp)
@@ -765,15 +765,6 @@ func TestMembershipLeastLoaded(t *testing.T) {
 			loads: map[string]int{"n1": 3, "n2": 2, "n3": 1}, want: "n3"},
 		{name: "two peers tied below self: the lower name", placer: "n3",
 			loads: map[string]int{"n1": 1, "n2": 1, "n3": 2}, want: "n1"},
-		{name: "a forward counts against its target", placer: "n2",
-			loads: map[string]int{"n2": 1},
-			then:  func(w *fakeWorld, m *Membership) { m.Placed("n1") }, want: "n3"},
-		{name: "the next probe answer replaces the charge", placer: "n2",
-			loads: map[string]int{"n2": 1},
-			then: func(w *fakeWorld, m *Membership) {
-				m.Placed("n1")
-				w.advance(testInterval)
-			}, want: "n1"},
 		{name: "a draining peer is never picked", placer: "n1",
 			loads: map[string]int{"n1": 5, "n3": 5},
 			modes: map[string]nodeMode{"n2": nodeDraining}, want: "n1"},
