@@ -79,12 +79,16 @@ verify:
 # the pause: its unstarted slices must travel as pending ranges), the
 # clock-read budget with its real-engine rows twenty times over under it
 # (a hold reads its clock at its edges, its first claim, its tail and one
-# sampled chunk in every stride, whatever the interleaving). The ledger
-# compare against the golden file is tier-1 (cmd/benchsuite's
-# TestLedgerMatchesGolden), so it is not repeated here.
+# sampled chunk in every stride, whatever the interleaving), and a
+# four-thousand-instance fan-out run through and paused and resumed
+# mid-way twenty times under it too (a retired block's ownership crosses
+# goroutines through the run's ICB depot, and which blocks cross depends
+# on the interleaving). The ledger compare against the golden file is
+# tier-1 (cmd/benchsuite's TestLedgerMatchesGolden), so it is not
+# repeated here.
 verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/

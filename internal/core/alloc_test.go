@@ -10,9 +10,9 @@ import (
 )
 
 // serialDoall is a serial loop of outer innermost-Doall instances: each
-// instance retires before the next activates, so the worker freelists
-// see real recycling pressure (unlike a structural-doall fan-out, which
-// activates everything up front).
+// instance retires before the next activates, so every activation after
+// the first can recycle (a structural-doall fan-out activates everything
+// up front, and recycles only what completes meanwhile).
 func serialDoall(outer, inner, grain int64) *loopir.Nest {
 	return loopir.MustBuild(func(b *loopir.B) {
 		b.Serial("T", loopir.Const(outer), func(b *loopir.B) {
@@ -47,10 +47,11 @@ func allocsForRun(t *testing.T, nest *loopir.Nest, scheme lowsched.Scheme) float
 //
 //   - the iteration path allocates nothing — scaling a flat Doall 10x
 //     must not move the per-run allocation count;
-//   - the activation path recycles ICBs through the worker freelists —
-//     scaling the instance count 4x may only add a constant number of
-//     allocations (warm-up blocks before the first completions), not
-//     one-or-more per instance.
+//   - the activation path recycles retired ICBs — the completer's own
+//     freelist first, then the run's depot, which carries blocks between
+//     workers — so scaling the instance count 4x may only add a constant
+//     number of allocations (warm-up blocks before the first
+//     completions), not one-or-more per instance.
 //
 // The bounds are loose enough for runtime-internal allocation (goroutine
 // stacks, timers) to vary between Go releases, but tight enough that any

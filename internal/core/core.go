@@ -16,8 +16,9 @@
 //   - Plan: immutable compile-once artifacts — descriptor tables,
 //     successor fan-out, per-leaf traits (see Plan). Safe to share across
 //     concurrent runs.
-//   - Instance: per-run state — the task pool of ICBs, the BAR_COUNT
-//     table, the stop causes and the stats spine (see executor).
+//   - Instance: per-run state — the task pool of ICBs, the depot that
+//     recycles retired ones between workers, the BAR_COUNT table, the
+//     stop causes and the stats spine (see executor).
 //   - Worker: per-processor scratch — the loc_indexes vector, the bound
 //     iteration context, the stats shard and the ICB freelist (see
 //     worker).
@@ -386,6 +387,8 @@ type executor struct {
 	// copy these instead of re-binding per run (the activation path's
 	// allocation pin in alloc_test.go counts every one).
 	stopFn, abortFn func() bool
+	// depot recycles retired ICBs between workers (recycle.go).
+	depot depot
 	// locs is the shared backing array of the workers' loc_indexes
 	// vectors, one cache-line-padded stride per worker.
 	locs      []int64

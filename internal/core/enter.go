@@ -125,9 +125,9 @@ guards:
 
 // activate creates, initializes and publishes the ICB for one instance of
 // leaf with enclosing indexes loc[2..Depth] (the paper's "create a new
-// ICB; copy the index vector; APPEND"). Retired blocks from this worker's
-// freelist are recycled first — the reuse the paper's pcount release
-// protocol exists to make safe.
+// ICB; copy the index vector; APPEND"). Retired blocks — this worker's,
+// or any worker's through the run's depot — are recycled first: the reuse
+// the paper's pcount release protocol exists to make safe.
 func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 	ex := w.ex
 	ivec := userIVec(loc, leaf.Depth)
@@ -140,11 +140,8 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 		}
 		return
 	}
-	var icb *pool.ICB
-	if n := len(w.free); n > 0 {
-		icb = w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
+	icb := w.recycled()
+	if icb != nil {
 		icb.Reinit(leaf.Num, bound, ivec)
 		w.shard.Inc(cICBReuses)
 	} else {

@@ -56,10 +56,10 @@ type worker struct {
 	ctx Ctx
 	// sst accumulates SEARCH work between flushes into the shard.
 	sst pool.SearchStats
-	// free is the ICB freelist: blocks retired through the pcount
-	// release protocol, recycled by this worker's next activations.
-	// Single-owner, so reuse is deterministic under the virtual engine.
-	free []*pool.ICB
+	// free is the worker's half of ICB recycling (recycle.go): blocks
+	// retired through the pcount release protocol, single-owner, spilling
+	// to and refilling from the run's depot in batches.
+	free pool.Retired
 	// barBuf is scratch for rendering BAR_COUNT keys.
 	barBuf []byte
 	// now is the worker's latest clock reading. The drive loop reads the
@@ -552,8 +552,8 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 
 	// Wait for the other holders to drop the ICB, then release it
 	// (the paper's {pcount = 1; Decrement} spin). Only then may
-	// the block be reused — which it is: the drained block goes
-	// onto this worker's freelist for the next activation.
+	// the block be reused — by any processor's next activation:
+	// it goes to this worker's freelist and on through the depot.
 	rel := machine.Instr{Test: machine.TestEQ, TestVal: 1, Op: machine.OpDec}
 	for {
 		if _, ok := icb.PCount.Exec(pr, rel); ok {
@@ -572,7 +572,7 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 		pr.Spin()
 	}
 	ex.untrackICB(icb)
-	w.free = append(w.free, icb)
+	w.retire(icb)
 	w.tick(cO3Time)
 	return false, true
 }

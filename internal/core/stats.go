@@ -44,7 +44,7 @@ const (
 	cSearchSaturated
 
 	cICBAllocs // ICBs freshly allocated
-	cICBReuses // ICBs recycled from a worker freelist
+	cICBReuses // retired ICBs recycled (freelist or depot)
 	cDepAwaits // Doacross dependence waits entered
 	cDepPosts  // Doacross dependence flags posted
 
@@ -81,7 +81,8 @@ type Snapshot struct {
 	O1Time, O2Time, O3Time        int64
 	DispatchTime, BodyTime        int64
 	// ICBAllocs and ICBReuses decompose instance activations into fresh
-	// allocations and freelist recycles (the paper's pcount release
+	// allocations and recycled retired blocks, from the activating
+	// worker's freelist or the run's depot (the paper's pcount release
 	// protocol making explicit reuse safe).
 	ICBAllocs, ICBReuses int64
 	// DepAwaits and DepPosts count Doacross dependence operations.

@@ -187,3 +187,37 @@ func TestRealEngineTailInstances(t *testing.T) {
 		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
 	})
 }
+
+// TestVirtualEngineRecycledInstances holds the simulator to exactly-once
+// on a fan-out whose retired blocks are recycled by another processor.
+func TestVirtualEngineRecycledInstances(t *testing.T) {
+	RecycledInstances(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineRecycledInstances does the same on goroutines, where a
+// block's ownership crosses goroutines through the depot; make
+// verify-gates runs it twenty times under -race.
+func TestRealEngineRecycledInstances(t *testing.T) {
+	RecycledInstances(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}
+
+// TestVirtualEngineRecycledCheckpointResume holds the simulator to the
+// resume contract when the pause lands mid-fan-out, with recycled blocks
+// live in the pool.
+func TestVirtualEngineRecycledCheckpointResume(t *testing.T) {
+	RecycledCheckpointResume(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineRecycledCheckpointResume does the same on goroutines;
+// make verify-gates runs it twenty times under -race.
+func TestRealEngineRecycledCheckpointResume(t *testing.T) {
+	RecycledCheckpointResume(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}

@@ -166,52 +166,72 @@ type SyncVar struct {
 	// LOCK XADD already combines in the coherence fabric.
 	combining atomic.Bool
 	// name indexes the interned debug-name table.
-	name uint32
+	name Label
 }
 
-// varNames interns debug names: variables are labelled from a small set
-// (index, icount, pcount, SW, L(i).next, …), so the table stays tiny
+// Label is an interned debug name: variables are labelled from a small
+// set (index, icount, pcount, SW, L(i).next, …), so the table stays tiny
 // while every variable carries four bytes instead of a string header.
-// Names are looked up where variables are created and by the virtual
-// engine's contention profile, never on a claim path. Entry 0 is the
-// empty name, so a zero SyncVar is unnamed.
-var varNames = struct {
-	sync.RWMutex
-	ids  map[string]uint32
-	text []string
-}{ids: map[string]uint32{"": 0}, text: []string{""}}
+// Label 0 is the empty name, so a zero SyncVar is unnamed. An owner that
+// creates variables of one name over and over (the ICB's three) interns
+// the name once, at package initialization, and passes the Label to Init.
+type Label uint32
 
-func internName(name string) uint32 {
-	varNames.RLock()
-	id, ok := varNames.ids[name]
-	varNames.RUnlock()
-	if ok {
+// labels is the interning table. Readers load an immutable snapshot
+// without a lock — the virtual engine's contention profile names every
+// fresh variable it sees — and Intern publishes a grown copy under
+// labelMu when it meets a name for the first time.
+var (
+	labelMu sync.Mutex
+	labels  atomic.Pointer[labelTable]
+)
+
+type labelTable struct {
+	ids  map[string]Label
+	text []string
+}
+
+func init() {
+	labels.Store(&labelTable{ids: map[string]Label{"": 0}, text: []string{""}})
+}
+
+// Intern returns the Label of name, adding it to the table on first use.
+func Intern(name string) Label {
+	if id, ok := labels.Load().ids[name]; ok {
 		return id
 	}
-	varNames.Lock()
-	defer varNames.Unlock()
-	if id, ok := varNames.ids[name]; ok {
+	labelMu.Lock()
+	defer labelMu.Unlock()
+	old := labels.Load()
+	if id, ok := old.ids[name]; ok {
 		return id
 	}
-	id = uint32(len(varNames.text))
-	varNames.text = append(varNames.text, name)
-	varNames.ids[name] = id
+	id := Label(len(old.text))
+	t := &labelTable{ids: make(map[string]Label, len(old.ids)+1), text: append(old.text[:len(old.text):len(old.text)], name)}
+	for k, v := range old.ids {
+		t.ids[k] = v
+	}
+	t.ids[name] = id
+	labels.Store(t)
 	return id
 }
+
+// String returns the name the label interns.
+func (l Label) String() string { return labels.Load().text[l] }
 
 // NewSyncVar returns a synchronization variable with the given debug name
 // and initial value.
 func NewSyncVar(name string, init int64) *SyncVar {
 	s := &SyncVar{}
-	s.Init(name, init)
+	s.Init(Intern(name), init)
 	return s
 }
 
 // Init (re)labels the variable and stores its initial value without
 // charging an access. It is for variables embedded by value in larger
 // structures; it must not race with concurrent accessors.
-func (s *SyncVar) Init(name string, init int64) {
-	s.name = internName(name)
+func (s *SyncVar) Init(name Label, init int64) {
+	s.name = name
 	s.v.Store(init)
 }
 
@@ -241,11 +261,7 @@ func (s *SyncVar) SetCombining(on bool) { s.combining.Store(on) }
 func (s *SyncVar) Combining() bool { return s.combining.Load() }
 
 // Name returns the variable's debug name.
-func (s *SyncVar) Name() string {
-	varNames.RLock()
-	defer varNames.RUnlock()
-	return varNames.text[s.name]
-}
+func (s *SyncVar) Name() string { return s.name.String() }
 
 // Exec indivisibly executes the instruction on behalf of processor p:
 // it evaluates in.Test against the current value and, on success, applies

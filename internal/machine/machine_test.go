@@ -520,3 +520,20 @@ func TestImbalance(t *testing.T) {
 		t.Error("degenerate imbalance not 0")
 	}
 }
+
+// TestInternIsStable: a label interned once names every variable it
+// initializes, and interning a known name again returns the same label.
+func TestInternIsStable(t *testing.T) {
+	l := Intern("interned-once")
+	if Intern("interned-once") != l || l.String() != "interned-once" {
+		t.Fatalf("label %d reads %q, re-interned as %d", l, l.String(), Intern("interned-once"))
+	}
+	var v SyncVar
+	v.Init(l, 7)
+	if v.Name() != "interned-once" || v.Peek() != 7 {
+		t.Errorf("Init(label, 7) reads back %q = %d", v.Name(), v.Peek())
+	}
+	if Label(0).String() != "" {
+		t.Errorf("label 0 is %q, want the empty name", Label(0).String())
+	}
+}

@@ -15,9 +15,10 @@
 //     pathological spin when low-numbered lists hold only saturated ICBs.
 //     This preserves the paper's intent ("processors can go to the next
 //     nonempty linked list when the i-th linked list is locked").
-//   - Retired ICBs are recycled through per-worker freelists in the
-//     executor: the paper's pcount release protocol makes explicit reuse
-//     safe, and Reinit starts a fresh lifetime of the block (and of its
+//   - Retired ICBs are recycled within a run (the executor's worker
+//     freelists and their run-wide depot, each a Retired stack): the
+//     paper's pcount release protocol makes explicit reuse safe, and
+//     Reinit starts a fresh lifetime of the block (and of its
 //     synchronization variables) for the next instance.
 //
 // The pool can also be configured with a single shared list for all loops,
@@ -103,6 +104,14 @@ type ICB struct {
 	_     [8]byte
 }
 
+// The ICB's variable names, interned once at start-up: a fan-out creates
+// blocks by the thousand, and labelling one is then a plain store.
+var (
+	labelIndex  = machine.Intern("index")
+	labelICount = machine.Intern("icount")
+	labelPCount = machine.Intern("pcount")
+)
+
 // NewICB returns an ICB for an instance of loop num with the given bound
 // and enclosing index vector, initialized per Algorithm 6:
 // index = 1, icount = 0, pcount = 0.
@@ -112,9 +121,9 @@ func NewICB(num int, bound int64, ivec loopir.IVec) *ICB {
 		Bound: bound,
 		IVec:  ivec.Clone(),
 	}
-	b.Index.Init("index", 1)
-	b.ICount.Init("icount", 0)
-	b.PCount.Init("pcount", 0)
+	b.Index.Init(labelIndex, 1)
+	b.ICount.Init(labelICount, 0)
+	b.PCount.Init(labelPCount, 0)
 	return b
 }
 
@@ -146,6 +155,39 @@ func (b *ICB) Reinit(num int, bound int64, ivec loopir.IVec) {
 	b.left, b.right = nil, nil
 	b.home = 0
 }
+
+// Retired is a LIFO of retired blocks, chained through their list links:
+// a block out of every list whose release protocol has drained uses
+// neither link, so holding it costs no allocation. Pushing a block hands
+// its ownership to the stack and popping hands it to the caller; the
+// stack itself is not synchronized.
+type Retired struct {
+	top *ICB
+	n   int
+}
+
+// Push adds a retired block.
+func (r *Retired) Push(b *ICB) {
+	if b.inList {
+		panic(fmt.Sprintf("pool: retire of listed %v", b))
+	}
+	b.right = r.top
+	r.top = b
+	r.n++
+}
+
+// Pop removes and returns the most recently pushed block, or nil.
+func (r *Retired) Pop() *ICB {
+	b := r.top
+	if b != nil {
+		r.top, b.right = b.right, nil
+		r.n--
+	}
+	return b
+}
+
+// Len returns the number of blocks on the stack.
+func (r *Retired) Len() int { return r.n }
 
 func (b *ICB) String() string {
 	return fmt.Sprintf("ICB{loop %d, ivec %v, bound %d, index %d, icount %d, pcount %d}",

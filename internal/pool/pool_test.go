@@ -451,3 +451,29 @@ func BenchmarkSearchAdopt(b *testing.B) {
 		}
 	}
 }
+
+// TestRetiredIsLIFO: the retired stack hands blocks back newest first,
+// leaves no link behind on a popped block, and refuses a listed one.
+func TestRetiredIsLIFO(t *testing.T) {
+	var r Retired
+	a, b := NewICB(1, 4, nil), NewICB(1, 4, nil)
+	r.Push(a)
+	r.Push(b)
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
+	}
+	if got := r.Pop(); got != b || got.right != nil {
+		t.Errorf("first Pop = %p (right %p), want %p unlinked", got, got.right, b)
+	}
+	if got := r.Pop(); got != a || r.Pop() != nil || r.Len() != 0 {
+		t.Errorf("second Pop = %p, want %p and then an empty stack", got, a)
+	}
+	p := New(1)
+	p.Append(&tp{}, a)
+	defer func() {
+		if recover() == nil {
+			t.Error("pushing a listed block did not panic")
+		}
+	}()
+	r.Push(a)
+}

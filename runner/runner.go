@@ -266,7 +266,7 @@ var resultMetrics = []struct {
 		func(r *repro.Result) int64 { return r.Stats.Search.Saturated }},
 	{"runner_icb_allocs_total", "Instance control blocks freshly allocated by finished runs.",
 		func(r *repro.Result) int64 { return r.Stats.ICBAllocs }},
-	{"runner_icb_reuses_total", "Instance control blocks adopted from worker freelists by finished runs.",
+	{"runner_icb_reuses_total", "Retired instance control blocks recycled for a later instance of the same run, by finished runs.",
 		func(r *repro.Result) int64 { return r.Stats.ICBReuses }},
 }
 
