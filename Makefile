@@ -67,7 +67,11 @@ verify:
 # then the runner's randomized event storms fifty times over (they were
 # flaky once: a census race shows in about 3 runs of 100), the terminal
 # runs' release checks fifty times over (their preempted-then-done case
-# once raced its own preemption: about 1 run in 100), the
+# once raced its own preemption: about 1 run in 100), the run table's
+# retention checks twenty times over under the race detector (outcomes
+# released while other goroutines look them up, watch and wait on them,
+# a placer's tracker meeting an owner's 410, and a restarted owner's 404
+# for a placement it lost, which must fail over), the
 # three-node cold start on real sockets twenty times over (every node
 # placeable on every other within half a probe interval of the last
 # listener — the figure serve_cluster3's setup_s rests on), eight
@@ -90,5 +94,6 @@ verify-gates:
 	$(GO) test -race -shuffle=on ./...
 	$(GO) test -count=50 -run 'TestEventStorm' ./runner/
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
+	$(GO) test -race -count=20 -run 'TestRetain|TestReserve|TestSpans|TestChainStopsAtPause|TestCluster(Released|Lost)Placement' ./runner/ ./cmd/loopschedd/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
 	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/

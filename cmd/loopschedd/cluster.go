@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro"
@@ -86,11 +85,14 @@ type clusterState struct {
 	// per-process value, so IDs this placer chooses never collide with
 	// the owner's own sequence or with IDs minted before a placer
 	// reboot — which is what makes resending the same ID on every
-	// forward attempt a safe idempotency key.
+	// forward attempt a safe idempotency key. The sequence counts per
+	// owner, so an owner sees this placer's numbers in order and its
+	// record of the IDs it held (runner.Lookup's released test) stays one
+	// range per placer, not one entry per run.
 	placeTag string
-	placeSeq atomic.Uint64
 
 	mu         sync.Mutex
+	placeSeq   map[string]int // per owner name
 	placements map[string]*placement
 	// tracked is closed when the tracker loop has exited.
 	tracked chan struct{}
@@ -108,6 +110,7 @@ func newClusterState(s *server, opts clusterOptions) (*clusterState, error) {
 		opts:       opts,
 		client:     client,
 		placeTag:   fmt.Sprintf("%08x", rand.Uint32()),
+		placeSeq:   map[string]int{},
 		placements: map[string]*placement{},
 		tracked:    make(chan struct{}),
 	}
@@ -178,11 +181,16 @@ func (s *server) isInternal(r *http.Request) bool {
 }
 
 // placementID mints the run ID for a placement on target: the owner's
-// name prefix (so prefix routing works unchanged), this placer's
-// random per-process tag, and a sequence number. Unique across the
-// owner's own IDs, other placers, and this placer's earlier lives.
+// name prefix (so prefix routing works unchanged), this placer's random
+// per-process tag, and the next number of its sequence for target.
+// Unique across the owner's own IDs, other placers, and this placer's
+// earlier lives.
 func (c *clusterState) placementID(target string) string {
-	return fmt.Sprintf("%s-run-%s-%04d", target, c.placeTag, c.placeSeq.Add(1))
+	c.mu.Lock()
+	c.placeSeq[target]++
+	n := c.placeSeq[target]
+	c.mu.Unlock()
+	return fmt.Sprintf("%s-run-%s-%04d", target, c.placeTag, n)
 }
 
 // confirmPlaced asks target whether run id exists — the tiebreaker
@@ -301,25 +309,43 @@ func (c *clusterState) scatter(id string, try func(cluster.Peer) bool) bool {
 	return false
 }
 
-// fetchStatus GETs a run's status from whichever node serves it.
+// fetchStatus GETs a run's status from whichever node serves it. When
+// none answers 200 it returns, not ok, a node's 410 — the run ended and
+// its outcome was released there — or nil: a failed-over run lives on a
+// survivor under its original prefix, so a 410 is the answer only once
+// no node has the run.
 func (c *clusterState) fetchStatus(ctx context.Context, id string) (resp *cluster.Response, ok bool) {
+	var gone *cluster.Response
 	ok = c.scatter(id, func(p cluster.Peer) bool {
 		got, err := c.client.Do(ctx, p, http.MethodGet, "/v1/runs/"+id, nil, nil)
+		if got != nil && got.Status == http.StatusGone {
+			gone = got
+		}
 		resp = got
 		return err == nil && got.Status == http.StatusOK
 	})
+	if !ok {
+		resp = gone
+	}
 	return resp, ok
 }
 
-// proxyGet serves GET /v1/runs/{id} for a run another node owns.
-// Reports whether it handled the request.
+// relay writes a peer's answer as this node's.
+func relay(w http.ResponseWriter, resp *cluster.Response) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(resp.Status)
+	w.Write(resp.Body)
+}
+
+// proxyGet serves GET /v1/runs/{id} for a run another node owns, or
+// relays a 410 for one another node released. Reports whether it
+// handled the request.
 func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id string) bool {
-	resp, ok := c.fetchStatus(r.Context(), id)
-	if !ok {
+	resp, _ := c.fetchStatus(r.Context(), id)
+	if resp == nil {
 		return false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(resp.Body)
+	relay(w, resp)
 	return true
 }
 
@@ -328,10 +354,10 @@ func (c *clusterState) proxyGet(w http.ResponseWriter, r *http.Request, id strin
 // back to scattering across live peers when the resolved owner is
 // unreachable or answers 404 — after a failover the run lives on a
 // survivor whose name the ID's prefix no longer matches, and only the
-// node that placed the run knows which. A 404 keeps scattering (that
-// node simply doesn't host the run) and is relayed if nothing better
-// comes; any other answer is the owner's and is relayed as-is. Reports
-// whether it handled the request.
+// node that placed the run knows which. A 404 or 410 keeps scattering
+// (that node does not hold the run) and is relayed if nothing better
+// comes, a 410 before a 404; any other answer is the owner's and is
+// relayed as-is. Reports whether it handled the request.
 func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, action string) bool {
 	var answer *cluster.Response
 	c.scatter(id, func(p cluster.Peer) bool {
@@ -339,15 +365,16 @@ func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, act
 		if err != nil && resp == nil {
 			return false
 		}
-		answer = resp
-		return resp.Status != http.StatusNotFound
+		held := resp.Status != http.StatusNotFound && resp.Status != http.StatusGone
+		if held || answer == nil || resp.Status == http.StatusGone {
+			answer = resp
+		}
+		return held
 	})
 	if answer == nil {
 		return false
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(answer.Status)
-	w.Write(answer.Body)
+	relay(w, answer)
 	return true
 }
 
@@ -362,7 +389,11 @@ func (c *clusterState) proxyPost(w http.ResponseWriter, r *http.Request, id, act
 func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id string) bool {
 	resp, ok := c.fetchStatus(r.Context(), id)
 	if !ok {
-		return false
+		if resp == nil {
+			return false
+		}
+		relay(w, resp)
+		return true
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -396,10 +427,13 @@ func (c *clusterState) proxyProgress(w http.ResponseWriter, r *http.Request, id 
 			case <-time.After(delay):
 			}
 			delay = min(2*delay, interval)
-			if resp, ok = c.fetchStatus(r.Context(), id); ok {
+			got, ok := c.fetchStatus(r.Context(), id)
+			if ok {
+				resp = got
 				break
 			}
-			if misses++; misses > 5 {
+			// Released meanwhile: the run is over, its last snapshot missed.
+			if misses++; got != nil || misses > 5 {
 				return true
 			}
 		}
@@ -502,7 +536,8 @@ func restoreNote(ck *repro.Checkpoint) string {
 // track is the one placement tracker: every probe interval it polls the
 // owner of each open placement once, in turn — journaling each new
 // snapshot (the failover restore point), recording the terminal state,
-// and failing over when a live owner turns out to have lost the run.
+// and failing over when a live owner turns out to have lost the run (404)
+// — never when it released it (410): that run is over.
 func (c *clusterState) track() {
 	defer close(c.tracked)
 	interval := c.opts.ProbeInterval
@@ -545,13 +580,19 @@ func (c *clusterState) pollRemote(p *placement) {
 	_, err := c.client.Do(c.ctx, owner, http.MethodGet, "/v1/runs/"+p.id, nil, &st)
 	if err != nil {
 		var se *cluster.StatusError
-		if errors.As(err, &se) && se.Status == http.StatusNotFound {
+		switch {
+		case !errors.As(err, &se):
+			// Transport failures: membership declares death; OnDead handles it.
+		case se.Status == http.StatusGone:
+			// The run ended and the owner has since released its outcome,
+			// between two polls: close the placement, never re-run it.
+			c.finishPlacement(p, "released")
+		case se.Status == http.StatusNotFound:
 			// The owner is alive but no longer knows the run: it lost its
 			// state (restart without journal). Re-place from our snapshot.
 			log.Printf("loopschedd: owner %s lost run %s, failing over", node, p.id)
 			c.failover(p)
 		}
-		// Transport failures: membership declares death; OnDead handles it.
 		return
 	}
 	if st.Checkpoint != nil {

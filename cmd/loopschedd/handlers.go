@@ -239,14 +239,19 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // there is none it lets proxy answer for a run another node owns — except
 // for internal requests, which never re-proxy: a forwarding loop between
 // two nodes that both miss would otherwise bounce until a deadline — and
-// failing that answers 404.
+// failing that answers 410 for a run this node released, 404 for one it
+// never held.
 func (s *server) localRun(w http.ResponseWriter, r *http.Request, proxy func(id string) bool) (*runner.Run, bool) {
 	id := r.PathValue("id")
-	run, ok := s.rn.Get(id)
-	if !ok && (s.cluster == nil || s.isInternal(r) || !proxy(id)) {
-		writeError(w, http.StatusNotFound, errors.New("no such run"))
+	run, err := s.rn.Lookup(id)
+	if err != nil && (s.cluster == nil || s.isInternal(r) || !proxy(id)) {
+		status := http.StatusNotFound
+		if errors.Is(err, runner.ErrReleased) {
+			status = http.StatusGone
+		}
+		writeError(w, status, err)
 	}
-	return run, ok
+	return run, err == nil
 }
 
 func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -141,8 +141,11 @@ func (s *server) onEvent(ev runner.Event) {
 // terminal, under its original ID, resuming from its last journaled
 // snapshot when one exists. A run whose submission no longer re-creates
 // is logged and dropped rather than wedging boot. Runs this node placed
-// elsewhere (kindPlace) are returned as placements for the cluster
-// layer to re-adopt rather than re-queued locally.
+// elsewhere (kindPlace) are returned as placements for the cluster layer
+// to re-adopt rather than re-queued locally. Every journaled ID stays
+// taken, so fresh IDs number past it; of those not re-queued, only a run
+// that ended here answers 410 — a dropped run or one placed elsewhere
+// was never held by this life and answers 404.
 func (s *server) replayJournal(recs []journal.Record) []*placement {
 	type pending struct {
 		sub      journalSubmit
@@ -202,10 +205,16 @@ func (s *server) replayJournal(recs []journal.Record) []*placement {
 	var placements []*placement
 	for _, id := range order {
 		p := byID[id]
+		local := p.placedOn == "" || p.placedOn == s.cfg.Cluster.Node
+		if p.terminal && local {
+			s.rn.MarkReleased(id)
+			continue
+		}
+		s.rn.Reserve(id)
 		if p.terminal {
 			continue
 		}
-		if p.placedOn != "" && p.placedOn != s.cfg.Cluster.Node {
+		if !local {
 			placements = append(placements, &placement{
 				id:     id,
 				node:   p.placedOn,

@@ -7,7 +7,8 @@
 //
 //	POST /v1/runs                submit {"program": "...", "options": {...},
 //	                             "timeout": "30s", "label": "..."}
-//	GET  /v1/runs                list all runs (progress snapshots)
+//	GET  /v1/runs                list the live and retained runs (progress
+//	                             snapshots)
 //	GET  /v1/runs/{id}           one run's status, with the result once done
 //	GET  /v1/runs/{id}/progress  NDJSON stream of progress until terminal
 //	POST /v1/runs/{id}/cancel    request cancellation
@@ -42,6 +43,10 @@
 //	                             node the membership series (peer and
 //	                             breaker state, probes by outcome, state
 //	                             transitions, boot-to-converged seconds)
+//
+// Every /v1/runs/{id} route answers 410 Gone for a run this node finished
+// and has since released — it keeps the newest -retain-runs outcomes —
+// and 404 for an ID it never held.
 //
 // Every setting is one tagged field of serverConfig, spelled nowhere
 // else; `loopschedd -h` and the README's daemon settings table (both

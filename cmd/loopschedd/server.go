@@ -26,6 +26,7 @@ type serverConfig struct {
 	Addr           string        `flag:"addr" default:":8080" help:"listen address"`
 	MaxConcurrent  int           `flag:"max-concurrent" default:"4" help:"maximum runs executing at once"`
 	QueueLimit     int           `flag:"queue-limit" default:"64" help:"maximum queued runs (0 = unbounded)"`
+	RetainRuns     int           `flag:"retain-runs" default:"1024" help:"finished runs kept for lookup; past it the oldest outcome is released and its ID answers 410 Gone (0 = 1024)"`
 	SampleInterval time.Duration `flag:"sample" default:"200ms" help:"progress sampling interval"`
 	DefaultTimeout time.Duration `flag:"default-timeout" help:"timeout applied to runs that specify none (0 = none)"`
 	MaxBodyBytes   int64         `flag:"max-body-bytes" default:"1048576" help:"maximum request body size in bytes"`
@@ -86,6 +87,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.rn = runner.New(runner.Config{
 		MaxConcurrent:  cfg.MaxConcurrent,
 		QueueLimit:     cfg.QueueLimit,
+		Retain:         cfg.RetainRuns,
 		SampleInterval: cfg.SampleInterval,
 		Metrics:        reg,
 		Tenants:        cfg.Tenants.tenantConfig(),

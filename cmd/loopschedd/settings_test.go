@@ -48,8 +48,8 @@ func TestSettingsTableComplete(t *testing.T) {
 			flags[name] = f.Name
 		}
 	}
-	if len(flags) != 20 {
-		t.Errorf("%d flags, want 20", len(flags))
+	if len(flags) != 21 {
+		t.Errorf("%d flags, want 21", len(flags))
 	}
 }
 

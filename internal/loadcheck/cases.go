@@ -94,17 +94,19 @@ var Cases = []Case{
 		},
 	},
 	{
-		// The "flat memory" half of ROADMAP item 2's soak gate: thousands
-		// of tiny runs, 64 in flight, through one Runner that never
-		// forgets a run. What is left per terminal run is its outcome
-		// record, not its machine: measured 1.27 kB (13.6 kB before).
-		Name:  "soak_tiny",
-		Class: "typical",
+		// The "flat memory" half of ROADMAP item 1's soak gate: twenty
+		// thousand tiny runs, 64 in flight, through one Runner that keeps
+		// the newest 128 outcomes. What is left is those outcome records,
+		// not one per run served: the total is held to Retain × 2.5 kB,
+		// the ceiling one terminal run may cost.
+		Name:   "soak_tiny",
+		Class:  "typical",
+		Retain: 128,
 		Streams: []Stream{
-			{Runs: 5000, Iters: 8, Window: 64},
+			{Runs: 20_000, Iters: 8, Window: 64},
 		},
 		Goals: Goals{
-			MaxRetainedBytesPerRun: 2_500,
+			MaxRetainedBytes: 128 * 2_500,
 		},
 	},
 }

@@ -97,9 +97,13 @@ type Goals struct {
 	MaxBytesPerRun int64
 	// MaxRetainedBytesPerRun caps the heap still in use per completed
 	// run once everything has drained (HeapAlloc delta, both sides
-	// after two collections, the Runner and its run registry still
-	// reachable): what a terminal run keeps for as long as it is served.
+	// after two collections, the Runner and its run table still
+	// reachable, the harness's own handles dropped): what a terminal run
+	// keeps for as long as it is retained.
 	MaxRetainedBytesPerRun int64
+	// MaxRetainedBytes caps that heap in total: with more runs than the
+	// case's Retain, what the table holds however many runs it served.
+	MaxRetainedBytes int64
 	// MaxShed caps admission rejections; -1 means shedding is expected
 	// and unbounded, 0 (the zero value) means none tolerated.
 	MaxShed int
@@ -113,6 +117,8 @@ type Case struct {
 	Name    string
 	Class   string
 	Tenants map[string]runner.Tenant
+	// Retain is the runner's terminal-run cap (0 = runner.DefaultRetain).
+	Retain  int
 	Streams []Stream
 	Goals   Goals
 }
@@ -128,8 +134,9 @@ type Report struct {
 	Throughput float64
 	// BytesPerRun is allocated bytes per completed run.
 	BytesPerRun int64
-	// RetainedBytesPerRun is heap still in use per completed run after
-	// the drain.
+	// RetainedBytes is heap still in use after the drain, and
+	// RetainedBytesPerRun that per completed run.
+	RetainedBytes       int64
 	RetainedBytesPerRun int64
 	// TenantIters is completed iterations by tenant over the fairness
 	// window (the whole run set when no fairness goal is declared).
@@ -150,6 +157,9 @@ func (r Report) Check(g Goals) []string {
 	}
 	if g.MaxRetainedBytesPerRun > 0 && r.RetainedBytesPerRun > g.MaxRetainedBytesPerRun {
 		bad = append(bad, fmt.Sprintf("retained %d B/run over goal %d", r.RetainedBytesPerRun, g.MaxRetainedBytesPerRun))
+	}
+	if g.MaxRetainedBytes > 0 && r.RetainedBytes > g.MaxRetainedBytes {
+		bad = append(bad, fmt.Sprintf("retained %d B over goal %d", r.RetainedBytes, g.MaxRetainedBytes))
 	}
 	if g.MaxShed >= 0 && r.Shed > g.MaxShed {
 		bad = append(bad, fmt.Sprintf("shed %d submissions, goal allows %d", r.Shed, g.MaxShed))
@@ -186,6 +196,7 @@ func Run(ctx context.Context, c Case) (Report, error) {
 		MaxConcurrent: class.Workers,
 		QueueLimit:    class.QueueLimit,
 		Tenants:       c.Tenants,
+		Retain:        c.Retain,
 	})
 	defer rn.Close()
 
@@ -272,9 +283,6 @@ func Run(ctx context.Context, c Case) (Report, error) {
 	elapsed := time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
-	// rn and runs are both used below: every terminal run is still
-	// reachable the way a serving daemon's registry keeps it.
-	retained := int64(settledMemStats().HeapAlloc) - int64(ms0.HeapAlloc)
 
 	// Fairness is a dispatch-order property: reconstruct the dispatch
 	// sequence from per-run start times and account the goal window
@@ -301,10 +309,15 @@ func Run(ctx context.Context, c Case) (Report, error) {
 			rep.TenantIters[tenantKey(r.Tenant())] += res.Stats.Iterations
 		}
 	}
+	// With the harness's handles dropped, what is still reachable is what
+	// the Runner's table keeps, the way a serving daemon's does.
+	runs = nil
+	rep.RetainedBytes = int64(settledMemStats().HeapAlloc) - int64(ms0.HeapAlloc)
+	runtime.KeepAlive(rn)
 	rep.Throughput = float64(rep.Completed) / elapsed.Seconds()
 	if rep.Completed > 0 {
 		rep.BytesPerRun = int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(rep.Completed)
-		rep.RetainedBytesPerRun = retained / int64(rep.Completed)
+		rep.RetainedBytesPerRun = rep.RetainedBytes / int64(rep.Completed)
 	}
 	if f := c.Goals.Fairness; f != nil {
 		a := rep.TenantIters[tenantKey(f.Tenants[0])]

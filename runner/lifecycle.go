@@ -186,26 +186,22 @@ func (rn *Runner) submit(r *Run, record any) error {
 		return ErrQueueFull
 	}
 	if r.id == "" {
-		rn.seq++
-		r.id = fmt.Sprintf("%srun-%04d", rn.cfg.IDPrefix, rn.seq)
-	} else {
-		if _, dup := rn.byID[r.id]; dup {
-			rn.mu.Unlock()
-			return fmt.Errorf("%w: %q", ErrDuplicateID, r.id)
-		}
-		// Any trailing digits bump the sequence, so fresh submissions never
-		// collide with a replayed ID.
-		if n, ok := trailingNumber(r.id); ok && n > rn.seq {
-			rn.seq = n
-		}
+		r.id = fmt.Sprintf("%srun-%04d", rn.cfg.IDPrefix, rn.seq+1)
+	} else if _, dup := rn.byID[r.id]; dup || rn.heldLocked(r.id) {
+		// Held before and released counts too: a retry must never run a
+		// finished run a second time.
+		rn.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrDuplicateID, r.id)
 	}
+	rn.holdLocked(r.id)
 	r.rn, r.ledger = rn, t
+	r.order = rn.submitted
+	rn.submitted++
 	r.submitted = time.Now()
 	r.startedCh = make(chan struct{})
 	r.done = make(chan struct{})
 	r.ctx, r.cancelCtx = context.WithCancel(context.Background())
 	rn.byID[r.id] = r
-	rn.runs = append(rn.runs, r)
 	r.liveAt = len(rn.live)
 	rn.live = append(rn.live, r)
 	rn.census[StateQueued]++
@@ -223,26 +219,6 @@ func (rn *Runner) submit(r *Run, record any) error {
 	}
 	<-delivered
 	return nil
-}
-
-// trailingNumber parses the decimal digits ending id ("run-0042" → 42).
-func trailingNumber(id string) (int, bool) {
-	end := len(id)
-	start := end
-	for start > 0 && id[start-1] >= '0' && id[start-1] <= '9' {
-		start--
-	}
-	if start == end {
-		return 0, false
-	}
-	n := 0
-	for _, c := range id[start:end] {
-		n = n*10 + int(c-'0')
-		if n < 0 || n > 1<<30 {
-			return 0, false
-		}
-	}
-	return n, true
 }
 
 // preempt delivers a preemption decision to the run, outside the
@@ -377,6 +353,16 @@ func (r *Run) finalizeLocked(res *repro.Result, err error) {
 	last := rn.live[len(rn.live)-1]
 	rn.live[r.liveAt], last.liveAt = last, r.liveAt
 	rn.live = rn.live[:len(rn.live)-1]
+	// The outcome joins the retained ones; past Retain the oldest leaves
+	// the table. Its holders keep a working handle, and Lookup answers
+	// ErrReleased for its ID from here on.
+	rn.retained = append(rn.retained, r)
+	if len(rn.retained) > rn.cfg.Retain {
+		old := rn.retained[0]
+		rn.retained[0] = nil
+		rn.retained = rn.retained[1:]
+		delete(rn.byID, old.id)
+	}
 	rn.emitLocked(Event{Kind: EventTerminal, Run: r})
 	close(r.done)
 }

@@ -49,6 +49,7 @@ type Run struct {
 	// the Terminal transition read off the executor when there is none.
 	final  *core.Snapshot
 	liveAt int // index in rn.live while the run is live
+	order  int // submissions accepted before this one (Runs' order)
 	// startedCh is closed when an attempt begins; a preempted run gets a
 	// fresh one for its next attempt (so it is guarded here, not immutable
 	// like done). Terminal: done itself, or nil for a run that never started.

@@ -25,6 +25,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,13 +43,24 @@ var (
 	// waiting.
 	ErrQueueFull = errors.New("runner: queue full")
 	// ErrDuplicateID is returned by Submit when the submission's
-	// caller-chosen ID is already taken. Callers that chose the ID
-	// themselves (the cluster placement path) treat it as proof the run
-	// exists.
+	// caller-chosen ID is already taken: held now, or held and released.
+	// Callers that chose the ID themselves (the cluster placement path)
+	// treat it as proof the run exists or existed.
 	ErrDuplicateID = errors.New("runner: run already exists")
+	// ErrNotFound is returned by Lookup for an ID this Runner never held.
+	ErrNotFound = errors.New("runner: no such run")
+	// ErrReleased is returned by Lookup for an ID this Runner held and has
+	// since released: its run was terminal and Retain newer outcomes
+	// pushed it out of the table, or MarkReleased recorded it as ended in
+	// an earlier life.
+	ErrReleased = errors.New("runner: run released")
 	// errNotFinished is returned by Run.Result while the run is live.
 	errNotFinished = errors.New("runner: run not finished")
 )
+
+// DefaultRetain is the number of terminal runs a Runner keeps when
+// Config.Retain is zero.
+const DefaultRetain = 1024
 
 // Config configures a Runner.
 type Config struct {
@@ -83,6 +95,11 @@ type Config struct {
 	// "n1-run-0001"). Cluster nodes set their node name here so run IDs
 	// are unique cluster-wide and routable to their owner.
 	IDPrefix string
+	// Retain caps the terminal runs kept for lookup (default
+	// DefaultRetain). Past it the oldest outcome, in finish order, leaves
+	// the table: Lookup answers ErrReleased for its ID, and a handle already
+	// held keeps working. Live runs are never released.
+	Retain int
 	// OnEvent, if non-nil, receives every run's lifecycle as one sequence
 	//
 	//	Submitted (Started Snapshot* Preempted)* (Started Snapshot*)? Terminal
@@ -192,17 +209,27 @@ type Runner struct {
 
 	// mu is the Runner's one lock. It guards everything below and the
 	// fields of every Run and ledger marked so.
-	mu   sync.Mutex
-	seq  int
-	byID map[string]*Run
-	runs []*Run // every run ever accepted, in submission order
+	mu sync.Mutex
+	// byID is the run table: the live runs and the retained terminal ones.
+	// submitted counts every run ever accepted. held records, per ID
+	// series (an ID minus its trailing digits), the numbers of every run
+	// accepted, so a lookup tells a released ID from one never held; seq
+	// is the highest number of the Runner's own series accepted or
+	// reserved, so fresh IDs never repeat one.
+	byID      map[string]*Run
+	submitted int
+	held      map[string]spans
+	seq       int
 	// live holds the queued and running runs (Run.liveAt is the run's
-	// index), running the executing ones — at most MaxConcurrent. The
-	// transitions keep both, so Close, Drain and the preemption scan cost
-	// the same however many runs were ever served.
-	live    []*Run
-	running []*Run
-	closed  bool
+	// index), running the executing ones — at most MaxConcurrent, and
+	// retained the terminal runs still in byID, oldest outcome first — at
+	// most Retain. The transitions keep all three, so Close, Drain, the
+	// preemption scan and the table cost the same however many runs were
+	// ever served.
+	live     []*Run
+	running  []*Run
+	retained []*Run
+	closed   bool
 	// census counts runs by state (each tenant's ledger does the same for
 	// its own); stalled counts the live runs the watchdog declares stuck,
 	// preempted the preemption requeues.
@@ -324,7 +351,10 @@ func New(cfg Config) *Runner {
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 50 * time.Millisecond
 	}
-	rn := &Runner{cfg: cfg, byID: map[string]*Run{}, ledgers: map[string]*ledger{}}
+	if cfg.Retain <= 0 {
+		cfg.Retain = DefaultRetain
+	}
+	rn := &Runner{cfg: cfg, byID: map[string]*Run{}, held: map[string]spans{}, ledgers: map[string]*ledger{}}
 	for name := range cfg.Tenants {
 		rn.ledgerLocked(name)
 	}
@@ -393,37 +423,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		for {
-			if every > 0 {
-				attempt.CheckpointAfter = every
-			}
-			res, err := prog.RunContext(ctx, attempt)
-			var cke *repro.CheckpointedError
-			if errors.As(err, &cke) {
-				// Keep the snapshot on the handle. A plain CheckpointAfter
-				// run (or a chain asked to yield — pause request,
-				// preemption, cancellation) surfaces the checkpoint as its
-				// outcome: exec either requeues (preemption in flight — the
-				// next attempt resumes from the snapshot) or finalizes as
-				// checkpointed (terminal and resumable, not a failure). A
-				// chain leg otherwise publishes its snapshot and resumes.
-				r.ckpt.Store(cke.Checkpoint)
-				if every <= 0 || r.yield.Load() || ctx.Err() != nil {
-					return nil, err
-				}
-				r.emitSnapshot()
-				attempt.Resume = cke.Checkpoint
-				attempt.Verify = false
-				continue
-			}
-			var be *repro.BudgetExceededError
-			if errors.As(err, &be) && be.Checkpoint != nil {
-				// Budget exhaustion on a checkpointable run: park the
-				// snapshot so a client can resubmit it with a fresh budget.
-				r.ckpt.Store(be.Checkpoint)
-			}
-			return res, err
-		}
+		return r.legs(ctx, attempt, every, prog.RunContext)
 	}
 	if err := rn.submit(r, sub.Record); err != nil {
 		return nil, err
@@ -431,23 +431,80 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	return r, nil
 }
 
+// legs runs one attempt through leg: once, or with every > 0 as a chain
+// of legs that each pause after every chunk claims, park and publish the
+// snapshot, and resume from it.
+func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
+	leg func(context.Context, repro.Options) (*repro.Result, error)) (*repro.Result, error) {
+	for {
+		if every > 0 {
+			attempt.CheckpointAfter = every
+		}
+		res, err := leg(ctx, attempt)
+		var cke *repro.CheckpointedError
+		if errors.As(err, &cke) {
+			// Keep the snapshot on the handle. A plain CheckpointAfter run,
+			// or a chain asked to yield (pause request, preemption),
+			// surfaces the checkpoint as its outcome: exec either requeues
+			// (preemption in flight — the next attempt resumes from the
+			// snapshot) or finalizes as checkpointed (terminal and
+			// resumable, not a failure). A chain leg otherwise publishes its
+			// snapshot and resumes — unless a cancel or the deadline landed
+			// on its pause: that ends the run as the context says, with the
+			// snapshot parked as for any stopped run.
+			r.ckpt.Store(cke.Checkpoint)
+			if every <= 0 || r.yield.Load() {
+				return nil, err
+			}
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			r.emitSnapshot()
+			attempt.Resume = cke.Checkpoint
+			attempt.Verify = false
+			continue
+		}
+		var be *repro.BudgetExceededError
+		if errors.As(err, &be) && be.Checkpoint != nil {
+			// Budget exhaustion on a checkpointable run: park the
+			// snapshot so a client can resubmit it with a fresh budget.
+			r.ckpt.Store(be.Checkpoint)
+		}
+		return res, err
+	}
+}
+
 // watchdogFlightEvents is the per-processor flight-recorder capacity the
 // watchdog forces onto watched runs that did not request their own.
 const watchdogFlightEvents = 64
 
-// Get returns the run with the given ID.
+// Get returns the run with the given ID, if the Runner holds it.
 func (rn *Runner) Get(id string) (*Run, bool) {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	r, ok := rn.byID[id]
-	return r, ok
+	r, err := rn.Lookup(id)
+	return r, err == nil
 }
 
-// Runs returns all runs in submission order.
-func (rn *Runner) Runs() []*Run {
+// Lookup returns the run with the given ID: ErrReleased when the Runner
+// held it and has released it, ErrNotFound when it never held it.
+func (rn *Runner) Lookup(id string) (*Run, error) {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
-	return append([]*Run(nil), rn.runs...)
+	if r, ok := rn.byID[id]; ok {
+		return r, nil
+	}
+	if rn.heldLocked(id) {
+		return nil, ErrReleased
+	}
+	return nil, ErrNotFound
+}
+
+// Runs returns the live and retained runs in submission order.
+func (rn *Runner) Runs() []*Run {
+	rn.mu.Lock()
+	runs := append(append([]*Run(nil), rn.live...), rn.retained...)
+	rn.mu.Unlock()
+	slices.SortFunc(runs, func(a, b *Run) int { return a.order - b.order })
+	return runs
 }
 
 // Stats is a point-in-time census of a Runner's runs, for health and
@@ -482,7 +539,7 @@ func (rn *Runner) Stats() Stats {
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
 	return Stats{
-		Submitted:     len(rn.runs),
+		Submitted:     rn.submitted,
 		QueueDepth:    rn.census[StateQueued],
 		Running:       rn.census[StateRunning],
 		Done:          rn.census[StateDone],

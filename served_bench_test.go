@@ -24,10 +24,11 @@ func settled() runtime.MemStats {
 // BenchmarkServedRetained is what one served run leaves behind: each
 // program bench/ submits, parsed, compiled and run through
 // runner.Submit+Wait on the virtual engine the way loopschedd does, with
-// the Runner — which never forgets a run — still reachable at the end.
-// retained_B/run is heap in use per terminal run after two collections
-// (ROADMAP item 2's figure; a terminal run is an outcome record, DESIGN
-// §16), alloc_B/run what serving one allocated on the way.
+// the Runner — its Retain set above the runs served, so it releases
+// none — still reachable at the end. retained_B/run is heap in use per
+// terminal run after two collections (what one retained outcome costs,
+// ROADMAP item 1; a terminal run is an outcome record, DESIGN §16),
+// alloc_B/run what serving one allocated on the way.
 func BenchmarkServedRetained(b *testing.B) {
 	for _, name := range []string{"fig1", "pipeline", "flat64", "tri16"} {
 		b.Run(name, func(b *testing.B) {
@@ -35,7 +36,12 @@ func BenchmarkServedRetained(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rn := runner.New(runner.Config{MaxConcurrent: 1})
+			// The memory figures are taken over at least 512 runs (the extra
+			// ones untimed), so a short b.N does not read the Runner's own
+			// fixed state — its ledger, the registry's first buckets — as a
+			// run's.
+			runs := max(b.N, 512)
+			rn := runner.New(runner.Config{MaxConcurrent: 1, Retain: runs + 1})
 			defer rn.Close()
 			serve := func() {
 				nest, err := lang.Parse(string(src))
@@ -54,11 +60,6 @@ func BenchmarkServedRetained(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// The memory figures are taken over at least 512 runs (the extra
-			// ones untimed), so a short b.N does not read the Runner's own
-			// fixed state — its ledger, the registry's first buckets — as a
-			// run's.
-			runs := max(b.N, 512)
 			serve()
 			before := settled()
 			b.ResetTimer()
