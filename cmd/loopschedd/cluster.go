@@ -193,11 +193,39 @@ func (c *clusterState) placementID(target string) string {
 	return fmt.Sprintf("%s-run-%s-%04d", target, c.placeTag, n)
 }
 
-// confirmPlaced asks target whether run id exists — the tiebreaker
-// after an ambiguous forward outcome.
-func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.Response, bool) {
-	resp, err := c.client.Do(c.ctx, target, http.MethodGet, "/v1/runs/"+id, nil, nil)
-	return resp, err == nil && resp.Status == http.StatusOK
+// forward is the one step that places a run on target: submit and
+// failover both take it. It sends req under its minted ID and returns,
+// with a nil error, the run's status body once the run lives on target.
+// The forward is idempotent: every retry attempt carries the same ID,
+// so an attempt whose answer was lost after target created the run
+// makes the next one answer 409 — proof the run exists — instead of
+// creating a second. Transport silence or 5xx exhaustion leaves the
+// outcome unknown, so a GET asks target; only when that fails too does
+// forward give up, after a best-effort cancel so that an orphan which
+// did land stops instead of running unobserved beside the caller's
+// fallback. A 4xx other than 409 is target's verdict on the submission
+// itself, returned with its Response.
+func (c *clusterState) forward(target cluster.Peer, req submitRequest, tenant string) (*cluster.Response, error) {
+	resp, err := c.client.DoHeader(c.ctx, target, http.MethodPost, "/v1/runs",
+		tenantHdr(tenant), req, &runStatus{})
+	if err == nil {
+		return resp, nil
+	}
+	var se *cluster.StatusError
+	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 && se.Status != http.StatusConflict {
+		return resp, err
+	}
+	got, gerr := c.client.Do(c.ctx, target, http.MethodGet, "/v1/runs/"+req.ID, nil, nil)
+	if gerr == nil {
+		return got, nil
+	}
+	if se != nil && se.Status == http.StatusConflict {
+		// The run exists on target but its status is out of reach: answer
+		// from a minimal snapshot — the tracker takes it from here.
+		return &cluster.Response{Body: fmt.Appendf(nil, "{\"id\":%q,\"state\":\"queued\"}", req.ID)}, nil
+	}
+	go c.client.Do(c.ctx, target, http.MethodPost, "/v1/runs/"+req.ID+"/cancel", nil, nil)
+	return nil, err
 }
 
 // trySubmitRemote implements run placement: ask membership where the
@@ -205,68 +233,31 @@ func (c *clusterState) confirmPlaced(target cluster.Peer, id string) (*cluster.R
 // lighter); if that is a peer, forward the submission there under a
 // placer-minted run ID, record the placement, journal it, hand it to the
 // placement tracker, and answer the client. Returns false when the run
-// should execute locally instead — no peer is lighter than self, or the
-// forward definitively failed (graceful degradation: a partitioned node
-// still serves).
-//
-// The forward is idempotent: every retry attempt carries the same
-// minted ID, so an attempt that times out after the owner already
-// created the run makes the next attempt answer 409 — proof the run
-// exists — instead of creating a second one. Only when the forward's
-// outcome stays unknown (transport silence and a failed confirmation
-// probe) does the placer degrade to local execution, after a
-// best-effort cancel of the ID in case it did land.
+// should execute locally instead, under a fresh local ID — no peer is
+// lighter than self, or the forward failed (graceful degradation: a
+// partitioned node still serves).
 func (c *clusterState) trySubmitRemote(w http.ResponseWriter, req submitRequest, tenant string) bool {
 	target, ok := c.mem.LeastLoaded()
 	if !ok || target.Peer.Name == c.self.Name {
 		return false
 	}
 	req.ID = c.placementID(target.Peer.Name)
-	adopt := func(body []byte) bool {
+	resp, err := c.forward(target.Peer, req, tenant)
+	switch {
+	case err == nil:
 		p := &placement{id: req.ID, node: target.Peer.Name, sub: *req.record(tenant)}
 		c.s.appendRecord(kindPlace, p.id, journalPlace{Node: p.node, Sub: p.sub})
 		c.adopt(p)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
-		w.Write(body)
-		return true
-	}
-	var st runStatus
-	resp, err := c.client.DoHeader(c.ctx, target.Peer, http.MethodPost, "/v1/runs",
-		tenantHdr(tenant), req, &st)
-	if err == nil && resp.Status == http.StatusCreated {
-		return adopt(resp.Body)
-	}
-	var se *cluster.StatusError
-	if errors.As(err, &se) && se.Status >= 400 && se.Status < 500 {
-		if se.Status == http.StatusConflict {
-			// Only this placer can have minted the ID, so a duplicate means
-			// an earlier attempt of this very forward landed: the run exists
-			// on the owner. Answer from its live status when reachable, from
-			// a minimal snapshot otherwise — the tracker takes it from here.
-			if got, ok := c.confirmPlaced(target.Peer, req.ID); ok {
-				return adopt(got.Body)
-			}
-			return adopt(fmt.Appendf(nil, "{\"id\":%q,\"state\":\"queued\"}", req.ID))
-		}
-		// Any other 4xx: the submission itself is bad and local submission
-		// would reject it identically, so relay the owner's verdict.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(se.Status)
 		w.Write(resp.Body)
 		return true
+	case resp != nil:
+		// The submission itself is bad and local submission would reject
+		// it identically, so relay the owner's verdict.
+		relay(w, resp)
+		return true
 	}
-	// Transport failure or 5xx exhaustion: the owner may or may not have
-	// created the run. Confirm before degrading to local execution.
-	if got, ok := c.confirmPlaced(target.Peer, req.ID); ok {
-		return adopt(got.Body)
-	}
-	// Placement unknown and unconfirmable. Fire a best-effort cancel so
-	// that, if the submit did land, the orphan stops instead of running
-	// to completion unobserved; then run locally under a fresh local ID.
-	go func(p cluster.Peer, id string) {
-		c.client.Do(c.ctx, p, http.MethodPost, "/v1/runs/"+id+"/cancel", nil, nil)
-	}(target.Peer, req.ID)
 	log.Printf("loopschedd: placement on %s failed (%v), running locally", target.Peer.Name, err)
 	return false
 }
@@ -490,15 +481,11 @@ func (c *clusterState) failover(p *placement) {
 
 	target, ok := c.mem.LeastLoaded()
 	if ok && target.Peer.Name != c.self.Name {
-		var st runStatus
-		resp, err := c.client.DoHeader(c.ctx, target.Peer, http.MethodPost, "/v1/runs",
-			tenantHdr(tenant), req, &st)
-		var se *cluster.StatusError
-		// 409 means the target already hosts this ID — it replayed the run
-		// from its own journal, or an earlier failover attempt landed.
-		// Either way the run lives there: adopt it, don't restore again.
-		if (err == nil && resp.Status == http.StatusCreated) ||
-			(errors.As(err, &se) && se.Status == http.StatusConflict) {
+		// A 409 may also mean the target replayed the run from its own
+		// journal; either way the run lives there: adopt it, don't restore
+		// again.
+		_, err := c.forward(target.Peer, req, tenant)
+		if err == nil {
 			c.mu.Lock()
 			p.node = target.Peer.Name
 			c.mu.Unlock()
@@ -636,10 +623,14 @@ func (c *clusterState) finishPlacement(p *placement, state string) {
 	}
 }
 
-// peerNamed returns the named peer; false for self and unknown names.
+// peerNamed returns the named peer; false for self, unknown names and a
+// peer membership holds dead. That verdict is the one thing that stops a
+// call: ownerOf, scatter and pollRemote skip a dead peer, and a call to
+// any other goes to the network under the client's deadline and retry
+// budget.
 func (c *clusterState) peerNamed(name string) (cluster.Peer, bool) {
 	n, ok := c.mem.Node(name)
-	return n.Peer, ok && !n.Self
+	return n.Peer, ok && !n.Self && n.State != cluster.NodeDead
 }
 
 // clusterInfo is the GET /v1/cluster body.

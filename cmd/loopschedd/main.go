@@ -26,11 +26,10 @@
 //	                             carries the node's load (and draining
 //	                             flag) in headers for cluster probes
 //	GET  /v1/cluster             membership view: every node's observed
-//	                             state, load and draining flag, the
-//	                             breaker to it and the ms since it last
-//	                             answered a probe, plus the local
-//	                             placement count (404 when clustering is
-//	                             off)
+//	                             state, load and draining flag and the ms
+//	                             since it last answered a probe, plus the
+//	                             local placement count (404 when
+//	                             clustering is off)
 //	GET  /stats                  service census: queue depth, running/
 //	                             done/failed/cancelled/stalled counts,
 //	                             per-tenant rows, uptime
@@ -40,9 +39,9 @@
 //	                             instances, searches, busy time, sync
 //	                             accesses), per-tenant counters, live
 //	                             queue gauges, uptime, and on a clustered
-//	                             node the membership series (peer and
-//	                             breaker state, probes by outcome, state
-//	                             transitions, boot-to-converged seconds)
+//	                             node the membership series (peer state,
+//	                             probes by outcome, state transitions,
+//	                             boot-to-converged seconds)
 //
 // Every /v1/runs/{id} route answers 410 Gone for a run this node finished
 // and has since released — it keeps the newest -retain-runs outcomes —

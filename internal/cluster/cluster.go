@@ -24,12 +24,13 @@
 // only dead does that.
 //
 // Every cross-node data call goes through Client.Do: a per-attempt
-// context deadline, bounded retries with exponential backoff and
-// jitter, and a per-peer circuit breaker that stops traffic to a
-// failing peer until a cooldown expires (one half-open call then
-// decides) or a health probe — one attempt, never shed — finds the peer
-// answering. The breaker is what turns "node killed" into "callers shed
-// at once" instead of every caller eating its own timeout.
+// context deadline and bounded retries with exponential backoff and
+// jitter. Whether a peer may be called at all has one judge, the
+// membership row: the daemon makes no call to a peer held dead, and
+// every other call goes to the network. A killed peer refuses
+// connections, so a call to it fails within its few attempts' backoff;
+// a black-holed one is declared dead after DeadAfter intervals of
+// silence, before one call's retries could have proved anything.
 package cluster
 
 import (

@@ -70,8 +70,6 @@ type NodeInfo struct {
 	Ready    bool      `json:"ready"`
 	Load     int       `json:"load"`
 	Failures int       `json:"failures,omitempty"`
-	// Breaker is the position of this node's circuit to the peer.
-	Breaker string `json:"breaker,omitempty"`
 	// SinceAnswerMS is how long ago the peer last answered a probe; -1
 	// for a peer that never has.
 	SinceAnswerMS int64 `json:"since_answer_ms"`
@@ -110,8 +108,8 @@ type MembershipConfig struct {
 	LocalLoad     func() int
 	LocalDraining func() bool
 	// Metrics, if non-nil, is where the membership series go: probes by
-	// outcome, state transitions, per-peer state and breaker gauges, and
-	// the boot-to-converged time.
+	// outcome, state transitions, the per-peer state gauge, and the
+	// boot-to-converged time.
 	Metrics *obs.Registry
 	// Now and NewTimer replace the wall clock in deterministic tests
 	// (nil = time.Now / time.NewTimer). NewTimer returns the channel
@@ -132,8 +130,9 @@ type MembershipConfig struct {
 //     is not alive on a doubling backoff, and one probe per Hello. Their
 //     answers promote a peer; their silence changes nothing.
 //
-// It answers "who is alive, who is placeable, and who just died" —
-// failover policy stays with the caller via OnDead.
+// It answers "who is alive, who is placeable, and who just died" — and
+// so, through the dead verdict, whether a peer may be called at all.
+// Failover policy stays with the caller via OnDead.
 type Membership struct {
 	cfg  MembershipConfig
 	self Peer
@@ -156,7 +155,6 @@ type memberRow struct {
 	load     int
 	failures int
 	answered time.Time // zero: never
-	breaker  *Breaker  // the client's circuit to the peer
 	// kick asks the peer's goroutine for one out-of-cycle probe; its one
 	// slot coalesces the hellos that arrive while a probe is in flight.
 	kick chan struct{}
@@ -190,7 +188,7 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 			found = true
 			continue
 		}
-		m.rows[p.Name] = &memberRow{peer: p, breaker: cfg.Client.Breaker(p.Name), kick: make(chan struct{}, 1)}
+		m.rows[p.Name] = &memberRow{peer: p, kick: make(chan struct{}, 1)}
 	}
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", cfg.Self)
@@ -384,7 +382,7 @@ func (m *Membership) rowLocked(r *memberRow) NodeInfo {
 	return NodeInfo{
 		Peer: r.peer, State: r.state, StateStr: r.state.String(),
 		Draining: r.draining, Ready: r.ready, Load: r.load, Failures: r.failures,
-		Breaker: r.breaker.State().String(), SinceAnswerMS: since,
+		SinceAnswerMS: since,
 	}
 }
 
@@ -438,23 +436,17 @@ func (m *Membership) Node(name string) (NodeInfo, bool) {
 
 // register puts the membership's series into reg.
 func (m *Membership) register(reg *obs.Registry) {
-	perPeer := func(f func(*memberRow) float64) func() map[string]float64 {
-		return func() map[string]float64 {
+	reg.GaugeVec("loopschedd_cluster_peer_state",
+		"Observed peer state: 0 unconfirmed, 1 alive, 2 suspect, 3 dead.", "peer",
+		func() map[string]float64 {
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			out := make(map[string]float64, len(m.rows))
 			for name, r := range m.rows {
-				out[name] = f(r)
+				out[name] = float64(r.state)
 			}
 			return out
-		}
-	}
-	reg.GaugeVec("loopschedd_cluster_peer_state",
-		"Observed peer state: 0 unconfirmed, 1 alive, 2 suspect, 3 dead.", "peer",
-		perPeer(func(r *memberRow) float64 { return float64(r.state) }))
-	reg.GaugeVec("loopschedd_cluster_breaker_state",
-		"Circuit to the peer: 0 closed, 1 open, 2 half-open.", "peer",
-		perPeer(func(r *memberRow) float64 { return float64(r.breaker.State()) }))
+		})
 	reg.Gauge("loopschedd_cluster_converged_seconds",
 		"Seconds from membership start to the first moment every peer was alive (0 until then).",
 		func() float64 {

@@ -164,8 +164,8 @@ func (w *fakeWorld) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // join puts a Membership for name on the network and returns it
-// unstarted. Its client's deadline and breaker cooldown read the real
-// clock, so both are set out of any test's reach.
+// unstarted. Its client's deadline reads the real clock, so it is set
+// out of any test's reach.
 func (w *fakeWorld) join(name string) *Membership {
 	w.t.Helper()
 	n := w.nodes[name]
@@ -175,7 +175,7 @@ func (w *fakeWorld) join(name string) *Membership {
 		Peers: w.peers(),
 		Client: NewClient(ClientConfig{
 			Node: name, Secret: testSecret, Transport: w,
-			Timeout: time.Hour, BreakerCooldown: time.Hour,
+			Timeout: time.Hour,
 		}),
 		Interval: testInterval,
 		OnDead: func(Peer) {
@@ -450,8 +450,8 @@ func TestMembershipScenarios(t *testing.T) {
 			w.set("n2", nodeDown)
 			// Just short of three intervals of silence, filled with
 			// everything that is not a counted miss: the re-probe backoff
-			// (every probe of it touches the network), hellos from the
-			// zombie, and a breaker that opened along the way.
+			// (every probe of it touches the network) and hellos from the
+			// zombie.
 			for w.Now().Before(lastAnswer.Add(3*I - time.Second)) {
 				w.advance(time.Second)
 				if w.Now().Sub(lastAnswer) > I {
@@ -460,9 +460,6 @@ func TestMembershipScenarios(t *testing.T) {
 				if row := mustRow(t, m, "n2"); row.State == NodeDead {
 					t.Fatalf("n2 declared dead after %v of silence (< %v)", w.Now().Sub(lastAnswer), 3*I)
 				}
-			}
-			if st := m.cfg.Client.Breaker("n2").State(); st != BreakerOpen {
-				t.Fatalf("breaker %v after a window of refused probes, want open", st)
 			}
 			if sent := w.sent("n1", "n2"); sent < 100 {
 				t.Fatalf("only %d probes in the window: the hellos and the backoff did not probe", sent)
@@ -586,17 +583,17 @@ func TestMembershipScenarios(t *testing.T) {
 			m := w.boot("n1")
 			w.set("n2", nodeDown)
 			w.advance(4 * I)
-			if row := mustRow(t, m, "n2"); row.State != NodeDead || row.Breaker != "open" {
-				t.Fatalf("n2 after four intervals of silence: %+v, want dead behind an open breaker", row)
+			if row := mustRow(t, m, "n2"); row.State != NodeDead {
+				t.Fatalf("n2 after four intervals of silence: %+v, want dead", row)
 			}
 			w.set("n2", nodeUp)
 			at := w.Now()
 			w.hello("n1", helloFrom("n2", testSecret))
 			row := mustRow(t, m, "n2")
-			if !row.Placeable() || row.Breaker != "closed" || !w.Now().Equal(at) {
-				t.Fatalf("restarted peer after its hello: %+v at +%v, want placeable behind a closed breaker at once", row, w.Now().Sub(at))
+			if !row.Placeable() || !w.Now().Equal(at) {
+				t.Fatalf("restarted peer after its hello: %+v at +%v, want placeable at once", row, w.Now().Sub(at))
 			}
-			// The data path is open again without waiting out the cooldown.
+			// The data path is open again with the row.
 			if _, err := m.cfg.Client.Do(context.Background(), row.Peer, http.MethodGet, "/readyz", nil, nil); err != nil {
 				t.Fatalf("data call after the revival: %v", err)
 			}
@@ -844,7 +841,6 @@ func TestMembershipProbeLoop(t *testing.T) {
 	reg.WriteProm(&sb)
 	for _, want := range []string{
 		`loopschedd_cluster_peer_state{peer="n2"} 1`,
-		`loopschedd_cluster_breaker_state{peer="n2"} 0`,
 		`loopschedd_cluster_probes_uncounted_total{outcome="ok"} `,
 		`loopschedd_cluster_transitions_total{to="alive"} 1`,
 		"loopschedd_cluster_converged_seconds ",

@@ -10,7 +10,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -22,16 +21,9 @@ const (
 	NodeHeader = "X-Loopschedd-Node"
 )
 
-// RPC client errors.
-var (
-	// ErrPeerDown is returned without touching the network when the
-	// peer's circuit breaker is open: the peer failed repeatedly and is
-	// shedding until its cooldown expires.
-	ErrPeerDown = errors.New("cluster: peer circuit open")
-	// errInjected tags failures manufactured by the NetInjector so tests
-	// can tell them from genuine transport errors.
-	errInjected = errors.New("cluster: injected network fault")
-)
+// errInjected tags failures manufactured by the NetInjector so tests can
+// tell them from genuine transport errors.
+var errInjected = errors.New("cluster: injected network fault")
 
 // StatusError is a non-2xx HTTP response from a live peer. 4xx statuses
 // are returned immediately (the request is wrong; retrying cannot fix
@@ -65,11 +57,6 @@ type ClientConfig struct {
 	// retry waves against a recovering peer.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// BreakerThreshold consecutive failures open a peer's circuit for
-	// BreakerCooldown (defaults 3 / 1s); an open circuit fails calls
-	// with ErrPeerDown without touching the network.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Transport, if non-nil, replaces http.DefaultTransport.
 	Transport http.RoundTripper
 	// Faults, if non-nil, injects deterministic drops, delays and errors
@@ -80,15 +67,13 @@ type ClientConfig struct {
 }
 
 // Client is the hardened intra-cluster RPC client: every call has a
-// per-attempt context deadline, a bounded retry budget with
-// exponential backoff and jitter, and a per-peer circuit breaker.
-// Safe for concurrent use.
+// per-attempt context deadline and a bounded retry budget with
+// exponential backoff and jitter. Whether a peer may be called at all is
+// not its question — Membership's dead verdict answers that. Safe for
+// concurrent use.
 type Client struct {
 	cfg ClientConfig
 	hc  *http.Client
-
-	mu       sync.Mutex
-	breakers map[string]*Breaker
 }
 
 // Response is a successful call's metadata and body.
@@ -116,23 +101,7 @@ func NewClient(cfg ClientConfig) *Client {
 	if tr == nil {
 		tr = http.DefaultTransport
 	}
-	return &Client{
-		cfg:      cfg,
-		hc:       &http.Client{Transport: tr},
-		breakers: map[string]*Breaker{},
-	}
-}
-
-// Breaker returns peer's circuit breaker (created closed on first use).
-func (c *Client) Breaker(peer string) *Breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := c.breakers[peer]
-	if b == nil {
-		b = NewBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, nil)
-		c.breakers[peer] = b
-	}
-	return b
+	return &Client{cfg: cfg, hc: &http.Client{Transport: tr}}
 }
 
 // Sender authenticates an inbound request as an intra-cluster call: ok
@@ -147,19 +116,11 @@ func (c *Client) Sender(r *http.Request) (node string, ok bool) {
 }
 
 // Probe is one health probe of peer: a single GET /readyz under ctx's
-// deadline (and the per-attempt one). It is never retried and never
-// shed — a probe is how an open circuit learns its peer is back — but
-// its outcome is reported to the peer's breaker, so a live answer
-// closes the circuit at once. Any HTTP answer, a draining 503 included,
-// is a Response; nil is transport silence. A probe cut short by ctx's
-// cancellation reports nothing: that is the caller stopping, not the
-// peer failing.
+// deadline (and the per-attempt one), never retried — retrying a probe
+// only delays the next one. Any HTTP answer, a draining 503 included,
+// is a Response; nil is transport silence, or ctx ending first.
 func (c *Client) Probe(ctx context.Context, peer Peer) *Response {
-	resp, err := c.attempt(ctx, peer, http.MethodGet, "/readyz", "GET /readyz", nil, nil)
-	if errors.Is(ctx.Err(), context.Canceled) {
-		return nil
-	}
-	c.Breaker(peer.Name).Report(err == nil)
+	resp, _ := c.attempt(ctx, peer, http.MethodGet, "/readyz", "GET /readyz", nil, nil)
 	return resp
 }
 
@@ -168,11 +129,7 @@ func (c *Client) Probe(ctx context.Context, peer Peer) *Response {
 // response body JSON-decoded into it. 4xx responses return the
 // Response plus a *StatusError immediately; 5xx responses are retried
 // with backoff and return the last Response plus a *StatusError when
-// the budget runs out. Only transport-level failures (no HTTP response
-// at all) count toward the peer's breaker: a peer answering 503 is
-// unhealthy at the application layer but demonstrably reachable, and
-// tripping the circuit on it would snowball a draining node into a
-// falsely-dead one. The caller's ctx bounds the whole call; each
+// the budget runs out. The caller's ctx bounds the whole call; each
 // attempt additionally carries the configured per-attempt deadline.
 func (c *Client) Do(ctx context.Context, peer Peer, method, path string, in, out any) (*Response, error) {
 	return c.DoHeader(ctx, peer, method, path, nil, in, out)
@@ -181,10 +138,6 @@ func (c *Client) Do(ctx context.Context, peer Peer, method, path string, in, out
 // DoHeader is Do with extra request headers (copied onto every
 // attempt) — the daemon forwards a resolved tenant this way.
 func (c *Client) DoHeader(ctx context.Context, peer Peer, method, path string, hdr http.Header, in, out any) (*Response, error) {
-	br := c.Breaker(peer.Name)
-	if !br.Allow() {
-		return nil, fmt.Errorf("%w: %s", ErrPeerDown, peer.Name)
-	}
 	var body []byte
 	switch v := in.(type) {
 	case nil:
@@ -193,7 +146,6 @@ func (c *Client) DoHeader(ctx context.Context, peer Peer, method, path string, h
 	default:
 		var err error
 		if body, err = json.Marshal(v); err != nil {
-			br.Report(true) // encoding is our bug, not the peer's health
 			return nil, fmt.Errorf("cluster: encode %s %s: %w", method, path, err)
 		}
 	}
@@ -202,9 +154,6 @@ func (c *Client) DoHeader(ctx context.Context, peer Peer, method, path string, h
 	var lastResp *Response
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			// The failed attempt already reported to the breaker; a ctx
-			// cancellation during backoff is the caller's doing, not the
-			// peer's.
 			if err := c.sleep(ctx, attempt); err != nil {
 				return nil, err
 			}
@@ -213,24 +162,11 @@ func (c *Client) DoHeader(ctx context.Context, peer Peer, method, path string, h
 		if err != nil {
 			lastErr = err
 			lastResp = nil
-			br.Report(false)
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("cluster: %s %s %s: %w", peer.Name, method, path, err)
 			}
-			// Re-check the breaker before another attempt: this call's own
-			// failures (or a concurrent caller's) may have opened it. On
-			// the final attempt, fall through to the exhaustion error —
-			// the transport failure is the more informative cause. The
-			// check must be Shedding, not Allow: Allow can claim the
-			// half-open probe, and the backoff sleep between here and the
-			// next attempt can exit on ctx cancellation without a Report,
-			// which would leave the probe claimed forever.
-			if attempt+1 < c.cfg.Attempts && br.Shedding() {
-				return nil, fmt.Errorf("%w: %s", ErrPeerDown, peer.Name)
-			}
 			continue
 		}
-		br.Report(true) // any HTTP answer proves the peer reachable
 		switch {
 		case resp.Status >= 200 && resp.Status < 300:
 			if out != nil {

@@ -128,55 +128,15 @@ func TestClient4xxNoRetry(t *testing.T) {
 	}
 }
 
-// Repeated transport failures open the peer's breaker; further calls
-// shed with ErrPeerDown without touching the network, and the circuit
-// recovers through a half-open probe once the peer is back.
-func TestClientBreakerShedsAndRecovers(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("{}"))
-	}))
-	url := ts.URL
-	ts.Close() // peer starts dead
-	c := fastClient(t, ClientConfig{
-		Timeout: 50 * time.Millisecond, Attempts: 3,
-		BreakerThreshold: 3, BreakerCooldown: 20 * time.Millisecond,
-	})
-	peer := Peer{Name: "dead", URL: url}
-	if _, err := c.Do(context.Background(), peer, http.MethodGet, "/", nil, nil); err == nil {
-		t.Fatal("call to dead peer succeeded")
-	}
-	if st := c.Breaker("dead").State(); st != BreakerOpen {
-		t.Fatalf("breaker %v after 3 transport failures, want open", st)
-	}
-	if _, err := c.Do(context.Background(), peer, http.MethodGet, "/", nil, nil); !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("open breaker returned %v, want ErrPeerDown", err)
-	}
-	// Revive the peer on the same address via a manual listener? Simpler:
-	// new server, retarget the peer URL — the breaker is keyed by name.
-	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("{}"))
-	}))
-	defer ts2.Close()
-	peer.URL = ts2.URL
-	time.Sleep(25 * time.Millisecond) // cooldown expires
-	if _, err := c.Do(context.Background(), peer, http.MethodGet, "/", nil, nil); err != nil {
-		t.Fatalf("half-open probe against revived peer: %v", err)
-	}
-	if st := c.Breaker("dead").State(); st != BreakerClosed {
-		t.Fatalf("breaker %v after successful probe, want closed", st)
-	}
-}
-
 // A 503-answering peer is reachable: the call fails with a typed
-// status error, but the breaker must stay closed — tripping it would
-// escalate "draining" into "dead".
-func TestClient503DoesNotOpenBreaker(t *testing.T) {
+// status error, and the response comes back with its headers.
+func TestClient503IsAnAnswer(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(LoadHeader, "7")
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := fastClient(t, ClientConfig{Attempts: 2, BreakerThreshold: 1})
+	c := fastClient(t, ClientConfig{Attempts: 2})
 	resp, err := c.Do(context.Background(), testPeer(ts), http.MethodGet, "/readyz", nil, nil)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
@@ -184,9 +144,6 @@ func TestClient503DoesNotOpenBreaker(t *testing.T) {
 	}
 	if resp == nil || resp.Header.Get(LoadHeader) != "7" {
 		t.Fatalf("503 response (with headers) not returned: %+v", resp)
-	}
-	if st := c.Breaker("peer").State(); st != BreakerClosed {
-		t.Fatalf("breaker %v after 503s, want closed", st)
 	}
 }
 
@@ -230,9 +187,8 @@ func TestClientFaultDeterminism(t *testing.T) {
 	defer ts.Close()
 	run := func() []bool {
 		c := fastClient(t, ClientConfig{
-			Attempts:         1,    // one attempt per call: outcomes map 1:1 to decisions
-			BreakerThreshold: 1000, // keep the breaker out of the outcome sequence
-			Faults:           NewNetInjector(77).WithRate(NetDrop, 0.3, 0),
+			Attempts: 1, // one attempt per call: outcomes map 1:1 to decisions
+			Faults:   NewNetInjector(77).WithRate(NetDrop, 0.3, 0),
 		})
 		var out []bool
 		for i := 0; i < 100; i++ {
@@ -249,76 +205,27 @@ func TestClientFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestClientBackoffCancelDoesNotLeakProbe: when the context dies during
-// the inter-attempt backoff, the retry loop's advisory breaker check
-// must not consume a half-open probe slot — a leaked probe would pin
-// the breaker half-open forever and permanently shed the peer.
-func TestClientBackoffCancelDoesNotLeakProbe(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	ts.Close() // dead peer: every attempt is a transport failure
-
-	c := fastClient(t, ClientConfig{
-		Timeout:          50 * time.Millisecond,
-		Attempts:         3,
-		Backoff:          200 * time.Millisecond,
-		MaxBackoff:       200 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Nanosecond,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	// First attempt fails (breaker opens), then the context dies in the
-	// 200ms backoff; the loop re-checks the breaker on the way out.
-	if _, err := c.Do(ctx, testPeer(ts), http.MethodGet, "/readyz", nil, nil); err == nil {
-		t.Fatal("Do against a dead peer succeeded")
-	}
-	// The cooldown (1ns) has long expired: the probe slot must still be
-	// available to the next real call.
-	if !c.Breaker(testPeer(ts).Name).Allow() {
-		t.Fatal("half-open probe leaked: the breaker permanently sheds the peer")
-	}
-	c.Breaker(testPeer(ts).Name).Report(false)
-}
-
-// A probe is one attempt that an open breaker does not shed — it is how
-// the circuit learns the peer is back — and whose answer closes it.
-func TestClientProbeBypassesAndFeedsBreaker(t *testing.T) {
+// A probe is one attempt: silence is nil, and any answer — a 503 too —
+// comes back after a single request.
+func TestClientProbeIsOneAttempt(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := fastClient(t, ClientConfig{Attempts: 3, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	c := fastClient(t, ClientConfig{Attempts: 3})
 	dead := Peer{Name: "peer", URL: "http://127.0.0.1:1"}
 	for i := 0; i < 2; i++ {
 		if resp := c.Probe(context.Background(), dead); resp != nil {
 			t.Fatalf("probe of a closed port answered %+v", resp)
 		}
 	}
-	if st := c.Breaker("peer").State(); st != BreakerOpen {
-		t.Fatalf("breaker %v after two silent probes at threshold 2, want open", st)
-	}
-	if _, err := c.Do(context.Background(), testPeer(ts), http.MethodGet, "/", nil, nil); !errors.Is(err, ErrPeerDown) {
-		t.Fatalf("data call through an open breaker: %v, want ErrPeerDown", err)
-	}
 	// The peer is back (same name, live address): one probe, one attempt
-	// even on a 503, and the data path is open at once.
+	// even on a 503.
 	resp := c.Probe(context.Background(), testPeer(ts))
 	if resp == nil || resp.Status != http.StatusServiceUnavailable || calls.Load() != 1 {
-		t.Fatalf("probe through an open breaker: %+v after %d request(s), want the 503 after one", resp, calls.Load())
-	}
-	if st := c.Breaker("peer").State(); st != BreakerClosed {
-		t.Fatalf("breaker %v after an answered probe, want closed", st)
-	}
-	// A probe its caller cancels says nothing about the peer.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for i := 0; i < 3; i++ {
-		c.Probe(ctx, dead)
-	}
-	if st := c.Breaker("peer").State(); st != BreakerClosed {
-		t.Fatalf("breaker %v after cancelled probes, want closed", st)
+		t.Fatalf("probe of a live peer: %+v after %d request(s), want the 503 after one", resp, calls.Load())
 	}
 }
 
