@@ -13,7 +13,7 @@ REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
 BENCH_BASE ?= BENCH_pr22.json
 
-.PHONY: build test bench bench-compare bench-smoke bench-go verify verify-gates
+.PHONY: build test bench bench-compare bench-smoke bench-go bench-harness verify verify-gates
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,13 @@ bench-compare:
 bench-smoke:
 	$(GO) run ./cmd/benchsuite run -filter smoke -o /tmp/BENCH_smoke.json
 	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Leased|Scaling)|FetchAdd|VirtualServed|ServedRetained' -benchtime=1x . ./internal/machine/
+
+# bench-harness vets and tests bench/, the wall-clock benchmark. It is
+# its own module (it drives this one through its public API and wire
+# format), so ./... does not reach it: a wire or field rename must fail
+# here, not in the benchmark run.
+bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).

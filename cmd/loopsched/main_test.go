@@ -291,7 +291,7 @@ func helpFlags(t *testing.T) map[string]string {
 
 // TestRunOptionFlagsGolden pins the CLI's run-option flags — derived
 // from the repro.Options table — to the names and defaults the
-// hand-written list had, plus the seven it lacked.
+// hand-written list had, plus the six it lacked.
 func TestRunOptionFlagsGolden(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "run_option_flags.golden"))
 	if err != nil {
@@ -309,8 +309,8 @@ func TestRunOptionFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: %q, want %q", name, got[name], want)
 		}
 	}
-	if n != 20 {
-		t.Errorf("golden lists %d flags, want 20", n)
+	if n != 19 {
+		t.Errorf("golden lists %d flags, want 19", n)
 	}
 }
 

@@ -96,10 +96,10 @@ func TestQueuedRunsHoldNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestJournalExactlyThreeRecordsPerRun pins the start-record race shut:
-// a sub-millisecond run on the virtual engine journals exactly submit,
-// start, terminal — in that order — on every one of 200 repetitions.
-func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
+// TestJournalExactlyTwoRecordsPerRun: a sub-millisecond run on the
+// virtual engine journals exactly submit, then terminal, on every one of
+// 200 repetitions.
+func TestJournalExactlyTwoRecordsPerRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
 	s, _ := newTestServer(t, serverConfig{JournalPath: path, JournalSync: "none"})
 	const reps = 200
@@ -109,7 +109,7 @@ func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
 	}
 	drainServer(t, s)
 	kinds := journalKinds(t, path)
-	want := []journal.Kind{kindSubmit, kindStart, kindTerminal}
+	want := []journal.Kind{kindSubmit, kindTerminal}
 	for _, id := range ids {
 		if got := kinds[id]; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("run %s journaled kinds %v, want %v", id, got, want)
@@ -118,8 +118,7 @@ func TestJournalExactlyThreeRecordsPerRun(t *testing.T) {
 }
 
 // TestJournalChainedRunRecords: a CheckpointEvery run journals submit,
-// start, one snapshot per parked restore point, terminal — and nothing
-// else. The snapshots are restore points of a live run: once the chain is
+// one snapshot per parked restore point, terminal — and nothing else. The snapshots are restore points of a live run: once the chain is
 // done neither its terminal record nor its status carries one.
 func TestJournalChainedRunRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.journal")
@@ -132,7 +131,7 @@ func TestJournalChainedRunRecords(t *testing.T) {
 	if n == 0 {
 		t.Fatal("chain parked no snapshots")
 	}
-	want := []journal.Kind{kindSubmit, kindStart}
+	want := []journal.Kind{kindSubmit}
 	for i := 0; i < n; i++ {
 		want = append(want, kindSnapshot)
 	}
@@ -152,6 +151,41 @@ func TestJournalChainedRunRecords(t *testing.T) {
 	for name, got := range map[string]map[string]any{"terminal record": term, "status": status} {
 		if _, ok := got["checkpoint"]; ok || got["state"] != "done" {
 			t.Errorf("%s of a done chain = %v, want state done and no checkpoint", name, got)
+		}
+	}
+}
+
+// TestJournalKindNumbers pins the record kinds' numbers: they are the
+// on-disk format, old journals must keep replaying, and the benchmark
+// harness (bench/serve.go checkJournal) reads submit and terminal records
+// by number. 2 is the retired start record, which a served run — plain
+// or chained — never writes.
+func TestJournalKindNumbers(t *testing.T) {
+	for _, k := range []struct {
+		name      string
+		got, want journal.Kind
+	}{
+		{"submit", kindSubmit, 1},
+		{"start", kindStart, 2},
+		{"terminal", kindTerminal, 3},
+		{"place", kindPlace, 4},
+		{"snapshot", kindSnapshot, 5},
+	} {
+		if k.got != k.want {
+			t.Errorf("kind %s = %d, want %d", k.name, k.got, k.want)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "runs.journal")
+	s, _ := newTestServer(t, serverConfig{JournalPath: path, JournalSync: "none"})
+	submitInProcess(t, s, `{"program": "doall I = 1..4 { work 1 }", "options": {"procs": 2}}`)
+	submitInProcess(t, s,
+		`{"program": "doall I = 1..64 { work 20 }", "options": {"procs": 2, "scheme": "ss", "checkpoint_every": 8}}`)
+	drainServer(t, s)
+	for id, kinds := range journalKinds(t, path) {
+		for _, k := range kinds {
+			if k == 2 {
+				t.Errorf("run %s journaled the retired kind 2: %v", id, kinds)
+			}
 		}
 	}
 }
@@ -205,22 +239,23 @@ func TestParentJournalReplays(t *testing.T) {
 	}
 	kinds := journalKinds(t, path)
 	// run-0002 resumed from its second snapshot: it keeps its one submit
-	// and first start, adds the restart's start, the remaining chain
+	// and the parent's start records, and adds the remaining chain
 	// snapshots and the terminal. run-0003 never started before the kill.
+	// The daemon writes no start record any more.
 	for _, id := range []string{"run-0002", "run-0003"} {
 		added := kinds[id][len(before[id]):]
-		if len(added) < 2 || added[0] != kindStart || added[len(added)-1] != kindTerminal {
-			t.Errorf("%s: replay appended kinds %v, want start … terminal", id, added)
+		if len(added) == 0 || added[len(added)-1] != kindTerminal {
+			t.Errorf("%s: replay appended kinds %v, want … terminal", id, added)
 		}
 		for _, k := range added {
-			if k == kindSubmit {
-				t.Errorf("%s: replay journaled its submit record again (%v)", id, added)
+			if k == kindSubmit || k == kindStart {
+				t.Errorf("%s: replay journaled a submit or start record (%v)", id, added)
 			}
 		}
 	}
 	if run, _ := s.rn.Get("run-0002"); run != nil {
-		if got, want := len(kinds["run-0002"])-len(before["run-0002"]), int(run.Snapshots())+2; got != want {
-			t.Errorf("run-0002: replay appended %d records, want start + %d snapshots + terminal", got, run.Snapshots())
+		if got, want := len(kinds["run-0002"])-len(before["run-0002"]), int(run.Snapshots())+1; got != want {
+			t.Errorf("run-0002: replay appended %d records, want %d snapshots + terminal", got, run.Snapshots())
 		}
 	}
 }

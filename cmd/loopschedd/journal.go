@@ -18,7 +18,8 @@ const (
 	// kindSubmit carries a journalSubmit payload: everything needed to
 	// re-create the submission.
 	kindSubmit journal.Kind = 1
-	// kindStart marks the run's transition to running (no payload).
+	// kindStart is reserved for the start records older daemons wrote;
+	// nothing writes it, and replay skips it.
 	kindStart journal.Kind = 2
 	// kindTerminal carries a journalTerminal payload.
 	kindTerminal journal.Kind = 3
@@ -61,8 +62,8 @@ func (js journalSubmit) request(id string, snap *repro.Checkpoint) submitRequest
 }
 
 // journalTerminal is the kindTerminal payload. Checkpointed runs carry
-// their snapshot, so a client can still fetch and resume it after a
-// daemon restart.
+// their snapshot, but replay does not serve it: a run that ended here is
+// released on boot, so its ID answers 410 (DESIGN §12).
 type journalTerminal struct {
 	State      string            `json:"state"`
 	Error      string            `json:"error,omitempty"`
@@ -78,8 +79,8 @@ type journalPlace struct {
 
 // appendRecord is the one journal write path: it appends (when the
 // journal is on), logs failures, and tracks the last error for
-// /healthz. A []byte payload is written as is (already marshaled), nil
-// writes an empty record, anything else is marshaled to JSON.
+// /healthz. A []byte payload is written as is (already marshaled),
+// anything else is marshaled to JSON.
 func (s *server) appendRecord(kind journal.Kind, id string, payload any) {
 	if s.jw == nil {
 		return
@@ -87,7 +88,6 @@ func (s *server) appendRecord(kind journal.Kind, id string, payload any) {
 	var data []byte
 	var err error
 	switch p := payload.(type) {
-	case nil:
 	case []byte:
 		data = p
 	default:
@@ -123,8 +123,6 @@ func (s *server) onEvent(ev runner.Event) {
 		if ev.Record != nil {
 			s.appendRecord(kindSubmit, id, ev.Record)
 		}
-	case runner.EventStarted:
-		s.appendRecord(kindStart, id, nil)
 	case runner.EventSnapshot:
 		s.appendRecord(kindSnapshot, id, ev.Run.Checkpoint())
 	case runner.EventTerminal:

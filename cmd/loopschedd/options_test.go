@@ -74,8 +74,8 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var asMap map[string]any
-	if err := json.Unmarshal(wire, &asMap); err != nil || len(asMap) != 23 {
-		t.Errorf("populated options marshal to %d keys (%v), want 23: %s", len(asMap), err, wire)
+	if err := json.Unmarshal(wire, &asMap); err != nil || len(asMap) != 22 {
+		t.Errorf("populated options marshal to %d keys (%v), want 22: %s", len(asMap), err, wire)
 	}
 	var got runOptions
 	if err := json.Unmarshal(wire, &got); err != nil {
@@ -99,8 +99,8 @@ func TestUnknownOptionRejectedWithNames(t *testing.T) {
 		t.Errorf("error = %q", msg)
 	}
 	valid, _ := payload["valid"].([]any)
-	if len(valid) != 23 || !slices.Contains(valid, any("access_cost")) || !slices.Contains(valid, any("checkpoint_every")) {
-		t.Errorf("valid = %v, want the 23 option names", valid)
+	if len(valid) != 22 || !slices.Contains(valid, any("access_cost")) || !slices.Contains(valid, any("checkpoint_every")) {
+		t.Errorf("valid = %v, want the 22 option names", valid)
 	}
 	if n := len(s.rn.Runs()); n != 0 {
 		t.Errorf("%d run(s) were submitted", n)

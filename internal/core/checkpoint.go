@@ -401,10 +401,6 @@ func (w *worker) restorePrologue() {
 				ErrBadSnapshot, i, s.Loop, s.Cursor, s.Done, psz))
 			return
 		}
-		if ex.combine {
-			icb.Index.SetCombining(true)
-			icb.ICount.SetCombining(true)
-		}
 		// Publish with the activation protocol, but without the stats the
 		// seeded totals already count (cInstances, cEnters, O3 time): the
 		// resumed run's final snapshot must be the whole run's.

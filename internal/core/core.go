@@ -231,15 +231,6 @@ type Config struct {
 	// word. Pools without a sharded SW word (single-list, distributed)
 	// ignore it.
 	SWShards int
-	// CombineClaims marks every instance's claim-path variables (Index,
-	// ICount) as served by the machine's software-combining network
-	// (machine.SyncVar.SetCombining): on the virtual engine, concurrent
-	// fetch-and-adds against them coalesce instead of serializing — the
-	// per-chunk claims on Index, and on ICount the posts (one per hold,
-	// per chunk only near an instance's tail: worker.executed). The
-	// real engine ignores the flag — hardware read-modify-writes already
-	// combine in the coherence fabric. Off by default (bit-identical).
-	CombineClaims bool
 	// Budget, if non-nil, meters the run on the claim path (see
 	// budget.go): the iteration budget is charged per chunk, the
 	// engine-time budget is looked at before every chunk — a slice of a
@@ -337,17 +328,15 @@ type executor struct {
 	// inj and retry are cfg.Inject and cfg.Retry hoisted onto the
 	// executor so the kernel's hot path reads one flat field; ckptAfter
 	// and restore hoist the checkpoint trigger and the resume snapshot
-	// the same way; batch, leaser and combine hoist the claim-path tuning
-	// (ClaimBatch, CombineClaims): leaser is the policy as a
-	// lowsched.Leaser when batch > 1 and nil otherwise, which is how the
-	// claim site chooses its synchronization operation.
+	// the same way; batch and leaser hoist ClaimBatch: leaser is the
+	// policy as a lowsched.Leaser when batch > 1 and nil otherwise, which
+	// is how the claim site chooses its synchronization operation.
 	inj       *fault.Injector
 	retry     Retry
 	ckptAfter int64
 	restore   *RunSnapshot
 	batch     int
 	leaser    lowsched.Leaser
-	combine   bool
 	// nprocs is the machine size P as the tail rule compares it with an
 	// instance's remaining chunks (worker.tail).
 	nprocs int64
@@ -432,7 +421,6 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		// Validated by RunPlanContext before the executor is built.
 		ex.leaser = policy.(lowsched.Leaser)
 	}
-	ex.combine = cfg.CombineClaims
 	ex.stopFn = ex.stop
 	ex.abortFn = ex.aborted
 	// One padded stride per worker: adjacent workers' loc vectors stay on

@@ -147,15 +147,6 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 	} else {
 		icb = pool.NewICB(leaf.Num, bound, ivec)
 		w.shard.Inc(cICBAllocs)
-		if ex.combine {
-			// The claim-path hot spots ride the combining network; the
-			// pcount release protocol does not (its {pcount = 1; Dec}
-			// test must observe every holder individually). The flags
-			// survive freelist recycling, so only fresh blocks pay the
-			// stores.
-			icb.Index.SetCombining(true)
-			icb.ICount.SetCombining(true)
-		}
 	}
 	ex.policy.Init(w.pr, icb)
 	lp := &ex.plan.leaves[leaf.Num]

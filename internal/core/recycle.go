@@ -20,7 +20,7 @@ const recycleBatch = 32
 // processor activates a loop's instances while the others complete them,
 // those roles never meet. The depot is where they do. It lives on the
 // executor and never outlives the run: a block carries run-scoped state
-// (its combining flags, its scheme attachments).
+// (its scheme attachments).
 //
 // Determinism on the virtual engine is untouched: the engine runs one
 // processor at a time, so the depot is touched in the same order on every

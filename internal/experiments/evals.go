@@ -376,7 +376,7 @@ func runE7(w io.Writer) (Verdict, error) {
 			return v, err
 		}
 		comb, err := run(workload.UniformDoall(iters, tau),
-			vmachine.Config{P: P, AccessCost: acc, Combining: true},
+			vmachine.Config{P: P, AccessCost: acc, Combining: vmachine.CombineAll},
 			core.Config{Scheme: lowsched.SS{}})
 		if err != nil {
 			return v, err

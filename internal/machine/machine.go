@@ -158,13 +158,12 @@ type SyncVar struct {
 	// availability, NUMA home and contention stats) treat a recycled
 	// variable exactly like a freshly allocated one.
 	gen atomic.Uint64
-	// combining marks the variable as served by a software-combining
-	// network (Section II-A reserves the mode): concurrent fetch-type
-	// operations coalesce at the memory module, so the contention model
-	// charges a batch of simultaneous accesses once instead of
-	// serializing them. The real engine ignores the flag — a hardware
-	// LOCK XADD already combines in the coherence fabric.
-	combining atomic.Bool
+	// combinable marks the variable as one a software-combining network
+	// may serve (Section II-A reserves the mode): whether it does is the
+	// engine's policy (the virtual engine's Combining). The real engine
+	// ignores the mark — a hardware LOCK XADD already combines in the
+	// coherence fabric.
+	combinable bool
 	// name indexes the interned debug-name table.
 	name Label
 }
@@ -250,15 +249,14 @@ func (s *SyncVar) Reset(init int64) {
 // Generation returns the variable's lifetime counter (see Reset).
 func (s *SyncVar) Generation() uint64 { return s.gen.Load() }
 
-// SetCombining marks or unmarks the variable as served by the machine's
-// software-combining network. Combining is a property of the variable's
-// placement, decided when the data structure owning it is built; like
-// Init, it must not race with concurrent accessors.
-func (s *SyncVar) SetCombining(on bool) { s.combining.Store(on) }
+// MarkCombinable marks the variable as one the machine's combining
+// network may serve. The mark is a property of the variable's role,
+// given when the data structure owning it is built; like Init, it must
+// not race with concurrent accessors. It survives Reset.
+func (s *SyncVar) MarkCombinable() { s.combinable = true }
 
-// Combining reports whether the variable is served by the combining
-// network.
-func (s *SyncVar) Combining() bool { return s.combining.Load() }
+// Combinable reports whether the variable is marked combinable.
+func (s *SyncVar) Combinable() bool { return s.combinable }
 
 // Name returns the variable's debug name.
 func (s *SyncVar) Name() string { return s.name.String() }

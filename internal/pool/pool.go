@@ -124,6 +124,12 @@ func NewICB(num int, bound int64, ivec loopir.IVec) *ICB {
 	b.Index.Init(labelIndex, 1)
 	b.ICount.Init(labelICount, 0)
 	b.PCount.Init(labelPCount, 0)
+	// The claim words are the ones a combining network may serve (the
+	// engine's policy decides whether it does); pcount never is, because
+	// the release protocol's {pcount = 1; Dec} test must observe every
+	// holder individually. The marks survive Reinit.
+	b.Index.MarkCombinable()
+	b.ICount.MarkCombinable()
 	return b
 }
 

@@ -8,11 +8,12 @@
 //   - Each synchronization variable lives in a memory module; an access
 //     occupies the module for AccessCost time units, and concurrent
 //     accesses to the same variable serialize (hot-spot contention).
-//     With Combining enabled, accesses pipeline through a combining
-//     network (as on Cedar, the RP3 and the NYU Ultracomputer) and do not
-//     serialize.
-//   - Spin-wait retries consume SpinCost units each, so busy waiting has a
-//     cost but always lets virtual time progress.
+//     The Combining policy decides which accesses a combining network
+//     (as on Cedar, the RP3 and the NYU Ultracomputer) serves instead:
+//     none, the variables their owner marked combinable (the scheduler's
+//     claim words), or all of them.
+//   - A spin-wait retry re-reads the variable and costs one AccessCost,
+//     so busy waiting has a cost but always lets virtual time progress.
 //
 // Because execution is sequential under des, runs are fully deterministic:
 // scheduling decisions, virtual makespans and utilization figures are
@@ -36,12 +37,10 @@ type Config struct {
 	// its memory module. Defaults to 10 if zero. This is the dominant
 	// component of the paper's per-iteration overhead O1.
 	AccessCost machine.Time
-	// Combining, if true, lets simultaneous accesses to the same variable
-	// proceed without serialization (hardware combining network).
-	Combining bool
-	// SpinCost is the cost of one busy-wait retry. Defaults to AccessCost
-	// if zero (a retry re-reads the variable).
-	SpinCost machine.Time
+	// Combining decides which accesses the combining network serves
+	// instead of serializing them at the memory module (default
+	// CombineNone).
+	Combining Combining
 	// RemotePenalty is the extra cost of accessing a synchronization
 	// variable homed on another processor's memory module (NUMA-style
 	// hierarchy; the paper's Section I notes memory-hierarchy placement
@@ -64,11 +63,24 @@ func (c Config) withDefaults() Config {
 	if c.AccessCost <= 0 {
 		c.AccessCost = 10
 	}
-	if c.SpinCost <= 0 {
-		c.SpinCost = c.AccessCost
-	}
 	return c
 }
+
+// Combining is the machine's combining policy: which synchronization
+// accesses a combining network serves (Section II-A).
+type Combining uint8
+
+const (
+	// CombineNone serializes every access to a variable at its module.
+	CombineNone Combining = iota
+	// CombineClaims serves the variables marked combinable
+	// (machine.SyncVar.MarkCombinable) with a software-combining window:
+	// an access that arrives while the module is busy joins the
+	// in-flight operation. Other variables serialize.
+	CombineClaims
+	// CombineAll pipelines every access: nothing queues at a module.
+	CombineAll
+)
 
 // varKey identifies one lifetime of a synchronization variable. Keying
 // per-variable engine state by {pointer, generation} makes a recycled
@@ -110,7 +122,7 @@ type VarStat struct {
 	Wait machine.Time
 	// Combined counts accesses that coalesced into an already-open
 	// combining window instead of occupying the module themselves
-	// (variables flagged SyncVar.SetCombining only).
+	// (marked variables under CombineClaims only).
 	Combined int64
 }
 
@@ -156,7 +168,7 @@ func (e *Engine) Run(worker func(machine.Proc)) machine.RunReport {
 
 // HotSpots returns the most contended synchronization variables after a
 // Run, ordered by total queueing time (ties by access count), at most n
-// entries. With Combining enabled queueing is zero and ordering falls
+// entries. Under CombineAll queueing is zero and ordering falls
 // back to access counts.
 func (e *Engine) HotSpots(n int) []VarStat {
 	out := make([]VarStat, 0, len(e.vars))
@@ -219,13 +231,13 @@ func (v *vproc) Idle(cost machine.Time) {
 // for AccessCost, and resumes afterwards. The vars map is shared but safe:
 // only one des process executes at a time.
 //
-// A variable flagged SyncVar.SetCombining is served by the software
-// combining network: an access that arrives while the module window is
-// still open joins the in-flight operation and completes when it does,
-// without extending the module's occupancy — a batch of simultaneous
-// fetch-and-adds is charged one module transaction. With the global
-// Combining knob set every variable pipelines and no window tracking is
-// needed at all.
+// Under CombineClaims a variable marked combinable is served by the
+// software combining network: an access that arrives while the module
+// window is still open joins the in-flight operation and completes when
+// it does, without extending the module's occupancy — a batch of
+// simultaneous fetch-and-adds is charged one module transaction. Under
+// CombineAll every variable pipelines and no window tracking is needed
+// at all.
 func (v *vproc) Access(sv *machine.SyncVar) {
 	v.accesses++
 	cfg := &v.eng.cfg
@@ -238,8 +250,8 @@ func (v *vproc) Access(sv *machine.SyncVar) {
 	}
 	st.Accesses++
 	start := now
-	if !cfg.Combining && st.avail > now {
-		if sv.Combining() {
+	if cfg.Combining != CombineAll && st.avail > now {
+		if cfg.Combining == CombineClaims && sv.Combinable() {
 			// Join the open window: finish with the in-flight combined
 			// operation, leaving avail untouched.
 			st.Combined++
@@ -258,7 +270,7 @@ func (v *vproc) Access(sv *machine.SyncVar) {
 		}
 	}
 	end := start + cost
-	if !cfg.Combining {
+	if cfg.Combining != CombineAll {
 		st.avail = end
 	}
 	st.Wait += start - now
@@ -267,5 +279,5 @@ func (v *vproc) Access(sv *machine.SyncVar) {
 
 func (v *vproc) Spin() {
 	v.spins++
-	v.p.Advance(v.eng.cfg.SpinCost)
+	v.p.Advance(v.eng.cfg.AccessCost)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/pool"
 )
 
 var _ machine.Engine = (*Engine)(nil)
@@ -67,7 +68,7 @@ func TestAccessSerializesOnHotVariable(t *testing.T) {
 
 func TestCombiningRemovesSerialization(t *testing.T) {
 	const P, cost = 8, 10
-	e := New(Config{P: P, AccessCost: cost, Combining: true})
+	e := New(Config{P: P, AccessCost: cost, Combining: CombineAll})
 	v := machine.NewSyncVar("hot", 0)
 	rep := e.Run(func(p machine.Proc) {
 		v.FetchInc(p)
@@ -77,6 +78,49 @@ func TestCombiningRemovesSerialization(t *testing.T) {
 	}
 	if v.Peek() != P {
 		t.Errorf("counter = %d, want %d", v.Peek(), P)
+	}
+}
+
+// TestCombiningPolicy: two processors access one word of an ICB at t=0,
+// so the second arrives inside the first's module window. Only
+// CombineClaims on a claim word (index, which the pool marks combinable)
+// joins the window (one Combined access, no wait); only CombineAll
+// pipelines an unmarked word (pcount); everything else serializes.
+func TestCombiningPolicy(t *testing.T) {
+	const cost = 10
+	index := func(b *pool.ICB) *machine.SyncVar { return &b.Index }
+	pcount := func(b *pool.ICB) *machine.SyncVar { return &b.PCount }
+	for _, tc := range []struct {
+		name     string
+		policy   Combining
+		word     func(*pool.ICB) *machine.SyncVar
+		makespan machine.Time
+		wait     machine.Time
+		combined int64
+	}{
+		{"claims/index", CombineClaims, index, cost, 0, 1},
+		{"claims/pcount", CombineClaims, pcount, 2 * cost, cost, 0},
+		{"all/index", CombineAll, index, cost, 0, 0},
+		{"all/pcount", CombineAll, pcount, cost, 0, 0},
+		{"none/index", CombineNone, index, 2 * cost, cost, 0},
+		{"none/pcount", CombineNone, pcount, 2 * cost, cost, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{P: 2, AccessCost: cost, Combining: tc.policy})
+			v := tc.word(pool.NewICB(1, 8, nil))
+			before := v.Peek()
+			rep := e.Run(func(p machine.Proc) { v.FetchInc(p) })
+			if rep.Makespan != tc.makespan {
+				t.Errorf("makespan = %d, want %d", rep.Makespan, tc.makespan)
+			}
+			if got := v.Peek() - before; got != 2 {
+				t.Errorf("counter moved by %d, want 2", got)
+			}
+			hs := e.HotSpots(1)
+			if len(hs) != 1 || hs[0].Accesses != 2 || hs[0].Wait != tc.wait || hs[0].Combined != tc.combined {
+				t.Errorf("hot spots = %+v, want 2 accesses, wait %d, combined %d", hs, tc.wait, tc.combined)
+			}
+		})
 	}
 }
 
@@ -95,14 +139,16 @@ func TestDistinctVariablesDoNotSerialize(t *testing.T) {
 	}
 }
 
+// TestSpinCostsTime: a busy-wait retry re-reads the variable, so one
+// spin costs one access.
 func TestSpinCostsTime(t *testing.T) {
-	e := New(Config{P: 1, AccessCost: 10, SpinCost: 7})
+	e := New(Config{P: 1, AccessCost: 10})
 	rep := e.Run(func(p machine.Proc) {
 		p.Spin()
 		p.Spin()
 	})
-	if rep.Makespan != 14 {
-		t.Errorf("makespan = %d, want 14", rep.Makespan)
+	if rep.Makespan != 20 {
+		t.Errorf("makespan = %d, want 20 (two spins of one access each)", rep.Makespan)
 	}
 	if rep.Spins[0] != 2 {
 		t.Errorf("spins = %d, want 2", rep.Spins[0])
@@ -113,7 +159,7 @@ func TestSemaphoreUnderVirtualTime(t *testing.T) {
 	// A binary semaphore protecting a critical section of length W:
 	// P processors serialized through it need at least P*W time.
 	const P, W = 4, 100
-	e := New(Config{P: P, AccessCost: 1, SpinCost: 1})
+	e := New(Config{P: P, AccessCost: 1})
 	sem := machine.NewSemaphore("S", 1)
 	inCS := 0
 	e.Run(func(p machine.Proc) {
@@ -131,7 +177,7 @@ func TestSemaphoreUnderVirtualTime(t *testing.T) {
 
 func TestSemaphoreSerializesWork(t *testing.T) {
 	const P, W = 4, 100
-	e := New(Config{P: P, AccessCost: 1, SpinCost: 1})
+	e := New(Config{P: P, AccessCost: 1})
 	sem := machine.NewSemaphore("S", 1)
 	rep := e.Run(func(p machine.Proc) {
 		sem.P(p)
@@ -148,7 +194,7 @@ func TestSemaphoreSerializesWork(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (machine.Time, int64, float64) {
-		e := New(Config{P: 8, AccessCost: 5, SpinCost: 3})
+		e := New(Config{P: 8, AccessCost: 5})
 		ctr := machine.NewSyncVar("ctr", 0)
 		lock := machine.NewSpinLock("L")
 		e2 := e.Run(func(p machine.Proc) {
@@ -227,7 +273,7 @@ func TestHotSpots(t *testing.T) {
 }
 
 func TestHotSpotsCombiningNoWait(t *testing.T) {
-	e := New(Config{P: 8, AccessCost: 10, Combining: true})
+	e := New(Config{P: 8, AccessCost: 10, Combining: CombineAll})
 	hot := machine.NewSyncVar("hot", 0)
 	e.Run(func(p machine.Proc) {
 		hot.FetchInc(p)
@@ -281,12 +327,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	cfg := Config{P: 2}.withDefaults()
-	if cfg.AccessCost != 10 || cfg.SpinCost != 10 {
+	if cfg.AccessCost != 10 || cfg.Combining != CombineNone {
 		t.Errorf("defaults = %+v", cfg)
-	}
-	cfg = Config{P: 2, AccessCost: 4}.withDefaults()
-	if cfg.SpinCost != 4 {
-		t.Errorf("SpinCost default should follow AccessCost, got %d", cfg.SpinCost)
 	}
 }
 

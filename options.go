@@ -32,9 +32,6 @@ type Options struct {
 	// AccessCost is the virtual machine's synchronization access cost
 	// (default 10; ignored by real engines).
 	AccessCost int64 `json:"access_cost,omitempty" flag:"access" default:"10" help:"virtual machine synchronization access cost"`
-	// SpinCost is the virtual machine's busy-wait retry cost (defaults
-	// to AccessCost).
-	SpinCost int64 `json:"spin_cost,omitempty" flag:"spin" help:"virtual machine busy-wait retry cost (0 = the access cost)"`
 	// Combining enables the virtual machine's combining network for
 	// fetch-and-add hot spots.
 	Combining bool `json:"combining,omitempty" flag:"combining" help:"enable combining fetch-and-add"`
@@ -128,16 +125,16 @@ type Options struct {
 	// the overshoot is bounded by one chunk per processor at any
 	// ClaimBatch (the unstarted slices of a lease stay pending).
 	BudgetTime int64 `json:"budget_time,omitempty" flag:"budget-time" help:"engine-time ceiling checked at claim boundaries (0 = none)"`
-	// CombineClaims marks the per-instance claim hot spots (the ICB's
-	// Index and ICount) as software-combinable: on the virtual machine
-	// (without the global Combining network), concurrent accesses that
-	// arrive while one is in flight join its combining window instead of
-	// queueing behind it. The claim on Index is the per-chunk access it
+	// CombineClaims serves the per-instance claim hot spots (the ICB's
+	// Index and ICount) with the virtual machine's software-combining
+	// window (vmachine.CombineClaims): concurrent accesses that arrive
+	// while one is in flight join its window instead of queueing
+	// behind it. The claim on Index is the per-chunk access it
 	// serves; ICount takes one post per hold (and one per chunk near an
 	// instance's tail), so it is hot only on instances of a few
 	// iterations. Ignored by the real engines and subsumed by
 	// Options.Combining.
-	CombineClaims bool `json:"combine_claims,omitempty" flag:"combine-claims" help:"mark the per-instance claim hot spots software-combinable (virtual engine)"`
+	CombineClaims bool `json:"combine_claims,omitempty" flag:"combine-claims" help:"serve the per-instance claim hot spots with software combining (virtual engine)"`
 }
 
 // BindFlags registers one flag on fs for every Options field that
@@ -282,12 +279,17 @@ func (o Options) resolve() (resolved, error) {
 	p := r.procs
 	switch o.Engine {
 	case "", EngineVirtual:
+		combining := vmachine.CombineNone
+		if o.Combining {
+			combining = vmachine.CombineAll
+		} else if o.CombineClaims {
+			combining = vmachine.CombineClaims
+		}
 		r.mkEngine = func(intr *machine.Interrupt) machine.Engine {
 			return vmachine.New(vmachine.Config{
 				P:             p,
 				AccessCost:    o.AccessCost,
-				SpinCost:      o.SpinCost,
-				Combining:     o.Combining,
+				Combining:     combining,
 				RemotePenalty: o.RemotePenalty,
 				Interrupt:     intr,
 			})

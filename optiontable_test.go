@@ -66,8 +66,8 @@ func TestOptionTableComplete(t *testing.T) {
 			}
 		}
 	}
-	if ty.NumField() != 25 || len(wires) != 21 || len(flags) != 20 {
-		t.Errorf("%d fields, %d wire names, %d flags; want 25, 21, 20",
+	if ty.NumField() != 24 || len(wires) != 20 || len(flags) != 19 {
+		t.Errorf("%d fields, %d wire names, %d flags; want 24, 20, 19",
 			ty.NumField(), len(wires), len(flags))
 	}
 }

@@ -299,21 +299,20 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		}
 	}
 	rep, err := core.RunPlanContext(ctx, pl, core.Config{
-		Engine:        eng,
-		Scheme:        rs.scheme,
-		Pool:          rs.pool,
-		Sink:          trace.Attach(log, ring),
-		DispatchCost:  opts.DispatchCost,
-		Interrupt:     intr,
-		OnStart:       opts.Observe,
-		Failure:       rs.failure,
-		Retry:         rs.retry,
-		Diagnostics:   opts.Diagnostics,
-		Checkpoint:    ckpt,
-		ClaimBatch:    opts.ClaimBatch,
-		SWShards:      opts.SWShards,
-		CombineClaims: opts.CombineClaims,
-		Budget:        budget,
+		Engine:       eng,
+		Scheme:       rs.scheme,
+		Pool:         rs.pool,
+		Sink:         trace.Attach(log, ring),
+		DispatchCost: opts.DispatchCost,
+		Interrupt:    intr,
+		OnStart:      opts.Observe,
+		Failure:      rs.failure,
+		Retry:        rs.retry,
+		Diagnostics:  opts.Diagnostics,
+		Checkpoint:   ckpt,
+		ClaimBatch:   opts.ClaimBatch,
+		SWShards:     opts.SWShards,
+		Budget:       budget,
 	})
 	if err != nil {
 		if be, ok := p.asBudgetExceeded(err); ok {
