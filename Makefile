@@ -13,13 +13,21 @@ REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
 BENCH_BASE ?= BENCH_pr22.json
 
-.PHONY: build test bench bench-compare bench-smoke bench-go bench-harness verify verify-gates
+.PHONY: build test lint bench bench-compare bench-smoke bench-go bench-harness verify verify-gates
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# lint runs the two static checkers CI installs (`go install
+# honnef.co/go/tools/cmd/staticcheck@latest` and
+# `golang.org/x/vuln/cmd/govulncheck@latest`): staticcheck's analyses,
+# then the known-vulnerability scan of the code's call graph.
+lint:
+	staticcheck ./...
+	govulncheck ./...
 
 # bench runs the deterministic ledger (internal/benchkit): every
 # scenario on the virtual-time machine, run twice and checked to agree

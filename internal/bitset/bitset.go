@@ -31,14 +31,25 @@ type Atomic struct {
 	words []atomic.Uint64
 }
 
+// lineWords is the number of words in a 64-byte cache line.
+const lineWords = 8
+
 // New returns a bit set holding bits 1..n, all clear.
+//
+// The words are allocated in whole cache lines: a multiple of 64 bytes
+// is a size class whose blocks start on a line boundary, so the words
+// share their lines with nothing else. A one-word set would otherwise be
+// an 8-byte tiny allocation, packed into a 16-byte block with whatever
+// the allocator hands out next — and the task pool's SW word is written
+// by every APPEND and DELETE and read by every SEARCH.
 func New(n int) *Atomic {
 	if n < 0 {
 		panic(fmt.Sprintf("bitset: negative size %d", n))
 	}
+	words := (n + 64) / 64
 	return &Atomic{
 		n:     n,
-		words: make([]atomic.Uint64, (n+64)/64),
+		words: make([]atomic.Uint64, words, (words+lineWords-1)/lineWords*lineWords),
 	}
 }
 

@@ -2,9 +2,11 @@ package bitset
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmpty(t *testing.T) {
@@ -237,4 +239,29 @@ func BenchmarkSetClear(b *testing.B) {
 		s.Set(100)
 		s.Clear(100)
 	}
+}
+
+// TestWordsOwnTheirLines pins the words' allocation: whole 64-byte lines,
+// starting on a line boundary, so a set's words share no line with any
+// other object — a one-word set included, which would otherwise be an
+// 8-byte tiny allocation packed next to whatever came after it.
+func TestWordsOwnTheirLines(t *testing.T) {
+	const line = 64
+	keep := make([]*Atomic, 0, 256)
+	for _, n := range []int{0, 1, 63, 64, 100, 511, 512, 1000} {
+		for i := 0; i < 32; i++ {
+			s := New(n)
+			if a := uintptr(unsafe.Pointer(&s.words[0])); a%line != 0 {
+				t.Fatalf("New(%d) #%d: words at %#x are not %d-byte aligned", n, i, a, line)
+			}
+			if c := uintptr(cap(s.words)) * unsafe.Sizeof(s.words[0]); c%line != 0 {
+				t.Fatalf("New(%d): %d bytes of words, not whole lines", n, c)
+			}
+			if s.Len() != n || s.Any() {
+				t.Fatalf("New(%d): Len %d, Any %v", n, s.Len(), s.Any())
+			}
+			keep = append(keep, s)
+		}
+	}
+	runtime.KeepAlive(keep)
 }

@@ -308,9 +308,6 @@ type executor struct {
 	// hanging (a dead processor can never post dependences or drain its
 	// pcount hold).
 	cause atomic.Pointer[stopCause]
-	// live counts activated-but-unreleased instances, for the post-run
-	// quiescence check.
-	live atomic.Int64
 	// ckptReq is the generic pause request: workers drain out at claim
 	// boundaries when it is set. A checkpoint request (checkpoint.go)
 	// and a budget exhaustion (budget.go) both ride it; budHit below
@@ -376,13 +373,32 @@ type executor struct {
 	// copy these instead of re-binding per run (the activation path's
 	// allocation pin in alloc_test.go counts every one).
 	stopFn, abortFn func() bool
-	// depot recycles retired ICBs between workers (recycle.go).
-	depot depot
 	// locs is the shared backing array of the workers' loc_indexes
 	// vectors, one cache-line-padded stride per worker.
 	locs      []int64
 	locStride int
+
+	// The claim path and the SEARCH sweep read fields above on every
+	// claim (done, cause, ckptReq, policy, pool). The two groups below
+	// are written by every processor as instances come and go, so each
+	// sits between whole-line pads: whatever the executor's alignment,
+	// their writes invalidate none of those lines (TestExecutorLayout,
+	// DESIGN §17).
+	_ linePad
+	// live counts activated-but-unreleased instances, for the post-run
+	// quiescence check: written at every activation and every release.
+	live atomic.Int64
+	_    linePad
+	// depot recycles retired ICBs between workers (recycle.go): its count
+	// is loaded by every activation that finds its own freelist empty.
+	depot depot
+	_     linePad
 }
+
+// linePad is one cache line of padding. A word with a whole pad on each
+// side shares its line with no other field, wherever the line boundaries
+// fall.
+type linePad [64]byte
 
 func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 	nprocs := cfg.Engine.NumProcs()

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -536,4 +537,26 @@ func TestInternIsStable(t *testing.T) {
 	if Label(0).String() != "" {
 		t.Errorf("label 0 is %q, want the empty name", Label(0).String())
 	}
+}
+
+// TestSpinLockLayout pins a lock's line: both ticket words share one
+// 64-byte object, a size class whose blocks start on a line boundary, so
+// no two locks share a line.
+func TestSpinLockLayout(t *testing.T) {
+	const line = 64
+	if sz := unsafe.Sizeof(SpinLock{}); sz != line {
+		t.Fatalf("SpinLock is %d bytes, want %d", sz, line)
+	}
+	keep := make([]*SpinLock, 0, 64)
+	for i := 0; i < cap(keep); i++ {
+		l := NewSpinLock(fmt.Sprintf("L(%d)", i))
+		if a := uintptr(unsafe.Pointer(l)); a%line != 0 {
+			t.Fatalf("fresh lock %d at %#x is not %d-byte aligned", i, a, line)
+		}
+		if got := l.serving.Name(); got != fmt.Sprintf("L(%d).serving", i) {
+			t.Fatalf("fresh lock %d's serving word is named %q", i, got)
+		}
+		keep = append(keep, l)
+	}
+	runtime.KeepAlive(keep)
 }

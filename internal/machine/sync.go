@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // This file builds the classical synchronization abstractions used by the
 // scheduling algorithms out of raw test-and-op instructions, exactly as the
@@ -61,17 +64,23 @@ func (m *Semaphore) Value() int64 { return m.s.Peek() }
 // simulation). The ticket lock is the standard starvation-free variant and
 // preserves the paper's cost profile: one fetch-and-add to acquire plus a
 // bounded spin, one store-class operation to release.
+//
+// Both words of a lock share one 64-byte cache line and nothing else
+// does: every operation on the lock touches both, and 64 bytes is a size
+// class whose blocks start on a line boundary, so the ticket words of
+// neighbouring locks never share a line.
 type SpinLock struct {
-	next    *SyncVar
-	serving *SyncVar
+	next    SyncVar
+	serving SyncVar
+	_       [64 - 2*unsafe.Sizeof(SyncVar{})]byte
 }
 
 // NewSpinLock returns an unlocked spin lock.
 func NewSpinLock(name string) *SpinLock {
-	return &SpinLock{
-		next:    NewSyncVar(name+".next", 0),
-		serving: NewSyncVar(name+".serving", 0),
-	}
+	l := new(SpinLock)
+	l.next.Init(Intern(name+".next"), 0)
+	l.serving.Init(Intern(name+".serving"), 0)
+	return l
 }
 
 // Lock spins until the lock is acquired. Acquisition is FIFO-fair.

@@ -66,7 +66,8 @@ type SyncState interface {
 //	        travels
 //	line 1  PCount, the list links and membership, Sync — written per
 //	        adoption and per list operation, not per iteration
-//	line 2  Loop, Bound, IVec, Sched — written at activation only
+//	line 2  Loop, Bound, IVec, Sched, and the storage of a one-deep
+//	        IVec — written at activation only
 type ICB struct {
 	// Index is the shared iteration index: the next iteration (1-based) to
 	// be scheduled. Low-level self-scheduling fetches from it.
@@ -101,7 +102,10 @@ type ICB struct {
 	// Sched is scheme-private state, attached by the low-level scheduling
 	// scheme at activation.
 	Sched SchedState
-	_     [8]byte
+	// ivec1 backs a one-deep IVec (setIVec): the vector then lives on
+	// the line it is published with, not in an 8-byte allocation packed
+	// beside other blocks' vectors, and costs no allocation of its own.
+	ivec1 [1]int64
 }
 
 // The ICB's variable names, interned once at start-up: a fan-out creates
@@ -116,11 +120,8 @@ var (
 // and enclosing index vector, initialized per Algorithm 6:
 // index = 1, icount = 0, pcount = 0.
 func NewICB(num int, bound int64, ivec loopir.IVec) *ICB {
-	b := &ICB{
-		Loop:  num,
-		Bound: bound,
-		IVec:  ivec.Clone(),
-	}
+	b := &ICB{Loop: num, Bound: bound}
+	b.setIVec(ivec)
 	b.Index.Init(labelIndex, 1)
 	b.ICount.Init(labelICount, 0)
 	b.PCount.Init(labelPCount, 0)
@@ -139,7 +140,8 @@ func NewICB(num int, bound int64, ivec loopir.IVec) *ICB {
 // executor's freelists pull only from that state). The synchronization
 // variables start a fresh lifetime (machine.SyncVar.Reset), so engines
 // that key per-variable state by identity see a brand-new block, and the
-// IVec backing array is reused when capacity allows.
+// index vector is copied without allocating when it is at most one deep
+// or fits the block's previous vector.
 //
 // The typed Sched/Sync attachments are deliberately retained: activation
 // passes them back to lowsched (Policy.Init, ReuseDoacross), which resets
@@ -157,9 +159,21 @@ func (b *ICB) Reinit(num int, bound int64, ivec loopir.IVec) {
 	b.PCount.Reset(0)
 	b.Loop = num
 	b.Bound = bound
-	b.IVec = append(b.IVec[:0], ivec...)
+	b.setIVec(ivec)
 	b.left, b.right = nil, nil
 	b.home = 0
+}
+
+// setIVec copies ivec into the block: into the block's previous vector
+// when it fits, else into the block's own one-word storage when ivec is
+// one deep, else into a fresh array. An empty ivec on a fresh block
+// leaves IVec nil.
+func (b *ICB) setIVec(ivec loopir.IVec) {
+	iv := b.IVec[:0]
+	if len(ivec) > cap(iv) && len(ivec) <= len(b.ivec1) {
+		iv = b.ivec1[:0]
+	}
+	b.IVec = append(iv, ivec...)
 }
 
 // Retired is a LIFO of retired blocks, chained through their list links:
@@ -203,6 +217,13 @@ func (b *ICB) String() string {
 // Right returns the next ICB in the list (testing/iteration under lock).
 func (b *ICB) Right() *ICB { return b.right }
 
+// plist is one list header, padded to a cache line, so an Append on one
+// list, which writes its tail and count, does not invalidate the head a
+// Delete or TryAdopt on the neighbouring list reads and writes. The
+// header's words take its first 32 bytes: the lists slice starts on a
+// line boundary, or 8 bytes past one when the allocator puts its header
+// in front (an object with pointers above 512 bytes), and either way no
+// line holds the words of two lists (TestListLayout).
 type plist struct {
 	lock       *machine.SpinLock
 	head, tail *ICB
@@ -210,6 +231,7 @@ type plist struct {
 	// lock but read atomically, so watchdog diagnostics can report
 	// occupancy without walking (or locking) a possibly-wedged list.
 	n atomic.Int64
+	_ [32]byte
 }
 
 // Pool is the task pool: nlists parallel linked lists addressed through
