@@ -5,13 +5,15 @@ GO ?= go
 # writes its result file; BENCH_BASE is the golden file `make
 # bench-compare` compares against exactly (`go test ./cmd/benchsuite`
 # holds a fresh run to it too):
-# BENCH_pr22.json, the whole registry, recorded when the icount post
-# moved from every chunk to the end of a hold. BENCH_pr16.json (recorded
-# when O1 started charging the successful claim) stays as the previous
-# trajectory point.
+# BENCH_pr42.json, the whole registry, recorded when a structural doall
+# above one claim's chunk became a fan-out block that every processor
+# claims activations from. BENCH_pr22.json (recorded when the icount post
+# moved from every chunk to the end of a hold) and BENCH_pr16.json (when
+# O1 started charging the successful claim) stay as earlier trajectory
+# points.
 REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
-BENCH_BASE ?= BENCH_pr22.json
+BENCH_BASE ?= BENCH_pr42.json
 
 .PHONY: build test lint bench bench-compare bench-smoke bench-go bench-harness verify verify-gates
 
@@ -98,13 +100,16 @@ verify:
 # the pause: its unstarted slices must travel as pending ranges), the
 # clock-read budget with its real-engine rows twenty times over under it
 # (a hold reads its clock at its edges, its first claim, its tail and one
-# sampled chunk in every stride, whatever the interleaving), and a
+# sampled chunk in every stride, whatever the interleaving), a
 # four-thousand-instance fan-out run through and paused and resumed
-# mid-way twenty times under it too (a retired block's ownership crosses
-# goroutines through the run's ICB depot, and which blocks cross depends
-# on the interleaving), and the failover paths twenty times over under it
-# (an owner killed mid-run, a cancel after its failover, a re-placement
-# whose every answer is lost): calls to a dying owner are stopped by
+# mid-way twenty times under it too (every processor claims activations
+# from the fan-out block and recycles the blocks it retires, and which
+# blocks it gets back depends on the interleaving), a fan-out and a
+# fan-out of fan-outs paused while half activated and resumed, on every
+# pool, twenty times under it (which activations the pause finds claimed
+# depends on the interleaving), and the failover paths twenty times over
+# under it (an owner killed mid-run, a cancel after its failover, a
+# re-placement whose every answer is lost): calls to a dying owner are stopped by
 # membership's dead verdict now, not by a circuit breaker, so which calls
 # reach a dying owner depends on where its death lands among them (about
 # 8.5 minutes on two vCPUs, so that line carries its own timeout). The
@@ -117,5 +122,5 @@ verify-gates:
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -race -count=20 -run 'TestRetain|TestReserve|TestSpans|TestChainStopsAtPause|TestCluster(Released|Lost)Placement' ./runner/ ./cmd/loopschedd/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume|FanOutCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestCluster(FailoverRestore|CancelAfterFailover|FailoverForwardIsConfirmed)' ./cmd/loopschedd/

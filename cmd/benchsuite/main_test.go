@@ -111,11 +111,11 @@ func TestCompareMissingScenarioFails(t *testing.T) {
 	}
 }
 
-// TestCommittedBaselines: both committed files load, and each names
+// TestCommittedBaselines: every committed file loads, and each names
 // exactly the registry's scenarios, in registry order.
 func TestCommittedBaselines(t *testing.T) {
 	scs := benchkit.Default()
-	for _, path := range []string{"../../BENCH_pr22.json", "../../BENCH_pr16.json"} {
+	for _, path := range []string{"../../BENCH_pr42.json", "../../BENCH_pr22.json", "../../BENCH_pr16.json"} {
 		f, err := benchkit.Load(path)
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestSchemaFieldsStable(t *testing.T) {
 // deterministic — the adaptive one too, although compare grants it a
 // band — the regenerated file must equal the golden byte for byte.
 func TestLedgerMatchesGolden(t *testing.T) {
-	const golden = "../../BENCH_pr22.json"
+	const golden = "../../BENCH_pr42.json"
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	var sb strings.Builder
 	if err := run([]string{"run", "-q", "-o", path}, &sb); err != nil {

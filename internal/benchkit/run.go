@@ -66,7 +66,10 @@ func Run(scs []Scenario, logf func(format string, args ...any)) (*File, error) {
 }
 
 // runTwice compiles the scenario once, runs it twice, and returns the
-// first run's metrics once the second has matched them exactly.
+// first run's metrics once the second has matched them exactly. The
+// second run is verified against the sequential reference (exactly-once
+// and precedence): recording its trace charges no machine time, so a
+// ledger figure is one that a checked run produced.
 func runTwice(s Scenario) (map[string]float64, error) {
 	prog, err := repro.Compile(s.Nest())
 	if err != nil {
@@ -76,7 +79,9 @@ func runTwice(s Scenario) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	second, err := measure(prog, s.Opts)
+	verified := s.Opts
+	verified.Verify = true
+	second, err := measure(prog, verified)
 	if err != nil {
 		return nil, err
 	}

@@ -47,11 +47,10 @@ func allocsForRun(t *testing.T, nest *loopir.Nest, scheme lowsched.Scheme) float
 //
 //   - the iteration path allocates nothing — scaling a flat Doall 10x
 //     must not move the per-run allocation count;
-//   - the activation path recycles retired ICBs — the completer's own
-//     freelist first, then the run's depot, which carries blocks between
-//     workers — so scaling the instance count 4x may only add a constant
-//     number of allocations (warm-up blocks before the first
-//     completions), not one-or-more per instance.
+//   - the activation path recycles retired ICBs from the activating
+//     worker's own freelist, so scaling the instance count 4x may only
+//     add a constant number of allocations (warm-up blocks before the
+//     first completions), not one-or-more per instance.
 //
 // The bounds are loose enough for runtime-internal allocation (goroutine
 // stacks, timers) to vary between Go releases, but tight enough that any

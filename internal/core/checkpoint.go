@@ -92,6 +92,9 @@ type RunSnapshot struct {
 	Loops int `json:"loops"`
 	// ICBs are the live (incomplete) instances, sorted by (loop, ivec).
 	ICBs []ICBSnapshot `json:"icbs"`
+	// FanOuts are the in-flight fan-out blocks: structural parallel loops
+	// whose activations are not all claimed yet, sorted by (leaf, ivec).
+	FanOuts []FanOutSnapshot `json:"fanouts,omitempty"`
 	// Bars are the open BAR_COUNT entries, sorted by key.
 	Bars []BarSnapshot `json:"bars,omitempty"`
 	// Stats are the cumulative spine totals in counter-ID order; resume
@@ -124,6 +127,18 @@ type ICBSnapshot struct {
 	// them before republishing the instance, so Done + the pending sizes
 	// always equals the cursor's executed prefix.
 	Pending []IterRange `json:"pending,omitempty"`
+}
+
+// FanOutSnapshot is one fan-out block: the activations Next..Bound of the
+// structural parallel loop at Level whose iterations enter Leaf's chain,
+// within the enclosing indexes IVec. A pause lands only at a claim
+// boundary, so every iteration below Next has been activated.
+type FanOutSnapshot struct {
+	Leaf  int         `json:"leaf"`
+	Level int         `json:"level"`
+	IVec  loopir.IVec `json:"ivec,omitempty"`
+	Bound int64       `json:"bound"`
+	Next  int64       `json:"next"`
 }
 
 // IterRange is a closed iteration range [Lo, Hi] of one instance.
@@ -241,7 +256,7 @@ func (ex *executor) seedRestore() error {
 	if len(snap.Stats) != int(numCounters) {
 		return fmt.Errorf("%w: %d stats counters, this build has %d", ErrBadSnapshot, len(snap.Stats), int(numCounters))
 	}
-	if len(snap.ICBs) == 0 {
+	if len(snap.ICBs) == 0 && len(snap.FanOuts) == 0 {
 		return fmt.Errorf("%w: no live instances (a claim-quiescent pause always leaves in-flight work)", ErrBadSnapshot)
 	}
 	sh := ex.stats.shard(0)
@@ -293,6 +308,15 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 	}
 	ex.instMu.Unlock()
 	for _, icb := range icbs {
+		if icb.FanOut() {
+			// A fan-out whose last chunk is claimed has activated
+			// everything; only its release was abandoned.
+			if next := icb.Index.Peek(); next <= icb.Bound {
+				snap.FanOuts = append(snap.FanOuts, FanOutSnapshot{Leaf: icb.Loop, Level: len(icb.IVec) + 2,
+					IVec: icb.IVec.Clone(), Bound: icb.Bound, Next: next})
+			}
+			continue
+		}
 		done := icb.ICount.Peek()
 		pend := ex.pendingOf(icb)
 		if done == icb.Bound {
@@ -330,16 +354,23 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 		}
 		snap.ICBs = append(snap.ICBs, s)
 	}
-	if len(snap.ICBs) == 0 {
+	if len(snap.ICBs) == 0 && len(snap.FanOuts) == 0 {
 		// Unreachable at a genuine pause (an incomplete program always has
-		// in-flight instances at claim-quiescence), kept as a guard: a
-		// zero-instance snapshot would hang its resuming run.
+		// in-flight instances or activations at claim-quiescence), kept as
+		// a guard: an empty snapshot would hang its resuming run.
 		return nil, fmt.Errorf("core: checkpoint caught no in-flight instances")
 	}
 	sort.Slice(snap.ICBs, func(i, k int) bool {
 		a, b := snap.ICBs[i], snap.ICBs[k]
 		if a.Loop != b.Loop {
 			return a.Loop < b.Loop
+		}
+		return a.IVec.String() < b.IVec.String()
+	})
+	sort.Slice(snap.FanOuts, func(i, k int) bool {
+		a, b := snap.FanOuts[i], snap.FanOuts[k]
+		if a.Leaf != b.Leaf {
+			return a.Leaf < b.Leaf
 		}
 		return a.IVec.String() < b.IVec.String()
 	})
@@ -354,10 +385,44 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 
 // restorePrologue is processor 0's program prologue on a resumed run:
 // instead of entering the program from the top, re-create and publish
-// the snapshot's live instances. Validation failures trip the run (the
-// engine is already driving the other processors), and RunPlanContext
-// returns the cause.
+// the snapshot's live instances, then its fan-out blocks. Validation
+// failures trip the run (the engine is already driving the other
+// processors), and RunPlanContext returns the cause.
 func (w *worker) restorePrologue() {
+	w.restoreInstances()
+	if w.ex.cause.Load() == nil {
+		w.restoreFanOuts()
+	}
+}
+
+// restoreFanOuts republishes the snapshot's fan-out blocks with their
+// claim cursors, after checking each against the program's shape.
+func (w *worker) restoreFanOuts() {
+	ex := w.ex
+	for i, s := range ex.restore.FanOuts {
+		ok := s.Leaf >= 1 && s.Leaf <= ex.plan.prog.M && s.Level == len(s.IVec)+2 &&
+			s.Next >= 1 && s.Next <= s.Bound
+		if ok {
+			leaf := ex.plan.leaf(s.Leaf)
+			ok = s.Level <= leaf.Depth && leaf.Levels[s.Level].Parallel &&
+				leaf.Levels[s.Level].Bound.Eval(s.IVec) == s.Bound
+		}
+		if !ok {
+			ex.trip(fmt.Errorf("%w: fan-out %d (leaf %d, level %d, ivec %v, bound %d, next %d) does not fit the program",
+				ErrBadSnapshot, i, s.Leaf, s.Level, s.IVec, s.Bound, s.Next))
+			return
+		}
+		icb := pool.NewICB(s.Leaf, s.Bound, s.IVec)
+		icb.MarkFanOut()
+		icb.Index.Reset(s.Next)
+		ex.trackICB(icb)
+		ex.pool.Append(w.pr, icb)
+	}
+}
+
+// restoreInstances re-creates and publishes the snapshot's live
+// instances, running each one's pending ranges first.
+func (w *worker) restoreInstances() {
 	ex, pr := w.ex, w.pr
 	snap := ex.restore
 	cs := ex.policy.(lowsched.CursorSource)

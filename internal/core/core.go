@@ -16,9 +16,9 @@
 //   - Plan: immutable compile-once artifacts — descriptor tables,
 //     successor fan-out, per-leaf traits (see Plan). Safe to share across
 //     concurrent runs.
-//   - Instance: per-run state — the task pool of ICBs, the depot that
-//     recycles retired ones between workers, the BAR_COUNT table, the
-//     stop causes and the stats spine (see executor).
+//   - Instance: per-run state — the task pool of ICBs and fan-out blocks,
+//     the BAR_COUNT table, the stop causes and the stats spine (see
+//     executor).
 //   - Worker: per-processor scratch — the loc_indexes vector, the bound
 //     iteration context, the stats shard and the ICB freelist (see
 //     worker).
@@ -75,13 +75,15 @@ import (
 // kernel (worker.search); a pool supplies only the sweep primitives —
 // First starts a sweep and returns an opaque positive cursor (0: nothing
 // advertises work), Next continues it (0: sweep exhausted), TryAdopt
-// attempts adoption at a cursor.
+// attempts adoption at a cursor. FanCursor is the cursor of the list of
+// fan-out blocks, the last a sweep reaches.
 type TaskPool interface {
 	Append(pr machine.Proc, icb *pool.ICB)
 	Delete(pr machine.Proc, icb *pool.ICB)
 	First(pr machine.Proc) int
 	Next(pr machine.Proc, i int) int
 	TryAdopt(pr machine.Proc, i int, needs func(*pool.ICB) bool, block bool, st *pool.SearchStats) *pool.ICB
+	FanCursor() int
 	Empty() bool
 }
 
@@ -173,9 +175,10 @@ type Config struct {
 	// recording is host-side and charges no machine time either way.
 	Sink trace.Sink
 	// DispatchCost, if positive, adds a fixed Work charge to every SEARCH
-	// success — modeling an operating-system dispatch on every task grab
-	// (the "OS-involved scheduling" baseline of experiment E6). Zero for
-	// the paper's self-scheduling.
+	// that adopts an instance — modeling an operating-system dispatch on
+	// every task grab (the "OS-involved scheduling" baseline of experiment
+	// E6); a fan-out block's adoption is the scheduler's own and pays none.
+	// Zero for the paper's self-scheduling.
 	DispatchCost machine.Time
 	// Interrupt, if non-nil, is the run's external stop request, shared
 	// with the engine so its preemption points observe the same signal.
@@ -335,8 +338,12 @@ type executor struct {
 	batch     int
 	leaser    lowsched.Leaser
 	// nprocs is the machine size P as the tail rule compares it with an
-	// instance's remaining chunks (worker.tail).
+	// instance's remaining chunks (worker.tail) and SEARCH's fan-out gate
+	// with the live instances.
 	nprocs int64
+	// fanCursor is the pool's fan-out list cursor: SEARCH passes it by
+	// while P·B instances are live (fanout.go).
+	fanCursor int
 	// stride is the engine's clock stride (clockStride), asked once.
 	stride int
 	// budMeter and budTime hoist cfg.Budget the same way: budMeter is
@@ -379,20 +386,17 @@ type executor struct {
 	locStride int
 
 	// The claim path and the SEARCH sweep read fields above on every
-	// claim (done, cause, ckptReq, policy, pool). The two groups below
-	// are written by every processor as instances come and go, so each
-	// sits between whole-line pads: whatever the executor's alignment,
-	// their writes invalidate none of those lines (TestExecutorLayout,
-	// DESIGN §17).
+	// claim (done, cause, ckptReq, policy, pool). The count below is
+	// written by every processor as instances come and go, so it sits
+	// between whole-line pads: whatever the executor's alignment, its
+	// writes invalidate none of those lines (TestExecutorLayout, DESIGN
+	// §17).
 	_ linePad
 	// live counts activated-but-unreleased instances, for the post-run
-	// quiescence check: written at every activation and every release.
+	// quiescence check and SEARCH's fan-out gate: written at every
+	// activation and every release.
 	live atomic.Int64
 	_    linePad
-	// depot recycles retired ICBs between workers (recycle.go): its count
-	// is loaded by every activation that finds its own freelist empty.
-	depot depot
-	_     linePad
 }
 
 // linePad is one cache line of padding. A word with a whole pad on each
@@ -460,6 +464,7 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 			ex.pool = pool.New(prog.M)
 		}
 	}
+	ex.fanCursor = ex.pool.FanCursor()
 	return ex
 }
 

@@ -98,8 +98,10 @@ guards:
 	}
 
 	// Descend one level (Fig. 8): a deeper enclosing parallel loop fans
-	// out into one activation per iteration; a serial loop activates only
-	// its first iteration (completions drive the rest).
+	// out into one activation per iteration — inline when one claim would
+	// take the whole fan-out, else through a fan-out block that processors
+	// claim in chunks (fanout.go); a serial loop activates only its first
+	// iteration (completions drive the rest).
 	level++
 	d := &leaf.Levels[level]
 	bound := d.Bound.Eval(userIVec(loc, level-1))
@@ -112,12 +114,15 @@ guards:
 		}
 		return
 	}
-	if d.Parallel {
+	switch {
+	case d.Parallel && bound > fanChunk:
+		w.publishFanOut(cur, level, loc, bound)
+	case d.Parallel:
 		for k := int64(1); k <= bound; k++ {
 			loc[level] = k
 			w.enter(cur, level, loc)
 		}
-	} else {
+	default:
 		loc[level] = 1
 		w.enter(cur, level, loc)
 	}
@@ -125,9 +130,9 @@ guards:
 
 // activate creates, initializes and publishes the ICB for one instance of
 // leaf with enclosing indexes loc[2..Depth] (the paper's "create a new
-// ICB; copy the index vector; APPEND"). Retired blocks — this worker's,
-// or any worker's through the run's depot — are recycled first: the reuse
-// the paper's pcount release protocol exists to make safe.
+// ICB; copy the index vector; APPEND"). A block this worker retired is
+// recycled first: the reuse the paper's pcount release protocol exists to
+// make safe.
 func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 	ex := w.ex
 	ivec := userIVec(loc, leaf.Depth)
@@ -140,7 +145,7 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) {
 		}
 		return
 	}
-	icb := w.recycled()
+	icb := w.free.Pop()
 	if icb != nil {
 		icb.Reinit(leaf.Num, bound, ivec)
 		w.shard.Inc(cICBReuses)

@@ -15,8 +15,9 @@ import (
 
 // This file is the execution kernel: the one copy of the paper's drive
 // loop — Algorithm 3's low-level self-scheduling, the SEARCH sweep of
-// Algorithm 4, and the completion path into EXIT/ENTER (enter.go) — that
-// every engine runs. The kernel is parameterized along two seams:
+// Algorithm 4, the completion path into EXIT/ENTER (enter.go) and the
+// claims on fan-out blocks (fanout.go) — that every engine runs. The
+// kernel is parameterized along two seams:
 //
 //   - Engine (engine.go) supplies the processors; the kernel never asks
 //     which machine it is on.
@@ -56,9 +57,10 @@ type worker struct {
 	ctx Ctx
 	// sst accumulates SEARCH work between flushes into the shard.
 	sst pool.SearchStats
-	// free is the worker's half of ICB recycling (recycle.go): blocks
-	// retired through the pcount release protocol, single-owner, spilling
-	// to and refilling from the run's depot in batches.
+	// free holds the blocks this worker retired through the pcount release
+	// protocol, single-owner, for its next activations and fan-outs: every
+	// processor activates (fan-out claims) and completes, so a worker's own
+	// freelist serves it.
 	free pool.Retired
 	// barBuf is scratch for rendering BAR_COUNT keys.
 	barBuf []byte
@@ -250,7 +252,8 @@ func (w *worker) flushSearch() {
 // search is the high-level SEARCH of Algorithm 4, driven over the pool's
 // sweep primitives (First/Next/TryAdopt): repeat leading-one detection
 // until an ICB that needs processors is adopted, or stop() reports that
-// no more work will appear (nil). Each fruitless sweep is a preemption
+// no more work will appear (nil). The fan-out list comes last in a sweep,
+// and a sweep passes it by while P·B instances are live. Each fruitless sweep is a preemption
 // point. After several fruitless sweeps the kernel escalates TryAdopt to
 // blocking on held list locks — skipping is the paper's fast path, but
 // under deterministic timing a searcher's try-lock can lose its race
@@ -272,6 +275,11 @@ func (w *worker) search() *pool.ICB {
 		}
 		block := fruitless > 4
 		for i != 0 {
+			if i == ex.fanCursor && ex.live.Load() >= ex.nprocs*fanChunk {
+				// Enough instances are live: the fan-outs wait until
+				// some complete.
+				break
+			}
 			if icb := ex.pool.TryAdopt(pr, i, w.needs, block, &w.sst); icb != nil {
 				return icb
 			}
@@ -335,6 +343,14 @@ func (w *worker) run() {
 			}
 			w.tick(cO2Time)
 			w.shard.Inc(cSearches)
+			if icb.FanOut() {
+				// One claim of activations, then SEARCH again.
+				if !w.claimFanOut(icb) {
+					return
+				}
+				icb = nil
+				continue
+			}
 			w.readClaim = true // a hold's first claim reads the clock
 			if ex.cfg.DispatchCost > 0 {
 				// OS-involved baseline: a dispatch costs real time but is
@@ -527,7 +543,7 @@ func (w *worker) pause(icb *pool.ICB) {
 // drain out (abort, or a checkpoint pause observed inside the release
 // spin).
 func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
-	ex, pr := w.ex, w.pr
+	pr := w.pr
 	n := w.unposted
 	w.unposted = 0
 	w.posted.Add(n)
@@ -549,32 +565,42 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	w.completeInstance(icb)
 	w.shard.Inc(cExits)
 	w.shard.Inc(cEnters)
+	if !w.release(icb) {
+		return false, false
+	}
+	w.tick(cO3Time)
+	return false, true
+}
 
-	// Wait for the other holders to drop the ICB, then release it
-	// (the paper's {pcount = 1; Decrement} spin). Only then may
-	// the block be reused — by any processor's next activation:
-	// it goes to this worker's freelist and on through the depot.
+// release waits for the other holders to drop a block whose last work
+// this worker has done — an instance it completed, a fan-out whose last
+// chunk it claimed — then releases it (the paper's {pcount = 1;
+// Decrement} spin). Only then may the block be reused: it goes on this
+// worker's freelist, for its next activation or fan-out. false means the
+// worker must drain out without releasing.
+func (w *worker) release(icb *pool.ICB) bool {
+	ex, pr := w.ex, w.pr
 	rel := machine.Instr{Test: machine.TestEQ, TestVal: 1, Op: machine.OpDec}
 	for {
 		if _, ok := icb.PCount.Exec(pr, rel); ok {
 			break
 		}
 		if ex.aborted() {
-			return false, false // an aborted holder can never drain its pcount
+			return false // an aborted holder can never drain its pcount
 		}
 		if ex.ckptReq.Load() {
-			// A paused holder will never drop its hold; leave
-			// without releasing. The completed block is excluded
-			// from the snapshot (its successors are already in),
-			// so the abandoned release loses nothing.
-			return false, false
+			// A paused holder will never drop its hold; leave without
+			// releasing. The block is excluded from the snapshot (a
+			// completed instance's successors are already in, a fan-out's
+			// claimed iterations are activated), so the abandoned release
+			// loses nothing.
+			return false
 		}
 		pr.Spin()
 	}
 	ex.untrackICB(icb)
-	w.retire(icb)
-	w.tick(cO3Time)
-	return false, true
+	w.free.Push(icb)
+	return true
 }
 
 // runChunk executes the assigned iterations [a.Lo, a.Hi] of icb under

@@ -44,7 +44,7 @@ const (
 	cSearchSaturated
 
 	cICBAllocs // ICBs freshly allocated
-	cICBReuses // retired ICBs recycled (freelist or depot)
+	cICBReuses // retired ICBs recycled from a worker's freelist
 	cDepAwaits // Doacross dependence waits entered
 	cDepPosts  // Doacross dependence flags posted
 
@@ -82,8 +82,8 @@ type Snapshot struct {
 	DispatchTime, BodyTime        int64
 	// ICBAllocs and ICBReuses decompose instance activations into fresh
 	// allocations and recycled retired blocks, from the activating
-	// worker's freelist or the run's depot (the paper's pcount release
-	// protocol making explicit reuse safe).
+	// worker's freelist (the paper's pcount release protocol making
+	// explicit reuse safe). Fan-out blocks count in neither.
 	ICBAllocs, ICBReuses int64
 	// DepAwaits and DepPosts count Doacross dependence operations.
 	DepAwaits, DepPosts int64

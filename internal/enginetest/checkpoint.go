@@ -13,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/refexec"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // CheckpointResume is the resume-conformance half of the suite: for
@@ -254,5 +255,59 @@ func ExhaustedCheckpointResume(t *testing.T, name string, f Factory) {
 	}
 	if !sawExhausted {
 		t.Error("no claim-k pause caught an instance with its cursor past the bound; the case went unexercised")
+	}
+}
+
+// FanOutCheckpointResume pauses runs halfway through their chunks while a
+// structural doall above one claim's chunk is half activated — a flat
+// fan-out of a thousand instances, and a fan-out of fan-outs — and
+// resumes them, on every task pool. The snapshot must carry an in-flight
+// fan-out block whose next activation lies inside its bound, and the two
+// parts must execute exactly the uninterrupted run's iteration multiset
+// and land on its totals: no activation lost or repeated across the
+// pause. make verify-gates runs the real-engine row twenty times under
+// -race.
+func FanOutCheckpointResume(t *testing.T, name string, f Factory) {
+	const p = 4
+	nests := []struct {
+		label string
+		nest  *loopir.Nest
+		after int64
+	}{
+		{"flat", workload.ManyInstances(8, 1000, 4, 1), 2000},
+		{"nested", loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(40), func(b *loopir.B) {
+				b.Doall("J", loopir.Const(36), func(b *loopir.B) {
+					b.DoallLeaf("N", loopir.Const(2), work(1))
+				})
+			})
+		}), 1440},
+	}
+	for _, n := range nests {
+		prog, pl, ref := compile(t, n.nest)
+		for _, pk := range []core.PoolKind{core.PoolPerLoop, core.PoolSingleList, core.PoolDistributed} {
+			t.Run(fmt.Sprintf("%s/%s", n.label, pk), func(t *testing.T) {
+				ctx := refexec.Context{Nest: "fanout-resume-" + n.label, Scheme: "ss", Pool: pk.String(), Engine: name}
+				r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: lowsched.SS{}, Pool: pk},
+					func(cfg *core.Config) { cfg.Checkpoint = &core.CheckpointConfig{AfterChunks: n.after} })
+				if !errors.Is(r.pause, core.ErrCheckpointed) {
+					t.Fatalf("checkpoint run returned %v, want CheckpointedError", r.pause)
+				}
+				if len(r.snap.FanOuts) == 0 {
+					t.Fatalf("the pause caught no fan-out in flight (%d live instances)", len(r.snap.ICBs))
+				}
+				for _, fo := range r.snap.FanOuts {
+					if fo.Next < 1 || fo.Next > fo.Bound {
+						t.Errorf("fan-out %+v: next activation outside its bound", fo)
+					}
+				}
+				t.Logf("paused with %d live instances and %d fan-outs in flight", len(r.snap.ICBs), len(r.snap.FanOuts))
+				fs, gs := r.full.Stats, r.rest.Stats
+				if gs.Iterations != fs.Iterations || gs.Instances != fs.Instances || gs.Exits != fs.Exits ||
+					gs.Enters != fs.Enters || gs.Chunks != fs.Chunks {
+					t.Errorf("resumed totals diverge:\nresumed       %+v\nuninterrupted %+v", gs, fs)
+				}
+			})
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/refexec"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Factory builds the engine under test with p processors observing the
@@ -83,6 +84,31 @@ func shapes() map[string]*loopir.Nest {
 		"doacross": loopir.MustBuild(func(b *loopir.B) {
 			b.DoacrossLeaf("W", loopir.Const(12), 1, work(3))
 		}),
+		// Fan-outs above one claim's chunk are activated through fan-out
+		// blocks: with a successor behind the barrier, nested in another
+		// fan-out, around a serial loop and through an IF ladder.
+		"fanout": loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(100), func(b *loopir.B) {
+				b.DoallLeaf("G", loopir.Const(3), work(2))
+			})
+			b.DoallLeaf("H", loopir.Const(5), work(2))
+		}),
+		"fanout-nested": loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(40), func(b *loopir.B) {
+				b.Doall("J", loopir.Const(36), func(b *loopir.B) {
+					b.DoallLeaf("N", loopir.Const(2), work(1))
+				})
+			})
+		}),
+		"fanout-serial": loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(50), func(b *loopir.B) {
+				b.Serial("K", loopir.Const(2), func(b *loopir.B) {
+					b.DoallLeaf("S", loopir.Const(2), work(2))
+					b.DoallLeaf("T", loopir.Const(2), work(2))
+				})
+			})
+		}),
+		"fanout-guards": workload.ManyInstances(3, 70, 2, 1),
 	}
 }
 
@@ -109,7 +135,8 @@ func compile(t *testing.T, nest *loopir.Nest) (*descr.Program, *core.Plan, *refe
 }
 
 // exactlyOnce runs every shape across schemes, pools and processor
-// counts, verifying each execution against the sequential oracle.
+// counts, verifying each execution against the sequential oracle:
+// exactly-once, and the macro-dataflow precedence.
 func exactlyOnce(t *testing.T, name string, f Factory) {
 	schemes := []lowsched.Scheme{
 		lowsched.SS{}, lowsched.CSS{K: 3}, lowsched.GSS{},
@@ -119,6 +146,7 @@ func exactlyOnce(t *testing.T, name string, f Factory) {
 	pools := []core.PoolKind{core.PoolPerLoop, core.PoolSingleList, core.PoolDistributed}
 	for label, nest := range shapes() {
 		prog, pl, ref := compile(t, nest)
+		g := descr.BuildGraph(prog)
 		for _, s := range schemes {
 			for _, pk := range pools {
 				for _, p := range []int{1, 4} {
@@ -140,6 +168,9 @@ func exactlyOnce(t *testing.T, name string, f Factory) {
 						}
 						ctx := refexec.Context{Nest: label, Scheme: s.Name(), Pool: pk.String(), Engine: name}
 						if err := log.VerifyExactlyOnceIn(prog, ref, ctx); err != nil {
+							t.Error(err)
+						}
+						if err := log.VerifyPrecedence(prog, g); err != nil {
 							t.Error(err)
 						}
 					})

@@ -197,7 +197,7 @@ func TestVirtualEngineRecycledInstances(t *testing.T) {
 }
 
 // TestRealEngineRecycledInstances does the same on goroutines, where a
-// block's ownership crosses goroutines through the depot; make
+// block's ownership passes from its last holder to its releaser; make
 // verify-gates runs it twenty times under -race.
 func TestRealEngineRecycledInstances(t *testing.T) {
 	RecycledInstances(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
@@ -218,6 +218,23 @@ func TestVirtualEngineRecycledCheckpointResume(t *testing.T) {
 // make verify-gates runs it twenty times under -race.
 func TestRealEngineRecycledCheckpointResume(t *testing.T) {
 	RecycledCheckpointResume(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}
+
+// TestVirtualEngineFanOutCheckpointResume holds the simulator to the
+// resume contract when the pause lands while a fan-out is half activated.
+func TestVirtualEngineFanOutCheckpointResume(t *testing.T) {
+	FanOutCheckpointResume(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineFanOutCheckpointResume does the same on goroutines, where
+// which activations a pause finds claimed depends on the interleaving;
+// make verify-gates runs it twenty times under -race.
+func TestRealEngineFanOutCheckpointResume(t *testing.T) {
+	FanOutCheckpointResume(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
 		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
 	})
 }

@@ -13,13 +13,12 @@ import (
 )
 
 // RecycledInstances holds an engine to exactly-once execution when
-// retired ICBs are recycled by a processor other than the one that
-// retired them. The nest is a fan-out big enough to engage the run's ICB
-// depot: one processor activates 4000 four-iteration instances while the
-// others complete them, so the blocks they retire reach the activator
-// through the depot. Every iteration runs once against the oracle, and
-// every activation is a fresh block or a recycled one. Which blocks
-// cross, and when, depends on the interleaving, so make verify-gates
+// retired ICBs are recycled. The nest is a fan-out of 4000 four-iteration
+// instances, claimed in chunks by every processor, which completes
+// instances too and reuses the blocks it retired for its next
+// activations and fan-outs. Every iteration runs once against the oracle,
+// and every activation is a fresh block or a recycled one. Which blocks
+// come back, and when, depends on the interleaving, so make verify-gates
 // runs the real-engine row twenty times under -race.
 func RecycledInstances(t *testing.T, name string, f Factory) {
 	const p = 4
@@ -41,9 +40,9 @@ func RecycledInstances(t *testing.T, name string, f Factory) {
 }
 
 // RecycledCheckpointResume pauses the same fan-out halfway through its
-// chunks, while blocks that went through the depot are live in the pool,
-// and resumes it: the two parts must execute exactly the uninterrupted
-// run's iteration multiset and land on its totals.
+// chunks, while recycled blocks are live in the pool, and resumes it: the
+// two parts must execute exactly the uninterrupted run's iteration
+// multiset and land on its totals.
 func RecycledCheckpointResume(t *testing.T, name string, f Factory) {
 	const p = 4
 	prog, pl, ref := compile(t, workload.ManyInstances(8, 4000, 4, 1))

@@ -16,14 +16,20 @@
 //     This preserves the paper's intent ("processors can go to the next
 //     nonempty linked list when the i-th linked list is locked").
 //   - Retired ICBs are recycled within a run (the executor's worker
-//     freelists and their run-wide depot, each a Retired stack): the
-//     paper's pcount release protocol makes explicit reuse safe, and
-//     Reinit starts a fresh lifetime of the block (and of its
-//     synchronization variables) for the next instance.
+//     freelists, each a Retired stack): the paper's pcount release
+//     protocol makes explicit reuse safe, and Reinit starts a fresh
+//     lifetime of the block (and of its synchronization variables) for
+//     the next instance.
 //
 // The pool can also be configured with a single shared list for all loops,
 // which is the baseline for the "multiple parallel lists avoid a serial
 // bottleneck" ablation (experiment E5).
+//
+// Every organization also keeps one fan-out list, searched after every
+// leaf list: a fan-out block (MarkFanOut) is a structural parallel loop's
+// pending activations, which processors claim in chunks as they claim
+// iterations (DESIGN §2). Searching it last makes processors drain the
+// live instances before they activate more.
 package pool
 
 import (
@@ -87,6 +93,9 @@ type ICB struct {
 	// inList tracks membership for double-append/delete detection
 	// (guarded by the list lock).
 	inList bool
+	// fan marks a fan-out block: its "iterations" are the activations of
+	// a structural parallel loop, and it lives on the fan-out list.
+	fan bool
 	// home is the owning list index in a Distributed pool.
 	home int32
 	// Sync is executor-private state, attached by the two-level executor
@@ -162,7 +171,19 @@ func (b *ICB) Reinit(num int, bound int64, ivec loopir.IVec) {
 	b.setIVec(ivec)
 	b.left, b.right = nil, nil
 	b.home = 0
+	b.fan = false
 }
+
+// MarkFanOut makes the block a fan-out block: Loop names the leaf whose
+// chain the fan-out activates, Bound is the structural loop's trip count,
+// IVec the indexes enclosing it, and Index the next activation to claim.
+// The pool keeps it on the fan-out list, which every SEARCH sweep visits
+// after the leaf lists, and no adoption filter sees it. Mark before
+// Append; Reinit clears the mark.
+func (b *ICB) MarkFanOut() { b.fan = true }
+
+// FanOut reports whether the block is a fan-out block.
+func (b *ICB) FanOut() bool { return b.fan }
 
 // setIVec copies ivec into the block: into the block's previous vector
 // when it fits, else into the block's own one-word storage when ivec is
@@ -210,6 +231,10 @@ func (r *Retired) Pop() *ICB {
 func (r *Retired) Len() int { return r.n }
 
 func (b *ICB) String() string {
+	if b.fan {
+		return fmt.Sprintf("fan-out{loop %d, ivec %v, bound %d, next %d, pcount %d}",
+			b.Loop, b.IVec, b.Bound, b.Index.Peek(), b.PCount.Peek())
+	}
 	return fmt.Sprintf("ICB{loop %d, ivec %v, bound %d, index %d, icount %d, pcount %d}",
 		b.Loop, b.IVec, b.Bound, b.Index.Peek(), b.ICount.Peek(), b.PCount.Peek())
 }
@@ -235,7 +260,9 @@ type plist struct {
 }
 
 // Pool is the task pool: nlists parallel linked lists addressed through
-// the control word SW.
+// the control word SW, and the fan-out list, list nlists+1, advertised in
+// the bit after them — so leading-one detection reaches it last. It is
+// charged against the last shard word.
 //
 // The control word may be split across several shard words (NewSharded):
 // list i is advertised in shard word (i-1)/shardSize, the leading-one
@@ -284,10 +311,10 @@ func newPool(m, nlists, shards int) *Pool {
 	p := &Pool{
 		m:         m,
 		nlists:    nlists,
-		sw:        bitset.New(nlists),
+		sw:        bitset.New(nlists + 1),
 		shardSize: (nlists + shards - 1) / shards,
 		swVars:    make([]*machine.SyncVar, shards),
-		lists:     make([]plist, nlists+1), // 1-based
+		lists:     make([]plist, nlists+2), // 1-based, the fan-out list last
 	}
 	for s := range p.swVars {
 		name := "SW"
@@ -299,10 +326,12 @@ func newPool(m, nlists, shards int) *Pool {
 	for i := 1; i <= nlists; i++ {
 		p.lists[i].lock = machine.NewSpinLock(fmt.Sprintf("L(%d)", i))
 	}
+	p.lists[nlists+1].lock = machine.NewSpinLock("L(fan)")
 	return p
 }
 
-// NumLists returns the number of parallel linked lists.
+// NumLists returns the number of parallel linked lists of loop instances
+// (the fan-out list is not counted).
 func (p *Pool) NumLists() int { return p.nlists }
 
 // SWShards returns the number of SW shard words.
@@ -311,11 +340,28 @@ func (p *Pool) SWShards() int { return len(p.swVars) }
 // swVarOf returns the synchronization variable of the shard word
 // advertising list i.
 func (p *Pool) swVarOf(i int) *machine.SyncVar {
-	return p.swVars[(i-1)/p.shardSize]
+	return p.swVars[p.shardOf(i)]
 }
 
-// listOf maps a loop number to its list number.
-func (p *Pool) listOf(loop int) int {
+// shardOf returns the shard word advertising list i: the fan-out list is
+// the last shard's.
+func (p *Pool) shardOf(i int) int {
+	if i > p.nlists {
+		return len(p.swVars) - 1
+	}
+	return (i - 1) / p.shardSize
+}
+
+// listOf maps a block to its list number.
+func (p *Pool) listOf(icb *ICB) int {
+	if icb.fan {
+		return p.nlists + 1
+	}
+	return p.loopList(icb.Loop)
+}
+
+// loopList maps a loop number to its list number.
+func (p *Pool) loopList(loop int) int {
 	if loop < 1 || loop > p.m {
 		panic(fmt.Sprintf("pool: loop %d out of range [1,%d]", loop, p.m))
 	}
@@ -328,25 +374,12 @@ func (p *Pool) listOf(loop int) int {
 // Append adds an ICB to its loop's list (Algorithm 2: lock, reset SW(i),
 // splice at tail, set SW(i), unlock).
 func (p *Pool) Append(pr machine.Proc, icb *ICB) {
-	i := p.listOf(icb.Loop)
+	i := p.listOf(icb)
 	l := &p.lists[i]
 	l.lock.Lock(pr)
-	if icb.inList {
-		panic(fmt.Sprintf("pool: double append of %v", icb))
-	}
-	icb.inList = true
-	l.n.Add(1)
-	x := l.tail
+	l.link(icb)
 	p.sw.Clear(i)
 	pr.Access(p.swVarOf(i))
-	icb.left = x
-	icb.right = nil
-	l.tail = icb
-	if x != nil {
-		x.right = icb
-	} else {
-		l.head = icb
-	}
 	p.sw.Set(i)
 	pr.Access(p.swVarOf(i))
 	l.lock.Unlock(pr)
@@ -357,18 +390,60 @@ func (p *Pool) Append(pr machine.Proc, icb *ICB) {
 // The ICB itself stays valid: processors still executing its scheduled
 // iterations hold pointers to it.
 func (p *Pool) Delete(pr machine.Proc, icb *ICB) {
-	i := p.listOf(icb.Loop)
+	i := p.listOf(icb)
 	l := &p.lists[i]
 	l.lock.Lock(pr)
+	nonempty := l.unlink(icb)
+	p.sw.Clear(i)
+	pr.Access(p.swVarOf(i))
+	if nonempty {
+		p.sw.Set(i)
+		pr.Access(p.swVarOf(i))
+	}
+	l.lock.Unlock(pr)
+}
+
+// link splices icb into the list; the caller holds the list's lock. An
+// instance goes at the tail (Algorithm 2). A fan-out block goes at the
+// head: the fan-out list is a stack, so the newest — the deepest —
+// fan-out is claimed first, and a nested fan-out drains before its parent
+// publishes more.
+func (l *plist) link(icb *ICB) {
+	if icb.inList {
+		panic(fmt.Sprintf("pool: double append of %v", icb))
+	}
+	icb.inList = true
+	l.n.Add(1)
+	if icb.fan {
+		y := l.head
+		icb.left, icb.right = nil, y
+		l.head = icb
+		if y != nil {
+			y.left = icb
+		} else {
+			l.tail = icb
+		}
+		return
+	}
+	x := l.tail
+	icb.left, icb.right = x, nil
+	l.tail = icb
+	if x != nil {
+		x.right = icb
+	} else {
+		l.head = icb
+	}
+}
+
+// unlink removes icb from the list and reports whether the list still
+// holds a block; the caller holds the list's lock.
+func (l *plist) unlink(icb *ICB) (nonempty bool) {
 	if !icb.inList {
 		panic(fmt.Sprintf("pool: delete of unlisted %v", icb))
 	}
 	icb.inList = false
 	l.n.Add(-1)
-	p.sw.Clear(i)
-	pr.Access(p.swVarOf(i))
-	y := icb.right
-	x := icb.left
+	x, y := icb.left, icb.right
 	if x != nil {
 		x.right = y
 	} else {
@@ -380,11 +455,7 @@ func (p *Pool) Delete(pr machine.Proc, icb *ICB) {
 		l.tail = x
 	}
 	icb.left, icb.right = nil, nil
-	if x != nil || y != nil {
-		p.sw.Set(i)
-		pr.Access(p.swVarOf(i))
-	}
-	l.lock.Unlock(pr)
+	return l.head != nil
 }
 
 // SearchStats counts the work done by the SEARCH sweep (driven by the
@@ -423,24 +494,33 @@ func (p *Pool) Next(pr machine.Proc, i int) int {
 // shard words in order and charging one access against each shard word
 // examined. A shard word is examined until one advertises a list; with a
 // single shard this is exactly the classic one-access leading-one scan.
+// The last shard word also advertises the fan-out list.
 func (p *Pool) scanFrom(pr machine.Proc, i int) int {
 	if i < 0 {
 		i = 0
 	}
+	last := len(p.swVars) - 1
 	if i >= p.nlists {
 		// An exhausted cursor still rereads the final shard word to see
 		// that nothing is advertised past it — the single-word scan
-		// charged this access too.
-		pr.Access(p.swVars[len(p.swVars)-1])
+		// charged this access too. Past the last loop list, that word's
+		// fan-out bit is all that is left.
+		pr.Access(p.swVars[last])
+		if i == p.nlists && p.sw.Get(p.nlists+1) {
+			return p.nlists + 1
+		}
 		return 0
 	}
 	for s := i / p.shardSize; ; s++ {
 		pr.Access(p.swVars[s])
-		hi := (s + 1) * p.shardSize
+		hi := min((s+1)*p.shardSize, p.nlists)
+		if s == last {
+			hi = p.nlists + 1
+		}
 		if b := p.sw.NextSet(i); b != 0 && b <= hi {
 			return b
 		}
-		if s == len(p.swVars)-1 {
+		if s == last {
 			return 0
 		}
 		// The next set bit (if any) lives in a later shard word; keep
@@ -463,6 +543,9 @@ func (p *Pool) scanFrom(pr machine.Proc, i int) int {
 // searcher's try-lock cannot lose its race indefinitely under
 // deterministic timing.
 func (p *Pool) TryAdopt(pr machine.Proc, i int, needs func(*ICB) bool, block bool, st *SearchStats) *ICB {
+	if i > p.nlists {
+		needs = nil // the fan-out list holds no loop instance to filter
+	}
 	l := &p.lists[i]
 	if block {
 		l.lock.Lock(pr)
@@ -501,12 +584,17 @@ func (p *Pool) TryAdopt(pr machine.Proc, i int, needs func(*ICB) bool, block boo
 	return nil
 }
 
+// FanCursor returns the cursor of the fan-out list, the last a sweep can
+// reach.
+func (p *Pool) FanCursor() int { return p.nlists + 1 }
+
 // Head returns the head of loop num's list (testing only; callers must
 // ensure quiescence).
-func (p *Pool) Head(num int) *ICB { return p.lists[p.listOf(num)].head }
+func (p *Pool) Head(num int) *ICB { return p.lists[p.loopList(num)].head }
 
-// SWString renders the control word as a bit string (testing/diagnostics).
-func (p *Pool) SWString() string { return p.sw.String() }
+// SWString renders the loop lists' bits of the control word as a bit
+// string (testing/diagnostics); the fan-out list's bit is not shown.
+func (p *Pool) SWString() string { return p.sw.String()[:p.nlists] }
 
 // Empty reports whether every list is empty (testing/diagnostics).
 func (p *Pool) Empty() bool { return !p.sw.Any() }
@@ -517,11 +605,14 @@ func (p *Pool) Empty() bool { return !p.sw.Any() }
 // figures are each individually atomic, not mutually consistent.
 func (p *Pool) DumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pool: per-loop SW=%s lists=%d\n", p.sw.String(), p.nlists)
+	fmt.Fprintf(&b, "pool: per-loop SW=%s lists=%d\n", p.SWString(), p.nlists)
 	for i := 1; i <= p.nlists; i++ {
 		if n := p.lists[i].n.Load(); n != 0 {
 			fmt.Fprintf(&b, "  list %d: %d ICB(s)\n", i, n)
 		}
+	}
+	if n := p.lists[p.nlists+1].n.Load(); n != 0 {
+		fmt.Fprintf(&b, "  fan-out list: %d block(s)\n", n)
 	}
 	return b.String()
 }
