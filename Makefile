@@ -99,8 +99,9 @@ verify:
 # under it too (the lease a worker holds is private state that crosses
 # the pause: its unstarted slices must travel as pending ranges), the
 # clock-read budget with its real-engine rows twenty times over under it
-# (a hold reads its clock at its edges, its first claim, its tail and one
-# sampled chunk in every stride, whatever the interleaving), a
+# (an exact hold reads its clock at its edges, its first claim, its tail
+# and one sampled chunk in every stride, any other hold at its edges
+# alone, and which holds are exact depends on the interleaving), a
 # four-thousand-instance fan-out run through and paused and resumed
 # mid-way twenty times under it too (every processor claims activations
 # from the fan-out block and recycles the blocks it retires, and which

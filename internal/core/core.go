@@ -384,6 +384,11 @@ type executor struct {
 	// vectors, one cache-line-padded stride per worker.
 	locs      []int64
 	locStride int
+	// means is the backing array of the workers' per-leaf means, one
+	// padded stride of meanStride entries per worker, as locs; nil at
+	// stride 1.
+	means      []means
+	meanStride int
 
 	// The claim path and the SEARCH sweep read fields above on every
 	// claim (done, cause, ckptReq, policy, pool). The count below is
@@ -447,6 +452,12 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 	// separate cache lines while the whole layer costs one allocation.
 	ex.locStride = (pl.maxDepth + 8) / 8 * 8
 	ex.locs = make([]int64, nprocs*ex.locStride)
+	if ex.stride > 1 {
+		// A 32-byte entry per leaf, and a whole line or more per worker
+		// with at least one spare entry at its end.
+		ex.meanStride = (len(pl.leaves) + 2) / 2 * 2
+		ex.means = make([]means, nprocs*ex.meanStride)
+	}
 	prog := pl.prog
 	shards := cfg.SWShards
 	if shards < 1 {
@@ -598,9 +609,11 @@ type Diagnoser interface {
 // live instance's index/icount/pcount (when Config.Diagnostics enabled
 // tracking), and each processor's claim history: chunk and iteration
 // counts and last-claim, the engine time of its latest timed claim (every
-// claim on the virtual engine; on the real one a hold's first, a sampled
-// and a tail claim — DESIGN §17). This is the dump a watchdog emits when a
-// run stops claiming chunks.
+// claim on the virtual engine; on the real one an exact hold's first,
+// sampled and tail claims) or, on the real engine, of its latest adoption
+// if that came later: a hold read at its edges alone times no claim
+// (DESIGN §17). This is the dump a watchdog emits when a run stops
+// claiming chunks.
 func (ex *executor) Diagnose() string {
 	var b strings.Builder
 	sn := ex.LiveStats()

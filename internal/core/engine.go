@@ -24,11 +24,12 @@ type Engine interface {
 }
 
 // clockStrider is an Engine's optional say in how often the kernel reads
-// its processors' clocks inside a hold: stride s means one sampled chunk
-// in every s, besides the hold's edges, its first claim and its tail
-// chunks (DESIGN §17). An engine without the method — the virtual one,
-// where a read is free — gets s = 1: every phase boundary reads, and
-// every interval is exact. The kernel asks once per run.
+// its processors' clocks inside a hold: stride s means that one hold in
+// every s (and a leaf's first on each processor) reads at its first claim,
+// its tail chunks and one sampled chunk in every s, and every other hold
+// at its edges alone (DESIGN §17). An engine without the method — the
+// virtual one, where a read is free — gets s = 1: every phase boundary
+// reads, and every interval is exact. The kernel asks once per run.
 type clockStrider interface {
 	ClockStride() int
 }

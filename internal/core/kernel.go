@@ -77,23 +77,27 @@ type worker struct {
 	// synchronization claim, one for the phase that ends a hold) and the
 	// body iterations since now that no reading closed. With a clock
 	// stride of 1 every boundary reads and the window holds at most the
-	// phase its reading closes; above 1 a hold reads only at its edges,
-	// its first claim, its tail chunks and one sampled chunk in every
-	// stride, and the reading that closes a mixed window splits it
-	// (split).
+	// phase its reading closes; above 1 an exact hold reads only at its
+	// edges, its first claim, its tail chunks and one sampled chunk in
+	// every stride, any other hold at its edges alone, and the reading
+	// that closes a mixed window splits it (split, meter.go).
 	claims, iters int64
-	// o1Sum/o1N and bodySum/bodyN total the exact intervals the worker
-	// has read — O1 time over O1 phases, body time over iterations — whose
-	// ratio a mixed window is split in.
-	o1Sum, o1N, bodySum, bodyN int64
+	// all totals the exact intervals the worker has read, and held points
+	// at the same totals for the held instance's leaf: its entry in the
+	// worker's carve of ex.means, which starts at meanOff (nil at stride
+	// 1, where no window is ever split).
+	all     means
+	held    *means
+	meanOff int
 	// stride is the engine's clock stride s (Engine's optional
-	// ClockStride; 1 when the engine has none), and left counts the
-	// chunks until the next sample; it persists across holds. readClaim
-	// makes the next claim read the clock (a hold's first, or a
-	// sample's), armed the next body end (a sample's); at stride 1 both
-	// stay set.
-	stride, left     int
-	readClaim, armed bool
+	// ClockStride; 1 when the engine has none); left counts down the
+	// chunks to the next sample and holds the holds to the next exact
+	// hold, both across holds. exact is set while the held instance reads
+	// inside the hold (adopt); readClaim makes the next claim read the
+	// clock (an exact hold's first, or a sample's), armed the next body
+	// end (a sample's); at stride 1 all three stay set.
+	stride, left, holds     int
+	exact, readClaim, armed bool
 	// unposted counts the iterations this processor has executed on the
 	// instance it holds and not yet added to the instance's icount. Only
 	// the claim has to be serialized at the shared word; the completion
@@ -107,9 +111,10 @@ type worker struct {
 	// iteration counters, so the hot path publishes nothing extra.
 	posted atomic.Int64
 	// lastClaim is the engine time of this processor's latest timed claim
-	// — a claim whose boundary read the clock (-1 before the first) —
-	// stored host-side for the stuck-run watchdog's per-processor
-	// diagnostics; it charges no machine time.
+	// — a claim whose boundary read the clock — or, above stride 1, of its
+	// latest adoption if that came later (-1 before the first); stored
+	// host-side for the stuck-run watchdog's per-processor diagnostics, it
+	// charges no machine time.
 	lastClaim atomic.Int64
 	// sink is Config.Sink, and iter the same sink unless it keeps
 	// scheduling kinds only: every event site pays exactly one nil test
@@ -133,9 +138,11 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 	w.lastClaim.Store(-1)
 	// The first chunk the worker runs is a sample, so both means exist
 	// before any window needs splitting.
-	w.stride, w.left, w.armed = ex.stride, ex.stride, true
+	w.stride, w.left, w.holds = ex.stride, ex.stride, ex.stride
+	w.exact, w.armed = true, true
 	off := pr.ID() * ex.locStride
 	w.loc = ex.locs[off : off+ex.plan.maxDepth+1 : off+ex.locStride]
+	w.meanOff = pr.ID() * ex.meanStride
 	// barBuf stays nil until the first barrier completion grows it —
 	// programs without structural parallel loops never pay for it.
 	w.ctx = Ctx{pr: pr, abort: ex.abortFn, shard: w.shard}
@@ -152,87 +159,6 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 // event is one kernel event stamped with this processor, for the sink.
 func (w *worker) event(at machine.Time, k trace.Kind, loop int, ivec loopir.IVec, a, b int64) trace.Event {
 	return trace.Event{At: at, Kind: k, Proc: int32(w.pr.ID()), Loop: int32(loop), IVec: ivec, A: a, B: b}
-}
-
-// tick is a phase boundary: one clock read that charges the interval
-// since the previous reading to counter c and opens the next interval.
-// The caller has counted the phase the reading closes into the window
-// (a claim or a hold's end into claims, a body's iterations into iters).
-// A window of one kind is an exact interval, and it also feeds the means
-// split uses; a window of both kinds is split between O1 and body.
-func (w *worker) tick(c obs.ID) {
-	t := w.pr.Now()
-	d := t - w.now
-	w.now = t
-	switch {
-	case w.claims != 0 && w.iters != 0:
-		w.split(d)
-	case w.iters != 0:
-		w.shard.Add(c, d)
-		w.bodySum += d
-		w.bodyN += w.iters
-	default:
-		w.shard.Add(c, d)
-		if w.claims == 1 {
-			w.o1Sum += d
-			w.o1N++
-		}
-	}
-	w.claims, w.iters = 0, 0
-}
-
-// split charges a window of d that holds unread phases to O1 and body in
-// the ratio the worker's exact intervals predict: claims × the mean O1
-// phase against iters × the mean body time per iteration. A side with no
-// exact interval yet weighs one unit per phase or iteration.
-func (w *worker) split(d machine.Time) {
-	o, b := float64(w.claims), float64(w.iters)
-	if w.o1N > 0 {
-		o *= float64(w.o1Sum) / float64(w.o1N)
-	}
-	if w.bodyN > 0 {
-		b *= float64(w.bodySum) / float64(w.bodyN)
-	}
-	o1 := d
-	if o+b > 0 {
-		o1 = machine.Time(float64(d)*o/(o+b) + 0.5)
-	}
-	w.shard.Add(cO1Time, o1)
-	w.shard.Add(cBodyTime, d-o1)
-}
-
-// endHold is the reading that closes a hold's last O1 phase — a failed
-// claim's post and pcount drop, a pause's post, the post that completes
-// the instance — whatever the stride: every way off an instance reads.
-func (w *worker) endHold() {
-	w.claims++
-	w.tick(cO1Time)
-}
-
-// mark is a phase boundary whose closing interval is charged to no
-// counter (the run's start, a modeled dispatch, the restore prologue).
-func (w *worker) mark() { w.now = w.pr.Now() }
-
-// tail reports whether chunk a lies in icb's tail: fewer than P chunks of
-// its size lie beyond it. Tail chunks post before the next claim
-// (executed), and their claims and body ends read the clock.
-func (w *worker) tail(icb *pool.ICB, a lowsched.Assignment) bool {
-	return icb.Bound-a.Hi < w.ex.nprocs*a.Size()
-}
-
-// timeBody reports whether chunk a's body end reads the clock: the body
-// of a sample, a tail chunk's, or the read that arms the next sample —
-// the previous body's end, so the sampled claim and body are exact
-// intervals. A sample is never armed while slices of a lease are in
-// hand: the next chunk must start with a synchronization claim.
-func (w *worker) timeBody(icb *pool.ICB, a lowsched.Assignment) bool {
-	read := w.armed || w.tail(icb, a)
-	w.armed = w.stride == 1
-	if w.left--; w.left <= 0 && w.lease.Len() == 0 {
-		w.left, w.armed, w.readClaim = w.stride, true, true
-		return true
-	}
-	return read
 }
 
 // flushSearch folds the accumulated SEARCH work into the stats shard, so
@@ -351,7 +277,7 @@ func (w *worker) run() {
 				icb = nil
 				continue
 			}
-			w.readClaim = true // a hold's first claim reads the clock
+			w.adopt(icb)
 			if ex.cfg.DispatchCost > 0 {
 				// OS-involved baseline: a dispatch costs real time but is
 				// overhead, not useful work. It is charged at its nominal
@@ -410,10 +336,10 @@ func (w *worker) run() {
 			// The claim closes the O1 interval the previous body's end (or the
 			// SEARCH) opened: a tail post if there was one, the fetch-and-add
 			// on index and, on the final claim, the DELETE. Above stride 1
-			// only a hold's first claim, a sample's and a tail chunk's read
-			// the clock; the others stay in the open window.
+			// only an exact hold's first claim, a sample's and a tail
+			// chunk's read the clock; the others stay in the open window.
 			w.claims++
-			timed := w.readClaim || w.tail(icb, a)
+			timed := w.readsClaim(icb, a)
 			if timed {
 				w.readClaim = w.stride == 1
 				w.tick(cO1Time)

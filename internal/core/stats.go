@@ -19,8 +19,10 @@ import (
 // the corresponding code sections; on the virtual machine they are exact.
 // On the real engine O2, O3 and every hold's total are exact too, but the
 // split of a hold's time between O1 and body is sampled: the kernel reads
-// the clock around one chunk in the engine's clock stride and divides the
-// unread stretches in the ratio those samples predict (DESIGN §17).
+// the clock around one chunk in the engine's clock stride inside one hold
+// in every stride (and a leaf's first hold on each processor), reads the
+// other holds at their edges only, and divides the unread stretches in the
+// ratio those samples predict (DESIGN §17).
 const (
 	cIterations  obs.ID = iota // leaf iterations executed
 	cChunks                    // low-level assignments fetched

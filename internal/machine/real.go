@@ -51,10 +51,11 @@ func NewReal(cfg RealConfig) *Real {
 // NumProcs returns the processor count.
 func (e *Real) NumProcs() int { return e.cfg.P }
 
-// realClockStride is the real engine's clock stride: inside a hold the
-// scheduling kernel reads a processor's clock around one sampled chunk in
-// this many, not at every phase boundary, because on this engine a read
-// (runtime.nanotime) costs more than the fetch-and-add it would time.
+// realClockStride is the real engine's clock stride: the scheduling kernel
+// reads a processor's clock inside one hold in this many, and there around
+// one sampled chunk in this many, not at every phase boundary, because on
+// this engine a read (runtime.nanotime) costs more than the fetch-and-add
+// it would time.
 // Chosen by measurement (DESIGN §17).
 const realClockStride = 16
 
