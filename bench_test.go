@@ -164,7 +164,10 @@ func BenchmarkKernelLeased(b *testing.B) {
 }
 
 // BenchmarkKernelNested is the benchmark's kernel_nested nest: 50k
-// four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2.
+// four-iteration instances per loop — ENTER/EXIT and SEARCH, O3 and O2 —
+// on the real engine's default, the per-processor (distributed) pool: a
+// processor adopts the instances its own fan-out claims activate first.
+// BenchmarkKernelScaling prices the paper's per-loop pool beside it.
 func BenchmarkKernelNested(b *testing.B) {
 	benchKernel(b, workload.ManyInstances(8, 50000, 4, 1), Options{})
 }
@@ -211,7 +214,9 @@ func BenchmarkVirtualServed(b *testing.B) {
 }
 
 // BenchmarkKernelScaling is the scaling family over the benchmark's two
-// kernel nests: P = 1, 2, 4, … NumCPU on the real engine under ss. Each
+// kernel nests: P = 1, 2, 4, … NumCPU on the real engine under ss, on the
+// paper's per-loop pool and on the distributed pool (the real engine's
+// default), so each organization keeps a real-engine price. Each
 // leg reports wall ns per leaf iteration, the measured speedup over a
 // P=1 run of the same nest taken just before the timed loop, and the
 // utilization eq. (1) predicts from the leg's own counters
@@ -238,12 +243,12 @@ func BenchmarkKernelScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nsPerIter := func(b *testing.B, p, runs int) (float64, core.Snapshot) {
+		nsPerIter := func(b *testing.B, p int, pool string, runs int) (float64, core.Snapshot) {
 			var st core.Snapshot
 			var iters int64
 			t0 := time.Now()
 			for i := 0; i < runs; i++ {
-				res, err := prog.Run(Options{Procs: p, Scheme: "ss", Engine: EngineReal})
+				res, err := prog.Run(Options{Procs: p, Scheme: "ss", Engine: EngineReal, Pool: pool})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -252,18 +257,20 @@ func BenchmarkKernelScaling(b *testing.B) {
 			}
 			return float64(time.Since(t0).Nanoseconds()) / float64(iters), st
 		}
-		for _, p := range procs {
-			b.Run(fmt.Sprintf("%s/P=%d", n.name, p), func(b *testing.B) {
-				serial, _ := nsPerIter(b, 1, 1)
-				b.ResetTimer()
-				ns, st := nsPerIter(b, p, b.N)
-				b.StopTimer()
-				b.ReportMetric(ns, "ns/iter")
-				b.ReportMetric(serial/ns, "speedup")
-				// tau/(tau + O1 + O2/n + O3/N) with every term a per-iteration
-				// average of the leg's counters is body/(body + O1 + O2 + O3).
-				b.ReportMetric(st.Efficiency(), "eta_eq1")
-			})
+		for _, pool := range []string{"per-loop", "distributed"} {
+			for _, p := range procs {
+				b.Run(fmt.Sprintf("%s/%s/P=%d", n.name, pool, p), func(b *testing.B) {
+					serial, _ := nsPerIter(b, 1, pool, 1)
+					b.ResetTimer()
+					ns, st := nsPerIter(b, p, pool, b.N)
+					b.StopTimer()
+					b.ReportMetric(ns, "ns/iter")
+					b.ReportMetric(serial/ns, "speedup")
+					// tau/(tau + O1 + O2/n + O3/N) with every term a per-iteration
+					// average of the leg's counters is body/(body + O1 + O2 + O3).
+					b.ReportMetric(st.Efficiency(), "eta_eq1")
+				})
+			}
 		}
 	}
 }

@@ -34,7 +34,7 @@ var (
 	// Doacross nests, manually synchronized leaves).
 	ErrNotCheckpointable = core.ErrNotCheckpointable
 	// ErrBadSnapshot reports a snapshot that fails restore validation
-	// (wrong engine size, scheme, pool, or corrupted cursors).
+	// (wrong engine size, scheme, or corrupted cursors).
 	ErrBadSnapshot = core.ErrBadSnapshot
 	// ErrBadCheckpoint reports a Resume checkpoint that is structurally
 	// unusable: no snapshot, or a program fingerprint mismatch.

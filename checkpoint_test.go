@@ -66,6 +66,36 @@ func TestCheckpointResumeRoundTripsThroughJSON(t *testing.T) {
 	}
 }
 
+// TestRealEngineCheckpointResumesOnDefaultPool is the upgrade path of a
+// journaled real-engine run: a checkpoint taken on the paper's per-loop
+// pool resumes on the real engines' default pool, the distributed one,
+// and the two parts run every iteration.
+func TestRealEngineCheckpointResumesOnDefaultPool(t *testing.T) {
+	prog, err := repro.Compile(ckptNest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := repro.Options{Procs: 4, Engine: repro.EngineReal}
+	paused := opts
+	paused.Pool, paused.CheckpointAfter = "per-loop", 20
+	_, err = prog.Run(paused)
+	var cke *repro.CheckpointedError
+	if !errors.As(err, &cke) {
+		t.Fatalf("CheckpointAfter run returned %v, want CheckpointedError", err)
+	}
+	if pool, _ := opts.ResolvedPool(); pool != "distributed" || cke.Checkpoint.Snapshot.Pool != "per-loop" {
+		t.Fatalf("resuming a %s snapshot on pool %s, want per-loop on distributed", cke.Checkpoint.Snapshot.Pool, pool)
+	}
+	opts.Resume = cke.Checkpoint
+	res, err := prog.Run(opts)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.Stats.Iterations != 8*12 || res.Stats.Instances != 8 {
+		t.Errorf("resumed run totals %d iterations in %d instances, want 96 in 8", res.Stats.Iterations, res.Stats.Instances)
+	}
+}
+
 func TestCheckpointRejections(t *testing.T) {
 	prog, err := repro.Compile(ckptNest())
 	if err != nil {

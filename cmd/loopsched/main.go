@@ -187,9 +187,10 @@ func run(args []string, out io.Writer) error {
 			Stats       core.Snapshot   `json:"stats"`
 			HotSpots    []repro.HotSpot `json:"hot_spots,omitempty"`
 		}
+		pool, _ := opts.ResolvedPool() // the run accepted opts
 		payload := jsonResult{
 			Workload: *name, Engine: orDefault(string(opts.Engine), "virtual"),
-			Procs: res.Procs, Scheme: res.SchemeName, Pool: orDefault(opts.Pool, "per-loop"),
+			Procs: res.Procs, Scheme: res.SchemeName, Pool: pool,
 			Makespan: res.Makespan, Utilization: res.Utilization,
 			Busy: res.Busy, Stats: res.Stats, HotSpots: res.HotSpots,
 		}

@@ -280,6 +280,8 @@ func helpFlags(t *testing.T) map[string]string {
 			typ, def = "bool", "false"
 		case "int":
 			def = "0"
+		case "string":
+			def = `""` // flag prints no default for an empty string
 		}
 		if d := defaultRE.FindStringSubmatch(m[3]); d != nil {
 			def = strings.Trim(d[1], `"`)

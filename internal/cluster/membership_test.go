@@ -639,11 +639,13 @@ func TestMembershipCloseCancelsProbeInFlight(t *testing.T) {
 	if hung != 0 {
 		t.Fatalf("%d probe(s) still in flight after Close", hung)
 	}
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i > 1000 {
-			t.Fatalf("%d goroutines after Close, %d before Start", runtime.NumGoroutine(), base)
+	// A probe goroutine that has returned may still be on its way out;
+	// give the stragglers a deadline, not a count of yields.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after Close, %d before Start", runtime.NumGoroutine(), base)
 		}
-		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
 	if row := mustRow(t, m, "n2"); row.State != NodeUnconfirmed || row.Failures != 0 {
 		t.Errorf("a probe cut short by Close was folded as a miss: %+v", row)

@@ -73,8 +73,10 @@ type CheckpointConfig struct {
 	AfterChunks int64
 	// Restore, if non-nil, resumes the run from a snapshot instead of
 	// entering the program from the top. The snapshot must match the
-	// run's configuration (version, processors, scheme, pool, program
-	// shape); mismatches fail with ErrBadSnapshot before anything runs.
+	// run's configuration (version, processors, scheme, program shape);
+	// mismatches fail with ErrBadSnapshot before anything runs. The pool
+	// may differ: a snapshot holds instances, not lists, and the restore
+	// prologue appends them to whichever pool the run uses.
 	Restore *RunSnapshot
 }
 
@@ -84,7 +86,7 @@ type RunSnapshot struct {
 	Version int    `json:"version"`
 	Procs   int    `json:"procs"`
 	Scheme  string `json:"scheme"`
-	Pool    string `json:"pool"`
+	Pool    string `json:"pool"` // the pool it was captured under; any pool resumes it
 	// Loops is the program's innermost-parallel-loop count M — a cheap
 	// shape check that the snapshot is resumed against the program it
 	// came from (callers wanting a strong guarantee fingerprint the
@@ -246,9 +248,6 @@ func (ex *executor) seedRestore() error {
 	}
 	if name := ex.cfg.Scheme.Name(); snap.Scheme != name {
 		return fmt.Errorf("%w: snapshot under scheme %s, resuming under %s", ErrBadSnapshot, snap.Scheme, name)
-	}
-	if name := ex.cfg.Pool.String(); snap.Pool != name {
-		return fmt.Errorf("%w: snapshot under pool %s, resuming under %s", ErrBadSnapshot, snap.Pool, name)
 	}
 	if m := ex.plan.prog.M; snap.Loops != m {
 		return fmt.Errorf("%w: snapshot of a %d-loop program, resuming a %d-loop program", ErrBadSnapshot, snap.Loops, m)

@@ -209,7 +209,6 @@ func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 		{"version", func(s *RunSnapshot) { s.Version = 99 }, Config{}},
 		{"procs", func(*RunSnapshot) {}, Config{Engine: vEngine(2)}},
 		{"scheme", func(*RunSnapshot) {}, Config{Scheme: lowsched.GSS{}}},
-		{"pool", func(*RunSnapshot) {}, Config{Pool: PoolDistributed}},
 		{"stats length", func(s *RunSnapshot) { s.Stats = s.Stats[:3] }, Config{}},
 		{"no instances", func(s *RunSnapshot) { s.ICBs = nil }, Config{}},
 		{"bad cursor", func(s *RunSnapshot) { s.ICBs[0].Cursor = s.ICBs[0].Cursor + 7 }, Config{}},

@@ -241,7 +241,9 @@ const sampledStride = 16
 // land within a tenth of the exact figure (the worker's means over both
 // leaves put it 38–89 % high). On drift/ss an instance's body costs more
 // the later it is activated, so the means must keep being fed by an exact
-// hold now and then (without, body came out 65–83 % of O1+body low).
+// hold now and then (without, body came out 65–83 % of O1+body low), and
+// the body mean must restart there: O1 within a tenth of the exact figure
+// at P=2, within 15 % at P=4 (see o1Tolerance).
 func TestSampledSplit(t *testing.T) {
 	type run struct {
 		goldenCase
@@ -277,9 +279,9 @@ func TestSampledSplit(t *testing.T) {
 				} else if d := math.Abs(float64(s.Body-e.Body)) / float64(e.O1+e.Body); d > 0.10 {
 					t.Errorf("leg %d: sampled body %d is off the exact %d by %.3f of O1+body, want <= 0.10", i, s.Body, e.Body, d)
 				}
-				if r.name == "mixed/ss" {
-					if d := math.Abs(float64(s.O1-e.O1)) / float64(e.O1); d > 0.10 {
-						t.Errorf("leg %d: sampled O1 %d is %.1f %% off the exact %d, want <= 10 %%", i, s.O1, 100*d, e.O1)
+				if tol := o1Tolerance(r.name, r.p); tol > 0 {
+					if d := math.Abs(float64(s.O1-e.O1)) / float64(e.O1); d > tol {
+						t.Errorf("leg %d: sampled O1 %d is %.1f %% off the exact %d, want <= %.0f %%", i, s.O1, 100*d, e.O1, 100*tol)
 					}
 				}
 				e.O1, e.Body, s.O1, s.Body = 0, 0, 0, 0
@@ -289,6 +291,22 @@ func TestSampledSplit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// o1Tolerance is how far TestSampledSplit lets the sampled O1 of a short-
+// hold nest stray from the exact figure (0: not checked). On drift/ss a
+// worker's body mean restarts at each of its periodic exact holds, so it
+// lags the drift by up to s holds of P instances each: at P=4 that lag
+// alone puts O1 about a tenth high (the means kept since the start put it
+// twice the exact figure).
+func o1Tolerance(name string, p int) float64 {
+	switch {
+	case name == "mixed/ss", name == "drift/ss" && p == 2:
+		return 0.10
+	case name == "drift/ss":
+		return 0.15
+	}
+	return 0
 }
 
 // shortInstances is a doall of 640 four-iteration leaf instances; every

@@ -111,11 +111,12 @@ func (w *worker) mark() { w.now = w.pr.Now() }
 // adopt opens a hold on icb, after the reading that closed its SEARCH.
 // At stride 1 every hold is exact. Above it a hold is exact while icb's
 // leaf has no exact O1 or no exact body interval on this worker, and once
-// in every s holds; an exact hold reads at its first claim, its tail
-// chunks and its samples. Any other hold reads at its edges alone — this
-// adoption and the way off the instance — and the way off splits the
-// window between them by the leaf's means: a short hold is all edges and
-// tail, so reading its tail would cost more than the O1 it measures.
+// in every s holds, which restarts the leaf's body mean; an exact hold
+// reads at its first claim, its tail chunks and its samples. Any other
+// hold reads at its edges alone — this adoption and the way off the
+// instance — and the way off splits the window between them by the
+// leaf's means: a short hold is all edges and tail, so reading its tail
+// would cost more than the O1 it measures.
 func (w *worker) adopt(icb *pool.ICB) {
 	w.readClaim = true
 	if w.stride == 1 {
@@ -127,6 +128,11 @@ func (w *worker) adopt(icb *pool.ICB) {
 	w.holds--
 	w.exact = w.holds <= 0 || w.held.o1N == 0 || w.held.bodyN == 0
 	if w.holds <= 0 {
+		// The periodic exact hold restarts the leaf's body mean, so a
+		// body whose cost drifts over the run is split by what it costs
+		// now, not by its average since the start. The O1 mean is a
+		// claim's cost, the machine's, not the body's: it stays whole.
+		w.held.bodySum, w.held.bodyN = 0, 0
 		w.holds = w.stride
 	}
 	w.readClaim = w.exact

@@ -265,8 +265,10 @@ func ExhaustedCheckpointResume(t *testing.T, name string, f Factory) {
 // fan-out block whose next activation lies inside its bound, and the two
 // parts must execute exactly the uninterrupted run's iteration multiset
 // and land on its totals: no activation lost or repeated across the
-// pause. make verify-gates runs the real-engine row twenty times under
-// -race.
+// pause. One more row pauses on the paper's per-loop pool and resumes on
+// the distributed one, the real engines' default: a run journaled before
+// that default changed resumes on it. make verify-gates runs the
+// real-engine rows twenty times under -race.
 func FanOutCheckpointResume(t *testing.T, name string, f Factory) {
 	const p = 4
 	nests := []struct {
@@ -285,11 +287,24 @@ func FanOutCheckpointResume(t *testing.T, name string, f Factory) {
 	}
 	for _, n := range nests {
 		prog, pl, ref := compile(t, n.nest)
-		for _, pk := range []core.PoolKind{core.PoolPerLoop, core.PoolSingleList, core.PoolDistributed} {
-			t.Run(fmt.Sprintf("%s/%s", n.label, pk), func(t *testing.T) {
+		for _, pools := range [][2]core.PoolKind{
+			{core.PoolPerLoop, core.PoolPerLoop},
+			{core.PoolSingleList, core.PoolSingleList},
+			{core.PoolDistributed, core.PoolDistributed},
+			{core.PoolPerLoop, core.PoolDistributed},
+		} {
+			paused, pk := pools[0], pools[1]
+			label := pk.String()
+			if paused != pk {
+				label = paused.String() + "-to-" + label
+			}
+			t.Run(fmt.Sprintf("%s/%s", n.label, label), func(t *testing.T) {
 				ctx := refexec.Context{Nest: "fanout-resume-" + n.label, Scheme: "ss", Pool: pk.String(), Engine: name}
 				r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: lowsched.SS{}, Pool: pk},
-					func(cfg *core.Config) { cfg.Checkpoint = &core.CheckpointConfig{AfterChunks: n.after} })
+					func(cfg *core.Config) {
+						cfg.Pool = paused
+						cfg.Checkpoint = &core.CheckpointConfig{AfterChunks: n.after}
+					})
 				if !errors.Is(r.pause, core.ErrCheckpointed) {
 					t.Fatalf("checkpoint run returned %v, want CheckpointedError", r.pause)
 				}

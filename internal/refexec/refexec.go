@@ -53,8 +53,25 @@ func (r *Result) Keys() map[string]int {
 	return m
 }
 
-// env is the sequential execution environment.
-type env struct{ r *Result }
+// env is the sequential execution environment. It records instances
+// into blocks, copied into Result.Instances once at the end, and carves
+// their index vectors from slabs, so a recording of n instances takes
+// O(n / recBlock) allocations, not a regrowing slice and a clone per
+// instance.
+type env struct {
+	r       *Result
+	blocks  [][]Instance // full blocks, in execution order
+	block   []Instance   // the block being filled
+	slab    []int64      // unused tail of the current vector slab
+	slabCap int          // size of the current vector slab
+}
+
+// recBlock is the largest block, in instances, and the largest vector
+// slab, in int64s. Blocks and slabs double up to it from 64, so a small
+// nest's recording stays small.
+const recBlock = 4096
+
+func grow(prev int) int { return min(max(2*prev, 64), recBlock) }
 
 func (e *env) Work(c int64)  { e.r.TotalWork += c }
 func (e *env) Proc() int     { return 0 }
@@ -62,26 +79,63 @@ func (e *env) NumProcs() int { return 1 }
 func (e *env) AwaitDep()     {}
 func (e *env) PostDep()      {}
 
+// record appends an instance of leaf at index vector iv, copying iv into
+// the slab: the running vector is one buffer, rewritten as loops advance.
+func (e *env) record(leaf *loopir.Node, iv loopir.IVec, bound int64) {
+	n := len(iv)
+	if len(e.slab) < n {
+		e.slabCap = grow(e.slabCap)
+		e.slab = make([]int64, max(e.slabCap, n))
+	}
+	v := e.slab[:n:n] // capped: appending to a recorded vector cannot reach the next one
+	e.slab = e.slab[n:]
+	copy(v, iv)
+	if len(e.block) == cap(e.block) {
+		if e.block != nil {
+			e.blocks = append(e.blocks, e.block)
+		}
+		e.block = make([]Instance, 0, grow(cap(e.block)))
+	}
+	e.block = append(e.block, Instance{Leaf: leaf, IVec: v, Bound: bound})
+}
+
+// instances joins the blocks into one slice.
+func (e *env) instances() []Instance {
+	n := len(e.block)
+	for _, b := range e.blocks {
+		n += len(b)
+	}
+	out := make([]Instance, 0, n)
+	for _, b := range e.blocks {
+		out = append(out, b...)
+	}
+	return append(out, e.block...)
+}
+
 // Run executes the nest sequentially. The nest must be standardized.
+// Iteration bodies, bounds and conditions see the running index vector,
+// which is rewritten as the loops advance: like the scheduler's, it is
+// valid only for the duration of the call.
 func Run(nest *loopir.Nest) (*Result, error) {
 	if !nest.Standardized {
 		return nil, fmt.Errorf("refexec: nest is not standardized")
 	}
 	r := &Result{}
 	e := &env{r: r}
-	execSeq(e, nest.Root, nil)
+	e.exec(nest.Root, make(loopir.IVec, 0, 8))
+	r.Instances = e.instances()
 	return r, nil
 }
 
-func execSeq(e *env, nodes []*loopir.Node, iv loopir.IVec) {
+// exec runs nodes at index vector iv; a loop extends iv in place by its
+// own index, so iv's backing array is shared down the recursion.
+func (e *env) exec(nodes []*loopir.Node, iv loopir.IVec) {
 	for _, nd := range nodes {
 		switch nd.Kind {
 		case loopir.KindDoall, loopir.KindDoacross:
 			if nd.IsLeaf() {
 				b := nd.Bound.Eval(iv)
-				e.r.Instances = append(e.r.Instances, Instance{
-					Leaf: nd, IVec: iv.Clone(), Bound: b,
-				})
+				e.record(nd, iv, b)
 				for j := int64(1); j <= b; j++ {
 					nd.Iter(e, iv, j)
 					e.r.Iterations++
@@ -90,25 +144,29 @@ func execSeq(e *env, nodes []*loopir.Node, iv loopir.IVec) {
 			}
 			// Structural parallel loop: execute iterations in index order
 			// (a legal serialization of the parallel semantics).
-			b := nd.Bound.Eval(iv)
-			for k := int64(1); k <= b; k++ {
-				execSeq(e, nd.Body, append(iv.Clone(), k))
-			}
+			e.loop(nd, iv)
 		case loopir.KindSerial:
-			b := nd.Bound.Eval(iv)
-			for k := int64(1); k <= b; k++ {
-				execSeq(e, nd.Body, append(iv.Clone(), k))
-			}
+			e.loop(nd, iv)
 		case loopir.KindIf:
 			if nd.Cond(iv) {
-				execSeq(e, nd.Then, iv)
+				e.exec(nd.Then, iv)
 			} else {
-				execSeq(e, nd.Else, iv)
+				e.exec(nd.Else, iv)
 			}
 		case loopir.KindStmt:
 			// Standardization folds statements into leaves; reaching one
 			// here means the nest was not standardized.
 			panic(fmt.Sprintf("refexec: bare statement %q in standardized nest", nd.Label))
 		}
+	}
+}
+
+// loop runs a structural loop's body once per index, in index order.
+func (e *env) loop(nd *loopir.Node, iv loopir.IVec) {
+	b := nd.Bound.Eval(iv)
+	inner := append(iv, 0)
+	for k := int64(1); k <= b; k++ {
+		inner[len(iv)] = k
+		e.exec(nd.Body, inner)
 	}
 }

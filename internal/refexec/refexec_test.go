@@ -204,3 +204,31 @@ func TestScalarLeafCountsOneIteration(t *testing.T) {
 		t.Errorf("ran=%d iterations=%d work=%d", ran, r.Iterations, r.TotalWork)
 	}
 }
+
+// TestRecordingAllocations: a recording of many instances allocates its
+// blocks and slabs, not a slice regrowth and a vector per instance.
+func TestRecordingAllocations(t *testing.T) {
+	nest := std(t, func(b *loopir.B) {
+		b.Doall("I", loopir.Const(100), func(b *loopir.B) {
+			b.Doall("J", loopir.Const(100), func(b *loopir.B) {
+				b.DoallLeaf("B", loopir.Const(4), func(e loopir.Env, iv loopir.IVec, j int64) { e.Work(iv[0] + iv[1]) })
+			})
+		})
+	})
+	var r *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if r, err = Run(nest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(r.Instances) != 10000 || r.Iterations != 40000 {
+		t.Fatalf("recorded %d instances, %d iterations; want 10000, 40000", len(r.Instances), r.Iterations)
+	}
+	if in := r.Instances[101]; in.Key() != "B(2,2)" || in.Bound != 4 {
+		t.Errorf("instance 101 = %v, want B(2,2) bound=4", in)
+	}
+	if allocs > 64 {
+		t.Errorf("Run allocated %.0f objects for 10000 instances, want <= 64", allocs)
+	}
+}

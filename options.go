@@ -38,11 +38,16 @@ type Options struct {
 	// RemotePenalty is the virtual machine's extra cost for accessing a
 	// synchronization variable homed on another processor (NUMA model).
 	RemotePenalty int64 `json:"remote_penalty,omitempty" flag:"remote" help:"NUMA remote-access penalty (virtual engine)"`
-	// Pool selects the task-pool organization: "" or "per-loop" (the
-	// paper's m parallel lists + SW), "single" / "single-list" (one
-	// shared list), or "distributed" (per-processor lists with work
-	// stealing). KnownPools lists every accepted spelling.
-	Pool string `json:"pool,omitempty" flag:"pool" default:"per-loop" help:"task pool: per-loop, single, single-list, distributed"`
+	// Pool selects the task-pool organization: "per-loop" (the paper's
+	// m parallel lists + SW), "single" / "single-list" (one shared
+	// list), or "distributed" (per-processor lists with work stealing).
+	// KnownPools lists every accepted spelling. The empty string picks
+	// the engine's pool: "per-loop" on the virtual engine, which
+	// reproduces the paper, and "distributed" on the real engines, where
+	// a processor then runs the instances its own claims activate
+	// instead of sharing one list, lock and SW word with every other
+	// (SWShards above 1 keeps "per-loop": it names that pool's SW word).
+	Pool string `json:"pool,omitempty" flag:"pool" help:"task pool: per-loop, single, single-list, distributed (unset: per-loop on the virtual engine, distributed on real, real-spin)"`
 	// DispatchCost models an OS dispatch on every task grab (baseline).
 	DispatchCost int64 `json:"dispatch_cost,omitempty" flag:"dispatch" help:"per-task OS dispatch cost (baseline)"`
 	// CollectTrace records an event trace into Result.Trace.
@@ -189,7 +194,8 @@ func KnownEngines() []string {
 }
 
 // KnownPools lists the accepted Options.Pool values (the empty string
-// defaults to "per-loop").
+// picks the engine's pool: "per-loop" on the virtual engine,
+// "distributed" on the real ones; Options.ResolvedPool names it).
 func KnownPools() []string { return core.PoolNames() }
 
 // KnownFailurePolicies lists the accepted Options.Failure values (the
@@ -209,6 +215,16 @@ func KnownSchemes() []string { return lowsched.Specs() }
 func (o Options) Validate() error {
 	_, err := o.resolve()
 	return err
+}
+
+// ResolvedPool names the task pool a run under these options uses: Pool
+// when it is set, otherwise the engine's (see Options.Pool).
+func (o Options) ResolvedPool() (string, error) {
+	r, err := o.resolve()
+	if err != nil {
+		return "", err
+	}
+	return r.pool.String(), nil
 }
 
 // resolved is an Options value after validation: defaults applied,
@@ -244,6 +260,9 @@ func (o Options) resolve() (resolved, error) {
 	switch o.Pool {
 	case "":
 		r.pool = core.PoolPerLoop
+		if o.Engine != "" && o.Engine != EngineVirtual && o.SWShards <= 1 {
+			r.pool = core.PoolDistributed
+		}
 	default:
 		kind, err := core.ParsePool(o.Pool)
 		if err != nil {

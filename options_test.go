@@ -58,6 +58,37 @@ func TestValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestResolvedPool: an unset pool is the engine's — the paper's per-loop
+// lists on the virtual engine, the per-processor pool on the real ones —
+// an explicit pool always wins, and a sharded SW word keeps the pool it
+// belongs to.
+func TestResolvedPool(t *testing.T) {
+	cases := []struct {
+		opts Options
+		want string
+	}{
+		{Options{}, "per-loop"},
+		{Options{Engine: EngineVirtual}, "per-loop"},
+		{Options{Engine: EngineReal}, "distributed"},
+		{Options{Engine: EngineRealSpin}, "distributed"},
+		{Options{Engine: EngineReal, Pool: "per-loop"}, "per-loop"},
+		{Options{Engine: EngineRealSpin, Pool: "single"}, "single-list"},
+		{Options{Engine: EngineVirtual, Pool: "distributed"}, "distributed"},
+		{Options{Engine: EngineReal, SWShards: 4}, "per-loop"},
+		{Options{Engine: EngineReal, SWShards: 1}, "distributed"},
+		{Options{Engine: EngineReal, SWShards: 4, Pool: "distributed"}, "distributed"},
+	}
+	for _, c := range cases {
+		got, err := c.opts.ResolvedPool()
+		if err != nil || got != c.want {
+			t.Errorf("%+v resolves to pool %q (%v), want %q", c.opts, got, err, c.want)
+		}
+	}
+	if _, err := (Options{Engine: EngineReal, Pool: "heap"}).ResolvedPool(); !errors.Is(err, ErrUnknownPool) {
+		t.Errorf("unknown pool: %v, want ErrUnknownPool", err)
+	}
+}
+
 // TestIsolateThroughPublicAPI pins the end-to-end partial-failure
 // surface: a panicking body under Failure="isolate" quarantines its
 // iteration, the run completes, and the result names the failure.

@@ -123,7 +123,7 @@ func TestBindFlags(t *testing.T) {
 	if opts.Procs != 8 || fs.Lookup("procs").DefValue != "8" {
 		t.Errorf("preset Procs: field %d, flag default %s; want 8", opts.Procs, fs.Lookup("procs").DefValue)
 	}
-	if opts.Scheme != "ss" || opts.Engine != EngineVirtual || opts.AccessCost != 10 || opts.Pool != "per-loop" {
+	if opts.Scheme != "ss" || opts.Engine != EngineVirtual || opts.AccessCost != 10 || opts.Pool != "" {
 		t.Errorf("table defaults not applied: %+v", opts)
 	}
 	want := populated(t)
