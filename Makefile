@@ -108,7 +108,11 @@ verify:
 # blocks it gets back depends on the interleaving), a fan-out and a
 # fan-out of fan-outs paused while half activated and resumed, on every
 # pool, twenty times under it (which activations the pause finds claimed
-# depends on the interleaving), and the failover paths twenty times over
+# depends on the interleaving), a chain of tiny instances paused among
+# the ones the real engine runs inline and resumed, on every pool, twenty
+# times under it (which worker runs the chain, and which instance it
+# publishes at the pause, depends on the interleaving), and the failover
+# paths twenty times over
 # under it (an owner killed mid-run, a cancel after its failover, a
 # re-placement whose every answer is lost): calls to a dying owner are stopped by
 # membership's dead verdict now, not by a circuit breaker, so which calls
@@ -123,5 +127,5 @@ verify-gates:
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -race -count=20 -run 'TestRetain|TestReserve|TestSpans|TestChainStopsAtPause|TestCluster(Released|Lost)Placement' ./runner/ ./cmd/loopschedd/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume|FanOutCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume|FanOutCheckpointResume|InlineCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestCluster(FailoverRestore|CancelAfterFailover|FailoverForwardIsConfirmed)' ./cmd/loopschedd/

@@ -97,6 +97,26 @@ func (ex *executor) budgetClaim(s int64) int64 {
 	return 0
 }
 
+// budgetTake charges an inline instance's n iterations whole, or not at
+// all: false when fewer than n remain, and the instance is then published
+// for the claim path to cut. Taking the last of the budget requests the
+// pause, as budgetClaim does.
+func (ex *executor) budgetTake(n int64) bool {
+	for {
+		rem := ex.budIters.Load()
+		if rem < n {
+			return false
+		}
+		if ex.budIters.CompareAndSwap(rem, rem-n) {
+			if rem == n {
+				ex.budHit.Store(true)
+				ex.ckptReq.Store(true)
+			}
+			return true
+		}
+	}
+}
+
 // budgetDue checks the engine-time budget at a claim boundary and
 // requests the pause once the ceiling is reached. Reading pr.Now()
 // charges no machine time, so a run with no time budget (or one that

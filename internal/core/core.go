@@ -346,6 +346,15 @@ type executor struct {
 	fanCursor int
 	// stride is the engine's clock stride (clockStride), asked once.
 	stride int
+	// inline is set when the run lets a worker run a tiny instance where it
+	// activates it (inline.go): the engine allows it (inlines), the
+	// per-leaf means its rule reads are kept (stride above 1), the sink
+	// records no iterations — such a sink records on the body's clock, so
+	// τ̂ would price the recorder, and the published schedule is the one it
+	// is there to record — and the run is no baseline that prices every
+	// instance as a task: a static pre-assignment, or an OS dispatch per
+	// adoption (DispatchCost).
+	inline bool
 	// budMeter and budTime hoist cfg.Budget the same way: budMeter is
 	// the one test the claim path pays when no iteration budget is set,
 	// budTime the engine-time ceiling (0: none).
@@ -452,6 +461,9 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 	// separate cache lines while the whole layer costs one allocation.
 	ex.locStride = (pl.maxDepth + 8) / 8 * 8
 	ex.locs = make([]int64, nprocs*ex.locStride)
+	_, schedOnly := cfg.Sink.(trace.SchedulingOnly)
+	ex.inline = ex.stride > 1 && inlines(cfg.Engine) && (cfg.Sink == nil || schedOnly) &&
+		!lowsched.IsStatic(cfg.Scheme) && cfg.DispatchCost == 0
 	if ex.stride > 1 {
 		// A 32-byte entry per leaf, and a whole line or more per worker
 		// with at least one spare entry at its end.

@@ -41,3 +41,21 @@ func clockStride(eng Engine) int {
 	}
 	return 1
 }
+
+// inliner is an Engine's optional leave to run a tiny instance where it
+// is activated: the activating worker runs all its iterations and its EXIT
+// at once, without publishing it, when its leaf's body mean on the worker
+// says the instance costs less than the SEARCH and activation publishing
+// it would cost (worker.inlines, DESIGN §2). The rule rests on measured
+// costs, so only an engine whose clock is the host's declares it — the
+// real one; on the virtual engine every figure stays the paper's
+// schedule. The kernel asks once per run.
+type inliner interface {
+	InlineInstances() bool
+}
+
+// inlines reports whether eng lets the kernel run tiny instances inline.
+func inlines(eng Engine) bool {
+	in, ok := eng.(inliner)
+	return ok && in.InlineInstances()
+}

@@ -55,7 +55,7 @@ func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	if lo > icb.Bound {
 		// Every activation was claimed elsewhere.
 		icb.PCount.FetchDec(pr)
-		w.tick(cO3Time)
+		w.endO3()
 		return true
 	}
 	hi := min(lo+fanChunk-1, icb.Bound)
@@ -77,6 +77,6 @@ func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	if last && !w.release(icb) {
 		return false
 	}
-	w.tick(cO3Time)
+	w.endO3()
 	return true
 }

@@ -124,6 +124,15 @@ type worker struct {
 	// when there is none. It is consumed, or recorded as pending by a pause,
 	// before the worker lets go of the instance.
 	lease lowsched.Lease
+	// scratch is the block the worker's inline instances run in (inline.go),
+	// never published; nil until the first. pred is the body time inline
+	// instances left unread in the open window, n·τ̂ each; pubs and inlined
+	// count the instances the open O3 phase published and ran inline; o2
+	// and o3 are Ô2 and Ô3 of the inline rule (endSearch, endO3).
+	scratch       *pool.ICB
+	pred          machine.Time
+	pubs, inlined int64
+	o2, o3        overhead
 	// pad keeps adjacent workers in the executor's slice from sharing a
 	// cache line (the shard and freelist headers above are written on
 	// every scheduling decision).
@@ -248,7 +257,7 @@ func (w *worker) run() {
 			w.mark()
 		} else {
 			w.enter(ex.plan.prog.Entry, 1, w.loc)
-			w.tick(cO3Time)
+			w.endO3()
 			w.shard.Inc(cEnters)
 		}
 	}
@@ -267,7 +276,7 @@ func (w *worker) run() {
 				// from the O2 accounting.
 				break
 			}
-			w.tick(cO2Time)
+			w.endSearch()
 			w.shard.Inc(cSearches)
 			if icb.FanOut() {
 				// One claim of activations, then SEARCH again.
@@ -494,7 +503,7 @@ func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	if !w.release(icb) {
 		return false, false
 	}
-	w.tick(cO3Time)
+	w.endO3()
 	return false, true
 }
 
@@ -537,16 +546,7 @@ func (w *worker) release(icb *pool.ICB) bool {
 // between the fetch-and-add claim and the icount completion bookkeeping
 // — the claim/complete protocol is panic-safe.
 func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
-	ex := w.ex
-	lp := &ex.plan.leaves[icb.Loop]
-	w.ctx.bind(icb, lp.manualSync)
-	var cont bool
-	var err error
-	if ex.cfg.Failure == Isolate {
-		cont = w.runChunkIsolate(icb, lp, a)
-	} else {
-		cont, err = w.execSpan(icb, lp, a)
-	}
+	cont := w.execChunk(icb, a)
 	// A chunk the run drains out of is a way out of the drive loop: its
 	// body end always reads.
 	w.iters += a.Size()
@@ -555,11 +555,6 @@ func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 		w.tick(cBodyTime)
 	}
 	if !cont {
-		if err != nil {
-			// FailFast: the first body failure is the run's stop-cause;
-			// every processor drains at its next preemption point.
-			ex.trip(err)
-		}
 		return false
 	}
 	if w.sink != nil {
@@ -574,6 +569,25 @@ func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 		w.sink.Record(w.event(at, trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
 	}
 	return true
+}
+
+// execChunk runs chunk a of icb under the run's failure policy, with no
+// clock reading: false means the run must drain, and a FailFast body
+// failure has become the run's stop-cause.
+func (w *worker) execChunk(icb *pool.ICB, a lowsched.Assignment) bool {
+	ex := w.ex
+	lp := &ex.plan.leaves[icb.Loop]
+	w.ctx.bind(icb, lp.manualSync)
+	if ex.cfg.Failure == Isolate {
+		return w.runChunkIsolate(icb, lp, a)
+	}
+	cont, err := w.execSpan(icb, lp, a)
+	if err != nil {
+		// FailFast: the first body failure is the run's stop-cause; every
+		// processor drains at its next preemption point.
+		ex.trip(err)
+	}
+	return cont
 }
 
 // execSpan runs iterations a.Lo..a.Hi of the bound instance with panic

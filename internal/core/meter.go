@@ -29,6 +29,12 @@ func (m *means) addBody(d machine.Time, iters int64) {
 	m.bodyN += iters
 }
 
+// overhead totals a worker's exact intervals of one overhead kind and the
+// instances they served.
+type overhead struct {
+	sum, n int64
+}
+
 // tick is a phase boundary: one clock read that charges the interval
 // since the previous reading to counter c and opens the next interval.
 // The caller has counted the phase the reading closes into the window
@@ -40,6 +46,14 @@ func (w *worker) tick(c obs.ID) {
 	t := w.pr.Now()
 	d := t - w.now
 	w.now = t
+	if w.pred > 0 {
+		// Inline instances ran unread in this O3 window: their predicted
+		// body time is body, and the rest is the window's own.
+		b := min(w.pred, d)
+		w.shard.Add(cBodyTime, b)
+		d -= b
+		w.pred = 0
+	}
 	switch {
 	case w.claims != 0 && w.iters != 0:
 		w.split(d)
@@ -102,6 +116,29 @@ func (w *worker) split(d machine.Time) {
 func (w *worker) endHold() {
 	w.claims++
 	w.tick(cO1Time)
+}
+
+// endSearch is the reading that closes a SEARCH that found work: every
+// one is an exact O2 interval, and their mean is Ô2.
+func (w *worker) endSearch() {
+	t := w.now
+	w.tick(cO2Time)
+	w.o2.sum += w.now - t
+	w.o2.n++
+}
+
+// endO3 is the reading that closes an O3 phase (EXIT/ENTER, a fan-out
+// claim). A phase that ran no instance inline is an exact sample of what
+// publishing costs the worker: its time over the instances it published
+// is Ô3.
+func (w *worker) endO3() {
+	t := w.now
+	w.tick(cO3Time)
+	if w.inlined == 0 {
+		w.o3.sum += w.now - t
+		w.o3.n += w.pubs
+	}
+	w.pubs, w.inlined = 0, 0
 }
 
 // mark is a phase boundary whose closing interval is charged to no

@@ -238,3 +238,37 @@ func TestRealEngineFanOutCheckpointResume(t *testing.T) {
 		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
 	})
 }
+
+// TestVirtualEngineTinyInstances holds the simulator to exactly-once and
+// precedence on chains of tiny instances, which it always publishes.
+func TestVirtualEngineTinyInstances(t *testing.T) {
+	TinyInstances(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineTinyInstances does the same on goroutines, where a tiny
+// instance whose body costs less than publishing it runs inline.
+func TestRealEngineTinyInstances(t *testing.T) {
+	TinyInstances(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}
+
+// TestVirtualEngineInlineCheckpointResume holds the simulator to the
+// resume contract on a chain of tiny instances.
+func TestVirtualEngineInlineCheckpointResume(t *testing.T) {
+	InlineCheckpointResume(t, "virtual", func(p int, intr *machine.Interrupt) core.Engine {
+		return vmachine.New(vmachine.Config{P: p, AccessCost: 5, Interrupt: intr})
+	})
+}
+
+// TestRealEngineInlineCheckpointResume does the same on goroutines, where
+// the pause lands among inline instances and which instance the chain's
+// worker publishes after it depends on the interleaving; make
+// verify-gates runs it twenty times under -race.
+func TestRealEngineInlineCheckpointResume(t *testing.T) {
+	InlineCheckpointResume(t, "real", func(p int, intr *machine.Interrupt) core.Engine {
+		return machine.NewReal(machine.RealConfig{P: p, Mode: machine.WorkCount, Interrupt: intr})
+	})
+}

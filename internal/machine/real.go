@@ -63,6 +63,11 @@ const realClockStride = 16
 // optional method the scheduling kernel asks its engine once per run).
 func (e *Real) ClockStride() int { return realClockStride }
 
+// InlineInstances reports that the scheduling kernel may run an instance
+// whose measured body costs less than publishing it on the processor that
+// activates it (the optional method the kernel asks once per run).
+func (e *Real) InlineInstances() bool { return true }
+
 // Run executes worker on P goroutines and blocks until all return.
 func (e *Real) Run(worker func(Proc)) RunReport {
 	// One value slice instead of P separate allocations; the structs are

@@ -166,12 +166,20 @@ func (b *ICB) Reinit(num int, bound int64, ivec loopir.IVec) {
 	b.Index.Reset(1)
 	b.ICount.Reset(0)
 	b.PCount.Reset(0)
-	b.Loop = num
-	b.Bound = bound
-	b.setIVec(ivec)
+	b.Retarget(num, bound, ivec)
 	b.left, b.right = nil, nil
 	b.home = 0
 	b.fan = false
+}
+
+// Retarget points the block at another instance — loop num, bound, ivec —
+// and leaves its synchronization words as they are: for a block no other
+// processor sees, such as the scratch block an inline instance runs in,
+// whose words nothing claims, posts or holds.
+func (b *ICB) Retarget(num int, bound int64, ivec loopir.IVec) {
+	b.Loop = num
+	b.Bound = bound
+	b.setIVec(ivec)
 }
 
 // MarkFanOut makes the block a fan-out block: Loop names the leaf whose

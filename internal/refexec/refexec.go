@@ -53,25 +53,18 @@ func (r *Result) Keys() map[string]int {
 	return m
 }
 
-// env is the sequential execution environment. It records instances
-// into blocks, copied into Result.Instances once at the end, and carves
-// their index vectors from slabs, so a recording of n instances takes
-// O(n / recBlock) allocations, not a regrowing slice and a clone per
-// instance.
+// env is the sequential execution environment. Run walks the nest twice:
+// a counting walk evaluates bounds and conditions only, so the recording
+// walk, which runs the bodies, appends into one slice and carves index
+// vectors from one slab, both allocated at their final size.
 type env struct {
-	r       *Result
-	blocks  [][]Instance // full blocks, in execution order
-	block   []Instance   // the block being filled
-	slab    []int64      // unused tail of the current vector slab
-	slabCap int          // size of the current vector slab
+	r     *Result
+	count bool // the counting walk: no bodies, no recording
+	n     int  // instances met
+	words int  // index-vector words they carry
+	insts []Instance
+	slab  []int64 // unused tail of the vector slab
 }
-
-// recBlock is the largest block, in instances, and the largest vector
-// slab, in int64s. Blocks and slabs double up to it from 64, so a small
-// nest's recording stays small.
-const recBlock = 4096
-
-func grow(prev int) int { return min(max(2*prev, 64), recBlock) }
 
 func (e *env) Work(c int64)  { e.r.TotalWork += c }
 func (e *env) Proc() int     { return 0 }
@@ -84,46 +77,31 @@ func (e *env) PostDep()      {}
 func (e *env) record(leaf *loopir.Node, iv loopir.IVec, bound int64) {
 	n := len(iv)
 	if len(e.slab) < n {
-		e.slabCap = grow(e.slabCap)
-		e.slab = make([]int64, max(e.slabCap, n))
+		// Only a nest whose bounds or conditions answer the two walks
+		// differently gets here.
+		e.slab = make([]int64, max(n, 64))
 	}
 	v := e.slab[:n:n] // capped: appending to a recorded vector cannot reach the next one
 	e.slab = e.slab[n:]
 	copy(v, iv)
-	if len(e.block) == cap(e.block) {
-		if e.block != nil {
-			e.blocks = append(e.blocks, e.block)
-		}
-		e.block = make([]Instance, 0, grow(cap(e.block)))
-	}
-	e.block = append(e.block, Instance{Leaf: leaf, IVec: v, Bound: bound})
-}
-
-// instances joins the blocks into one slice.
-func (e *env) instances() []Instance {
-	n := len(e.block)
-	for _, b := range e.blocks {
-		n += len(b)
-	}
-	out := make([]Instance, 0, n)
-	for _, b := range e.blocks {
-		out = append(out, b...)
-	}
-	return append(out, e.block...)
+	e.insts = append(e.insts, Instance{Leaf: leaf, IVec: v, Bound: bound})
 }
 
 // Run executes the nest sequentially. The nest must be standardized.
 // Iteration bodies, bounds and conditions see the running index vector,
 // which is rewritten as the loops advance: like the scheduler's, it is
-// valid only for the duration of the call.
+// valid only for the duration of the call. Bounds and conditions are
+// evaluated twice, bodies once.
 func Run(nest *loopir.Nest) (*Result, error) {
 	if !nest.Standardized {
 		return nil, fmt.Errorf("refexec: nest is not standardized")
 	}
+	c := &env{r: &Result{}, count: true}
+	c.exec(nest.Root, make(loopir.IVec, 0, 8))
 	r := &Result{}
-	e := &env{r: r}
+	e := &env{r: r, insts: make([]Instance, 0, c.n), slab: make([]int64, c.words)}
 	e.exec(nest.Root, make(loopir.IVec, 0, 8))
-	r.Instances = e.instances()
+	r.Instances = e.insts
 	return r, nil
 }
 
@@ -135,6 +113,11 @@ func (e *env) exec(nodes []*loopir.Node, iv loopir.IVec) {
 		case loopir.KindDoall, loopir.KindDoacross:
 			if nd.IsLeaf() {
 				b := nd.Bound.Eval(iv)
+				if e.count {
+					e.n++
+					e.words += len(iv)
+					continue
+				}
 				e.record(nd, iv, b)
 				for j := int64(1); j <= b; j++ {
 					nd.Iter(e, iv, j)

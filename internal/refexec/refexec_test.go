@@ -2,7 +2,9 @@ package refexec
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/loopir"
 )
@@ -205,8 +207,8 @@ func TestScalarLeafCountsOneIteration(t *testing.T) {
 	}
 }
 
-// TestRecordingAllocations: a recording of many instances allocates its
-// blocks and slabs, not a slice regrowth and a vector per instance.
+// TestRecordingAllocations: a recording of many instances allocates one
+// slice and one slab, not a slice regrowth and a vector per instance.
 func TestRecordingAllocations(t *testing.T) {
 	nest := std(t, func(b *loopir.B) {
 		b.Doall("I", loopir.Const(100), func(b *loopir.B) {
@@ -230,5 +232,27 @@ func TestRecordingAllocations(t *testing.T) {
 	}
 	if allocs > 64 {
 		t.Errorf("Run allocated %.0f objects for 10000 instances, want <= 64", allocs)
+	}
+}
+
+// TestRecordingBytes: the recording is allocated once at its final size —
+// 10 000 instances and their one-word index vectors, and little else —
+// so a sequential reference run leaves the heap no garbage of its own.
+func TestRecordingBytes(t *testing.T) {
+	nest := std(t, func(b *loopir.B) {
+		b.Doall("I", loopir.Const(10000), func(b *loopir.B) {
+			b.DoallLeaf("B", loopir.Const(2), func(e loopir.Env, iv loopir.IVec, j int64) { e.Work(1) })
+		})
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Run(nest)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(len(r.Instances)) * uint64(unsafe.Sizeof(Instance{})+8)
+	if got := after.TotalAlloc - before.TotalAlloc; got > want+want/10 {
+		t.Errorf("Run allocated %d bytes for %d instances, want about %d", got, len(r.Instances), want)
 	}
 }
