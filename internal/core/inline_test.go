@@ -40,7 +40,8 @@ func newInlineEngine(p int, inline bool) core.Engine {
 	return inlineEngine{vmachine.New(vmachine.Config{P: p, AccessCost: 5}), inline}
 }
 
-func plan(t *testing.T, nest *loopir.Nest) (*descr.Program, *core.Plan, *refexec.Result) {
+// compile standardizes and compiles nest.
+func compile(t *testing.T, nest *loopir.Nest) *descr.Program {
 	t.Helper()
 	std, err := nest.Standardize()
 	if err != nil {
@@ -50,11 +51,18 @@ func plan(t *testing.T, nest *loopir.Nest) (*descr.Program, *core.Plan, *refexec
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+// plan compiles nest and returns its program, plan and oracle.
+func plan(t *testing.T, nest *loopir.Nest) (*descr.Program, *core.Plan, *refexec.Result) {
+	t.Helper()
+	prog := compile(t, nest)
 	pl, err := core.NewPlan(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refexec.Run(std)
+	ref, err := refexec.Run(prog.Nest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +100,12 @@ func TestEnterExitStackDepth(t *testing.T) {
 	pcs := make([]uintptr, 1<<16)
 	for _, n := range []int64{0, 1} {
 		for _, eng := range stackEngines {
+			if eng.name == "real" && n == 1 {
+				// Which instances the real engine runs inline depends on
+				// timing, and an inline body runs deeper than a published
+				// one; TestSerialChainsDoNotOverflow bounds that path.
+				continue
+			}
 			var frames [2]int
 			for i, l := range []int64{1_000, 10_000} {
 				probe := func() { frames[i] = max(frames[i], runtime.Callers(0, pcs)) }
@@ -146,19 +160,6 @@ func TestEndlessZeroTripChainCancels(t *testing.T) {
 			t.Errorf("%s: run returned %v, want the deadline", eng.name, err)
 		}
 	}
-}
-
-func compile(t *testing.T, nest *loopir.Nest) *descr.Program {
-	t.Helper()
-	std, err := nest.Standardize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := descr.Compile(std)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
 }
 
 // inlinedOf returns the first enclosing index of every instance the ring
