@@ -15,7 +15,7 @@ REV        := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 BENCH_OUT  ?= BENCH_$(REV).json
 BENCH_BASE ?= BENCH_pr42.json
 
-.PHONY: build test lint bench bench-compare bench-smoke bench-go bench-harness verify verify-gates
+.PHONY: build test lint bench bench-compare bench-smoke bench-go bench-pairs bench-harness verify verify-gates
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,28 @@ bench-smoke:
 # here, not in the benchmark run.
 bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pairs runs the root package's wall-clock benchmarks of the served
+# virtual path and the nested kernel (VirtualServed, KernelNested, with
+# -benchmem) on PARENT and on the working tree, N times alternately, and
+# prints every output line tagged parent: or change:. Each side's test
+# binary is built once — PARENT's in a temporary checkout made with git
+# archive — and runs in its own tree, where bench/programs is. It reads
+# the spread a change must stay inside: compare each benchmark's medians
+# against the parent's quartiles.
+PARENT ?= HEAD
+N      ?= 10
+PAIRS_BENCH := -test.run '^$$' -test.bench 'VirtualServed|KernelNested' -test.benchmem -test.timeout 10m
+
+bench-pairs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent"; git archive "$(PARENT)" | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) test -c -o "$$tmp/parent.test" .); \
+	$(GO) test -c -o "$$tmp/change.test" .; \
+	for i in $$(seq $(N)); do \
+		(cd "$$tmp/parent" && "$$tmp/parent.test" $(PAIRS_BENCH)) | sed 's/^/parent: /'; \
+		"$$tmp/change.test" $(PAIRS_BENCH) | sed 's/^/change: /'; \
+	done
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,
 # no statistics — for quick spot checks only).

@@ -84,3 +84,41 @@ func TestAllocsSteadyState(t *testing.T) {
 		t.Errorf("activation path allocates per instance: 4x instances moved allocs/run %0.1f -> %0.1f", few, many)
 	}
 }
+
+// serialBarriers is a serial loop of n structural doalls of m iterations,
+// each over one small leaf instance: every serial iteration opens one
+// barrier, and m completions count it.
+func serialBarriers(n, m int64) *loopir.Nest {
+	return loopir.MustBuild(func(b *loopir.B) {
+		b.Serial("T", loopir.Const(n), func(b *loopir.B) {
+			b.Doall("I", loopir.Const(m), func(b *loopir.B) {
+				b.DoallLeaf("A", loopir.Const(4), func(e loopir.Env, iv loopir.IVec, j int64) {
+					e.Work(30)
+				})
+			})
+		})
+	})
+}
+
+// TestBarrierAllocs pins what a structural doall's BAR_COUNT costs the
+// heap: at most one allocation when the barrier opens (its block) and none
+// per completion it counts. Scaling the barriers 4x may add one
+// allocation per extra barrier, and scaling each barrier's iterations 4x
+// only the warm-up blocks of the wider fan-out. A barrier kept in a keyed
+// table costs a key string and a counter on top, about two per barrier.
+func TestBarrierAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	const slack = 32
+	few := allocsForRun(t, serialBarriers(50, 4), lowsched.SS{})
+	many := allocsForRun(t, serialBarriers(200, 4), lowsched.SS{})
+	wide := allocsForRun(t, serialBarriers(200, 16), lowsched.SS{})
+	t.Logf("serial x structural doall: %0.1f allocs at 50 barriers, %0.1f at 200, %0.1f at 200 of 16 iterations", few, many, wide)
+	if many > few+150+slack {
+		t.Errorf("opening a barrier allocates more than once: 150 more barriers moved allocs/run %0.1f -> %0.1f", few, many)
+	}
+	if wide > many+slack {
+		t.Errorf("counting a barrier allocates: 2400 more completions moved allocs/run %0.1f -> %0.1f", many, wide)
+	}
+}

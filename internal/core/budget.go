@@ -44,11 +44,6 @@ type Budget struct {
 	Time machine.Time
 }
 
-// enabled reports whether the budget meters anything.
-func (b *Budget) enabled() bool {
-	return b != nil && (b.Iterations > 0 || b.Time > 0)
-}
-
 // ErrBudgetExceeded is the sentinel a *BudgetExceededError matches via
 // errors.Is: the run exhausted its execution budget before completing.
 var ErrBudgetExceeded = errors.New("core: budget exceeded")

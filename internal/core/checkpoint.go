@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
+	"repro/internal/descr"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -40,17 +41,17 @@ import (
 // with the pending ranges carried in the snapshot and re-executed by the
 // resuming prologue before the instance is republished. The snapshot is then the
 // task pool re-expressed as data: one (loop, ivec, bound, cursor,
-// icount) tuple per live instance, the open BAR_COUNT entries, the
+// icount) tuple per live instance, the counts of the open barriers, the
 // cumulative stats totals, and the Isolate failure log. Completed
 // instances are excluded — their EXIT already ran and their successors
 // are in the snapshot as fresh instances.
 //
-// Resume rebuilds exactly that state before any claiming starts: stats,
-// barriers and the failure log are seeded host-side, and processor 0's
-// prologue re-creates and publishes the ICBs (re-pinning per-instance
-// calculators where the policy pins, then re-seeding the cursor) instead
-// of entering the program from the top. From there the ordinary drive
-// loop continues the run; on the deterministic virtual engine the
+// Resume rebuilds exactly that state before any claiming starts: stats
+// and the failure log are seeded host-side, and processor 0's prologue
+// re-creates the barriers and publishes the ICBs beneath them (re-pinning
+// per-instance calculators where the policy pins, then re-seeding the
+// cursor) instead of entering the program from the top. From there the
+// ordinary drive loop continues the run; on the deterministic virtual engine the
 // resumed iteration multiset and stats trajectory match the
 // uninterrupted run exactly (enginetest's CheckpointResume matrix).
 //
@@ -97,7 +98,8 @@ type RunSnapshot struct {
 	// FanOuts are the in-flight fan-out blocks: structural parallel loops
 	// whose activations are not all claimed yet, sorted by (leaf, ivec).
 	FanOuts []FanOutSnapshot `json:"fanouts,omitempty"`
-	// Bars are the open BAR_COUNT entries, sorted by key.
+	// Bars are the open barriers (count at least 1, below the bound),
+	// sorted by key.
 	Bars []BarSnapshot `json:"bars,omitempty"`
 	// Stats are the cumulative spine totals in counter-ID order; resume
 	// seeds them so the resumed run's final snapshot is the whole run's.
@@ -149,7 +151,8 @@ type IterRange struct {
 	Hi int64 `json:"hi"`
 }
 
-// BarSnapshot is one open BAR_COUNT entry.
+// BarSnapshot is one open barrier: Key is the structural loop's
+// descriptor ID and its enclosing indexes, colon-separated (barKey).
 type BarSnapshot struct {
 	Key   string `json:"key"`
 	Count int64  `json:"count"`
@@ -201,10 +204,6 @@ func (ex *executor) RequestCheckpoint() bool {
 	return true
 }
 
-// paused reports whether a checkpoint pause was requested. Workers
-// consult it at claim boundaries only, so claimed chunks always finish.
-func (ex *executor) paused() bool { return ex.ckptReq.Load() }
-
 // checkCheckpointable validates that the configuration's in-flight
 // state is fully captured by per-instance cursors: the policy must
 // expose the cursor seam (lowsched.CursorSource), and no leaf may carry
@@ -233,10 +232,10 @@ func checkCheckpointable(pl *Plan, cfg Config, policy lowsched.Policy) error {
 }
 
 // seedRestore validates the snapshot against the run's configuration
-// and seeds the host-side state — cumulative stats, open BAR_COUNT
-// entries, the failure log — before the engine starts. The per-instance
-// pool state is rebuilt by processor 0's prologue (restorePrologue),
-// which needs a machine.Proc for the costed Append protocol.
+// and seeds the host-side state — cumulative stats and the failure log —
+// before the engine starts. The per-instance pool state and the barriers
+// above it are rebuilt by processor 0's prologue (restorePrologue), which
+// needs a machine.Proc for the costed Append protocol.
 func (ex *executor) seedRestore() error {
 	snap := ex.cfg.Checkpoint.Restore
 	if snap.Version != SnapshotVersion {
@@ -258,7 +257,7 @@ func (ex *executor) seedRestore() error {
 	if len(snap.ICBs) == 0 && len(snap.FanOuts) == 0 {
 		return fmt.Errorf("%w: no live instances (a claim-quiescent pause always leaves in-flight work)", ErrBadSnapshot)
 	}
-	sh := ex.stats.shard(0)
+	sh := ex.spine.Shard(0)
 	for i, v := range snap.Stats {
 		if v < 0 {
 			return fmt.Errorf("%w: negative counter %d", ErrBadSnapshot, i)
@@ -266,15 +265,6 @@ func (ex *executor) seedRestore() error {
 		if v != 0 {
 			sh.Add(obs.ID(i), v)
 		}
-	}
-	for _, bs := range snap.Bars {
-		if bs.Key == "" || bs.Count < 1 {
-			return fmt.Errorf("%w: barrier entry %q count %d", ErrBadSnapshot, bs.Key, bs.Count)
-		}
-		if _, dup := ex.bars[bs.Key]; dup {
-			return fmt.Errorf("%w: duplicate barrier entry %q", ErrBadSnapshot, bs.Key)
-		}
-		ex.bars[bs.Key] = machine.NewSyncVar("BAR_COUNT", bs.Count)
 	}
 	ex.failures.seed(snap.Failures)
 	// The seeded iteration totals sit on shard 0 and were all posted by
@@ -297,7 +287,7 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 		Scheme:   ex.cfg.Scheme.Name(),
 		Pool:     ex.cfg.Pool.String(),
 		Loops:    ex.plan.prog.M,
-		Stats:    ex.stats.spine.Totals(),
+		Stats:    ex.spine.Totals(),
 		Failures: ex.failures.report(),
 	}
 	ex.instMu.Lock()
@@ -360,43 +350,85 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 		return nil, fmt.Errorf("core: checkpoint caught no in-flight instances")
 	}
 	sort.Slice(snap.ICBs, func(i, k int) bool {
-		a, b := snap.ICBs[i], snap.ICBs[k]
-		if a.Loop != b.Loop {
-			return a.Loop < b.Loop
-		}
-		return a.IVec.String() < b.IVec.String()
+		return byLoopIVec(snap.ICBs[i].Loop, snap.ICBs[i].IVec, snap.ICBs[k].Loop, snap.ICBs[k].IVec) < 0
 	})
 	sort.Slice(snap.FanOuts, func(i, k int) bool {
-		a, b := snap.FanOuts[i], snap.FanOuts[k]
-		if a.Leaf != b.Leaf {
-			return a.Leaf < b.Leaf
-		}
-		return a.IVec.String() < b.IVec.String()
+		return byLoopIVec(snap.FanOuts[i].Leaf, snap.FanOuts[i].IVec, snap.FanOuts[k].Leaf, snap.FanOuts[k].IVec) < 0
 	})
-	ex.barMu.Lock()
-	for k, v := range ex.bars {
-		snap.Bars = append(snap.Bars, BarSnapshot{Key: k, Count: v.Peek()})
+	// The open barriers: each is above some in-flight block, whose index
+	// vector renders its key.
+	seen := map[*barrier]bool{}
+	for _, icb := range icbs {
+		leaf := ex.plan.leaf(icb.Loop)
+		for bar, _ := icb.Bar.(*barrier); bar != nil && !seen[bar]; bar = bar.up {
+			seen[bar] = true
+			if c := bar.count.Peek(); c >= 1 && c < bar.bound {
+				snap.Bars = append(snap.Bars, BarSnapshot{Key: barKey(leaf.Levels[bar.level].LoopID, icb.IVec[:bar.level-2]), Count: c})
+			}
+		}
 	}
-	ex.barMu.Unlock()
 	sort.Slice(snap.Bars, func(i, k int) bool { return snap.Bars[i].Key < snap.Bars[k].Key })
 	return snap, nil
 }
 
 // restorePrologue is processor 0's program prologue on a resumed run:
 // instead of entering the program from the top, re-create and publish
-// the snapshot's live instances, then its fan-out blocks. Validation
+// the snapshot's live instances, then its fan-out blocks, each under the
+// barriers its index vector names — rebuilt once per key, with the
+// snapshot's count (0 for a barrier no iteration has reached). Validation
 // failures trip the run (the engine is already driving the other
 // processors), and RunPlanContext returns the cause.
 func (w *worker) restorePrologue() {
-	w.restoreInstances()
-	if w.ex.cause.Load() == nil {
-		w.restoreFanOuts()
+	ex := w.ex
+	counts, made := map[string]int64{}, map[string]*barrier{}
+	for _, bs := range ex.restore.Bars {
+		if _, dup := counts[bs.Key]; dup || bs.Key == "" || bs.Count < 1 {
+			ex.trip(fmt.Errorf("%w: barrier entry %q count %d (unnamed, empty or duplicate)", ErrBadSnapshot, bs.Key, bs.Count))
+			return
+		}
+		counts[bs.Key] = bs.Count
 	}
+	// chain returns the innermost barrier above a block of leaf whose
+	// enclosing indexes are ivec: the structural parallel loops' at levels
+	// 2..upto.
+	chain := func(leaf *descr.LeafInfo, ivec loopir.IVec, upto int) (up *barrier) {
+		for lvl := 2; lvl <= upto; lvl++ {
+			if d := &leaf.Levels[lvl]; d.Parallel {
+				key := barKey(d.LoopID, ivec[:lvl-2])
+				if made[key] == nil {
+					b := w.openBarrier(up, lvl, d.Bound.Eval(ivec[:lvl-2]))
+					if c := counts[key]; c < b.bound {
+						b.count.Init(labelBar, c)
+					} else {
+						ex.trip(fmt.Errorf("%w: barrier entry %q count %d, bound %d", ErrBadSnapshot, key, c, b.bound))
+					}
+					made[key] = b
+				}
+				up = made[key]
+			}
+		}
+		return up
+	}
+	w.restoreInstances(chain)
+	if ex.cause.Load() == nil {
+		w.restoreFanOuts(chain)
+	}
+}
+
+// barKey renders a barrier's snapshot key: the loop's descriptor ID, then
+// its enclosing indexes, colon-separated.
+func barKey(loopID int, prefix loopir.IVec) string {
+	b := strconv.AppendInt(nil, int64(loopID), 10)
+	for _, v := range prefix {
+		b = append(b, ':')
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return string(b)
 }
 
 // restoreFanOuts republishes the snapshot's fan-out blocks with their
 // claim cursors, after checking each against the program's shape.
-func (w *worker) restoreFanOuts() {
+func (w *worker) restoreFanOuts(chain func(*descr.LeafInfo, loopir.IVec, int) *barrier) {
 	ex := w.ex
 	for i, s := range ex.restore.FanOuts {
 		ok := s.Leaf >= 1 && s.Leaf <= ex.plan.prog.M && s.Level == len(s.IVec)+2 &&
@@ -413,6 +445,7 @@ func (w *worker) restoreFanOuts() {
 		}
 		icb := pool.NewICB(s.Leaf, s.Bound, s.IVec)
 		icb.MarkFanOut()
+		icb.Bar = chain(ex.plan.leaf(s.Leaf), s.IVec, s.Level)
 		icb.Index.Reset(s.Next)
 		ex.trackICB(icb)
 		ex.pool.Append(w.pr, icb)
@@ -421,18 +454,21 @@ func (w *worker) restoreFanOuts() {
 
 // restoreInstances re-creates and publishes the snapshot's live
 // instances, running each one's pending ranges first.
-func (w *worker) restoreInstances() {
+func (w *worker) restoreInstances(chain func(*descr.LeafInfo, loopir.IVec, int) *barrier) {
 	ex, pr := w.ex, w.pr
 	snap := ex.restore
 	cs := ex.policy.(lowsched.CursorSource)
 	for i := range snap.ICBs {
 		s := &snap.ICBs[i]
-		if s.Loop < 1 || s.Loop > ex.plan.prog.M || s.Bound < 1 || s.Done < 0 || s.Done >= s.Bound {
-			ex.trip(fmt.Errorf("%w: instance %d (loop %d, bound %d, done %d) out of range",
-				ErrBadSnapshot, i, s.Loop, s.Bound, s.Done))
+		if s.Loop < 1 || s.Loop > ex.plan.prog.M || s.Bound < 1 || s.Done < 0 || s.Done >= s.Bound ||
+			len(s.IVec) != ex.plan.leaf(s.Loop).Depth-1 {
+			ex.trip(fmt.Errorf("%w: instance %d (loop %d, ivec %v, bound %d, done %d) out of range",
+				ErrBadSnapshot, i, s.Loop, s.IVec, s.Bound, s.Done))
 			return
 		}
+		leaf := ex.plan.leaf(s.Loop)
 		icb := pool.NewICB(s.Loop, s.Bound, s.IVec)
+		icb.Bar = chain(leaf, s.IVec, leaf.Depth)
 		if s.Calc != "" {
 			cr, ok := ex.policy.(lowsched.CursorRestorer)
 			if !ok {

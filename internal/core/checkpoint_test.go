@@ -214,6 +214,14 @@ func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 		{"bad cursor", func(s *RunSnapshot) { s.ICBs[0].Cursor = s.ICBs[0].Cursor + 7 }, Config{}},
 		{"bad loop", func(s *RunSnapshot) { s.ICBs[0].Loop = 99 }, Config{}},
 		{"done out of range", func(s *RunSnapshot) { s.ICBs[0].Done = s.ICBs[0].Bound + 1 }, Config{}},
+		{"short ivec", func(s *RunSnapshot) { s.ICBs[0].IVec = nil }, Config{}},
+		// The pause leaves doall I's barrier open (key "1", bound 32).
+		{"duplicate barrier", func(s *RunSnapshot) { s.Bars = []BarSnapshot{s.Bars[0], s.Bars[0]} }, Config{}},
+		{"empty barrier", func(s *RunSnapshot) { s.Bars = []BarSnapshot{{Key: s.Bars[0].Key}} }, Config{}},
+		{"barrier at its bound", func(s *RunSnapshot) { s.Bars = []BarSnapshot{{Key: s.Bars[0].Key, Count: 32}} }, Config{}},
+	}
+	if len(snap.Bars) != 1 || snap.Bars[0].Key != "1" {
+		t.Fatalf("the pause caught barriers %+v, want doall I's", snap.Bars)
 	}
 	for _, tc := range cases {
 		if err := run(tc.mutate, tc.cfg); !errors.Is(err, ErrBadSnapshot) {
@@ -275,6 +283,40 @@ func TestDiagnoseShowsUnpostedWork(t *testing.T) {
 	}
 	if done := probe.(Diagnoser).Diagnose(); !strings.Contains(done, "iters=40 unposted=0 ") {
 		t.Errorf("finished run still shows unposted work:\n%s", done)
+	}
+}
+
+// TestDiagnoseCountsOpenBarriers: a dump counts the open barriers above
+// the live instances, each once. In a doall O of 2 over a doall M of 2,
+// ENTER activates all four instances up front, so inside the first one,
+// on one processor, O's barrier and both M's are open; a finished run has
+// none.
+func TestDiagnoseCountsOpenBarriers(t *testing.T) {
+	var probe Probe
+	var dump string
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.Doall("O", loopir.Const(2), func(b *loopir.B) {
+			b.Doall("M", loopir.Const(2), func(b *loopir.B) {
+				b.DoallLeaf("L", loopir.Const(4), func(e loopir.Env, iv loopir.IVec, j int64) {
+					if iv[0] == 1 && iv[1] == 1 && j == 2 {
+						dump = probe.(Diagnoser).Diagnose()
+					}
+					e.Work(5)
+				})
+			})
+		})
+	})
+	if _, err := Run(compileOnly(t, nest), Config{
+		Engine: vEngine(1), Scheme: lowsched.SS{}, Diagnostics: true,
+		OnStart: func(p Probe) { probe = p },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dump, "bar_count: 3 open\n") {
+		t.Errorf("mid-run dump does not count O's and both M's barriers:\n%s", dump)
+	}
+	if done := probe.(Diagnoser).Diagnose(); strings.Contains(done, "bar_count:") {
+		t.Errorf("finished run still shows open barriers:\n%s", done)
 	}
 }
 

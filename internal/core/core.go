@@ -17,8 +17,7 @@
 //     successor fan-out, per-leaf traits (see Plan). Safe to share across
 //     concurrent runs.
 //   - Instance: per-run state — the task pool of ICBs and fan-out blocks,
-//     the BAR_COUNT table, the stop causes and the stats spine (see
-//     executor).
+//     the stop causes and the stats spine (see executor).
 //   - Worker: per-processor scratch — the loc_indexes vector, the bound
 //     iteration context, the stats shard and the ICB freelist (see
 //     worker).
@@ -43,18 +42,17 @@
 //   - Termination: the paper's instrumented program simply runs off the
 //     end; we detect completion when the EXIT walk climbs past the
 //     virtual root level and use it to stop searching processors.
-//   - BAR_COUNT is a keyed table (loop ID x enclosing index vector)
-//     rather than a preallocated array, because bounds may depend on
-//     outer indexes and serial re-execution creates fresh instances of
-//     inner parallel loops; entries are deleted once their barrier
-//     completes.
+//   - BAR_COUNT is a block per instance of a structural parallel loop,
+//     created by the ENTER that fans it out, rather than a preallocated
+//     array, because bounds may depend on outer indexes and serial
+//     re-execution creates fresh instances of inner parallel loops.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -373,13 +371,9 @@ type executor struct {
 	instMu sync.Mutex
 	insts  map[*pool.ICB]struct{}
 
-	// BAR_COUNT table: barrier counters keyed by enclosing loop instance.
-	barMu sync.Mutex
-	bars  map[string]*machine.SyncVar
-
-	// stats is the run's sharded counter spine; workers write their own
-	// shard, probes merge on read.
-	stats Stats
+	// spine is the run's stats: one counter shard per processor, written
+	// lock-free on the hot path by its worker and merged on read.
+	spine *obs.Spine
 	// workers is the worker layer: one per processor, indexed by
 	// machine.Proc.ID(). The structs are padded so adjacent workers do
 	// not share cache lines.
@@ -424,8 +418,7 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		plan:    pl,
 		cfg:     cfg,
 		policy:  policy,
-		bars:    map[string]*machine.SyncVar{},
-		stats:   newStats(nprocs),
+		spine:   obs.NewSpine(nprocs, int(numCounters)),
 		workers: make([]worker, nprocs),
 		inj:     cfg.Inject,
 		retry:   cfg.Retry,
@@ -447,10 +440,7 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		// built by enumerating in-flight ICBs.
 		ex.insts = map[*pool.ICB]struct{}{}
 	}
-	ex.batch = cfg.ClaimBatch
-	if ex.batch < 1 {
-		ex.batch = 1
-	}
+	ex.batch = max(cfg.ClaimBatch, 1)
 	if ex.batch > 1 {
 		// Validated by RunPlanContext before the executor is built.
 		ex.leaser = policy.(lowsched.Leaser)
@@ -471,18 +461,14 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		ex.means = make([]means, nprocs*ex.meanStride)
 	}
 	prog := pl.prog
-	shards := cfg.SWShards
-	if shards < 1 {
-		shards = 1
-	}
 	switch cfg.Pool {
 	case PoolSingleList:
 		ex.pool = pool.NewSingleList(prog.M)
 	case PoolDistributed:
 		ex.pool = pool.NewDistributed(prog.M, nprocs)
 	default:
-		if shards > 1 {
-			ex.pool = pool.NewSharded(prog.M, shards)
+		if cfg.SWShards > 1 {
+			ex.pool = pool.NewSharded(prog.M, cfg.SWShards)
 		} else {
 			ex.pool = pool.New(prog.M)
 		}
@@ -520,11 +506,11 @@ func (ex *executor) pendingOf(icb *pool.ICB) []lowsched.Assignment {
 func (ex *executor) adaptRuntime() lowsched.Runtime {
 	ids := []obs.ID{cO1Time, cO2Time, cO3Time, cBodyTime,
 		cIterations, cChunks, cSearches, cInstances}
-	sh := ex.stats.shard(0)
+	sh := ex.spine.Shard(0)
 	return lowsched.Runtime{
 		Sample: func() lowsched.RuntimeSample {
 			var v [8]int64
-			ex.stats.spine.Sum(ids, v[:])
+			ex.spine.Sum(ids, v[:])
 			return lowsched.RuntimeSample{
 				O1Time: v[0], O2Time: v[1], O3Time: v[2], BodyTime: v[3],
 				Iterations: v[4], Chunks: v[5], Searches: v[6], Instances: v[7],
@@ -578,7 +564,7 @@ func (ex *executor) stop() bool {
 
 // LiveStats implements Probe.
 func (ex *executor) LiveStats() Snapshot {
-	sn := ex.stats.Snap()
+	sn := snapshotOf(ex.spine.Totals())
 	sn.Failures = ex.failures.report()
 	return sn
 }
@@ -617,15 +603,15 @@ type Diagnoser interface {
 }
 
 // Diagnose renders the run's scheduling state: completion flags, the
-// pool's control word and list occupancy, open BAR_COUNT entries, every
-// live instance's index/icount/pcount (when Config.Diagnostics enabled
-// tracking), and each processor's claim history: chunk and iteration
-// counts and last-claim, the engine time of its latest timed claim (every
-// claim on the virtual engine; on the real one an exact hold's first,
-// sampled and tail claims) or, on the real engine, of its latest adoption
-// if that came later: a hold read at its edges alone times no claim
-// (DESIGN §17). This is the dump a watchdog emits when a run stops
-// claiming chunks.
+// pool's control word and list occupancy, the open barriers above the
+// live instances and every live instance's index/icount/pcount (when
+// Config.Diagnostics enabled tracking), and each processor's claim
+// history: chunk and iteration counts and last-claim, the engine time of
+// its latest timed claim (every claim on the virtual engine; on the real
+// one an exact hold's first, sampled and tail claims) or, on the real
+// engine, of its latest adoption if that came later: a hold read at its
+// edges alone times no claim (DESIGN §17). This is the dump a watchdog
+// emits when a run stops claiming chunks.
 func (ex *executor) Diagnose() string {
 	var b strings.Builder
 	sn := ex.LiveStats()
@@ -635,34 +621,30 @@ func (ex *executor) Diagnose() string {
 	if d, ok := ex.pool.(interface{ DumpState() string }); ok {
 		b.WriteString(d.DumpState())
 	}
-	ex.barMu.Lock()
-	if n := len(ex.bars); n > 0 {
-		fmt.Fprintf(&b, "bar_count: %d open entr%s\n", n, plural(n, "y", "ies"))
-	}
-	ex.barMu.Unlock()
 	if ex.insts == nil {
 		b.WriteString("instances: live-ICB tracking off (enable Config.Diagnostics)\n")
 	} else {
 		ex.instMu.Lock()
 		icbs := make([]*pool.ICB, 0, len(ex.insts))
+		open := map[*barrier]bool{}
 		for icb := range ex.insts {
 			icbs = append(icbs, icb)
+			for bar, _ := icb.Bar.(*barrier); bar != nil && bar.count.Peek() < bar.bound; bar = bar.up {
+				open[bar] = true
+			}
 		}
 		ex.instMu.Unlock()
-		sort.Slice(icbs, func(i, k int) bool {
-			a, c := icbs[i], icbs[k]
-			if a.Loop != c.Loop {
-				return a.Loop < c.Loop
-			}
-			return a.IVec.String() < c.IVec.String()
-		})
+		if n := len(open); n > 0 {
+			fmt.Fprintf(&b, "bar_count: %d open\n", n)
+		}
+		sort.Slice(icbs, func(i, k int) bool { return byLoopIVec(icbs[i].Loop, icbs[i].IVec, icbs[k].Loop, icbs[k].IVec) < 0 })
 		fmt.Fprintf(&b, "instances: %d live (icount lags executed work by the holders' unposted iterations, per proc below)\n", len(icbs))
 		for _, icb := range icbs {
 			fmt.Fprintf(&b, "  %v\n", icb)
 		}
 	}
 	for i := range ex.workers {
-		sh := ex.stats.shard(i)
+		sh := ex.spine.Shard(i)
 		// posted is read first: the executed-unposted figure may then run
 		// a chunk ahead of the instant, never negative.
 		posted := ex.workers[i].posted.Load()
@@ -686,13 +668,6 @@ func (ex *executor) Diagnose() string {
 // ships (merged across processors, newest last).
 const diagnoseTailEvents = 32
 
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
 func (ex *executor) checkQuiescent() error {
 	if c := ex.cause.Load(); c != nil {
 		return c.err
@@ -706,45 +681,20 @@ func (ex *executor) checkQuiescent() error {
 	if !ex.pool.Empty() {
 		return fmt.Errorf("core: task pool not empty after completion")
 	}
-	ex.barMu.Lock()
-	defer ex.barMu.Unlock()
-	if len(ex.bars) != 0 {
-		return fmt.Errorf("core: %d BAR_COUNT entries left after completion", len(ex.bars))
+	var open int64
+	for i := range ex.workers {
+		open += ex.workers[i].barsOpen
+	}
+	if open != 0 {
+		return fmt.Errorf("core: %d barriers left open after completion", open)
 	}
 	return nil
 }
 
-// barInc increments the BAR_COUNT of the instance of the enclosing
-// parallel loop at level lvl identified by loc[2..lvl-1], and reports
-// whether the barrier is complete (count reached bound). Completed
-// entries are removed from the table. The key is rendered into the
-// caller's scratch buffer; a string is materialized only when a new
-// table entry is created.
-func (ex *executor) barInc(pr machine.Proc, buf *[]byte, loopID int, loc []int64, lvl int, bound int64) bool {
-	b := strconv.AppendInt((*buf)[:0], int64(loopID), 10)
-	for _, v := range loc[2:lvl] {
-		b = append(b, ':')
-		b = strconv.AppendInt(b, v, 10)
-	}
-	*buf = b
-	ex.barMu.Lock()
-	ctr, ok := ex.bars[string(b)]
-	if !ok {
-		ctr = machine.NewSyncVar("BAR_COUNT", 0)
-		ex.bars[string(b)] = ctr
-	}
-	ex.barMu.Unlock()
-	n := ctr.FetchInc(pr) + 1
-	if n > bound {
-		panic(fmt.Sprintf("core: BAR_COUNT %s exceeded bound %d", string(b), bound))
-	}
-	if n == bound {
-		ex.barMu.Lock()
-		delete(ex.bars, string(b))
-		ex.barMu.Unlock()
-		return true
-	}
-	return false
+// byLoopIVec orders blocks by loop, then by rendered index vector: the
+// order of a snapshot's instances and fan-outs and of a Diagnose dump.
+func byLoopIVec(la int, ia loopir.IVec, lb int, ib loopir.IVec) int {
+	return cmp.Or(cmp.Compare(la, lb), strings.Compare(ia.String(), ib.String()))
 }
 
 // userIVec exposes the real enclosing indexes loc[2..upto] as the index

@@ -71,16 +71,16 @@ func TestCtxDoacrossIdempotence(t *testing.T) {
 
 func TestStatsSnapshotString(t *testing.T) {
 	// Two shards: the snapshot must merge per-processor counters.
-	s := newStats(2)
-	s.shard(0).Add(cIterations, 4)
-	s.shard(1).Add(cIterations, 3)
-	s.shard(0).Add(cSearches, 2)
-	s.shard(1).Add(cO1Time, 11)
-	s.shard(0).Add(cSearchSweeps, 3)
-	s.shard(0).Add(cSearchWalked, 5)
-	s.shard(1).Add(cSearchSweeps, 1)
-	s.shard(1).Add(cSearchLockFailures, 2)
-	snap := s.Snap()
+	s := obs.NewSpine(2, int(numCounters))
+	s.Shard(0).Add(cIterations, 4)
+	s.Shard(1).Add(cIterations, 3)
+	s.Shard(0).Add(cSearches, 2)
+	s.Shard(1).Add(cO1Time, 11)
+	s.Shard(0).Add(cSearchSweeps, 3)
+	s.Shard(0).Add(cSearchWalked, 5)
+	s.Shard(1).Add(cSearchSweeps, 1)
+	s.Shard(1).Add(cSearchLockFailures, 2)
+	snap := snapshotOf(s.Totals())
 	if snap.Iterations != 7 || snap.Searches != 2 || snap.O1Time != 11 {
 		t.Errorf("snapshot = %+v", snap)
 	}
@@ -96,9 +96,9 @@ func TestStatsSnapshotString(t *testing.T) {
 // spine and lands in exactly one Snapshot field, and every counter
 // field of the Snapshot is fed by one.
 func TestStatsSpineCoversAllCounters(t *testing.T) {
-	s := newStats(2)
+	s := obs.NewSpine(2, int(numCounters))
 	for id := obs.ID(0); id < numCounters; id++ {
-		s.shard(int(id)%2).Add(id, int64(id)+1)
+		s.Shard(int(id)%2).Add(id, int64(id)+1)
 	}
 	fields := map[int64]int{} // value → how many int64 fields hold it
 	var walk func(v reflect.Value)
@@ -112,7 +112,7 @@ func TestStatsSpineCoversAllCounters(t *testing.T) {
 			}
 		}
 	}
-	walk(reflect.ValueOf(s.Snap()))
+	walk(reflect.ValueOf(snapshotOf(s.Totals())))
 	for id := obs.ID(0); id < numCounters; id++ {
 		if n := fields[int64(id)+1]; n != 1 {
 			t.Errorf("counter %d lands in %d Snapshot fields, want 1", id, n)

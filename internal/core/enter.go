@@ -1,11 +1,37 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/descr"
 	"repro/internal/lowsched"
+	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
+
+// barrier is the BAR_COUNT of one instance of a structural parallel loop
+// at level (Algorithms 5–6): ENTER creates it when it fans out over the
+// loop, and every block activated beneath it points at its innermost
+// barrier (pool.ICB.Bar). EXIT counts the loop's completed iterations on
+// it and, once they reach bound, climbs to up, the next parallel loop's.
+type barrier struct {
+	count machine.SyncVar
+	up    *barrier
+	bound int64
+	level int
+}
+
+var labelBar = machine.Intern("BAR_COUNT")
+
+// openBarrier creates the barrier of the structural parallel loop at
+// level with the given bound, inside barrier up.
+func (w *worker) openBarrier(up *barrier, level int, bound int64) *barrier {
+	b := &barrier{up: up, bound: bound, level: level}
+	b.count.Init(labelBar, 0)
+	w.barsOpen++
+	return b
+}
 
 // exitFrom is Algorithm 5 (EXIT) generalized with an explicit starting
 // level: the construct chain containing leaf cur, sitting directly within
@@ -13,7 +39,8 @@ import (
 // current iteration of that loop. It returns the level whose Next leaf
 // must be activated, or 0 if nothing is to be activated (an incomplete
 // barrier, or program completion). loc may be mutated (serial index
-// advance), exactly like the paper's loc_indexes.
+// advance), exactly like the paper's loc_indexes, and w.bar climbs with
+// the walk: past each barrier the walk completes.
 func (w *worker) exitFrom(cur, lvl int, loc []int64) int {
 	ex := w.ex
 	leaf := ex.plan.leaf(cur)
@@ -25,19 +52,25 @@ func (w *worker) exitFrom(cur, lvl int, loc []int64) int {
 		}
 		// cur's chain was the last construct of the level-lvl loop body:
 		// one full iteration of that loop has completed.
-		bound := d.Bound.Eval(userIVec(loc, lvl-1))
 		if d.Parallel {
-			if !ex.barInc(w.pr, &w.barBuf, d.LoopID, loc, lvl, bound) {
+			b := w.bar
+			n := b.count.FetchInc(w.pr) + 1
+			if n > b.bound {
+				panic(fmt.Sprintf("core: BAR_COUNT of loop %d %v exceeded bound %d", d.LoopID, userIVec(loc, lvl-1), b.bound))
+			}
+			if n < b.bound {
 				// Other iterations of the parallel loop are still
 				// running; their last completer will carry on.
 				return 0
 			}
 			// Barrier complete: the whole parallel loop finished.
+			w.barsOpen--
+			w.bar = b.up
 			if w.sink != nil {
-				w.sink.Record(w.event(w.pr.Now(), trace.EvBarrier, d.LoopID, userIVec(loc, lvl-1), bound, 0))
+				w.sink.Record(w.event(w.pr.Now(), trace.EvBarrier, d.LoopID, userIVec(loc, lvl-1), b.bound, 0))
 			}
 		} else {
-			if loc[lvl] < bound {
+			if loc[lvl] < d.Bound.Eval(userIVec(loc, lvl-1)) {
 				// Advance the serial loop to its next iteration; the
 				// successor is the first construct of the loop body
 				// (the wrap-around Next pointer).
@@ -57,9 +90,10 @@ func (w *worker) exitFrom(cur, lvl int, loc []int64) int {
 
 // enter is Algorithm 6 (ENTER): activate instances of innermost parallel
 // loop cur at the given level, where loc[1..level] identify the current
-// iteration context. It evaluates the IF guards at this level, fans out
-// over deeper enclosing parallel loops, and appends one ICB per activated
-// instance. loc may be mutated during the descent.
+// iteration context and w.bar its innermost barrier. It evaluates the IF
+// guards at this level, fans out over deeper enclosing parallel loops —
+// each fan-out opens the loop's barrier — and appends one ICB per
+// activated instance. loc and w.bar may be mutated during the descent.
 //
 // ENTER and EXIT are one loop per worker (DESIGN §8): a construct that
 // completes at once — a failed guard with an empty FALSE branch, a
@@ -115,12 +149,16 @@ next:
 		case d.Parallel:
 			// Until the last iteration is entered the loop's barrier cannot
 			// complete, so each of the others returns with loc[2..level]
-			// as it found them; the last one goes on with the loop.
+			// as it found them; the last one goes on with the loop. Each
+			// starts inside the barrier, wherever the one before left w.bar.
+			b := w.openBarrier(w.bar, level, bound)
 			for k := int64(1); k < bound; k++ {
 				loc[level] = k
+				w.bar = b
 				w.enter(cur, level, loc)
 			}
 			loc[level] = bound
+			w.bar = b
 		default:
 			loc[level] = 1
 		}
@@ -167,6 +205,7 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) (int, int) {
 		icb = pool.NewICB(leaf.Num, bound, ivec)
 		w.shard.Inc(cICBAllocs)
 	}
+	icb.Bar = w.bar
 	ex.policy.Init(w.pr, icb)
 	if lp.doacross {
 		// A recycled block may carry the previous instance's dependence
@@ -193,12 +232,14 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) (int, int) {
 
 // completeInstance is the completion path of Algorithm 3: the processor
 // whose post completed the instance computes the exit level and activates
-// the successors. The completion event precedes the EXIT walk, so the
+// the successors, from the instance's context — its index vector and its
+// innermost barrier. The completion event precedes the EXIT walk, so the
 // barrier and activations the walk produces follow it.
 func (w *worker) completeInstance(icb *pool.ICB) {
 	ex, loc := w.ex, w.loc
 	loc[1] = 1
 	copy(loc[2:], icb.IVec)
+	w.bar, _ = icb.Bar.(*barrier)
 	leaf := ex.plan.leaf(icb.Loop)
 	if w.sink != nil {
 		w.sink.Record(w.event(w.pr.Now(), trace.EvCompleted, icb.Loop, icb.IVec, icb.Bound, 0))

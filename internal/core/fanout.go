@@ -15,8 +15,9 @@ const fanChunk = 32
 // level whose bound is above one chunk: one fan-out block carries the
 // leaf cur whose chain each iteration activates, the bound, and the
 // enclosing indexes loc[2..level-1]; its index is the next iteration to
-// activate. The block is not an instance: it posts no icount, and it
-// counts in no instance, allocation or reuse figure.
+// activate, and its barrier the loop's, which it opens. The block is not
+// an instance: it posts no icount, and it counts in no instance,
+// allocation or reuse figure.
 func (w *worker) publishFanOut(cur, level int, loc []int64, bound int64) {
 	ivec := userIVec(loc, level-1)
 	icb := w.free.Pop()
@@ -26,6 +27,7 @@ func (w *worker) publishFanOut(cur, level int, loc []int64, bound int64) {
 		icb = pool.NewICB(cur, bound, ivec)
 	}
 	icb.MarkFanOut()
+	icb.Bar = w.openBarrier(w.bar, level, bound)
 	// Register before Append, as an activation does: once published, any
 	// processor may claim and release the block.
 	w.ex.trackICB(icb)
@@ -38,14 +40,14 @@ func (w *worker) publishFanOut(cur, level int, loc []int64, bound int64) {
 // the leaf lists come first, after every chunk. The claim, the ENTERs and
 // the release are O3 time; the adoption was O2.
 //
-// A claimer copies the enclosing indexes out and drops its hold before it
-// activates anything, so the block's release waits only on claims in
-// flight. The processor whose claim takes the last chunk DELETEs the
-// block and releases it, like an instance's completer, through the
-// {pcount = 1; Decrement} protocol, after its own activations. A pause is
-// taken before the claim, keeping the hold, as at an instance's claim
-// boundary: every claimed iteration has been activated by the time the
-// run has drained. cont=false means the worker must drain out.
+// A claimer copies the enclosing indexes and the barrier out and drops
+// its hold before it activates anything, so the block's release waits
+// only on claims in flight. The processor whose claim takes the last
+// chunk DELETEs the block and releases it, like an instance's completer,
+// through the {pcount = 1; Decrement} protocol, after its own
+// activations. A pause is taken before the claim, keeping the hold, as at
+// an instance's claim boundary: every claimed iteration has been activated
+// by the time the run has drained. cont=false means the worker must drain out.
 func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	ex, pr := w.ex, w.pr
 	if ex.ckptReq.Load() || (ex.budTime > 0 && ex.budgetDue(pr)) {
@@ -60,6 +62,7 @@ func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	}
 	hi := min(lo+fanChunk-1, icb.Bound)
 	cur, level, last := icb.Loop, len(icb.IVec)+2, hi == icb.Bound
+	bar := icb.Bar.(*barrier)
 	loc := w.loc
 	loc[1] = 1
 	copy(loc[2:], icb.IVec)
@@ -72,6 +75,7 @@ func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	// loop's barrier completes, which needs every iteration activated.
 	for k := lo; k <= hi; k++ {
 		loc[level] = k
+		w.bar = bar
 		w.enter(cur, level, loc)
 	}
 	if last && !w.release(icb) {

@@ -214,8 +214,8 @@ func TestIsolateDoacrossPostsQuarantinedDeps(t *testing.T) {
 
 // TestIsolateNestedInstancesDrainBarriers: failures inside some
 // instances of a nested parallel loop must not wedge the enclosing
-// BAR_COUNT — the run completes and quiescence (pool empty, bars empty)
-// is checked by Run itself.
+// BAR_COUNT — the run completes and quiescence (pool empty, every opened
+// barrier completed) is checked by Run itself.
 func TestIsolateNestedInstancesDrainBarriers(t *testing.T) {
 	for name, mk := range isolateEngines() {
 		t.Run(name, func(t *testing.T) {

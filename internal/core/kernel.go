@@ -62,8 +62,11 @@ type worker struct {
 	// processor activates (fan-out claims) and completes, so a worker's own
 	// freelist serves it.
 	free pool.Retired
-	// barBuf is scratch for rendering BAR_COUNT keys.
-	barBuf []byte
+	// bar is the innermost barrier of the ENTER/EXIT walk in progress,
+	// set by whoever starts a walk and moved by the walk. barsOpen counts
+	// the barriers this worker opened less those it completed.
+	bar      *barrier
+	barsOpen int64
 	// now is the worker's latest clock reading. The drive loop reads the
 	// clock at phase boundaries (tick, mark): the reading that closes one
 	// accounted interval opens the next. On the virtual engine no machine
@@ -143,7 +146,7 @@ type worker struct {
 func (w *worker) init(ex *executor, pr machine.Proc) {
 	w.ex = ex
 	w.pr = pr
-	w.shard = ex.stats.shard(pr.ID())
+	w.shard = ex.spine.Shard(pr.ID())
 	w.lastClaim.Store(-1)
 	// The first chunk the worker runs is a sample, so both means exist
 	// before any window needs splitting.
@@ -152,8 +155,6 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 	off := pr.ID() * ex.locStride
 	w.loc = ex.locs[off : off+ex.plan.maxDepth+1 : off+ex.locStride]
 	w.meanOff = pr.ID() * ex.meanStride
-	// barBuf stays nil until the first barrier completion grows it —
-	// programs without structural parallel loops never pay for it.
 	w.ctx = Ctx{pr: pr, abort: ex.abortFn, shard: w.shard}
 	w.stop = ex.stopFn
 	w.sink, w.iter = ex.cfg.Sink, ex.cfg.Sink

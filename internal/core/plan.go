@@ -65,13 +65,6 @@ func NewPlan(prog *descr.Program) (*Plan, error) {
 	return pl, nil
 }
 
-// Program returns the compiled program the plan was derived from.
-func (pl *Plan) Program() *descr.Program { return pl.prog }
-
-// MaxDepth returns the deepest leaf's internal depth (including the
-// virtual root).
-func (pl *Plan) MaxDepth() int { return pl.maxDepth }
-
 // leaf returns the LeafInfo for loop number num (1..M).
 func (pl *Plan) leaf(num int) *descr.LeafInfo { return pl.leaves[num].info }
 
@@ -140,11 +133,7 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 		return nil, fmt.Errorf("core: negative budget (iterations %d, time %d)", b.Iterations, b.Time)
 	}
 	if bb, ok := policy.(lowsched.BatchBinder); ok {
-		b := cfg.ClaimBatch
-		if b < 1 {
-			b = 1
-		}
-		bb.BindBatch(b)
+		bb.BindBatch(max(cfg.ClaimBatch, 1))
 	}
 	if cfg.Checkpoint != nil {
 		if err := checkCheckpointable(pl, cfg, policy); err != nil {
@@ -187,7 +176,7 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 	if cfg.Interrupt.Tripped() {
 		return nil, cfg.Interrupt.Err()
 	}
-	if ex.paused() && !ex.done.Load() {
+	if ex.ckptReq.Load() && !ex.done.Load() {
 		// The run drained at a pause (one that raced with completion is
 		// just a completed run). Internal stop-causes — e.g. a
 		// restore-validation trip — win over the capture.

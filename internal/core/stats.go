@@ -59,21 +59,6 @@ const (
 	numCounters
 )
 
-// Stats is the executor's sharded counter spine: one obs.Shard per
-// processor, written lock-free on the scheduling hot path and merged on
-// read. The zero value is not usable; construct with newStats.
-type Stats struct {
-	spine *obs.Spine
-}
-
-// newStats returns a spine with one shard per processor.
-func newStats(nprocs int) Stats {
-	return Stats{spine: obs.NewSpine(nprocs, int(numCounters))}
-}
-
-// shard returns processor i's private counter shard.
-func (s *Stats) shard(i int) *obs.Shard { return s.spine.Shard(i) }
-
 // Snapshot is a merged plain-value copy of the executor counters, for
 // reports, probes and wire encoding.
 type Snapshot struct {
@@ -128,14 +113,11 @@ func (sn Snapshot) Efficiency() float64 {
 	return float64(sn.BodyTime) / float64(total)
 }
 
-// Snap merges the shards into a plain-value snapshot. It is safe to call
+// snapshotOf reads merged spine totals (counter-ID order, as
+// RunSnapshot.Stats carries them) into a Snapshot. Totals is safe to read
 // at any time, including while the run is in flight (the live-probe
 // path): each counter is read atomically, so values are monotone though
 // not mutually consistent to a single instant.
-func (s *Stats) Snap() Snapshot { return snapshotOf(s.spine.Totals()) }
-
-// snapshotOf reads merged spine totals (counter-ID order, as Stats.Snap
-// and RunSnapshot.Stats carry them) into a Snapshot.
 func snapshotOf(t []int64) Snapshot {
 	return Snapshot{
 		Iterations: t[cIterations], Chunks: t[cChunks],

@@ -258,32 +258,44 @@ func ExhaustedCheckpointResume(t *testing.T, name string, f Factory) {
 	}
 }
 
-// FanOutCheckpointResume pauses runs halfway through their chunks while a
+// FanOutCheckpointResume pauses runs partway through their chunks while a
 // structural doall above one claim's chunk is half activated — a flat
-// fan-out of a thousand instances, and a fan-out of fan-outs — and
-// resumes them, on every task pool. The snapshot must carry an in-flight
-// fan-out block whose next activation lies inside its bound, and the two
-// parts must execute exactly the uninterrupted run's iteration multiset
-// and land on its totals: no activation lost or repeated across the
-// pause. One more row pauses on the paper's per-loop pool and resumes on
-// the distributed one, the real engines' default: a run journaled before
-// that default changed resumes on it. make verify-gates runs the
-// real-engine rows twenty times under -race.
+// fan-out of a thousand instances, a fan-out of fan-outs, and a fan-out
+// of serial loops of fan-outs, whose inner barriers open once per serial
+// iteration — and resumes them, on every task pool. The snapshot must
+// carry an in-flight fan-out block whose next activation lies inside its
+// bound (and, for the serial nest, an open barrier), and the two parts
+// must execute exactly the uninterrupted run's iteration multiset and
+// land on its totals: no activation or barrier count lost or repeated
+// across the pause. One more row pauses on the paper's per-loop pool and
+// resumes on the distributed one, the real engines' default: a run
+// journaled before that default changed resumes on it. make verify-gates
+// runs the real-engine rows twenty times under -race.
 func FanOutCheckpointResume(t *testing.T, name string, f Factory) {
 	const p = 4
 	nests := []struct {
 		label string
 		nest  *loopir.Nest
 		after int64
+		bars  bool // the pause must catch an open barrier
 	}{
-		{"flat", workload.ManyInstances(8, 1000, 4, 1), 2000},
+		{"flat", workload.ManyInstances(8, 1000, 4, 1), 2000, false},
 		{"nested", loopir.MustBuild(func(b *loopir.B) {
 			b.Doall("I", loopir.Const(40), func(b *loopir.B) {
 				b.Doall("J", loopir.Const(36), func(b *loopir.B) {
 					b.DoallLeaf("N", loopir.Const(2), work(1))
 				})
 			})
-		}), 1440},
+		}), 1440, false},
+		{"serial", loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(40), func(b *loopir.B) {
+				b.Serial("K", loopir.Const(3), func(b *loopir.B) {
+					b.Doall("J", loopir.Const(36), func(b *loopir.B) {
+						b.DoallLeaf("N", loopir.Const(2), work(1))
+					})
+				})
+			})
+		}), 2880, true},
 	}
 	for _, n := range nests {
 		prog, pl, ref := compile(t, n.nest)
@@ -316,7 +328,11 @@ func FanOutCheckpointResume(t *testing.T, name string, f Factory) {
 						t.Errorf("fan-out %+v: next activation outside its bound", fo)
 					}
 				}
-				t.Logf("paused with %d live instances and %d fan-outs in flight", len(r.snap.ICBs), len(r.snap.FanOuts))
+				if n.bars && len(r.snap.Bars) == 0 {
+					t.Errorf("the pause caught no open barrier (%d live instances, %d fan-outs)", len(r.snap.ICBs), len(r.snap.FanOuts))
+				}
+				t.Logf("paused with %d live instances, %d fan-outs and %d open barriers in flight",
+					len(r.snap.ICBs), len(r.snap.FanOuts), len(r.snap.Bars))
 				fs, gs := r.full.Stats, r.rest.Stats
 				if gs.Iterations != fs.Iterations || gs.Instances != fs.Instances || gs.Exits != fs.Exits ||
 					gs.Enters != fs.Enters || gs.Chunks != fs.Chunks {

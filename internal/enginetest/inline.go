@@ -109,14 +109,14 @@ func TinySerial(b *BodyLog, l int64) *loopir.Nest {
 	})
 }
 
-// tinyGuards is a serial loop around a fan-out of 40 whose iterations
+// tinyGuards is a serial loop of 3 around a fan-out of 100 whose iterations
 // pass an IF with an empty FALSE branch and then an IF ladder to one of
 // four two-iteration leaves: tiny instances behind guards, activated by
 // fan-out claims and by completions, with vacuous completions between.
 func tinyGuards(b *BodyLog) *loopir.Nest {
 	return loopir.MustBuild(func(lb *loopir.B) {
-		lb.Serial("K", loopir.Const(2), func(lb *loopir.B) {
-			lb.Doall("I", loopir.Const(40), func(lb *loopir.B) {
+		lb.Serial("K", loopir.Const(3), func(lb *loopir.B) {
+			lb.Doall("I", loopir.Const(100), func(lb *loopir.B) {
 				lb.If("fifth?", func(iv loopir.IVec) bool { return iv[1]%5 == 0 },
 					func(lb *loopir.B) { lb.DoallLeaf("X", loopir.Const(2), b.Body("X", 1)) }, nil)
 				var ladder func(lb *loopir.B, k int)

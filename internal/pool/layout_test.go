@@ -11,7 +11,8 @@ import (
 
 // TestICBLayout pins the cache-line layout the claim path relies on: the
 // block is exactly three 64-byte lines, Index and ICount (whose value
-// word leads the SyncVar) share line 0, nothing a searcher or a holder
+// word leads the SyncVar) share line 0 with Bar, which the completer
+// reads right after its post on ICount, nothing a searcher or a holder
 // touches (PCount, the links, Bound) is on it, and the allocator hands
 // out blocks on a line boundary — 192 is a size class whose spans start
 // page-aligned, where the 224 bytes of the old layout were 32-aligned
@@ -30,6 +31,9 @@ func TestICBLayout(t *testing.T) {
 	}
 	if end := unsafe.Offsetof(b.ICount) + unsafe.Sizeof(b.ICount); lineOf(end-1) != 0 {
 		t.Errorf("ICount ends at offset %d, outside line 0", end)
+	}
+	if end := unsafe.Offsetof(b.Bar) + unsafe.Sizeof(b.Bar); lineOf(end-1) != 0 {
+		t.Errorf("Bar ends at offset %d, outside line 0", end)
 	}
 	for name, off := range map[string]uintptr{
 		"PCount": unsafe.Offsetof(b.PCount),

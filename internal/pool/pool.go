@@ -69,7 +69,8 @@ type SyncState interface {
 //	        per-chunk traffic; a worker posts to ICount once per hold and,
 //	        near the instance's tail, before each claim (post→claim, two
 //	        back-to-back fetch-and-adds), so they share the line that
-//	        travels
+//	        travels — and Bar, written at activation and read once, by
+//	        the completer, right after the post that fetched the line
 //	line 1  PCount, the list links and membership, Sync — written per
 //	        adoption and per list operation, not per iteration
 //	line 2  Loop, Bound, IVec, Sched, and the storage of a one-deep
@@ -82,7 +83,11 @@ type ICB struct {
 	// it lags executed work by each holder's unposted count; the processor
 	// whose post brings it to Bound activates the successors.
 	ICount machine.SyncVar
-	_      [16]byte
+	// Bar is executor-private: the barrier block of the innermost
+	// structural parallel loop enclosing the instance — or, on a fan-out
+	// block, of the loop it fans out — set at activation. Reinit clears
+	// it.
+	Bar any
 
 	// PCount counts processors currently holding a pointer to this ICB;
 	// the instance completer waits for PCount to drain to 1 before
@@ -170,6 +175,7 @@ func (b *ICB) Reinit(num int, bound int64, ivec loopir.IVec) {
 	b.left, b.right = nil, nil
 	b.home = 0
 	b.fan = false
+	b.Bar = nil
 }
 
 // Retarget points the block at another instance — loop num, bound, ivec —

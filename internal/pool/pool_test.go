@@ -97,6 +97,7 @@ func TestReinitStartsFreshLifetime(t *testing.T) {
 	icb.ICount.FetchAdd(p, 9)
 	icb.PCount.FetchInc(p)
 	icb.Sched = new(adoptCount)
+	icb.Bar = new(int)
 	gen := icb.Index.Generation()
 
 	icb.Reinit(1, 3, loopir.IVec{7})
@@ -111,6 +112,9 @@ func TestReinitStartsFreshLifetime(t *testing.T) {
 	}
 	if icb.Sched == nil {
 		t.Error("reinit must retain typed state attachments for in-place reuse")
+	}
+	if icb.Bar != nil {
+		t.Error("reinit kept the previous instance's barrier block")
 	}
 	// The variables must start a new lifetime so identity-keyed engine
 	// state (vmachine avail/home/stats) treats them as fresh.

@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -233,27 +234,72 @@ func (l *Log) VerifyExactlyOnce(prog *descr.Program, ref *refexec.Result) error 
 // executed instance v and every executed instance u reachable backwards
 // from v through condition nodes and unexecuted instances of g, u's
 // completion time must not exceed v's first iteration start.
+//
+// One pass in topological order carries, to every node, the latest
+// completion among the executed instances directly behind it, so the
+// check is linear in the graph; only an instance that started before that
+// completion is walked backwards, to name each violating predecessor.
 func (l *Log) VerifyPrecedence(prog *descr.Program, g *descr.Graph) error {
 	got := l.digest()
 	keyOf := func(n descr.GNode) string { return fmt.Sprintf("%d%v", n.Leaf, n.IVec) }
 
-	// preds[i] = direct predecessor node indexes.
+	// preds[i] and succs[i] are node i's direct neighbours; exec[i] is its
+	// digest if it is an executed instance, else nil.
 	preds := make([][]int, len(g.Nodes))
+	succs := make([][]int, len(g.Nodes))
+	indeg := make([]int, len(g.Nodes))
 	for _, e := range g.Edges {
 		preds[e.To] = append(preds[e.To], e.From)
+		succs[e.From] = append(succs[e.From], e.To)
+		indeg[e.To]++
+	}
+	exec := make([]*instance, len(g.Nodes))
+	for i, n := range g.Nodes {
+		if n.Kind == descr.GInstance {
+			exec[i] = got[keyOf(n)]
+		}
+	}
+
+	// behind[i] is the latest completion among the executed instances
+	// behind node i: its predecessors that executed, and those behind its
+	// other predecessors. A node the topological order does not reach (a
+	// cycle) is flagged as if a violation were behind it.
+	order := make([]int, 0, len(g.Nodes))
+	for i, d := range indeg {
+		if d == 0 {
+			order = append(order, i)
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		for _, s := range succs[order[k]] {
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	behind := make([]machine.Time, len(g.Nodes))
+	for i := range behind {
+		behind[i] = math.MaxInt64
+	}
+	for _, i := range order {
+		behind[i] = math.MinInt64
+		for _, p := range preds[i] {
+			if u := exec[p]; u != nil {
+				behind[i] = max(behind[i], u.completedAt)
+			} else {
+				behind[i] = max(behind[i], behind[p])
+			}
+		}
 	}
 
 	var errs []string
-	for vi, vn := range g.Nodes {
-		if vn.Kind != descr.GInstance {
+	for vi, v := range exec {
+		if v == nil || !v.sawStart || behind[vi] <= v.firstStart {
 			continue
 		}
-		v, ok := got[keyOf(vn)]
-		if !ok {
-			continue // untaken branch
-		}
-		// Collect executed instance predecessors, walking through cond
-		// nodes and unexecuted instances.
+		// Name the executed instance predecessors that completed too late,
+		// walking through cond nodes and unexecuted instances.
+		vn := g.Nodes[vi]
 		seen := map[int]bool{vi: true}
 		stack := append([]int(nil), preds[vi]...)
 		for len(stack) > 0 {
@@ -263,16 +309,13 @@ func (l *Log) VerifyPrecedence(prog *descr.Program, g *descr.Graph) error {
 				continue
 			}
 			seen[ui] = true
-			un := g.Nodes[ui]
-			if un.Kind == descr.GInstance {
-				if u, ok := got[keyOf(un)]; ok {
-					if v.sawStart && u.completedAt > v.firstStart {
-						errs = append(errs, fmt.Sprintf(
-							"precedence violated: %s completed at %d after %s started at %d",
-							keyOf(un), u.completedAt, keyOf(vn), v.firstStart))
-					}
-					continue // constraints beyond an executed pred are transitive
+			if u := exec[ui]; u != nil {
+				if u.completedAt > v.firstStart {
+					errs = append(errs, fmt.Sprintf(
+						"precedence violated: %s completed at %d after %s started at %d",
+						keyOf(g.Nodes[ui]), u.completedAt, keyOf(vn), v.firstStart))
 				}
+				continue // constraints beyond an executed pred are transitive
 			}
 			// Condition node or unexecuted instance: project through.
 			stack = append(stack, preds[ui]...)

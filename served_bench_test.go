@@ -21,6 +21,46 @@ func settled() runtime.MemStats {
 	return ms
 }
 
+// TestServedRunAllocs pins the heap allocations of one served run: each
+// program bench/ submits, compiled once and run on the virtual engine at
+// P = 4, as BenchmarkVirtualServed times it. The ceilings are the counts
+// measured with Go 1.24 on linux/amd64, steady over 20 repetitions. A
+// per-run cost added to what loopschedd executes — in newExecutor, the
+// plan, the pool or a barrier — fails here, before it shows in the served
+// workloads' set-up time.
+func TestServedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+	}{
+		{"fig1", 449}, {"pipeline", 645}, {"flat64", 249}, {"tri16", 615},
+	} {
+		src, err := os.ReadFile("bench/programs/" + tc.name + ".loop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		nest, err := lang.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := repro.Compile(nest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := prog.Run(repro.Options{Procs: 4}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: one served run allocates %v times, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
 // BenchmarkServedRetained is what one served run leaves behind: each
 // program bench/ submits, parsed, compiled and run through
 // runner.Submit+Wait on the virtual engine the way loopschedd does, with
