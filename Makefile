@@ -133,7 +133,10 @@ verify:
 # depends on the interleaving), a chain of tiny instances paused among
 # the ones the real engine runs inline and resumed, on every pool, twenty
 # times under it (which worker runs the chain, and which instance it
-# publishes at the pause, depends on the interleaving), and the failover
+# publishes at the pause, depends on the interleaving), the barrier
+# counts a resumed run derives from its snapshot against the paused
+# run's own twenty times under it (which barriers a real pause catches,
+# and at which counts, depends on the interleaving), and the failover
 # paths twenty times over
 # under it (an owner killed mid-run, a cancel after its failover, a
 # re-placement whose every answer is lost): calls to a dying owner are stopped by
@@ -149,5 +152,5 @@ verify-gates:
 	$(GO) test -count=50 -run TestTerminalRunReleasesItsMachine ./runner/
 	$(GO) test -race -count=20 -run 'TestRetain|TestReserve|TestSpans|TestChainStopsAtPause|TestCluster(Released|Lost)Placement' ./runner/ ./cmd/loopschedd/
 	$(GO) test -count=20 -run 'TestClusterColdStart' ./cmd/loopschedd/
-	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume|FanOutCheckpointResume|InlineCheckpointResume)|TestClockBudget' ./internal/enginetest/ ./internal/core/
+	$(GO) test -race -count=20 -run 'TestRealEngine(TailInstances|BatchedCheckpointResume|RecycledInstances|RecycledCheckpointResume|FanOutCheckpointResume|InlineCheckpointResume)|TestClockBudget|TestRestoreDerivesBarrierCounts' ./internal/enginetest/ ./internal/core/
 	$(GO) test -race -count=20 -timeout 30m -run 'TestCluster(FailoverRestore|CancelAfterFailover|FailoverForwardIsConfirmed)' ./cmd/loopschedd/

@@ -11,7 +11,8 @@ import (
 
 // Checkpoint is a resumable snapshot of a paused run: the paper's
 // scheduling state (live instance control blocks with their low-level
-// index cursors, barrier counters, cumulative statistics) plus a
+// index cursors, in-flight fan-out blocks, cumulative statistics — the
+// barrier counters are derived from the blocks on resume) plus a
 // fingerprint of the program it belongs to. Checkpoints serialize to
 // JSON, so a daemon can hand one to a client and accept it back on a
 // later submission — possibly after a process restart.

@@ -3,11 +3,13 @@ package repro_test
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/lang"
 )
 
 func ckptNest() *repro.Nest {
@@ -168,5 +170,44 @@ func TestFlightRecorderFeedsDiagnostics(t *testing.T) {
 	d := live.(core.Diagnoser).Diagnose()
 	if !strings.Contains(d, "flight recorder:") || !strings.Contains(d, "claim") {
 		t.Errorf("diagnostic dump missing the flight tail:\n%s", d)
+	}
+}
+
+// TestVersion1CheckpointResumes: testdata/checkpoint_v1.json was written
+// by `loopsched -file testdata/checkpoint_v1.loop -procs 4
+// -checkpoint-after 40 -checkpoint-out ...` on a build whose snapshots
+// (format version 1) stored the open barriers' counts. This build derives
+// the counts and ignores the stored ones; the run still completes.
+func TestVersion1CheckpointResumes(t *testing.T) {
+	src, err := os.ReadFile("testdata/checkpoint_v1.loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nest, err := lang.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := repro.Compile(nest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := os.ReadFile("testdata/checkpoint_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck repro.Checkpoint
+	if err := json.Unmarshal(wire, &ck); err != nil {
+		t.Fatal(err)
+	}
+	if ck.Snapshot.Version != 1 || len(ck.Snapshot.V1Bars) == 0 {
+		t.Fatalf("testdata holds a version-%d snapshot with bars %s, want version 1 with barrier counts",
+			ck.Snapshot.Version, ck.Snapshot.V1Bars)
+	}
+	res, err := prog.Run(repro.Options{Procs: 4, Resume: &ck})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if res.Stats.Iterations != 8*16 || res.Stats.Instances != 8 {
+		t.Errorf("resumed run totals %d iterations in %d instances, want 128 in 8", res.Stats.Iterations, res.Stats.Instances)
 	}
 }

@@ -235,6 +235,16 @@ func TestCheckpointOutAndResume(t *testing.T) {
 	}
 }
 
+// TestResumeVersion1Checkpoint resumes a checkpoint written in snapshot
+// format version 1, which stored barrier counts that restore now derives.
+func TestResumeVersion1Checkpoint(t *testing.T) {
+	out := runCLI(t, "-file", "../../testdata/checkpoint_v1.loop", "-procs", "4",
+		"-resume", "../../testdata/checkpoint_v1.json")
+	if !strings.Contains(out, "iterations 128") {
+		t.Errorf("resumed version-1 checkpoint did not finish all iterations:\n%s", out)
+	}
+}
+
 func TestResumeErrorsAreFriendly(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

@@ -295,6 +295,50 @@ func TestCheckpointResumeOverHTTP(t *testing.T) {
 	}
 }
 
+// TestResumeVersion1CheckpointOverHTTP submits a checkpoint in snapshot
+// format version 1: the strict submit decoder accepts its "bars" key, and
+// the run, whose barrier counts restore derives, completes.
+func TestResumeVersion1CheckpointOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	program, err := os.ReadFile("../../testdata/checkpoint_v1.loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := os.ReadFile("../../testdata/checkpoint_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, payload := postJSON(t, ts.URL+"/v1/runs", fmt.Sprintf(
+		`{"program": %q, "options": {"procs": 4, "resume": %s}}`, program, ck))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("resume submit status = %d (%v)", resp.StatusCode, payload)
+	}
+	var final struct {
+		State  string `json:"state"`
+		Error  string `json:"error"`
+		Result *struct {
+			Stats struct {
+				Iterations int64 `json:"Iterations"`
+			} `json:"stats"`
+		} `json:"result"`
+	}
+	deadline := time.After(30 * time.Second)
+	for final.State != "done" {
+		select {
+		case <-deadline:
+			t.Fatalf("resumed run never finished: %+v", final)
+		case <-time.After(5 * time.Millisecond):
+		}
+		getJSON(t, ts.URL+"/v1/runs/"+payload["id"].(string), &final)
+		if final.State == "failed" {
+			t.Fatalf("resumed run failed: %s", final.Error)
+		}
+	}
+	if final.Result == nil || final.Result.Stats.Iterations != 128 {
+		t.Errorf("resumed run result = %+v, want all 128 iterations", final.Result)
+	}
+}
+
 // TestCheckpointEndpoint covers the live-request path: POST
 // /v1/runs/{id}/checkpoint pauses a long checkpointable run, plus the
 // 404 and 409 error contracts.

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/descr"
 	"repro/internal/loopir"
@@ -41,16 +41,16 @@ import (
 // with the pending ranges carried in the snapshot and re-executed by the
 // resuming prologue before the instance is republished. The snapshot is then the
 // task pool re-expressed as data: one (loop, ivec, bound, cursor,
-// icount) tuple per live instance, the counts of the open barriers, the
-// cumulative stats totals, and the Isolate failure log. Completed
-// instances are excluded — their EXIT already ran and their successors
-// are in the snapshot as fresh instances.
+// icount) tuple per live instance, one (leaf, level, ivec, bound, next)
+// tuple per fan-out block, the cumulative stats totals, and the Isolate
+// failure log. Completed instances are excluded — their EXIT already ran
+// and their successors are in the snapshot as fresh instances. No
+// BAR_COUNT is stored: restore derives each from the blocks (rebuild).
 //
 // Resume rebuilds exactly that state before any claiming starts: stats
 // and the failure log are seeded host-side, and processor 0's prologue
-// re-creates the barriers and publishes the ICBs beneath them (re-pinning
-// per-instance calculators where the policy pins, then re-seeding the
-// cursor) instead of entering the program from the top. From there the
+// validates and rebuilds every block and the barriers above it, then
+// publishes them, instead of entering the program from the top. From there the
 // ordinary drive loop continues the run; on the deterministic virtual engine the
 // resumed iteration multiset and stats trajectory match the
 // uninterrupted run exactly (enginetest's CheckpointResume matrix).
@@ -60,9 +60,10 @@ import (
 // snapshotted), no Doacross and no manual-sync leaves (in-flight
 // dependence flags are not snapshotted).
 
-// SnapshotVersion is the RunSnapshot format version this build writes
-// and accepts.
-const SnapshotVersion = 1
+// SnapshotVersion is the RunSnapshot format version this build writes.
+// It also resumes version 1, which stored the open barriers' counts that
+// version 2 derives.
+const SnapshotVersion = 2
 
 // CheckpointConfig enables the checkpoint seam of one run.
 type CheckpointConfig struct {
@@ -98,9 +99,10 @@ type RunSnapshot struct {
 	// FanOuts are the in-flight fan-out blocks: structural parallel loops
 	// whose activations are not all claimed yet, sorted by (leaf, ivec).
 	FanOuts []FanOutSnapshot `json:"fanouts,omitempty"`
-	// Bars are the open barriers (count at least 1, below the bound),
-	// sorted by key.
-	Bars []BarSnapshot `json:"bars,omitempty"`
+	// V1Bars holds a version-1 snapshot's barrier counts, which restore
+	// derives instead and ignores; capture never writes it. It lets a
+	// strict decoder accept a version-1 snapshot.
+	V1Bars json.RawMessage `json:"bars,omitempty"`
 	// Stats are the cumulative spine totals in counter-ID order; resume
 	// seeds them so the resumed run's final snapshot is the whole run's.
 	Stats []int64 `json:"stats"`
@@ -149,13 +151,6 @@ type FanOutSnapshot struct {
 type IterRange struct {
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-}
-
-// BarSnapshot is one open barrier: Key is the structural loop's
-// descriptor ID and its enclosing indexes, colon-separated (barKey).
-type BarSnapshot struct {
-	Key   string `json:"key"`
-	Count int64  `json:"count"`
 }
 
 // ErrCheckpointed is the sentinel a *CheckpointedError matches via
@@ -238,8 +233,8 @@ func checkCheckpointable(pl *Plan, cfg Config, policy lowsched.Policy) error {
 // needs a machine.Proc for the costed Append protocol.
 func (ex *executor) seedRestore() error {
 	snap := ex.cfg.Checkpoint.Restore
-	if snap.Version != SnapshotVersion {
-		return fmt.Errorf("%w: version %d, this build reads %d", ErrBadSnapshot, snap.Version, SnapshotVersion)
+	if snap.Version < 1 || snap.Version > SnapshotVersion {
+		return fmt.Errorf("%w: version %d, this build reads 1 to %d", ErrBadSnapshot, snap.Version, SnapshotVersion)
 	}
 	if n := len(ex.workers); snap.Procs != n {
 		return fmt.Errorf("%w: snapshot of a %d-processor run, resuming on %d (cursor trajectories are machine-size dependent)",
@@ -256,6 +251,9 @@ func (ex *executor) seedRestore() error {
 	}
 	if len(snap.ICBs) == 0 && len(snap.FanOuts) == 0 {
 		return fmt.Errorf("%w: no live instances (a claim-quiescent pause always leaves in-flight work)", ErrBadSnapshot)
+	}
+	if n := snap.Stats[cInstances] - snap.Stats[cExits]; n != int64(len(snap.ICBs)) {
+		return fmt.Errorf("%w: %d instance(s) activated and not completed, %d in the snapshot", ErrBadSnapshot, n, len(snap.ICBs))
 	}
 	sh := ex.spine.Shard(0)
 	for i, v := range snap.Stats {
@@ -355,176 +353,43 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 	sort.Slice(snap.FanOuts, func(i, k int) bool {
 		return byLoopIVec(snap.FanOuts[i].Leaf, snap.FanOuts[i].IVec, snap.FanOuts[k].Leaf, snap.FanOuts[k].IVec) < 0
 	})
-	// The open barriers: each is above some in-flight block, whose index
-	// vector renders its key.
-	seen := map[*barrier]bool{}
-	for _, icb := range icbs {
-		leaf := ex.plan.leaf(icb.Loop)
-		for bar, _ := icb.Bar.(*barrier); bar != nil && !seen[bar]; bar = bar.up {
-			seen[bar] = true
-			if c := bar.count.Peek(); c >= 1 && c < bar.bound {
-				snap.Bars = append(snap.Bars, BarSnapshot{Key: barKey(leaf.Levels[bar.level].LoopID, icb.IVec[:bar.level-2]), Count: c})
-			}
-		}
-	}
-	sort.Slice(snap.Bars, func(i, k int) bool { return snap.Bars[i].Key < snap.Bars[k].Key })
 	return snap, nil
 }
 
 // restorePrologue is processor 0's program prologue on a resumed run:
-// instead of entering the program from the top, re-create and publish
-// the snapshot's live instances, then its fan-out blocks, each under the
-// barriers its index vector names — rebuilt once per key, with the
-// snapshot's count (0 for a barrier no iteration has reached). Validation
-// failures trip the run (the engine is already driving the other
-// processors), and RunPlanContext returns the cause.
+// instead of entering the program from the top, it rebuilds the
+// snapshot's blocks (rebuild) and publishes them — each instance after
+// its pending ranges, then the fan-out blocks. A snapshot that fails
+// validation trips the run before anything is published or run.
 func (w *worker) restorePrologue() {
-	ex := w.ex
-	counts, made := map[string]int64{}, map[string]*barrier{}
-	for _, bs := range ex.restore.Bars {
-		if _, dup := counts[bs.Key]; dup || bs.Key == "" || bs.Count < 1 {
-			ex.trip(fmt.Errorf("%w: barrier entry %q count %d (unnamed, empty or duplicate)", ErrBadSnapshot, bs.Key, bs.Count))
-			return
-		}
-		counts[bs.Key] = bs.Count
-	}
-	// chain returns the innermost barrier above a block of leaf whose
-	// enclosing indexes are ivec: the structural parallel loops' at levels
-	// 2..upto.
-	chain := func(leaf *descr.LeafInfo, ivec loopir.IVec, upto int) (up *barrier) {
-		for lvl := 2; lvl <= upto; lvl++ {
-			if d := &leaf.Levels[lvl]; d.Parallel {
-				key := barKey(d.LoopID, ivec[:lvl-2])
-				if made[key] == nil {
-					b := w.openBarrier(up, lvl, d.Bound.Eval(ivec[:lvl-2]))
-					if c := counts[key]; c < b.bound {
-						b.count.Init(labelBar, c)
-					} else {
-						ex.trip(fmt.Errorf("%w: barrier entry %q count %d, bound %d", ErrBadSnapshot, key, c, b.bound))
-					}
-					made[key] = b
-				}
-				up = made[key]
-			}
-		}
-		return up
-	}
-	w.restoreInstances(chain)
-	if ex.cause.Load() == nil {
-		w.restoreFanOuts(chain)
-	}
-}
-
-// barKey renders a barrier's snapshot key: the loop's descriptor ID, then
-// its enclosing indexes, colon-separated.
-func barKey(loopID int, prefix loopir.IVec) string {
-	b := strconv.AppendInt(nil, int64(loopID), 10)
-	for _, v := range prefix {
-		b = append(b, ':')
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return string(b)
-}
-
-// restoreFanOuts republishes the snapshot's fan-out blocks with their
-// claim cursors, after checking each against the program's shape.
-func (w *worker) restoreFanOuts(chain func(*descr.LeafInfo, loopir.IVec, int) *barrier) {
-	ex := w.ex
-	for i, s := range ex.restore.FanOuts {
-		ok := s.Leaf >= 1 && s.Leaf <= ex.plan.prog.M && s.Level == len(s.IVec)+2 &&
-			s.Next >= 1 && s.Next <= s.Bound
-		if ok {
-			leaf := ex.plan.leaf(s.Leaf)
-			ok = s.Level <= leaf.Depth && leaf.Levels[s.Level].Parallel &&
-				leaf.Levels[s.Level].Bound.Eval(s.IVec) == s.Bound
-		}
-		if !ok {
-			ex.trip(fmt.Errorf("%w: fan-out %d (leaf %d, level %d, ivec %v, bound %d, next %d) does not fit the program",
-				ErrBadSnapshot, i, s.Leaf, s.Level, s.IVec, s.Bound, s.Next))
-			return
-		}
-		icb := pool.NewICB(s.Leaf, s.Bound, s.IVec)
-		icb.MarkFanOut()
-		icb.Bar = chain(ex.plan.leaf(s.Leaf), s.IVec, s.Level)
-		icb.Index.Reset(s.Next)
-		ex.trackICB(icb)
-		ex.pool.Append(w.pr, icb)
-	}
-}
-
-// restoreInstances re-creates and publishes the snapshot's live
-// instances, running each one's pending ranges first.
-func (w *worker) restoreInstances(chain func(*descr.LeafInfo, loopir.IVec, int) *barrier) {
 	ex, pr := w.ex, w.pr
-	snap := ex.restore
-	cs := ex.policy.(lowsched.CursorSource)
-	for i := range snap.ICBs {
-		s := &snap.ICBs[i]
-		if s.Loop < 1 || s.Loop > ex.plan.prog.M || s.Bound < 1 || s.Done < 0 || s.Done >= s.Bound ||
-			len(s.IVec) != ex.plan.leaf(s.Loop).Depth-1 {
-			ex.trip(fmt.Errorf("%w: instance %d (loop %d, ivec %v, bound %d, done %d) out of range",
-				ErrBadSnapshot, i, s.Loop, s.IVec, s.Bound, s.Done))
-			return
-		}
-		leaf := ex.plan.leaf(s.Loop)
-		icb := pool.NewICB(s.Loop, s.Bound, s.IVec)
-		icb.Bar = chain(leaf, s.IVec, leaf.Depth)
-		if s.Calc != "" {
-			cr, ok := ex.policy.(lowsched.CursorRestorer)
-			if !ok {
-				ex.trip(fmt.Errorf("%w: instance %d pins calculator %q but scheme %s does not pin per instance",
-					ErrBadSnapshot, i, s.Calc, ex.policy.Name()))
-				return
-			}
-			if err := cr.RestoreCursor(pr, icb, s.Calc); err != nil {
-				ex.trip(fmt.Errorf("%w: instance %d: %v", ErrBadSnapshot, i, err))
-				return
-			}
-		} else {
-			ex.policy.Init(pr, icb)
-		}
-		icb.Sync = nil
-		icb.Index.Reset(s.Cursor)
-		icb.ICount.Reset(s.Done)
-		var psz int64
-		for _, r := range s.Pending {
-			if r.Lo < 1 || r.Hi < r.Lo || r.Hi > s.Bound {
-				ex.trip(fmt.Errorf("%w: instance %d (loop %d): pending range [%d,%d] out of range",
-					ErrBadSnapshot, i, s.Loop, r.Lo, r.Hi))
-				return
-			}
-			psz += r.Hi - r.Lo + 1
-		}
-		calc, ok := cs.CursorCalc(icb)
-		if !ok || lowsched.ExecutedPrefix(calc, s.Cursor, s.Bound) != s.Done+psz {
-			ex.trip(fmt.Errorf("%w: instance %d (loop %d): cursor %d does not encode %d completed + %d pending iterations",
-				ErrBadSnapshot, i, s.Loop, s.Cursor, s.Done, psz))
-			return
-		}
+	icbs, fans, err := w.rebuild()
+	if err != nil {
+		ex.trip(err)
+		return
+	}
+	for i, icb := range icbs {
 		// Publish with the activation protocol, but without the stats the
 		// seeded totals already count (cInstances, cEnters, O3 time): the
 		// resumed run's final snapshot must be the whole run's.
 		ex.live.Add(1)
 		if w.sink != nil {
-			w.sink.Record(w.event(pr.Now(), trace.EvActivated, s.Loop, icb.IVec, s.Bound, 0))
+			w.sink.Record(w.event(pr.Now(), trace.EvActivated, icb.Loop, icb.IVec, icb.Bound, 0))
 		}
 		ex.trackICB(icb)
-		if psz > 0 {
-			// Re-execute the leased-but-unexecuted remainder before the
-			// instance is published: the interrupted leaseholder already
-			// claimed these iterations (and the pause-side run counted
-			// their chunks), so they must run exactly once, here. The
-			// prologue takes a pcount hold for the duration; an instance
-			// the remainder completes takes the ordinary completion path
-			// and never rejoins the pool.
+		if pend := ex.restore.ICBs[i].Pending; len(pend) > 0 {
+			// The paused run claimed the leased-but-unexecuted remainder
+			// and counted its chunks: it runs exactly once, here, under a
+			// pcount hold. An instance it completes takes the ordinary
+			// completion path and never rejoins the pool.
 			icb.PCount.FetchInc(pr)
 			w.mark() // the body interval opens here; republishing is uncharged
-			for _, r := range s.Pending {
+			for _, r := range pend {
 				if !w.runChunk(icb, lowsched.Assignment{Lo: r.Lo, Hi: r.Hi}) {
 					return // drain (abort): the resumed run is tearing down
 				}
+				w.unposted += r.Hi - r.Lo + 1
 			}
-			w.unposted = psz
 			keep, cont := w.post(icb)
 			if !cont {
 				return
@@ -537,4 +402,138 @@ func (w *worker) restoreInstances(chain func(*descr.LeafInfo, loopir.IVec, int) 
 		}
 		ex.pool.Append(pr, icb)
 	}
+	for _, icb := range fans {
+		ex.trackICB(icb)
+		ex.pool.Append(pr, icb)
+	}
+}
+
+// rebuild validates the snapshot's blocks against the program and builds
+// them, each under the barriers its index vector names, without
+// publishing any. Each barrier is rebuilt once per (loop, enclosing
+// indexes) with a derived count. At claim-quiescence each iteration of a
+// structural parallel loop is unactivated (at or past its fan-out block's
+// next), open (a block lies beneath it) or counted, so the count is the
+// activated iterations — the fan-out block's next − 1 when the loop's
+// block is in the snapshot, the bound otherwise — less the open ones.
+func (w *worker) rebuild() (icbs, fans []*pool.ICB, err error) {
+	ex, pr, snap := w.ex, w.pr, w.ex.restore
+	// Until every block is placed, a rebuilt barrier's count holds its
+	// loop's activated iterations.
+	type child struct {
+		b *barrier
+		k int64
+	}
+	bars, open := map[string]*barrier{}, map[child]bool{}
+	// under places a block of leaf with enclosing indexes ivec beneath the
+	// barriers of the structural parallel loops at levels 2..upto, checking
+	// each index against its loop's range, and returns the innermost. The
+	// block is an open child of each barrier whose iteration ivec names; a
+	// fan-out block is its own loop's, at upto.
+	under := func(leaf *descr.LeafInfo, ivec loopir.IVec, upto int) (up *barrier, ok bool) {
+		for lvl := 2; lvl <= upto; lvl++ {
+			d := &leaf.Levels[lvl]
+			bound := d.Bound.Eval(ivec[:lvl-2])
+			named := lvl-2 < len(ivec)
+			if named && (ivec[lvl-2] < 1 || ivec[lvl-2] > bound) {
+				return nil, false
+			}
+			if !d.Parallel {
+				continue
+			}
+			key := fmt.Sprint(d.LoopID, ivec[:lvl-2])
+			if bars[key] == nil {
+				bars[key] = w.openBarrier(up, lvl, bound)
+				bars[key].count.Init(labelBar, bound)
+			}
+			up = bars[key]
+			if named {
+				open[child{up, ivec[lvl-2]}] = true
+			}
+		}
+		return up, true
+	}
+	cs := ex.policy.(lowsched.CursorSource)
+	for i := range snap.ICBs {
+		s := &snap.ICBs[i]
+		var bar *barrier
+		ok := s.Loop >= 1 && s.Loop <= ex.plan.prog.M && s.Done >= 0 && s.Done < s.Bound
+		if ok {
+			leaf := ex.plan.leaf(s.Loop)
+			if ok = len(s.IVec) == leaf.Depth-1; ok {
+				bar, ok = under(leaf, s.IVec, leaf.Depth)
+			}
+			ok = ok && leaf.Node.Bound.Eval(s.IVec) == s.Bound
+		}
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: instance %d (loop %d, ivec %v, bound %d, done %d) out of range",
+				ErrBadSnapshot, i, s.Loop, s.IVec, s.Bound, s.Done)
+		}
+		icb := pool.NewICB(s.Loop, s.Bound, s.IVec)
+		icb.Bar = bar
+		if s.Calc != "" {
+			cr, ok := ex.policy.(lowsched.CursorRestorer)
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: instance %d pins calculator %q but scheme %s does not pin per instance",
+					ErrBadSnapshot, i, s.Calc, ex.policy.Name())
+			}
+			if err := cr.RestoreCursor(pr, icb, s.Calc); err != nil {
+				return nil, nil, fmt.Errorf("%w: instance %d: %v", ErrBadSnapshot, i, err)
+			}
+		} else {
+			ex.policy.Init(pr, icb)
+		}
+		icb.Sync = nil
+		icb.Index.Reset(s.Cursor)
+		icb.ICount.Reset(s.Done)
+		var psz int64
+		for _, r := range s.Pending {
+			if r.Lo < 1 || r.Hi < r.Lo || r.Hi > s.Bound {
+				return nil, nil, fmt.Errorf("%w: instance %d (loop %d): pending range [%d,%d] out of range",
+					ErrBadSnapshot, i, s.Loop, r.Lo, r.Hi)
+			}
+			psz += r.Hi - r.Lo + 1
+		}
+		calc, ok := cs.CursorCalc(icb)
+		if !ok || lowsched.ExecutedPrefix(calc, s.Cursor, s.Bound) != s.Done+psz {
+			return nil, nil, fmt.Errorf("%w: instance %d (loop %d): cursor %d does not encode %d completed + %d pending iterations",
+				ErrBadSnapshot, i, s.Loop, s.Cursor, s.Done, psz)
+		}
+		icbs = append(icbs, icb)
+	}
+	for i, s := range snap.FanOuts {
+		ok := s.Leaf >= 1 && s.Leaf <= ex.plan.prog.M && s.Level == len(s.IVec)+2 &&
+			s.Next >= 1 && s.Next <= s.Bound
+		var bar *barrier
+		if ok {
+			leaf := ex.plan.leaf(s.Leaf)
+			if ok = s.Level <= leaf.Depth && leaf.Levels[s.Level].Parallel; ok {
+				bar, ok = under(leaf, s.IVec, s.Level)
+			}
+			ok = ok && bar.bound == s.Bound
+		}
+		// Activations below the bound mean the loop's block is rebuilt already.
+		if !ok || bar.count.Peek() < bar.bound {
+			return nil, nil, fmt.Errorf("%w: fan-out %d (leaf %d, level %d, ivec %v, bound %d, next %d) does not fit the program",
+				ErrBadSnapshot, i, s.Leaf, s.Level, s.IVec, s.Bound, s.Next)
+		}
+		bar.count.Init(labelBar, s.Next-1)
+		icb := pool.NewICB(s.Leaf, s.Bound, s.IVec)
+		icb.MarkFanOut()
+		icb.Bar = bar
+		icb.Index.Reset(s.Next)
+		fans = append(fans, icb)
+	}
+	nopen := map[*barrier]int64{}
+	for c := range open {
+		if act := c.b.count.Peek(); c.k > act {
+			return nil, nil, fmt.Errorf("%w: a block lies beneath iteration %d of a loop whose fan-out activated %d",
+				ErrBadSnapshot, c.k, act)
+		}
+		nopen[c.b]++
+	}
+	for b, n := range nopen {
+		b.count.Init(labelBar, b.count.Peek()-n)
+	}
+	return icbs, fans, nil
 }

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
+	"repro/internal/machine"
 	"repro/internal/trace"
 	"repro/internal/vmachine"
 	"repro/internal/workload"
@@ -185,7 +191,9 @@ func TestCheckpointRejectsUnsupportedConfigurations(t *testing.T) {
 
 func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 	snap, _ := runToCheckpoint(t, Config{Engine: vEngine(4), Scheme: lowsched.SS{}}, 4)
-	run := func(mutate func(*RunSnapshot), cfg Config) error {
+	// run resumes a mutated copy of snap and reports the error and the
+	// chunks that ran: a rejected snapshot must run none.
+	run := func(mutate func(*RunSnapshot), cfg Config) (int64, error) {
 		s := *snap
 		s.ICBs = append([]ICBSnapshot(nil), snap.ICBs...)
 		s.Stats = append([]int64(nil), snap.Stats...)
@@ -197,9 +205,20 @@ func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 		if cfg.Scheme == nil {
 			cfg.Scheme = lowsched.SS{}
 		}
-		cfg.Checkpoint = &CheckpointConfig{Restore: &s}
-		_, err := Run(prog, cfg)
-		return err
+		var c chunkCounter
+		cfg.Checkpoint, cfg.Sink = &CheckpointConfig{Restore: &s}, &c
+		// A snapshot that restore accepts wrongly may hang its run: the
+		// deadline turns that into a failure.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := RunContext(ctx, prog, cfg)
+		return c.Load(), err
+	}
+	// The pause leaves 30 of doall I's 32 iterations open: their instances
+	// are in the snapshot, and the highest is I = last.
+	last := snap.ICBs[0].IVec[0]
+	for _, s := range snap.ICBs {
+		last = max(last, s.IVec[0])
 	}
 	cases := []struct {
 		name   string
@@ -215,17 +234,146 @@ func TestResumeRejectsMismatchedSnapshots(t *testing.T) {
 		{"bad loop", func(s *RunSnapshot) { s.ICBs[0].Loop = 99 }, Config{}},
 		{"done out of range", func(s *RunSnapshot) { s.ICBs[0].Done = s.ICBs[0].Bound + 1 }, Config{}},
 		{"short ivec", func(s *RunSnapshot) { s.ICBs[0].IVec = nil }, Config{}},
-		// The pause leaves doall I's barrier open (key "1", bound 32).
-		{"duplicate barrier", func(s *RunSnapshot) { s.Bars = []BarSnapshot{s.Bars[0], s.Bars[0]} }, Config{}},
-		{"empty barrier", func(s *RunSnapshot) { s.Bars = []BarSnapshot{{Key: s.Bars[0].Key}} }, Config{}},
-		{"barrier at its bound", func(s *RunSnapshot) { s.Bars = []BarSnapshot{{Key: s.Bars[0].Key, Count: 32}} }, Config{}},
+		// doall I = 1..32 produces neither index.
+		{"index past its loop", func(s *RunSnapshot) { s.ICBs[0].IVec = loopir.IVec{1000} }, Config{}},
+		{"index 0", func(s *RunSnapshot) { s.ICBs[0].IVec = loopir.IVec{0} }, Config{}},
+		// Its iteration's barrier could never complete.
+		{"instance dropped", func(s *RunSnapshot) { s.ICBs = s.ICBs[1:] }, Config{}},
+		// A fan-out block of doall I whose next activation is the highest
+		// open iteration: a live instance beneath an iteration the block
+		// has not activated.
+		{"instance at its fan-out's next", func(s *RunSnapshot) {
+			s.FanOuts = []FanOutSnapshot{{Leaf: 1, Level: 2, Bound: 32, Next: last}}
+		}, Config{}},
+		// Rejected only after every instance before it validated.
+		{"bad last instance", func(s *RunSnapshot) { s.ICBs[len(s.ICBs)-1].Loop = 99 }, Config{}},
+		{"bad fan-out after good instances", func(s *RunSnapshot) {
+			s.FanOuts = []FanOutSnapshot{{Leaf: 1, Level: 2, Bound: 7, Next: 1}}
+		}, Config{}},
 	}
-	if len(snap.Bars) != 1 || snap.Bars[0].Key != "1" {
-		t.Fatalf("the pause caught barriers %+v, want doall I's", snap.Bars)
+	if got := restoredCounts(t, workload.ManyInstances(6, 32, 2, 10), Config{Engine: vEngine(4), Scheme: lowsched.SS{}}, snap); len(got) != 1 || got["1()"] != 2 {
+		t.Fatalf("restore derived barrier counts %v, want doall I's at 2", got)
 	}
 	for _, tc := range cases {
-		if err := run(tc.mutate, tc.cfg); !errors.Is(err, ErrBadSnapshot) {
+		chunks, err := run(tc.mutate, tc.cfg)
+		if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err=%v, want ErrBadSnapshot", tc.name, err)
+		}
+		if chunks != 0 {
+			t.Errorf("%s: the rejected snapshot ran %d chunk(s)", tc.name, chunks)
+		}
+	}
+}
+
+// chunkCounter is a sink that counts the chunks that ran.
+type chunkCounter struct{ atomic.Int64 }
+
+func (c *chunkCounter) Record(e trace.Event) {
+	if e.Kind == trace.EvChunk {
+		c.Add(1)
+	}
+}
+
+// barCounts reads the counts of the barriers above a run's tracked blocks
+// that are below their bound, keyed by loop ID and enclosing indexes.
+func barCounts(ex *executor) map[string]int64 {
+	counts := map[string]int64{}
+	for icb := range ex.insts {
+		leaf := ex.plan.leaf(icb.Loop)
+		for bar, _ := icb.Bar.(*barrier); bar != nil; bar = bar.up {
+			if c := bar.count.Peek(); c < bar.bound {
+				counts[fmt.Sprintf("%d%v", leaf.Levels[bar.level].LoopID, icb.IVec[:bar.level-2])] = c
+			}
+		}
+	}
+	return counts
+}
+
+// restoredCounts resumes snap and pauses the run before any claim: the
+// barriers' counts are then the ones restore derived.
+func restoredCounts(t *testing.T, nest *loopir.Nest, cfg Config, snap *RunSnapshot) map[string]int64 {
+	t.Helper()
+	prog, _ := compileStd(t, nest)
+	var ex *executor
+	cfg.Checkpoint = &CheckpointConfig{Restore: snap}
+	cfg.OnStart = func(p Probe) {
+		ex = p.(*executor)
+		ex.RequestCheckpoint()
+	}
+	if _, err := Run(prog, cfg); !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("resume paused before its first claim returned %v, want CheckpointedError", err)
+	}
+	return barCounts(ex)
+}
+
+// TestRestoreDerivesBarrierCounts: the snapshot stores no barrier count;
+// restore derives each from the blocks. Paused at many claims of several
+// shapes, on both engines, the counts a resumed run starts from equal the
+// paused run's own. On the real engine which barriers a pause catches
+// depends on the interleaving; make verify-gates runs it twenty times
+// under -race.
+func TestRestoreDerivesBarrierCounts(t *testing.T) {
+	shapes := []struct {
+		name string
+		nest *loopir.Nest
+	}{
+		{"flat", workload.ManyInstances(6, 32, 20, 1)},
+		{"fan-out", workload.ManyInstances(4, 100, 20, 1)},
+		{"fan-out of fan-outs", loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(40), func(b *loopir.B) {
+				b.Doall("J", loopir.Const(36), func(b *loopir.B) {
+					b.DoallLeaf("N", loopir.Const(2), func(e loopir.Env, _ loopir.IVec, _ int64) { e.Work(1) })
+				})
+			})
+		})},
+		{"serial inside doall", loopir.MustBuild(func(b *loopir.B) {
+			b.Doall("I", loopir.Const(6), func(b *loopir.B) {
+				b.Serial("K", loopir.Const(3), func(b *loopir.B) {
+					b.Doall("J", loopir.Const(40), func(b *loopir.B) {
+						b.DoallLeaf("N", loopir.Const(2), func(e loopir.Env, _ loopir.IVec, _ int64) { e.Work(1) })
+					})
+				})
+			})
+		})},
+		{"adjoint", workload.AdjointConvolution(64, 4)},
+		{"triangular", workload.Triangular(24, 4)},
+		{"fig1", workload.Fig1(workload.DefaultFig1())},
+	}
+	engines := []struct {
+		name string
+		new  func() Engine
+	}{
+		{"virtual", func() Engine { return vEngine(4) }},
+		{"real", func() Engine { return machine.NewReal(machine.RealConfig{P: 4}) }},
+	}
+	for _, e := range engines {
+		pauses := 0
+		for _, sh := range shapes {
+			for _, k := range []int64{3, 40, 400, 1200} {
+				prog, _ := compileStd(t, sh.nest)
+				var ex *executor
+				_, err := Run(prog, Config{Engine: e.new(), Scheme: lowsched.SS{},
+					Checkpoint: &CheckpointConfig{AfterChunks: k},
+					OnStart:    func(p Probe) { ex = p.(*executor) }})
+				var cke *CheckpointedError
+				if !errors.As(err, &cke) {
+					if err != nil {
+						t.Fatalf("%s/%s/claim %d: %v", e.name, sh.name, k, err)
+					}
+					continue // the run completed before its k-th claim
+				}
+				pauses++
+				want := barCounts(ex)
+				got := restoredCounts(t, sh.nest, Config{Engine: e.new(), Scheme: lowsched.SS{}}, cke.Snapshot)
+				if !maps.Equal(got, want) {
+					t.Errorf("%s/%s/claim %d: restore derived barrier counts %v, the paused run held %v",
+						e.name, sh.name, k, got, want)
+				}
+			}
+		}
+		t.Logf("%s: %d pauses", e.name, pauses)
+		if pauses < 10 {
+			t.Errorf("%s: only %d runs paused; the shapes are too small for their claims", e.name, pauses)
 		}
 	}
 }

@@ -538,13 +538,13 @@ func runE10(w io.Writer) (Verdict, error) {
 		fmt.Fprintf(w, "%s\n", tb)
 	}
 	uni := results[loads[0].name]
-	bestDynUni := min64(uni["SS"], uni["CSS(16)"], uni["GSS"], uni["FSC"])
+	bestDynUni := min(uni["SS"], uni["CSS(16)"], uni["GSS"], uni["FSC"])
 	v.check("uniform load: static block matches the best dynamic scheme",
 		float64(uni["static-block"]) <= 1.05*float64(bestDynUni),
 		"static-block %d vs best dynamic %d (low variance favors static, per [23])",
 		uni["static-block"], bestDynUni)
 	dec := results[loads[1].name]
-	bestDynDec := min64(dec["SS"], dec["CSS(16)"], dec["GSS"], dec["FSC"])
+	bestDynDec := min(dec["SS"], dec["CSS(16)"], dec["GSS"], dec["FSC"])
 	v.check("decreasing load: static block collapses",
 		float64(dec["static-block"]) > 1.5*float64(bestDynDec),
 		"static-block %d vs best dynamic %d", dec["static-block"], bestDynDec)
@@ -552,7 +552,7 @@ func runE10(w io.Writer) (Verdict, error) {
 		float64(dec["static-cyclic"]) < 1.2*float64(bestDynDec),
 		"static-cyclic %d vs best dynamic %d", dec["static-cyclic"], bestDynDec)
 	bim := results[loads[2].name]
-	bestDynBim := min64(bim["SS"], bim["CSS(16)"], bim["GSS"], bim["FSC"])
+	bestDynBim := min(bim["SS"], bim["CSS(16)"], bim["GSS"], bim["FSC"])
 	worstStatic := bim["static-block"]
 	if bim["static-cyclic"] > worstStatic {
 		worstStatic = bim["static-cyclic"]
@@ -605,16 +605,6 @@ func runE11(w io.Writer) (Verdict, error) {
 		ratio[80] > ratio[0],
 		"per-loop/distributed at penalty 80 = %.2f vs %.2f at 0", ratio[80], ratio[0])
 	return v, nil
-}
-
-func min64(xs ...int64) int64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // realEngineSmoke is used by tests to ensure experiments also execute on

@@ -266,7 +266,7 @@ func (c calcPolicy) Lease(pr machine.Proc, icb *pool.ICB, batch int) (Lease, boo
 		// Chunks whose cursor stayed within the bound are ours; the
 		// overshoot past the bound leases nothing (later claimers read a
 		// cursor past the bound, exactly as after a final unit claim).
-		n := int((min64(j+add-1, icb.Bound)-j)/c.stride) + 1
+		n := int((min(j+add-1, icb.Bound)-j)/c.stride) + 1
 		first, _, _ := c.calc.Chunk(j, icb.Bound)
 		lastA, _, _ := c.calc.Chunk(j+int64(n-1)*c.stride, icb.Bound)
 		l := Lease{calc: c.calc, s: j, bound: icb.Bound, n: n, lo: first.Lo, hi: lastA.Hi}
@@ -314,11 +314,4 @@ func claimAdd(stride int64, batch int) int64 {
 		return MaxClaimAdd / stride * stride
 	}
 	return stride * int64(batch)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
