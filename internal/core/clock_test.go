@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -568,4 +569,144 @@ func TestLastClaimFollowsAdoptions(t *testing.T) {
 				i, sampled[i], sampledStride, exact[i], hold)
 		}
 	}
+}
+
+// sampledAccounting is one leg's accounting at the real engine's clock
+// stride on the virtual engine, with the clock reads it took.
+type sampledAccounting struct {
+	O1, Body, O2, O3, Searches, Chunks, Reads int64
+}
+
+// TestSampledAccountingGolden pins, exactly, the sampled accounting of
+// every golden case at P=4 and stride 16 — which boundaries read the
+// clock, and what each reading charges — where TestSampledSplit holds it
+// to the exact split within tolerances and TestAccountingGolden pins
+// stride 1 alone. It pins as well the inline twin of the serial chain
+// (TestSerialChainsDoNotOverflow) at P=2: its SEARCH and instance counts,
+// which the inline rule's means decide, and the exact sample one inline
+// instance in every s reads. A change that moves no reading and no
+// charge leaves every figure here as it was captured.
+func TestSampledAccountingGolden(t *testing.T) {
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			legs := tc.countedLegs(t, 4, sampledStride)
+			want := goldenSampled[tc.name]
+			if !slices.Equal(legs, want) {
+				t.Errorf("sampled accounting moved:\n got %+v\nwant %+v", legs, want)
+			}
+		})
+	}
+	t.Run("serial-chain/inline", func(t *testing.T) {
+		nest := loopir.MustBuild(func(b *loopir.B) {
+			b.Serial("K", loopir.Const(200_000), func(b *loopir.B) {
+				b.DoallLeaf("Z", loopir.Const(1), func(e loopir.Env, _ loopir.IVec, _ int64) { e.Work(1) })
+			})
+		})
+		eng := inliningEngine{&countingEngine{Engine: stridedEngine{vmachine.New(vmachine.Config{P: 2, AccessCost: 5}), sampledStride}}}
+		rep, err := Run(compileOnly(t, nest), Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const instances = 200_000
+		st := rep.Stats
+		got := sampledAccounting{O1: st.O1Time, Body: st.BodyTime, O2: st.O2Time, O3: st.O3Time,
+			Searches: st.Searches, Chunks: st.Chunks, Reads: eng.nows.Load()}
+		want := sampledAccounting{O1: 35, Body: 200_000, O2: 40, O3: 35, Searches: 1, Chunks: 200_000, Reads: 25_008}
+		if got != want || st.Instances != instances {
+			t.Errorf("inline twin: %d instances, %+v; captured %d, %+v", st.Instances, got, instances, want)
+		}
+	})
+}
+
+// inliningEngine is a counting engine that lets tiny instances run inline.
+type inliningEngine struct{ *countingEngine }
+
+func (inliningEngine) InlineInstances() bool { return true }
+
+// countedLegs is legs on a counting engine: each leg's sampled accounting
+// with the clock reads it took.
+func (tc goldenCase) countedLegs(t *testing.T, p, stride int) []sampledAccounting {
+	t.Helper()
+	run := func(cfg Config) (sampledAccounting, *RunSnapshot) {
+		eng := &countingEngine{Engine: stridedEngine{vmachine.New(vmachine.Config{P: p, AccessCost: 5}), stride}}
+		cfg.Engine = eng
+		rep, err := Run(compileOnly(t, tc.nest()), cfg)
+		var st Snapshot
+		var snap *RunSnapshot
+		var be *BudgetExceededError
+		var ce *CheckpointedError
+		switch {
+		case err == nil:
+			st = rep.Stats
+		case errors.As(err, &be) && be.Snapshot != nil:
+			snap = be.Snapshot
+		case errors.As(err, &ce):
+			snap = ce.Snapshot
+		default:
+			t.Fatalf("run: %v", err)
+		}
+		if snap != nil {
+			st = snapshotOf(snap.Stats)
+		}
+		return sampledAccounting{O1: st.O1Time, Body: st.BodyTime, O2: st.O2Time, O3: st.O3Time,
+			Searches: st.Searches, Chunks: st.Chunks, Reads: eng.nows.Load()}, snap
+	}
+	got, snap := run(tc.cfg)
+	legs := []sampledAccounting{got}
+	if tc.resume {
+		if snap == nil {
+			t.Fatal("first leg ran to completion; the case must pause")
+		}
+		cfg := tc.cfg
+		cfg.Budget = nil
+		cfg.Checkpoint = &CheckpointConfig{Restore: snap}
+		if got, snap = run(cfg); snap != nil {
+			t.Fatal("resumed leg paused again")
+		}
+		legs = append(legs, got)
+	}
+	return legs
+}
+
+// goldenSampled holds TestSampledAccountingGolden's expectations, captured
+// before the worker's clock fields and pause triggers moved into one meter
+// type, as the check that the move changed no reading and no charge.
+var goldenSampled = map[string][]sampledAccounting{
+	"flat/ss": {
+		{O1: 10291, Body: 204819, O2: 510, O3: 45, Searches: 4, Chunks: 2048, Reads: 402},
+	},
+	"many/ss": {
+		{O1: 5182, Body: 7768, O2: 7085, O3: 2740, Searches: 124, Chunks: 256, Reads: 525},
+	},
+	"wavefront/css:2": {
+		{O1: 798, Body: 27027, O2: 510, O3: 45, Searches: 4, Chunks: 150, Reads: 54},
+	},
+	"flat/ss/batch4": {
+		{O1: 2610, Body: 204820, O2: 510, O3: 45, Searches: 4, Chunks: 2048, Reads: 402},
+	},
+	"many/gss/batch3": {
+		{O1: 4635, Body: 7530, O2: 6330, O3: 2785, Searches: 118, Chunks: 256, Reads: 457},
+	},
+	"isolate/quarantine": {
+		{O1: 579, Body: 1403, O2: 510, O3: 45, Searches: 4, Chunks: 16, Reads: 46},
+	},
+	"fig1/dispatch500": {
+		{O1: 1595, Body: 7240, O2: 4430, O3: 1880, Searches: 67, Chunks: 72, Reads: 306},
+	},
+	"flat/css:8/budget+resume": {
+		{O1: 650, Body: 100100, O2: 510, O3: 40, Searches: 4, Chunks: 126, Reads: 35},
+		{O1: 1375, Body: 204800, O2: 3180, O3: 45, Searches: 8, Chunks: 256, Reads: 47},
+	},
+	"flat/css:8/batch4/budget+resume": {
+		{O1: 180, Body: 100100, O2: 510, O3: 40, Searches: 4, Chunks: 128, Reads: 35},
+		{O1: 391, Body: 204824, O2: 7980, O3: 45, Searches: 8, Chunks: 256, Reads: 44},
+	},
+	"flat/css:8/batch4/budget1000+resume": {
+		{O1: 180, Body: 100000, O2: 510, O3: 40, Searches: 4, Chunks: 128, Reads: 34},
+		{O1: 391, Body: 204824, O2: 8280, O3: 45, Searches: 8, Chunks: 256, Reads: 44},
+	},
+	"many/ss/batch2/checkpoint+resume": {
+		{O1: 1503, Body: 2932, O2: 2485, O3: 2330, Searches: 43, Chunks: 102, Reads: 180},
+		{O1: 3716, Body: 7719, O2: 7105, O3: 2730, Searches: 109, Chunks: 256, Reads: 279},
+	},
 }
