@@ -63,16 +63,16 @@ bench-harness:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-pairs runs the root package's wall-clock benchmarks of the served
-# virtual path and the nested kernel (VirtualServed, KernelNested, with
-# -benchmem) on PARENT and on the working tree, N times alternately, and
-# prints every output line tagged parent: or change:. Each side's test
-# binary is built once — PARENT's in a temporary checkout made with git
-# archive — and runs in its own tree, where bench/programs is. It reads
-# the spread a change must stay inside: compare each benchmark's medians
-# against the parent's quartiles.
+# virtual path, the claim path and the nested kernel (VirtualServed,
+# KernelFine, KernelNested, with -benchmem) on PARENT and on the working
+# tree, N times alternately, and prints every output line tagged parent:
+# or change:. Each side's test binary is built once — PARENT's in a
+# temporary checkout made with git archive — and runs in its own tree,
+# where bench/programs is. It reads the spread a change must stay inside:
+# compare each benchmark's medians against the parent's quartiles.
 PARENT ?= HEAD
 N      ?= 10
-PAIRS_BENCH := -test.run '^$$' -test.bench 'VirtualServed|KernelNested' -test.benchmem -test.timeout 10m
+PAIRS_BENCH := -test.run '^$$' -test.bench 'VirtualServed|Kernel(Fine|Nested)' -test.benchmem -test.timeout 10m
 
 bench-pairs:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

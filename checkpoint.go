@@ -72,3 +72,19 @@ func (p *Program) Fingerprint() string {
 	h.Write([]byte(p.desc.FormatDescriptors()))
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
+
+// CanCheckpoint reports whether a run of the program under opts can pause
+// with a snapshot: it needs a cursor (dynamic) scheme and no Doacross or
+// manual-post loop. It returns nil, an error matching
+// ErrNotCheckpointable, or the option error Run would return.
+func (p *Program) CanCheckpoint(opts Options) error {
+	rs, err := opts.resolve()
+	if err != nil {
+		return err
+	}
+	pl, err := p.execPlan()
+	if err != nil {
+		return err
+	}
+	return pl.Checkpointable(rs.scheme, rs.procs)
+}

@@ -265,7 +265,7 @@ func runError(err error, timeout time.Duration) error {
 	case errors.Is(err, repro.ErrBadClaim):
 		return fmt.Errorf("%v\n-claim-batch and -sw-shards must be nonnegative, and batching needs a cursor (dynamic) scheme", err)
 	case errors.Is(err, repro.ErrNotCheckpointable):
-		return fmt.Errorf("%v\ncheckpointing needs a dynamic scheme and the default failure policy", err)
+		return fmt.Errorf("%v\ncheckpointing needs a dynamic scheme (a cursor, not a pre-assignment) and no doacross or manual-post loop", err)
 	case errors.Is(err, repro.ErrBadCheckpoint), errors.Is(err, repro.ErrBadSnapshot):
 		return fmt.Errorf("%v\nthe -resume file must come from -checkpoint-out for the same program and options", err)
 	case errors.Is(err, context.DeadlineExceeded):

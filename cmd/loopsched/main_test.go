@@ -118,6 +118,11 @@ func TestErrors(t *testing.T) {
 
 func TestErrorsListValidValues(t *testing.T) {
 	// A mistyped option must tell the user what would have worked.
+	doacross := filepath.Join(t.TempDir(), "doacross.loop")
+	if err := os.WriteFile(doacross, []byte("doacross(1) W = 1..20 { await; work 1; post }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const notCheckpointable = "checkpointing needs a dynamic scheme (a cursor, not a pre-assignment) and no doacross or manual-post loop"
 	cases := []struct {
 		args []string
 		want string
@@ -125,6 +130,8 @@ func TestErrorsListValidValues(t *testing.T) {
 		{[]string{"-workload", "flat", "-scheme", "bogus"}, "valid schemes: ss, sdss, css:K"},
 		{[]string{"-workload", "flat", "-engine", "abacus"}, "valid engines: virtual, real"},
 		{[]string{"-workload", "flat", "-pool", "heap"}, "valid pools: per-loop, single"},
+		{[]string{"-workload", "flat", "-scheme", "static-block", "-checkpoint-after", "5"}, notCheckpointable},
+		{[]string{"-file", doacross, "-checkpoint-after", "5"}, notCheckpointable},
 	}
 	var buf bytes.Buffer
 	for _, c := range cases {

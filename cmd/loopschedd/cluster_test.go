@@ -462,6 +462,32 @@ func TestClusterProxiedProgressSkipsMissedPolls(t *testing.T) {
 	}
 }
 
+// TestClusterDefaultChainSkipsUncheckpointable: a node's -checkpoint-every
+// default chains only the runs that can take snapshots. A doacross program
+// and a static-scheme one cannot, so they run unchained to done; with the
+// default applied to them, each failed at its first leg as not
+// checkpointable.
+func TestClusterDefaultChainSkipsUncheckpointable(t *testing.T) {
+	tc := startCluster(t, 2, t.TempDir(), nil, 20)
+	for name, body := range map[string]string{
+		"doacross":     `{"program": "doacross(1) W = 1..400 { await; work 1; post }", "options": {"procs": 2}}`,
+		"static-block": `{"program": "doall I = 1..400 { work 1 }", "options": {"procs": 2, "scheme": "static-block"}}`,
+	} {
+		resp, payload := postJSON(t, tc.url(0)+"/v1/runs", body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: submit: %d %v", name, resp.StatusCode, payload)
+		}
+		id, _ := payload["id"].(string)
+		st := tc.pollStatus(0, id, 30*time.Second, func(st map[string]any) bool {
+			s, _ := st["state"].(string)
+			return s == "done" || s == "failed" || s == "cancelled"
+		})
+		if st["state"] != "done" {
+			t.Errorf("%s: run ended %v (%v), want done", name, st["state"], st["error"])
+		}
+	}
+}
+
 // TestClusterFailoverRestore is the chaos gate: under seeded network
 // faults, a run placed on a node that dies mid-run is restored on a
 // survivor from its last journaled snapshot — same run ID, and final

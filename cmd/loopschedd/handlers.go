@@ -212,10 +212,12 @@ func (s *server) buildSubmission(req submitRequest) (runner.Submission, error) {
 	if every < 0 {
 		return runner.Submission{}, errors.New("checkpoint_every must be non-negative")
 	}
-	if every == 0 && s.cfg.Cluster.enabled() {
-		// Clustered nodes default every run to periodic snapshots: without
-		// them, failover can only restart a lost run from scratch.
-		every = s.cfg.Cluster.CheckpointEvery
+	if d := s.cfg.Cluster.CheckpointEvery; every == 0 && d > 0 && s.cfg.Cluster.enabled() &&
+		prog.CanCheckpoint(req.Options.Options) == nil {
+		// Clustered nodes default every run that can take snapshots to
+		// periodic ones: without them, failover can only restart a lost
+		// run from scratch, as it does a run that cannot.
+		every = d
 	}
 	return runner.Submission{
 		Program:         prog,

@@ -9,14 +9,11 @@ import (
 
 // Gas-style execution budgets on the claim path.
 //
-// A budget meters the run at the one place every iteration already
-// passes through: the drive loop's claim site. Each chunk about to run —
-// a fresh claim, or the next slice of a lease the worker holds
-// (Config.ClaimBatch) — charges its iteration count against a host-side
-// atomic before any of it executes, so the meter costs one decrement per
-// chunk and charges no machine time. With no budget configured the
-// kernel pays a single boolean test per chunk and the run is
-// bit-identical to a build without the seam.
+// A budget meters the run where every iteration already passes: the
+// claim site, where each chunk about to run — a fresh claim, or the next
+// slice of a held lease — is charged before it executes (budgetClaim, in
+// meter.go). With no budget the kernel pays one boolean test per chunk
+// and the run is bit-identical to a build without the seam.
 //
 // Exhaustion is schedule-independent and exact: the chunk that crosses
 // the budget executes only its allowed prefix, posts it — with whatever
@@ -68,62 +65,6 @@ func (e *BudgetExceededError) Error() string {
 
 // Is makes errors.Is(err, ErrBudgetExceeded) true for BudgetExceededErrors.
 func (e *BudgetExceededError) Is(target error) bool { return target == ErrBudgetExceeded }
-
-// budgetClaim charges a chunk of s iterations against the iteration
-// budget and returns how many of them may execute. The charge happens
-// before execution, through one host-side atomic add, so concurrent
-// claimers partition the remaining budget exactly: the allowed counts
-// across all chunks sum to precisely Budget.Iterations when the run
-// exhausts. Crossing (or meeting) the limit requests the pause; the
-// caller executes the allowed prefix and records the remainder pending.
-func (ex *executor) budgetClaim(s int64) int64 {
-	rem := ex.budIters.Add(-s)
-	if rem > 0 {
-		return s
-	}
-	ex.budHit.Store(true)
-	ex.ckptReq.Store(true)
-	if rem == 0 {
-		return s
-	}
-	if allowed := s + rem; allowed > 0 {
-		return allowed
-	}
-	return 0
-}
-
-// budgetTake charges an inline instance's n iterations whole, or not at
-// all: false when fewer than n remain, and the instance is then published
-// for the claim path to cut. Taking the last of the budget requests the
-// pause, as budgetClaim does.
-func (ex *executor) budgetTake(n int64) bool {
-	for {
-		rem := ex.budIters.Load()
-		if rem < n {
-			return false
-		}
-		if ex.budIters.CompareAndSwap(rem, rem-n) {
-			if rem == n {
-				ex.budHit.Store(true)
-				ex.ckptReq.Store(true)
-			}
-			return true
-		}
-	}
-}
-
-// budgetDue checks the engine-time budget at a claim boundary and
-// requests the pause once the ceiling is reached. Reading pr.Now()
-// charges no machine time, so a run with no time budget (or one that
-// never reaches it) is unperturbed.
-func (ex *executor) budgetDue(pr machine.Proc) bool {
-	if ex.budTime <= 0 || pr.Now() < ex.budTime {
-		return false
-	}
-	ex.budHit.Store(true)
-	ex.ckptReq.Store(true)
-	return true
-}
 
 // budgetConsumed reports the iterations charged against the iteration
 // budget so far (capped at the budget itself).

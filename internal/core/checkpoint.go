@@ -199,15 +199,22 @@ func (ex *executor) RequestCheckpoint() bool {
 	return true
 }
 
-// checkCheckpointable validates that the configuration's in-flight
-// state is fully captured by per-instance cursors: the policy must
-// expose the cursor seam (lowsched.CursorSource), and no leaf may carry
-// synchronization state outside the snapshot (Doacross dependence
-// flags, manual posts).
-func checkCheckpointable(pl *Plan, cfg Config, policy lowsched.Policy) error {
-	if cfg.Checkpoint.AfterChunks < 0 {
-		return fmt.Errorf("%w: negative claim threshold %d", ErrNotCheckpointable, cfg.Checkpoint.AfterChunks)
+// Checkpointable reports whether runs of the plan under scheme on nprocs
+// processors can pause with a snapshot: nil, or an error that matches
+// ErrNotCheckpointable (or an invalid scheme's).
+func (pl *Plan) Checkpointable(scheme lowsched.Scheme, nprocs int) error {
+	policy, err := bindScheme(scheme, nprocs)
+	if err != nil {
+		return err
 	}
+	return checkCheckpointable(pl, policy)
+}
+
+// checkCheckpointable validates that the run's in-flight state is fully
+// captured by per-instance cursors: the policy must expose the cursor
+// seam (lowsched.CursorSource), and no leaf may carry synchronization
+// state outside the snapshot (Doacross dependence flags, manual posts).
+func checkCheckpointable(pl *Plan, policy lowsched.Policy) error {
 	if _, ok := policy.(lowsched.CursorSource); !ok {
 		return fmt.Errorf("%w: scheme %s keeps claim state outside the ICB cursor (per-processor pre-assignment)",
 			ErrNotCheckpointable, policy.Name())

@@ -319,9 +319,9 @@ type executor struct {
 	// exhaustion as the pause reason.
 	budIters atomic.Int64
 	budHit   atomic.Bool
-	// claims counts chunk claims globally when ckptAfter is positive,
+	// claimed counts chunk claims globally when ckptAfter is positive,
 	// realizing the deterministic claim-k checkpoint trigger.
-	claims atomic.Int64
+	claimed atomic.Int64
 
 	// inj and retry are cfg.Inject and cfg.Retry hoisted onto the
 	// executor so the kernel's hot path reads one flat field; ckptAfter
@@ -342,8 +342,6 @@ type executor struct {
 	// fanCursor is the pool's fan-out list cursor: SEARCH passes it by
 	// while P·B instances are live (fanout.go).
 	fanCursor int
-	// stride is the engine's clock stride (clockStride), asked once.
-	stride int
 	// inline is set when the run lets a worker run a tiny instance where it
 	// activates it (inline.go): the engine allows it (inlines), the
 	// per-leaf means its rule reads are kept (stride above 1), the sink
@@ -423,7 +421,6 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		inj:     cfg.Inject,
 		retry:   cfg.Retry,
 		nprocs:  int64(nprocs),
-		stride:  clockStride(cfg.Engine),
 	}
 	if cfg.Checkpoint != nil {
 		ex.ckptAfter = cfg.Checkpoint.AfterChunks
@@ -452,9 +449,10 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 	ex.locStride = (pl.maxDepth + 8) / 8 * 8
 	ex.locs = make([]int64, nprocs*ex.locStride)
 	_, schedOnly := cfg.Sink.(trace.SchedulingOnly)
-	ex.inline = ex.stride > 1 && inlines(cfg.Engine) && (cfg.Sink == nil || schedOnly) &&
+	stride := clockStride(cfg.Engine)
+	ex.inline = stride > 1 && inlines(cfg.Engine) && (cfg.Sink == nil || schedOnly) &&
 		!lowsched.IsStatic(cfg.Scheme) && cfg.DispatchCost == 0
-	if ex.stride > 1 {
+	if stride > 1 {
 		// A 32-byte entry per leaf, and a whole line or more per worker
 		// with at least one spare entry at its end.
 		ex.meanStride = (len(pl.leaves) + 2) / 2 * 2
@@ -651,7 +649,7 @@ func (ex *executor) Diagnose() string {
 		iters := sh.Get(cIterations)
 		fmt.Fprintf(&b, "proc %d: chunks=%d searches=%d iters=%d unposted=%d last-claim=%d\n",
 			i, sh.Get(cChunks), sh.Get(cSearches), iters,
-			iters+sh.Get(cFailedIterations)-posted, ex.workers[i].lastClaim.Load())
+			iters+sh.Get(cFailedIterations)-posted, ex.workers[i].lastClaimed())
 	}
 	if d, ok := ex.policy.(interface{ DiagnoseString() string }); ok {
 		b.WriteString(d.DiagnoseString())

@@ -219,7 +219,7 @@ func (w *worker) activate(leaf *descr.LeafInfo, loc []int64) (int, int) {
 	}
 	ex.live.Add(1)
 	w.shard.Inc(cInstances)
-	w.pubs++
+	w.published()
 	if w.sink != nil {
 		w.sink.Record(w.event(w.pr.Now(), trace.EvActivated, leaf.Num, icb.IVec, bound, 0))
 	}

@@ -50,7 +50,7 @@ func (w *worker) publishFanOut(cur, level int, loc []int64, bound int64) {
 // by the time the run has drained. cont=false means the worker must drain out.
 func (w *worker) claimFanOut(icb *pool.ICB) (cont bool) {
 	ex, pr := w.ex, w.pr
-	if ex.ckptReq.Load() || (ex.budTime > 0 && ex.budgetDue(pr)) {
+	if w.pauseDue() {
 		return false
 	}
 	lo := icb.Index.FetchAdd(pr, fanChunk)

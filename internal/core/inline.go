@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/descr"
 	"repro/internal/lowsched"
-	"repro/internal/machine"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -17,39 +16,16 @@ import (
 // synchronization, nor its icount posts and pcount release.
 
 // inlines reports whether the instance of leaf num (plan lp) with n
-// iterations that this worker is activating runs inline. Every condition
-// must hold:
-//
-//   - the run allows it (executor.inline: the engine declares it, the
-//     per-leaf means exist, no sink records iterations, and the scheme
-//     and the dispatch cost price no instance as a task of its own);
-//   - the instance is not Doacross, whose iterations wait on each other;
-//   - no pause is pending, so a snapshot never misses an inline instance
-//     in flight: once ckptReq is set every instance is published;
-//   - the model test n·τ̂ < Ô2 + Ô3 passes: τ̂ is the leaf's body mean on
-//     this worker, Ô2 the worker's mean SEARCH and Ô3 its mean O3 time per
-//     published instance. A worker with no exact body interval for the
-//     leaf, or no published instance yet, publishes;
-//   - the engine-time budget is not due, and the iteration budget covers
-//     all n iterations (it is charged here, whole): an instance the budget
-//     would cut is published, and the claim path cuts it.
+// iterations that this worker is activating runs inline: the run allows
+// it (executor.inline); the instance is not Doacross, whose iterations
+// wait on each other; no pause is pending, so a snapshot never misses an
+// inline instance in flight; the meter's model test n·τ̂ < Ô2 + Ô3 passes
+// (cheaper); the engine-time budget is not due; and the iteration budget
+// covers all n iterations, charged here whole (an instance the budget
+// would cut is published, and the claim path cuts it).
 func (w *worker) inlines(num int, lp *leafPlan, n int64) bool {
-	ex := w.ex
-	if !ex.inline || lp.doacross || w.o2.n == 0 || w.o3.n == 0 || ex.ckptReq.Load() {
-		return false
-	}
-	m := &ex.means[w.meanOff+num]
-	if m.bodyN == 0 {
-		return false
-	}
-	pub := float64(w.o2.sum)/float64(w.o2.n) + float64(w.o3.sum)/float64(w.o3.n)
-	if float64(n)*float64(m.bodySum) >= pub*float64(m.bodyN) {
-		return false
-	}
-	if ex.budTime > 0 && ex.budgetDue(w.pr) {
-		return false
-	}
-	return !ex.budMeter || ex.budgetTake(n)
+	return w.ex.inline && !lp.doacross && !w.ex.ckptReq.Load() && w.cheaper(num, n) &&
+		!w.pauseDue() && (!w.ex.budMeter || w.budgetTake(n))
 }
 
 // runInline runs the instance of leaf with enclosing indexes loc[2..Depth]
@@ -59,15 +35,9 @@ func (w *worker) inlines(num int, lp *leafPlan, n int64) bool {
 // claim and one chunk, [1, n], with no SEARCH (O2 = 0) and no O1; it
 // counts as an activation, an EXIT and an ENTER, as a published instance
 // does, and its activated, claim, chunk and completed events are recorded.
-// It runs under the run's failure policy as one chunk.
-//
-// One inline instance in every s — sharing the countdown of the periodic
-// exact hold — reads its body exactly and restarts the leaf's body mean,
-// so a leaf whose body grows stops inlining. Any other leaves n·τ̂ of body
-// time unread in the open O3 window, and the reading that closes it
-// charges that much to the body (tick).
+// It runs under the run's failure policy as one chunk, between the
+// meter's inline boundaries (startInline, endInline).
 func (w *worker) runInline(leaf *descr.LeafInfo, loc []int64, n int64) (int, int) {
-	ex := w.ex
 	ivec := userIVec(loc, leaf.Depth)
 	icb := w.scratch
 	if icb != nil {
@@ -80,36 +50,15 @@ func (w *worker) runInline(leaf *descr.LeafInfo, loc []int64, n int64) (int, int
 	}
 	a := lowsched.Assignment{Lo: 1, Hi: n}
 	w.shard.Inc(cInstances)
-	w.shard.Inc(cChunks)
+	w.countClaim(1)
 	if w.sink != nil {
 		at := w.pr.Now()
 		w.sink.Record(w.event(at, trace.EvActivated, leaf.Num, icb.IVec, n, 0))
 		w.sink.Record(w.event(at, trace.EvClaim, leaf.Num, icb.IVec, a.Lo, a.Hi))
 	}
-	if ex.ckptAfter > 0 && ex.claims.Add(1) == ex.ckptAfter {
-		// The claim-k trigger counts the inline claim; the instance still
-		// runs, and the pause falls after it.
-		ex.ckptReq.Store(true)
-	}
-	m := &ex.means[w.meanOff+leaf.Num]
-	w.holds--
-	exact := w.holds <= 0
-	if exact {
-		w.holds = w.stride
-		w.endO3()
-	}
+	exact := w.startInline(leaf.Num)
 	cont := w.execChunk(icb, a)
-	if exact {
-		m.bodySum, m.bodyN = 0, 0
-		held := w.held
-		w.held, w.iters = m, n
-		w.tick(cBodyTime)
-		w.held = held
-		w.lastClaim.Store(w.now)
-	} else {
-		w.pred += machine.Time(float64(n)*float64(m.bodySum)/float64(m.bodyN) + 0.5)
-	}
-	w.inlined++
+	w.endInline(n, exact)
 	if !cont {
 		return 0, 0 // the run is draining
 	}

@@ -27,7 +27,11 @@ import (
 // The loop has one claim site. A lease (Config.ClaimBatch) is a claim the
 // worker keeps: the claim site takes the next slice from worker.lease
 // before it performs another synchronization operation, so pause, budget
-// meter, body and post are the same code at every batch factor.
+// charge, body and post are the same code at every batch factor. The loop
+// only names its phase boundaries — claim, body end, hold end, search
+// end, O3 end, mark, inline instance — to the worker's meter (meter.go),
+// which decides whether each reads the clock, what it charges and when a
+// pause is due.
 //
 // No SEARCH, EXIT or ENTER control flow exists outside this package.
 
@@ -67,40 +71,8 @@ type worker struct {
 	// the barriers this worker opened less those it completed.
 	bar      *barrier
 	barsOpen int64
-	// now is the worker's latest clock reading. The drive loop reads the
-	// clock at phase boundaries (tick, mark): the reading that closes one
-	// accounted interval opens the next. On the virtual engine no machine
-	// time passes between one phase's end and the next one's start, so
-	// chaining them changes no figure there. The O1 interval opens at a
-	// body's end and stays open into the next claim (across the icount
-	// post, when there is one), and every way out of the drive loop
-	// closes the open interval before leaving.
-	now machine.Time
-	// claims and iters are the open window: the O1 phases (one per
-	// synchronization claim, one for the phase that ends a hold) and the
-	// body iterations since now that no reading closed. With a clock
-	// stride of 1 every boundary reads and the window holds at most the
-	// phase its reading closes; above 1 an exact hold reads only at its
-	// edges, its first claim, its tail chunks and one sampled chunk in
-	// every stride, any other hold at its edges alone, and the reading
-	// that closes a mixed window splits it (split, meter.go).
-	claims, iters int64
-	// all totals the exact intervals the worker has read, and held points
-	// at the same totals for the held instance's leaf: its entry in the
-	// worker's carve of ex.means, which starts at meanOff (nil at stride
-	// 1, where no window is ever split).
-	all     means
-	held    *means
-	meanOff int
-	// stride is the engine's clock stride s (Engine's optional
-	// ClockStride; 1 when the engine has none); left counts down the
-	// chunks to the next sample and holds the holds to the next exact
-	// hold, both across holds. exact is set while the held instance reads
-	// inside the hold (adopt); readClaim makes the next claim read the
-	// clock (an exact hold's first, or a sample's), armed the next body
-	// end (a sample's); at stride 1 all three stay set.
-	stride, left, holds     int
-	exact, readClaim, armed bool
+	// meter is the worker's clock, accounting and pause triggers.
+	meter
 	// unposted counts the iterations this processor has executed on the
 	// instance it holds and not yet added to the instance's icount. Only
 	// the claim has to be serialized at the shared word; the completion
@@ -113,12 +85,6 @@ type worker struct {
 	// Diagnose derives the executed-unposted count from it and the shard's
 	// iteration counters, so the hot path publishes nothing extra.
 	posted atomic.Int64
-	// lastClaim is the engine time of this processor's latest timed claim
-	// — a claim whose boundary read the clock — or, above stride 1, of its
-	// latest adoption if that came later (-1 before the first); stored
-	// host-side for the stuck-run watchdog's per-processor diagnostics, it
-	// charges no machine time.
-	lastClaim atomic.Int64
 	// sink is Config.Sink, and iter the same sink unless it keeps
 	// scheduling kinds only: every event site pays exactly one nil test
 	// when there is none, and the iteration sites when it is a Ring.
@@ -128,14 +94,8 @@ type worker struct {
 	// before the worker lets go of the instance.
 	lease lowsched.Lease
 	// scratch is the block the worker's inline instances run in (inline.go),
-	// never published; nil until the first. pred is the body time inline
-	// instances left unread in the open window, n·τ̂ each; pubs and inlined
-	// count the instances the open O3 phase published and ran inline; o2
-	// and o3 are Ô2 and Ô3 of the inline rule (endSearch, endO3).
-	scratch       *pool.ICB
-	pred          machine.Time
-	pubs, inlined int64
-	o2, o3        overhead
+	// never published; nil until the first.
+	scratch *pool.ICB
 	// pad keeps adjacent workers in the executor's slice from sharing a
 	// cache line (the shard and freelist headers above are written on
 	// every scheduling decision).
@@ -147,14 +107,9 @@ func (w *worker) init(ex *executor, pr machine.Proc) {
 	w.ex = ex
 	w.pr = pr
 	w.shard = ex.spine.Shard(pr.ID())
-	w.lastClaim.Store(-1)
-	// The first chunk the worker runs is a sample, so both means exist
-	// before any window needs splitting.
-	w.stride, w.left, w.holds = ex.stride, ex.stride, ex.stride
-	w.exact, w.armed = true, true
+	w.meter.init(ex, pr, w.shard)
 	off := pr.ID() * ex.locStride
 	w.loc = ex.locs[off : off+ex.plan.maxDepth+1 : off+ex.locStride]
-	w.meanOff = pr.ID() * ex.meanStride
 	w.ctx = Ctx{pr: pr, abort: ex.abortFn, shard: w.shard}
 	w.stop = ex.stopFn
 	w.sink, w.iter = ex.cfg.Sink, ex.cfg.Sink
@@ -298,7 +253,7 @@ func (w *worker) run() {
 			}
 		}
 
-		if ex.ckptReq.Load() || (ex.budTime > 0 && ex.budgetDue(pr)) {
+		if w.pauseDue() {
 			// Pause (checkpoint, iteration budget, engine-time budget) at
 			// the claim boundary: post, then leave without claiming. The
 			// hold is deliberately not dropped — the ICB must stay live so
@@ -340,54 +295,27 @@ func (w *worker) run() {
 				// pool so later searchers move on (DELETE, Algorithm 1).
 				ex.pool.Delete(pr, icb)
 			}
-			// Chunks (here, and the claim-k trigger below) are counted per
-			// operation, for every chunk it covered.
-			w.shard.Add(cChunks, n)
-			// The claim closes the O1 interval the previous body's end (or the
-			// SEARCH) opened: a tail post if there was one, the fetch-and-add
-			// on index and, on the final claim, the DELETE. Above stride 1
-			// only an exact hold's first claim, a sample's and a tail
-			// chunk's read the clock; the others stay in the open window.
-			w.claims++
-			timed := w.readsClaim(icb, a)
-			if timed {
-				w.readClaim = w.stride == 1
-				w.tick(cO1Time)
-				w.lastClaim.Store(w.now)
-			}
+			// The claim boundary: chunks are counted per operation, for
+			// every chunk it covered.
+			timed := w.claim(icb, a, n)
 			if w.sink != nil {
-				at := w.now
-				if !timed {
-					at = pr.Now()
-				}
-				w.sink.Record(w.event(at, trace.EvClaim, icb.Loop, icb.IVec, span.Lo, span.Hi))
-			}
-			if ex.ckptAfter > 0 {
-				// The deterministic claim-k trigger fires when the cumulative
-				// chunk count reaches k (a lease may step past it, never
-				// around it). This chunk still executes; the pause takes
-				// effect at every worker's next claim boundary.
-				if c := ex.claims.Add(n); c-n < ex.ckptAfter && ex.ckptAfter <= c {
-					ex.ckptReq.Store(true)
-				}
+				w.sink.Record(w.event(w.stamp(timed), trace.EvClaim, icb.Loop, icb.IVec, span.Lo, span.Hi))
 			}
 		}
-		if ex.budMeter {
-			if allowed := ex.budgetClaim(a.Size()); allowed < a.Size() {
-				// The chunk crossed the iteration budget: execute only the
-				// allowed prefix, record the remainder as the instance's
-				// pending range (icount + pending == executed cursor prefix
-				// holds for the snapshot) and pause, keeping the hold.
-				if allowed > 0 {
-					if !w.runChunk(icb, lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + allowed - 1}) {
-						return
-					}
-					w.unposted += allowed
+		if allowed := w.budgetClaim(a.Size()); allowed < a.Size() {
+			// The chunk crossed the iteration budget: execute only the
+			// allowed prefix, record the remainder as the instance's
+			// pending range (icount + pending == executed cursor prefix
+			// holds for the snapshot) and pause, keeping the hold.
+			if allowed > 0 {
+				if !w.runChunk(icb, lowsched.Assignment{Lo: a.Lo, Hi: a.Lo + allowed - 1}) {
+					return
 				}
-				ex.addPending(icb, lowsched.Assignment{Lo: a.Lo + allowed, Hi: a.Hi})
-				w.pause(icb)
-				return
+				w.unposted += allowed
 			}
+			ex.addPending(icb, lowsched.Assignment{Lo: a.Lo + allowed, Hi: a.Hi})
+			w.pause(icb)
+			return
 		}
 
 		// body: execute the assigned iterations under the run's failure
@@ -436,10 +364,8 @@ func (w *worker) executed(icb *pool.ICB, a lowsched.Assignment) (keep, cont bool
 // the release spin drops the hold instead. cont=false means the worker
 // must drain out.
 func (w *worker) leave(icb *pool.ICB) (cont bool) {
-	if w.unposted > 0 {
-		if keep, cont := w.post(icb); !keep {
-			return cont
-		}
+	if keep, cont := w.post(icb); !keep {
+		return cont
 	}
 	// Once the hold is dropped the completer may recycle the block, so the
 	// event names the loop read before the drop, and no index vector.
@@ -447,7 +373,7 @@ func (w *worker) leave(icb *pool.ICB) (cont bool) {
 	icb.PCount.FetchDec(w.pr)
 	w.endHold()
 	if w.sink != nil {
-		w.sink.Record(w.event(w.now, trace.EvSwitch, loop, nil, 0, 0))
+		w.sink.Record(w.event(w.stamp(true), trace.EvSwitch, loop, nil, 0, 0))
 	}
 	return true
 }
@@ -462,10 +388,8 @@ func (w *worker) pause(icb *pool.ICB) {
 	if rem, ok := w.lease.Remaining(); ok {
 		w.ex.addPending(icb, rem)
 	}
-	if w.unposted > 0 {
-		if keep, _ := w.post(icb); !keep {
-			return
-		}
+	if keep, _ := w.post(icb); !keep {
+		return
 	}
 	w.endHold()
 }
@@ -474,13 +398,16 @@ func (w *worker) pause(icb *pool.ICB) {
 // fetch-and-add and, when that brings the count to the bound, runs the
 // completion path (EXIT/ENTER fan-out, the pcount release spin, freelist
 // recycling): whichever processor's post completes the count is the
-// instance's one completer, however late it posts. keep=false means the
-// worker no longer holds the instance; cont=false means the worker must
-// drain out (abort, or a checkpoint pause observed inside the release
-// spin).
+// instance's one completer, however late it posts. With nothing unposted
+// it does nothing. keep=false means the worker no longer holds the
+// instance; cont=false means the worker must drain out (abort, or a
+// checkpoint pause observed inside the release spin).
 func (w *worker) post(icb *pool.ICB) (keep, cont bool) {
 	pr := w.pr
 	n := w.unposted
+	if n == 0 {
+		return true, true
+	}
 	w.unposted = 0
 	w.posted.Add(n)
 	done := icb.ICount.FetchAdd(pr, n) + n
@@ -543,31 +470,20 @@ func (w *worker) release(icb *pool.ICB) bool {
 // the run's failure policy. It returns false when the run must drain
 // (an interrupt mid-chunk, or a body failure under FailFast); the worker
 // then unwinds through its normal return path. The recover sits inside
-// the span/iteration executors below, so a body panic can never escape
-// between the fetch-and-add claim and the icount completion bookkeeping
-// — the claim/complete protocol is panic-safe.
+// execSpan, so a body panic can never escape between the claim and the
+// icount completion bookkeeping: the claim/complete protocol is panic-safe.
 func (w *worker) runChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 	cont := w.execChunk(icb, a)
 	// A chunk the run drains out of is a way out of the drive loop: its
 	// body end always reads.
-	w.iters += a.Size()
-	timed := !cont || w.timeBody(icb, a)
-	if timed {
-		w.tick(cBodyTime)
-	}
+	timed := w.endBody(icb, a, !cont, w.lease.Len() > 0)
 	if !cont {
 		return false
 	}
 	if w.sink != nil {
-		// The chunk's end, at the body boundary's clock reading (its own
-		// when the boundary did not read), with the iterations that ran;
-		// the icount they are posted to lags them, and the post has its
-		// own event.
-		at := w.now
-		if !timed {
-			at = w.pr.Now()
-		}
-		w.sink.Record(w.event(at, trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
+		// The chunk's end, with the iterations that ran; the icount they
+		// are posted to lags them, and the post has its own event.
+		w.sink.Record(w.event(w.stamp(timed), trace.EvChunk, icb.Loop, icb.IVec, a.Lo, a.Hi))
 	}
 	return true
 }
@@ -586,32 +502,34 @@ func (w *worker) execChunk(icb *pool.ICB, a lowsched.Assignment) bool {
 	if err != nil {
 		// FailFast: the first body failure is the run's stop-cause; every
 		// processor drains at its next preemption point.
-		ex.trip(err)
+		ex.trip(fmt.Errorf("core: iteration body failed on processor %d (loop %d, iteration %d): %w",
+			w.pr.ID(), icb.Loop, w.ctx.j, err))
 	}
 	return cont
 }
 
-// execSpan runs iterations a.Lo..a.Hi of the bound instance with panic
-// containment: a body panic is recovered here and returned as an error.
-// cont=false with err=nil means the run aborted mid-chunk.
+// execSpan runs iterations a.Lo..a.Hi of the bound instance, each as one
+// sequence — begin, inject, iteration-start event, AwaitDep, body,
+// PostDep, iteration-end event, count — and stops at the first failure,
+// which it returns: an injected error, or a body panic recovered here, so
+// FailFast contains panics once per chunk and Isolate, which passes one
+// iteration, once per iteration. cont=false with err=nil means the run
+// aborted before an iteration.
 func (w *worker) execSpan(icb *pool.ICB, lp *leafPlan, a lowsched.Assignment) (cont bool, err error) {
 	ex, pr := w.ex, w.pr
-	j := a.Lo
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: iteration body panicked on processor %d (loop %d, iteration %d): %v",
-				pr.ID(), icb.Loop, j, r)
+			err = fmt.Errorf("body panicked: %v", r)
 		}
 	}()
-	for ; j <= a.Hi; j++ {
+	for j := a.Lo; j <= a.Hi; j++ {
 		if ex.aborted() {
 			return false, nil
 		}
 		w.ctx.begin(j)
 		if ex.inj != nil {
-			if ierr := w.inject(icb, j); ierr != nil {
-				return false, fmt.Errorf("core: iteration body failed on processor %d (loop %d, iteration %d): %w",
-					pr.ID(), icb.Loop, j, ierr)
+			if err := w.inject(icb, j); err != nil {
+				return false, err
 			}
 		}
 		if w.iter != nil {
@@ -647,28 +565,22 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 	ex, pr := w.ex, w.pr
 	attempt := 1
 	for j := a.Lo; j <= a.Hi; {
-		if ex.aborted() {
-			return false
-		}
-		err := w.execIter(icb, lp, j)
-		if err == nil {
+		cont, err := w.execSpan(icb, lp, lowsched.Assignment{Lo: j, Hi: j})
+		if cont {
 			j++
 			attempt = 1
 			continue
 		}
-		if ex.aborted() {
-			// The failure is a symptom of the drain (e.g. an aborted
-			// Doacross wait), not an iteration fault: do not record it.
+		if err == nil || ex.aborted() {
+			// The run aborted, or the failure is a symptom of the drain
+			// (e.g. an aborted Doacross wait), not an iteration fault: do
+			// not record it.
 			return false
 		}
 		if attempt <= ex.retry.Attempts {
 			w.shard.Inc(cRetries)
 			if c := ex.retry.Backoff; c > 0 {
-				shift := attempt - 1
-				if shift > 32 {
-					shift = 32
-				}
-				pr.Idle(c << shift)
+				pr.Idle(c << min(attempt-1, 32))
 			}
 			attempt++
 			continue
@@ -686,38 +598,6 @@ func (w *worker) runChunkIsolate(icb *pool.ICB, lp *leafPlan, a lowsched.Assignm
 		attempt = 1
 	}
 	return true
-}
-
-// execIter runs one iteration with panic containment; the returned
-// error is the iteration's failure, nil on success.
-func (w *worker) execIter(icb *pool.ICB, lp *leafPlan, j int64) (err error) {
-	ex, pr := w.ex, w.pr
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("body panicked: %v", r)
-		}
-	}()
-	w.ctx.begin(j)
-	if ex.inj != nil {
-		if ierr := w.inject(icb, j); ierr != nil {
-			return ierr
-		}
-	}
-	if w.iter != nil {
-		w.iter.Record(w.event(pr.Now(), trace.EvIterStart, icb.Loop, icb.IVec, j, 0))
-	}
-	if w.ctx.dep != nil && !w.ctx.manual {
-		w.ctx.AwaitDep()
-	}
-	lp.info.Node.Iter(&w.ctx, icb.IVec, j)
-	if w.ctx.dep != nil {
-		w.ctx.PostDep()
-	}
-	if w.iter != nil {
-		w.iter.Record(w.event(pr.Now(), trace.EvIterEnd, icb.Loop, icb.IVec, j, 0))
-	}
-	w.shard.Inc(cIterations)
-	return nil
 }
 
 // inject consults the fault injector at coordinate (icb.Loop, icb.IVec,

@@ -135,8 +135,11 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 	if bb, ok := policy.(lowsched.BatchBinder); ok {
 		bb.BindBatch(max(cfg.ClaimBatch, 1))
 	}
-	if cfg.Checkpoint != nil {
-		if err := checkCheckpointable(pl, cfg, policy); err != nil {
+	if c := cfg.Checkpoint; c != nil {
+		if c.AfterChunks < 0 {
+			return nil, fmt.Errorf("%w: negative claim threshold %d", ErrNotCheckpointable, c.AfterChunks)
+		}
+		if err := checkCheckpointable(pl, policy); err != nil {
 			return nil, err
 		}
 	}
