@@ -66,9 +66,11 @@ bench-harness:
 # virtual path, the claim path and the nested kernel (VirtualServed,
 # KernelFine, KernelNested, with -benchmem) on PARENT and on the working
 # tree, N times alternately, and prints every output line tagged parent:
-# or change:. Each side's test binary is built once — PARENT's in a
-# temporary checkout made with git archive — and runs in its own tree,
-# where bench/programs is. It reads the spread a change must stay inside:
+# or change:. Odd pairs run PARENT first and even pairs the change first,
+# so a host whose times drift over the session slows neither side more.
+# Each side's test binary is built once — PARENT's in a temporary
+# checkout made with git archive — and runs in its own tree, where
+# bench/programs is. It reads the spread a change must stay inside:
 # compare each benchmark's medians against the parent's quartiles.
 PARENT ?= HEAD
 N      ?= 10
@@ -79,9 +81,10 @@ bench-pairs:
 	mkdir "$$tmp/parent"; git archive "$(PARENT)" | tar -x -C "$$tmp/parent"; \
 	(cd "$$tmp/parent" && $(GO) test -c -o "$$tmp/parent.test" .); \
 	$(GO) test -c -o "$$tmp/change.test" .; \
+	parent() { (cd "$$tmp/parent" && "$$tmp/parent.test" $(PAIRS_BENCH)) | sed 's/^/parent: /'; }; \
+	change() { "$$tmp/change.test" $(PAIRS_BENCH) | sed 's/^/change: /'; }; \
 	for i in $$(seq $(N)); do \
-		(cd "$$tmp/parent" && "$$tmp/parent.test" $(PAIRS_BENCH)) | sed 's/^/parent: /'; \
-		"$$tmp/change.test" $(PAIRS_BENCH) | sed 's/^/change: /'; \
+		if [ $$((i % 2)) = 1 ]; then parent; change; else change; parent; fi; \
 	done
 
 # bench-go is the raw `go test -bench` escape hatch (single iteration,

@@ -24,17 +24,16 @@ var (
 //
 // Iteration budgets are exact on every engine, scheme and claim batch:
 // the run executed precisely min(total iterations, budget) iterations.
-// For runs configured Checkpointable the error carries a resumable
-// Checkpoint, so a manager can treat exhaustion as preemption: park the
-// checkpoint and resubmit it later with a fresh budget.
+// For a run that can pause (Options.CheckpointAfter) the error carries a
+// resumable Checkpoint, so a manager can treat exhaustion as preemption:
+// park the checkpoint and resubmit it later with a fresh budget.
 type BudgetExceededError struct {
 	// Iterations is the iteration count consumed against the budget.
 	Iterations int64
 	// Elapsed is the engine time at the pause (virtual units, or
 	// nanoseconds on the real engines).
 	Elapsed int64
-	// Checkpoint resumes the run; non-nil only when the run was
-	// configured with Options.Checkpointable.
+	// Checkpoint resumes the run; nil when the run cannot pause.
 	Checkpoint *Checkpoint
 }
 

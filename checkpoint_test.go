@@ -128,7 +128,7 @@ func TestCheckpointRejections(t *testing.T) {
 	if _, err := prog.Run(repro.Options{Procs: 4, Resume: cke.Checkpoint, Verify: true}); err == nil {
 		t.Error("Resume+Verify accepted")
 	}
-	if _, err := prog.Run(repro.Options{Procs: 4, Scheme: "static-block", Checkpointable: true}); !errors.Is(err, repro.ErrNotCheckpointable) {
+	if _, err := prog.Run(repro.Options{Procs: 4, Scheme: "static-block", CheckpointAfter: 5}); !errors.Is(err, repro.ErrNotCheckpointable) {
 		t.Errorf("static scheme: err=%v, want ErrNotCheckpointable", err)
 	}
 	// Wrong processor count against the snapshot's.
@@ -143,10 +143,10 @@ func TestObserveProbeRequestsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = prog.Run(repro.Options{
-		Procs: 4, Checkpointable: true,
+		Procs: 4,
 		Observe: func(l repro.Live) {
 			if !l.(core.Checkpointer).RequestCheckpoint() {
-				t.Error("RequestCheckpoint() = false on a checkpointable run")
+				t.Error("RequestCheckpoint() = false on a dynamic run")
 			}
 		},
 	})

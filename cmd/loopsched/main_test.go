@@ -328,8 +328,8 @@ func TestRunOptionFlagsGolden(t *testing.T) {
 			t.Errorf("-%s: %q, want %q", name, got[name], want)
 		}
 	}
-	if n != 19 {
-		t.Errorf("golden lists %d flags, want 19", n)
+	if n != 18 {
+		t.Errorf("golden lists %d flags, want 18", n)
 	}
 }
 

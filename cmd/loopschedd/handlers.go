@@ -321,10 +321,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, sb.String())
 }
 
-// handleCheckpoint asks a running checkpointable run to pause and
-// capture a snapshot. The pause completes asynchronously: poll the run
-// (or its progress stream) for state "checkpointed", then read the
-// checkpoint from GET /v1/runs/{id}.
+// handleCheckpoint asks a running run that can pause to capture a
+// snapshot. The pause completes asynchronously: poll the run (or its
+// progress stream) for state "checkpointed", then read the checkpoint
+// from GET /v1/runs/{id}.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.localRun(w, r, func(id string) bool { return s.cluster.proxyPost(w, r, id, "checkpoint") })
 	if !ok {
@@ -332,7 +332,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	if !run.RequestCheckpoint() {
 		writeError(w, http.StatusConflict,
-			errors.New("run is not checkpointable (submit with options.checkpointable) or not running"))
+			errors.New("run cannot pause: that needs a running run under a cursor (dynamic) scheme, with no doacross or manual-post loop"))
 		return
 	}
 	w.WriteHeader(http.StatusAccepted)

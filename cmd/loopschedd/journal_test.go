@@ -340,12 +340,12 @@ func TestResumeVersion1CheckpointOverHTTP(t *testing.T) {
 }
 
 // TestCheckpointEndpoint covers the live-request path: POST
-// /v1/runs/{id}/checkpoint pauses a long checkpointable run, plus the
-// 404 and 409 error contracts.
+// /v1/runs/{id}/checkpoint pauses a long dynamic run submitted with no
+// checkpoint option, plus the 404 and 409 error contracts.
 func TestCheckpointEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{})
 	resp, payload := postJSON(t, ts.URL+"/v1/runs",
-		`{"program": "doall I = 1..1099511627776 { work 100 }", "options": {"checkpointable": true}}`)
+		`{"program": "doall I = 1..1099511627776 { work 100 }"}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status = %d (%v)", resp.StatusCode, payload)
 	}
@@ -388,14 +388,44 @@ func TestCheckpointEndpoint(t *testing.T) {
 	if cresp, _ := postJSON(t, ts.URL+"/v1/runs/nope/checkpoint", ""); cresp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown run checkpoint status = %d, want 404", cresp.StatusCode)
 	}
-	// A run submitted without the option rejects the request.
-	resp, payload = postJSON(t, ts.URL+"/v1/runs", `{"program": "doall I = 1..4 { work 5 }"}`)
+}
+
+// TestCheckpointEndpointRefusesDoacross: a running run that cannot pause
+// — its doacross loop's dependence flags are not in a snapshot — answers
+// 409, naming what a pause needs. The serial loop keeps the run going
+// with four flags an instance.
+func TestCheckpointEndpointRefusesDoacross(t *testing.T) {
+	s, ts := newTestServer(t, serverConfig{})
+	resp, payload := postJSON(t, ts.URL+"/v1/runs",
+		`{"program": "serial K = 1..1099511627776 { doacross(1) W = 1..4 { await; work 1; post } }"}`)
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("plain submit status = %d (%v)", resp.StatusCode, payload)
+		t.Fatalf("submit status = %d (%v)", resp.StatusCode, payload)
 	}
-	pid := payload["id"].(string)
-	if cresp, _ := postJSON(t, ts.URL+"/v1/runs/"+pid+"/checkpoint", ""); cresp.StatusCode != http.StatusConflict {
-		t.Errorf("plain run checkpoint status = %d, want 409", cresp.StatusCode)
+	run, ok := s.rn.Get(payload["id"].(string))
+	if !ok {
+		t.Fatal("submitted run not found")
+	}
+	defer func() {
+		run.Cancel()
+		<-run.Done()
+	}()
+	select {
+	case <-run.Started():
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never started")
+	}
+	cresp, cpayload := postJSON(t, ts.URL+"/v1/runs/"+run.ID()+"/checkpoint", "")
+	if cresp.StatusCode != http.StatusConflict {
+		t.Fatalf("doacross run checkpoint status = %d (%v), want 409", cresp.StatusCode, cpayload)
+	}
+	msg, _ := cpayload["error"].(string)
+	for _, want := range []string{"running", "cursor", "doacross or manual-post"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("409 message %q does not name %q", msg, want)
+		}
+	}
+	if st := run.State(); st.Terminal() {
+		t.Errorf("doacross run is %v, want still running", st)
 	}
 }
 

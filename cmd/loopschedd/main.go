@@ -12,7 +12,7 @@
 //	GET  /v1/runs/{id}           one run's status, with the result once done
 //	GET  /v1/runs/{id}/progress  NDJSON stream of progress until terminal
 //	POST /v1/runs/{id}/cancel    request cancellation
-//	POST /v1/runs/{id}/checkpoint pause a checkpointable run; fetch the
+//	POST /v1/runs/{id}/checkpoint pause a dynamic run; fetch the
 //	                             snapshot from GET /v1/runs/{id} once its
 //	                             state is "checkpointed", resume it by
 //	                             submitting with options.resume

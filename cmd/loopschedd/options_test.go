@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/journal"
+	"repro/runner"
 )
 
 // TestWireOptionsGolden pins the "options" object — now the
@@ -74,8 +75,8 @@ func TestWireOptionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var asMap map[string]any
-	if err := json.Unmarshal(wire, &asMap); err != nil || len(asMap) != 22 {
-		t.Errorf("populated options marshal to %d keys (%v), want 22: %s", len(asMap), err, wire)
+	if err := json.Unmarshal(wire, &asMap); err != nil || len(asMap) != 21 {
+		t.Errorf("populated options marshal to %d keys (%v), want 21: %s", len(asMap), err, wire)
 	}
 	var got runOptions
 	if err := json.Unmarshal(wire, &got); err != nil {
@@ -99,11 +100,56 @@ func TestUnknownOptionRejectedWithNames(t *testing.T) {
 		t.Errorf("error = %q", msg)
 	}
 	valid, _ := payload["valid"].([]any)
-	if len(valid) != 22 || !slices.Contains(valid, any("access_cost")) || !slices.Contains(valid, any("checkpoint_every")) {
-		t.Errorf("valid = %v, want the 22 option names", valid)
+	if len(valid) != 21 || !slices.Contains(valid, any("access_cost")) || !slices.Contains(valid, any("checkpoint_every")) {
+		t.Errorf("valid = %v, want the 21 option names", valid)
 	}
 	if n := len(s.rn.Runs()); n != 0 {
 		t.Errorf("%d run(s) were submitted", n)
+	}
+}
+
+// TestRetiredCheckpointableRejected: every dynamic run can pause, so
+// the old opt-in is an unknown option like any other.
+func TestRetiredCheckpointableRejected(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	resp, payload := postJSON(t, ts.URL+"/v1/runs",
+		`{"program": "doall I = 1..4 { work 5 }", "options": {"checkpointable": true}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%v)", resp.StatusCode, payload)
+	}
+	if msg, _ := payload["error"].(string); !strings.Contains(msg, `unknown field "checkpointable"`) {
+		t.Errorf("error = %q", msg)
+	}
+	if valid, _ := payload["valid"].([]any); len(valid) != 21 || slices.Contains(valid, any("checkpointable")) {
+		t.Errorf("valid = %v, want the 21 option names", valid)
+	}
+}
+
+// TestReplayToleratesRetiredCheckpointable: a journal written while
+// runs opted in to pausing still replays, to done.
+func TestReplayToleratesRetiredCheckpointable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.journal")
+	w, err := journal.Open(path, journal.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, kindSubmit, "run-0001", json.RawMessage(
+		`{"program":"doall I = 1..40 { work 20 }","options":{"procs":2,"checkpointable":true}}`))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, serverConfig{JournalPath: path})
+	run, ok := s.rn.Get("run-0001")
+	if !ok {
+		t.Fatal("run-0001 was not replayed")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if res, err := run.Wait(ctx); err != nil || res.Stats.Iterations != 40 {
+		t.Errorf("replayed run = %+v, %v; want done with 40 iterations", res, err)
+	}
+	if st := run.State(); st != runner.StateDone {
+		t.Errorf("replayed run is %v, want done", st)
 	}
 }
 

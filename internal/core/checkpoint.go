@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/descr"
@@ -55,17 +56,17 @@ import (
 // resumed iteration multiset and stats trajectory match the
 // uninterrupted run exactly (enginetest's CheckpointResume matrix).
 //
-// Checkpointability is a property of the configuration, validated up
-// front: cursor schemes only (per-processor pre-assignment state is not
-// snapshotted), no Doacross and no manual-sync leaves (in-flight
-// dependence flags are not snapshotted).
+// Every run pauses whose plan and scheme allow it (executor.pausable):
+// a cursor scheme (per-processor pre-assignment state is not snapshotted)
+// and no Doacross leaf (in-flight dependence flags are not snapshotted).
+// Capture reads the task pool (liveBlocks): no cost until a run pauses.
 
 // SnapshotVersion is the RunSnapshot format version this build writes.
 // It also resumes version 1, which stored the open barriers' counts that
 // version 2 derives.
 const SnapshotVersion = 2
 
-// CheckpointConfig enables the checkpoint seam of one run.
+// CheckpointConfig asks a run that can pause for a claim-k pause or a resume.
 type CheckpointConfig struct {
 	// AfterChunks, if positive, requests the checkpoint automatically
 	// once the run has claimed this many chunks in total — the
@@ -181,18 +182,18 @@ func (e *CheckpointedError) Error() string {
 func (e *CheckpointedError) Is(target error) bool { return target == ErrCheckpointed }
 
 // Checkpointer is the checkpoint extension of Probe, implemented by the
-// executor when Config.Checkpoint is set: RequestCheckpoint asks the
-// run to pause at its next claim-quiescent point and return a
-// *CheckpointedError carrying the snapshot. It reports false when the
-// run was not configured with a checkpoint seam. Run managers reach it
-// by type-asserting the OnStart probe (like Diagnoser).
+// executor: RequestCheckpoint asks the run to pause at its next
+// claim-quiescent point and return a *CheckpointedError carrying the
+// snapshot. It reports false when the run cannot pause (a static scheme,
+// or a Doacross or manual-post leaf); such a run completes. Run managers
+// reach it by type-asserting the OnStart probe (like Diagnoser).
 type Checkpointer interface {
 	RequestCheckpoint() bool
 }
 
 // RequestCheckpoint implements Checkpointer.
 func (ex *executor) RequestCheckpoint() bool {
-	if ex.cfg.Checkpoint == nil {
+	if !ex.pausable {
 		return false
 	}
 	ex.ckptReq.Store(true)
@@ -213,22 +214,16 @@ func (pl *Plan) Checkpointable(scheme lowsched.Scheme, nprocs int) error {
 // checkCheckpointable validates that the run's in-flight state is fully
 // captured by per-instance cursors: the policy must expose the cursor
 // seam (lowsched.CursorSource), and no leaf may carry synchronization
-// state outside the snapshot (Doacross dependence flags, manual posts).
+// state outside the snapshot (Doacross dependence flags, posted by the
+// executor or by the body). It is executor.pausable with a reason.
 func checkCheckpointable(pl *Plan, policy lowsched.Policy) error {
 	if _, ok := policy.(lowsched.CursorSource); !ok {
 		return fmt.Errorf("%w: scheme %s keeps claim state outside the ICB cursor (per-processor pre-assignment)",
 			ErrNotCheckpointable, policy.Name())
 	}
-	for num := 1; num < len(pl.leaves); num++ {
-		lp := &pl.leaves[num]
-		if lp.doacross {
-			return fmt.Errorf("%w: loop %d is Doacross — in-flight cross-iteration dependence flags are not snapshotted",
-				ErrNotCheckpointable, num)
-		}
-		if lp.manualSync {
-			return fmt.Errorf("%w: loop %d uses manual dependence posting — in-flight flags are not snapshotted",
-				ErrNotCheckpointable, num)
-		}
+	if pl.doacross != 0 {
+		return fmt.Errorf("%w: loop %d is Doacross — in-flight cross-iteration dependence flags are not snapshotted",
+			ErrNotCheckpointable, pl.doacross)
 	}
 	return nil
 }
@@ -279,12 +274,27 @@ func (ex *executor) seedRestore() error {
 	return nil
 }
 
+// liveBlocks returns the blocks a pause can leave in flight, once the
+// engine has drained: the pool's, and the instances with pending ranges
+// that a pausing worker deleted from their list with its last claim.
+func (ex *executor) liveBlocks() []*pool.ICB {
+	icbs := ex.pool.Blocks()
+	ex.pendMu.Lock()
+	defer ex.pendMu.Unlock()
+	for icb := range ex.pend {
+		if !slices.Contains(icbs, icb) {
+			icbs = append(icbs, icb)
+		}
+	}
+	return icbs
+}
+
 // capture builds the snapshot after the engine drained at a checkpoint
 // pause. It re-validates the claim-quiescence invariant per instance —
 // a mismatch would mean a claimed chunk did not complete, and resuming
 // from such a snapshot would lose or repeat iterations.
 func (ex *executor) capture() (*RunSnapshot, error) {
-	cs := ex.policy.(lowsched.CursorSource) // validated by checkCheckpointable
+	cs := ex.policy.(lowsched.CursorSource) // a pause needs executor.pausable
 	pin, _ := ex.policy.(lowsched.CursorPinner)
 	snap := &RunSnapshot{
 		Version:  SnapshotVersion,
@@ -295,13 +305,7 @@ func (ex *executor) capture() (*RunSnapshot, error) {
 		Stats:    ex.spine.Totals(),
 		Failures: ex.failures.report(),
 	}
-	ex.instMu.Lock()
-	icbs := make([]*pool.ICB, 0, len(ex.insts))
-	for icb := range ex.insts {
-		icbs = append(icbs, icb)
-	}
-	ex.instMu.Unlock()
-	for _, icb := range icbs {
+	for _, icb := range ex.liveBlocks() {
 		if icb.FanOut() {
 			// A fan-out whose last chunk is claimed has activated
 			// everything; only its release was abandoned.

@@ -152,20 +152,90 @@ func TestCheckpointRequestBeforeStartSnapshotsInitialPool(t *testing.T) {
 	verifyAgainstRef(t, prog2, ref2, tr2, rep)
 }
 
-func TestRequestCheckpointWithoutSeamReportsFalse(t *testing.T) {
-	prog, _ := compileStd(t, workload.ManyInstances(2, 8, 2, 10))
-	called := false
-	_, err := Run(prog, Config{
-		Engine: vEngine(2),
-		OnStart: func(p Probe) {
-			called = true
-			if p.(Checkpointer).RequestCheckpoint() {
-				t.Error("RequestCheckpoint() = true without Config.Checkpoint")
-			}
-		},
+// TestRequestCheckpointPausesAnyCursorRun: a run configured with no
+// checkpoint option pauses when asked — here from inside an iteration
+// body — and its snapshot resumes to the uninterrupted run's iteration
+// multiset, on both engines.
+func TestRequestCheckpointPausesAnyCursorRun(t *testing.T) {
+	var pauser Probe // set on the run that pauses only
+	nest := loopir.MustBuild(func(b *loopir.B) {
+		b.Doall("I", loopir.Const(6), func(b *loopir.B) {
+			b.DoallLeaf("B", loopir.Const(32), func(e loopir.Env, iv loopir.IVec, j int64) {
+				if pauser != nil && iv[0] == 2 && j == 5 && !pauser.(Checkpointer).RequestCheckpoint() {
+					t.Error("RequestCheckpoint() = false on an SS run")
+				}
+				e.Work(10)
+			})
+		})
 	})
-	if err != nil || !called {
-		t.Fatalf("err=%v called=%v", err, called)
+	engines := []struct {
+		name string
+		new  func() Engine
+	}{
+		{"virtual", func() Engine { return vEngine(4) }},
+		{"real", func() Engine { return machine.NewReal(machine.RealConfig{P: 4}) }},
+	}
+	for _, e := range engines {
+		prog, _ := compileStd(t, nest)
+		pauser = nil
+		full := newRecTracer()
+		if _, err := Run(prog, Config{Engine: e.new(), Sink: full}); err != nil {
+			t.Fatalf("%s: uninterrupted run: %v", e.name, err)
+		}
+		tr1 := newRecTracer()
+		_, err := Run(prog, Config{Engine: e.new(), Sink: tr1, OnStart: func(p Probe) { pauser = p }})
+		pauser = nil
+		var cke *CheckpointedError
+		if !errors.As(err, &cke) {
+			t.Fatalf("%s: requested run returned %v, want CheckpointedError", e.name, err)
+		}
+		tr2 := newRecTracer()
+		if _, err := Run(prog, Config{Engine: e.new(), Sink: tr2,
+			Checkpoint: &CheckpointConfig{Restore: cke.Snapshot}}); err != nil {
+			t.Fatalf("%s: resume: %v", e.name, err)
+		}
+		got := maps.Clone(tr1.iters)
+		for k, n := range tr2.iters {
+			got[k] += n
+		}
+		if !maps.Equal(got, full.iters) {
+			t.Errorf("%s: paused + resumed iterations %v, uninterrupted %v", e.name, got, full.iters)
+		}
+	}
+}
+
+// TestRequestCheckpointWithoutPauseReportsFalse: a run whose state is
+// not all in the pool — a static pre-assignment, a Doacross leaf —
+// refuses the request and completes.
+func TestRequestCheckpointWithoutPauseReportsFalse(t *testing.T) {
+	cases := []struct {
+		name   string
+		nest   *loopir.Nest
+		scheme lowsched.Scheme
+	}{
+		{"static-block", workload.ManyInstances(2, 8, 2, 10), lowsched.MustParse("static-block")},
+		{"doacross", loopir.MustBuild(func(b *loopir.B) {
+			b.DoacrossLeaf("W", loopir.Const(40), 1, func(e loopir.Env, _ loopir.IVec, _ int64) { e.Work(3) })
+		}), lowsched.SS{}},
+	}
+	for _, tc := range cases {
+		prog, ref := compileStd(t, tc.nest)
+		called := false
+		rep, err := Run(prog, Config{
+			Engine: vEngine(2), Scheme: tc.scheme,
+			OnStart: func(p Probe) {
+				called = true
+				if p.(Checkpointer).RequestCheckpoint() {
+					t.Errorf("%s: RequestCheckpoint() = true", tc.name)
+				}
+			},
+		})
+		if err != nil || !called {
+			t.Fatalf("%s: err=%v called=%v", tc.name, err, called)
+		}
+		if rep.Stats.Iterations != ref.Iterations {
+			t.Errorf("%s: %d iterations, want %d", tc.name, rep.Stats.Iterations, ref.Iterations)
+		}
 	}
 }
 
@@ -274,11 +344,12 @@ func (c *chunkCounter) Record(e trace.Event) {
 	}
 }
 
-// barCounts reads the counts of the barriers above a run's tracked blocks
-// that are below their bound, keyed by loop ID and enclosing indexes.
+// barCounts reads the counts of the barriers above a paused run's live
+// blocks that are below their bound, keyed by loop ID and enclosing
+// indexes.
 func barCounts(ex *executor) map[string]int64 {
 	counts := map[string]int64{}
-	for icb := range ex.insts {
+	for _, icb := range ex.liveBlocks() {
 		leaf := ex.plan.leaf(icb.Loop)
 		for bar, _ := icb.Bar.(*barrier); bar != nil; bar = bar.up {
 			if c := bar.count.Peek(); c < bar.bound {

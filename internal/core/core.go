@@ -74,7 +74,8 @@ import (
 // First starts a sweep and returns an opaque positive cursor (0: nothing
 // advertises work), Next continues it (0: sweep exhausted), TryAdopt
 // attempts adoption at a cursor. FanCursor is the cursor of the list of
-// fan-out blocks, the last a sweep reaches.
+// fan-out blocks, the last a sweep reaches. Blocks walks every list once
+// the engine has drained: a pause's snapshot is the pool it yields.
 type TaskPool interface {
 	Append(pr machine.Proc, icb *pool.ICB)
 	Delete(pr machine.Proc, icb *pool.ICB)
@@ -83,6 +84,7 @@ type TaskPool interface {
 	TryAdopt(pr machine.Proc, i int, needs func(*pool.ICB) bool, block bool, st *pool.SearchStats) *pool.ICB
 	FanCursor() int
 	Empty() bool
+	Blocks() []*pool.ICB
 }
 
 // PoolKind selects the task-pool organization.
@@ -207,13 +209,12 @@ type Config struct {
 	// instances (index/icount/pcount). Off by default — the activation
 	// path stays lock-free without it.
 	Diagnostics bool
-	// Checkpoint, if non-nil, enables the run's checkpoint/resume seam
-	// (see checkpoint.go): the run pauses at claim-quiescence when
-	// requested (RequestCheckpoint, or automatically after AfterChunks
-	// claims) and returns a *CheckpointedError carrying the snapshot;
-	// with Restore set, the run resumes from a snapshot instead of
-	// entering the program from the top. Enabling it also enables
-	// live-instance tracking (the snapshot enumerates in-flight ICBs).
+	// Checkpoint, if non-nil, pauses the run at claim-quiescence after
+	// AfterChunks claims, returning a *CheckpointedError carrying the
+	// snapshot, or with Restore set resumes it from a snapshot instead of
+	// entering the program from the top (see checkpoint.go). Either needs
+	// a run that can pause; others fail with ErrNotCheckpointable. Every
+	// run that can pause does so on RequestCheckpoint without it.
 	Checkpoint *CheckpointConfig
 	// ClaimBatch is the lease batch factor: a worker's claim acquires up
 	// to this many successive chunks with one synchronization operation
@@ -351,6 +352,8 @@ type executor struct {
 	// instance as a task: a static pre-assignment, or an OS dispatch per
 	// adoption (DispatchCost).
 	inline bool
+	// pausable: the run can pause (a cursor scheme, no Doacross leaf).
+	pausable bool
 	// budMeter and budTime hoist cfg.Budget the same way: budMeter is
 	// the one test the claim path pays when no iteration budget is set,
 	// budTime the engine-time ceiling (0: none).
@@ -364,8 +367,8 @@ type executor struct {
 	pend   map[*pool.ICB][]lowsched.Assignment
 	// failures is the Isolate policy's quarantine log.
 	failures failureLog
-	// insts tracks live ICBs for Diagnose when cfg.Diagnostics is set;
-	// nil otherwise (the common case — no tracking cost).
+	// insts tracks live ICBs for Diagnose, its one reader, when
+	// cfg.Diagnostics is set; nil otherwise (no tracking cost).
 	instMu sync.Mutex
 	insts  map[*pool.ICB]struct{}
 
@@ -432,9 +435,9 @@ func newExecutor(pl *Plan, cfg Config, policy lowsched.Policy) *executor {
 		}
 		ex.budTime = b.Time
 	}
-	if cfg.Diagnostics || cfg.Checkpoint != nil {
-		// Checkpointing needs the live-instance set too: the snapshot is
-		// built by enumerating in-flight ICBs.
+	_, cursor := policy.(lowsched.CursorSource)
+	ex.pausable = cursor && pl.doacross == 0
+	if cfg.Diagnostics {
 		ex.insts = map[*pool.ICB]struct{}{}
 	}
 	ex.batch = max(cfg.ClaimBatch, 1)

@@ -14,10 +14,10 @@ import (
 // descriptor tables plus everything derivable from them alone — the
 // maximum nest depth (sizing each worker's loc_indexes vector), per-leaf
 // synchronization traits, and the Doacross census the static-scheme
-// guard needs. A Plan holds no per-run state, so one Plan can back any
-// number of sequential or concurrent runs with zero recompilation and
-// zero shared mutation; all mutable state lives in the per-run executor
-// (instances) and the per-processor workers.
+// guard and the pause rule need. A Plan holds no per-run state, so one
+// Plan can back any number of sequential or concurrent runs with zero
+// recompilation and zero shared mutation; all mutable state lives in the
+// per-run executor (instances) and the per-processor workers.
 type Plan struct {
 	prog     *descr.Program
 	maxDepth int
@@ -25,10 +25,10 @@ type Plan struct {
 	// unused), so the hot activation path reads a flat slice instead of
 	// chasing node pointers.
 	leaves []leafPlan
-	// doacrossLabel is the label of the first Doacross leaf, or "" when
-	// the program has none (static pre-assignment schemes are rejected
-	// against it).
-	doacrossLabel string
+	// doacross is the first Doacross leaf, or 0 when the program has
+	// none: static pre-assignment schemes are rejected against it, and no
+	// run of it can pause (its dependence flags are not snapshotted).
+	doacross int
 }
 
 // leafPlan caches one leaf's activation traits.
@@ -56,8 +56,8 @@ func NewPlan(prog *descr.Program) (*Plan, error) {
 		if l.Node.Kind == loopir.KindDoacross {
 			lp.doacross = true
 			lp.dist = l.Node.Dist
-			if pl.doacrossLabel == "" {
-				pl.doacrossLabel = l.Node.Label
+			if pl.doacross == 0 {
+				pl.doacross = l.Num
 			}
 		}
 		pl.leaves[l.Num] = lp
@@ -98,10 +98,10 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 	if cfg.Scheme == nil {
 		cfg.Scheme = lowsched.SS{}
 	}
-	if lowsched.IsStatic(cfg.Scheme) && pl.doacrossLabel != "" {
+	if lowsched.IsStatic(cfg.Scheme) && pl.doacross != 0 {
 		return nil, fmt.Errorf(
 			"core: static pre-scheduling cannot execute Doacross programs: with iterations bound to processors, concurrently active instances can deadlock on cross-iteration dependences (loop %q)",
-			pl.doacrossLabel)
+			pl.leaf(pl.doacross).Node.Label)
 	}
 	if cfg.Interrupt == nil {
 		cfg.Interrupt = machine.NewInterrupt()
@@ -188,14 +188,12 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 		}
 		if ex.budHit.Load() {
 			// Budget exhaustion: same claim-quiescent drain, different
-			// surface. The snapshot travels only when the run carries the
-			// checkpoint seam — capture requires the live-instance set and
-			// a cursor scheme, which plain budgeted runs do not pay for.
+			// surface, and a snapshot whenever the run can pause.
 			berr := &BudgetExceededError{
 				Iterations: ex.budgetConsumed(),
 				Elapsed:    rep.Makespan,
 			}
-			if cfg.Checkpoint != nil {
+			if ex.pausable {
 				snap, err := ex.capture()
 				if err != nil {
 					return nil, err

@@ -84,8 +84,8 @@ func Budgets(t *testing.T, name string, f Factory) {
 					if be.Iterations != B {
 						t.Errorf("consumed %d iterations, want the whole budget %d", be.Iterations, B)
 					}
-					if be.Snapshot != nil {
-						t.Errorf("plain budgeted run carries a snapshot (no checkpoint seam configured)")
+					if be.Snapshot == nil {
+						t.Errorf("budgeted %s run carries no snapshot (a cursor scheme can pause)", s.Name())
 					}
 					if got != B {
 						t.Errorf("executed %d iterations, want exactly the budget %d", got, B)
@@ -187,10 +187,7 @@ func budgetedLeaseCheckpoint(t *testing.T, name string, f Factory) {
 	ctx := refexec.Context{Nest: "budgeted-lease-checkpoint", Scheme: "SS", Engine: name}
 	r := resumeLegs(t, f, p, prog, pl, ref, ctx,
 		core.Config{Scheme: lowsched.SS{}, ClaimBatch: batch, Budget: &core.Budget{Iterations: 1 << 40}},
-		func(cfg *core.Config) {
-			cfg.Checkpoint = &core.CheckpointConfig{}
-			cfg.OnStart = func(pr core.Probe) { ck = pr.(core.Checkpointer) }
-		})
+		func(cfg *core.Config) { cfg.OnStart = func(pr core.Probe) { ck = pr.(core.Checkpointer) } })
 	if !errors.Is(r.pause, core.ErrCheckpointed) {
 		t.Fatalf("run returned %v, want CheckpointedError", r.pause)
 	}
@@ -211,12 +208,13 @@ func budgetedLeaseCheckpoint(t *testing.T, name string, f Factory) {
 }
 
 // BudgetResume extends the budget contract to the checkpoint seam: a
-// budgeted run configured checkpointable must surface exhaustion with a
-// resumable snapshot, and resuming it (without a budget) must complete
-// the program with the exact uninterrupted iteration multiset — nothing
-// lost at the truncated claim, nothing repeated. The suite asserts that
-// at least one exhaustion left pending (claimed-but-unexecuted) ranges
-// in the snapshot, so the truncation path cannot silently go untested.
+// budgeted run of a cursor scheme, with no checkpoint option, must
+// surface exhaustion with a resumable snapshot, and resuming it (without
+// a budget) must complete the program with the exact uninterrupted
+// iteration multiset — nothing lost at the truncated claim, nothing
+// repeated. The suite asserts that at least one exhaustion left pending
+// (claimed-but-unexecuted) ranges in the snapshot, so the truncation
+// path cannot silently go untested.
 func BudgetResume(t *testing.T, name string, f Factory) {
 	schemes := []lowsched.Scheme{lowsched.SS{}, lowsched.CSS{K: 3}, lowsched.GSS{}}
 	batches := []int{1, 8}
@@ -233,14 +231,10 @@ func BudgetResume(t *testing.T, name string, f Factory) {
 		for _, batch := range batches {
 			for _, B := range []int64{7, 23} {
 				t.Run(fmt.Sprintf("%s/b=%d/B=%d", s.Name(), batch, B), func(t *testing.T) {
-					// Run out of budget with the checkpoint seam on, resume
-					// without a budget.
+					// Run out of budget, resume without one.
 					ctx := refexec.Context{Nest: "budget-resume", Scheme: s.Name(), Engine: name}
 					r := resumeLegs(t, f, p, prog, pl, ref, ctx, core.Config{Scheme: s, ClaimBatch: batch},
-						func(cfg *core.Config) {
-							cfg.Budget = &core.Budget{Iterations: B}
-							cfg.Checkpoint = &core.CheckpointConfig{}
-						})
+						func(cfg *core.Config) { cfg.Budget = &core.Budget{Iterations: B} })
 					var be *core.BudgetExceededError
 					if !errors.As(r.pause, &be) {
 						t.Fatalf("budgeted run returned %v, want BudgetExceededError", r.pause)

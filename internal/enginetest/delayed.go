@@ -127,8 +127,7 @@ func pausedHolders(t *testing.T, name string, f Factory) {
 		// hold, none of them tail.
 		{"checkpoint", lowsched.SS{}, core.Config{Checkpoint: &core.CheckpointConfig{AfterChunks: 40}}, false},
 		// 101 = 25 chunks of 4 and one iteration of the 26th.
-		{"budget-cut", lowsched.CSS{K: 4}, core.Config{
-			Budget: &core.Budget{Iterations: 101}, Checkpoint: &core.CheckpointConfig{}}, true},
+		{"budget-cut", lowsched.CSS{K: 4}, core.Config{Budget: &core.Budget{Iterations: 101}}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {

@@ -69,6 +69,10 @@ func (d *Distributed) Delete(pr machine.Proc, icb *ICB) {
 // visits.
 func (d *Distributed) FanCursor() int { return d.procs + 1 }
 
+// Blocks returns every block on the processors' lists, the fan-out
+// list's last; like Pool.Blocks, once the engine has drained.
+func (d *Distributed) Blocks() []*ICB { return blocks(d.lists) }
+
 // First starts a SEARCH sweep. There is no SW word to scan: a sweep
 // always visits all lists — the caller's own first, then the others
 // round-robin (work stealing), then the fan-out list — so the cursor is

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/loopir"
@@ -11,13 +12,15 @@ import (
 // sweep adopts a listed instance before any fan-out block, even one
 // published earlier; the adoption filter never sees a fan-out block; and
 // the newest fan-out block is adopted first, so a nested fan-out drains
-// before its parent.
+// before its parent. The drained-pool walk (Blocks) yields the listed
+// instance and then the fan-out list, newest block first.
 func TestFanOutList(t *testing.T) {
 	type fanPool interface {
 		sweeper
 		Append(machine.Proc, *ICB)
 		Delete(machine.Proc, *ICB)
 		Empty() bool
+		Blocks() []*ICB
 	}
 	fan := func(leaf int, bound int64, ivec loopir.IVec) *ICB {
 		b := NewICB(leaf, bound, ivec)
@@ -38,6 +41,9 @@ func TestFanOutList(t *testing.T) {
 			leaf := NewICB(2, 4, loopir.IVec{1})
 			for _, b := range []*ICB{outer, inner, leaf} {
 				pl.Append(pr, b)
+			}
+			if got, want := pl.Blocks(), []*ICB{leaf, inner, outer}; !slices.Equal(got, want) {
+				t.Errorf("Blocks() = %v, want %v", got, want)
 			}
 			if got := search(pl, pr, never, &st); got != leaf {
 				t.Fatalf("first adoption %v, want the instance %v", got, leaf)

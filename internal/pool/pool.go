@@ -253,9 +253,6 @@ func (b *ICB) String() string {
 		b.Loop, b.IVec, b.Bound, b.Index.Peek(), b.ICount.Peek(), b.PCount.Peek())
 }
 
-// Right returns the next ICB in the list (testing/iteration under lock).
-func (b *ICB) Right() *ICB { return b.right }
-
 // plist is one list header, padded to a cache line, so an Append on one
 // list, which writes its tail and count, does not invalidate the head a
 // Delete or TryAdopt on the neighbouring list reads and writes. The
@@ -602,9 +599,18 @@ func (p *Pool) TryAdopt(pr machine.Proc, i int, needs func(*ICB) bool, block boo
 // reach.
 func (p *Pool) FanCursor() int { return p.nlists + 1 }
 
-// Head returns the head of loop num's list (testing only; callers must
-// ensure quiescence).
-func (p *Pool) Head(num int) *ICB { return p.lists[p.loopList(num)].head }
+// Blocks returns every block on the pool's lists, the fan-out list's last.
+// It takes no locks and charges no access: call it once the engine drained.
+func (p *Pool) Blocks() []*ICB { return blocks(p.lists) }
+
+func blocks(lists []plist) (bs []*ICB) {
+	for i := range lists {
+		for b := lists[i].head; b != nil; b = b.right {
+			bs = append(bs, b)
+		}
+	}
+	return bs
+}
 
 // SWString renders the loop lists' bits of the control word as a bit
 // string (testing/diagnostics); the fan-out list's bit is not shown.

@@ -67,7 +67,7 @@ func (*adoptCount) SchemeName() string { return "adopt-count" }
 
 func listLabels(pl *Pool, loop int) []string {
 	var out []string
-	for icb := pl.Head(loop); icb != nil; icb = icb.Right() {
+	for icb := pl.lists[pl.loopList(loop)].head; icb != nil; icb = icb.right {
 		out = append(out, fmt.Sprintf("%d%v", icb.Loop, icb.IVec))
 	}
 	return out
@@ -169,7 +169,7 @@ func TestAppendDeleteOrder(t *testing.T) {
 		t.Errorf("SW after partial deletes = %s, want 10", pl.SWString())
 	}
 	pl.Delete(p, c)
-	if pl.Head(1) != nil {
+	if len(pl.Blocks()) != 0 {
 		t.Error("list not empty after deleting all")
 	}
 	if pl.SWString() != "00" {

@@ -89,15 +89,12 @@ type Options struct {
 	// engine time, so virtual-time results are unchanged. Zero or
 	// negative disables it.
 	FlightRecorder int `json:"-"`
-	// Checkpointable enables the checkpoint seam: the probe handed to
-	// Observe supports RequestCheckpoint (assert it to core.Checkpointer)
-	// and the run may end with a *CheckpointedError instead of a Result.
-	// Checkpointing requires a dynamically scheduled (non-static,
-	// non-Doacross) nest; Run rejects others with ErrNotCheckpointable.
-	Checkpointable bool `json:"checkpointable,omitempty" flag:"checkpointable" help:"let the run pause at a checkpoint on request, or with a resumable snapshot when a budget runs out"`
 	// CheckpointAfter, when positive, pauses the run at a checkpoint
 	// after that many chunk claims (a deterministic trigger on the
-	// virtual engine). It implies Checkpointable.
+	// virtual engine). Like Resume it needs a run that can pause — a
+	// cursor scheme, no Doacross or manual-post loop — which every such
+	// run also does on RequestCheckpoint (assert Observe's probe to
+	// core.Checkpointer); Run rejects others with ErrNotCheckpointable.
 	CheckpointAfter int64 `json:"checkpoint_after,omitempty" flag:"checkpoint-after" help:"pause the run after this many chunk claims and emit a checkpoint"`
 	// Resume restores a checkpoint captured from the same program (by
 	// fingerprint) before the run starts; the resumed run continues to
@@ -120,8 +117,8 @@ type Options struct {
 	// BudgetIterations, when positive, caps the iterations the run may
 	// execute: the run pauses at exactly that count (on every engine,
 	// scheme and claim batch) and returns a *BudgetExceededError instead
-	// of a Result. With Checkpointable set the error carries a resumable
-	// Checkpoint. Zero is unmetered, with no cost on the claim path.
+	// of a Result, carrying a resumable Checkpoint when the run can pause
+	// (see CheckpointAfter). Zero is unmetered, with no cost on the claim path.
 	BudgetIterations int64 `json:"budget_iterations,omitempty" flag:"budget-iterations" help:"stop after exactly this many iterations with a budget-exceeded error (0 = unmetered)"`
 	// BudgetTime, when positive, is an engine-time ceiling (virtual
 	// units, or nanoseconds on the real engines) checked at claim
@@ -147,12 +144,6 @@ type Options struct {
 // flag default; a zero field takes the table's default, so a caller
 // presets only where it differs (loopsched: Procs 8).
 func BindFlags(fs *flag.FlagSet, o *Options) { flagtab.Bind(fs, o) }
-
-// UsesCheckpoint reports whether the run needs the checkpoint seam:
-// asked for outright, paused by a claim count, or resumed from one.
-func (o Options) UsesCheckpoint() bool {
-	return o.Checkpointable || o.CheckpointAfter > 0 || o.Resume != nil
-}
 
 // Typed option errors. Every configuration mistake Run/RunContext can
 // reject resolves, via errors.Is, to exactly one of these sentinels, so

@@ -66,8 +66,8 @@ func TestOptionTableComplete(t *testing.T) {
 			}
 		}
 	}
-	if ty.NumField() != 24 || len(wires) != 20 || len(flags) != 19 {
-		t.Errorf("%d fields, %d wire names, %d flags; want 24, 20, 19",
+	if ty.NumField() != 23 || len(wires) != 19 || len(flags) != 18 {
+		t.Errorf("%d fields, %d wire names, %d flags; want 23, 19, 18",
 			ty.NumField(), len(wires), len(flags))
 	}
 }

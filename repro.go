@@ -275,7 +275,7 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		ring = trace.NewRing(rs.procs, opts.FlightRecorder)
 	}
 	var ckpt *core.CheckpointConfig
-	if opts.UsesCheckpoint() {
+	if opts.CheckpointAfter > 0 || opts.Resume != nil {
 		ckpt = &core.CheckpointConfig{AfterChunks: opts.CheckpointAfter}
 		if opts.Resume != nil {
 			if opts.Verify {

@@ -84,7 +84,7 @@ func TestRequestCheckpointPausesRunningRun(t *testing.T) {
 	defer rn.Close()
 	started := make(chan struct{})
 	opts := repro.Options{
-		Procs: 4, Engine: repro.EngineReal, Checkpointable: true,
+		Procs: 4, Engine: repro.EngineReal,
 		Observe: func(repro.Live) { close(started) },
 	}
 	r, err := rn.Submit(Submission{Program: finiteProgram(t, 1<<30), Options: opts})

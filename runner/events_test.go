@@ -413,7 +413,7 @@ func TestEventGrammarRunnerPaths(t *testing.T) {
 			return Submission{Program: finiteProgram(t, 64), Options: repro.Options{Procs: 2, Scheme: "ss"}, CheckpointEvery: 8}
 		}, regexp.MustCompile(`^SRN+T$`), StateDone, nil},
 		{"budget exceeded", func(t *testing.T) Submission {
-			return Submission{Program: finiteProgram(t, 64), Options: repro.Options{Procs: 2, BudgetIterations: 20, Checkpointable: true}}
+			return Submission{Program: finiteProgram(t, 64), Options: repro.Options{Procs: 2, BudgetIterations: 20}}
 		}, regexp.MustCompile(`^SRT$`), StateFailed, repro.ErrBudgetExceeded},
 	}
 	for _, tc := range cases {
@@ -455,7 +455,7 @@ func TestEventGrammarRunnerPaths(t *testing.T) {
 		var once sync.Once
 		low, err := rn.Submit(Submission{
 			Program: finiteProgram(t, 600),
-			Options: repro.Options{Procs: 2, Scheme: "ss", Checkpointable: true,
+			Options: repro.Options{Procs: 2, Scheme: "ss",
 				Observe: func(repro.Live) { once.Do(func() { close(started) }) }},
 			Tenant: "bulk",
 		})
@@ -512,7 +512,7 @@ func TestEventStormTenantCensus(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				r, err := rn.Submit(Submission{
 					Program: short,
-					Options: repro.Options{Procs: 2, Scheme: "ss", Checkpointable: rng.IntN(2) == 0},
+					Options: repro.Options{Procs: 2, Scheme: "ss", Verify: rng.IntN(2) == 0},
 					Tenant:  tenants[rng.IntN(len(tenants))],
 				})
 				if errors.Is(err, ErrTenantInflight) || errors.Is(err, ErrTenantQueueFull) {

@@ -223,12 +223,13 @@ func (rn *Runner) submit(r *Run, record any) error {
 
 // preempt delivers a preemption decision to the run, outside the
 // Runner's lock: cooperatively through its executor's checkpoint request
-// when the run has the seam — it then yields shortly with a snapshot and
-// resumes from it on redispatch — otherwise by cancelling the attempt's
-// context, and the run restarts from scratch. Either way the body
-// returns shortly and exec requeues the run.
+// when the run can pause — it then yields shortly with a snapshot and
+// resumes from it on redispatch — otherwise, or if its trace could not
+// hold the iterations run before the pause (traced), by cancelling the
+// attempt's context, and the run restarts from scratch. Either way the
+// body returns shortly and exec requeues the run.
 func (r *Run) preempt() {
-	if r.RequestCheckpoint() {
+	if !r.traced && r.RequestCheckpoint() {
 		return
 	}
 	r.rn.mu.Lock()
@@ -292,8 +293,8 @@ func (rn *Runner) exec(r *Run) {
 		// Preemption took effect: the attempt yielded (cooperatively with
 		// a checkpoint, or through the attempt-context cancel). The run is
 		// not terminal — it goes back to its tenant's queue and redispatches
-		// when the queue next selects it; a checkpointing run resumes from
-		// its snapshot, others restart from scratch. A user cancel
+		// when the queue next selects it; a paused run resumes from its
+		// snapshot, a cancelled one restarts from scratch. A user cancel
 		// (r.ctx.Err() != nil) or a genuine outcome that raced the
 		// preemption wins and finalizes normally below.
 		rn.setStateLocked(r, StateQueued)

@@ -172,7 +172,7 @@ func TestTerminalRunReleasesItsMachine(t *testing.T) {
 		}},
 		{"preempted then done", StateDone, 2, func(t *testing.T, w *watcher) *Run {
 			rn := New(Config{MaxConcurrent: 1, Tenants: map[string]Tenant{"gold": {Priority: 10}}})
-			// The victim is checkpointable, so the preemption is its
+			// The victim can pause, so the preemption is its
 			// executor's checkpoint request, raised before the preemptor's
 			// Submit returns. Its first attempt sits in its gated unit chunks
 			// until then, so it pauses at its next claim boundary with work
@@ -181,7 +181,7 @@ func TestTerminalRunReleasesItsMachine(t *testing.T) {
 			// cancellation lands asynchronously: TestManagerPreemptNonCheckpointable.)
 			gate := make(chan struct{})
 			r, started := w.submit(t, rn, gatedProgram(t, 64, gate),
-				repro.Options{Procs: 2, Scheme: "ss", Checkpointable: true})
+				repro.Options{Procs: 2, Scheme: "ss"})
 			<-started // the victim's probe is published: the request can land
 			high, err := rn.Submit(Submission{Program: finiteProgram(t, 8), Options: repro.Options{Procs: 2}, Tenant: "gold"})
 			if err != nil {

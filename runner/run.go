@@ -16,6 +16,7 @@ type Run struct {
 	id     string
 	label  string
 	tenant string // as submitted ("" for keyless work); ledger is its key
+	traced bool   // records a trace (Verify, CollectTrace): see preempt
 	// ledger is the tenant's record: its weight and priority class, and
 	// the queue the run waits in.
 	ledger *ledger
@@ -125,11 +126,11 @@ func (r *Run) Cancel() {
 	}
 }
 
-// RequestCheckpoint asks a running checkpointable run to pause at its
-// next claim boundary and capture a snapshot. It reports false when the
-// run has not started, has no probe yet, or was not submitted with
-// Options.Checkpointable (or CheckpointAfter/Resume); the pause itself
-// completes asynchronously — wait on Done, then read Checkpoint.
+// RequestCheckpoint asks a running run to pause at its next claim
+// boundary and capture a snapshot. It reports false when the run has not
+// started, has no probe yet, or cannot pause (a static scheme, or a
+// Doacross or manual-post loop); the pause itself completes
+// asynchronously — wait on Done, then read Checkpoint.
 func (r *Run) RequestCheckpoint() bool {
 	lv := r.probe.Load()
 	if lv == nil {
@@ -151,7 +152,7 @@ func (r *Run) RequestCheckpoint() bool {
 }
 
 // Checkpoint returns the run's parked snapshot: set when the run
-// finalized as StateCheckpointed, for a checkpointable run that failed
+// finalized as StateCheckpointed, for a run that can pause and failed
 // with repro.ErrBudgetExceeded (resubmit it with Options.Resume and a
 // fresh budget), and — continuously, while the run is still live — the
 // latest periodic snapshot of a CheckpointEvery chain. Nil otherwise: a

@@ -160,8 +160,8 @@ type Submission struct {
 	// pausing or preempted run is its outcome, not a Snapshot). The
 	// claim-boundary pause preserves the bit-identity contract: the chained
 	// run's iteration set and totals equal an uninterrupted run's. It overrides
-	// Options.CheckpointAfter and requires a checkpointable configuration
-	// (cursor schemes; see Options.Checkpointable). A RequestCheckpoint
+	// Options.CheckpointAfter and requires a run that can pause (a cursor
+	// scheme, no Doacross or manual-post loop). A RequestCheckpoint
 	// or preemption ends the chain at the next leg boundary exactly as it
 	// would pause a CheckpointAfter run.
 	CheckpointEvery int64
@@ -383,7 +383,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	if err := sub.Options.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant}
+	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant, traced: sub.Options.Verify || sub.Options.CollectTrace}
 	opts := sub.Options
 	userObserve := opts.Observe
 	opts.Observe = func(lv repro.Live) {
@@ -466,7 +466,7 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
 		}
 		var be *repro.BudgetExceededError
 		if errors.As(err, &be) && be.Checkpoint != nil {
-			// Budget exhaustion on a checkpointable run: park the
+			// Budget exhaustion on a run that can pause: park the
 			// snapshot so a client can resubmit it with a fresh budget.
 			r.ckpt.Store(be.Checkpoint)
 		}

@@ -192,7 +192,7 @@ func TestManagerPreemptCooperative(t *testing.T) {
 	}
 }
 
-// TestManagerPreemptNonCheckpointable: a run without the checkpoint seam
+// TestManagerPreemptNonCheckpointable: a run that cannot pause
 // is evicted through its attempt context and restarts from scratch; the
 // run's own context stays live, so the restart is not a user cancel.
 func TestManagerPreemptNonCheckpointable(t *testing.T) {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // TestTenantAdmission pins the per-tenant admission contract: MaxQueued
@@ -240,7 +242,7 @@ func TestWFQFairnessIterations(t *testing.T) {
 }
 
 // TestPreemptResumeExactIterations is the preemption-transparency
-// acceptance test: a checkpointable low-priority run is preempted by a
+// acceptance test: a dynamic low-priority run is preempted by a
 // high-priority submission, requeues with its snapshot, resumes on
 // redispatch, and its final Result reports the exact iteration total of
 // an uninterrupted run — nothing lost at the preemption, nothing
@@ -262,9 +264,8 @@ func TestPreemptResumeExactIterations(t *testing.T) {
 	low, err := rn.Submit(Submission{
 		Program: finiteProgram(t, bound),
 		Options: repro.Options{
-			Procs:          2,
-			Scheme:         "ss",
-			Checkpointable: true,
+			Procs:  2,
+			Scheme: "ss",
 			Observe: func(repro.Live) {
 				if !once {
 					once = true
@@ -306,6 +307,57 @@ func TestPreemptResumeExactIterations(t *testing.T) {
 		if got := attemptsOf(low); got < 2 {
 			t.Errorf("preempted run has %d attempt(s), want >= 2", got)
 		}
+	}
+}
+
+// TestPreemptKeepsVerification: a preempted run that records a trace is
+// restarted, not paused — a resumed attempt drops Verify, and its trace
+// could not hold the iterations run before the pause — so it ends done,
+// verified, with a trace of every iteration. The victim is gated, so the
+// preemption lands before its first iteration ends, whatever the timing.
+func TestPreemptKeepsVerification(t *testing.T) {
+	rn := New(Config{MaxConcurrent: 1, Tenants: map[string]Tenant{"gold": {Priority: 10}}})
+	defer rn.Close()
+	const bound = 64
+	gate, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	low, err := rn.Submit(Submission{
+		Program: gatedProgram(t, bound, gate),
+		Options: repro.Options{Procs: 2, Scheme: "ss", Verify: true,
+			Observe: func(repro.Live) { once.Do(func() { close(started) }) }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	high, err := rn.Submit(Submission{Program: finiteProgram(t, 8), Options: repro.Options{Procs: 2}, Tenant: "gold"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := high.Wait(ctx); err != nil {
+		t.Fatalf("preempting run: %v", err)
+	}
+	res, err := low.Wait(ctx)
+	if err != nil {
+		t.Fatalf("preempted run: %v", err)
+	}
+	if got := attemptsOf(low); got != 2 {
+		t.Errorf("attempts = %d, want 2 (dispatched, preempted, restarted)", got)
+	}
+	if res.Trace == nil {
+		t.Fatal("the preempted Verify run's Result carries no trace: it was resumed, not restarted")
+	}
+	iters := 0
+	for _, e := range res.Trace.Events() {
+		if e.Kind == trace.EvIterStart {
+			iters++
+		}
+	}
+	if iters != bound {
+		t.Errorf("trace holds %d iterations, want all %d", iters, bound)
 	}
 }
 
@@ -356,8 +408,8 @@ func TestTenantMetricsRendered(t *testing.T) {
 }
 
 // TestBudgetThroughRunner: a budgeted submission surfaces the typed
-// error through the handle, counts in the budget metric, and — when
-// checkpointable — parks a resumable snapshot that a resubmission
+// error through the handle, counts in the budget metric, and — as a
+// dynamic run can pause — parks a resumable snapshot that a resubmission
 // completes from.
 func TestBudgetThroughRunner(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -372,7 +424,6 @@ func TestBudgetThroughRunner(t *testing.T) {
 		Options: repro.Options{
 			Procs:            2,
 			BudgetIterations: 20,
-			Checkpointable:   true,
 		},
 	})
 	if err != nil {
@@ -383,7 +434,7 @@ func TestBudgetThroughRunner(t *testing.T) {
 	}
 	ck := r.Checkpoint()
 	if ck == nil {
-		t.Fatal("budget-exceeded checkpointable run parked no snapshot")
+		t.Fatal("budget-exceeded dynamic run parked no snapshot")
 	}
 	rest, err := rn.Submit(Submission{
 		Program: prog,
