@@ -44,15 +44,15 @@ bench:
 bench-compare:
 	$(GO) run ./cmd/benchsuite compare $(BENCH_BASE) $(BENCH_OUT)
 
-# bench-smoke is the fast sanity slice CI runs on every push: the smoke
-# scenarios, then one iteration of the wall-clock benchmarks — the
-# kernel ones keep the real engine compiling and running (KernelLeased
-# is the one place outside `go test` where it slices a held lease),
-# VirtualServed checks the served programs' makespans on the virtual
-# engine, and ServedRetained fails when a terminal run keeps more than
-# 4 kB of heap.
+# bench-smoke is the fast sanity slice CI runs on every push: one
+# iteration of the wall-clock benchmarks — the kernel ones keep the real
+# engine compiling and running (KernelLeased is the one place outside
+# `go test` where it slices a held lease), VirtualServed checks the
+# served programs' makespans on the virtual engine, and ServedRetained
+# fails when a terminal run keeps more than 4 kB of heap. The ledger's
+# smoke scenarios are not rerun here: `go test ./cmd/benchsuite` runs the
+# whole registry against the golden file and the smoke slice on its own.
 bench-smoke:
-	$(GO) run ./cmd/benchsuite run -filter smoke -o /tmp/BENCH_smoke.json
 	$(GO) test -run '^$$' -bench 'Kernel(Fine|Nested|Leased|Scaling)|FetchAdd|VirtualServed|ServedRetained' -benchtime=1x . ./internal/machine/
 
 # bench-harness vets and tests bench/, the wall-clock benchmark. It is

@@ -24,9 +24,10 @@ var (
 //
 // Iteration budgets are exact on every engine, scheme and claim batch:
 // the run executed precisely min(total iterations, budget) iterations.
-// For a run that can pause (Options.CheckpointAfter) the error carries a
-// resumable Checkpoint, so a manager can treat exhaustion as preemption:
-// park the checkpoint and resubmit it later with a fresh budget.
+// For a run that can pause — a cursor scheme, no Doacross or manual-post
+// loop (Program.CanCheckpoint) — the error carries a resumable
+// Checkpoint, so a manager can treat exhaustion as preemption: park the
+// checkpoint and resubmit it later with a fresh budget.
 type BudgetExceededError struct {
 	// Iterations is the iteration count consumed against the budget.
 	Iterations int64

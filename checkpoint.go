@@ -48,6 +48,13 @@ var (
 // via errors.Is; the embedded Checkpoint resumes the run.
 type CheckpointedError struct {
 	Checkpoint *Checkpoint
+	// Elapsed, Busy and Accesses are the run's engine time, per-processor
+	// busy time and per-processor accesses up to the pause (Result's
+	// Makespan, Busy and Accesses). A resumed run reports only its own
+	// part, so a manager that resumes the checkpoint adds these to it.
+	Elapsed  int64
+	Busy     []int64
+	Accesses []int64
 }
 
 func (e *CheckpointedError) Error() string {

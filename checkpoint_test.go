@@ -162,7 +162,7 @@ func TestFlightRecorderFeedsDiagnostics(t *testing.T) {
 	}
 	var live repro.Live
 	if _, err := prog.Run(repro.Options{
-		Procs: 4, Diagnostics: true, FlightRecorder: 64,
+		Procs: 4, Diagnostics: true,
 		Observe: func(l repro.Live) { live = l },
 	}); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@
 //	loopsched -workload flat -diagnose
 //	loopsched -workload flat -checkpoint-after 20 -checkpoint-out ck.json
 //	loopsched -workload flat -resume ck.json
+//	loopsched -workload flat -budget-iterations 500 -checkpoint-out ck.json
 //	loopsched -list
 //
 // Workloads: fig1 (the paper's example program), adjoint, radjoint,
@@ -137,7 +138,6 @@ func run(args []string, out io.Writer) error {
 	var live repro.Live
 	if *diagnose {
 		opts.Diagnostics = true
-		opts.FlightRecorder = 256
 		opts.Observe = func(l repro.Live) { live = l }
 	}
 	if *resumeFrom != "" {
@@ -152,22 +152,30 @@ func run(args []string, out io.Writer) error {
 		opts.Resume = ck
 	}
 	res, err := prog.RunContext(ctx, opts)
-	var cke *repro.CheckpointedError
-	if errors.As(err, &cke) {
-		wire, err := json.MarshalIndent(cke.Checkpoint, "", "  ")
-		if err != nil {
-			return err
+	if ck := pauseCheckpoint(err); ck != nil {
+		wire, merr := json.MarshalIndent(ck, "", "  ")
+		if merr != nil {
+			return merr
 		}
+		budget := errors.Is(err, repro.ErrBudgetExceeded)
 		if *ckptOut != "" {
-			if err := os.WriteFile(*ckptOut, wire, 0o644); err != nil {
-				return err
+			if werr := os.WriteFile(*ckptOut, wire, 0o644); werr != nil {
+				return werr
 			}
-			fmt.Fprintf(out, "%v\ncheckpoint written to %s; resume the run with -resume %s\n",
-				cke, *ckptOut, *ckptOut)
+			err = fmt.Errorf("%w\ncheckpoint written to %s; resume the run with -resume %s",
+				err, *ckptOut, *ckptOut)
+			if !budget {
+				fmt.Fprintf(out, "%v\n", err)
+			}
 		} else {
 			fmt.Fprintf(out, "%s\n", wire)
 		}
 		printDiagnostic(out, *diagnose, live)
+		if budget {
+			// An exhausted budget fails the run; the snapshot resumes it
+			// on a fresh one.
+			return err
+		}
 		return nil
 	}
 	if err != nil {
@@ -237,6 +245,20 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	printDiagnostic(out, *diagnose, live)
+	return nil
+}
+
+// pauseCheckpoint returns the resumable snapshot a run stopped with: a
+// checkpoint pause's, or a budget exhaustion's when the run can pause.
+func pauseCheckpoint(err error) *repro.Checkpoint {
+	var cke *repro.CheckpointedError
+	if errors.As(err, &cke) {
+		return cke.Checkpoint
+	}
+	var be *repro.BudgetExceededError
+	if errors.As(err, &be) {
+		return be.Checkpoint
+	}
 	return nil
 }
 

@@ -242,6 +242,26 @@ func TestCheckpointOutAndResume(t *testing.T) {
 	}
 }
 
+// TestBudgetCheckpointResumes: a run stopped by -budget-iterations fails
+// with the resume hint and writes its snapshot to -checkpoint-out, and
+// -resume runs exactly the rest: a second budget of the remaining 1 500
+// iterations is enough to finish all 2 000.
+func TestBudgetCheckpointResumes(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	err := run([]string{"-workload", "flat", "-n", "2000", "-procs", "4",
+		"-budget-iterations", "500", "-checkpoint-out", ck}, io.Discard)
+	for _, want := range []string{"budget exceeded after 500 iteration(s)", "resume the run with -resume " + ck} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("budget stop = %v, want an error containing %q", err, want)
+		}
+	}
+	resumed := runCLI(t, "-workload", "flat", "-n", "2000", "-procs", "4",
+		"-budget-iterations", "1500", "-resume", ck)
+	if !strings.Contains(resumed, "iterations 2000") {
+		t.Errorf("resumed run did not finish all 2000 iterations:\n%s", resumed)
+	}
+}
+
 // TestResumeVersion1Checkpoint resumes a checkpoint written in snapshot
 // format version 1, which stored barrier counts that restore now derives.
 func TestResumeVersion1Checkpoint(t *testing.T) {

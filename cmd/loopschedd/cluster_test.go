@@ -463,15 +463,20 @@ func TestClusterProxiedProgressSkipsMissedPolls(t *testing.T) {
 }
 
 // TestClusterDefaultChainSkipsUncheckpointable: a node's -checkpoint-every
-// default chains only the runs that can take snapshots. A doacross program
-// and a static-scheme one cannot, so they run unchained to done; with the
-// default applied to them, each failed at its first leg as not
-// checkpointable.
+// default chains only the runs the runner resumes (runner.Resumable). A
+// doacross program and a static-scheme one cannot pause, so they run
+// unchained to done; with the default applied to them, each failed at its
+// first leg as not checkpointable. A verify run records a trace that its
+// resumed legs could not add to, so it too runs unchained — verified, and
+// with no snapshot journaled; with the default applied, its legs ran
+// unverified.
 func TestClusterDefaultChainSkipsUncheckpointable(t *testing.T) {
-	tc := startCluster(t, 2, t.TempDir(), nil, 20)
+	dir := t.TempDir()
+	tc := startCluster(t, 2, dir, nil, 20)
 	for name, body := range map[string]string{
 		"doacross":     `{"program": "doacross(1) W = 1..400 { await; work 1; post }", "options": {"procs": 2}}`,
 		"static-block": `{"program": "doall I = 1..400 { work 1 }", "options": {"procs": 2, "scheme": "static-block"}}`,
+		"verify":       `{"program": "doall I = 1..400 { work 1 }", "options": {"procs": 2, "scheme": "ss", "verify": true}}`,
 	} {
 		resp, payload := postJSON(t, tc.url(0)+"/v1/runs", body)
 		if resp.StatusCode != http.StatusCreated {
@@ -484,6 +489,12 @@ func TestClusterDefaultChainSkipsUncheckpointable(t *testing.T) {
 		})
 		if st["state"] != "done" {
 			t.Errorf("%s: run ended %v (%v), want done", name, st["state"], st["error"])
+		}
+		for _, k := range journalKinds(t, filepath.Join(dir, tc.names[0]+".journal"))[id] {
+			if k == kindSnapshot {
+				t.Errorf("%s: journaled a snapshot, want an unchained run", name)
+				break
+			}
 		}
 	}
 }

@@ -213,10 +213,10 @@ func (s *server) buildSubmission(req submitRequest) (runner.Submission, error) {
 		return runner.Submission{}, errors.New("checkpoint_every must be non-negative")
 	}
 	if d := s.cfg.Cluster.CheckpointEvery; every == 0 && d > 0 && s.cfg.Cluster.enabled() &&
-		prog.CanCheckpoint(req.Options.Options) == nil {
-		// Clustered nodes default every run that can take snapshots to
-		// periodic ones: without them, failover can only restart a lost
-		// run from scratch, as it does a run that cannot.
+		runner.Resumable(prog, req.Options.Options) == nil {
+		// Clustered nodes default every run the runner resumes to
+		// periodic snapshots: without them, failover can only restart a
+		// lost run from scratch, as it does any other run.
 		every = d
 	}
 	return runner.Submission{

@@ -125,6 +125,21 @@ func TestRetiredCheckpointableRejected(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryRefusesVerify: a chain's resumed legs could not be
+// verified, so a submission asking for both is a 400 naming what a
+// pause needs, not a run that reports done unverified.
+func TestCheckpointEveryRefusesVerify(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	resp, payload := postJSON(t, ts.URL+"/v1/runs",
+		`{"program": "doall I = 1..64 { work 20 }", "options": {"procs": 4, "scheme": "ss", "verify": true, "checkpoint_every": 4}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (%v)", resp.StatusCode, payload)
+	}
+	if msg, _ := payload["error"].(string); !strings.Contains(msg, "not checkpointable") || !strings.Contains(msg, "trace") {
+		t.Errorf("error = %q", msg)
+	}
+}
+
 // TestReplayToleratesRetiredCheckpointable: a journal written while
 // runs opted in to pausing still replays, to done.
 func TestReplayToleratesRetiredCheckpointable(t *testing.T) {

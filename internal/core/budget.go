@@ -24,9 +24,9 @@ import (
 // min(total iterations, budget) iterations on every engine, scheme and
 // batch factor. The pause then rides the checkpoint drain: workers stop
 // at claim boundaries, a started chunk always completes, and nothing is
-// cut mid-chunk. For runs with the checkpoint seam enabled the resulting
-// BudgetExceededError carries a resumable RunSnapshot; others report
-// consumption only.
+// cut mid-chunk. For a run that can pause (a cursor scheme, no Doacross
+// or manual-post leaf) the resulting BudgetExceededError carries a
+// resumable RunSnapshot; others report consumption only.
 
 // Budget caps one run's execution, enforced on the claim path.
 type Budget struct {
@@ -55,7 +55,7 @@ type BudgetExceededError struct {
 	// Elapsed is the run's engine time at the pause.
 	Elapsed machine.Time
 	// Snapshot is the run's resumable state, non-nil only when the run
-	// was configured with the checkpoint seam (Config.Checkpoint).
+	// can pause (a cursor scheme, no Doacross or manual-post leaf).
 	Snapshot *RunSnapshot
 }
 

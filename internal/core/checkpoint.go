@@ -10,6 +10,7 @@ import (
 	"repro/internal/descr"
 	"repro/internal/loopir"
 	"repro/internal/lowsched"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -172,6 +173,9 @@ var ErrBadSnapshot = errors.New("core: bad snapshot")
 // ErrCheckpointed via errors.Is.
 type CheckpointedError struct {
 	Snapshot *RunSnapshot
+	// Report is the engine's report of the run up to the pause: its
+	// elapsed time and each processor's busy time and accesses.
+	Report machine.RunReport
 }
 
 func (e *CheckpointedError) Error() string {

@@ -206,7 +206,7 @@ func RunPlanContext(ctx context.Context, pl *Plan, cfg Config) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		return nil, &CheckpointedError{Snapshot: snap}
+		return nil, &CheckpointedError{Snapshot: snap, Report: rep}
 	}
 	if err := ex.checkQuiescent(); err != nil {
 		return nil, err

@@ -4,34 +4,17 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/descr"
+	"repro"
 	"repro/internal/loopir"
-	"repro/internal/lowsched"
 	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/vmachine"
 	"repro/internal/workload"
 )
 
-// run compiles and executes a nest on a fresh virtual machine.
-func run(nest *loopir.Nest, vcfg vmachine.Config, ccfg core.Config) (*core.Report, error) {
-	std, err := nest.Standardize()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := descr.Compile(std)
-	if err != nil {
-		return nil, err
-	}
-	ccfg.Engine = vmachine.New(vcfg)
-	return core.Run(prog, ccfg)
-}
-
 // calibrate extracts the Section-IV model parameters from a run's
 // measured overhead decomposition.
-func calibrate(rep *core.Report, tau float64) model.Params {
-	s := rep.Stats
+func calibrate(res *repro.Result, tau float64) model.Params {
+	s := res.Stats
 	p := model.Params{Tau: tau}
 	if s.Iterations > 0 {
 		p.O1 = float64(s.O1Time) / float64(s.Iterations)
@@ -65,14 +48,13 @@ func runE1(w io.Writer) (Verdict, error) {
 	var etas []float64
 	relErrCoarse := -1.0
 	for _, tau := range taus {
-		rep, err := run(workload.UniformDoall(iters, tau),
-			vmachine.Config{P: P, AccessCost: acc},
-			core.Config{Scheme: lowsched.SS{}})
+		res, err := repro.Execute(workload.UniformDoall(iters, tau),
+			repro.Options{Procs: P, AccessCost: acc, Scheme: "ss", Verify: true})
 		if err != nil {
 			return v, err
 		}
-		meas := rep.Utilization()
-		p := calibrate(rep, float64(tau))
+		meas := res.Utilization
+		p := calibrate(res, float64(tau))
 		pred := model.Utilization(p)
 		re := RelErr(meas, pred)
 		tb.Add(tau, meas, pred, re, p.O1, p.NIter, p.N)
@@ -116,16 +98,15 @@ func runE2(w io.Writer) (Verdict, error) {
 	}
 	var pts []pt
 	for _, k := range ks {
-		rep, err := run(workload.UniformDoall(iters, tau),
-			vmachine.Config{P: P, AccessCost: acc},
-			core.Config{Scheme: lowsched.CSS{K: k}})
+		res, err := repro.Execute(workload.UniformDoall(iters, tau),
+			repro.Options{Procs: P, AccessCost: acc, Scheme: fmt.Sprintf("css:%d", k), Verify: true})
 		if err != nil {
 			return v, err
 		}
-		meas := rep.Utilization()
-		p := calibrate(rep, tau)
+		meas := res.Utilization
+		p := calibrate(res, tau)
 		pred := model.UtilizationChunked(p, model.ConstO2(p.O2), float64(k))
-		tb.Add(k, meas, pred, rep.Makespan, rep.Stats.Chunks)
+		tb.Add(k, meas, pred, res.Makespan, res.Stats.Chunks)
 		pts = append(pts, pt{k, meas})
 	}
 	fmt.Fprintf(w, "%s\n", tb)
@@ -165,19 +146,18 @@ func runE3(w io.Writer) (Verdict, error) {
 	var makespans []int64
 	var t1 float64
 	for _, k := range ks {
-		rep, err := run(workload.Wavefront(n, 1, head, tail),
-			vmachine.Config{P: P, AccessCost: acc},
-			core.Config{Scheme: lowsched.CSS{K: k}})
+		res, err := repro.Execute(workload.Wavefront(n, 1, head, tail),
+			repro.Options{Procs: P, AccessCost: acc, Scheme: fmt.Sprintf("css:%d", k), Verify: true})
 		if err != nil {
 			return v, err
 		}
-		ms := float64(rep.Makespan)
+		ms := float64(res.Makespan)
 		if k == 1 {
 			t1 = ms
 		}
 		lost := (ms - t1) / float64(n*tail)
-		tb.Add(k, rep.Makespan, model.DoacrossTime(dp, float64(k)), lost, model.OverlapLoss(float64(k)))
-		makespans = append(makespans, rep.Makespan)
+		tb.Add(k, res.Makespan, model.DoacrossTime(dp, float64(k)), lost, model.OverlapLoss(float64(k)))
+		makespans = append(makespans, res.Makespan)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	mono := true
@@ -204,10 +184,7 @@ func runE3(w io.Writer) (Verdict, error) {
 func runE4(w io.Writer) (Verdict, error) {
 	var v Verdict
 	const P = 8
-	schemes := []lowsched.Scheme{
-		lowsched.SS{}, lowsched.CSS{K: 8}, lowsched.CSS{K: 64},
-		lowsched.GSS{}, lowsched.TSS{}, lowsched.FSC{}, lowsched.AFS{},
-	}
+	schemes := []string{"ss", "css:8", "css:64", "gss", "tss", "fsc", "afs"}
 	type result struct {
 		name      string
 		makespan  int64
@@ -232,20 +209,20 @@ func runE4(w io.Writer) (Verdict, error) {
 		results[wl.name] = map[string]result{}
 		var busies []int64
 		for _, s := range schemes {
-			rep, err := run(wl.mk(), vmachine.Config{P: P, AccessCost: wl.acc},
-				core.Config{Scheme: s})
+			res, err := repro.Execute(wl.mk(),
+				repro.Options{Procs: P, AccessCost: wl.acc, Scheme: s, Verify: true})
 			if err != nil {
 				return v, err
 			}
 			r := result{
-				name:      s.Name(),
-				makespan:  rep.Makespan,
-				eta:       rep.Utilization(),
-				imbalance: machine.Imbalance(rep.Busy),
-				chunks:    rep.Stats.Chunks,
+				name:      res.SchemeName,
+				makespan:  res.Makespan,
+				eta:       res.Utilization,
+				imbalance: machine.Imbalance(res.Busy),
+				chunks:    res.Stats.Chunks,
 			}
-			results[wl.name][s.Name()] = r
-			busies = append(busies, rep.TotalBusy())
+			results[wl.name][r.name] = r
+			busies = append(busies, totalBusy(res))
 			tb.Add(r.name, r.makespan, r.eta, r.imbalance, r.chunks)
 		}
 		fmt.Fprintf(w, "%s\n", tb)
@@ -298,13 +275,13 @@ func runE5(w io.Writer) (Verdict, error) {
 		"P", "multi-list makespan", "single-list makespan", "single/multi")
 	ratios := map[int]float64{}
 	for _, P := range []int{2, 4, 8, 16} {
-		multi, err := run(workload.ManyInstances(m, instances, iters, grain),
-			vmachine.Config{P: P, AccessCost: acc}, core.Config{})
+		multi, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
+			repro.Options{Procs: P, AccessCost: acc, Verify: true})
 		if err != nil {
 			return v, err
 		}
-		single, err := run(workload.ManyInstances(m, instances, iters, grain),
-			vmachine.Config{P: P, AccessCost: acc}, core.Config{Pool: core.PoolSingleList})
+		single, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
+			repro.Options{Procs: P, AccessCost: acc, Pool: "single-list", Verify: true})
 		if err != nil {
 			return v, err
 		}
@@ -333,14 +310,14 @@ func runE6(w io.Writer) (Verdict, error) {
 		"dispatch cost", "makespan", "eta", "dispatch time share")
 	var etas []float64
 	for _, d := range dispatches {
-		rep, err := run(workload.Fig1(cfg), vmachine.Config{P: 8, AccessCost: 10},
-			core.Config{DispatchCost: d})
+		res, err := repro.Execute(workload.Fig1(cfg),
+			repro.Options{Procs: 8, AccessCost: 10, DispatchCost: d, Verify: true})
 		if err != nil {
 			return v, err
 		}
-		share := float64(rep.Stats.DispatchTime) / (float64(rep.Makespan) * 8)
-		tb.Add(d, rep.Makespan, rep.Utilization(), share)
-		etas = append(etas, rep.Utilization())
+		share := float64(res.Stats.DispatchTime) / (float64(res.Makespan) * 8)
+		tb.Add(d, res.Makespan, res.Utilization, share)
+		etas = append(etas, res.Utilization)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	mono := true
@@ -370,14 +347,13 @@ func runE7(w io.Writer) (Verdict, error) {
 		"P", "serialized makespan", "combining makespan", "serialized/combining")
 	ratios := map[int]float64{}
 	for _, P := range []int{2, 4, 8, 16} {
-		ser, err := run(workload.UniformDoall(iters, tau),
-			vmachine.Config{P: P, AccessCost: acc}, core.Config{Scheme: lowsched.SS{}})
+		ser, err := repro.Execute(workload.UniformDoall(iters, tau),
+			repro.Options{Procs: P, AccessCost: acc, Scheme: "ss", Verify: true})
 		if err != nil {
 			return v, err
 		}
-		comb, err := run(workload.UniformDoall(iters, tau),
-			vmachine.Config{P: P, AccessCost: acc, Combining: vmachine.CombineAll},
-			core.Config{Scheme: lowsched.SS{}})
+		comb, err := repro.Execute(workload.UniformDoall(iters, tau),
+			repro.Options{Procs: P, AccessCost: acc, Scheme: "ss", Combining: true, Verify: true})
 		if err != nil {
 			return v, err
 		}
@@ -430,18 +406,18 @@ func runE8(w io.Writer) (Verdict, error) {
 		"layout", "makespan", "eta")
 	var par, ser int64
 	for _, parallel := range []bool{false, true} {
-		rep, err := run(mk(parallel), vmachine.Config{P: 8, AccessCost: 5}, core.Config{})
+		res, err := repro.Execute(mk(parallel), repro.Options{Procs: 8, AccessCost: 5, Verify: true})
 		if err != nil {
 			return v, err
 		}
 		name := "serialized"
 		if parallel {
 			name = "sections"
-			par = rep.Makespan
+			par = res.Makespan
 		} else {
-			ser = rep.Makespan
+			ser = res.Makespan
 		}
-		tb.Add(name, rep.Makespan, rep.Utilization())
+		tb.Add(name, res.Makespan, res.Utilization)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	v.check("sections overlap the three bodies", float64(par) < 0.75*float64(ser),
@@ -462,38 +438,38 @@ func runE9(w io.Writer) (Verdict, error) {
 		grain     = 30
 		acc       = 10
 	)
-	kinds := []core.PoolKind{core.PoolPerLoop, core.PoolSingleList, core.PoolDistributed}
+	kinds := []string{"per-loop", "single-list", "distributed"}
 	tb := NewTable(
 		fmt.Sprintf("task-pool structures: %d loops, %d instances x %d iterations, grain %d",
 			m, instances, iters, grain),
 		"P", "per-loop", "single-list", "distributed")
-	makespans := map[core.PoolKind]map[int]int64{}
+	makespans := map[string]map[int]int64{}
 	for _, k := range kinds {
 		makespans[k] = map[int]int64{}
 	}
 	for _, P := range []int{2, 4, 8, 16} {
 		row := []any{P}
 		for _, k := range kinds {
-			rep, err := run(workload.ManyInstances(m, instances, iters, grain),
-				vmachine.Config{P: P, AccessCost: acc}, core.Config{Pool: k})
+			res, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
+				repro.Options{Procs: P, AccessCost: acc, Pool: k, Verify: true})
 			if err != nil {
 				return v, err
 			}
-			makespans[k][P] = rep.Makespan
-			row = append(row, rep.Makespan)
+			makespans[k][P] = res.Makespan
+			row = append(row, res.Makespan)
 		}
 		tb.Add(row...)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	v.check("per-loop lists beat the single list at P=16",
-		makespans[core.PoolPerLoop][16] < makespans[core.PoolSingleList][16],
+		makespans["per-loop"][16] < makespans["single-list"][16],
 		"per-loop %d vs single %d",
-		makespans[core.PoolPerLoop][16], makespans[core.PoolSingleList][16])
+		makespans["per-loop"][16], makespans["single-list"][16])
 	v.check("the work-stealing pool also beats the single list at P=16",
-		makespans[core.PoolDistributed][16] < makespans[core.PoolSingleList][16],
+		makespans["distributed"][16] < makespans["single-list"][16],
 		"distributed %d vs single %d",
-		makespans[core.PoolDistributed][16], makespans[core.PoolSingleList][16])
-	ratio := float64(makespans[core.PoolDistributed][16]) / float64(makespans[core.PoolPerLoop][16])
+		makespans["distributed"][16], makespans["single-list"][16])
+	ratio := float64(makespans["distributed"][16]) / float64(makespans["per-loop"][16])
 	v.check("per-loop and distributed pools are within 3x of each other",
 		ratio > 1.0/3 && ratio < 3,
 		"distributed/per-loop at P=16 = %.2f", ratio)
@@ -508,10 +484,7 @@ func runE9(w io.Writer) (Verdict, error) {
 func runE10(w io.Writer) (Verdict, error) {
 	var v Verdict
 	const P = 8
-	schemes := []lowsched.Scheme{
-		lowsched.StaticBlock{}, lowsched.StaticCyclic{},
-		lowsched.SS{}, lowsched.CSS{K: 16}, lowsched.GSS{}, lowsched.FSC{},
-	}
+	schemes := []string{"static-block", "static-cyclic", "ss", "css:16", "gss", "fsc"}
 	loads := []struct {
 		name string
 		mk   func() *loopir.Nest
@@ -528,12 +501,13 @@ func runE10(w io.Writer) (Verdict, error) {
 			"scheme", "makespan", "eta", "imbalance")
 		results[wl.name] = map[string]int64{}
 		for _, s := range schemes {
-			rep, err := run(wl.mk(), vmachine.Config{P: P, AccessCost: 10}, core.Config{Scheme: s})
+			res, err := repro.Execute(wl.mk(),
+				repro.Options{Procs: P, AccessCost: 10, Scheme: s, Verify: true})
 			if err != nil {
 				return v, err
 			}
-			results[wl.name][s.Name()] = rep.Makespan
-			tb.Add(s.Name(), rep.Makespan, rep.Utilization(), machine.Imbalance(rep.Busy))
+			results[wl.name][res.SchemeName] = res.Makespan
+			tb.Add(res.SchemeName, res.Makespan, res.Utilization, machine.Imbalance(res.Busy))
 		}
 		fmt.Fprintf(w, "%s\n", tb)
 	}
@@ -585,14 +559,13 @@ func runE11(w io.Writer) (Verdict, error) {
 		"remote penalty", "per-loop makespan", "distributed makespan", "per-loop/distributed")
 	ratio := map[int64]float64{}
 	for _, pen := range []int64{0, 20, 80} {
-		perLoop, err := run(workload.ManyInstances(m, instances, iters, grain),
-			vmachine.Config{P: P, AccessCost: acc, RemotePenalty: pen}, core.Config{})
+		perLoop, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
+			repro.Options{Procs: P, AccessCost: acc, RemotePenalty: pen, Verify: true})
 		if err != nil {
 			return v, err
 		}
-		dist, err := run(workload.ManyInstances(m, instances, iters, grain),
-			vmachine.Config{P: P, AccessCost: acc, RemotePenalty: pen},
-			core.Config{Pool: core.PoolDistributed})
+		dist, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
+			repro.Options{Procs: P, AccessCost: acc, RemotePenalty: pen, Pool: "distributed", Verify: true})
 		if err != nil {
 			return v, err
 		}
@@ -610,14 +583,16 @@ func runE11(w io.Writer) (Verdict, error) {
 // realEngineSmoke is used by tests to ensure experiments also execute on
 // the real machine (not part of the report).
 func realEngineSmoke() error {
-	std, err := workload.Fig1(workload.DefaultFig1()).Standardize()
-	if err != nil {
-		return err
-	}
-	prog, err := descr.Compile(std)
-	if err != nil {
-		return err
-	}
-	_, err = core.Run(prog, core.Config{Engine: machine.NewReal(machine.RealConfig{P: 4})})
+	_, err := repro.Execute(workload.Fig1(workload.DefaultFig1()),
+		repro.Options{Procs: 4, Engine: repro.EngineReal, Verify: true})
 	return err
+}
+
+// totalBusy is a run's busy time summed over its processors.
+func totalBusy(res *repro.Result) int64 {
+	var sum int64
+	for _, b := range res.Busy {
+		sum += b
+	}
+	return sum
 }

@@ -80,15 +80,12 @@ type Options struct {
 	RetryBackoff int64 `json:"retry_backoff,omitempty" flag:"retry-backoff" help:"idle time charged before the first retry, doubling per attempt"`
 	// Diagnostics enables live-instance tracking so the probe handed to
 	// Observe can render a scheduling-state dump (core.Diagnoser); run
-	// managers use it for stuck-run watchdog reports. It adds a small
-	// host-side bookkeeping cost per instance activation.
+	// managers use it for stuck-run watchdog reports. It also attaches a
+	// flight recorder of each processor's last 64 scheduling events,
+	// whose merged tail ends the dump; the recorder costs no engine time,
+	// so virtual-time results are unchanged. It adds a small host-side
+	// bookkeeping cost per instance activation.
 	Diagnostics bool `json:"-"`
-	// FlightRecorder, when positive, attaches a kernel flight recorder
-	// retaining the last N scheduling events per processor; the tail is
-	// folded into diagnostic dumps (with Diagnostics) and costs no
-	// engine time, so virtual-time results are unchanged. Zero or
-	// negative disables it.
-	FlightRecorder int `json:"-"`
 	// CheckpointAfter, when positive, pauses the run at a checkpoint
 	// after that many chunk claims (a deterministic trigger on the
 	// virtual engine). Like Resume it needs a run that can pause — a

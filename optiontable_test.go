@@ -18,7 +18,7 @@ var updateREADME = flag.Bool("update-readme", false, "rewrite README.md's genera
 // and no flag: they hand the caller's process a callback, a trace or a
 // diagnostic dump.
 var libraryOnly = map[string]bool{
-	"Observe": true, "CollectTrace": true, "Diagnostics": true, "FlightRecorder": true,
+	"Observe": true, "CollectTrace": true, "Diagnostics": true,
 }
 
 // TestOptionTableComplete: every Options field has decided its surfaces
@@ -66,8 +66,8 @@ func TestOptionTableComplete(t *testing.T) {
 			}
 		}
 	}
-	if ty.NumField() != 23 || len(wires) != 19 || len(flags) != 18 {
-		t.Errorf("%d fields, %d wire names, %d flags; want 23, 19, 18",
+	if ty.NumField() != 22 || len(wires) != 19 || len(flags) != 18 {
+		t.Errorf("%d fields, %d wire names, %d flags; want 22, 19, 18",
 			ty.NumField(), len(wires), len(flags))
 	}
 }

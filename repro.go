@@ -271,8 +271,8 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		log = trace.New()
 	}
 	var ring *trace.Ring
-	if opts.FlightRecorder > 0 {
-		ring = trace.NewRing(rs.procs, opts.FlightRecorder)
+	if opts.Diagnostics {
+		ring = trace.NewRing(rs.procs, flightEvents)
 	}
 	var ckpt *core.CheckpointConfig
 	if opts.CheckpointAfter > 0 || opts.Resume != nil {
@@ -320,10 +320,12 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 		}
 		var cke *core.CheckpointedError
 		if errors.As(err, &cke) {
-			return nil, &CheckpointedError{Checkpoint: &Checkpoint{
-				Program:  p.Fingerprint(),
-				Snapshot: cke.Snapshot,
-			}}
+			return nil, &CheckpointedError{
+				Checkpoint: &Checkpoint{Program: p.Fingerprint(), Snapshot: cke.Snapshot},
+				Elapsed:    cke.Report.Makespan,
+				Busy:       cke.Report.Busy,
+				Accesses:   cke.Report.Accesses,
+			}
 		}
 		return nil, err
 	}
@@ -373,6 +375,12 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 	}
 	return res, nil
 }
+
+// flightEvents is the per-processor depth of the flight recorder that
+// Options.Diagnostics attaches. A diagnostic dump ships the newest 32
+// events merged across processors, and those all lie within each
+// processor's newest 32, so any depth from 32 up gives the same dump.
+const flightEvents = 64
 
 // Execute compiles and runs a nest in one call.
 func Execute(nest *Nest, opts Options) (*Result, error) {

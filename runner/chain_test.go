@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -179,6 +180,15 @@ func TestCheckpointEveryPreemption(t *testing.T) {
 	if got.Stats.Iterations != bound {
 		t.Errorf("preempted chain executed %d iterations, want exactly %d", got.Stats.Iterations, bound)
 	}
+	// The resumed attempt's Result also counts the legs run before the
+	// preemption: every iteration's 20 units of work, once.
+	var busy int64
+	for _, b := range got.Busy {
+		busy += b
+	}
+	if busy != bound*20 {
+		t.Errorf("preempted chain's busy %v sums to %d, want %d", got.Busy, busy, bound*20)
+	}
 	if low.Checkpoint() != nil {
 		t.Error("done preempted chain still parks a checkpoint")
 	}
@@ -188,5 +198,77 @@ func TestCheckpointEveryPreemption(t *testing.T) {
 		if got := attemptsOf(low); got < 2 {
 			t.Errorf("preempted chain has %d attempt(s), want >= 2", got)
 		}
+	}
+}
+
+// TestCheckpointEveryRefusesUnresumable: Submit refuses a chain on a run
+// the runner does not resume (Resumable): a Verify run, whose resumed
+// legs the trace could not observe, and a Doacross run, which cannot
+// pause. Both match repro.ErrNotCheckpointable and enqueue nothing.
+func TestCheckpointEveryRefusesUnresumable(t *testing.T) {
+	rn := New(Config{MaxConcurrent: 1})
+	defer rn.Close()
+	doacross := repro.MustBuild(func(b *repro.B) {
+		b.DoacrossLeaf("W", repro.Const(16), 1, func(e repro.Env, iv repro.IVec, j int64) { e.Work(1) })
+	})
+	dprog, err := repro.Compile(doacross)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sub := range map[string]Submission{
+		"verify":   {Program: finiteProgram(t, 64), Options: repro.Options{Procs: 4, Scheme: "ss", Verify: true}},
+		"doacross": {Program: dprog, Options: repro.Options{Procs: 4}},
+	} {
+		sub.CheckpointEvery = 4
+		if _, err := rn.Submit(sub); !errors.Is(err, repro.ErrNotCheckpointable) {
+			t.Errorf("%s: Submit = %v, want ErrNotCheckpointable", name, err)
+		}
+	}
+	if n := rn.Stats().Submitted; n != 0 {
+		t.Errorf("%d run(s) accepted, want none", n)
+	}
+}
+
+// TestCheckpointEverySumsLegs: a chained run's Result covers every leg,
+// not its last: its busy time equals the unchained run's (work
+// conservation on the virtual engine) and its utilization is
+// ΣBusy / (P · Makespan) over the whole chain.
+func TestCheckpointEverySumsLegs(t *testing.T) {
+	rn := New(Config{MaxConcurrent: 1})
+	defer rn.Close()
+	prog := finiteProgram(t, 64)
+	opts := repro.Options{Procs: 4, Scheme: "ss"}
+	wait := func(every int64) *repro.Result {
+		t.Helper()
+		r, err := rn.Submit(Submission{Program: prog, Options: opts, CheckpointEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sum := func(xs []int64) (s int64) {
+		for _, x := range xs {
+			s += x
+		}
+		return s
+	}
+	plain, chained := wait(0), wait(4)
+	if got, want := sum(chained.Busy), sum(plain.Busy); got != want || want != 64*20 {
+		t.Errorf("chained busy %v sums to %d, unchained %v to %d; want both %d",
+			chained.Busy, got, plain.Busy, want, 64*20)
+	}
+	if chained.Makespan < plain.Makespan {
+		t.Errorf("chained makespan %d below the unchained %d", chained.Makespan, plain.Makespan)
+	}
+	want := float64(sum(chained.Busy)) / (float64(opts.Procs) * float64(chained.Makespan))
+	if chained.Utilization != want {
+		t.Errorf("chained utilization %v, want ΣBusy/(P·Makespan) = %v", chained.Utilization, want)
+	}
+	if len(chained.Accesses) != opts.Procs || sum(chained.Accesses) < sum(plain.Accesses) {
+		t.Errorf("chained accesses %v, unchained %v", chained.Accesses, plain.Accesses)
 	}
 }

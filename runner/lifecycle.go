@@ -222,12 +222,12 @@ func (rn *Runner) submit(r *Run, record any) error {
 }
 
 // preempt delivers a preemption decision to the run, outside the
-// Runner's lock: cooperatively through its executor's checkpoint request
-// when the run can pause — it then yields shortly with a snapshot and
-// resumes from it on redispatch — otherwise, or if its trace could not
-// hold the iterations run before the pause (traced), by cancelling the
-// attempt's context, and the run restarts from scratch. Either way the
-// body returns shortly and exec requeues the run.
+// Runner's lock. A Resumable run yields cooperatively through its
+// executor's checkpoint request — which succeeds exactly when the run can
+// pause, the live half of the rule — and resumes from the snapshot on
+// redispatch; any other run has its attempt's context cancelled and
+// restarts from scratch. Either way the body returns shortly and exec
+// requeues the run.
 func (r *Run) preempt() {
 	if !r.traced && r.RequestCheckpoint() {
 		return

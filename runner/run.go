@@ -16,7 +16,7 @@ type Run struct {
 	id     string
 	label  string
 	tenant string // as submitted ("" for keyless work); ledger is its key
-	traced bool   // records a trace (Verify, CollectTrace): see preempt
+	traced bool   // records a trace (Verify, CollectTrace): see Resumable
 	// ledger is the tenant's record: its weight and priority class, and
 	// the queue the run waits in.
 	ledger *ledger

@@ -25,6 +25,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -159,11 +160,12 @@ type Submission struct {
 	// durable snapshot without ever stopping (the final checkpoint of a
 	// pausing or preempted run is its outcome, not a Snapshot). The
 	// claim-boundary pause preserves the bit-identity contract: the chained
-	// run's iteration set and totals equal an uninterrupted run's. It overrides
-	// Options.CheckpointAfter and requires a run that can pause (a cursor
-	// scheme, no Doacross or manual-post loop). A RequestCheckpoint
-	// or preemption ends the chain at the next leg boundary exactly as it
-	// would pause a CheckpointAfter run.
+	// run's iteration set and totals equal an uninterrupted run's, and its
+	// Result's Makespan, Busy, Accesses and Utilization are summed over the
+	// legs. It overrides Options.CheckpointAfter, and Submit refuses it on
+	// a run that is not Resumable. A RequestCheckpoint or preemption ends
+	// the chain at the next leg boundary exactly as it would pause a
+	// CheckpointAfter run.
 	CheckpointEvery int64
 	// Record rides, opaque, to the run's EventSubmitted and is dropped
 	// there: what the OnEvent consumer wants to write down about the
@@ -383,7 +385,12 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	if err := sub.Options.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant, traced: sub.Options.Verify || sub.Options.CollectTrace}
+	if sub.CheckpointEvery > 0 {
+		if err := Resumable(sub.Program, sub.Options); err != nil {
+			return nil, fmt.Errorf("runner: checkpoint every %d claims: %w", sub.CheckpointEvery, err)
+		}
+	}
+	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant, traced: traced(sub.Options)}
 	opts := sub.Options
 	userObserve := opts.Observe
 	opts.Observe = func(lv repro.Live) {
@@ -398,32 +405,31 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 		// and carry a flight recorder, so the dump ends with the last
 		// scheduling events before the stall.
 		opts.Diagnostics = true
-		if opts.FlightRecorder <= 0 {
-			opts.FlightRecorder = watchdogFlightEvents
-		}
 	}
 	// The body holds only what an attempt needs, for as long as the run is
 	// live: not the Submission, whose Record rides to the Submitted event
 	// and is dropped there.
 	prog, timeout, every := sub.Program, sub.Timeout, sub.CheckpointEvery
+	var paused legTotals // the legs run so far, which the completing leg's Result adds
 	r.body = func(ctx context.Context) (*repro.Result, error) {
 		// A fresh attempt consumes any yield request from a previous
 		// one: the request targeted the attempt that already paused.
 		r.yield.Store(false)
 		attempt := opts
-		if ck := r.ckpt.Load(); ck != nil {
+		if ck := r.ckpt.Load(); ck != nil && !r.traced {
 			// Redispatch after a preemption: resume from the parked snapshot
-			// so no prior work is repeated. Verify is dropped for resumed
-			// attempts — the trace cannot observe pre-checkpoint iterations.
+			// so no prior work is repeated. (A traced run parks one only when
+			// its own CheckpointAfter pause raced the preemption; it restarts.)
 			attempt.Resume = ck
-			attempt.Verify = false
+		} else {
+			paused = legTotals{} // a restart replaces what earlier attempts ran
 		}
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		return r.legs(ctx, attempt, every, prog.RunContext)
+		return r.legs(ctx, attempt, every, &paused, prog.RunContext)
 	}
 	if err := rn.submit(r, sub.Record); err != nil {
 		return nil, err
@@ -431,10 +437,74 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	return r, nil
 }
 
+// Resumable reports whether the runner resumes a run of prog under opts
+// from the run's own snapshots: the run can pause (Program.CanCheckpoint)
+// and records no trace (Verify, CollectTrace), which could not hold the
+// iterations run before a pause. It is the one rule behind resumption:
+// preemption resumes such a run and restarts any other, Submit refuses
+// CheckpointEvery on any other, and a clustered daemon's default
+// checkpoint interval applies to such runs only. It returns nil or an
+// error matching repro.ErrNotCheckpointable (or the option error Run
+// would return).
+func Resumable(prog *repro.Program, opts repro.Options) error {
+	if traced(opts) {
+		return fmt.Errorf("%w: the run records a trace (verify), which cannot hold the iterations run before a pause",
+			repro.ErrNotCheckpointable)
+	}
+	return prog.CanCheckpoint(opts)
+}
+
+// traced reports whether a run under opts records an event trace.
+func traced(opts repro.Options) bool { return opts.Verify || opts.CollectTrace }
+
+// legTotals is the engine time and per-processor work of the legs a run has
+// paused through since it last started from scratch: chain legs and
+// preempted attempts that resume. A paused leg reports them on its
+// CheckpointedError; the leg that completes the run adds them to its
+// Result, so the Result covers the whole run rather than its last leg.
+type legTotals struct {
+	elapsed        int64
+	busy, accesses []int64
+}
+
+func (l *legTotals) add(cke *repro.CheckpointedError) {
+	l.elapsed += cke.Elapsed
+	l.busy = addTo(l.busy, cke.Busy)
+	l.accesses = addTo(l.accesses, cke.Accesses)
+}
+
+// onto adds the paused legs to the completing leg's result and
+// recomputes its utilization over the whole run.
+func (l *legTotals) onto(res *repro.Result) {
+	if l.elapsed == 0 {
+		return
+	}
+	res.Makespan += l.elapsed
+	res.Busy = addTo(res.Busy, l.busy)
+	res.Accesses = addTo(res.Accesses, l.accesses)
+	var busy int64
+	for _, b := range res.Busy {
+		busy += b
+	}
+	res.Utilization = float64(busy) / (float64(len(res.Busy)) * float64(res.Makespan))
+}
+
+// addTo adds src to dst element-wise, growing dst to src's length.
+func addTo(dst, src []int64) []int64 {
+	for len(dst) < len(src) {
+		dst = append(dst, 0)
+	}
+	for i, v := range src {
+		dst[i] += v
+	}
+	return dst
+}
+
 // legs runs one attempt through leg: once, or with every > 0 as a chain
 // of legs that each pause after every chunk claims, park and publish the
-// snapshot, and resume from it.
-func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
+// snapshot, and resume from it. Every leg that pauses is added to
+// paused, and paused to the result of the leg that completes the run.
+func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64, paused *legTotals,
 	leg func(context.Context, repro.Options) (*repro.Result, error)) (*repro.Result, error) {
 	for {
 		if every > 0 {
@@ -443,6 +513,7 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
 		res, err := leg(ctx, attempt)
 		var cke *repro.CheckpointedError
 		if errors.As(err, &cke) {
+			paused.add(cke)
 			// Keep the snapshot on the handle. A plain CheckpointAfter run,
 			// or a chain asked to yield (pause request, preemption),
 			// surfaces the checkpoint as its outcome: exec either requeues
@@ -461,7 +532,6 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
 			}
 			r.emitSnapshot()
 			attempt.Resume = cke.Checkpoint
-			attempt.Verify = false
 			continue
 		}
 		var be *repro.BudgetExceededError
@@ -470,13 +540,12 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64,
 			// snapshot so a client can resubmit it with a fresh budget.
 			r.ckpt.Store(be.Checkpoint)
 		}
+		if err == nil {
+			paused.onto(res)
+		}
 		return res, err
 	}
 }
-
-// watchdogFlightEvents is the per-processor flight-recorder capacity the
-// watchdog forces onto watched runs that did not request their own.
-const watchdogFlightEvents = 64
 
 // Get returns the run with the given ID, if the Runner holds it.
 func (rn *Runner) Get(id string) (*Run, bool) {
