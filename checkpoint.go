@@ -48,10 +48,8 @@ var (
 // via errors.Is; the embedded Checkpoint resumes the run.
 type CheckpointedError struct {
 	Checkpoint *Checkpoint
-	// Elapsed, Busy and Accesses are the run's engine time, per-processor
-	// busy time and per-processor accesses up to the pause (Result's
-	// Makespan, Busy and Accesses). A resumed run reports only its own
-	// part, so a manager that resumes the checkpoint adds these to it.
+	// Elapsed, Busy and Accesses are Result's Makespan, Busy and Accesses
+	// up to the pause; a run resumed from Checkpoint reports only the rest.
 	Elapsed  int64
 	Busy     []int64
 	Accesses []int64

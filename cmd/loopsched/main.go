@@ -152,29 +152,30 @@ func run(args []string, out io.Writer) error {
 		opts.Resume = ck
 	}
 	res, err := prog.RunContext(ctx, opts)
-	if ck := pauseCheckpoint(err); ck != nil {
-		wire, merr := json.MarshalIndent(ck, "", "  ")
+	var cke *repro.CheckpointedError
+	var be *repro.BudgetExceededError
+	if errors.As(err, &be) && be.Checkpoint != nil {
+		cke = &repro.CheckpointedError{Checkpoint: be.Checkpoint}
+	}
+	if cke != nil || errors.As(err, &cke) {
+		wire, merr := json.MarshalIndent(cke.Checkpoint, "", "  ")
 		if merr != nil {
 			return merr
 		}
-		budget := errors.Is(err, repro.ErrBudgetExceeded)
 		if *ckptOut != "" {
-			if werr := os.WriteFile(*ckptOut, wire, 0o644); werr != nil {
-				return werr
+			if err := os.WriteFile(*ckptOut, wire, 0o644); err != nil {
+				return err
 			}
-			err = fmt.Errorf("%w\ncheckpoint written to %s; resume the run with -resume %s",
-				err, *ckptOut, *ckptOut)
-			if !budget {
+			err = fmt.Errorf("%w\ncheckpoint written to %s; resume the run with -resume %s", err, *ckptOut, *ckptOut)
+			if be == nil {
 				fmt.Fprintf(out, "%v\n", err)
 			}
 		} else {
 			fmt.Fprintf(out, "%s\n", wire)
 		}
 		printDiagnostic(out, *diagnose, live)
-		if budget {
-			// An exhausted budget fails the run; the snapshot resumes it
-			// on a fresh one.
-			return err
+		if be != nil {
+			return err // an exhausted budget fails the run; the snapshot resumes it on a fresh one
 		}
 		return nil
 	}
@@ -245,20 +246,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	printDiagnostic(out, *diagnose, live)
-	return nil
-}
-
-// pauseCheckpoint returns the resumable snapshot a run stopped with: a
-// checkpoint pause's, or a budget exhaustion's when the run can pause.
-func pauseCheckpoint(err error) *repro.Checkpoint {
-	var cke *repro.CheckpointedError
-	if errors.As(err, &cke) {
-		return cke.Checkpoint
-	}
-	var be *repro.BudgetExceededError
-	if errors.As(err, &be) {
-		return be.Checkpoint
-	}
 	return nil
 }
 

@@ -173,8 +173,7 @@ var ErrBadSnapshot = errors.New("core: bad snapshot")
 // ErrCheckpointed via errors.Is.
 type CheckpointedError struct {
 	Snapshot *RunSnapshot
-	// Report is the engine's report of the run up to the pause: its
-	// elapsed time and each processor's busy time and accesses.
+	// Report is the engine's report of the run up to the pause.
 	Report machine.RunReport
 }
 

@@ -222,7 +222,11 @@ func runE4(w io.Writer) (Verdict, error) {
 				chunks:    res.Stats.Chunks,
 			}
 			results[wl.name][r.name] = r
-			busies = append(busies, totalBusy(res))
+			var busy int64
+			for _, b := range res.Busy {
+				busy += b
+			}
+			busies = append(busies, busy)
 			tb.Add(r.name, r.makespan, r.eta, r.imbalance, r.chunks)
 		}
 		fmt.Fprintf(w, "%s\n", tb)
@@ -259,35 +263,48 @@ func runE4(w io.Writer) (Verdict, error) {
 	return v, nil
 }
 
+// The many-instance workload of E5, E9 and E11: m innermost loops
+// activated as many small instances, so SEARCH and the pool do the work.
+const (
+	manyLoops     = 12
+	manyInstances = 96
+	manyIters     = 4
+	manyGrain     = 30
+	manyAccess    = 10
+)
+
+// runMany runs the many-instance workload on P processors with the given
+// pool and remote-access penalty, and returns its makespan.
+func runMany(P int, pool string, penalty int64) (int64, error) {
+	res, err := repro.Execute(workload.ManyInstances(manyLoops, manyInstances, manyIters, manyGrain),
+		repro.Options{Procs: P, AccessCost: manyAccess, Pool: pool, RemotePenalty: penalty, Verify: true})
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
 // runE5 compares the paper's m parallel linked lists against a single
 // shared list.
 func runE5(w io.Writer) (Verdict, error) {
 	var v Verdict
-	const (
-		m         = 12
-		instances = 96
-		iters     = 4
-		grain     = 30
-		acc       = 10
-	)
 	tb := NewTable(
-		fmt.Sprintf("task pool scaling: %d loops, %d instances x %d iterations, grain %d", m, instances, iters, grain),
+		fmt.Sprintf("task pool scaling: %d loops, %d instances x %d iterations, grain %d",
+			manyLoops, manyInstances, manyIters, manyGrain),
 		"P", "multi-list makespan", "single-list makespan", "single/multi")
 	ratios := map[int]float64{}
 	for _, P := range []int{2, 4, 8, 16} {
-		multi, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
-			repro.Options{Procs: P, AccessCost: acc, Verify: true})
+		multi, err := runMany(P, "per-loop", 0)
 		if err != nil {
 			return v, err
 		}
-		single, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
-			repro.Options{Procs: P, AccessCost: acc, Pool: "single-list", Verify: true})
+		single, err := runMany(P, "single-list", 0)
 		if err != nil {
 			return v, err
 		}
-		ratio := float64(single.Makespan) / float64(multi.Makespan)
+		ratio := float64(single) / float64(multi)
 		ratios[P] = ratio
-		tb.Add(P, multi.Makespan, single.Makespan, ratio)
+		tb.Add(P, multi, single, ratio)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	v.check("multiple lists win at high processor counts", ratios[16] > 1.0,
@@ -431,17 +448,10 @@ func runE8(w io.Writer) (Verdict, error) {
 // task pool").
 func runE9(w io.Writer) (Verdict, error) {
 	var v Verdict
-	const (
-		m         = 12
-		instances = 96
-		iters     = 4
-		grain     = 30
-		acc       = 10
-	)
 	kinds := []string{"per-loop", "single-list", "distributed"}
 	tb := NewTable(
 		fmt.Sprintf("task-pool structures: %d loops, %d instances x %d iterations, grain %d",
-			m, instances, iters, grain),
+			manyLoops, manyInstances, manyIters, manyGrain),
 		"P", "per-loop", "single-list", "distributed")
 	makespans := map[string]map[int]int64{}
 	for _, k := range kinds {
@@ -450,13 +460,12 @@ func runE9(w io.Writer) (Verdict, error) {
 	for _, P := range []int{2, 4, 8, 16} {
 		row := []any{P}
 		for _, k := range kinds {
-			res, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
-				repro.Options{Procs: P, AccessCost: acc, Pool: k, Verify: true})
+			ms, err := runMany(P, k, 0)
 			if err != nil {
 				return v, err
 			}
-			makespans[k][P] = res.Makespan
-			row = append(row, res.Makespan)
+			makespans[k][P] = ms
+			row = append(row, ms)
 		}
 		tb.Add(row...)
 	}
@@ -545,33 +554,24 @@ func runE10(w io.Writer) (Verdict, error) {
 // paper's shared per-loop lists as the remote penalty grows.
 func runE11(w io.Writer) (Verdict, error) {
 	var v Verdict
-	const (
-		m         = 12
-		instances = 96
-		iters     = 4
-		grain     = 30
-		P         = 8
-		acc       = 10
-	)
+	const P = 8
 	tb := NewTable(
 		fmt.Sprintf("task-pool locality under NUMA penalties: %d instances, P=%d, access cost %d",
-			instances, P, acc),
+			manyInstances, P, manyAccess),
 		"remote penalty", "per-loop makespan", "distributed makespan", "per-loop/distributed")
 	ratio := map[int64]float64{}
 	for _, pen := range []int64{0, 20, 80} {
-		perLoop, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
-			repro.Options{Procs: P, AccessCost: acc, RemotePenalty: pen, Verify: true})
+		perLoop, err := runMany(P, "per-loop", pen)
 		if err != nil {
 			return v, err
 		}
-		dist, err := repro.Execute(workload.ManyInstances(m, instances, iters, grain),
-			repro.Options{Procs: P, AccessCost: acc, RemotePenalty: pen, Pool: "distributed", Verify: true})
+		dist, err := runMany(P, "distributed", pen)
 		if err != nil {
 			return v, err
 		}
-		r := float64(perLoop.Makespan) / float64(dist.Makespan)
+		r := float64(perLoop) / float64(dist)
 		ratio[pen] = r
-		tb.Add(pen, perLoop.Makespan, dist.Makespan, r)
+		tb.Add(pen, perLoop, dist, r)
 	}
 	fmt.Fprintf(w, "%s\n", tb)
 	v.check("locality matters more as remote accesses get dearer",
@@ -586,13 +586,4 @@ func realEngineSmoke() error {
 	_, err := repro.Execute(workload.Fig1(workload.DefaultFig1()),
 		repro.Options{Procs: 4, Engine: repro.EngineReal, Verify: true})
 	return err
-}
-
-// totalBusy is a run's busy time summed over its processors.
-func totalBusy(res *repro.Result) int64 {
-	var sum int64
-	for _, b := range res.Busy {
-		sum += b
-	}
-	return sum
 }

@@ -13,12 +13,8 @@
 // Each experiment prints its tables to a writer and returns a Verdict:
 // machine-checkable shape assertions ("who wins, by roughly what factor,
 // where the crossovers fall") that the test suite also enforces.
-//
-// Every run is a repro.Options run with Verify set — the machine
-// description the ledger, the daemon and loadcheck use — so a run that
-// executes an iteration twice, skips one, or starts an instance before
-// its macro-dataflow predecessors fails its experiment instead of
-// printing a figure.
+// Every run is a repro.Options run with Verify set, so a run the
+// sequential oracle rejects fails its experiment instead of printing.
 package experiments
 
 import (

@@ -75,7 +75,7 @@ doall I = 1..6 {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := log.VerifyExactlyOnce(prog, ref); err != nil {
+				if err := log.VerifyExactlyOnceIn(prog, ref, refexec.Context{}); err != nil {
 					t.Errorf("exactly-once: %v", err)
 				}
 				if err := log.VerifyPrecedence(prog, descr.BuildGraph(prog)); err != nil {

@@ -209,25 +209,18 @@ func (l *Log) digest() map[string]*instance {
 	return m
 }
 
-// VerifyExactlyOnceIn is VerifyExactlyOnce with an execution Context
-// identifying the configuration (nest, scheme, pool, engine) in the
-// oracle's mismatch dump.
+// VerifyExactlyOnceIn checks the log against the reference execution:
+// the set of activated instances matches the reference's bound>0
+// instances, each is activated and completed exactly once, and each
+// iteration 1..bound executed exactly once. The comparison (and the
+// mismatch dump it writes on failure) is refexec.Check's; ctx identifies
+// the configuration (nest, scheme, pool, engine) in the dump.
 func (l *Log) VerifyExactlyOnceIn(prog *descr.Program, ref *refexec.Result, ctx refexec.Context) error {
 	obs := &refexec.Observed{Instances: map[string]*refexec.InstanceObs{}}
 	for k, in := range l.digest() {
 		obs.Instances[k] = &in.InstanceObs
 	}
 	return refexec.Check(ref, prog.NumOf, obs, ctx)
-}
-
-// VerifyExactlyOnce checks the log against the reference execution: the
-// set of activated instances matches the reference's bound>0 instances,
-// each is activated and completed exactly once, and each iteration
-// 1..bound executed exactly once. The comparison (and the mismatch dump
-// it writes on failure) is refexec.Check's; use VerifyExactlyOnceIn to
-// label the dump with the failing configuration.
-func (l *Log) VerifyExactlyOnce(prog *descr.Program, ref *refexec.Result) error {
-	return l.VerifyExactlyOnceIn(prog, ref, refexec.Context{})
 }
 
 // VerifyPrecedence checks the macro-dataflow precedence: for every

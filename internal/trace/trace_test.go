@@ -42,7 +42,7 @@ func runTraced(t *testing.T, nest *loopir.Nest, p int) (*descr.Program, *refexec
 
 func TestFig1TraceVerifies(t *testing.T) {
 	prog, ref, log := runTraced(t, workload.Fig1(workload.DefaultFig1()), 4)
-	if err := log.VerifyExactlyOnce(prog, ref); err != nil {
+	if err := log.VerifyExactlyOnceIn(prog, ref, refexec.Context{}); err != nil {
 		t.Errorf("exactly-once: %v", err)
 	}
 	g := descr.BuildGraph(prog)
@@ -62,7 +62,7 @@ func TestRandomProgramsTraceVerify(t *testing.T) {
 	for seed := int64(0); seed < n; seed++ {
 		nest := workload.Random(seed, workload.DefaultRandConfig())
 		prog, ref, log := runTraced(t, nest, int(seed%7)+1)
-		if err := log.VerifyExactlyOnce(prog, ref); err != nil {
+		if err := log.VerifyExactlyOnceIn(prog, ref, refexec.Context{}); err != nil {
 			t.Fatalf("seed %d exactly-once: %v", seed, err)
 		}
 		g := descr.BuildGraph(prog)
@@ -75,7 +75,7 @@ func TestRandomProgramsTraceVerify(t *testing.T) {
 func TestVerifyDetectsMissingInstance(t *testing.T) {
 	prog, ref, _ := runTraced(t, workload.Fig1(workload.DefaultFig1()), 2)
 	empty := trace.New()
-	err := empty.VerifyExactlyOnce(prog, ref)
+	err := empty.VerifyExactlyOnceIn(prog, ref, refexec.Context{})
 	if err == nil || !strings.Contains(err.Error(), "never executed") {
 		t.Errorf("empty log passed verification: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestVerifyDetectsDuplicateIteration(t *testing.T) {
 	prog, ref, log := runTraced(t, nest, 1)
 	// Re-inject a duplicate iteration end.
 	log.Record(trace.Event{Kind: trace.EvIterEnd, Loop: 1, A: 1, At: 99})
-	err := log.VerifyExactlyOnce(prog, ref)
+	err := log.VerifyExactlyOnceIn(prog, ref, refexec.Context{})
 	if err == nil || !strings.Contains(err.Error(), "executed 2 times") {
 		t.Errorf("duplicate iteration not detected: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestVerifyProjectsThroughCondNodes(t *testing.T) {
 		b.DoallLeaf("H", loopir.Const(2), func(e loopir.Env, iv loopir.IVec, j int64) { e.Work(10) })
 	})
 	prog, ref, log := runTraced(t, nest, 3)
-	if err := log.VerifyExactlyOnce(prog, ref); err != nil {
+	if err := log.VerifyExactlyOnceIn(prog, ref, refexec.Context{}); err != nil {
 		t.Error(err)
 	}
 	g := descr.BuildGraph(prog)

@@ -272,7 +272,8 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 	}
 	var ring *trace.Ring
 	if opts.Diagnostics {
-		ring = trace.NewRing(rs.procs, flightEvents)
+		// A dump's newest 32 merged events lie in each processor's newest 32.
+		ring = trace.NewRing(rs.procs, 64)
 	}
 	var ckpt *core.CheckpointConfig
 	if opts.CheckpointAfter > 0 || opts.Resume != nil {
@@ -375,12 +376,6 @@ func (p *Program) RunContext(ctx context.Context, opts Options) (*Result, error)
 	}
 	return res, nil
 }
-
-// flightEvents is the per-processor depth of the flight recorder that
-// Options.Diagnostics attaches. A diagnostic dump ships the newest 32
-// events merged across processors, and those all lie within each
-// processor's newest 32, so any depth from 32 up gives the same dump.
-const flightEvents = 64
 
 // Execute compiles and runs a nest in one call.
 func Execute(nest *Nest, opts Options) (*Result, error) {

@@ -287,7 +287,7 @@ func TestChainStopsAtPause(t *testing.T) {
 					ctx, cancel = context.WithTimeout(ctx, c.timeout)
 					defer cancel()
 				}
-				return r.legs(ctx, repro.Options{}, 1, &legTotals{}, leg)
+				return r.legs(ctx, repro.Options{}, 1, &repro.Result{}, leg)
 			})
 			_, err := r.Wait(context.Background())
 			if r.State() != c.state || !errors.Is(err, c.err) || (c.err == nil) != (err == nil) {

@@ -161,11 +161,10 @@ type Submission struct {
 	// pausing or preempted run is its outcome, not a Snapshot). The
 	// claim-boundary pause preserves the bit-identity contract: the chained
 	// run's iteration set and totals equal an uninterrupted run's, and its
-	// Result's Makespan, Busy, Accesses and Utilization are summed over the
-	// legs. It overrides Options.CheckpointAfter, and Submit refuses it on
-	// a run that is not Resumable. A RequestCheckpoint or preemption ends
-	// the chain at the next leg boundary exactly as it would pause a
-	// CheckpointAfter run.
+	// Result sums every leg's time and work. It overrides CheckpointAfter;
+	// Submit refuses it on a run that is not Resumable. A RequestCheckpoint
+	// or preemption ends the chain at the next leg boundary exactly as it
+	// would pause a CheckpointAfter run.
 	CheckpointEvery int64
 	// Record rides, opaque, to the run's EventSubmitted and is dropped
 	// there: what the OnEvent consumer wants to write down about the
@@ -390,7 +389,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			return nil, fmt.Errorf("runner: checkpoint every %d claims: %w", sub.CheckpointEvery, err)
 		}
 	}
-	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant, traced: traced(sub.Options)}
+	r := &Run{id: sub.ID, label: sub.Label, tenant: sub.Tenant, traced: sub.Options.Verify || sub.Options.CollectTrace}
 	opts := sub.Options
 	userObserve := opts.Observe
 	opts.Observe = func(lv repro.Live) {
@@ -410,7 +409,9 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 	// live: not the Submission, whose Record rides to the Submitted event
 	// and is dropped there.
 	prog, timeout, every := sub.Program, sub.Timeout, sub.CheckpointEvery
-	var paused legTotals // the legs run so far, which the completing leg's Result adds
+	// paused sums the Makespan, Busy and Accesses of the legs run since the
+	// last start from scratch: chain legs and resumed preemptions.
+	var paused repro.Result
 	r.body = func(ctx context.Context) (*repro.Result, error) {
 		// A fresh attempt consumes any yield request from a previous
 		// one: the request targeted the attempt that already paused.
@@ -422,7 +423,7 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 			// its own CheckpointAfter pause raced the preemption; it restarts.)
 			attempt.Resume = ck
 		} else {
-			paused = legTotals{} // a restart replaces what earlier attempts ran
+			paused = repro.Result{} // a restart replaces what earlier attempts ran
 		}
 		if timeout > 0 {
 			var cancel context.CancelFunc
@@ -440,59 +441,23 @@ func (rn *Runner) Submit(sub Submission) (*Run, error) {
 // Resumable reports whether the runner resumes a run of prog under opts
 // from the run's own snapshots: the run can pause (Program.CanCheckpoint)
 // and records no trace (Verify, CollectTrace), which could not hold the
-// iterations run before a pause. It is the one rule behind resumption:
-// preemption resumes such a run and restarts any other, Submit refuses
-// CheckpointEvery on any other, and a clustered daemon's default
-// checkpoint interval applies to such runs only. It returns nil or an
-// error matching repro.ErrNotCheckpointable (or the option error Run
-// would return).
+// iterations run before a pause. Preemption resumes such a run and
+// restarts any other; Submit refuses CheckpointEvery on any other. It
+// returns nil or an error matching repro.ErrNotCheckpointable (or the
+// option error Run would return).
 func Resumable(prog *repro.Program, opts repro.Options) error {
-	if traced(opts) {
+	if opts.Verify || opts.CollectTrace {
 		return fmt.Errorf("%w: the run records a trace (verify), which cannot hold the iterations run before a pause",
 			repro.ErrNotCheckpointable)
 	}
 	return prog.CanCheckpoint(opts)
 }
 
-// traced reports whether a run under opts records an event trace.
-func traced(opts repro.Options) bool { return opts.Verify || opts.CollectTrace }
-
-// legTotals is the engine time and per-processor work of the legs a run has
-// paused through since it last started from scratch: chain legs and
-// preempted attempts that resume. A paused leg reports them on its
-// CheckpointedError; the leg that completes the run adds them to its
-// Result, so the Result covers the whole run rather than its last leg.
-type legTotals struct {
-	elapsed        int64
-	busy, accesses []int64
-}
-
-func (l *legTotals) add(cke *repro.CheckpointedError) {
-	l.elapsed += cke.Elapsed
-	l.busy = addTo(l.busy, cke.Busy)
-	l.accesses = addTo(l.accesses, cke.Accesses)
-}
-
-// onto adds the paused legs to the completing leg's result and
-// recomputes its utilization over the whole run.
-func (l *legTotals) onto(res *repro.Result) {
-	if l.elapsed == 0 {
-		return
-	}
-	res.Makespan += l.elapsed
-	res.Busy = addTo(res.Busy, l.busy)
-	res.Accesses = addTo(res.Accesses, l.accesses)
-	var busy int64
-	for _, b := range res.Busy {
-		busy += b
-	}
-	res.Utilization = float64(busy) / (float64(len(res.Busy)) * float64(res.Makespan))
-}
-
-// addTo adds src to dst element-wise, growing dst to src's length.
+// addTo adds src to dst element-wise (every leg of a run has the same
+// processor count); a nil dst takes a copy of src.
 func addTo(dst, src []int64) []int64 {
-	for len(dst) < len(src) {
-		dst = append(dst, 0)
+	if dst == nil {
+		return slices.Clone(src)
 	}
 	for i, v := range src {
 		dst[i] += v
@@ -503,8 +468,8 @@ func addTo(dst, src []int64) []int64 {
 // legs runs one attempt through leg: once, or with every > 0 as a chain
 // of legs that each pause after every chunk claims, park and publish the
 // snapshot, and resume from it. Every leg that pauses is added to
-// paused, and paused to the result of the leg that completes the run.
-func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64, paused *legTotals,
+// paused, so the Result of the leg that completes the run covers it all.
+func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64, paused *repro.Result,
 	leg func(context.Context, repro.Options) (*repro.Result, error)) (*repro.Result, error) {
 	for {
 		if every > 0 {
@@ -513,7 +478,8 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64, paus
 		res, err := leg(ctx, attempt)
 		var cke *repro.CheckpointedError
 		if errors.As(err, &cke) {
-			paused.add(cke)
+			paused.Makespan += cke.Elapsed
+			paused.Busy, paused.Accesses = addTo(paused.Busy, cke.Busy), addTo(paused.Accesses, cke.Accesses)
 			// Keep the snapshot on the handle. A plain CheckpointAfter run,
 			// or a chain asked to yield (pause request, preemption),
 			// surfaces the checkpoint as its outcome: exec either requeues
@@ -540,8 +506,14 @@ func (r *Run) legs(ctx context.Context, attempt repro.Options, every int64, paus
 			// snapshot so a client can resubmit it with a fresh budget.
 			r.ckpt.Store(be.Checkpoint)
 		}
-		if err == nil {
-			paused.onto(res)
+		if err == nil && paused.Makespan > 0 {
+			res.Makespan += paused.Makespan
+			res.Busy, res.Accesses = addTo(res.Busy, paused.Busy), addTo(res.Accesses, paused.Accesses)
+			var busy int64
+			for _, b := range res.Busy {
+				busy += b
+			}
+			res.Utilization = float64(busy) / float64(int64(len(res.Busy))*res.Makespan)
 		}
 		return res, err
 	}
